@@ -19,6 +19,7 @@ from repro.atlas.columnar import (
     IPInterner,
     TracerouteBatch,
     bin_views,
+    decode_lines,
     decode_traceroutes,
 )
 from repro.atlas.bincache import (
@@ -54,7 +55,9 @@ from repro.atlas.validate import (
 )
 from repro.atlas.stream import (
     DEFAULT_BIN_S,
+    ColumnarStream,
     FeedTailer,
+    LatenessWindow,
     TimeBinner,
     TracerouteStream,
     bin_start,
@@ -67,11 +70,13 @@ __all__ = [
     "BatchView",
     "BinCacheError",
     "CACHE_VERSION",
+    "ColumnarStream",
     "DEFAULT_BIN_S",
     "DecodeWarning",
     "FeedTailer",
     "Hop",
     "IPInterner",
+    "LatenessWindow",
     "MAX_SANE_RTT_MS",
     "MeasurementKind",
     "MeasurementSpec",
@@ -90,6 +95,7 @@ __all__ = [
     "bin_views",
     "binned_payloads",
     "count_traceroutes",
+    "decode_lines",
     "decode_traceroutes",
     "default_cache_path",
     "fingerprint_of",

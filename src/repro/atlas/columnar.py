@@ -21,9 +21,11 @@ Responder/endpoint addresses are interned once into an
 hundreds of millions of replies, so replies carry small integers and the
 string is materialised only where a detector needs a key.
 
-:func:`decode_traceroutes` fills a :class:`TracerouteBatch` straight
-from Atlas-format JSONL without ever constructing ``Reply``/``Hop``
-objects; :func:`bin_views` groups a batch into aligned time bins as
+:func:`decode_lines` appends Atlas-format JSONL lines to a
+:class:`TracerouteBatch` without ever constructing ``Reply``/``Hop``
+objects — :func:`decode_traceroutes` loops it over a file, the live
+monitor (:class:`repro.atlas.stream.ColumnarStream`) over tailed
+chunks; :func:`bin_views` groups a batch into aligned time bins as
 lightweight :class:`BatchView` index windows.  The engine's
 ``extract_bin`` consumes those views directly
 (:mod:`repro.core.engine`), and :mod:`repro.atlas.bincache` persists
@@ -50,6 +52,8 @@ except ImportError:  # pragma: no cover - depends on the environment
     _orjson = None
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.obs.metrics import default_registry
 
 from repro.atlas.io import (
@@ -69,14 +73,53 @@ NO_INT = -1
 
 _NAN = float("nan")
 
+#: The per-traceroute ``array('q')`` columns of a :class:`TracerouteBatch`.
+_SCALAR_COLUMNS = (
+    "timestamp",
+    "prb_id",
+    "src_id",
+    "dst_id",
+    "from_asn",
+    "msm_id",
+    "paris_id",
+    "af",
+)
+
+
+def gather_ragged(
+    offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR gather: (new offsets, flat source indices) for *rows*."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    total = int(new_offsets[-1])
+    if total == 0:
+        return new_offsets, np.empty(0, dtype=np.int64)
+    flat = np.repeat(starts - new_offsets[:-1], counts) + np.arange(
+        total, dtype=np.int64
+    )
+    return new_offsets, flat
+
+
+def _to_array(typecode: str, values: np.ndarray) -> array:
+    """An appendable ``array`` column holding *values*."""
+    column = array(typecode)
+    column.frombytes(values.tobytes())
+    return column
+
 
 class IPInterner:
     """Bidirectional string ↔ small-integer table for IP addresses.
 
     Ids are assigned densely in first-seen order, so they double as
-    indices into :attr:`strings`.  Interning the same address twice
-    returns the same id *and* the same ``str`` object, which keeps
-    downstream dict keying cheap (hash caching + identity fast path).
+    indices into :attr:`strings`, and the table is append-only: an id
+    never changes meaning, so consumers may cache by id for as long as
+    they hold the interner (the engine's fused path does).  Interning
+    the same address twice returns the same id *and* the same ``str``
+    object, which keeps downstream dict keying cheap (hash caching +
+    identity fast path).
     """
 
     __slots__ = ("_ids", "strings")
@@ -243,6 +286,31 @@ class TracerouteBatch:
             batch.append(traceroute)
         return batch
 
+    def take(self, rows: Sequence[int]) -> "TracerouteBatch":
+        """A new batch of only *rows* (in that order), on the same interner.
+
+        How the live monitor releases closed bins: the rows still open
+        are copied into a fresh appendable batch and the old columns
+        are dropped, so resident columns follow the open window rather
+        than the feed length.  Interned ids stay valid because the
+        interner is shared, not copied.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        out = TracerouteBatch(self.interner)
+        for name in _SCALAR_COLUMNS:
+            column = np.asarray(getattr(self, name))[rows]
+            setattr(out, name, _to_array("q", column))
+        hop_offsets, hops = gather_ragged(np.asarray(self.hop_offsets), rows)
+        reply_offsets, replies = gather_ragged(
+            np.asarray(self.reply_offsets), hops
+        )
+        out.hop_offsets = _to_array("q", hop_offsets)
+        out.hop_ttl = _to_array("q", np.asarray(self.hop_ttl)[hops])
+        out.reply_offsets = _to_array("q", reply_offsets)
+        out.reply_ip = _to_array("q", np.asarray(self.reply_ip)[replies])
+        out.reply_rtt = _to_array("d", np.asarray(self.reply_rtt)[replies])
+        return out
+
     # -- materialisation ---------------------------------------------------
 
     def traceroute_at(self, index: int) -> Traceroute:
@@ -372,41 +440,43 @@ def bin_views(
             yield start, BatchView(batch, grouped[start])
 
 
-def decode_traceroutes(
-    path: PathLike,
-    strict: bool = True,
-    interner: Optional[IPInterner] = None,
-) -> TracerouteBatch:
-    """Decode an Atlas-format JSONL file straight into columns.
+def decode_lines(
+    batch: TracerouteBatch,
+    lines: Iterable[Union[bytes, str]],
+    strict: bool = False,
+    first_line: int = 1,
+) -> int:
+    """Append Atlas-format JSONL *lines* to *batch*; return the skip count.
 
-    The zero-object twin of :func:`repro.atlas.io.read_traceroutes`:
-    same accepted format (gzip when the suffix is ``.gz``, blank lines
-    skipped), same validation (a TTL below 1 is rejected exactly like
-    ``Hop.__post_init__`` does), and the same strictness contract —
-    ``strict=True`` raises :class:`TracerouteDecodeError` with the
-    offending line number, ``strict=False`` skips undecodable lines and
-    emits one counted :class:`DecodeWarning` at the end.  A line that
-    fails mid-parse is rolled back completely, so the returned batch
-    only ever contains whole traceroutes.
+    The one per-line decode body: :func:`decode_traceroutes` loops it
+    over a file, the live ``monitor`` path
+    (:class:`repro.atlas.stream.ColumnarStream`) over tailed chunks.
+    Validation mirrors the object model (a TTL below 1 is rejected
+    exactly like ``Hop.__post_init__`` does).  Blank lines are skipped
+    silently; an undecodable line raises
+    :class:`TracerouteDecodeError` numbered from *first_line* when
+    *strict*, else it is skipped and counted.  A line that fails
+    mid-parse is rolled back completely, so the batch only ever
+    contains whole traceroutes.
 
     Every value lands in the arrays exactly as the object path would
     store it (same ``int``/``float`` conversions), which is what lets
     the engine's columnar extraction reproduce the object path bit for
-    bit.
+    bit.  Two known divergences from ``Traceroute.from_json`` are both
+    *skipped and counted* here rather than accepted: the non-standard
+    ``NaN``/``Infinity`` literals (orjson rejects them; consistent with
+    the module's "NaN RTTs are unrepresentable" fidelity note) and
+    integers beyond 64 bits (they do not fit the ``array('q')``
+    columns).
     """
-    source = Path(path)
-    batch = TracerouteBatch(interner)
-    # Hot loop: bind every attribute and method once.  This function is
-    # the ingest bottleneck for cache-miss replays, and attribute
-    # lookups per reply are measurable at campaign scale.
+    # Hot loop: bind every attribute and method once per call.  This
+    # function is the ingest bottleneck for cache-miss replays and the
+    # live monitor, and attribute lookups per reply are measurable at
+    # campaign scale.
     #
     # orjson, when the environment has it, parses raw bytes ~3x faster
-    # than the stdlib and skips the text-IO decode layer entirely; its
-    # JSONDecodeError subclasses json.JSONDecodeError, so the error
-    # handling below is identical.  (Known divergence: orjson rejects
-    # the non-standard NaN/Infinity literals the stdlib tolerates —
-    # such lines become decode errors, consistent with the module's
-    # "NaN RTTs are unrepresentable" fidelity note.)
+    # than the stdlib; its JSONDecodeError subclasses
+    # json.JSONDecodeError, so the error handling below is identical.
     loads = json.loads if _orjson is None else _orjson.loads
     strings = batch.interner.strings
     ids = batch.interner._ids
@@ -431,16 +501,8 @@ def decode_traceroutes(
     nan = _NAN
     no_ip = NO_IP
     no_int = NO_INT
-    scalar_arrays = (
-        batch.timestamp,
-        batch.prb_id,
-        batch.src_id,
-        batch.dst_id,
-        batch.from_asn,
-        batch.msm_id,
-        batch.paris_id,
-        batch.af,
-    )
+    scalar_arrays = [getattr(batch, name) for name in _SCALAR_COLUMNS]
+    rows_before = len(batch)
 
     def fill_replies(replies) -> None:
         """Columnarise one hop's reply list, mirroring ``Reply.from_json``.
@@ -500,7 +562,125 @@ def decode_traceroutes(
                 rtt_append(nan if rtt is None else float(rtt))
 
     skipped = 0
-    line_number = 0
+    line_number = first_line - 1
+    for line in lines:
+        line_number += 1
+        try:
+            data = loads(line)
+            for item in data.get("result", ()):
+                ttl = item["hop"]
+                if type(ttl) is not int:
+                    ttl = int(ttl)
+                if ttl < 1:
+                    raise ValueError(f"TTL must be >= 1: {ttl}")
+                fill_replies(item.get("result", ()))
+                ttl_append(ttl)
+                reply_offsets_append(len(ip_array))
+            prb = data["prb_id"]
+            if type(prb) is not int:
+                prb = int(prb)
+            src = data["src_addr"]
+            src_ident = ids.get(src)
+            if src_ident is None:
+                if type(src) is not str:
+                    raise TypeError(f"non-string src_addr: {src!r}")
+                src_ident = ids[src] = len(strings)
+                strings.append(src)
+            dst = data["dst_addr"]
+            dst_ident = ids.get(dst)
+            if dst_ident is None:
+                if type(dst) is not str:
+                    raise TypeError(f"non-string dst_addr: {dst!r}")
+                dst_ident = ids[dst] = len(strings)
+                strings.append(dst)
+            timestamp = data["timestamp"]
+            if type(timestamp) is not int:
+                timestamp = int(timestamp)
+            asn = data.get("from_asn")
+            msm = data.get("msm_id")
+            if (asn is not None and asn < 0) or (
+                msm is not None and msm < 0
+            ):
+                # Negative values would columnarise to the "absent"
+                # sentinel — reject, never corrupt.
+                raise ValueError(
+                    f"from_asn/msm_id must be non-negative: {asn!r}/{msm!r}"
+                )
+            paris = int(data.get("paris_id", 0))
+            af_value = int(data.get("af", 4))
+            # All conversions succeeded: commit.  The appends can still
+            # reject a non-integer asn/msm (TypeError) or a >64-bit
+            # value (OverflowError); the handler truncates every column
+            # back to the committed count either way.
+            timestamp_append(timestamp)
+            prb_append(prb)
+            src_append(src_ident)
+            dst_append(dst_ident)
+            asn_append(no_int if asn is None else asn)
+            msm_append(no_int if msm is None else msm)
+            paris_append(paris)
+            af_append(af_value)
+            hop_offsets_append(len(ttl_array))
+        except (
+            json.JSONDecodeError,
+            AttributeError,  # valid JSON that is not an object
+            KeyError,
+            TypeError,
+            ValueError,
+            OverflowError,
+        ) as exc:
+            # Roll the partial line back.  No per-line marks are kept
+            # in the hot loop: every boundary is recoverable from the
+            # offset tables, which are only appended to as hops/lines
+            # complete.
+            committed_hops = hop_offsets[-1]
+            del ttl_array[committed_hops:]
+            del reply_offsets[committed_hops + 1 :]
+            committed_replies = reply_offsets[-1]
+            del ip_array[committed_replies:]
+            del rtt_array[committed_replies:]
+            committed_lines = len(hop_offsets) - 1
+            for column in scalar_arrays:
+                del column[committed_lines:]
+            if not line.strip():
+                continue  # blank line: skipped silently
+            if strict:
+                raise TracerouteDecodeError(line_number, str(exc)) from exc
+            skipped += 1
+    registry = default_registry()
+    registry.counter(
+        "repro_ingest_traceroutes_total",
+        "Traceroute lines decoded into columnar batches.",
+    ).inc(len(batch) - rows_before)
+    if skipped:
+        registry.counter(
+            "repro_ingest_decode_warnings_total",
+            "Undecodable lines skipped in non-strict decoding.",
+        ).inc(skipped)
+    return skipped
+
+
+def decode_traceroutes(
+    path: PathLike,
+    strict: bool = True,
+    interner: Optional[IPInterner] = None,
+) -> TracerouteBatch:
+    """Decode an Atlas-format JSONL file straight into columns.
+
+    The zero-object twin of :func:`repro.atlas.io.read_traceroutes`:
+    same accepted format (gzip when the suffix is ``.gz``, blank lines
+    skipped) and the same strictness contract — ``strict=True`` raises
+    :class:`TracerouteDecodeError` with the offending line number,
+    ``strict=False`` skips undecodable lines and emits one counted
+    :class:`DecodeWarning` at the end.  A thin file loop over
+    :func:`decode_lines`, which holds the per-line semantics.
+    """
+    source = Path(path)
+    batch = TracerouteBatch(interner)
+    skipped = 0
+    first_line = 1
+    # Text lines for the stdlib parser, raw bytes for orjson (which
+    # skips the text-IO decode layer entirely).
     opener = (
         _open_text(source, "r") if _orjson is None else _open_binary(source)
     )
@@ -509,107 +689,8 @@ def decode_traceroutes(
         # lines per call: C-speed line splitting, bounded memory, and
         # no per-line iterator protocol overhead.
         while chunk := handle.readlines(1 << 20):
-            for line in chunk:
-                line_number += 1
-                try:
-                    data = loads(line)
-                    for item in data.get("result", ()):
-                        ttl = item["hop"]
-                        if type(ttl) is not int:
-                            ttl = int(ttl)
-                        if ttl < 1:
-                            raise ValueError(f"TTL must be >= 1: {ttl}")
-                        fill_replies(item.get("result", ()))
-                        ttl_append(ttl)
-                        reply_offsets_append(len(ip_array))
-                    prb = data["prb_id"]
-                    if type(prb) is not int:
-                        prb = int(prb)
-                    src = data["src_addr"]
-                    src_ident = ids.get(src)
-                    if src_ident is None:
-                        if type(src) is not str:
-                            raise TypeError(
-                                f"non-string src_addr: {src!r}"
-                            )
-                        src_ident = ids[src] = len(strings)
-                        strings.append(src)
-                    dst = data["dst_addr"]
-                    dst_ident = ids.get(dst)
-                    if dst_ident is None:
-                        if type(dst) is not str:
-                            raise TypeError(
-                                f"non-string dst_addr: {dst!r}"
-                            )
-                        dst_ident = ids[dst] = len(strings)
-                        strings.append(dst)
-                    timestamp = data["timestamp"]
-                    if type(timestamp) is not int:
-                        timestamp = int(timestamp)
-                    asn = data.get("from_asn")
-                    msm = data.get("msm_id")
-                    if (asn is not None and asn < 0) or (
-                        msm is not None and msm < 0
-                    ):
-                        # Negative values would columnarise to the
-                        # "absent" sentinel — reject, never corrupt.
-                        raise ValueError(
-                            f"from_asn/msm_id must be non-negative: "
-                            f"{asn!r}/{msm!r}"
-                        )
-                    paris = int(data.get("paris_id", 0))
-                    af_value = int(data.get("af", 4))
-                    # All conversions succeeded: commit.  The appends
-                    # can still reject a non-integer asn/msm
-                    # (TypeError) or a >64-bit value (OverflowError);
-                    # the handler truncates every column back to the
-                    # committed count either way.
-                    timestamp_append(timestamp)
-                    prb_append(prb)
-                    src_append(src_ident)
-                    dst_append(dst_ident)
-                    asn_append(no_int if asn is None else asn)
-                    msm_append(no_int if msm is None else msm)
-                    paris_append(paris)
-                    af_append(af_value)
-                    hop_offsets_append(len(ttl_array))
-                except (
-                    json.JSONDecodeError,
-                    KeyError,
-                    TypeError,
-                    ValueError,
-                    OverflowError,
-                ) as exc:
-                    # Roll the partial line back.  No per-line marks
-                    # are kept in the hot loop: every boundary is
-                    # recoverable from the offset tables, which are
-                    # only appended to as hops/lines complete.
-                    committed_hops = hop_offsets[-1]
-                    del ttl_array[committed_hops:]
-                    del reply_offsets[committed_hops + 1 :]
-                    committed_replies = reply_offsets[-1]
-                    del ip_array[committed_replies:]
-                    del rtt_array[committed_replies:]
-                    committed_lines = len(hop_offsets) - 1
-                    for column in scalar_arrays:
-                        del column[committed_lines:]
-                    if not line.strip():
-                        continue  # blank line: skipped silently
-                    if strict:
-                        raise TracerouteDecodeError(
-                            line_number, str(exc)
-                        ) from exc
-                    skipped += 1
+            skipped += decode_lines(batch, chunk, strict, first_line)
+            first_line += len(chunk)
     if skipped:
         _warn_skipped("decode_traceroutes", source, skipped)
-    registry = default_registry()
-    registry.counter(
-        "repro_ingest_traceroutes_total",
-        "Traceroute lines decoded into columnar batches.",
-    ).inc(len(batch))
-    if skipped:
-        registry.counter(
-            "repro_ingest_decode_warnings_total",
-            "Undecodable lines skipped in non-strict decoding.",
-        ).inc(skipped)
     return batch

@@ -3,13 +3,17 @@
 The detection system "collects all traceroutes initiated in a 1-hour time
 bin" (§4.2) and analyses bins in order.  :class:`TimeBinner` groups an
 arbitrarily ordered iterable of traceroutes into aligned bins, and
-:class:`TracerouteStream` provides the small amount of buffering needed to
+:class:`LatenessWindow` provides the small amount of buffering needed to
 consume near-real-time feeds where results may arrive slightly out of
-order (the Atlas streaming API gives no ordering guarantee).
-:class:`FeedTailer` is the file-level companion for ``monitor
---follow``: a ``tail -f`` line reader that notices feed truncation and
-logrotate-style replacement, reopens, counts the event and keeps going
-instead of stalling at a stale offset.
+order (the Atlas streaming API gives no ordering guarantee).  Two
+streams share that window: :class:`ColumnarStream` decodes tailed
+chunks of JSONL straight into columns and is what ``monitor`` runs;
+:class:`TracerouteStream` takes traceroute objects one at a time and is
+the public object-model API and the columnar stream's test oracle.
+:class:`FeedTailer` is the file-level companion: a ``tail -f`` chunk
+reader that notices feed truncation and logrotate-style replacement,
+reopens, counts the event and keeps going instead of stalling at a
+stale offset.
 """
 
 from __future__ import annotations
@@ -17,10 +21,28 @@ from __future__ import annotations
 import os
 import time
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.atlas.columnar import BatchView, TracerouteBatch, bin_views
+import numpy as np
+
+from repro.atlas.columnar import (
+    BatchView,
+    TracerouteBatch,
+    bin_views,
+    decode_lines,
+)
 from repro.atlas.model import Traceroute
+from repro.obs.metrics import default_registry
 
 #: The paper's conservative default time bin: one hour.
 DEFAULT_BIN_S = 3600
@@ -113,7 +135,7 @@ def binned_payloads(
 
 
 class FeedTailer:
-    """Line reader over an append-only feed that survives rotation.
+    """Chunked line reader over an append-only feed that survives rotation.
 
     ``tail -f`` semantics with the two real-world failure modes a
     long-running monitor meets handled explicitly:
@@ -128,7 +150,8 @@ class FeedTailer:
       the old handle (its tail was already read), reopens the new file
       from the top and keeps going.
 
-    Every reopen is counted in :attr:`reopens` so the monitor can
+    Every reopen is counted in :attr:`reopens` (and in the
+    ``repro_ingest_feed_reopens_total`` counter) so the monitor can
     report it.  A partial (not yet newline-terminated) trailing line is
     buffered until its remainder arrives — and dropped on reopen, since
     the bytes that would have completed it are gone with the old file.
@@ -165,52 +188,68 @@ class FeedTailer:
             return True  # truncated in place
         return status.st_ino != os.fstat(handle.fileno()).st_ino
 
-    def lines(self) -> Iterator[str]:
-        """Yield newline-terminated lines (the final one may not be)."""
-        handle = open(self.path, "r", encoding="utf-8")
+    def chunks(self, size_hint: int = 1 << 20) -> Iterator[List[bytes]]:
+        """Yield lists of complete lines, about *size_hint* bytes each.
+
+        What the columnar decoder consumes: everything the feed holds
+        right now (up to the hint) in one hand-over, split into lines
+        at C speed.  Only the very last line of the feed may lack its
+        newline (yielded at end of file when not following).
+        """
+        reopened = default_registry().counter(
+            "repro_ingest_feed_reopens_total",
+            "Feed truncations/rotations the tailer reopened after.",
+        )
+        handle = open(self.path, "rb")
         try:
-            partial = ""
+            partial = b""
             idle = 0.0
             while True:
-                chunk = handle.readline()
+                chunk = handle.readlines(size_hint)
                 if chunk:
                     idle = 0.0
-                    partial += chunk
-                    if partial.endswith("\n"):
-                        yield partial
-                        partial = ""
+                    chunk[0] = partial + chunk[0]
+                    # Only the last line read can be unterminated (the
+                    # writer is mid-line): hold it back for its remainder.
+                    partial = b"" if chunk[-1].endswith(b"\n") else chunk.pop()
+                    if chunk:
+                        yield chunk
                     continue
                 if self._rotated(handle):
                     handle.close()
-                    handle = open(self.path, "r", encoding="utf-8")
+                    handle = open(self.path, "rb")
                     self.reopens += 1
-                    partial = ""  # its completion vanished with the old file
+                    reopened.inc()
+                    partial = b""  # its completion vanished with the old file
                     continue
                 if not self.follow or (
                     self.idle_timeout is not None
                     and idle >= self.idle_timeout
                 ):
                     if partial:
-                        yield partial  # final unterminated line at EOF
+                        yield [partial]  # final unterminated line at EOF
                     return
                 self._sleep(self.poll)
                 idle += self.poll
         finally:
             handle.close()
 
+    def lines(self) -> Iterator[str]:
+        """Yield newline-terminated lines (the final one may not be)."""
+        for chunk in self.chunks():
+            for line in chunk:
+                yield line.decode("utf-8")
 
-class TracerouteStream:
-    """Buffered push-based stream that emits closed bins.
 
-    Feed results with :meth:`push`; whenever a result arrives whose bin is
-    at least ``lateness_bins`` past the oldest open bin, the oldest bin is
-    considered closed and returned.  Call :meth:`drain` at end of stream.
+class LatenessWindow:
+    """Lateness, densification and replay bookkeeping over open bins.
 
-    This mirrors how the authors' near-real-time deployment consumes the
-    Atlas streaming API: slightly late results are tolerated, very late
-    ones are dropped.
-
-    Two options wire the stream into the incremental engine:
+    The one implementation of the near-real-time closing rule, generic
+    over what a bin holds: :class:`TracerouteStream` adds traceroute
+    objects, :class:`ColumnarStream` adds row indices of its batch.
+    Whenever items arrive for a bin at least ``lateness_bins`` past an
+    open bin, that older bin is closed and returned; items for a bin
+    already closed are dropped and counted.
 
     * ``dense=True`` emits empty bins for any gap between consecutively
       closed bins, so the per-bin reference clock stays uniform — the
@@ -244,7 +283,7 @@ class TracerouteStream:
         self.lateness_bins = lateness_bins
         self.dense = dense
         self.start_after = start_after
-        self._open: Dict[int, List[Traceroute]] = {}
+        self._open: Dict[int, list] = {}
         self._closed_watermark: int = (
             start_after if start_after is not None else -(2**62)
         )
@@ -252,36 +291,37 @@ class TracerouteStream:
         self.dropped_late = 0
         self.dropped_replayed = 0
 
-    def _emit(
-        self, closed: List[Tuple[int, List[Traceroute]]]
-    ) -> List[Tuple[int, List[Traceroute]]]:
+    def _emit(self, closed: List[Tuple[int, list]]) -> List[Tuple[int, list]]:
         """Densify a batch of closing bins (no-op unless ``dense``)."""
         if not closed:
             return closed
         if not self.dense:
             self._last_emitted = closed[-1][0]
             return closed
-        out: List[Tuple[int, List[Traceroute]]] = []
-        for start, traceroutes in closed:
+        out: List[Tuple[int, list]] = []
+        for start, items in closed:
             if self._last_emitted is not None:
                 gap = self._last_emitted + self.bin_s
                 while gap < start:
                     out.append((gap, []))
                     gap += self.bin_s
-            out.append((start, traceroutes))
+            out.append((start, items))
             self._last_emitted = start
         return out
 
-    def push(self, traceroute: Traceroute) -> List[Tuple[int, List[Traceroute]]]:
-        """Add one result; return any bins that closed as a consequence."""
-        start = bin_start(traceroute.timestamp, self.bin_s)
+    def add(self, start: int, items: Sequence) -> List[Tuple[int, list]]:
+        """Add consecutive arrivals of bin *start*; return bins they closed.
+
+        Equivalent to adding the items one by one: only the first can
+        change the window, because a bin never closes itself.
+        """
         if start <= self._closed_watermark:
             if self.start_after is not None and start <= self.start_after:
-                self.dropped_replayed += 1
+                self.dropped_replayed += len(items)
             else:
-                self.dropped_late += 1
+                self.dropped_late += len(items)
             return []
-        self._open.setdefault(start, []).append(traceroute)
+        self._open.setdefault(start, []).extend(items)
         horizon = start - self.lateness_bins * self.bin_s
         closed = []
         for open_start in sorted(self._open):
@@ -292,7 +332,7 @@ class TracerouteStream:
                 )
         return self._emit(closed)
 
-    def drain(self) -> List[Tuple[int, List[Traceroute]]]:
+    def drain(self) -> List[Tuple[int, list]]:
         """Close and return every remaining open bin, oldest first."""
         closed = [(start, self._open[start]) for start in sorted(self._open)]
         if closed:
@@ -301,3 +341,103 @@ class TracerouteStream:
             )
         self._open.clear()
         return self._emit(closed)
+
+
+class TracerouteStream(LatenessWindow):
+    """Buffered push-based stream of traceroute objects (the oracle).
+
+    Feed results with :meth:`push`; closed bins come back as lists of
+    traceroutes.  Call :meth:`~LatenessWindow.drain` at end of stream.
+    This mirrors how the authors' near-real-time deployment consumes
+    the Atlas streaming API: slightly late results are tolerated, very
+    late ones are dropped.  Options and counters are
+    :class:`LatenessWindow`'s.
+
+    Production ``monitor`` runs the same window over columns
+    (:class:`ColumnarStream`); this object form is the public API for
+    library users and the reference the columnar path is tested against.
+    """
+
+    def push(self, traceroute: Traceroute) -> List[Tuple[int, List[Traceroute]]]:
+        """Add one result; return any bins that closed as a consequence."""
+        return self.add(
+            bin_start(traceroute.timestamp, self.bin_s), (traceroute,)
+        )
+
+
+class ColumnarStream(LatenessWindow):
+    """Chunks of JSONL lines in, closed bins out as :class:`BatchView`s.
+
+    The live ``monitor`` ingest: each :meth:`push` decodes one tailed
+    chunk straight into the current :class:`TracerouteBatch`
+    (:func:`~repro.atlas.columnar.decode_lines` — no traceroute objects)
+    and runs the new rows through the same :class:`LatenessWindow` rule
+    :class:`TracerouteStream` applies to objects, so bins, drop counts
+    and densification are identical for the same input order.
+    Undecodable lines are skipped and counted in :attr:`skipped`.
+
+    Returned views are valid until the next :meth:`push`: once the rows
+    of closed (or dropped) bins outnumber the rows still open, the open
+    rows are copied into a fresh batch and the old columns released, so
+    resident columns stay within a small multiple of the open window
+    (``lateness_bins + 1`` bins) however long the feed runs.  The
+    interner is kept across batches — its ids are append-only, which is
+    what lets the engine keep its id-keyed caches.
+    """
+
+    def __init__(
+        self,
+        bin_s: int = DEFAULT_BIN_S,
+        lateness_bins: int = 1,
+        dense: bool = False,
+        start_after: Optional[int] = None,
+    ) -> None:
+        super().__init__(bin_s, lateness_bins, dense, start_after)
+        self.batch = TracerouteBatch()
+        self.skipped = 0
+        #: Newest traceroute timestamp decoded so far (data time).
+        self.newest_timestamp = 0
+
+    def _views(
+        self, closed: List[Tuple[int, list]]
+    ) -> List[Tuple[int, BatchView]]:
+        return [(start, BatchView(self.batch, rows)) for start, rows in closed]
+
+    def _release_closed(self) -> None:
+        """Rebuild the batch from the open rows once most rows are dead."""
+        live = sum(len(rows) for rows in self._open.values())
+        if len(self.batch) - live <= live:
+            return
+        starts = sorted(self._open)
+        self.batch = self.batch.take(
+            [row for start in starts for row in self._open[start]]
+        )
+        moved = 0
+        for start in starts:
+            count = len(self._open[start])
+            self._open[start] = list(range(moved, moved + count))
+            moved += count
+
+    def push(self, lines: Sequence[bytes]) -> List[Tuple[int, BatchView]]:
+        """Decode a chunk of lines; return the bins it closed."""
+        self._release_closed()
+        batch = self.batch
+        first = len(batch)
+        self.skipped += decode_lines(batch, lines)
+        if len(batch) == first:
+            return []
+        stamps = np.array(batch.timestamp[first:], dtype=np.int64)
+        self.newest_timestamp = max(self.newest_timestamp, int(stamps.max()))
+        starts = stamps // self.bin_s * self.bin_s
+        # One window step per run of consecutive rows in the same bin.
+        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+        closed: List[Tuple[int, list]] = []
+        for lo, hi in zip([0] + cuts, cuts + [len(starts)]):
+            closed += self.add(
+                int(starts[lo]), range(first + lo, first + hi)
+            )
+        return self._views(closed)
+
+    def drain(self) -> List[Tuple[int, BatchView]]:
+        """Close and return every remaining open bin, oldest first."""
+        return self._views(super().drain())

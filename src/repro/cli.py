@@ -17,7 +17,11 @@ Seven subcommands cover the common workflows:
 * ``monitor`` — tail a JSONL feed like the authors' near-real-time
   deployment tails the Atlas streaming API: close hourly bins as the
   stream moves past them, emit alarms per closed bin, and durably
-  checkpoint detector state as it goes.  ``--atlas --atlas-msm ID``
+  checkpoint detector state as it goes.  The feed is read in chunks
+  and decoded straight into columns, and every closed bin runs
+  through the sharded engine's columnar path at any ``--shards``
+  (output bit-identical to the serial reference pipeline).
+  ``--atlas --atlas-msm ID``
   first fetches the measurement's results into the feed file through
   the connector layer (resumably, with ``--atlas-cursor``), then
   monitors it — the live-data entry point,
@@ -46,7 +50,7 @@ fused columnar spine (:mod:`repro.core.fused`) by default;
 instead (bit-identical, for comparison).  ``analyze --timings`` prints
 per-stage wall-clock totals (decode/bin/extract/detect/store), and
 ``monitor --json`` appends one ``timings/v1`` record after the last
-bin.
+bin (``decode`` charged per tailed chunk, the rest per closed bin).
 
 ``analyze --checkpoint PATH [--checkpoint-every N]`` snapshots detector
 state and accumulated results to PATH every N bins
@@ -86,15 +90,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.atlas import (
+    ColumnarStream,
     FeedTailer,
-    Traceroute,
-    TracerouteStream,
     default_cache_path,
     load_or_build,
     read_traceroutes,
@@ -106,7 +108,6 @@ from repro.core import (
     SnapshotError,
     StageTimer,
     analyze_campaign,
-    create_pipeline,
     load_snapshot,
     save_snapshot,
     source_digest_of,
@@ -531,7 +532,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
         help="shard links over N independent detector states and run "
-             "the vectorized engine (1 = serial reference pipeline)")
+             "the vectorized engine (1 = serial reference pipeline; "
+             "monitor always runs the engine, 1 = a single shard)")
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="J",
         help="worker count for the sharded engine (default: one per "
@@ -966,17 +968,16 @@ def _cmd_monitor(args) -> int:
     if args.atlas:
         _monitor_prefetch(args)
     config = _engine_config(args, bin_s=args.bin_s) or PipelineConfig()
-    pipeline = create_pipeline(config)
-    # JSON mode appends one timings/v1 record to stderr on exit; the
-    # sharded engine meters extract/bin/detect itself, so the CLI only
-    # adds the outer "detect" span on the serial pipeline (no
-    # double-counting either way).
+    # Every closed bin takes the engine's columnar path at any --shards
+    # (1 = one shard on the in-process backend); the serial Pipeline is
+    # the reference this output is held identical to, not a code path
+    # here.
+    pipeline = ShardedPipeline(config)
+    # JSON mode appends one timings/v1 record to stderr on exit: the
+    # engine meters extract/bin/detect through its profiler hook, the
+    # loop below adds decode (per chunk), store and compact.
     timer = StageTimer(enabled=args.json)
-    if isinstance(pipeline, ShardedPipeline):
-        pipeline.profiler = timer
-        bin_timer = StageTimer(enabled=False)
-    else:
-        bin_timer = timer
+    pipeline.profiler = timer
     snapshot = None
     feed_digest = b""
     if args.checkpoint:
@@ -1011,7 +1012,7 @@ def _cmd_monitor(args) -> int:
                 f"resumed from checkpoint: {snapshot.bins_processed} bins "
                 f"already processed (last bin {snapshot.last_timestamp})"
             )
-    stream = TracerouteStream(
+    stream = ColumnarStream(
         bin_s=config.bin_s,
         lateness_bins=args.lateness,
         dense=True,
@@ -1037,10 +1038,8 @@ def _cmd_monitor(args) -> int:
         raise SystemExit(2)
     closed_bins = 0
     pending = 0
-    skipped_lines = 0
     store_buffer: List = []
     bins_since_compact = 0
-    newest_ts = 0  # newest traceroute timestamp seen (data time)
 
     def checkpoint() -> None:
         """Write a state-only snapshot bound to this feed."""
@@ -1083,9 +1082,8 @@ def _cmd_monitor(args) -> int:
     def handle(closed) -> bool:
         """Process closed bins; True once --max-bins is reached."""
         nonlocal closed_bins, pending
-        for start, traceroutes in closed:
-            with bin_timer.stage("detect"):
-                result = pipeline.process_bin(start, traceroutes)
+        for start, view in closed:
+            result = pipeline.process_bin(start, view)
             _emit_bin(result, args.json)
             if store_writer is not None:
                 # Batched on the checkpoint cadence: one segment (and
@@ -1107,7 +1105,9 @@ def _cmd_monitor(args) -> int:
                 "monitor",
                 bins_closed=closed_bins,
                 last_bin_timestamp=start,
-                feed_lag_s=max(0, newest_ts - (start + config.bin_s)),
+                feed_lag_s=max(
+                    0, stream.newest_timestamp - (start + config.bin_s)
+                ),
                 checkpoint_pending_bins=pending,
             )
             if args.max_bins is not None and closed_bins >= args.max_bins:
@@ -1122,19 +1122,12 @@ def _cmd_monitor(args) -> int:
     )
     try:
         stopped = False
-        for line in tailer.lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                with timer.stage("decode"):
-                    traceroute = Traceroute.from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                skipped_lines += 1  # a live feed's bad line is not fatal
-                continue
-            if traceroute.timestamp > newest_ts:
-                newest_ts = traceroute.timestamp
-            if handle(stream.push(traceroute)):
+        for chunk in tailer.chunks():
+            # Straight into columns; a live feed's bad line is skipped
+            # and counted, never fatal.
+            with timer.stage("decode"):
+                closed = stream.push(chunk)
+            if handle(closed):
                 stopped = True
                 break
         if not stopped:
@@ -1143,8 +1136,7 @@ def _cmd_monitor(args) -> int:
         if args.checkpoint and pending:
             checkpoint()
     finally:
-        if isinstance(pipeline, ShardedPipeline):
-            pipeline.close()
+        pipeline.close()
     if store_writer is not None:
         _warn_if_unattributed_store(store_writer, args.store)
     if args.json:
@@ -1171,7 +1163,7 @@ def _cmd_monitor(args) -> int:
             f"monitor done: {closed_bins} bins, "
             f"{stream.dropped_late} late results dropped, "
             f"{stream.dropped_replayed} replayed results skipped, "
-            f"{skipped_lines} undecodable lines skipped"
+            f"{stream.skipped} undecodable lines skipped"
             f"{reopens}"
         )
     return 0

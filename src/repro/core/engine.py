@@ -46,7 +46,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.atlas.columnar import NO_INT, NO_IP, BatchView, TracerouteBatch
+from repro.atlas.columnar import (
+    NO_INT,
+    NO_IP,
+    BatchView,
+    IPInterner,
+    TracerouteBatch,
+)
 from repro.atlas.model import Traceroute
 from repro.atlas.stream import binned_payloads
 from repro.core.alarms import (
@@ -744,16 +750,17 @@ class _ShardCore:
         self.tracked: Dict[Link, List[TrackedLinkPoint]] = {
             link: [] for link in tracked_links
         }
-        # Fused-path state: the current batch's interner string table
-        # and the per-batch id caches (batch interner ids are
-        # batch-scoped, so every cache resets on set_strings).
+        # Fused-path state: the current interner's string table and the
+        # id-keyed caches.  Interner ids are append-only, so the caches
+        # live as long as the interner does — across bins, batches and
+        # table growth — and reset only on set_strings (a new interner).
         self._strings: Optional[List[str]] = None
         self._pair_links: Dict[Tuple[int, int], Link] = {}
         self._pair_rows: Dict[Tuple[int, int], int] = {}
         self._model_keys: Dict[Tuple[int, int], ModelKey] = {}
 
     def set_strings(self, strings: Optional[List[str]]) -> None:
-        """Install a batch's interner table; reset the per-batch caches."""
+        """Install a new interner's table; reset the id-keyed caches."""
         self._strings = strings
         self._pair_links = {}
         self._pair_rows = {}
@@ -1136,9 +1143,16 @@ class _SerialBackend:
             for core, (observations, patterns) in zip(self.cores, parts)
         ]
 
-    def set_strings(self, strings: List[str]) -> None:
-        for core in self.cores:
-            core.set_strings(strings)
+    def set_strings(self, strings: List[str], known: int) -> None:
+        """Install an interner table of which ``strings[:known]`` is held.
+
+        ``known == 0`` announces a new interner (id caches reset).  A
+        grown table needs nothing here: the cores hold the interner's
+        own list, which grew in place.
+        """
+        if known == 0:
+            for core in self.cores:
+                core.set_strings(strings)
 
     def run_fused_bin(
         self, timestamp: int, parts: List[FusedBin]
@@ -1209,6 +1223,7 @@ def _worker_main(connection, shard_ids, config, tracked_by_shard) -> None:
         shard: _ShardCore(shard, config, tracked_by_shard[shard])
         for shard in shard_ids
     }
+    strings: List[str] = []  # this worker's copy of the interner table
     while True:
         try:
             message = connection.recv()
@@ -1247,9 +1262,13 @@ def _worker_main(connection, shard_ids, config, tracked_by_shard) -> None:
                         # the name, so the segment dies with the worker.
                         pass
             elif tag == "strings":
-                _, strings = message
-                for core in cores.values():
-                    core.set_strings(strings)
+                _, known, tail = message
+                if known == 0:
+                    strings = tail
+                    for core in cores.values():
+                        core.set_strings(strings)
+                else:
+                    strings.extend(tail)  # the cores share this list
                 connection.send(("ok", None))
             elif tag == "snapshot":
                 connection.send(
@@ -1350,10 +1369,14 @@ class _ProcessBackend:
         outputs.sort(key=lambda output: output.shard_id)
         return outputs
 
-    def set_strings(self, strings: List[str]) -> None:
-        """Ship a batch's interner table to every worker, once per batch."""
+    def set_strings(self, strings: List[str], known: int) -> None:
+        """Ship the part of an interner table the workers do not hold yet.
+
+        ``known == 0`` announces a new interner (id caches reset);
+        otherwise only the appended tail travels.
+        """
         for worker in self.workers:
-            worker["pipe"].send(("strings", strings))
+            worker["pipe"].send(("strings", known, strings[known:]))
         self._collect()
 
     def run_fused_bin(
@@ -1531,12 +1554,12 @@ class ShardedPipeline:
         # skips the consistent hash on every revisit.
         self._link_shard: Dict[Link, int] = {}
         self._router_shard: Dict[str, int] = {}
-        # Fused-path per-batch state: the batch whose interner the
-        # caches/ranks describe, its string count (guards mid-batch
-        # interner growth), the string-order rank table, and the
-        # id-keyed shard caches.
-        self._fused_batch: Optional[TracerouteBatch] = None
-        self._fused_n_strings = -1
+        # Fused-path state, keyed on the interner (its ids are
+        # append-only): the interner the caches describe, how many of
+        # its strings the rank table and the shard cores cover, the
+        # string-order rank table, and the id-keyed shard caches.
+        self._fused_interner: Optional[IPInterner] = None
+        self._fused_n_strings = 0
         self._fused_ranks: Optional[np.ndarray] = None
         self._fused_link_shard: Dict[Tuple[int, int], int] = {}
         self._fused_router_shard: Dict[int, int] = {}
@@ -1754,20 +1777,23 @@ class ShardedPipeline:
             if isinstance(traceroutes, BatchView)
             else traceroutes
         )
-        strings = batch.interner.strings
-        if (
-            batch is not self._fused_batch
-            or len(strings) != self._fused_n_strings
-        ):
-            # New batch (or the interner grew): rebuild the rank table,
-            # drop every batch-scoped id cache, re-ship the string
-            # table to wherever the shard cores live.
-            self._fused_batch = batch
-            self._fused_n_strings = len(strings)
-            self._fused_ranks = string_ranks(strings)
+        interner = batch.interner
+        strings = interner.strings
+        new_interner = interner is not self._fused_interner
+        if new_interner:
+            # A new id space: every id-keyed cache is void.
+            self._fused_interner = interner
+            self._fused_n_strings = 0
             self._fused_link_shard = {}
             self._fused_router_shard = {}
-            self._backend.set_strings(strings)
+        if new_interner or len(strings) != self._fused_n_strings:
+            # Old ids keep their meaning as an interner grows, so a
+            # fresh batch per window or new addresses cost a rank
+            # refresh and the new tail shipped to the shard cores —
+            # never the shard caches.
+            self._backend.set_strings(strings, self._fused_n_strings)
+            self._fused_ranks = string_ranks(strings)
+            self._fused_n_strings = len(strings)
         bin_start = perf_counter()
         fused = extract_bin_fused(traceroutes, self._fused_ranks)
         stage_start = self._charge("extract", bin_start)

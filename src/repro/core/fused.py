@@ -46,7 +46,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.atlas.columnar import NO_INT, NO_IP, BatchView, TracerouteBatch
+from repro.atlas.columnar import (
+    NO_INT,
+    NO_IP,
+    BatchView,
+    TracerouteBatch,
+    gather_ragged,
+)
 from repro.core.alarms import Link
 from repro.core.sharding import shard_of
 
@@ -524,23 +530,6 @@ def extract_bin_fused(
 # -- shard partitioning ------------------------------------------------------
 
 
-def _gather_ragged(
-    offsets: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR gather: (new offsets, flat source indices) for *rows*."""
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
-    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_offsets[1:])
-    total = int(new_offsets[-1])
-    if total == 0:
-        return new_offsets, _EMPTY_I
-    flat = np.repeat(starts - new_offsets[:-1], counts) + np.arange(
-        total, dtype=np.int64
-    )
-    return new_offsets, flat
-
-
 def partition_fused(
     fused: FusedBin,
     n_shards: int,
@@ -595,13 +584,13 @@ def partition_fused(
         if rows.size:
             part.link_near = fused.link_near[rows]
             part.link_far = fused.link_far[rows]
-            seg_offsets, seg_idx = _gather_ragged(
+            seg_offsets, seg_idx = gather_ragged(
                 fused.link_seg_offsets, rows
             )
             part.link_seg_offsets = seg_offsets
             part.seg_probe = fused.seg_probe[seg_idx]
             part.seg_asn = fused.seg_asn[seg_idx]
-            sample_offsets, sample_idx = _gather_ragged(
+            sample_offsets, sample_idx = gather_ragged(
                 fused.seg_sample_offsets, seg_idx
             )
             part.seg_sample_offsets = sample_offsets
@@ -610,7 +599,7 @@ def partition_fused(
         if model_rows.size:
             part.model_router = fused.model_router[model_rows]
             part.model_dst = fused.model_dst[model_rows]
-            hop_offsets, hop_idx = _gather_ragged(
+            hop_offsets, hop_idx = gather_ragged(
                 fused.model_hop_offsets, model_rows
             )
             part.model_hop_offsets = hop_offsets

@@ -10,11 +10,12 @@ forwarding alarms are flagged (the red nodes of Figure 12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.alarms import UNRESPONSIVE, DelayAlarm, ForwardingAlarm
+
+if TYPE_CHECKING:  # networkx loads on first use, not with ``import repro``
+    import networkx as nx
 
 
 def alarm_graph(
@@ -28,6 +29,8 @@ def alarm_graph(
     ``in_forwarding_alarm`` marks addresses reported by the forwarding
     method (as reporting router or as anomalous next hop).
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for alarm in delay_alarms:
         near, far = alarm.link
@@ -53,6 +56,8 @@ def alarm_graph(
 
 def component_of(graph: nx.Graph, ip: str) -> nx.Graph:
     """Connected component containing *ip* (empty graph if absent)."""
+    import networkx as nx
+
     if ip not in graph:
         return nx.Graph()
     nodes = nx.node_connected_component(graph, ip)
@@ -101,6 +106,8 @@ def summarize_component(
 
 def components_by_size(graph: nx.Graph) -> List[nx.Graph]:
     """All connected components, largest first."""
+    import networkx as nx
+
     return [
         graph.subgraph(nodes).copy()
         for nodes in sorted(nx.connected_components(graph), key=len, reverse=True)

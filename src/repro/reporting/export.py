@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.core.pipeline import BinResult, TrackedLinkPoint
 from repro.reporting.jsonio import dumps_canonical
 from repro.stats.wilson import WilsonInterval
+
+if TYPE_CHECKING:  # annotation only; networkx loads on first use
+    import networkx as nx
 
 PathLike = Union[str, Path]
 

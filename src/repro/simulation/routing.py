@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.simulation.topology import AnycastService, Topology
 
 
@@ -65,6 +63,8 @@ class RoutingEngine:
     # -- raw shortest paths --------------------------------------------------
 
     def _shortest(self, src: str, dst: str) -> List[str]:
+        import networkx as nx  # loaded on first use, not with the package
+
         try:
             return nx.shortest_path(self.graph, src, dst, weight=self.weight)
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:

@@ -63,7 +63,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.quality.labels import DelayLabel, ForwardingLabel, GroundTruth
@@ -795,6 +794,8 @@ class BgpHijackScenario(Scenario):
             everyone = {p.probe_id for p in probes}
             self.captured = {name: set(everyone) for name in self._targets}
         else:
+            import networkx as nx
+
             reversed_graph = graph.reverse(copy=False)
             to_hijacker = nx.single_source_dijkstra_path_length(
                 reversed_graph, hijacker, weight="weight"

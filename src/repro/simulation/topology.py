@@ -25,10 +25,12 @@ loss probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # networkx loads when a topology is built
+    import networkx as nx
 
 # ---------------------------------------------------------------------------
 # Named entities from the paper's case studies.
@@ -296,6 +298,8 @@ class TopologyBuilder:
     """Deterministic builder for the synthetic Internet."""
 
     def __init__(self, params: Optional[TopologyParams] = None, seed: int = 0):
+        import networkx as nx
+
         self.params = params or TopologyParams()
         self.seed = seed
         self._rng = np.random.default_rng(seed)

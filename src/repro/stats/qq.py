@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 
 def normal_qq(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -32,6 +31,10 @@ def normal_qq(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     # Filliben's estimate for plotting positions.
     n = array.size
     positions = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
+    # Imported here, not at module level: scipy.stats is most of what
+    # ``import repro`` used to cost, and only this function needs it.
+    from scipy import stats as sps
+
     theoretical = sps.norm.ppf(positions)
     return theoretical, standardized
 

@@ -299,6 +299,112 @@ class TestMonitor:
         assert "monitor done: 3 bins" in capsys.readouterr().out
 
 
+def _run_monitor(*argv):
+    """``monitor --json`` in-process; returns its stdout (bin records)."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["monitor", *map(str, argv), "--json"]) == 0
+    return out.getvalue()
+
+
+def _store_state(path):
+    """What a reader of the store sees, plus its append cadence."""
+    from repro.service import StoreQuery
+
+    query = StoreQuery(path)
+    manifest = query.store.manifest
+    bins = range(manifest.start, manifest.end + 1, manifest.bin_s)
+    return (
+        manifest.generation,
+        [(s.name, s.n_delay, s.n_forwarding, s.n_events)
+         for s in manifest.segments],
+        [query.alarms_at(timestamp) for timestamp in bins],
+    )
+
+
+class TestMonitorCrashResume:
+    """The live path is resumable at any bin: stdout, checkpoint bytes
+    and the store of an interrupted-then-rerun monitor equal an
+    uninterrupted run's, at any shard count."""
+
+    ARGS = ("--seed", "5", "--probes", "24", "--compact-every", "3")
+
+    @pytest.fixture(scope="class")
+    def feed(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-resume") / "feed.jsonl"
+        assert main(
+            [
+                "generate", "--hours", "8", "--seed", "5", "--probes", "24",
+                "--scenario", "ddos", "--no-anchoring", "--out", str(path),
+            ]
+        ) == 0
+        return path
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def shards(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def reference(self, feed, shards, tmp_path_factory):
+        """One uninterrupted run at this shard count."""
+        out = tmp_path_factory.mktemp("cli-resume-ref")
+        stdout = _run_monitor(
+            feed, *self.ARGS, "--shards", shards, "--store", out / "store",
+            "--checkpoint", out / "ckpt",
+        )
+        records = [json.loads(line) for line in stdout.splitlines()]
+        assert len(records) == 8
+        assert any(record["delay_alarms"] for record in records), "vacuous"
+        return stdout, (out / "ckpt").read_bytes(), _store_state(out / "store")
+
+    @pytest.mark.parametrize("stop_after", [1, 5])
+    def test_max_bins_then_rerun_equals_uninterrupted(
+        self, feed, reference, tmp_path, shards, stop_after
+    ):
+        argv = (
+            feed, *self.ARGS, "--shards", shards,
+            "--store", tmp_path / "store", "--checkpoint", tmp_path / "ckpt",
+        )
+        first = _run_monitor(*argv, "--max-bins", stop_after)
+        assert len(first.splitlines()) == stop_after
+        second = _run_monitor(*argv)
+        stdout, checkpoint, store = reference
+        assert first + second == stdout
+        assert (tmp_path / "ckpt").read_bytes() == checkpoint
+        assert _store_state(tmp_path / "store") == store
+
+    def test_checkpoint_written_by_the_serial_pipeline_resumes(
+        self, feed, reference, shards, tmp_path
+    ):
+        """Checkpoints are engine-agnostic: one taken from the serial
+        reference ``Pipeline`` resumes under ``monitor``'s sharded
+        engine and ends in the same checkpoint bytes."""
+        from repro.atlas import read_traceroutes
+        from repro.core import (
+            Pipeline,
+            PipelineConfig,
+            save_snapshot,
+            source_digest_of,
+        )
+
+        pipeline = Pipeline(PipelineConfig())
+        pipeline.run(
+            [t for t in read_traceroutes(feed) if t.timestamp < 3 * 3600]
+        )
+        state = pipeline.snapshot()
+        state.source_digest = source_digest_of(feed)
+        save_snapshot(tmp_path / "ckpt", state)
+        resumed = _run_monitor(
+            feed, "--shards", shards, "--checkpoint", tmp_path / "ckpt"
+        )
+        stdout, checkpoint, _store = reference
+        assert resumed == "".join(stdout.splitlines(keepends=True)[3:])
+        assert (tmp_path / "ckpt").read_bytes() == checkpoint
+
+
 class TestAlarmStore:
     @pytest.fixture(scope="class")
     def campaign_path(self, tmp_path_factory):

@@ -257,14 +257,18 @@ class TestAccessLog:
     def test_one_line_per_request_with_fixed_fields(self, stack):
         sync_get(stack["sync_base"], "/health/65001")
         sync_get(stack["sync_base"], "/nonsense")
+        # The sync tier logs after the body is sent, on a per-request
+        # thread, so the two lines may land in either order: find each
+        # record by its route, not by its position.
+        wanted = {"/health/65001", "/nonsense"}
         records = eventually(
-            lambda: len(self._drain(stack["sync_log"])) >= 2
+            lambda: wanted
+            <= {r["route"] for r in self._drain(stack["sync_log"])}
             and self._drain(stack["sync_log"])
         )
-        assert [r["route"] for r in records[-2:]] == [
-            "/health/65001", "/nonsense"
-        ]
-        assert records[-1]["status"] == 404
+        by_route = {r["route"]: r for r in records}
+        assert by_route["/health/65001"]["status"] == 200
+        assert by_route["/nonsense"]["status"] == 404
         for record in records:
             assert list(record) == ["cache", "latency_us", "route", "status"]
             assert record["cache"] in ("hit", "miss", "coalesced", "none")

@@ -169,6 +169,49 @@ class TestTimingsSchemaCoherence:
         assert timings
         assert set(timings) <= set(STAGE_NAMES)
 
+    def test_monitor_decode_is_per_chunk_and_engine_stages_are_metered(
+        self, campaign_path, capsys
+    ):
+        """The live path charges ``decode`` once per tailed chunk (this
+        feed fits one), and extract/bin/detect come from the engine's
+        profiler hook, once per closed bin, at any ``--shards``."""
+        for shards in ("1", "2"):
+            assert main(
+                ["monitor", str(campaign_path), "--json", "--shards", shards]
+            ) == 0
+            timings = self._timings_record(capsys.readouterr().err)
+            assert timings["decode"]["calls"] == 1
+            for stage in ("extract", "bin", "detect"):
+                assert timings[stage]["calls"] == 3, (shards, stage)
+
+    def test_monitor_ingest_counters_reach_the_registry(
+        self, campaign_path, tmp_path, capsys
+    ):
+        """A monitor's decoded and skipped lines land in the same
+        counters ``decode_traceroutes`` feeds, so they reach /metrics."""
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        feed = tmp_path / "dirty.jsonl"
+        clean = campaign_path.read_text()
+        feed.write_text("not json\n\n" + clean + '{"half": true}\n')
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            assert main(["monitor", str(feed), "--json"]) == 0
+        finally:
+            set_default_registry(previous)
+        capsys.readouterr()
+        values = {
+            family.name: family.children[0].value
+            for family in registry.collect()
+            if family.name.startswith("repro_ingest_")
+        }
+        assert values == {
+            "repro_ingest_traceroutes_total": len(clean.splitlines()),
+            "repro_ingest_decode_warnings_total": 2,
+            "repro_ingest_feed_reopens_total": 0,
+        }
+
     def test_monitor_and_analyze_agree_on_shared_stage_names(
         self, campaign_path, capsys
     ):
