@@ -40,9 +40,10 @@ from repro.core import (
     Pipeline,
     PipelineConfig,
     ShardedPipeline,
+    differential_rtts,
+    forwarding_patterns,
 )
 from repro.core.diversity import DiversityFilter
-from repro.core.engine import extract_bin
 from repro.core.sharding import shard_of
 from repro.atlas.stream import TimeBinner
 from repro.reporting import format_table
@@ -123,7 +124,9 @@ def _prepare_bins(traceroutes, config):
     )
     prepared = []
     for start, payload in binner.bins(traceroutes):
-        observations, patterns = extract_bin(list(payload))
+        payload = list(payload)
+        observations = differential_rtts(payload)
+        patterns = forwarding_patterns(payload)
         accepted = []
         n_probes = []
         n_asns = []
@@ -207,7 +210,7 @@ def _partition_bins(prepared, n_shards):
     """Pre-split every bin's links/patterns into per-shard slices.
 
     The engine memoises each link's and router's shard assignment across
-    bins (``ShardedPipeline._link_shard``), so the consistent hash is
+    bins (``ShardedPipeline._fused_link_shard``), so the consistent hash is
     not part of steady-state detection cost; partitioning therefore
     happens outside the timed region, once per shard count.
     """

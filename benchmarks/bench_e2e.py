@@ -1,28 +1,25 @@
-"""End-to-end throughput: the fused spine vs the stage-sum path.
+"""End-to-end throughput: the fused spine vs the serial reference.
 
 The paper's deployment replays archived traceroutes continuously, so
 the number that matters operationally is **traceroutes per second from
-a cold on-disk campaign to a published alarm store**.  Before the
-fused spine, that path was a sum of individually-fast stages glued
-together with Python objects: the bin cache was copied into ``array``
-columns, extraction re-boxed columns into ``(str, str)``-keyed dicts,
-the process executor pickled those dicts per bin, and every alarm was
-rendered through an intermediate record dict at the store boundary.
-The fused path keeps one columnar spine end to end: the cache is
-mmap'd (``mapped=True``), extraction emits interned-id flat arrays
+a cold on-disk campaign to a published alarm store**.  The sharded
+engine keeps one columnar spine end to end: the cache is mmap'd
+(``mapped=True``), extraction emits interned-id flat arrays
 (:mod:`repro.core.fused`), shard payloads travel by shared memory, and
 alarms materialise str-keyed objects exactly once, at the store/report
-boundary.
+boundary.  The baseline is the paper-shaped serial
+:class:`~repro.core.Pipeline` over the same cache: columns copied out,
+objects materialised per bin, links analysed one at a time.
 
 Hard claims proved here on a simulator-generated campaign:
 
 1. **bit-identity** — per-bin results (alarms and counts), campaign
    stats and the *on-disk store bytes* (manifest minus the random
-   ``store_id``, every segment file) are identical between the fused
-   and stage-sum paths at 1/2/4 shards under the serial, thread and
+   ``store_id``, every segment file) are identical between the engine
+   and the serial pipeline at 1/2/4 shards under the serial and
    process executors;
-2. **speedup** — the fused path is at least ``MIN_SPEEDUP`` (2x)
-   faster end to end than the stage-sum path, single-process
+2. **speedup** — the engine is at least ``MIN_SPEEDUP`` (2x) faster
+   end to end than the serial pipeline, single-process
    (``executor="serial"``, deterministic timing) and at the headline
    parallel configuration.
 
@@ -69,7 +66,7 @@ MIN_SPEEDUP = 2.0
 
 #: The equivalence matrix: every executor at every shard count.
 SHARD_COUNTS = (1, 2, 4)
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: The headline parallel configuration (throughput is quoted here).
 HEADLINE = {"n_shards": 4, "executor": "process", "n_jobs": 4}
@@ -78,26 +75,30 @@ HEADLINE = {"n_shards": 4, "executor": "process", "n_jobs": 4}
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
 
 
-def _e2e(cache_path, mapper, store_dir, fused, **engine_kwargs):
-    """One cold end-to-end run: bin cache -> engine -> alarm store.
+def _e2e(cache_path, mapper, store_dir, **engine_kwargs):
+    """One cold end-to-end run: bin cache -> detection -> alarm store.
 
-    The fused path maps the cache zero-copy; the stage-sum path copies
-    it into array columns and routes bins through the dict-shaped
-    extraction (``fused=False``) — exactly the pre-spine pipeline.
-    Returns (bin results, stats, store writer).
+    With *engine_kwargs* the sharded engine reads the cache mapped
+    zero-copy; without, the serial reference pipeline reads a copy and
+    materialises objects per bin.  Returns (bin results, stats).
     """
-    batch = read_bincache(cache_path, mapped=fused)
-    engine = ShardedPipeline(PipelineConfig(fused=fused, **engine_kwargs))
+    if engine_kwargs:
+        pipeline = ShardedPipeline(PipelineConfig(**engine_kwargs))
+        batch = read_bincache(cache_path, mapped=True)
+    else:
+        pipeline = Pipeline(PipelineConfig())
+        batch = read_bincache(cache_path)
     try:
-        results = engine.run(batch)
-        stats = engine.stats()
+        results = pipeline.run(batch)
+        stats = pipeline.stats()
     finally:
-        engine.close()
+        if engine_kwargs:
+            pipeline.close()
     writer = AlarmStoreWriter.create(
         store_dir, mapper, bin_s=3600, overwrite=True
     )
     writer.append_bins(results)
-    return results, stats, writer
+    return results, stats
 
 
 def _best_time(fn):
@@ -139,7 +140,7 @@ def _store_fingerprint(store_dir):
 
 
 def test_fused_e2e_throughput(benchmark, tmp_path):
-    """Measure both end-to-end paths and assert the hard claims."""
+    """Measure engine and reference end to end; assert the hard claims."""
     topology = build_topology(TopologyParams.case_study(), seed=1)
     kroot = topology.services["K-root"]
     scenario = CompositeScenario(
@@ -169,87 +170,67 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     write_bincache(cache_path, decode_traceroutes(jsonl_path))
     cache_bytes = cache_path.stat().st_size
 
-    # The oracle: the serial reference pipeline on decoded objects.
-    serial = Pipeline(PipelineConfig())
-    reference_results = serial.run(decode_traceroutes(jsonl_path))
-    reference_stats = serial.stats()
+    # The oracle: the serial reference pipeline over the same cache.
+    reference_results, reference_stats = _e2e(
+        cache_path, mapper, tmp_path / "reference.store"
+    )
     assert sum(len(r.delay_alarms) for r in reference_results) > 0, (
         "vacuous campaign: no delay alarms to compare"
     )
+    reference_store = _store_fingerprint(tmp_path / "reference.store")
 
     # Hard claim 1: bit-identical results, stats and store bytes at
     # every (executor, shard count) pair.
-    reference_store = None
     for executor in EXECUTORS:
         for n_shards in SHARD_COUNTS:
             kwargs = {"n_shards": n_shards, "executor": executor}
             if executor != "serial":
                 kwargs["n_jobs"] = min(n_shards, 4)
             tag = f"{executor}-{n_shards}"
-            fused_results, fused_stats, _ = _e2e(
-                cache_path, mapper, tmp_path / f"fused-{tag}.store",
-                fused=True, **kwargs,
+            results, stats = _e2e(
+                cache_path, mapper, tmp_path / f"{tag}.store", **kwargs
             )
-            sum_results, sum_stats, _ = _e2e(
-                cache_path, mapper, tmp_path / f"sum-{tag}.store",
-                fused=False, **kwargs,
+            assert results == reference_results, (
+                f"engine results diverged at {tag}"
             )
-            assert fused_results == reference_results, (
-                f"fused results diverged at {tag}"
-            )
-            assert sum_results == reference_results, (
-                f"stage-sum results diverged at {tag}"
-            )
-            assert fused_stats == sum_stats == reference_stats, (
+            assert stats == reference_stats, (
                 f"campaign stats diverged at {tag}"
             )
-            fused_store = _store_fingerprint(tmp_path / f"fused-{tag}.store")
-            sum_store = _store_fingerprint(tmp_path / f"sum-{tag}.store")
-            assert fused_store == sum_store, (
-                f"store bytes diverged between paths at {tag}"
-            )
-            if reference_store is None:
-                reference_store = fused_store
-            assert fused_store == reference_store, (
-                f"store bytes diverged across configurations at {tag}"
-            )
+            assert (
+                _store_fingerprint(tmp_path / f"{tag}.store")
+                == reference_store
+            ), f"store bytes diverged from the serial pipeline at {tag}"
 
     # Hard claim 2 + the headline number: timed end-to-end runs.
-    def timed(fused, **kwargs):
+    def timed(**kwargs):
         store = tmp_path / "timed.store"
         return _best_time(
-            lambda: _e2e(cache_path, mapper, store, fused=fused, **kwargs)
+            lambda: _e2e(cache_path, mapper, store, **kwargs)
         )[0]
 
-    serial_kwargs = {"n_shards": 4, "executor": "serial"}
-    sum_serial_s = timed(False, **serial_kwargs)
-    fused_serial_s = timed(True, **serial_kwargs)
-    sum_headline_s = timed(False, **HEADLINE)
-    fused_headline_s = timed(True, **HEADLINE)
+    reference_s = timed()
+    fused_serial_s = timed(n_shards=4, executor="serial")
+    fused_headline_s = timed(**HEADLINE)
 
-    serial_speedup = sum_serial_s / fused_serial_s
-    headline_speedup = sum_headline_s / fused_headline_s
+    serial_speedup = reference_s / fused_serial_s
+    headline_speedup = reference_s / fused_headline_s
     throughput = n_traceroutes / fused_headline_s
 
     benchmark.pedantic(
         lambda: _e2e(
-            cache_path, mapper, tmp_path / "timed.store",
-            fused=True, **HEADLINE,
+            cache_path, mapper, tmp_path / "timed.store", **HEADLINE
         ),
         rounds=1, iterations=1,
     )
 
     mode = "smoke" if SMOKE else "full"
     rows = [
-        ["stage-sum, serial x4", f"{sum_serial_s:.3f}", "1.00",
-         f"{n_traceroutes / sum_serial_s:,.0f}"],
-        ["fused, serial x4", f"{fused_serial_s:.3f}",
+        ["serial Pipeline", f"{reference_s:.3f}", "1.00",
+         f"{n_traceroutes / reference_s:,.0f}"],
+        ["engine, serial x4", f"{fused_serial_s:.3f}",
          f"{serial_speedup:.2f}", f"{n_traceroutes / fused_serial_s:,.0f}"],
-        ["stage-sum, process x4", f"{sum_headline_s:.3f}",
-         f"{sum_serial_s / sum_headline_s:.2f}",
-         f"{n_traceroutes / sum_headline_s:,.0f}"],
-        ["fused, process x4", f"{fused_headline_s:.3f}",
-         f"{sum_serial_s / fused_headline_s:.2f}", f"{throughput:,.0f}"],
+        ["engine, process x4", f"{fused_headline_s:.3f}",
+         f"{headline_speedup:.2f}", f"{throughput:,.0f}"],
     ]
     print(
         f"\n=== fused end-to-end throughput ({mode}: {DURATION_H}h campaign, "
@@ -258,7 +239,7 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     )
     print(
         format_table(
-            ["path (cache -> detect -> store)", "seconds", "vs stage-sum",
+            ["path (cache -> detect -> store)", "seconds", "vs serial",
              "traceroutes/s"],
             rows,
         )
@@ -271,9 +252,8 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
         "n_traceroutes": n_traceroutes,
         "cache_bytes": cache_bytes,
         "rounds": ROUNDS,
-        "stage_sum_serial_s": sum_serial_s,
+        "reference_serial_s": reference_s,
         "fused_serial_s": fused_serial_s,
-        "stage_sum_headline_s": sum_headline_s,
         "fused_headline_s": fused_headline_s,
         "serial_speedup": serial_speedup,
         "headline_speedup": headline_speedup,
@@ -288,12 +268,12 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
 
     if not SMOKE:
         assert serial_speedup >= MIN_SPEEDUP, (
-            f"fused serial speedup {serial_speedup:.2f}x fell below the "
-            f"{MIN_SPEEDUP}x floor (stage-sum {sum_serial_s:.3f}s, "
-            f"fused {fused_serial_s:.3f}s)"
+            f"engine serial speedup {serial_speedup:.2f}x fell below the "
+            f"{MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
+            f"engine {fused_serial_s:.3f}s)"
         )
         assert headline_speedup >= MIN_SPEEDUP, (
-            f"fused headline speedup {headline_speedup:.2f}x fell below "
-            f"the {MIN_SPEEDUP}x floor (stage-sum {sum_headline_s:.3f}s, "
-            f"fused {fused_headline_s:.3f}s)"
+            f"engine headline speedup {headline_speedup:.2f}x fell below "
+            f"the {MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
+            f"engine {fused_headline_s:.3f}s)"
         )

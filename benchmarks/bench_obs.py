@@ -62,7 +62,7 @@ MIN_RATIO = 0.97
 #: The engine configuration under test (the fused serial spine — the
 #: deterministic-timing configuration, so the ratio is not executor
 #: scheduling noise).
-ENGINE = {"n_shards": 4, "executor": "serial", "fused": True}
+ENGINE = {"n_shards": 4, "executor": "serial"}
 
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"

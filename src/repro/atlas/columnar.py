@@ -27,8 +27,9 @@ objects — :func:`decode_traceroutes` loops it over a file, the live
 monitor (:class:`repro.atlas.stream.ColumnarStream`) over tailed
 chunks; :func:`bin_views` groups a batch into aligned time bins as
 lightweight :class:`BatchView` index windows.  The engine's
-``extract_bin`` consumes those views directly
-(:mod:`repro.core.engine`), and :mod:`repro.atlas.bincache` persists
+extraction kernel consumes those views directly
+(:func:`repro.core.fused.extract_bin_fused`), and
+:mod:`repro.atlas.bincache` persists
 whole batches so repeated replays skip JSON parsing entirely.
 
 Fidelity notes (the only places columns are narrower than objects):

@@ -39,15 +39,15 @@ Seven subcommands cover the common workflows:
 
 ``analyze`` and ``replay`` accept ``--shards N`` (and optionally
 ``--jobs J``) to run the sharded parallel engine instead of the serial
-reference pipeline; results are bit-identical either way.  ``analyze
+reference pipeline; results are bit-identical either way.  The engine
+has one extraction path, the fused columnar spine
+(:mod:`repro.core.fused`): columnar bins feed it directly, object bins
+are encoded into columns first.  ``analyze
 --bin-cache [PATH]`` ingests through the columnar binary cache
 (:mod:`repro.atlas.bincache`): the first replay decodes the JSONL once
 into flat arrays and caches them, repeat replays map the cache
 zero-copy and skip JSON parsing entirely — output is bit-identical to
-plain ingestion.  The sharded engine feeds cached bins through the
-fused columnar spine (:mod:`repro.core.fused`) by default;
-``--no-fused`` routes them through the per-object oracle extraction
-instead (bit-identical, for comparison).  ``analyze --timings`` prints
+plain ingestion.  ``analyze --timings`` prints
 per-stage wall-clock totals (decode/bin/extract/detect/store), and
 ``monitor --json`` appends one ``timings/v1`` record after the last
 bin (``decode`` charged per tailed chunk, the rest per closed bin).
@@ -531,18 +531,14 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Sharded-engine knobs shared by the analysis subcommands."""
     parser.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
-        help="shard links over N independent detector states and run "
-             "the vectorized engine (1 = serial reference pipeline; "
-             "monitor always runs the engine, 1 = a single shard)")
+        help="shard links over N independent detector states in the "
+             "vectorized engine (at 1, analyze and replay run the "
+             "serial reference pipeline and monitor runs the engine "
+             "with a single shard)")
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="J",
         help="worker count for the sharded engine (default: one per "
              "shard, capped at the CPU count; requires --shards > 1)")
-    parser.add_argument(
-        "--no-fused", dest="fused", action="store_false",
-        help="route columnar bins through the per-object oracle "
-             "extraction instead of the fused columnar spine "
-             "(output is bit-identical; for comparison/debugging)")
 
 
 def _engine_config(args, **overrides) -> Optional[PipelineConfig]:
@@ -550,7 +546,7 @@ def _engine_config(args, **overrides) -> Optional[PipelineConfig]:
     if args.jobs is not None and args.shards <= 1:
         print(
             "repro: error: --jobs requires --shards > 1 "
-            "(the serial pipeline has no workers)",
+            "(a single shard runs in-process, without workers)",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -559,8 +555,6 @@ def _engine_config(args, **overrides) -> Optional[PipelineConfig]:
         kwargs["n_shards"] = args.shards
         if args.jobs is not None:
             kwargs["n_jobs"] = args.jobs
-    if not getattr(args, "fused", True):
-        kwargs["fused"] = False
     if not kwargs:
         return None
     return PipelineConfig(**kwargs)

@@ -18,7 +18,9 @@ Modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.fused` — the fused columnar spine: flat-array bin
   payloads, shard partitioning and the shared-memory transport
 * :mod:`repro.core.engine` — the sharded, vectorized execution engine
-* :mod:`repro.core.profiling` — per-stage wall-clock instrumentation
+
+Per-stage wall-clock instrumentation (``StageTimer``/``STAGES``/
+``NULL_TIMER``) is re-exported from :mod:`repro.obs.tracing`.
 """
 
 from repro.core.alarms import (
@@ -66,7 +68,6 @@ from repro.core.diversity import (
 from repro.core.engine import (
     ShardedPipeline,
     create_pipeline,
-    extract_bin,
 )
 from repro.core.events import (
     AlarmAggregator,
@@ -103,22 +104,20 @@ from repro.core.pipeline import (
     TrackedLinkPoint,
     analyze_campaign,
 )
-from repro.core.profiling import (
-    NULL_TIMER,
-    STAGES,
-    StageTimer,
-)
 from repro.core.sensitivity import (
     SensitivityPoint,
     sensitivity_point,
     sensitivity_table,
 )
 from repro.core.sharding import (
-    partition_observations,
-    partition_patterns,
     shard_layout,
     shard_of,
     stable_hash64,
+)
+from repro.obs.tracing import (
+    NULL_TIMER,
+    STAGE_NAMES as STAGES,
+    StageAccumulator as StageTimer,
 )
 
 __all__ = [
@@ -174,13 +173,10 @@ __all__ = [
     "deviation_score",
     "differential_rtts",
     "evaluate_resolution",
-    "extract_bin",
     "extract_bin_fused",
     "forwarding_patterns",
     "partition_fused",
     "load_snapshot",
-    "partition_observations",
-    "partition_patterns",
     "resolve_aliases",
     "responsibility_scores",
     "run_checkpointed",

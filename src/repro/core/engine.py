@@ -3,11 +3,15 @@
 :class:`~repro.core.pipeline.Pipeline` is the paper-shaped *reference*
 implementation: it analyses links one at a time in readable pure-Python
 loops.  This module is the *production* execution layer built for the
-paper's actual scale (2.8 billion traceroutes):
+paper's actual scale (2.8 billion traceroutes), and it has exactly one
+path through it:
 
-* :func:`extract_bin` fuses differential-RTT extraction (§4.2.1) and
-  forwarding-pattern extraction (§5.1) into one pass over each
-  traceroute, computing every per-hop grouping exactly once;
+* every bin is columnar — object-model input is encoded at the door
+  with :meth:`~repro.atlas.columnar.TracerouteBatch.from_traceroutes`
+  against one engine-owned interner — and
+  :func:`~repro.core.fused.extract_bin_fused` fuses differential-RTT
+  extraction (§4.2.1) and forwarding-pattern extraction (§5.1) into one
+  vectorized pass over the flat arrays;
 * :class:`_ShardCore` holds one shard's detector state in the
   structure-of-arrays arenas (:class:`~repro.core.arena.DelayArena`,
   :class:`~repro.core.arena.ForwardingArena`) and analyses its link
@@ -19,19 +23,19 @@ paper's actual scale (2.8 billion traceroutes):
   forwarding side;
 * :class:`ShardedPipeline` consistently hashes links (and routers, for
   the forwarding method) into N independent shards, fans each bin out
-  over a serial loop, a thread pool, or persistent per-shard worker
-  processes, and merges results deterministically (alarms sorted by
-  link / model key) into the same :class:`~repro.core.pipeline.BinResult`
-  and :class:`~repro.core.pipeline.CampaignStats` the serial path
-  produces.
+  over a serial loop or persistent per-shard worker processes, and
+  merges results deterministically (alarms sorted by link / model key)
+  into the same :class:`~repro.core.pipeline.BinResult` and
+  :class:`~repro.core.pipeline.CampaignStats` the serial path produces.
 
 Equivalence is a hard guarantee, not an aspiration: every numeric step
 of the batched path performs the same float64 arithmetic in the same
 order as the scalar path, the diversity filter draws per-link (not
 per-evaluation-order) random streams, and the property tests in
-``tests/test_engine_equivalence.py`` plus the equality assertions in
-``benchmarks/bench_engine_scaling.py`` hold the output bit-identical to
-the serial pipeline for any shard count and executor.
+``tests/test_engine_equivalence.py`` and ``tests/test_fused_spine.py``
+plus the equality assertions in ``benchmarks/bench_engine_scaling.py``
+hold the output bit-identical to the serial pipeline for any shard
+count and executor.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -48,19 +51,13 @@ import numpy as np
 
 from repro.atlas.columnar import (
     NO_INT,
-    NO_IP,
     BatchView,
     IPInterner,
     TracerouteBatch,
 )
 from repro.atlas.model import Traceroute
 from repro.atlas.stream import binned_payloads
-from repro.core.alarms import (
-    UNRESPONSIVE,
-    DelayAlarm,
-    ForwardingAlarm,
-    Link,
-)
+from repro.core.alarms import DelayAlarm, ForwardingAlarm, Link
 from repro.core.arena import DelayAlarmRows, DelayArena, ForwardingArena
 from repro.core.checkpoint import (
     DelayTable,
@@ -72,7 +69,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.diffrtt import LinkObservations
 from repro.core.diversity import DiversityFilter, DiversityVerdict
-from repro.core.forwarding import ModelKey, Pattern
+from repro.core.forwarding import ModelKey
 from repro.core.fused import (
     FusedBin,
     attach_shm,
@@ -89,15 +86,9 @@ from repro.core.pipeline import (
     PipelineConfig,
     TrackedLinkPoint,
 )
-from repro.core.profiling import NULL_TIMER
 from repro.obs.metrics import MetricsRegistry, default_registry, exponential_buckets
-from repro.obs.tracing import NULL_TRACER
-from repro.core.sharding import (
-    partition_observations,
-    partition_patterns,
-    shard_layout,
-    shard_of,
-)
+from repro.obs.tracing import NULL_TIMER, NULL_TRACER
+from repro.core.sharding import shard_layout, shard_of
 from repro.stats.smoothing import SEED_BINS
 from repro.stats.wilson import (
     WilsonInterval,
@@ -105,467 +96,10 @@ from repro.stats.wilson import (
     median_confidence_interval_arrays,
 )
 
-def extract_bin(
-    traceroutes: Union[Sequence[Traceroute], TracerouteBatch, BatchView],
-) -> Tuple[Dict[Link, LinkObservations], Dict[ModelKey, Pattern]]:
-    """One fused pass: differential RTTs *and* forwarding patterns.
-
-    Produces dictionaries equal to
-    ``(differential_rtts(trs), forwarding_patterns(trs))`` — same keys,
-    same sample values in the same order, same packet counts — but walks
-    each traceroute once, computing every hop's reply grouping a single
-    time instead of re-deriving ``responding_ips`` / ``rtts_for`` /
-    ``primary_ip`` / ``is_unresponsive`` per use as the reference
-    functions do.  This is where most of the serial pipeline's bin time
-    goes, so the fusion is the engine's single biggest win.
-
-    Accepts either a sequence of :class:`Traceroute` objects or a
-    columnar :class:`~repro.atlas.columnar.TracerouteBatch` /
-    :class:`~repro.atlas.columnar.BatchView`; the columnar path
-    (:func:`_extract_bin_columnar`) reads the flat arrays directly and
-    produces the identical output without materialising any objects.
-    """
-    if isinstance(traceroutes, (TracerouteBatch, BatchView)):
-        return _extract_bin_columnar(traceroutes)
-    links: Dict[Link, LinkObservations] = {}
-    patterns: Dict[ModelKey, Pattern] = {}
-    links_get = links.get
-    patterns_get = patterns.get
-    for traceroute in traceroutes:
-        hops = traceroute.hops
-        if len(hops) < 2:
-            # A single hop yields neither a link nor a (router, next-hop)
-            # attribution; nothing to extract.
-            continue
-
-        # Per-hop groupings, each computed exactly once:
-        #   ip_rtts — ordered {ip -> [non-None rtts]} (responding_ips +
-        #             rtts_for in one structure),
-        #   counts  — replies per responding IP (primary_ip + the §5.1
-        #             per-next-hop packet attribution),
-        #   lost    — packets with no reply (the ``*`` bucket),
-        #   primary — most frequent responding IP (ties by IP).
-        infos = []
-        ttls = []
-        for hop in hops:
-            replies = hop.replies
-            ttls.append(hop.ttl)
-            # Fast path: every packet answered by the same IP — the
-            # overwhelmingly common Paris-traceroute outcome.
-            uniform = bool(replies)
-            first_ip = replies[0].ip if replies else None
-            if first_ip is None:
-                uniform = False
-            else:
-                for reply in replies:
-                    if reply.ip != first_ip:
-                        uniform = False
-                        break
-            if uniform:
-                # The dict forms are materialised lazily (mixed pairs
-                # only); uniform-uniform pairs never need them.
-                rtts = [
-                    reply.rtt_ms
-                    for reply in replies
-                    if reply.rtt_ms is not None
-                ]
-                infos.append(
-                    (None, None, 0, first_ip, rtts, len(replies))
-                )
-                continue
-            ip_rtts: Dict[str, List[float]] = {}
-            counts: Dict[str, int] = {}
-            lost = 0
-            for reply in replies:
-                ip = reply.ip
-                if ip is None:
-                    lost += 1
-                    continue
-                samples = ip_rtts.get(ip)
-                if samples is None:
-                    samples = ip_rtts[ip] = []
-                    counts[ip] = 1
-                else:
-                    counts[ip] += 1
-                rtt = reply.rtt_ms
-                if rtt is not None:
-                    samples.append(rtt)
-            if not counts:
-                primary = None
-            elif len(counts) == 1:
-                (primary,) = counts
-            else:
-                primary = max(counts, key=lambda ip: (counts[ip], ip))
-            infos.append((ip_rtts, counts, lost, primary, None, 0))
-
-        # The pair loop below also exists as _emit_adjacent_pairs (the
-        # columnar path's copy).  It is kept inline here because a
-        # helper call per traceroute costs ~6% of extraction time at
-        # campaign scale; the two copies are held identical by the
-        # hypothesis property in tests/test_engine_equivalence.py.
-        probe_id = traceroute.prb_id
-        probe_asn = traceroute.from_asn
-        destination = traceroute.dst_addr
-        for index in range(len(hops) - 1):
-            if ttls[index + 1] != ttls[index] + 1:
-                continue  # TTL gap: routers are not IP-adjacent
-            near_info = infos[index]
-            far_info = infos[index + 1]
-            near_single = near_info[4]
-            far_single_rtts = far_info[4]
-            if near_single is not None and far_single_rtts is not None:
-                # Both hops uniform: one candidate link, one next hop.
-                near_ip = near_info[3]
-                far_ip = far_info[3]
-                if near_single and far_single_rtts and far_ip != near_ip:
-                    link = (near_ip, far_ip)
-                    samples = [
-                        far - near
-                        for far in far_single_rtts
-                        for near in near_single
-                    ]
-                    observations = links_get(link)
-                    if observations is None:
-                        observations = links[link] = LinkObservations(link)
-                    # Inlined LinkObservations.add — this runs once per
-                    # probe per link per bin, and the call overhead is
-                    # measurable at campaign scale.
-                    buffer = observations._samples
-                    start = len(buffer)
-                    buffer.extend(samples)
-                    observations._segments.setdefault(
-                        probe_id, []
-                    ).append((start, len(buffer)))
-                    observations.probe_asn[probe_id] = probe_asn
-                key = (near_ip, destination)
-                pattern = patterns_get(key)
-                if pattern is None:
-                    pattern = patterns[key] = {}
-                pattern[far_ip] = pattern.get(far_ip, 0.0) + far_info[5]
-                continue
-
-            near_rtts = near_info[0]
-            if near_rtts is None:  # materialise a uniform hop's dict form
-                near_rtts = {near_info[3]: near_info[4]}
-            far_rtts = far_info[0]
-            if far_rtts is None:
-                far_rtts = {far_info[3]: far_info[4]}
-            if near_rtts and far_rtts:  # both hops responsive (§4.2.1)
-                for near_ip, near_samples in near_rtts.items():
-                    if not near_samples:
-                        continue
-                    for far_ip, far_samples in far_rtts.items():
-                        if far_ip == near_ip or not far_samples:
-                            continue
-                        link = (near_ip, far_ip)
-                        samples = [
-                            far - near
-                            for far in far_samples
-                            for near in near_samples
-                        ]
-                        observations = links_get(link)
-                        if observations is None:
-                            observations = links[link] = LinkObservations(link)
-                        buffer = observations._samples
-                        start = len(buffer)
-                        buffer.extend(samples)
-                        observations._segments.setdefault(
-                            probe_id, []
-                        ).append((start, len(buffer)))
-                        observations.probe_asn[probe_id] = probe_asn
-            router_ip = near_info[3]
-            if router_ip is not None:  # §5.1 packet attribution
-                key = (router_ip, destination)
-                pattern = patterns_get(key)
-                if pattern is None:
-                    pattern = patterns[key] = {}
-                far_counts = far_info[1]
-                if far_counts is None:  # uniform far hop: one next hop
-                    far_ip = far_info[3]
-                    pattern[far_ip] = pattern.get(far_ip, 0.0) + far_info[5]
-                else:
-                    for next_hop, count in far_counts.items():
-                        pattern[next_hop] = pattern.get(next_hop, 0.0) + count
-                    far_lost = far_info[2]
-                    if far_lost:
-                        pattern[UNRESPONSIVE] = (
-                            pattern.get(UNRESPONSIVE, 0.0) + far_lost
-                        )
-    return links, patterns
-
-
-def _emit_adjacent_pairs(
-    infos: List[tuple],
-    ttls: List[int],
-    probe_id: int,
-    probe_asn: Optional[int],
-    dst_id: int,
-    links: Dict[Tuple[int, int], LinkObservations],
-    patterns: Dict[Tuple[int, int], Dict[int, float]],
-    strings: List[str],
-) -> None:
-    """Turn one traceroute's per-hop groupings into links and patterns.
-
-    The columnar extraction path's copy of the pair loop that
-    :func:`extract_bin` runs inline (inline there because a call per
-    traceroute is measurable on the object hot path).  This copy works
-    entirely on **interned integer ids**: hop/link/pattern dicts are
-    keyed by small ints (or id pairs) instead of ``(str, str)`` tuples
-    built per pair — int hashing is cheaper and no key objects are
-    allocated on the hot path.  ``strings`` (the interner table) is
-    consulted only where a string must exist: once per new link (the
-    :class:`LinkObservations` key) and for the rare primary-IP
-    tie-break, which the object path resolves by IP string order.  Both
-    paths emit identical links/samples/patterns in identical order,
-    held so by the hypothesis property in
-    ``tests/test_engine_equivalence.py``.
-    """
-    links_get = links.get
-    patterns_get = patterns.get
-    for index in range(len(ttls) - 1):
-        if ttls[index + 1] != ttls[index] + 1:
-            continue  # TTL gap: routers are not IP-adjacent
-        near_info = infos[index]
-        far_info = infos[index + 1]
-        near_single = near_info[4]
-        far_single_rtts = far_info[4]
-        if near_single is not None and far_single_rtts is not None:
-            # Both hops uniform: one candidate link, one next hop.
-            near_id = near_info[3]
-            far_id = far_info[3]
-            if near_single and far_single_rtts and far_id != near_id:
-                link = (near_id, far_id)
-                samples = [
-                    far - near
-                    for far in far_single_rtts
-                    for near in near_single
-                ]
-                observations = links_get(link)
-                if observations is None:
-                    observations = links[link] = LinkObservations(
-                        (strings[near_id], strings[far_id])
-                    )
-                # Inlined LinkObservations.add — this runs once per
-                # probe per link per bin, and the call overhead is
-                # measurable at campaign scale.
-                buffer = observations._samples
-                start = len(buffer)
-                buffer.extend(samples)
-                observations._segments.setdefault(
-                    probe_id, []
-                ).append((start, len(buffer)))
-                observations.probe_asn[probe_id] = probe_asn
-            key = (near_id, dst_id)
-            pattern = patterns_get(key)
-            if pattern is None:
-                pattern = patterns[key] = {}
-            pattern[far_id] = pattern.get(far_id, 0.0) + far_info[5]
-            continue
-
-        near_rtts = near_info[0]
-        if near_rtts is None:  # materialise a uniform hop's dict form
-            near_rtts = {near_info[3]: near_info[4]}
-        far_rtts = far_info[0]
-        if far_rtts is None:
-            far_rtts = {far_info[3]: far_info[4]}
-        if near_rtts and far_rtts:  # both hops responsive (§4.2.1)
-            for near_id, near_samples in near_rtts.items():
-                if not near_samples:
-                    continue
-                for far_id, far_samples in far_rtts.items():
-                    if far_id == near_id or not far_samples:
-                        continue
-                    link = (near_id, far_id)
-                    samples = [
-                        far - near
-                        for far in far_samples
-                        for near in near_samples
-                    ]
-                    observations = links_get(link)
-                    if observations is None:
-                        observations = links[link] = LinkObservations(
-                            (strings[near_id], strings[far_id])
-                        )
-                    buffer = observations._samples
-                    start = len(buffer)
-                    buffer.extend(samples)
-                    observations._segments.setdefault(
-                        probe_id, []
-                    ).append((start, len(buffer)))
-                    observations.probe_asn[probe_id] = probe_asn
-        router_id = near_info[3]
-        if router_id is not None:  # §5.1 packet attribution
-            key = (router_id, dst_id)
-            pattern = patterns_get(key)
-            if pattern is None:
-                pattern = patterns[key] = {}
-            far_counts = far_info[1]
-            if far_counts is None:  # uniform far hop: one next hop
-                far_id = far_info[3]
-                pattern[far_id] = pattern.get(far_id, 0.0) + far_info[5]
-            else:
-                for next_hop, count in far_counts.items():
-                    pattern[next_hop] = pattern.get(next_hop, 0.0) + count
-                far_lost = far_info[2]
-                if far_lost:
-                    pattern[NO_IP] = pattern.get(NO_IP, 0.0) + far_lost
-
-
-def _extract_bin_columnar(
-    source: Union[TracerouteBatch, BatchView],
-) -> Tuple[Dict[Link, LinkObservations], Dict[ModelKey, Pattern]]:
-    """Fused extraction over columnar rows — zero objects materialised.
-
-    Walks the flat arrays of a :class:`~repro.atlas.columnar`
-    batch/view, builds per-hop ``infos`` tuples shaped like the object
-    path's but keyed by **interned integer ids** throughout (uniform
-    hops are detected on ids, per-hop reply groupings are id-keyed
-    dicts, and the pair loop accumulates links/patterns under id-pair
-    keys — no ``(str, str)`` tuple is built per adjacent pair).  The
-    id-keyed accumulators are converted to the string-keyed output form
-    once per distinct link/model at the end, preserving first-seen
-    insertion order.  Output is bit-identical to ``extract_bin`` over
-    the materialised objects — including per-probe sample order and
-    ``probe_asn`` insertion order, which the diversity filter's
-    rebalancing draws depend on.
-    """
-    if isinstance(source, BatchView):
-        batch, indices = source.batch, source.indices
-    else:
-        batch, indices = source, range(len(source))
-    strings = batch.interner.strings
-    hop_offsets = batch.hop_offsets
-    hop_ttl = batch.hop_ttl
-    reply_offsets = batch.reply_offsets
-    reply_ip = batch.reply_ip
-    reply_rtt = batch.reply_rtt
-    prb_ids = batch.prb_id
-    asns = batch.from_asn
-    dst_ids = batch.dst_id
-    links_by_id: Dict[Tuple[int, int], LinkObservations] = {}
-    patterns_by_id: Dict[Tuple[int, int], Dict[int, float]] = {}
-    for row in indices:
-        hop_start = hop_offsets[row]
-        hop_stop = hop_offsets[row + 1]
-        if hop_stop - hop_start < 2:
-            # A single hop yields neither a link nor a (router, next-hop)
-            # attribution; nothing to extract.
-            continue
-        infos = []
-        ttls = []
-        for hop in range(hop_start, hop_stop):
-            reply_start = reply_offsets[hop]
-            reply_stop = reply_offsets[hop + 1]
-            ttls.append(hop_ttl[hop])
-            # Uniform fast path on integer ids: every packet answered
-            # by the same (responding) IP.
-            if reply_stop > reply_start:
-                first_id = reply_ip[reply_start]
-                uniform = first_id >= 0
-                if uniform:
-                    for index in range(reply_start + 1, reply_stop):
-                        if reply_ip[index] != first_id:
-                            uniform = False
-                            break
-            else:
-                uniform = False
-            if uniform:
-                rtts = []
-                for index in range(reply_start, reply_stop):
-                    rtt = reply_rtt[index]
-                    if rtt == rtt:  # NaN marks a missing RTT
-                        rtts.append(rtt)
-                infos.append(
-                    (
-                        None,
-                        None,
-                        0,
-                        first_id,
-                        rtts,
-                        reply_stop - reply_start,
-                    )
-                )
-                continue
-            ip_rtts: Dict[int, List[float]] = {}
-            counts: Dict[int, int] = {}
-            lost = 0
-            for index in range(reply_start, reply_stop):
-                ident = reply_ip[index]
-                if ident < 0:
-                    lost += 1
-                    continue
-                samples = ip_rtts.get(ident)
-                if samples is None:
-                    samples = ip_rtts[ident] = []
-                    counts[ident] = 1
-                else:
-                    counts[ident] += 1
-                rtt = reply_rtt[index]
-                if rtt == rtt:
-                    samples.append(rtt)
-            if not counts:
-                primary = None
-            elif len(counts) == 1:
-                (primary,) = counts
-            else:
-                # Ties break on the IP *string*, exactly as the object
-                # path's max over (count, ip) does.
-                primary = max(
-                    counts, key=lambda ident: (counts[ident], strings[ident])
-                )
-            infos.append((ip_rtts, counts, lost, primary, None, 0))
-
-        asn = asns[row]
-        _emit_adjacent_pairs(
-            infos,
-            ttls,
-            prb_ids[row],
-            None if asn == NO_INT else asn,
-            dst_ids[row],
-            links_by_id,
-            patterns_by_id,
-            strings,
-        )
-    links: Dict[Link, LinkObservations] = {
-        observations.link: observations
-        for observations in links_by_id.values()
-    }
-    patterns: Dict[ModelKey, Pattern] = {}
-    for (router_id, dst_id), pattern in patterns_by_id.items():
-        converted: Pattern = {}
-        for hop_id, count in pattern.items():
-            # Accumulate, do not overwrite: a literal "*" responder IP
-            # interns to an id >= 0 while lost packets use the NO_IP
-            # sentinel, and both must merge under the UNRESPONSIVE key
-            # exactly as the object path's string-keyed dict does.
-            # (Counts are integral, so re-associating the float sums is
-            # exact and the merge stays bit-identical.)
-            hop = strings[hop_id] if hop_id >= 0 else UNRESPONSIVE
-            converted[hop] = converted.get(hop, 0.0) + count
-        patterns[(strings[router_id], strings[dst_id])] = converted
-    return links, patterns
-
-
-@dataclass
-class _ShardBinOutput:
-    """What one shard contributes to one bin's merged result.
-
-    ``elapsed_s`` is the shard's own wall time for the partition —
-    measured inside the worker (serial, thread or process) so the
-    parent can lay deterministic per-shard spans onto the trace; it is
-    telemetry only and never feeds back into detection.
-    """
-
-    shard_id: int
-    delay_alarms: List[DelayAlarm]
-    forwarding_alarms: List[ForwardingAlarm]
-    n_links_analyzed: int
-    elapsed_s: float = 0.0
-
 
 @dataclass
 class _FusedShardOutput:
-    """One shard's fused-path contribution to one bin's merged result.
+    """What one shard contributes to one bin's merged result.
 
     Delay alarms stay in array form (:class:`~repro.core.arena.DelayAlarmRows`
     plus the alarmed links, aligned) until the parent materializes
@@ -573,6 +107,11 @@ class _FusedShardOutput:
     str-keyed objects exist exactly once, at the reporting boundary.
     Forwarding alarms are rare enough that the worker builds them
     directly (their payload *is* str-keyed pattern dicts).
+
+    ``elapsed_s`` is the shard's own wall time for the partition —
+    measured inside the worker (serial or process) so the parent can
+    lay deterministic per-shard spans onto the trace; it is telemetry
+    only and never feeds back into detection.
     """
 
     shard_id: int
@@ -593,7 +132,7 @@ class _FusedLinkObs:
     in the shared pool, segments are (start, stop) spans, and the
     per-probe segment map is built only when a partial/ordered gather
     actually needs it (tracked or rebalanced links).  Iteration orders
-    match the object path exactly — ``probe_asn`` insertion order is
+    match ``LinkObservations`` exactly — ``probe_asn`` insertion order is
     segment order, per-probe segments stay in insertion order — so
     diversity draws and tracked statistics are bit-identical.
     """
@@ -721,7 +260,7 @@ class _ShardCore:
     judged/updated with the arena's vectorized Eq. 6/7 kernels, and all
     of its forwarding models with the arena's pooled Eq. 8 smoothing and
     one batched correlation call.  Runs wherever the executor puts it —
-    inline, on a thread, or inside a persistent worker process.
+    inline or inside a persistent worker process.
     """
 
     def __init__(
@@ -750,10 +289,10 @@ class _ShardCore:
         self.tracked: Dict[Link, List[TrackedLinkPoint]] = {
             link: [] for link in tracked_links
         }
-        # Fused-path state: the current interner's string table and the
-        # id-keyed caches.  Interner ids are append-only, so the caches
-        # live as long as the interner does — across bins, batches and
-        # table growth — and reset only on set_strings (a new interner).
+        # The current interner's string table and the id-keyed caches.
+        # Interner ids are append-only, so the caches live as long as
+        # the interner does — across bins, batches and table growth —
+        # and reset only on set_strings (a new interner).
         self._strings: Optional[List[str]] = None
         self._pair_links: Dict[Tuple[int, int], Link] = {}
         self._pair_rows: Dict[Tuple[int, int], int] = {}
@@ -766,129 +305,21 @@ class _ShardCore:
         self._pair_rows = {}
         self._model_keys = {}
 
-    def process_partition(
-        self,
-        timestamp: int,
-        observations: Dict[Link, LinkObservations],
-        patterns: Dict[ModelKey, Pattern],
-    ) -> _ShardBinOutput:
-        """Analyse this shard's slice of one time bin."""
-        shard_start = perf_counter()
-        if not observations and not patterns and not self.tracked:
-            return _ShardBinOutput(self.shard_id, [], [], 0)
-
-        links = sorted(observations)
-        tracked_rejected: List[Tuple[Link, DiversityVerdict]] = []
-        accepted: List[Link] = []
-        n_probes: List[int] = []
-        n_asns: List[int] = []
-        sample_arrays: List[np.ndarray] = []
-        # (position in accepted, link, verdict) for tracked links only.
-        tracked_accepted: List[Tuple[int, Link, DiversityVerdict]] = []
-        for link in links:
-            verdict = self.diversity.evaluate(observations[link])
-            if verdict.accepted:
-                if link in self.tracked:
-                    tracked_accepted.append((len(accepted), link, verdict))
-                accepted.append(link)
-                n_probes.append(len(verdict.kept_probes))
-                n_asns.append(verdict.n_asns)
-                # Unordered is fine here: the batched Wilson interval
-                # sorts, so only the multiset of samples matters.
-                sample_arrays.append(
-                    observations[link].samples_array(
-                        verdict.kept_probes, ordered=False
-                    )
-                )
-            elif link in self.tracked:
-                tracked_rejected.append((link, verdict))
-
-        medians, lowers, uppers, counts = median_confidence_interval_arrays(
-            sample_arrays, z=self.config.z
-        )
-        analyzed = len(accepted)
-        # The reference must be captured *before* the kernel folds this
-        # bin in (the scalar path reads it pre-update); only tracked
-        # links need it.
-        references_before = {
-            link: self.delay_arena.reference_of(link)
-            for _, link, _ in tracked_accepted
-        }
-        delay_alarms = self.delay_arena.observe_bin(
-            timestamp,
-            accepted,
-            medians,
-            lowers,
-            uppers,
-            counts,
-            n_probes,
-            n_asns,
-        )
-
-        if tracked_accepted:
-            alarmed_links = {alarm.link for alarm in delay_alarms}
-            for position, link, verdict in tracked_accepted:
-                observed = WilsonInterval(
-                    median=float(medians[position]),
-                    lower=float(lowers[position]),
-                    upper=float(uppers[position]),
-                    n=int(counts[position]),
-                )
-                self._record_tracked(
-                    link,
-                    timestamp,
-                    observations[link],
-                    verdict,
-                    link in alarmed_links,
-                    references_before[link],
-                    observed,
-                )
-
-        for link, verdict in tracked_rejected:
-            self._record_tracked(
-                link, timestamp, observations[link], verdict, False, None, None
-            )
-        for link in self.tracked:
-            if link not in observations:
-                # No samples this bin: the Figure 11b gap point.
-                self.tracked[link].append(
-                    TrackedLinkPoint(
-                        timestamp=timestamp,
-                        observed=None,
-                        reference=self.delay_arena.reference_of(link),
-                        alarmed=False,
-                        accepted=False,
-                        n_probes=0,
-                    )
-                )
-
-        forwarding_alarms = self.forwarding_arena.observe_bin(
-            timestamp, patterns
-        )
-        return _ShardBinOutput(
-            shard_id=self.shard_id,
-            delay_alarms=delay_alarms,
-            forwarding_alarms=forwarding_alarms,
-            n_links_analyzed=analyzed,
-            elapsed_s=perf_counter() - shard_start,
-        )
-
     def process_partition_fused(
         self, timestamp: int, part: FusedBin
     ) -> _FusedShardOutput:
         """Analyse this shard's slice of one fused columnar bin.
 
-        The fused twin of :meth:`process_partition`: links arrive
-        pre-sorted in string order as interned-id CSR arrays, the
-        diversity filter reads them through zero-copy
+        Links arrive pre-sorted in string order as interned-id CSR
+        arrays, the diversity filter reads them through zero-copy
         :class:`_FusedLinkObs` views, the delay arena ingests arena rows
         directly (:meth:`~repro.core.arena.DelayArena.observe_bin_rows`),
         the forwarding arena ingests the pattern CSR
         (:meth:`~repro.core.arena.ForwardingArena.observe_bin_ids`),
         and delay alarms leave as :class:`~repro.core.arena.DelayAlarmRows`
-        for the parent to materialize at the merge.  Bit-identical to
-        the dict path — the hypothesis property in
-        ``tests/test_fused_spine.py`` holds both to the serial oracle.
+        for the parent to materialize at the merge.  The hypothesis
+        property in ``tests/test_fused_spine.py`` holds the output
+        bit-identical to the serial oracle.
         """
         shard_start = perf_counter()
         strings = self._strings
@@ -1135,14 +566,6 @@ class _SerialBackend:
             for shard in range(n_shards)
         ]
 
-    def run_bin(
-        self, timestamp: int, parts: List[Tuple[dict, dict]]
-    ) -> List[_ShardBinOutput]:
-        return [
-            core.process_partition(timestamp, observations, patterns)
-            for core, (observations, patterns) in zip(self.cores, parts)
-        ]
-
     def set_strings(self, strings: List[str], known: int) -> None:
         """Install an interner table of which ``strings[:known]`` is held.
 
@@ -1176,47 +599,6 @@ class _SerialBackend:
         pass
 
 
-class _ThreadBackend(_SerialBackend):
-    """Shard cores in-process, bins fanned out over a thread pool.
-
-    Python-level work still serialises on the GIL, but the batched numpy
-    sorts release it; mostly useful as a low-overhead middle ground and
-    for exercising the fan-out/merge machinery without processes.
-    """
-
-    def __init__(
-        self, config: PipelineConfig, n_shards: int, n_jobs: int
-    ) -> None:
-        super().__init__(config, n_shards)
-        self.pool = ThreadPoolExecutor(
-            max_workers=min(n_jobs, n_shards),
-            thread_name_prefix="repro-shard",
-        )
-
-    def run_bin(
-        self, timestamp: int, parts: List[Tuple[dict, dict]]
-    ) -> List[_ShardBinOutput]:
-        futures = [
-            self.pool.submit(
-                core.process_partition, timestamp, observations, patterns
-            )
-            for core, (observations, patterns) in zip(self.cores, parts)
-        ]
-        return [future.result() for future in futures]
-
-    def run_fused_bin(
-        self, timestamp: int, parts: List[FusedBin]
-    ) -> List[_FusedShardOutput]:
-        futures = [
-            self.pool.submit(core.process_partition_fused, timestamp, part)
-            for core, part in zip(self.cores, parts)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self.pool.shutdown(wait=True)
-
-
 def _worker_main(connection, shard_ids, config, tracked_by_shard) -> None:
     """Body of one persistent worker process owning one or more shards."""
     cores = {
@@ -1231,14 +613,7 @@ def _worker_main(connection, shard_ids, config, tracked_by_shard) -> None:
             break
         tag = message[0]
         try:
-            if tag == "bin":
-                _, timestamp, parts = message
-                outputs = [
-                    cores[shard].process_partition(timestamp, *parts[shard])
-                    for shard in shard_ids
-                ]
-                connection.send(("ok", outputs))
-            elif tag == "fbin":
+            if tag == "fbin":
                 _, timestamp, name, layouts = message
                 block = attach_shm(name)
                 try:
@@ -1352,23 +727,6 @@ class _ProcessBackend:
             payloads.append(payload)
         return payloads
 
-    def run_bin(
-        self, timestamp: int, parts: List[Tuple[dict, dict]]
-    ) -> List[_ShardBinOutput]:
-        for worker in self.workers:
-            worker["pipe"].send(
-                (
-                    "bin",
-                    timestamp,
-                    {shard: parts[shard] for shard in worker["shards"]},
-                )
-            )
-        outputs = [
-            output for payload in self._collect() for output in payload
-        ]
-        outputs.sort(key=lambda output: output.shard_id)
-        return outputs
-
     def set_strings(self, strings: List[str], known: int) -> None:
         """Ship the part of an interner table the workers do not hold yet.
 
@@ -1474,7 +832,7 @@ class _EngineMetrics:
     """
 
     __slots__ = (
-        "bins_fused", "bins_object", "traceroutes", "links_analyzed",
+        "bins_fused", "traceroutes", "links_analyzed",
         "alarms_delay", "alarms_forwarding", "stage", "imbalance",
     )
 
@@ -1485,7 +843,6 @@ class _EngineMetrics:
             ("path",),
         )
         self.bins_fused = bins.labels("fused")
-        self.bins_object = bins.labels("object")
         self.traceroutes = registry.counter(
             "repro_engine_traceroutes_total",
             "Traceroutes folded into processed bins.",
@@ -1540,8 +897,6 @@ class ShardedPipeline:
         self.n_jobs = cfg.n_jobs or min(self.n_shards, cpu)
         if self.executor == "serial":
             self._backend = _SerialBackend(cfg, self.n_shards)
-        elif self.executor == "thread":
-            self._backend = _ThreadBackend(cfg, self.n_shards, self.n_jobs)
         else:
             self._backend = _ProcessBackend(cfg, self.n_shards, self.n_jobs)
         self._links_seen: Set[Link] = set()
@@ -1550,14 +905,14 @@ class ShardedPipeline:
         self._last_timestamp: Optional[int] = None
         self._snapshot_cache: Optional[Tuple[int, List[_ShardSnapshot]]] = None
         self._closed = False
-        # Links and routers recur bin after bin; remembering their shard
-        # skips the consistent hash on every revisit.
-        self._link_shard: Dict[Link, int] = {}
-        self._router_shard: Dict[str, int] = {}
-        # Fused-path state, keyed on the interner (its ids are
+        # The id space object-model bins are encoded into at the door.
+        self._object_interner = IPInterner()
+        # Id-keyed state, valid for one interner (its ids are
         # append-only): the interner the caches describe, how many of
         # its strings the rank table and the shard cores cover, the
-        # string-order rank table, and the id-keyed shard caches.
+        # string-order rank table, and the shard caches (links and
+        # routers recur bin after bin; remembering their shard skips
+        # the consistent hash on every revisit).
         self._fused_interner: Optional[IPInterner] = None
         self._fused_n_strings = 0
         self._fused_ranks: Optional[np.ndarray] = None
@@ -1637,7 +992,6 @@ class ShardedPipeline:
 
     def _finish_bin(
         self,
-        path: str,
         timestamp: int,
         bin_start: float,
         detect_start: float,
@@ -1655,7 +1009,7 @@ class ShardedPipeline:
         outputs arrive pre-sorted), one trace track per shard.
         """
         metrics = self.metrics
-        (metrics.bins_fused if path == "fused" else metrics.bins_object).inc()
+        metrics.bins_fused.inc()
         metrics.traceroutes.inc(n_traceroutes)
         metrics.links_analyzed.inc(
             sum(output.n_links_analyzed for output in outputs)
@@ -1680,7 +1034,7 @@ class ShardedPipeline:
                 "bin",
                 bin_start,
                 perf_counter() - bin_start,
-                args={"timestamp": timestamp, "path": path},
+                args={"timestamp": timestamp, "path": "fused"},
             )
 
     # -- per-bin processing ------------------------------------------------
@@ -1692,86 +1046,26 @@ class ShardedPipeline:
     ) -> BinResult:
         """Run both methods over one closed time bin, sharded.
 
-        Accepts object-model traceroutes or a columnar batch/view; the
-        columnar form takes the fused spine (interned ids end to end,
-        see :mod:`repro.core.fused`) unless ``config.fused`` is off,
-        and produces the identical result either way.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed; create a new one")
-        if getattr(self.config, "fused", True) and isinstance(
-            traceroutes, (TracerouteBatch, BatchView)
-        ):
-            return self._process_bin_fused(timestamp, traceroutes)
-        bin_start = perf_counter()
-        observations, patterns = extract_bin(traceroutes)
-        stage_start = self._charge("extract", bin_start)
-        self._links_seen.update(observations)
-        observation_parts = partition_observations(
-            observations, self.n_shards, cache=self._link_shard
-        )
-        pattern_parts = partition_patterns(
-            patterns, self.n_shards, cache=self._router_shard
-        )
-        parts = list(zip(observation_parts, pattern_parts))
-        detect_start = self._charge("bin", stage_start)
-        outputs = self._backend.run_bin(timestamp, parts)
-        self._charge("detect", detect_start)
-
-        delay_alarms = sorted(
-            (alarm for output in outputs for alarm in output.delay_alarms),
-            key=lambda alarm: alarm.link,
-        )
-        forwarding_alarms = sorted(
-            (
-                alarm
-                for output in outputs
-                for alarm in output.forwarding_alarms
-            ),
-            key=lambda alarm: (alarm.router_ip, alarm.destination),
-        )
-        self._bins += 1
-        self._traceroutes += len(traceroutes)
-        self._last_timestamp = timestamp
-        self._snapshot_cache = None
-        self._finish_bin(
-            "object",
-            timestamp,
-            bin_start,
-            detect_start,
-            outputs,
-            [len(obs) + len(pat) for obs, pat in parts],
-            len(traceroutes),
-            delay_alarms,
-            forwarding_alarms,
-        )
-        return BinResult(
-            timestamp=timestamp,
-            n_traceroutes=len(traceroutes),
-            n_links_observed=len(observations),
-            n_links_analyzed=sum(
-                output.n_links_analyzed for output in outputs
-            ),
-            delay_alarms=delay_alarms,
-            forwarding_alarms=forwarding_alarms,
-        )
-
-    def _process_bin_fused(
-        self,
-        timestamp: int,
-        traceroutes: Union[TracerouteBatch, BatchView],
-    ) -> BinResult:
-        """One columnar bin down the fused spine.
-
-        Extraction emits interned-id flat arrays
+        Every bin goes down the fused spine.  Object-model traceroutes
+        are encoded into columns first (so they take
+        :meth:`~repro.atlas.columnar.TracerouteBatch.append`'s contract:
+        a negative ``from_asn``/``msm_id`` raises, a NaN RTT is a
+        missing RTT); a columnar batch/view is read as is.  Extraction
+        emits interned-id flat arrays
         (:func:`~repro.core.fused.extract_bin_fused`), partitioning
         gathers CSR slices per shard, the executor ships them without
         per-bin pickling (shared memory under the process backend), and
         delay alarms come back as arrays — the str-keyed
         :class:`~repro.core.alarms.DelayAlarm` objects are built here,
-        once, at the merge.  Output equals :meth:`process_bin`'s dict
-        path bit for bit.
+        once, at the merge.
         """
+        if self._closed:
+            raise RuntimeError("engine is closed; create a new one")
+        bin_start = perf_counter()
+        if not isinstance(traceroutes, (TracerouteBatch, BatchView)):
+            traceroutes = TracerouteBatch.from_traceroutes(
+                traceroutes, interner=self._object_interner
+            )
         batch = (
             traceroutes.batch
             if isinstance(traceroutes, BatchView)
@@ -1794,7 +1088,6 @@ class ShardedPipeline:
             self._backend.set_strings(strings, self._fused_n_strings)
             self._fused_ranks = string_ranks(strings)
             self._fused_n_strings = len(strings)
-        bin_start = perf_counter()
         fused = extract_bin_fused(traceroutes, self._fused_ranks)
         stage_start = self._charge("extract", bin_start)
         parts = partition_fused(
@@ -1828,7 +1121,6 @@ class ShardedPipeline:
         self._last_timestamp = timestamp
         self._snapshot_cache = None
         self._finish_bin(
-            "fused",
             timestamp,
             bin_start,
             detect_start,
@@ -1860,7 +1152,8 @@ class ShardedPipeline:
 
         Columnar input stays columnar end to end: the binner yields
         :class:`~repro.atlas.columnar.BatchView` index windows and each
-        bin is extracted straight from the flat arrays.
+        bin is extracted straight from the flat arrays.  Object input is
+        binned as objects and encoded per bin by :meth:`process_bin`.
 
         With *resume_from* (an :class:`~repro.core.checkpoint.EngineSnapshot`)
         the engine restores the snapshot's detector state first (when it
@@ -1887,7 +1180,7 @@ class ShardedPipeline:
         """Canonical durable state, merged deterministically across shards.
 
         Per-shard arena/diversity/tracked state is exported wherever the
-        cores live (inline, threads, or worker processes) and merged
+        cores live (inline or in worker processes) and merged
         shard-major into the engine-agnostic canonical form of
         :class:`~repro.core.checkpoint.EngineSnapshot` — restorable into
         any shard count or executor, or into the serial reference

@@ -12,10 +12,12 @@ and re-hashed at every hand-off.  This module is the replacement spine:
   the batch's :class:`~repro.atlas.columnar.IPInterner`.  No
   ``(str, str)`` dict, no :class:`LinkObservations`, no per-traceroute
   object exists anywhere in the payload;
-* :func:`extract_bin_fused` — the columnar extraction kernel: the same
-  fused differential-RTT + forwarding-pattern pass as
-  :func:`repro.core.engine.extract_bin`, emitting a :class:`FusedBin`
-  directly from :class:`~repro.atlas.columnar.TracerouteBatch` columns.
+* :func:`extract_bin_fused` — the engine's one extraction kernel:
+  differential RTTs (§4.2.1,
+  :func:`~repro.core.diffrtt.differential_rtts`) and forwarding
+  patterns (§5.1, :func:`~repro.core.forwarding.forwarding_patterns`)
+  in one pass, emitting a :class:`FusedBin` directly from
+  :class:`~repro.atlas.columnar.TracerouteBatch` columns.
   Links come out sorted by their IP *strings* (via a per-batch rank
   table, :func:`string_ranks`) so downstream consumers keep the scalar
   pipeline's deterministic sorted-link processing order without ever
@@ -31,10 +33,11 @@ and re-hashed at every hand-off.  This module is the replacement spine:
   (see ``_ProcessBackend``); blocks are named ``repro-fb-*`` so tests
   can enumerate leaks.
 
-The dict-shaped extraction in :mod:`repro.core.engine` survives as the
-equivalence oracle: the hypothesis property in
-``tests/test_fused_spine.py`` holds :func:`extract_bin_fused` (through
-the whole engine) bit-identical to the object path.
+The paper-shaped reference functions are the equivalence oracle:
+``tests/test_engine_equivalence.py`` holds :func:`extract_bin_fused`
+directly to their dicts, and the hypothesis property in
+``tests/test_fused_spine.py`` holds it (through the whole engine)
+bit-identical to the serial pipeline.
 """
 
 from __future__ import annotations
@@ -181,28 +184,28 @@ def extract_bin_fused(
 ) -> FusedBin:
     """Fused extraction straight from columns into a :class:`FusedBin`.
 
-    The same one-pass differential-RTT + forwarding-pattern extraction
-    as :func:`repro.core.engine.extract_bin`, but vectorized: the bin's
-    hop and reply spans are gathered into flat NumPy arrays once, every
+    One differential-RTT + forwarding-pattern pass equal to
+    ``(differential_rtts(trs), forwarding_patterns(trs))``, but
+    vectorized: the bin's hop and reply spans are gathered into flat
+    NumPy arrays once, every
     *mono* hop (all responsive replies from one IP, lost packets
     allowed — the overwhelmingly common case) is classified with
     segmented column arithmetic, and the differential-RTT cross
     products and next-hop attributions of all mono-mono adjacent pairs
     are computed in one shot.  Only pairs touching a genuinely
     multi-IP hop (load balancing, anycast catchment shifts) drop to a
-    scalar fallback that mirrors the object path's per-reply logic,
-    including its IP-string primary tie-break.  Pairs whose near hop
+    scalar fallback that mirrors the reference functions' per-reply
+    logic, including their IP-string primary tie-break.  Pairs whose near hop
     has no responsive reply, or whose far hop has no replies at all,
     provably contribute nothing and are skipped outright.  The
     two streams are merged under each contribution's traversal position
     so segment order within a link and next-hop first-occurrence order
-    within a model are exactly the object path's dict insertion orders.
+    within a model are exactly the reference dicts' insertion orders.
     *ranks* must be :func:`string_ranks` of the batch's interner table.
 
-    This is the third copy of the extraction semantics (the object and
-    columnar-dict copies live in :mod:`repro.core.engine`); all three
-    are held identical by the hypothesis properties in
-    ``tests/test_engine_equivalence.py`` and ``tests/test_fused_spine.py``.
+    Held identical to the reference functions by the hypothesis
+    properties in ``tests/test_engine_equivalence.py`` and
+    ``tests/test_fused_spine.py``.
     """
     if isinstance(source, BatchView):
         batch, rows = source.batch, np.asarray(source.indices, dtype=np.int64)
@@ -541,14 +544,14 @@ def partition_fused(
     """Split one fused bin into per-shard fused bins.
 
     Links hash by their ordered IP-string pair and models by router IP
-    string — exactly :func:`repro.core.sharding.shard_of`, so any fused
-    partition matches the dict path's partition link for link.  The
-    hash runs once per distinct id (pair) per batch; revisits hit the
-    *link_shards*/*router_shards* caches, and each cache miss also
-    reports the link's string form into *links_seen* (the engine's
-    campaign-wide observed-links set — set semantics make the
-    once-per-batch report equivalent to the dict path's per-bin update).
-    String-sorted order is preserved within every shard.
+    string — exactly :func:`repro.core.sharding.shard_of`, the hash
+    snapshot restore places state by.  The hash runs once per distinct
+    id (pair) per batch; revisits hit the *link_shards*/*router_shards*
+    caches, and each cache miss also reports the link's string form
+    into *links_seen* (the engine's campaign-wide observed-links set —
+    set semantics make the once-per-batch report equivalent to the
+    serial pipeline's per-bin update).  String-sorted order is
+    preserved within every shard.
     """
     shard_arr = np.empty(fused.n_links, dtype=np.int64)
     near_list = fused.link_near.tolist()

@@ -53,7 +53,7 @@ from repro.stats.wilson import (
 )
 
 #: Executors understood by the sharded engine (``repro.core.engine``).
-_EXECUTORS = ("auto", "serial", "thread", "process")
+_EXECUTORS = ("auto", "serial", "process")
 
 
 @dataclass
@@ -64,13 +64,10 @@ class PipelineConfig:
     parallel engine (:class:`repro.core.engine.ShardedPipeline`); the
     serial :class:`Pipeline` ignores them.  ``executor`` is one of
     ``auto`` (processes when the machine has more than one CPU, else a
-    serial loop), ``serial``, ``thread`` or ``process``; ``n_jobs``
-    bounds the worker count (default: one per shard, capped at the CPU
-    count).  ``fused`` routes columnar bins down the sharded engine's
-    fused spine (:mod:`repro.core.fused`); turn it off to force the
-    dict-shaped extraction path.  All four are execution knobs: like
-    ``n_shards``/``executor``/``n_jobs``, ``fused`` never changes
-    output and is excluded from the checkpoint fingerprint.
+    serial loop), ``serial`` or ``process``; ``n_jobs`` bounds the
+    worker count (default: one per shard, capped at the CPU count).
+    All three are execution knobs: they never change output and are
+    excluded from the checkpoint fingerprint.
     """
 
     bin_s: int = DEFAULT_BIN_S
@@ -87,7 +84,6 @@ class PipelineConfig:
     n_shards: int = 1
     executor: str = "auto"
     n_jobs: Optional[int] = None
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.bin_s <= 0:
@@ -609,7 +605,7 @@ def analyze_campaign(
     binds the checkpoint to its input so a reused checkpoint path never
     silently merges two campaigns.
 
-    ``profiler`` (a :class:`~repro.core.profiling.StageTimer`) attaches
+    ``profiler`` (a :class:`~repro.obs.tracing.StageAccumulator`) attaches
     per-stage wall-clock instrumentation to the sharded engine; the
     caller reads the accumulated timings back off the timer afterwards.
     ``tracer`` (a :class:`~repro.obs.Tracer`) likewise attaches span

@@ -21,9 +21,7 @@ checkpointed campaign can resume with the same layout.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.alarms import Link
+from typing import List
 
 #: Domain-separation prefix so unrelated hash uses can never collide.
 _HASH_PERSON = b"repro-shard"
@@ -64,49 +62,6 @@ def shard_of(key, n_shards: int) -> int:
     else:
         text = str(key)
     return stable_hash64(text) % n_shards
-
-
-def partition_observations(
-    observations: Dict[Link, object],
-    n_shards: int,
-    cache: Optional[Dict[Link, int]] = None,
-) -> List[Dict[Link, object]]:
-    """Split per-link observations into ``n_shards`` disjoint dicts.
-
-    *cache* (link → shard), when given, is consulted and filled so that
-    links recurring bin after bin skip the consistent hash.
-    """
-    parts: List[Dict[Link, object]] = [{} for _ in range(n_shards)]
-    if cache is None:
-        cache = {}
-    for link, link_observations in observations.items():
-        shard = cache.get(link)
-        if shard is None:
-            shard = cache[link] = shard_of(link, n_shards)
-        parts[shard][link] = link_observations
-    return parts
-
-
-def partition_patterns(
-    patterns: Dict[Tuple[str, str], object],
-    n_shards: int,
-    cache: Optional[Dict[str, int]] = None,
-) -> List[Dict[Tuple[str, str], object]]:
-    """Split forwarding patterns into shards **by router IP** (key[0]).
-
-    *cache* (router IP → shard) works as in
-    :func:`partition_observations`.
-    """
-    parts: List[Dict[Tuple[str, str], object]] = [{} for _ in range(n_shards)]
-    if cache is None:
-        cache = {}
-    for key, pattern in patterns.items():
-        router = key[0]
-        shard = cache.get(router)
-        if shard is None:
-            shard = cache[router] = shard_of(router, n_shards)
-        parts[shard][key] = pattern
-    return parts
 
 
 def shard_layout(n_shards: int, n_jobs: int) -> List[List[int]]:

@@ -4,7 +4,7 @@ Two jobs live here:
 
 * **Stage accounting** — :class:`StageAccumulator` is the aggregate
   per-stage timer that ``analyze --timings`` and ``monitor --json``
-  report through (``core.profiling.StageTimer`` is now a thin alias).
+  report through (exported from :mod:`repro.core` as ``StageTimer``).
   :data:`STAGE_NAMES` is the single source of truth for stage-name
   keys: the ``timings/v1`` summary record, the ``--timings`` table and
   the engine's stage histograms all draw from this tuple, so the CLI

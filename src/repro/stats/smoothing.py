@@ -162,7 +162,10 @@ class VectorSmoother:
             self._weights = {k: float(v) for k, v in observation.items() if v > 0}
             self._updates = 1
             return self.weights
-        keys = set(self._weights) | set(observation)
+        # Sorted, not set order: the reference dict's key order reaches
+        # alarm payloads and store bytes, which must not depend on
+        # PYTHONHASHSEED.  Per-key arithmetic is independent.
+        keys = sorted(self._weights.keys() | observation.keys(), key=str)
         updated = {}
         for key in keys:
             smoothed = exponential_smoothing(

@@ -485,6 +485,54 @@ class TestAlarmStore:
         for asn in one.monitored_asns():
             assert one.as_condition(asn) == two.as_condition(asn)
 
+    def test_store_bytes_independent_of_hash_seed(self, tmp_path):
+        """``analyze --store`` at ``--shards 1`` (the serial pipeline)
+        writes the same segment bytes under any ``PYTHONHASHSEED``, and
+        the same bytes as the sharded engine (regression: the serial
+        forwarding references were once kept in set order)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        feed = tmp_path / "outage.jsonl"
+        assert main(
+            [
+                "generate", "--hours", "6", "--seed", "3", "--probes", "12",
+                "--no-anchoring", "--scenario", "outage", "--out", str(feed),
+            ]
+        ) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+
+        def segment_bytes(name, hash_seed, *extra):
+            store = tmp_path / name
+            env["PYTHONHASHSEED"] = hash_seed
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "analyze", str(feed),
+                    "--seed", "3", "--probes", "12", "--json",
+                    "--store", str(store), *extra,
+                ],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            segments = sorted(store.glob("*.seg"))
+            assert segments
+            return [path.read_bytes() for path in segments]
+
+        from repro.service import StoreQuery
+
+        serial = segment_bytes("seed1.store", "1")
+        manifest = StoreQuery(tmp_path / "seed1.store").store.manifest
+        assert sum(s.n_forwarding for s in manifest.segments) > 0
+        assert segment_bytes("seed3.store", "3") == serial
+        assert segment_bytes("sharded.store", "1", "--shards", "2") == serial
+
     def test_serve_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.store")]) == 1
         assert "repro: error:" in capsys.readouterr().err

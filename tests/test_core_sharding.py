@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.atlas import TracerouteBatch, make_traceroute
+from repro.core.fused import extract_bin_fused, partition_fused, string_ranks
 from repro.core.sharding import (
-    partition_observations,
-    partition_patterns,
     shard_layout,
     shard_of,
     stable_hash64,
@@ -54,29 +54,85 @@ class TestShardOf:
             shard_of("x", 0)
 
 
-class TestPartitions:
-    def test_observations_disjoint_and_complete(self):
-        observations = {(f"a{i}", f"b{i}"): i for i in range(50)}
-        parts = partition_observations(observations, 4)
-        assert len(parts) == 4
-        merged = {}
-        for part in parts:
-            assert not set(part) & set(merged)
-            merged.update(part)
-        assert merged == observations
+def _links_of(fused, strings):
+    """``{link: (segment probe ids, samples)}`` of a fused bin."""
+    seg = fused.link_seg_offsets.tolist()
+    off = fused.seg_sample_offsets.tolist()
+    return {
+        (strings[near], strings[far]): (
+            fused.seg_probe[seg[i] : seg[i + 1]].tolist(),
+            fused.samples[off[seg[i]] : off[seg[i + 1]]].tolist(),
+        )
+        for i, (near, far) in enumerate(
+            zip(fused.link_near.tolist(), fused.link_far.tolist())
+        )
+    }
 
-    def test_patterns_sharded_by_router(self):
-        """All of a router's models must land on the same shard, so
-        router-level statistics merge by addition."""
-        patterns = {
-            (f"r{i % 7}", f"d{i}"): {"n": float(i)} for i in range(70)
-        }
-        parts = partition_patterns(patterns, 4)
-        router_shard = {}
+
+def _models_of(fused, strings):
+    """``{(router, destination): [(next-hop id, count), ...]}``."""
+    off = fused.model_hop_offsets.tolist()
+    return {
+        (strings[router], strings[dst]): list(
+            zip(
+                fused.hop_ids[off[i] : off[i + 1]].tolist(),
+                fused.hop_counts[off[i] : off[i + 1]].tolist(),
+            )
+        )
+        for i, (router, dst) in enumerate(
+            zip(fused.model_router.tolist(), fused.model_dst.tolist())
+        )
+    }
+
+
+class TestPartitions:
+    N_SHARDS = 4
+
+    @pytest.fixture(scope="class")
+    def partitioned(self):
+        """70 links over 7 routers and 35 (router, destination) models."""
+        batch = TracerouteBatch.from_traceroutes(
+            make_traceroute(
+                i, "src", f"d{i % 5}", i,
+                [[(f"r{i % 7}", 1.0)], [(f"n{i}", 2.0 + i)]],
+                from_asn=65001,
+            )
+            for i in range(70)
+        )
+        strings = batch.interner.strings
+        fused = extract_bin_fused(batch, string_ranks(strings))
+        assert (fused.n_links, fused.n_models) == (70, 35)
+        parts = partition_fused(fused, self.N_SHARDS, strings, {}, {})
+        return fused, parts, strings
+
+    def test_links_disjoint_complete_and_placed_by_string_hash(
+        self, partitioned
+    ):
+        fused, parts, strings = partitioned
+        assert len(parts) == self.N_SHARDS
+        merged = {}
         for shard, part in enumerate(parts):
-            for router, _ in part:
-                assert router_shard.setdefault(router, shard) == shard
-        assert sum(len(part) for part in parts) == len(patterns)
+            links = _links_of(part, strings)
+            assert not set(links) & set(merged)
+            assert list(links) == sorted(links)
+            for link in links:
+                assert shard_of(link, self.N_SHARDS) == shard
+            merged.update(links)
+        assert merged == _links_of(fused, strings)
+
+    def test_models_sharded_by_router(self, partitioned):
+        """All of a router's models must land on the same shard — the
+        one ``shard_of`` gives its IP string — so router-level
+        statistics merge by addition."""
+        fused, parts, strings = partitioned
+        merged = {}
+        for shard, part in enumerate(parts):
+            models = _models_of(part, strings)
+            for router, _ in models:
+                assert shard_of(router, self.N_SHARDS) == shard
+            assert not set(models) & set(merged)
+            merged.update(models)
+        assert merged == _models_of(fused, strings)
 
 
 class TestShardLayout:

@@ -22,14 +22,20 @@ from repro.atlas import (
     write_bincache,
     write_traceroutes,
 )
+from repro.atlas.columnar import NO_INT
+from repro.atlas.stream import binned_payloads
 from repro.core import (
+    UNRESPONSIVE,
+    LinkObservations,
     Pipeline,
     PipelineConfig,
     ShardedPipeline,
     create_pipeline,
     differential_rtts,
-    extract_bin,
+    extract_bin_fused,
     forwarding_patterns,
+    save_snapshot,
+    string_ranks,
 )
 
 # -- synthetic campaign generator -------------------------------------------
@@ -147,14 +153,6 @@ class TestShardedEquivalence:
             assert engine.stats() == serial.stats()
             assert engine.tracked == serial.tracked
 
-    def test_thread_executor_identical(self, campaign, serial_results):
-        serial, results = serial_results
-        with ShardedPipeline(
-            _config(n_shards=3, executor="thread", n_jobs=2)
-        ) as engine:
-            assert engine.run(campaign) == results
-            assert engine.stats() == serial.stats()
-
     def test_uneven_worker_to_shard_mapping(self, campaign, serial_results):
         """3 shards on 2 process workers: one worker owns two shards."""
         serial, results = serial_results
@@ -240,6 +238,56 @@ class TestColumnarEquivalence:
             assert engine.stats() == serial.stats()
 
 
+class TestObjectDoor:
+    """Object-model bins are encoded into columns at ``process_bin`` and
+    take the same fused path as columnar bins: same results, statistics
+    and tracked series as the serial reference pipeline, and the same
+    snapshot bytes as a :class:`BatchView` feed."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_objects_views_and_alternation_identical(
+        self, campaign, serial_results, executor, tmp_path
+    ):
+        serial, results = serial_results
+        object_bins = list(binned_payloads(campaign))
+        view_bins = list(
+            binned_payloads(TracerouteBatch.from_traceroutes(campaign))
+        )
+        assert isinstance(object_bins[0][1], list)
+        # Odd bins as objects, even bins as views: every bin switches
+        # the engine between its own interner and the batch's, so the
+        # id-keyed caches reset each time.
+        mixed_bins = [
+            pair[index % 2]
+            for index, pair in enumerate(zip(view_bins, object_bins))
+        ]
+        snapshots = []
+        for bins in (object_bins, view_bins, mixed_bins):
+            with ShardedPipeline(
+                _config(n_shards=2, executor=executor, n_jobs=2)
+            ) as engine:
+                assert [
+                    engine.process_bin(start, payload)
+                    for start, payload in bins
+                ] == results
+                assert engine.stats() == serial.stats()
+                assert engine.tracked == serial.tracked
+                path = tmp_path / "state.ckpt"
+                save_snapshot(path, engine.snapshot(results=results))
+                snapshots.append(path.read_bytes())
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+
+    def test_object_input_takes_the_columnar_contract(self):
+        """A negative ``from_asn`` raises instead of silently becoming
+        the "absent" sentinel (``TracerouteBatch.append``'s rule)."""
+        traceroute = make_traceroute(
+            1, "s", "d", 0, [[("A", 1.0)], [("B", 2.0)]], from_asn=-5
+        )
+        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.process_bin(0, [traceroute])
+
+
 class TestCreatePipeline:
     def test_default_is_serial_reference(self):
         assert isinstance(create_pipeline(PipelineConfig()), Pipeline)
@@ -256,6 +304,10 @@ class TestCreatePipeline:
             PipelineConfig(executor="gpu")
         with pytest.raises(ValueError):
             PipelineConfig(n_jobs=0)
+
+    def test_thread_executor_is_rejected(self):
+        with pytest.raises(ValueError, match="'auto', 'serial', 'process'"):
+            PipelineConfig(executor="thread")
 
 
 class TestAnalyzeCampaignDispatch:
@@ -278,8 +330,8 @@ class TestAnalyzeCampaignDispatch:
 # -- fused extraction equivalence -------------------------------------------
 
 # "*" is deliberately included: a literal "*" responder string must
-# merge with the lost-packet bucket exactly as the object path merges
-# them (regression: the id-keyed columnar path once kept them apart).
+# merge with the lost-packet bucket exactly as the reference functions
+# merge them (an interned "*" has an id >= 0, lost packets use NO_IP).
 ip_strategy = st.sampled_from(
     ["10.0.0.1", "10.0.0.2", "10.0.1.1", "10.1.0.1", "10.1.0.2", "*"]
 )
@@ -309,29 +361,81 @@ def traceroute_strategy(draw):
     )
 
 
+def _fused_as_dicts(source):
+    """:func:`extract_bin_fused` output in the reference dict shapes.
+
+    Rebuilds ``{link: LinkObservations}`` and ``{model: pattern}`` from
+    a :class:`FusedBin`'s CSR arrays — segments replayed in array order
+    through ``LinkObservations.add``, next hops in array order with the
+    lost-packet id and a literal ``"*"`` responder merged under
+    ``UNRESPONSIVE`` — so the kernel is compared to
+    ``differential_rtts``/``forwarding_patterns`` on their own terms.
+    """
+    batch = source.batch if hasattr(source, "batch") else source
+    strings = batch.interner.strings
+    fused = extract_bin_fused(source, string_ranks(strings))
+    seg_offsets = fused.link_seg_offsets.tolist()
+    sample_offsets = fused.seg_sample_offsets.tolist()
+    observations = {}
+    for index in range(fused.n_links):
+        link = (
+            strings[fused.link_near[index]],
+            strings[fused.link_far[index]],
+        )
+        link_obs = observations[link] = LinkObservations(link)
+        for seg in range(seg_offsets[index], seg_offsets[index + 1]):
+            asn = int(fused.seg_asn[seg])
+            link_obs.add(
+                int(fused.seg_probe[seg]),
+                None if asn == NO_INT else asn,
+                fused.samples[
+                    sample_offsets[seg] : sample_offsets[seg + 1]
+                ].tolist(),
+            )
+    hop_offsets = fused.model_hop_offsets.tolist()
+    patterns = {}
+    for index in range(fused.n_models):
+        pattern = patterns[
+            (
+                strings[fused.model_router[index]],
+                strings[fused.model_dst[index]],
+            )
+        ] = {}
+        for hop in range(hop_offsets[index], hop_offsets[index + 1]):
+            ident = int(fused.hop_ids[hop])
+            name = strings[ident] if ident >= 0 else UNRESPONSIVE
+            pattern[name] = pattern.get(name, 0.0) + float(
+                fused.hop_counts[hop]
+            )
+    return observations, patterns
+
+
 class TestExtractBinEquivalence:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(traceroute_strategy(), max_size=15))
     def test_matches_reference_extractors(self, traceroutes):
-        """extract_bin == (differential_rtts, forwarding_patterns),
-        including per-probe sample order and AS attribution — for both
-        the object input and its columnar twin."""
+        """extract_bin_fused == (differential_rtts, forwarding_patterns),
+        including per-probe sample order and AS attribution order, with
+        links in sorted string order — for a batch and a view of it."""
         reference_obs = differential_rtts(traceroutes)
         reference_pat = forwarding_patterns(traceroutes)
         batch = TracerouteBatch.from_traceroutes(traceroutes)
-        for source in (traceroutes, batch, batch.view()):
-            observations, patterns = extract_bin(source)
-            assert set(observations) == set(reference_obs)
+        for source in (batch, batch.view()):
+            observations, patterns = _fused_as_dicts(source)
+            assert list(observations) == sorted(reference_obs)
             for link, reference in reference_obs.items():
                 fused = observations[link]
                 assert fused.all_samples() == reference.all_samples()
                 assert fused.samples_by_probe == reference.samples_by_probe
-                assert fused.probe_asn == reference.probe_asn
+                assert list(fused.probe_asn.items()) == list(
+                    reference.probe_asn.items()
+                )
             assert patterns == reference_pat
+            assert list(patterns) == sorted(reference_pat)
 
     def test_literal_star_responder_merges_with_lost_bucket(self):
         """A reply from a literal "*" IP and a lost packet in the same
-        far hop land in one UNRESPONSIVE bucket on every input path."""
+        far hop land in one UNRESPONSIVE bucket."""
         traceroute = make_traceroute(
             1, "s", "d", 0,
             [
@@ -343,8 +447,8 @@ class TestExtractBinEquivalence:
         reference = forwarding_patterns([traceroute])
         assert reference[("R", "d")] == {"*": 2.0, "11.0.0.1": 1.0}
         batch = TracerouteBatch.from_traceroutes([traceroute])
-        for source in ([traceroute], batch, batch.view()):
-            _, patterns = extract_bin(source)
+        for source in (batch, batch.view()):
+            _, patterns = _fused_as_dicts(source)
             assert patterns == reference
 
     def test_gap_ttls_and_uniform_fast_path(self):
@@ -358,6 +462,8 @@ class TestExtractBinEquivalence:
             ],
             from_asn=65001,
         )
-        observations, patterns = extract_bin([traceroute])
+        observations, patterns = _fused_as_dicts(
+            TracerouteBatch.from_traceroutes([traceroute])
+        )
         assert observations.keys() == differential_rtts([traceroute]).keys()
         assert patterns == forwarding_patterns([traceroute])

@@ -6,10 +6,9 @@ Four contracts of the fused end-to-end throughput path:
    fused bin through one ``repro-fb-*`` block whose cleanup belongs to
    the creator alone — normal shutdown, a SIGKILLed worker and a
    mid-bin send failure must all leave ``/dev/shm`` empty.
-2. **The object path is the oracle.**  For random campaigns, the fused
-   spine (columnar input, ``fused=True``) produces bit-identical
-   alarms, stats and per-bin results to both the dict-shaped sharded
-   path (``fused=False``) and the serial reference pipeline.
+2. **The serial pipeline is the oracle.**  For random campaigns, the
+   fused spine produces bit-identical alarms, stats and per-bin
+   results to the serial reference pipeline.
 3. **Canonical JSON is byte-compatible.**  ``dumps_canonical`` (orjson
    when available) and ``dumps_canonical_stdlib`` emit the same bytes
    for every record the system serialises on its hot write paths.
@@ -239,8 +238,8 @@ class TestFusedOracle:
     )
     @given(st.data())
     def test_random_campaign_bit_identical(self, data):
-        """Fused spine == dict-shaped shards == serial, over random
-        multi-bin campaigns (references accumulate across bins)."""
+        """Fused spine == serial, over random multi-bin campaigns
+        (references accumulate across bins)."""
         bins = [
             data.draw(
                 st.lists(traceroute_strategy(ts=b * 3600), max_size=10)
@@ -260,37 +259,10 @@ class TestFusedOracle:
         fused_engine = ShardedPipeline(
             PipelineConfig(n_shards=3, executor="serial")
         )
-        oracle_engine = ShardedPipeline(
-            PipelineConfig(n_shards=3, executor="serial", fused=False)
-        )
         for b in range(3):
             view = batch.view(range(offsets[b], offsets[b + 1]))
             assert fused_engine.process_bin(b * 3600, view) == reference[b]
-            assert oracle_engine.process_bin(b * 3600, view) == reference[b]
         assert fused_engine.stats() == serial.stats()
-        assert oracle_engine.stats() == serial.stats()
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_fused_flag_off_identical(
-        self, batch, serial_results, n_shards
-    ):
-        """--no-fused (config.fused=False) routes columnar bins through
-        the dict extraction and still matches bit for bit."""
-        serial, results = serial_results
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards, executor="serial", fused=False)
-        )
-        assert engine.run(batch) == results
-        assert engine.stats() == serial.stats()
-
-    def test_fused_excluded_from_config_fingerprint(self):
-        """``fused`` is an execution knob: flipping it must not
-        invalidate checkpoints."""
-        from repro.core import config_fingerprint
-
-        on = config_fingerprint(PipelineConfig(n_shards=2, fused=True))
-        off = config_fingerprint(PipelineConfig(n_shards=2, fused=False))
-        assert on == off
 
 
 # -- 3. canonical JSON byte-compatibility -----------------------------------

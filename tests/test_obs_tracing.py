@@ -21,13 +21,13 @@ class TestStageNames:
             "decode", "bin", "extract", "detect", "store", "compact"
         )
 
-    def test_profiling_shim_is_the_same_object(self):
-        """core.profiling must re-export, not redefine, the stage list."""
-        from repro.core import profiling
+    def test_core_reexports_the_same_objects(self):
+        """repro.core must re-export, not redefine, the stage list."""
+        from repro import core
 
-        assert profiling.STAGES is STAGE_NAMES
-        assert profiling.StageTimer is StageAccumulator
-        assert profiling.NULL_TIMER is NULL_TIMER
+        assert core.STAGES is STAGE_NAMES
+        assert core.StageTimer is StageAccumulator
+        assert core.NULL_TIMER is NULL_TIMER
 
     def test_stage_order_known_first_extras_sorted(self):
         assert stage_order(["store", "decode", "zz", "aa"]) == [
