@@ -15,7 +15,7 @@ help:
 	@echo "  bench-ingest columnar ingestion benchmark (BENCH_ingest.json)"
 	@echo "  bench-detect detection-kernel benchmark (BENCH_detect.json)"
 	@echo "  bench-stream checkpoint-overhead benchmark (BENCH_stream.json)"
-	@echo "  bench-serve  alarm-store serving benchmark, sync + async tiers (BENCH_serve.json)"
+	@echo "  bench-serve  alarm-store serving benchmark (BENCH_serve.json)"
 	@echo "  bench-quality detection-quality regression bench (BENCH_quality.json)"
 	@echo "  bench-fetch  connector-layer fetch benchmark (BENCH_fetch.json)"
 	@echo "  bench-e2e    fused end-to-end throughput benchmark (BENCH_e2e.json)"
@@ -23,7 +23,7 @@ help:
 	@echo "  benchstat    diff BENCH_*.json against benchmarks/baselines/"
 	@echo "  fetch-smoke  offline connector smoke: fixture fetch under faults"
 	@echo "  compact-smoke store compaction smoke: CLI round trip + equivalence tests"
-	@echo "  obs-smoke    boot both HTTP tiers, scrape /metrics + /statusz, validate"
+	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
 	@echo "  docs         docstring lint + pointers to docs/"
 	@echo "  doclint      docstring lint only"
 
@@ -87,9 +87,8 @@ compact-smoke:
 	$(PYTHON) -m pytest -q tests/test_service_compact.py
 
 # Observability smoke with zero network access: build a store via the
-# CLI, boot the threading tier and the asyncio tier as subprocesses,
-# scrape /metrics + /statusz on each through the strict exposition
-# parser, and assert both tiers expose one coherent metric namespace.
+# CLI, boot `serve` as a subprocess, scrape /metrics + /statusz through
+# the strict exposition parser, and check the request counter moves.
 obs-smoke:
 	$(PYTHON) tools/obs_smoke.py
 

@@ -8,7 +8,7 @@ about.  This example is that whole loop, offline:
 1. simulate a DDoS campaign and run the detection pipeline,
 2. export every alarm and per-AS severity event into the persistent
    alarm store (:mod:`repro.service.store`),
-3. start the stdlib HTTP server over the store and query it like an
+3. start the HTTP server over the store and query it like an
    operator would — per-AS health, top anomalous ASes, events, link
    drill-down — including an ETag revalidation round trip,
 4. show that the served answers equal the in-memory
@@ -23,7 +23,6 @@ Run:  python examples/serve_and_query.py
 
 import json
 import tempfile
-import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -31,11 +30,11 @@ from pathlib import Path
 from repro.core import analyze_campaign
 from repro.reporting import InternetHealthReport, format_table
 from repro.service import (
+    AsyncServerThread,
     CompactionPolicy,
     StoreQuery,
     append_analysis,
     compact_store,
-    make_server,
 )
 from repro.simulation import (
     AtlasPlatform,
@@ -94,14 +93,12 @@ def main() -> None:
             f"(generation {writer.generation})"
         )
 
-        server = make_server(store_path, port=0, window_bins=WINDOW_BINS)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
-        print(f"serving on {base}\n")
+        with AsyncServerThread(
+            store_path, window_bins=WINDOW_BINS
+        ) as server:
+            base = f"http://127.0.0.1:{server.port}"
+            print(f"serving on {base}\n")
 
-        try:
             _, _, top = get(f"{base}/top?kind=delay&k=5")
             print("GET /top?kind=delay&k=5")
             print(
@@ -153,10 +150,7 @@ def main() -> None:
                 "\nstore answers == in-memory InternetHealthReport for "
                 f"{len(report.monitored_asns())} ASes  [OK]"
             )
-            print(f"cache: {server.cache.stats()}")
-        finally:
-            server.shutdown()
-            server.server_close()
+            print(f"cache: {server.service.state.cache.stats()}")
 
         # -- compaction: a long-lived store stays bounded ---------------
         # A monitor appends one segment per checkpoint forever; the

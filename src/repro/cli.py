@@ -26,10 +26,9 @@ Seven subcommands cover the common workflows:
   the connector layer (resumably, with ``--atlas-cursor``), then
   monitors it — the live-data entry point,
 * ``serve``   — expose a persistent alarm store over the IHR-style
-  HTTP JSON API (:mod:`repro.service`).  ``--async`` swaps in the
-  high-throughput asyncio tier (byte-identical answers, keep-alive,
-  single-flight coalescing), and ``--async --workers N`` pre-forks N
-  processes sharing the port via ``SO_REUSEPORT``,
+  HTTP JSON API (:mod:`repro.service`: keep-alive, single-flight
+  coalescing); ``--workers N`` pre-forks N processes sharing the port
+  via ``SO_REUSEPORT``,
 * ``compact`` — merge an alarm store's small segments and apply tiered
   retention (:mod:`repro.service.compact`): queries stay bit-identical
   under merging, while ``--coarsen-after``/``--drop-after`` trade old
@@ -82,7 +81,7 @@ Examples::
     python -m repro monitor feed.jsonl --follow --checkpoint mon.ckpt \\
         --store alarms.store
     python -m repro serve alarms.store --port 8080
-    python -m repro serve alarms.store --async --workers 4
+    python -m repro serve alarms.store --workers 4
     python -m repro compact alarms.store --max-segments 8 --drop-after 720
     python -m repro replay ddos
 """
@@ -359,20 +358,18 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window-bins", type=_positive_int, default=None, metavar="N",
         help="magnitude window in bins (default: one week)")
-    serve.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="serve through the asyncio tier (keep-alive, single-flight "
-             "coalescing; answers are byte-identical to the default "
-             "threading server)")
+    # Accepted and ignored: scripts written when the asyncio server was
+    # opt-in still pass it.
+    serve.add_argument("--async", action="store_true",
+                       help=argparse.SUPPRESS)
     serve.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
-        help="pre-fork N async worker processes sharing the port via "
-             "SO_REUSEPORT (requires --async; default 1)")
+        help="pre-fork N worker processes sharing the port via "
+             "SO_REUSEPORT (default 1)")
     serve.add_argument(
         "--access-log", metavar="PATH", default=None,
         help="append one canonical-JSON line per answered request "
-             "(route, status, latency µs, cache outcome); identical "
-             "field order on both tiers")
+             "(route, status, latency µs, cache outcome)")
 
     compact = sub.add_parser(
         "compact",
@@ -1163,14 +1160,12 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
-def _cmd_serve_async(args) -> int:
-    """``serve --async``: the asyncio tier, optionally pre-forked."""
-    import asyncio
-
+def _cmd_serve(args) -> int:
+    """Body of the ``serve`` subcommand (HTTP API over an alarm store)."""
     from repro.service import (
         StoreError,
         read_manifest,
-        start_async_server,
+        run_async_server,
         start_worker_pool,
     )
 
@@ -1179,15 +1174,18 @@ def _cmd_serve_async(args) -> int:
     except StoreError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
+    options = {
+        "cache_size": args.cache_size,
+        "window_bins": args.window_bins,
+        "access_log": args.access_log,
+    }
     if args.workers > 1:
         pool = start_worker_pool(
             args.store,
             host=args.host,
             port=args.port,
             workers=args.workers,
-            cache_size=args.cache_size,
-            window_bins=args.window_bins,
-            access_log=args.access_log,
+            **options,
         )
         # SIGTERM must unwind through the ``finally`` below, or the
         # pre-forked workers outlive the parent and hold the port.
@@ -1205,61 +1203,16 @@ def _cmd_serve_async(args) -> int:
             pool.stop()
         return 0
 
-    async def _run() -> None:
-        server, _service = await start_async_server(
-            args.store,
-            args.host,
-            args.port,
-            cache_size=args.cache_size,
-            window_bins=args.window_bins,
-            access_log=args.access_log,
-        )
-        host, port = server.sockets[0].getsockname()[:2]
+    def _banner(address) -> None:
+        host, port = address
         print(
             f"serving {args.store} on http://{host}:{port} (async)",
             flush=True,
         )
-        async with server:
-            await server.serve_forever()
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Body of the ``serve`` subcommand (HTTP API over an alarm store)."""
-    from repro.service import StoreError, make_server, serve_forever
-
-    if args.workers > 1 and not args.use_async:
-        print(
-            "repro: error: --workers requires --async",
-            file=sys.stderr,
-        )
-        return 2
-    if args.use_async:
-        return _cmd_serve_async(args)
-    try:
-        server = make_server(
-            args.store,
-            host=args.host,
-            port=args.port,
-            cache_size=args.cache_size,
-            window_bins=args.window_bins,
-            access_log=args.access_log,
-        )
-    except StoreError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 1
-    host, port = server.server_address[:2]
-    print(
-        f"serving {args.store} on http://{host}:{port} "
-        f"(store generation {server.engine.generation})",
-        flush=True,
+    run_async_server(
+        args.store, args.host, args.port, ready=_banner, **options
     )
-    serve_forever(server)
     return 0
 
 

@@ -6,13 +6,13 @@ subsystem: :mod:`repro.service.store` persists alarms and AS-level
 events in an append-only columnar binary store,
 :mod:`repro.service.query` answers IHR queries from mmapped columns
 bit-identically to the in-memory
-:class:`~repro.reporting.ihr.InternetHealthReport`, and two HTTP fronts
-expose the IHR-style JSON routes: the stdlib threading server in
-:mod:`repro.service.http` and the high-throughput asyncio tier in
+:class:`~repro.reporting.ihr.InternetHealthReport`, and one HTTP
+server exposes the IHR-style JSON routes: the asyncio server in
 :mod:`repro.service.aio` (keep-alive, single-flight coalescing,
-``SO_REUSEPORT`` worker pools) — both answering through the same
-:class:`~repro.service.http.ServiceState` with generation-keyed
-response caching (:mod:`repro.service.cache`).
+``SO_REUSEPORT`` worker pools) answers every request through the
+transport-free :class:`~repro.service.routes.ServiceState`
+(:mod:`repro.service.routes`) with generation-keyed response caching
+(:mod:`repro.service.cache`).
 :mod:`repro.service.compact` keeps long-lived stores bounded: segment
 merging plus tiered retention under the same generation-token cutover
 discipline.
@@ -32,13 +32,8 @@ from repro.service.compact import (
     CompactionReport,
     compact_store,
 )
-from repro.service.http import (
-    ServiceState,
-    if_none_match_matches,
-    make_server,
-    serve_forever,
-)
 from repro.service.query import StoreQuery
+from repro.service.routes import ServiceState, if_none_match_matches
 from repro.service.store import (
     AlarmStore,
     AlarmStoreWriter,
@@ -63,10 +58,8 @@ __all__ = [
     "append_analysis",
     "compact_store",
     "if_none_match_matches",
-    "make_server",
     "read_manifest",
     "run_async_server",
-    "serve_forever",
     "start_async_server",
     "start_worker_pool",
 ]

@@ -1,8 +1,12 @@
-"""Stdlib HTTP JSON API over the alarm store (IHR-style routes, §8).
+"""Transport-free request logic of the IHR-style JSON API (§8).
 
 The paper's results reach operators through the Internet Health Report
-API; this module is the equivalent for the on-disk store — a
-dependency-free :class:`~http.server.ThreadingHTTPServer` exposing:
+API; this module is everything about that API that is not a socket —
+the route table, parameter validation, caching and locking discipline
+of :class:`ServiceState`.  The one HTTP server
+(:mod:`repro.service.aio`) answers every request through it, and
+:meth:`ServiceState.respond` is also the in-process oracle the tests
+and the benchmark ledger compare wire bytes against.
 
 ========================  ====================================================
 route                     answer
@@ -23,10 +27,6 @@ route                     answer
 
 Every answer is produced by :class:`~repro.service.query.StoreQuery`
 (bit-identical to the in-memory IHR) and rendered to canonical JSON.
-The route logic, parameter validation, caching and locking discipline
-all live in :class:`ServiceState`, shared **byte for byte** with the
-asyncio tier (:mod:`repro.service.aio`): both fronts serve identical
-bodies and ETags for identical requests.
 
 Responses are memoised in a :class:`~repro.service.cache.ResponseCache`
 keyed by (route, params, store generation token): a writer appending a
@@ -55,10 +55,7 @@ import math
 import re
 import threading
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qsl, urlsplit
 
 from repro.atlas.io import PathLike
 from repro.obs.expo import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -71,7 +68,6 @@ from repro.obs.metrics import (
 from repro.obs.status import default_board
 from repro.reporting.jsonio import dumps_canonical
 from repro.service.cache import (
-    DEFAULT_CACHE_SIZE,
     CachedResponse,
     CacheKey,
     ResponseCache,
@@ -80,7 +76,7 @@ from repro.service.cache import (
 from repro.service.query import StoreQuery
 from repro.service.store import StoreError
 
-#: Default bind address for :func:`make_server`.
+#: Default bind address of the server.
 DEFAULT_HOST = "127.0.0.1"
 
 #: Backoff interval (seconds) advertised on every 503.  Store
@@ -279,10 +275,9 @@ def answer_route(
 ):
     """Compute the JSON payload for *route*; ``None`` for unknown routes.
 
-    This is the single route table both HTTP tiers share — identical
-    payloads (and therefore identical bodies and ETags) by
-    construction.  Raises :class:`_BadRequest` for invalid parameters
-    and lets :class:`StoreError` propagate for the caller's 503.
+    The single route table.  Raises :class:`_BadRequest` for invalid
+    parameters and lets :class:`StoreError` propagate for the caller's
+    503.
     """
     if route == "/":
         return {
@@ -357,12 +352,13 @@ _REQUEST_BUCKETS = exponential_buckets(0.00001, 4.0, 9)
 
 
 class ServiceMetrics:
-    """Serving-tier metric families, shared by the sync and async fronts.
+    """The serving metric families.
 
     Registered idempotently against the process default registry (or an
-    injected one), so both tiers in one process — and every test server
-    — bind the same families and ``/metrics`` exposes one coherent view.
-    Telemetry only: nothing here is read back by the request path.
+    injected one), so every server in one process — test servers
+    included — binds the same families and ``/metrics`` exposes one
+    coherent view.  Telemetry only: nothing here is read back by the
+    request path.
     """
 
     __slots__ = ("requests", "latency", "cache", "coalesced")
@@ -407,11 +403,10 @@ class ServiceMetrics:
 class AccessLog:
     """One canonical-JSON line per answered request (``--access-log``).
 
-    Both tiers write the same four fields — ``cache`` (``hit`` /
-    ``miss`` / ``coalesced`` / ``none``), ``latency_us``, ``route``
-    (the raw path), ``status`` — rendered by
-    :func:`repro.reporting.jsonio.dumps_canonical`, whose sorted-key
-    output makes the field order byte-identical across sync and async.
+    Four fields — ``cache`` (``hit`` / ``miss`` / ``coalesced`` /
+    ``none``), ``latency_us``, ``route`` (the raw path), ``status`` —
+    rendered by :func:`repro.reporting.jsonio.dumps_canonical`, whose
+    sorted-key output fixes the field order.
     Writes are line-buffered under a lock; with pre-forked workers each
     process appends whole lines (``O_APPEND``), so lines never split.
     """
@@ -443,12 +438,11 @@ class AccessLog:
 
 
 class ServiceState:
-    """Engine + cache + the locking/coherence discipline of one tier.
+    """Engine + cache + the locking/coherence discipline of one server.
 
-    Both HTTP fronts (the threading server below, the asyncio tier in
-    :mod:`repro.service.aio`) answer every request through one of
-    these, so the caching rules and the ISSUE 9 coherence fix exist in
-    exactly one place:
+    The HTTP server (:mod:`repro.service.aio`) answers every request
+    through one of these, so the caching rules and the ISSUE 9
+    coherence fix exist in exactly one place:
 
     * :meth:`respond` — fast path: one lock acquisition to refresh and
       read the generation token, then a lock-free cache probe;
@@ -583,116 +577,3 @@ class ServiceState:
     def respond(self, route: str, params: Dict[str, str]) -> CachedResponse:
         """Answer one request: cache first, :meth:`compute` on a miss."""
         return self.answer(route, params)[0]
-
-
-class AlarmServiceHandler(BaseHTTPRequestHandler):
-    """Routes GET requests to the shared :class:`ServiceState`."""
-
-    server_version = "repro-ihr/1.0"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr logging (tests and benchmarks)."""
-
-    def _send(self, response: CachedResponse) -> int:
-        """Write *response* (or its 304 form); returns the sent status."""
-        if response.status == 200 and if_none_match_matches(
-            self.headers.get("If-None-Match"), response.etag
-        ):
-            self.send_response(304)
-            self.send_header("ETag", response.etag)
-            self.end_headers()
-            return 304
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        if response.retry_after is not None:
-            self.send_header("Retry-After", str(response.retry_after))
-        if response.status == 200:
-            self.send_header("ETag", response.etag)
-            self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-        self.wfile.write(response.body)
-        return response.status
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        """Answer one GET request (cache first, engine on miss)."""
-        server: AlarmServiceServer = self.server  # type: ignore[assignment]
-        start = perf_counter()
-        parsed = urlsplit(self.path)
-        route = parsed.path.rstrip("/") or "/"
-        params = dict(parse_qsl(parsed.query))
-        state = server.state
-        entry, outcome = state.answer(route, params)
-        status = self._send(entry)
-        elapsed = perf_counter() - start
-        state.metrics.observe(route_family(route), status, elapsed, outcome)
-        if state.access_log is not None:
-            state.access_log.write(
-                route, status, int(elapsed * 1e6), outcome
-            )
-
-
-class AlarmServiceServer(ThreadingHTTPServer):
-    """Threading HTTP server bundling the query engine and its cache."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        engine: StoreQuery,
-        cache: ResponseCache,
-        access_log: Optional[AccessLog] = None,
-    ) -> None:
-        super().__init__(address, AlarmServiceHandler)
-        self.state = ServiceState(engine, cache, access_log=access_log)
-
-    @property
-    def engine(self) -> StoreQuery:
-        """The query engine (via the shared :class:`ServiceState`)."""
-        return self.state.engine
-
-    @property
-    def cache(self) -> ResponseCache:
-        """The response cache (via the shared :class:`ServiceState`)."""
-        return self.state.cache
-
-    @property
-    def engine_lock(self) -> threading.Lock:
-        """The engine lock (via the shared :class:`ServiceState`)."""
-        return self.state.engine_lock
-
-
-def make_server(
-    store_path: PathLike,
-    host: str = DEFAULT_HOST,
-    port: int = 0,
-    cache_size: int = DEFAULT_CACHE_SIZE,
-    window_bins: Optional[int] = None,
-    access_log: Optional[PathLike] = None,
-) -> AlarmServiceServer:
-    """Build a ready-to-run server for the store at *store_path*.
-
-    ``port=0`` binds an ephemeral port (see ``server.server_address``).
-    The store must exist; a missing or corrupt manifest raises
-    :class:`~repro.service.store.StoreError` here rather than on the
-    first request.  ``access_log`` appends one canonical-JSON line per
-    answered request to the given path.
-    """
-    engine = StoreQuery(store_path, window_bins=window_bins)
-    return AlarmServiceServer(
-        (host, port),
-        engine,
-        ResponseCache(cache_size),
-        access_log=AccessLog(access_log) if access_log is not None else None,
-    )
-
-
-def serve_forever(server: AlarmServiceServer) -> None:
-    """Run *server* until interrupted (Ctrl-C returns cleanly)."""
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()

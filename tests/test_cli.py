@@ -7,6 +7,20 @@ import pytest
 from repro.cli import main
 
 
+def _cli_env():
+    """The environment for a ``python -m repro`` child: this ``src/`` first."""
+    import os
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
 class TestGenerateAnalyze:
     @pytest.fixture(scope="class")
     def campaign_path(self, tmp_path_factory):
@@ -490,11 +504,8 @@ class TestAlarmStore:
         writes the same segment bytes under any ``PYTHONHASHSEED``, and
         the same bytes as the sharded engine (regression: the serial
         forwarding references were once kept in set order)."""
-        import os
         import subprocess
         import sys
-
-        import repro
 
         feed = tmp_path / "outage.jsonl"
         assert main(
@@ -503,12 +514,7 @@ class TestAlarmStore:
                 "--no-anchoring", "--scenario", "outage", "--out", str(feed),
             ]
         ) == 0
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src]
-            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
+        env = _cli_env()
 
         def segment_bytes(name, hash_seed, *extra):
             store = tmp_path / name
@@ -536,6 +542,115 @@ class TestAlarmStore:
     def test_serve_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.store")]) == 1
         assert "repro: error:" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    """``serve`` as a real subprocess: banner, wire bytes, clean exit."""
+
+    TARGETS = [
+        "/", "/health/65001", "/health?asns=65001,65002", "/links/65001",
+        "/events?kind=delay&threshold=0.5", "/top?kinds=delay,forwarding",
+        "/nonsense",
+    ]
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        from tests.test_service_store import (
+            build_store,
+            make_mapper,
+            synthetic_bins,
+        )
+
+        directory = tmp_path_factory.mktemp("serve-cli") / "store"
+        build_store(directory, synthetic_bins(6, seed=13), make_mapper())
+        return directory
+
+    @staticmethod
+    def _serve(store, *extra):
+        """Boot ``serve STORE --port 0 *extra``; returns (proc, banner)."""
+        import select
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(store),
+             "--port", "0", *extra],
+            env=_cli_env(), stdout=subprocess.PIPE,
+        )
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        banner = proc.stdout.readline().decode() if ready else ""
+        return proc, banner
+
+    @staticmethod
+    def _stop(proc) -> int:
+        import signal
+
+        proc.send_signal(signal.SIGINT)
+        try:
+            return proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+
+    @staticmethod
+    def _fetch(port: int, target: str) -> bytes:
+        """The full response bytes (status line, headers, body)."""
+        import socket
+
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(
+                f"GET {target} HTTP/1.1\r\nHost: t\r\n"
+                "Connection: close\r\n\r\n".encode()
+            )
+            with sock.makefile("rb") as stream:
+                return stream.read()
+
+    def test_async_flag_is_a_no_op(self, store):
+        """Bare ``serve`` and ``serve --async``: one banner, one wire."""
+        import re
+
+        seen = []
+        for extra in ([], ["--async"]):
+            proc, banner = self._serve(store, *extra)
+            try:
+                match = re.fullmatch(
+                    r"(serving \S+ on http://127\.0\.0\.1:)(\d+)( \(async\)\n)",
+                    banner,
+                )
+                assert match is not None, banner
+                port = int(match.group(2))
+                responses = [self._fetch(port, t) for t in self.TARGETS]
+            finally:
+                code = self._stop(proc)
+            assert code == 0
+            seen.append((match.group(1), match.group(3), responses))
+        assert seen[0] == seen[1]
+        assert seen[0][2][1].startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_workers_boot_a_pool_without_async(self, store):
+        import re
+
+        proc, banner = self._serve(store, "--workers", "2")
+        try:
+            match = re.search(
+                r"http://127\.0\.0\.1:(\d+) "
+                r"\(async, 2 workers, SO_REUSEPORT\)",
+                banner,
+            )
+            assert match is not None, banner
+            reply = self._fetch(int(match.group(1)), "/health/65001")
+            assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        finally:
+            code = self._stop(proc)
+        assert code == 0
+
+    def test_help_does_not_list_async(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--async" not in usage
+        assert "--workers" in usage
 
 
 class TestReplay:

@@ -1,15 +1,14 @@
-"""Observability routes and telemetry on both HTTP tiers.
+"""Observability routes and telemetry of the HTTP server.
 
-The acceptance contract: ``/metrics`` and ``/statusz`` exist on the
-sync and async tiers, expose the *same* metric families (names and
-label sets), the access log is byte-identical in field order across
-tiers, query routes stay bit-identical with metrics enabled, and the
-request telemetry (counts, cache outcomes, 304s, coalesces) reflects
-what the tier actually did.
+The acceptance contract: ``/metrics`` and ``/statusz`` exist, expose
+the fixed metric families (names and kinds), the access log has a
+fixed field order, query routes stay bit-identical to the in-process
+oracle with metrics enabled, and the request telemetry (counts, cache
+outcomes, 304s, coalesces) reflects what the server actually did.
 """
 
 import json
-import threading
+import re
 import time
 
 import pytest
@@ -17,11 +16,14 @@ import pytest
 from repro.obs.expo import parse_text, validate
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.status import StatusBoard, set_default_board
-from repro.service import make_server
 from repro.service.aio import AsyncServerThread
-from repro.service.http import AccessLog, ServiceMetrics, route_family
+from repro.service.routes import AccessLog, ServiceMetrics, route_family
 
-from tests.test_service_aio import KeepAliveClient, sync_get
+from tests.test_service_aio import (
+    KeepAliveClient,
+    assert_wire_matches_oracle,
+    make_oracle,
+)
 from tests.test_service_store import build_store, make_mapper, synthetic_bins
 
 QUERY_MATRIX = [
@@ -42,39 +44,26 @@ def store_dir(tmp_path_factory):
 
 @pytest.fixture()
 def stack(store_dir, tmp_path):
-    """Both tiers over one store, each with its own access log."""
-    sync_log = tmp_path / "sync.access.jsonl"
-    async_log = tmp_path / "async.access.jsonl"
-    server = make_server(store_dir, port=0, access_log=sync_log)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    with AsyncServerThread(store_dir, access_log=async_log) as async_srv:
+    """The server over one store, with an access log."""
+    log = tmp_path / "access.jsonl"
+    with AsyncServerThread(
+        store_dir, window_bins=4, access_log=log
+    ) as server:
         yield {
-            "sync_base": f"http://{host}:{port}",
-            "async_port": async_srv.port,
-            "service": async_srv.service,
-            "sync_log": sync_log,
-            "async_log": async_log,
+            "directory": store_dir,
+            "port": server.port,
+            "service": server.service,
+            "log": log,
         }
-    server.shutdown()
-    server.server_close()
 
 
-def aio_get(port: int, target: str, headers=None):
+def get(port: int, target: str, headers=None):
+    """One request on a fresh connection: (status, headers, body)."""
     client = KeepAliveClient(port)
     try:
         return client.get(target, headers or {})
     finally:
         client.close()
-
-
-def header(headers, name):
-    """Case-insensitive header lookup (the two tiers case differently)."""
-    for key, value in headers.items():
-        if key.lower() == name.lower():
-            return value
-    return None
 
 
 def eventually(check, timeout=5.0):
@@ -115,61 +104,44 @@ class TestRouteFamily:
 
 
 class TestScrapeRoutes:
-    def test_metrics_route_on_both_tiers(self, stack):
-        for status, headers, body in (
-            sync_get(stack["sync_base"], "/metrics"),
-            aio_get(stack["async_port"], "/metrics"),
-        ):
-            assert status == 200
-            assert header(headers, "content-type").startswith(
-                "text/plain; version=0.0.4"
-            )
-            validate(parse_text(body))
+    def test_metrics_route(self, stack):
+        status, headers, body = get(stack["port"], "/metrics")
+        assert status == 200
+        assert headers["content-type"].startswith(
+            "text/plain; version=0.0.4"
+        )
+        validate(parse_text(body))
 
-    def test_both_tiers_expose_identical_metric_families(self, stack):
-        """Same names, same label sets — one coherent metric namespace."""
+    def test_metric_families_have_fixed_names_and_kinds(self, stack):
+        """Dashboards and alert rules are written against these names."""
         for target in QUERY_MATRIX:
-            sync_get(stack["sync_base"], target)
-            aio_get(stack["async_port"], target)
-        _, _, sync_body = sync_get(stack["sync_base"], "/metrics")
-        _, _, aio_body = aio_get(stack["async_port"], "/metrics")
-
-        def families_of(body):
-            parsed = parse_text(body)
-            return {
-                name: (
-                    entry["type"],
-                    tuple(sorted(
-                        frozenset(labels) - {"le"}
-                        for _, labels, _ in entry["samples"]
-                    )),
-                )
-                for name, entry in parsed.items()
-            }
-
-        # Both tiers share the process default registry, so the scrape
-        # is literally the same document modulo live values.
-        assert set(families_of(sync_body)) == set(families_of(aio_body))
-        for name, (kind, _) in families_of(sync_body).items():
-            assert families_of(aio_body)[name][0] == kind
+            get(stack["port"], target)
+        _, _, body = get(stack["port"], "/metrics")
+        kinds = {
+            name: entry["type"] for name, entry in parse_text(body).items()
+        }
+        for name, kind in (
+            ("repro_http_requests_total", "counter"),
+            ("repro_http_request_seconds", "histogram"),
+            ("repro_http_cache_total", "counter"),
+            ("repro_http_coalesced_total", "counter"),
+        ):
+            assert kinds.get(name) == kind, name
 
     def test_statusz_reports_store_and_cache(self, stack):
-        for status, headers, body in (
-            sync_get(stack["sync_base"], "/statusz"),
-            aio_get(stack["async_port"], "/statusz"),
-        ):
-            assert status == 200
-            payload = json.loads(body)
-            assert set(payload) == {"cache", "components", "store"}
-            assert "generation" in payload["store"]
-            assert "token" in payload["store"]
+        status, _, body = get(stack["port"], "/statusz")
+        assert status == 200
+        payload = json.loads(body)
+        assert set(payload) == {"cache", "components", "store"}
+        assert "generation" in payload["store"]
+        assert "token" in payload["store"]
 
     def test_statusz_shows_board_components(self, stack):
         board = StatusBoard()
         board.update("monitor", bins_closed=7, feed_lag_s=120)
         previous = set_default_board(board)
         try:
-            _, _, body = sync_get(stack["sync_base"], "/statusz")
+            _, _, body = get(stack["port"], "/statusz")
         finally:
             set_default_board(previous)
         payload = json.loads(body)
@@ -178,18 +150,18 @@ class TestScrapeRoutes:
         }
 
     def test_scrape_routes_are_never_cached(self, stack):
-        _, first_headers, first = sync_get(stack["sync_base"], "/metrics")
+        _, _, first = get(stack["port"], "/metrics")
 
         def second_scrape_differs():
-            _, _, second = sync_get(stack["sync_base"], "/metrics")
+            _, _, second = get(stack["port"], "/metrics")
             assert first != second  # the first scrape moved the counters
 
         eventually(second_scrape_differs)
 
 
 class TestRequestTelemetry:
-    def _scrape_samples(self, base):
-        _, _, body = sync_get(base, "/metrics")
+    def _scrape_samples(self, port):
+        _, _, body = get(port, "/metrics")
         parsed = parse_text(body)
         return {
             (name, tuple(sorted(labels.items()))): value
@@ -199,43 +171,42 @@ class TestRequestTelemetry:
         }
 
     def test_request_counters_move_per_route_family(self, stack):
-        before = self._scrape_samples(stack["sync_base"])
-        sync_get(stack["sync_base"], "/health/65001")
-        sync_get(stack["sync_base"], "/health/65002")
+        before = self._scrape_samples(stack["port"])
+        get(stack["port"], "/health/65001")
+        get(stack["port"], "/health/65002")
         key = (
             "repro_http_requests_total",
             (("route", "/health/{asn}"), ("status", "200")),
         )
 
         def moved_by_two():
-            after = self._scrape_samples(stack["sync_base"])
+            after = self._scrape_samples(stack["port"])
             assert after[key] - before.get(key, 0) == 2
 
         eventually(moved_by_two)
 
     def test_304_is_counted_as_sent(self, stack):
-        status, headers, _ = sync_get(stack["sync_base"], "/top?kind=delay")
-        etag = header(headers, "etag")
-        status, _, _ = sync_get(
-            stack["sync_base"], "/top?kind=delay",
-            headers={"If-None-Match": etag},
+        status, headers, _ = get(stack["port"], "/top?kind=delay")
+        status, _, _ = get(
+            stack["port"], "/top?kind=delay",
+            headers={"If-None-Match": headers["etag"]},
         )
         assert status == 304
         key = ("repro_http_requests_total",
                (("route", "/top"), ("status", "304")))
         eventually(
-            lambda: self._scrape_samples(stack["sync_base"])[key] >= 1
+            lambda: self._scrape_samples(stack["port"])[key] >= 1
         )
 
-    def test_cache_outcomes_on_async_tier(self, stack):
+    def test_cache_outcomes(self, stack):
         service = stack["service"]
         hits_before = service.hits
-        aio_get(stack["async_port"], "/events?kind=delay&threshold=0.9")
-        aio_get(stack["async_port"], "/events?kind=delay&threshold=0.9")
+        get(stack["port"], "/events?kind=delay&threshold=0.9")
+        get(stack["port"], "/events?kind=delay&threshold=0.9")
         assert service.hits > hits_before
 
         def both_outcomes_counted():
-            samples = self._scrape_samples(stack["sync_base"])
+            samples = self._scrape_samples(stack["port"])
             assert samples[
                 ("repro_http_cache_total", (("result", "hit"),))
             ] >= 1
@@ -255,16 +226,16 @@ class TestAccessLog:
         ]
 
     def test_one_line_per_request_with_fixed_fields(self, stack):
-        sync_get(stack["sync_base"], "/health/65001")
-        sync_get(stack["sync_base"], "/nonsense")
-        # The sync tier logs after the body is sent, on a per-request
-        # thread, so the two lines may land in either order: find each
-        # record by its route, not by its position.
+        get(stack["port"], "/health/65001")
+        get(stack["port"], "/nonsense")
+        # Each request ran on its own connection, so the two lines may
+        # land in either order: find each record by its route, not by
+        # its position.
         wanted = {"/health/65001", "/nonsense"}
         records = eventually(
             lambda: wanted
-            <= {r["route"] for r in self._drain(stack["sync_log"])}
-            and self._drain(stack["sync_log"])
+            <= {r["route"] for r in self._drain(stack["log"])}
+            and self._drain(stack["log"])
         )
         by_route = {r["route"]: r for r in records}
         assert by_route["/health/65001"]["status"] == 200
@@ -273,42 +244,24 @@ class TestAccessLog:
             assert list(record) == ["cache", "latency_us", "route", "status"]
             assert record["cache"] in ("hit", "miss", "coalesced", "none")
             assert record["latency_us"] >= 0
-
-    def test_field_order_is_byte_identical_across_tiers(self, stack):
-        sync_get(stack["sync_base"], "/top?kind=delay&k=2")
-        aio_get(stack["async_port"], "/top?kind=delay&k=2")
-
-        def keys_of(path):
-            line = eventually(
-                lambda: path.read_text().strip().splitlines()[-1]
+        # Byte-level: with the values stripped, every line is the one
+        # fixed field skeleton log consumers parse.
+        for line in stack["log"].read_text().strip().splitlines():
+            assert re.sub(r"(?<=:)[^,}]+", "#", line) == (
+                '{"cache":#,"latency_us":#,"route":#,"status":#}'
             )
-            return list(json.loads(line))
-
-        assert keys_of(stack["sync_log"]) == keys_of(stack["async_log"])
-        # Byte-level: strip the (legitimately different) values and
-        # compare the field skeletons of the two lines.
-        import re
-
-        def skeleton(path):
-            line = path.read_text().strip().splitlines()[-1]
-            return re.sub(r"(?<=:)[^,}]+", "#", line)
-
-        assert skeleton(stack["sync_log"]) == skeleton(stack["async_log"])
 
 
 class TestBitIdentityWithMetricsEnabled:
-    def test_query_routes_identical_across_tiers_with_obs_on(self, stack):
+    def test_query_routes_match_oracle_with_obs_on(self, stack):
         """All five query routes answer bit-identically, metrics running."""
-        for target in QUERY_MATRIX:
-            s_status, s_headers, s_body = sync_get(
-                stack["sync_base"], target
-            )
-            a_status, a_headers, a_body = aio_get(
-                stack["async_port"], target
-            )
-            assert (s_status, s_body) == (a_status, a_body), target
-            assert header(s_headers, "etag") == header(a_headers, "etag"), \
-                target
+        oracle = make_oracle(stack["directory"])
+        client = KeepAliveClient(stack["port"])
+        try:
+            for target in QUERY_MATRIX:
+                assert_wire_matches_oracle(client, oracle, target)
+        finally:
+            client.close()
 
 
 class TestServiceMetricsUnit:

@@ -1,13 +1,13 @@
-"""Async HTTP tier tests: byte-identity with the sync tier, at scale.
+"""HTTP server tests: byte-identity with the in-process oracle, at scale.
 
-The asyncio front end's contract is *byte identity*: for any request,
-the status, body and ETag must equal the threading server's — both
-answer through one :class:`~repro.service.http.ServiceState`.  These
-tests drive that matrix (success, batch, 400/404 and 304 paths), the
-tier's own machinery (keep-alive framing, single-flight coalescing,
-``SO_REUSEPORT`` worker pools), and the hard case: both tiers serving
-identical answers while a writer appends and the compactor rewrites
-the store underneath them.
+The server's contract is *byte identity*: for any request, the status,
+body, ETag and ``Retry-After`` on the wire must equal what an
+independent in-process :class:`~repro.service.routes.ServiceState`
+answers from the same store.  These tests drive that matrix (success,
+batch, 400/404 and 304 paths), the server's own machinery (keep-alive
+framing, the head deadline, single-flight coalescing, ``SO_REUSEPORT``
+worker pools), and the hard case: wire and oracle agreeing while a
+writer appends and the compactor rewrites the store underneath them.
 """
 
 import json
@@ -15,18 +15,20 @@ import random
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
 from repro.service import (
     AlarmStoreWriter,
     CompactionPolicy,
+    ResponseCache,
+    ServiceState,
     StoreError,
+    StoreQuery,
     compact_store,
-    make_server,
 )
+from repro.service import aio
 from repro.service.aio import AsyncServerThread, start_worker_pool
 
 from tests.test_service_store import (
@@ -36,8 +38,8 @@ from tests.test_service_store import (
     synthetic_bins,
 )
 
-#: The request matrix both tiers must answer identically: every route,
-#: the batch forms, and each validation-bugfix rejection (ISSUE 9).
+#: The request matrix wire and oracle must answer identically: every
+#: route, the batch forms, and each validation-bugfix rejection (ISSUE 9).
 MATRIX = [
     "/health/65001",
     "/health/AS65002",
@@ -59,23 +61,47 @@ MATRIX = [
 ]
 
 
-def sync_get(base: str, target: str, headers=None):
-    """GET via urllib against the sync tier; errors return their body."""
-    request = urllib.request.Request(base + target, headers=headers or {})
-    try:
-        with urllib.request.urlopen(request) as response:
-            return response.status, dict(response.headers), response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, dict(error.headers), error.read()
+def make_oracle(directory) -> ServiceState:
+    """An in-process ``ServiceState`` over its own engine and cache."""
+    return ServiceState(
+        StoreQuery(directory, window_bins=4), ResponseCache(64)
+    )
+
+
+def oracle_get(oracle: ServiceState, target: str):
+    """What the wire must carry for *target*: (status, headers, body).
+
+    ``headers`` holds the two response-dependent headers, lower-cased
+    like :class:`KeepAliveClient` reports them (``etag`` only on 200).
+    """
+    parsed = urlsplit(target)
+    entry = oracle.respond(
+        parsed.path.rstrip("/") or "/", dict(parse_qsl(parsed.query))
+    )
+    headers = {}
+    if entry.status == 200:
+        headers["etag"] = entry.etag
+    if entry.retry_after is not None:
+        headers["retry-after"] = str(entry.retry_after)
+    return entry.status, headers, entry.body
+
+
+def assert_wire_matches_oracle(client, oracle, target) -> None:
+    """One request: same status, bytes, ETag and Retry-After."""
+    o_status, o_headers, o_body = oracle_get(oracle, target)
+    status, headers, body = client.get(target)
+    assert (status, body) == (o_status, o_body), target
+    assert headers.get("etag") == o_headers.get("etag"), target
+    assert headers.get("retry-after") == o_headers.get("retry-after"), target
 
 
 class KeepAliveClient:
-    """A raw HTTP/1.1 keep-alive client for the asyncio tier.
+    """A raw HTTP/1.1 keep-alive client.
 
     ``urllib`` opens one connection per request; this client exercises
-    the persistent-connection framing the async tier is built around —
-    and can split :meth:`send` from :meth:`read_response` so tests can
-    put many requests in flight concurrently.
+    the persistent-connection framing the server is built around — and
+    can split :meth:`send` from :meth:`read_response` so tests can put
+    many requests in flight concurrently.
     """
 
     def __init__(self, port: int, host: str = "127.0.0.1") -> None:
@@ -115,17 +141,11 @@ class KeepAliveClient:
 
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
-    """One store served by both tiers (async with exact freshness)."""
+    """One store, the server (exact freshness) and the in-process oracle."""
     directory = tmp_path_factory.mktemp("aio") / "store"
     mapper = make_mapper()
     bins = synthetic_bins(6, seed=29)
     build_store(directory, bins, mapper, chunk=2)
-    sync_server = make_server(directory, port=0, window_bins=4)
-    sync_thread = threading.Thread(
-        target=sync_server.serve_forever, daemon=True
-    )
-    sync_thread.start()
-    host, port = sync_server.server_address[:2]
     with AsyncServerThread(
         directory, window_bins=4, token_ttl=0.0
     ) as async_server:
@@ -133,42 +153,31 @@ def stack(tmp_path_factory):
             "directory": directory,
             "mapper": mapper,
             "bins": bins,
-            "sync_base": f"http://{host}:{port}",
+            "oracle": make_oracle(directory),
             "async_port": async_server.port,
             "async_server": async_server,
         }
-    sync_server.shutdown()
-    sync_server.server_close()
 
 
 class TestByteIdentity:
-    def test_matrix_matches_sync_tier_exactly(self, stack):
+    def test_matrix_matches_oracle_exactly(self, stack):
         """Same status, same bytes, same ETag for every matrix request."""
         client = KeepAliveClient(stack["async_port"])
         try:
             for target in MATRIX:
-                s_status, s_headers, s_body = sync_get(
-                    stack["sync_base"], target
-                )
-                a_status, a_headers, a_body = client.get(target)
-                assert a_status == s_status, target
-                assert a_body == s_body, target
-                assert a_headers.get("etag") == s_headers.get("ETag"), target
-                assert a_headers.get("retry-after") == s_headers.get(
-                    "Retry-After"
-                ), target
+                assert_wire_matches_oracle(client, stack["oracle"], target)
         finally:
             client.close()
 
     def test_index_reports_same_store(self, stack):
-        """``/`` embeds per-tier cache stats; the store half must agree."""
-        _, _, s_body = sync_get(stack["sync_base"], "/")
+        """``/`` embeds live cache stats; the store half must agree."""
+        _, _, o_body = oracle_get(stack["oracle"], "/")
         client = KeepAliveClient(stack["async_port"])
         try:
             _, _, a_body = client.get("/")
         finally:
             client.close()
-        assert json.loads(a_body)["store"] == json.loads(s_body)["store"]
+        assert json.loads(a_body)["store"] == json.loads(o_body)["store"]
 
     def test_if_none_match_rfc_forms(self, stack):
         """List, ``*`` and ``W/`` forms all revalidate to 304 (RFC 9110)."""
@@ -241,6 +250,143 @@ class TestConnectionHandling:
             client.close()
 
 
+def closed_by_server(sock: socket.socket, within: float) -> bool:
+    """Did the server end the connection (EOF or reset) within *within* s?"""
+    sock.settimeout(within)
+    try:
+        return sock.recv(1) == b""
+    except socket.timeout:
+        return False
+    except OSError:  # aborted with our bytes unread: a reset, not an EOF
+        return True
+
+
+def trickle(sock: socket.socket, head: bytes):
+    """Send *head* one byte per 50 ms; seconds until the server closed.
+
+    ``None`` when the server answered or outlasted the whole head.
+    """
+    started = time.monotonic()
+    sock.settimeout(0.05)
+    for index in range(len(head)):
+        try:
+            sock.sendall(head[index:index + 1])
+            if sock.recv(1) != b"":
+                return None
+            return time.monotonic() - started
+        except socket.timeout:
+            continue
+        except OSError:
+            return time.monotonic() - started
+    return None
+
+
+#: ~4 s of trickling at one byte per 50 ms — never complete in time.
+SLOW_HEAD = (
+    b"GET /health/65001 HTTP/1.1\r\nHost: trickle\r\n"
+    b"X-Padding: " + b"x" * 32 + b"\r\n\r\n"
+)
+
+
+class TestHeadDeadline:
+    """Silent and byte-at-a-time clients are cut off; nobody else is."""
+
+    @pytest.fixture()
+    def impatient(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(aio, "HEAD_TIMEOUT_S", 0.2)
+        directory = tmp_path / "store"
+        build_store(directory, synthetic_bins(6, seed=31), make_mapper())
+        with AsyncServerThread(directory, window_bins=4) as server:
+            yield server
+
+    def _connect(self, server) -> socket.socket:
+        return socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+    def test_silent_connection_is_closed(self, impatient):
+        sock = self._connect(impatient)
+        try:
+            assert closed_by_server(sock, within=1.0)
+        finally:
+            sock.close()
+
+    def test_trickled_head_is_closed_at_the_deadline(self, impatient):
+        sock = self._connect(impatient)
+        try:
+            elapsed = trickle(sock, SLOW_HEAD)
+        finally:
+            sock.close()
+        # Partial bytes do not push the deadline out.
+        assert elapsed is not None and 0.15 <= elapsed < 1.0
+
+    def test_paced_keep_alive_client_is_never_closed(self, impatient):
+        client = KeepAliveClient(impatient.port)
+        try:
+            for _ in range(10):
+                time.sleep(0.1)  # idle for half the deadline, every time
+                status, _, _ = client.get("/health/65001")
+                assert status == 200
+        finally:
+            client.close()
+
+    def test_slow_compute_is_not_cut_off(self, impatient):
+        state = impatient.service.state
+        original = state.compute
+        release = threading.Event()
+
+        def blocked_compute(route, params):
+            assert release.wait(timeout=10)
+            return original(route, params)
+
+        state.compute = blocked_compute
+        client = KeepAliveClient(impatient.port)
+        try:
+            client.send("/top?kind=delay&k=7")
+            time.sleep(0.6)  # three deadlines pass mid-computation
+            release.set()
+            status, _, _ = client.read_response()
+            assert status == 200
+            # The deadline is re-armed after the response, not expired.
+            assert client.get("/top?kind=delay&k=7")[0] == 200
+        finally:
+            release.set()
+            client.close()
+
+    def test_good_client_unharmed_by_idle_and_trickling_peers(self, impatient):
+        opened = time.monotonic()
+        idle = [self._connect(impatient) for _ in range(50)]
+        slow = [self._connect(impatient) for _ in range(10)]
+        closed_after = []
+        tricklers = [
+            threading.Thread(
+                target=lambda sock=sock: closed_after.append(
+                    trickle(sock, SLOW_HEAD)
+                )
+            )
+            for sock in slow
+        ]
+        for thread in tricklers:
+            thread.start()
+        client = KeepAliveClient(impatient.port)
+        try:
+            statuses = [
+                client.get(MATRIX[index % 10])[0] for index in range(200)
+            ]
+            assert statuses == [200] * 200
+            for thread in tricklers:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert all(
+                elapsed is not None and elapsed < 1.0
+                for elapsed in closed_after
+            ), closed_after
+            remaining = max(0.05, opened + 1.0 - time.monotonic())
+            assert all(closed_by_server(sock, remaining) for sock in idle)
+        finally:
+            client.close()
+            for sock in idle + slow:
+                sock.close()
+
+
 class TestSingleFlight:
     def test_concurrent_misses_compute_once(self, tmp_path):
         """N simultaneous misses on one key → one engine computation."""
@@ -290,13 +436,7 @@ class TestWorkerPool:
     def test_pool_serves_identically_then_stops(self, tmp_path):
         directory = tmp_path / "store"
         build_store(directory, synthetic_bins(6, seed=41), make_mapper())
-        sync_server = make_server(directory, port=0, window_bins=4)
-        thread = threading.Thread(
-            target=sync_server.serve_forever, daemon=True
-        )
-        thread.start()
-        host, port = sync_server.server_address[:2]
-        base = f"http://{host}:{port}"
+        oracle = make_oracle(directory)
         pool = start_worker_pool(
             directory, workers=2, window_bins=4, token_ttl=0.0
         )
@@ -307,34 +447,23 @@ class TestWorkerPool:
                 client = KeepAliveClient(pool.port)
                 try:
                     for target in MATRIX[:6]:
-                        s_status, s_headers, s_body = sync_get(base, target)
-                        a_status, a_headers, a_body = client.get(target)
-                        assert (a_status, a_body) == (s_status, s_body)
-                        assert a_headers.get("etag") == s_headers.get("ETag")
+                        assert_wire_matches_oracle(client, oracle, target)
                 finally:
                     client.close()
         finally:
             pool.stop()
-            sync_server.shutdown()
-            sync_server.server_close()
         assert pool.alive() == 0
 
 
 class TestLiveStoreEquivalence:
-    """Both tiers, one store, a live writer and a running compactor."""
+    """Wire and oracle, one store, a live writer and a running compactor."""
 
-    def test_tiers_agree_while_store_churns(self, tmp_path):
+    def test_wire_and_oracle_agree_while_store_churns(self, tmp_path):
         mapper = make_mapper()
         bins = synthetic_bins(16, seed=43)
         directory = tmp_path / "store"
         build_store(directory, bins[:6], mapper, chunk=2)
-        sync_server = make_server(directory, port=0, window_bins=4)
-        sync_thread = threading.Thread(
-            target=sync_server.serve_forever, daemon=True
-        )
-        sync_thread.start()
-        host, port = sync_server.server_address[:2]
-        base = f"http://{host}:{port}"
+        oracle = make_oracle(directory)
         stop_compactor = threading.Event()
         failures = []
 
@@ -382,17 +511,16 @@ class TestLiveStoreEquivalence:
                     iterations += 1
                     target = rng.choice(targets)
                     for status, headers, body in (
-                        sync_get(base, target),
+                        oracle_get(oracle, target),
                         client.get(target),
                     ):
                         if status == 503:
                             continue  # transient: manifest mid-swap
                         if status == 200:
-                            # One token, one answer: any ETag seen from
-                            # either tier must always name the same bytes.
-                            etag = headers.get("etag", headers.get("ETag"))
-                            assert etag is not None, (target, status)
-                            key = etag
+                            # One token, one answer: any ETag seen on the
+                            # wire or from the oracle must always name
+                            # the same bytes.
+                            key = headers["etag"]
                         else:
                             # 400s carry no ETag; their bodies depend
                             # only on the offending parameter.
@@ -413,12 +541,5 @@ class TestLiveStoreEquivalence:
             assert len(tokens) > 1
             # Quiesced: the strict matrix must now agree byte for byte.
             for target in MATRIX:
-                s_status, s_headers, s_body = sync_get(base, target)
-                a_status, a_headers, a_body = client.get(target)
-                assert (a_status, a_body) == (s_status, s_body), target
-                assert a_headers.get("etag") == s_headers.get(
-                    "ETag"
-                ), target
+                assert_wire_matches_oracle(client, oracle, target)
             client.close()
-        sync_server.shutdown()
-        sync_server.server_close()

@@ -1,7 +1,6 @@
-"""Tests for the serving layer's HTTP API and response cache."""
+"""Tests for the serving layer's routes, HTTP API and response cache."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -14,11 +13,11 @@ from repro.service import (
     ServiceState,
     StoreQuery,
     if_none_match_matches,
-    make_server,
     read_manifest,
 )
+from repro.service.aio import AsyncServerThread
 from repro.service.cache import make_etag
-from repro.service.http import (
+from repro.service.routes import (
     _asn_of,
     _BadRequest,
     _float_param,
@@ -96,19 +95,16 @@ def served_store(tmp_path_factory):
     mapper = make_mapper()
     bins = synthetic_bins(6, seed=13)
     build_store(directory, bins, mapper, chunk=2)
-    server = make_server(directory, port=0, window_bins=4)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield {
-        "base": f"http://{host}:{port}",
-        "server": server,
-        "directory": directory,
-        "mapper": mapper,
-        "bins": bins,
-    }
-    server.shutdown()
-    server.server_close()
+    # token_ttl=0: every request probes the manifest, so an append is
+    # visible to the very next request.
+    with AsyncServerThread(directory, window_bins=4, token_ttl=0) as server:
+        yield {
+            "base": f"http://127.0.0.1:{server.port}",
+            "state": server.service.state,
+            "directory": directory,
+            "mapper": mapper,
+            "bins": bins,
+        }
 
 
 def _get(url: str, headers=None):
@@ -220,15 +216,15 @@ class TestRoutes:
 
 class TestCachingBehaviour:
     def test_repeat_request_hits_cache(self, served_store):
-        server = served_store["server"]
+        cache = served_store["state"].cache
         url = f"{served_store['base']}/top?kind=forwarding&k=3"
         _get(url)
-        hits_before = server.cache.stats()["hits"]
+        hits_before = cache.stats()["hits"]
         _, headers1, body1 = _get(url)
         _, headers2, body2 = _get(url)
         assert body1 == body2
         assert headers1["ETag"] == headers2["ETag"]
-        assert server.cache.stats()["hits"] >= hits_before + 2
+        assert cache.stats()["hits"] >= hits_before + 2
 
     def test_if_none_match_revalidates_304(self, served_store):
         url = f"{served_store['base']}/events?kind=delay&threshold=0.5"
@@ -259,7 +255,7 @@ class TestCachingBehaviour:
         # new epoch-qualified generation token.
         asn_url = f"{served_store['base']}/health/65001"
         _, headers, _ = _get(asn_url)
-        token = served_store["server"].engine.cache_token
+        token = served_store["state"].engine.cache_token
         assert token.startswith(
             f"{json.loads(after)['store']['generation']}."
         )
@@ -472,21 +468,19 @@ class TestUnavailableStore:
     """503s must advertise their backoff, not just fail (PR 7)."""
 
     def test_503_carries_retry_after_header_and_body(self, tmp_path):
-        from repro.service.http import RETRY_AFTER_S
+        from repro.service.routes import RETRY_AFTER_S
         from repro.service.store import MANIFEST_NAME
 
         directory = tmp_path / "store"
         build_store(directory, synthetic_bins(4, seed=13), make_mapper())
-        server = make_server(directory, port=0, window_bins=4)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
-            base = f"http://{host}:{port}"
+        with AsyncServerThread(
+            directory, window_bins=4, token_ttl=0
+        ) as server:
+            base = f"http://127.0.0.1:{server.port}"
             status, _, _ = _get(f"{base}/health/65001")
             assert status == 200
             # Corrupt the manifest: the next refresh() raises
-            # StoreError, which the handler renders as an advertised,
+            # StoreError, which the server renders as an advertised,
             # retryable 503.
             manifest = directory / MANIFEST_NAME
             blob = bytearray(manifest.read_bytes())
@@ -506,9 +500,6 @@ class TestUnavailableStore:
             assert parse_retry_after(
                 error.headers["Retry-After"]
             ) == float(RETRY_AFTER_S)
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_healthy_responses_have_no_retry_after(self, served_store):
         status, headers, _ = _get(f"{served_store['base']}/health/65001")

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Observability smoke test: boot both HTTP tiers and scrape them.
+"""Observability smoke test: boot the HTTP server and scrape it.
 
 CI's end-to-end check for the :mod:`repro.obs` surface.  It builds a
-tiny campaign with the CLI, publishes an alarm store, then for **both**
-serving tiers (the threading tier and ``--async``):
+tiny campaign with the CLI, publishes an alarm store, then:
 
 1. boots the server as a real ``python -m repro serve`` subprocess;
 2. scrapes ``/metrics`` and checks the Content-Type, parses the body
@@ -13,9 +12,7 @@ serving tiers (the threading tier and ``--async``):
 4. issues one real query (``/top?kind=delay``) and confirms a second
    scrape shows the request counter moved.
 
-Finally it asserts the two tiers exposed the same metric family names
-— one coherent namespace, whichever tier an operator points Prometheus
-at.  Exit code 0 on success, 1 with a diagnostic on any failure.
+Exit code 0 on success, 1 with the failed check's traceback otherwise.
 
 Usage::
 
@@ -42,10 +39,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs.expo import parse_text, validate  # noqa: E402
 
-#: Seconds to wait for a freshly booted tier to answer.
+#: Seconds to wait for the freshly booted server to answer.
 BOOT_TIMEOUT_S = 20.0
 
-PORTS = {"sync": 8181, "async": 8182}
+PORT = 8181
 
 
 _ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
@@ -71,7 +68,7 @@ def _get(port, route):
 
 
 def _wait_for_boot(port):
-    """Poll the tier until it answers (or the boot window closes)."""
+    """Poll the server until it answers (or the boot window closes)."""
     deadline = time.monotonic() + BOOT_TIMEOUT_S
     while True:
         try:
@@ -80,7 +77,7 @@ def _wait_for_boot(port):
         except (urllib.error.URLError, ConnectionError, OSError):
             if time.monotonic() >= deadline:
                 raise SystemExit(
-                    f"obs-smoke: tier on port {port} never came up"
+                    f"obs-smoke: server on port {port} never came up"
                 )
             time.sleep(0.1)
 
@@ -96,27 +93,27 @@ def _counter_total(families, name):
     )
 
 
-def _scrape_tier(tier, port):
-    """Boot-independent scrape checks for one tier; returns family names."""
+def _scrape(port):
+    """Scrape checks against the running server."""
     status, content_type, body = _get(port, "/metrics")
-    assert status == 200, f"{tier}: /metrics returned {status}"
+    assert status == 200, f"/metrics returned {status}"
     assert content_type.startswith("text/plain; version=0.0.4"), (
-        f"{tier}: wrong scrape Content-Type {content_type!r}"
+        f"wrong scrape Content-Type {content_type!r}"
     )
     families = parse_text(body)
     validate(families)
 
     status, content_type, body = _get(port, "/statusz")
-    assert status == 200, f"{tier}: /statusz returned {status}"
+    assert status == 200, f"/statusz returned {status}"
     assert content_type.startswith("application/json")
     progress = json.loads(body)
     assert set(progress) == {"cache", "components", "store"}, (
-        f"{tier}: unexpected /statusz shape {sorted(progress)}"
+        f"unexpected /statusz shape {sorted(progress)}"
     )
     assert "generation" in progress["store"]
 
     status, _, _ = _get(port, "/top?kind=delay&k=3")
-    assert status == 200, f"{tier}: query route returned {status}"
+    assert status == 200, f"query route returned {status}"
     _, _, body = _get(port, "/metrics")
     after = parse_text(body)
     validate(after)
@@ -124,14 +121,12 @@ def _scrape_tier(tier, port):
         _counter_total(after, "repro_http_requests_total")
         - _counter_total(families, "repro_http_requests_total")
     )
-    assert moved >= 1, f"{tier}: request counter did not move ({moved})"
-    print(f"obs-smoke: {tier} tier OK "
-          f"({len(after)} metric families, counters moving)")
-    return set(after)
+    assert moved >= 1, f"request counter did not move ({moved})"
+    print(f"obs-smoke: OK ({len(after)} metric families, counters moving)")
 
 
 def main(argv):
-    """Build a store, boot both tiers, scrape, cross-check; return 0/1."""
+    """Build a store, boot the server, scrape it; 0 unless a check raises."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--keep", type=Path, default=None,
@@ -150,33 +145,20 @@ def main(argv):
         _run_cli(["analyze", str(campaign), "--seed", "3", "--probes", "12",
                   "--store", str(store)], stdout=subprocess.DEVNULL)
 
-        servers = []
-        names = {}
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(store),
+             "--port", str(PORT)],
+            cwd=REPO_ROOT, env=_ENV, stdout=subprocess.DEVNULL,
+        )
         try:
-            for tier, extra in (("sync", []), ("async", ["--async"])):
-                port = PORTS[tier]
-                servers.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "serve", str(store),
-                     "--port", str(port), *extra],
-                    cwd=REPO_ROOT, env=_ENV, stdout=subprocess.DEVNULL,
-                ))
-                _wait_for_boot(port)
-                names[tier] = _scrape_tier(tier, port)
+            _wait_for_boot(PORT)
+            _scrape(PORT)
         finally:
-            for server in servers:
-                server.terminate()
-            for server in servers:
-                try:
-                    server.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    server.kill()
-
-        if names["sync"] != names["async"]:
-            only = names["sync"] ^ names["async"]
-            print(f"obs-smoke: FAIL — tiers disagree on families: {only}",
-                  file=sys.stderr)
-            return 1
-    print("obs-smoke: OK (both tiers scraped, one metric namespace)")
+            server.terminate()
+            try:
+                server.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                server.kill()
     return 0
 
 
