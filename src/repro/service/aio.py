@@ -13,8 +13,8 @@ discipline), so the wire carries exactly the bodies and ETags
   buffer, amortising connection cost to ~zero.
 * **Head deadline.**  A connection that has not delivered a complete
   request head within ``HEAD_TIMEOUT_S`` of opening (or of its previous
-  response) is aborted, so silent and byte-at-a-time clients cannot
-  pin tasks, sockets and buffers.
+  response being written) is aborted, so silent, byte-at-a-time and
+  never-reading clients cannot pin tasks, sockets and buffers.
 * **Single-flight coalescing.**  N concurrent misses on one cache key
   await a single computation (an :class:`asyncio.Future` per in-flight
   key); the engine computes once, everyone gets the entry.
@@ -89,28 +89,39 @@ _SERVER_NAME = "repro-ihr-aio/1.0"
 
 
 @lru_cache(maxsize=512)
-def _render(response: CachedResponse, close: bool) -> bytes:
-    """Serialise one response to wire bytes (memoised per entry).
-
-    :class:`CachedResponse` is frozen and hashable, so the rendered
-    bytes of hot cache entries are themselves cached — a cache hit
-    costs one dict probe and one ``write``.
-    """
-    reason = _REASONS.get(response.status, "")
+def _head(
+    status: int, content_type: str, length: int, etag: str,
+    retry_after: Optional[int], close: bool,
+) -> bytes:
+    """The response head for these fields (memoised: small, body-free)."""
     head = [
-        f"HTTP/1.1 {response.status} {reason}",
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
         f"Server: {_SERVER_NAME}",
-        f"Content-Type: {response.content_type}",
-        f"Content-Length: {len(response.body)}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {length}",
     ]
-    if response.status == 200:
-        head.append(f"ETag: {response.etag}")
+    if status == 200:
+        head.append(f"ETag: {etag}")
         head.append("Cache-Control: no-cache")
-    if response.retry_after is not None:
-        head.append(f"Retry-After: {response.retry_after}")
+    if retry_after is not None:
+        head.append(f"Retry-After: {retry_after}")
     if close:
         head.append("Connection: close")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+
+
+def _render(response: CachedResponse, close: bool) -> bytes:
+    """Serialise one response to wire bytes.
+
+    Only the head is memoised, keyed on its own fields: a memo keyed on
+    the :class:`CachedResponse` kept bodies (and a wire copy of each)
+    alive long after the response cache had evicted them.
+    """
+    head = _head(
+        response.status, response.content_type, len(response.body),
+        response.etag, response.retry_after, close,
+    )
+    return head + response.body
 
 
 def _render_304(etag: str, close: bool) -> bytes:
@@ -239,7 +250,8 @@ class AsyncAlarmService:
         """Serve one client connection until it closes (keep-alive).
 
         The head deadline costs the request path two assignments:
-        ``waiting_since`` says when the wait for the current head began
+        ``waiting_since`` says when the wait on the client began — for
+        its next head, or for it to read the response just written
         (``None`` while a response is being computed, which is never
         cut off), and one timer per connection, re-armed only when it
         fires, aborts the transport once that wait reaches
@@ -262,7 +274,6 @@ class AsyncAlarmService:
         timer = loop.call_later(HEAD_TIMEOUT_S, expire)
         try:
             while True:
-                waiting_since = loop.time()
                 try:
                     raw = await reader.readuntil(b"\r\n\r\n")
                 except (
@@ -281,6 +292,9 @@ class AsyncAlarmService:
                     break
                 waiting_since = None
                 close = await self._serve_one(raw, writer)
+                # Stamped before the drain, so the same deadline also
+                # aborts a client that never reads its responses.
+                waiting_since = loop.time()
                 await writer.drain()
                 if close:
                     break

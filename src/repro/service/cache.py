@@ -7,14 +7,15 @@ keyed by ``(route, canonical params, store generation)``:
 
 * the **store generation** is part of the key, so a writer appending a
   segment invalidates every cached answer implicitly — the next request
-  observes the new generation, misses, and recomputes (stale entries
-  age out of the LRU; no explicit flush is needed, though
-  :meth:`ResponseCache.clear` exists);
+  observes the new generation, misses, and recomputes.  Lookups only
+  ever use the current token, so the superseded entries are
+  unreachable: :meth:`ResponseCache.retain` drops them when the server
+  observes the new token instead of letting them age out of the LRU;
 * entries carry a strong **ETag** derived from the body, so a client
   replaying it via ``If-None-Match`` gets ``304 Not Modified`` with no
   body bytes;
 * the cache is a plain bounded LRU guarded by a lock — correct under
-  the threading HTTP server's concurrent handlers.
+  the server's executor threads.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ class ResponseCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def retain(self, token: object) -> None:
+        """Drop (and count as evicted) every entry of another token."""
+        with self._lock:
+            stale = [key for key in self._entries if key[2] != token]
+            for key in stale:
+                del self._entries[key]
+            self.evictions += len(stale)
 
     def clear(self) -> None:
         """Drop every entry (the generation key makes this optional)."""

@@ -10,25 +10,38 @@ mmapped columns instead of Python object traversal:
 * per-AS severity series are rebuilt by scattering the store's AS-event
   journal (``np.add.at`` in row order — the exact accumulation order of
   :class:`~repro.core.events.AlarmAggregator`, so every float is
-  identical), then scored with the same
-  :func:`~repro.stats.robust.sliding_magnitude`;
+  identical) into one dense AS × bin matrix per alarm kind, scored for
+  all ASes at once by
+  :func:`~repro.stats.robust.sliding_magnitude_rows` (bit-identical to
+  the per-series :func:`~repro.stats.robust.sliding_magnitude` the
+  oracle uses);
 * alarm objects are materialised only for the rows a query actually
   returns, through the canonical record constructors of
   :mod:`repro.reporting.export`;
 * per-segment ASN/time min-max indexes prune segments before their
   columns are touched.
 
-Hot queries are cached per store *generation*: magnitude series and AS
-tables computed once are reused until :meth:`StoreQuery.refresh`
-observes that a writer published a new generation, at which point every
-derived cache is dropped.  All public query methods refresh first, so a
-long-lived engine (e.g. under the HTTP server) always serves the
-current generation.
+**Appends extend the answer.**  Matrices, counts and magnitudes are one
+derived state that only comes to exist by *applying segments in
+manifest order* (:meth:`StoreQuery._sync`): a fresh engine applies from
+zero, a long-lived one from where it stopped.  A new generation is an
+extension only when it provably is one — same store clock ``(store_id,
+start, bin_s)`` **and** the applied ``(name, digest)`` list is a prefix
+of the new manifest's; then only the new segments are scattered and,
+magnitudes being trailing-window, only positions from the lowest bin
+they touched are rescored (one column for a normal append).  Anything
+else — a merge, coarsen or drop rewrote a segment, the store was
+recreated, the first append set ``start`` — discards the state and
+applies from zero through the same code.  Public query methods refresh
+first and the state syncs at the first derived read of a generation, so
+a long-lived engine always serves the current one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
+from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,6 +49,7 @@ import numpy as np
 from repro.atlas.io import PathLike
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.core.events import DetectedEvent
+from repro.obs.metrics import default_registry, exponential_buckets
 from repro.reporting.export import (
     delay_alarm_from_record,
     forwarding_alarm_from_record,
@@ -46,10 +60,68 @@ from repro.service.store import (
     KIND_FORWARDING,
     AlarmSegment,
     AlarmStore,
+    Manifest,
 )
-from repro.stats.robust import sliding_magnitude, weekly_window_bins
+from repro.stats.robust import sliding_magnitude_rows, weekly_window_bins
 
 _KINDS = {"delay": KIND_DELAY, "forwarding": KIND_FORWARDING}
+
+
+def _fit(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """*array* with room for *shape*; an axis that is short at least doubles."""
+    room = tuple(
+        have if have >= need else max(need, 2 * have)
+        for have, need in zip(array.shape, shape)
+    )
+    if room == array.shape:
+        return array
+    grown = np.zeros(room, dtype=array.dtype)
+    grown[tuple(map(slice, array.shape))] = array
+    return grown
+
+
+class _Derived:
+    """Everything computed from the segments applied so far.
+
+    ``values``/``magnitudes`` are ``[kind code, AS row, bin]`` with
+    spare capacity on the last two axes; ``events`` counts journal rows
+    per ``[kind code, AS row]`` (zero: the AS has no series of that
+    kind) and ``routers`` forwarding alarms per router AS.
+    """
+
+    def __init__(self, clock: Tuple[bytes, Optional[int], int]) -> None:
+        self.clock = clock
+        self.token: Optional[str] = None
+        self.applied: List[Tuple[str, bytes]] = []
+        self.n_bins = 0
+        self.rows: Dict[int, int] = {}
+        self.values = np.zeros((len(_KINDS), 0, 0))
+        self.magnitudes = np.zeros((len(_KINDS), 0, 0))
+        self.events = np.zeros((len(_KINDS), 0), dtype=np.int64)
+        self.routers: Counter = Counter()
+
+    def apply(self, segment: AlarmSegment, n_bins: int) -> int:
+        """Scatter one segment's journal; returns the lowest bin touched."""
+        _, start, bin_s = self.clock
+        known = self.rows
+        asns, inverse = np.unique(segment.e_asn, return_inverse=True)
+        rows = np.array(
+            [known.setdefault(asn, len(known)) for asn in asns.tolist()],
+            dtype=np.intp,
+        )[inverse]
+        self.values = _fit(self.values, (len(_KINDS), len(known), n_bins))
+        self.events = _fit(self.events, (len(_KINDS), len(known)))
+        bins = (segment.e_ts - start) // bin_s
+        # Journal order per cell: the aggregator's float accumulation.
+        np.add.at(
+            self.values[:, : len(known), :n_bins],
+            (segment.e_kind, rows, bins),
+            segment.e_value,
+        )
+        np.add.at(self.events, (segment.e_kind, rows), 1)
+        asns, counts = np.unique(segment.f_router_asn, return_counts=True)
+        self.routers.update(dict(zip(asns.tolist(), counts.tolist())))
+        return int(bins.min()) if bins.size else n_bins
 
 
 class StoreQuery:
@@ -70,9 +142,22 @@ class StoreQuery:
         self.window_bins = window_bins
         self._cached_token: Optional[str] = None
         self._pin_depth = 0
-        self._asn_sets: Dict[str, frozenset] = {}
-        self._series: Dict[Tuple[str, int], Optional[np.ndarray]] = {}
-        self._magnitudes: Dict[Tuple[str, int], Optional[np.ndarray]] = {}
+        self._derived: Optional[_Derived] = None
+        registry = default_registry()
+        self._syncs = registry.counter(
+            "repro_query_sync_total",
+            "Derived-state syncs: extended by new segments, or rebuilt.",
+            ("mode",),
+        )
+        self._sync_seconds = registry.histogram(
+            "repro_query_sync_seconds",
+            "Wall time of one derived-state sync (scatter + rescoring).",
+            buckets=exponential_buckets(0.0001, 4.0, 8),  # 0.1 ms .. ~1.6 s
+        )
+        self._applied_segments = registry.gauge(
+            "repro_query_applied_segments",
+            "Segments applied to the derived state at its last sync.",
+        )
 
     # -- generation tracking -------------------------------------------------
 
@@ -92,19 +177,18 @@ class StoreQuery:
         return self.store.manifest.token
 
     def refresh(self) -> bool:
-        """Pick up a newer store state; True when caches were dropped.
+        """Pick up a newer store state; True when there was one.
 
-        Inside a :meth:`pinned` block this is a no-op: the engine keeps
-        answering at the pinned generation even if a writer publishes a
-        newer one mid-computation.
+        Only notes the new generation: the derived state catches up at
+        its next read (:meth:`_synced`).  Inside a :meth:`pinned` block
+        this is a no-op: the engine keeps answering at the pinned
+        generation even if a writer publishes a newer one
+        mid-computation.
         """
         if self._pin_depth:
             return False
         changed = self.store.refresh()
         if changed or self._cached_token != self.cache_token:
-            self._asn_sets = {}
-            self._series = {}
-            self._magnitudes = {}
             self._cached_token = self.cache_token
             return True
         return False
@@ -125,69 +209,70 @@ class StoreQuery:
         finally:
             self._pin_depth -= 1
 
-    # -- derived state (cached per generation) -------------------------------
+    # -- derived state (applied segments) ------------------------------------
 
     def _window(self) -> int:
         if self.window_bins is not None:
             return self.window_bins
         return weekly_window_bins(self.store.bin_s)
 
-    def _asns(self, kind: str) -> frozenset:
+    def _synced(self) -> _Derived:
+        """The derived state, caught up with the current manifest."""
+        manifest = self.store.manifest
+        state = self._derived
+        if state is None or state.token != manifest.token:
+            state = self._sync(manifest)
+        return state
+
+    def _sync(self, manifest: Manifest) -> _Derived:
+        """Apply the manifest's unapplied segments (all, unless a prefix)."""
+        started = perf_counter()
+        # A failed sync must leave nothing half-applied behind.
+        state, self._derived = self._derived, None
+        clock = (manifest.store_id, manifest.start, manifest.bin_s)
+        live = [(meta.name, meta.digest) for meta in manifest.segments]
+        extend = (
+            state is not None
+            and state.clock == clock
+            and live[: len(state.applied)] == state.applied
+        )
+        if not extend:
+            state = _Derived(clock)
+        n_bins = manifest.n_bins
+        first = state.n_bins
+        for meta in manifest.segments[len(state.applied) :]:
+            first = min(first, state.apply(self.store.segment(meta), n_bins))
+        n_as = len(state.rows)
+        state.values = _fit(state.values, (len(_KINDS), n_as, n_bins))
+        state.magnitudes = _fit(state.magnitudes, state.values.shape)
+        # Trailing windows: positions before `first` cannot change (a
+        # new AS's are the +0.0 its all-zero history scores).
+        state.magnitudes[:, :n_as, first:n_bins] = sliding_magnitude_rows(
+            state.values[:, :n_as, :n_bins], self._window(), first
+        )
+        state.applied, state.n_bins, state.token = live, n_bins, manifest.token
+        self._derived = state
+        self._syncs.labels("extend" if extend else "rebuild").inc()
+        self._sync_seconds.observe(perf_counter() - started)
+        self._applied_segments.set(len(live))
+        return state
+
+    def _asns(self, kind: str) -> List[int]:
         """Every AS with at least one severity contribution of *kind*."""
-        cached = self._asn_sets.get(kind)
-        if cached is None:
-            code = _KINDS[kind]
-            seen: set = set()
-            for segment in self.store.segments():
-                mask = segment.e_kind == code
-                if mask.any():
-                    seen.update(
-                        int(asn) for asn in np.unique(segment.e_asn[mask])
-                    )
-            cached = frozenset(seen)
-            self._asn_sets[kind] = cached
-        return cached
-
-    def _series_values(self, kind: str, asn: int) -> Optional[np.ndarray]:
-        """The dense severity series of (kind, asn); None when absent.
-
-        Reconstructed from the AS-event journal in append order, so the
-        floating-point accumulation matches the in-memory aggregator's
-        bit for bit.
-        """
-        key = (kind, asn)
-        if key in self._series:
-            return self._series[key]
-        values: Optional[np.ndarray] = None
-        if asn in self._asns(kind):
-            manifest = self.store.manifest
-            code = _KINDS[kind]
-            values = np.zeros(manifest.n_bins, dtype=np.float64)
-            for segment in self.store.segments(asn=asn):
-                mask = (segment.e_kind == code) & (segment.e_asn == asn)
-                if not mask.any():
-                    continue
-                indexes = (
-                    segment.e_ts[mask] - manifest.start
-                ) // manifest.bin_s
-                np.add.at(values, indexes, segment.e_value[mask])
-        self._series[key] = values
-        return values
+        state = self._synced()
+        present = state.events[_KINDS[kind]].tolist()
+        return [asn for asn, row in state.rows.items() if present[row]]
 
     def _magnitude_values(self, kind: str, asn: int) -> Optional[np.ndarray]:
-        """Eq. 10 magnitudes of (kind, asn); None when the AS is absent."""
-        key = (kind, asn)
-        if key in self._magnitudes:
-            return self._magnitudes[key]
-        values = self._series_values(kind, asn)
-        magnitudes: Optional[np.ndarray] = None
-        if values is not None:
-            if values.size:
-                magnitudes = sliding_magnitude(values, window=self._window())
-            else:  # pragma: no cover - a store never has empty series
-                magnitudes = np.array([])
-        self._magnitudes[key] = magnitudes
-        return magnitudes
+        """Eq. 10 magnitudes of (kind, asn); None when the AS is absent.
+
+        A view into the state's matrix: valid until the next sync.
+        """
+        state = self._synced()
+        row = state.rows.get(asn)
+        if row is None or not state.events[_KINDS[kind], row]:
+            return None
+        return state.magnitudes[_KINDS[kind], row, : state.n_bins]
 
     def _hour_of(self, index: int) -> int:
         return (index * self.store.bin_s) // 3600
@@ -197,7 +282,7 @@ class StoreQuery:
     def monitored_asns(self) -> List[int]:
         """Every AS with at least one alarm in either series."""
         self.refresh()
-        return sorted(self._asns("delay") | self._asns("forwarding"))
+        return sorted(self._synced().rows)
 
     def as_condition(self, asn: int) -> AsCondition:
         """Summarise one AS (zeros if the AS never raised alarms)."""
@@ -213,21 +298,14 @@ class StoreQuery:
             index = int(np.argmin(forwarding))
             trough_value = float(forwarding[index])
             trough_hour = self._hour_of(index)
-        delay_count = 0
-        forwarding_count = 0
-        for segment in self.store.segments(asn=asn):
-            delay_count += int(
-                np.count_nonzero(
-                    (segment.e_kind == KIND_DELAY) & (segment.e_asn == asn)
-                )
-            )
-            forwarding_count += int(
-                np.count_nonzero(segment.f_router_asn == asn)
-            )
+        state = self._synced()
+        row = state.rows.get(asn)
         return AsCondition(
             asn=asn,
-            delay_alarm_count=delay_count,
-            forwarding_alarm_count=forwarding_count,
+            delay_alarm_count=(
+                0 if row is None else int(state.events[KIND_DELAY, row])
+            ),
+            forwarding_alarm_count=state.routers[asn],
             peak_delay_magnitude=peak_value,
             peak_delay_hour=peak_hour,
             trough_forwarding_magnitude=trough_value,
@@ -249,7 +327,7 @@ class StoreQuery:
             manifest.start + index * manifest.bin_s
             for index in range(manifest.n_bins)
         ]
-        return timestamps, magnitudes
+        return timestamps, magnitudes.copy()
 
     def links_of(self, asn: int) -> List[LinkHealth]:
         """Per-link drill-down: this AS's delay alarms grouped by link.
@@ -481,7 +559,5 @@ class StoreQuery:
                 m.n_forwarding for m in manifest.segments
             ),
             "n_events": sum(m.n_events for m in manifest.segments),
-            "monitored_asns": len(
-                self._asns("delay") | self._asns("forwarding")
-            ),
+            "monitored_asns": len(self._synced().rows),
         }

@@ -31,7 +31,8 @@ Every answer is produced by :class:`~repro.service.query.StoreQuery`
 Responses are memoised in a :class:`~repro.service.cache.ResponseCache`
 keyed by (route, params, store generation token): a writer appending a
 segment bumps the generation, implicitly invalidating every cached
-answer.  Strong ETags plus ``If-None-Match`` (parsed per RFC 9110:
+answer (the superseded entries are purged when the new token is
+seen).  Strong ETags plus ``If-None-Match`` (parsed per RFC 9110:
 comma-separated lists, ``W/`` prefixes and ``*`` all match) give
 clients free ``304`` revalidation.
 
@@ -464,11 +465,16 @@ class ServiceState:
         self.metrics = ServiceMetrics()
         self.access_log = access_log
 
+    def _refreshed_token(self) -> str:
+        """Refresh the engine (lock held); purge superseded cache entries."""
+        if self.engine.refresh():
+            self.cache.retain(self.engine.cache_token)
+        return self.engine.cache_token
+
     def token(self) -> str:
         """The current epoch-qualified generation token (refreshed)."""
         with self.engine_lock:
-            self.engine.refresh()
-            return self.engine.cache_token
+            return self._refreshed_token()
 
     def cache_key(
         self, route: str, params: Dict[str, str], token: str
@@ -480,8 +486,7 @@ class ServiceState:
         """Compute, cache and return the response for a cache miss."""
         with self.engine_lock:
             try:
-                self.engine.refresh()
-                token = self.engine.cache_token
+                token = self._refreshed_token()
             except StoreError as exc:
                 return error_response(
                     503, f"store unavailable: {exc}", "-",

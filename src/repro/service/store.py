@@ -119,6 +119,11 @@ def store_metrics(registry: MetricsRegistry) -> dict:
             "repro_store_rows_dropped_total",
             "Rows removed by tier-2 retention drops.",
         ),
+        "manifest_reads": registry.counter(
+            "repro_store_manifest_reads_total",
+            "Reader manifest probes: bytes unchanged, or parsed anew.",
+            ("result",),
+        ),
     }
 
 #: File identification: magic bytes plus an explicit format version.
@@ -353,15 +358,23 @@ def _unframe(blob, magic: bytes, path: PathLike) -> memoryview:
     return payload
 
 
-def read_manifest(path: PathLike) -> Manifest:
-    """Load and validate the manifest of the store directory *path*."""
-    manifest_path = Path(path) / MANIFEST_NAME
+def _manifest_bytes(manifest_path: Path) -> bytes:
     try:
-        blob = manifest_path.read_bytes()
+        return manifest_path.read_bytes()
     except OSError as exc:
         raise StoreError(
             f"cannot read store manifest {manifest_path}: {exc}"
         ) from exc
+
+
+def read_manifest(path: PathLike) -> Manifest:
+    """Load and validate the manifest of the store directory *path*."""
+    manifest_path = Path(path) / MANIFEST_NAME
+    return _parse_manifest(_manifest_bytes(manifest_path), manifest_path)
+
+
+def _parse_manifest(blob: bytes, manifest_path: Path) -> Manifest:
+    """Validate and decode the manifest file's bytes *blob*."""
     payload = _unframe(blob, MANIFEST_MAGIC, manifest_path)
     offset = 0
 
@@ -779,8 +792,11 @@ class AlarmStore:
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
-        self.manifest = read_manifest(self.path)
+        self._manifest_path = self.path / MANIFEST_NAME
+        self._blob = _manifest_bytes(self._manifest_path)
+        self.manifest = _parse_manifest(self._blob, self._manifest_path)
         self._segments: Dict[Tuple[str, bytes], AlarmSegment] = {}
+        self._reads = store_metrics(default_registry())["manifest_reads"]
 
     @property
     def generation(self) -> int:
@@ -798,8 +814,18 @@ class AlarmStore:
         Compares the epoch-qualified :attr:`Manifest.token` — a
         recreated store (fresh epoch id, generation restarted) is a
         change even when the bare generation number coincides.
+
+        A manifest whose bytes equal the last accepted ones is not
+        parsed again (every cache miss probes it).  Byte equality, not
+        ``stat``: an atomic rename may reuse inode and mtime.
         """
-        manifest = read_manifest(self.path)
+        blob = _manifest_bytes(self._manifest_path)
+        if blob == self._blob:
+            self._reads.labels("unchanged").inc()
+            return False
+        manifest = _parse_manifest(blob, self._manifest_path)
+        self._reads.labels("parsed").inc()
+        self._blob = blob
         changed = manifest.token != self.manifest.token
         self.manifest = manifest
         if changed:

@@ -41,6 +41,7 @@ from repro.stats.robust import (
     median_absolute_deviation,
     outlier_count,
     sliding_magnitude,
+    sliding_magnitude_rows,
     sliding_median_mad,
     trimmed_mean,
     weekly_window_bins,
@@ -92,6 +93,7 @@ __all__ = [
     "qq_max_deviation",
     "quantile_of_fraction",
     "sliding_magnitude",
+    "sliding_magnitude_rows",
     "sliding_median_mad",
     "tail_weight",
     "trimmed_mean",

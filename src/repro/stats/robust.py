@@ -110,6 +110,32 @@ def sliding_magnitude(
     return np.where(np.isnan(medians), 0.0, magnitudes)
 
 
+def sliding_magnitude_rows(
+    values: np.ndarray, window: int, first: int = 0
+) -> np.ndarray:
+    """:func:`sliding_magnitude` of every series along the last axis.
+
+    The same trailing-window median, MAD, Eq. 10 and NaN→0 rule, with
+    each position reduced across all series at once instead of a Python
+    loop per series — bit-identical to the 1-D reference, which stays
+    the oracle.  Only positions ``first:`` are scored and returned
+    (their windows reach back before *first*).
+    """
+    if window <= 0:
+        raise ValueError(f"window must be positive: {window}")
+    array = np.asarray(values, dtype=float)
+    n = array.shape[-1]
+    magnitudes = np.empty(array.shape[:-1] + (max(0, n - first),))
+    for t in range(first, n):
+        chunk = array[..., max(0, t - window + 1) : t + 1]
+        centre = np.median(chunk, axis=-1)
+        spread = np.median(np.abs(chunk - centre[..., None]), axis=-1)
+        with np.errstate(invalid="ignore"):
+            scored = (array[..., t] - centre) / (1.0 + MAD_SCALE * spread)
+        magnitudes[..., t - first] = np.where(np.isnan(centre), 0.0, scored)
+    return magnitudes
+
+
 def trimmed_mean(values: Sequence[float], proportion: float = 0.1) -> float:
     """Symmetrically trimmed mean; robust alternative used in diagnostics.
 

@@ -125,6 +125,10 @@ class TestScrapeRoutes:
             ("repro_http_request_seconds", "histogram"),
             ("repro_http_cache_total", "counter"),
             ("repro_http_coalesced_total", "counter"),
+            ("repro_query_sync_total", "counter"),
+            ("repro_query_sync_seconds", "histogram"),
+            ("repro_query_applied_segments", "gauge"),
+            ("repro_store_manifest_reads_total", "counter"),
         ):
             assert kinds.get(name) == kind, name
 

@@ -10,11 +10,13 @@ worker pools), and the hard case: wire and oracle agreeing while a
 writer appends and the compactor rewrites the store underneath them.
 """
 
+import gc
 import json
 import random
 import socket
 import threading
 import time
+import weakref
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
@@ -30,6 +32,8 @@ from repro.service import (
 )
 from repro.service import aio
 from repro.service.aio import AsyncServerThread, start_worker_pool
+from repro.service.cache import CachedResponse
+from repro.service.routes import error_response
 
 from tests.test_service_store import (
     BIN_S,
@@ -250,6 +254,63 @@ class TestConnectionHandling:
             client.close()
 
 
+class TestRender:
+    """Wire bytes are pinned to literals; only the head is memoised."""
+
+    HEAD = "HTTP/1.1 {}\r\nServer: repro-ihr-aio/1.0\r\n"
+    JSON = "Content-Type: application/json\r\nContent-Length: {}\r\n"
+    ETAG = '"g3.abc-0011223344556677"'
+
+    def wire(self, status_line, length, extra, close, body) -> bytes:
+        head = self.HEAD.format(status_line) + self.JSON.format(length) + extra
+        if close:
+            head += "Connection: close\r\n"
+        return (head + "\r\n").encode("latin-1") + body
+
+    @pytest.mark.parametrize("close", [False, True])
+    def test_wire_bytes_are_the_literal(self, close):
+        ok = CachedResponse(200, b'{"asn":65001}\n', self.ETAG)
+        assert aio._render(ok, close) == self.wire(
+            "200 OK", 14,
+            f"ETag: {self.ETAG}\r\nCache-Control: no-cache\r\n",
+            close, ok.body,
+        )
+        bad = error_response(400, "bad ASN: 'x'", "3.abc")
+        assert aio._render(bad, close) == self.wire(
+            "400 Bad Request", 25, "", close,
+            b'{"error":"bad ASN: \'x\'"}\n',
+        )
+        down = error_response(503, "store unavailable: gone", "-", 5)
+        assert aio._render(down, close) == self.wire(
+            "503 Service Unavailable", 52, "Retry-After: 5\r\n", close,
+            b'{"error":"store unavailable: gone","retry_after":5}\n',
+        )
+        not_modified = self.HEAD.format("304 Not Modified")
+        not_modified += f"ETag: {self.ETAG}\r\n"
+        if close:
+            not_modified += "Connection: close\r\n"
+        assert aio._render_304(self.ETAG, close) == (
+            (not_modified + "\r\n").encode("latin-1")
+        )
+
+    def test_same_head_different_body_is_not_confused(self):
+        """The memo key has no body in it: equal heads, own bodies."""
+        one = CachedResponse(200, b"aaaa", self.ETAG)
+        two = CachedResponse(200, b"bbbb", self.ETAG)
+        assert aio._render(one, False).endswith(b"\r\n\r\naaaa")
+        assert aio._render(two, False).endswith(b"\r\n\r\nbbbb")
+
+    def test_rendered_response_is_collectable(self):
+        """Rendering must not pin a body the response cache evicted."""
+        response = CachedResponse(200, b"x" * 4096, '"g9.zz-00"')
+        aio._render(response, False)
+        aio._render(response, True)
+        gone = weakref.ref(response)
+        del response
+        gc.collect()
+        assert gone() is None
+
+
 def closed_by_server(sock: socket.socket, within: float) -> bool:
     """Did the server end the connection (EOF or reset) within *within* s?"""
     sock.settimeout(within)
@@ -385,6 +446,57 @@ class TestHeadDeadline:
             client.close()
             for sock in idle + slow:
                 sock.close()
+
+
+    def test_client_that_never_reads_is_aborted(self, impatient):
+        """A peer that pipelines requests and never reads a byte parks
+        the connection in ``writer.drain()``; the same deadline aborts
+        it, and a well-behaved client beside it sees only 200s."""
+        engine = impatient.service.state.engine
+        busiest = max(
+            engine.monitored_asns(), key=lambda asn: len(engine.links_of(asn))
+        )
+        request = f"GET /links/{busiest} HTTP/1.1\r\nHost: deaf\r\n\r\n"
+        burst = request.encode("latin-1") * 512
+        deaf = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+        deaf.settimeout(0.05)
+        deaf.connect(("127.0.0.1", impatient.port))
+        outcome = {}
+
+        def pump():
+            """Send until the server resets us; note when it first stalled."""
+            stalled = None
+            give_up = time.monotonic() + 20.0
+            while time.monotonic() < give_up:
+                try:
+                    deaf.sendall(burst)
+                except socket.timeout:
+                    # Its buffers are full: it has stopped reading, so it
+                    # is (or has been) waiting for us to read.
+                    stalled = stalled or time.monotonic()
+                except OSError:
+                    outcome["aborted_after"] = (
+                        time.monotonic() - (stalled or time.monotonic())
+                    )
+                    return
+
+        pumper = threading.Thread(target=pump)
+        pumper.start()
+        good = KeepAliveClient(impatient.port)
+        try:
+            statuses = []
+            while pumper.is_alive() and len(statuses) < 20000:
+                statuses.append(good.get(MATRIX[len(statuses) % 10])[0])
+            pumper.join(timeout=30)
+            assert not pumper.is_alive()
+            assert statuses and set(statuses) == {200}
+            assert good.get("/health/65001")[0] == 200
+        finally:
+            good.close()
+            deaf.close()
+        assert "aborted_after" in outcome, "the deaf client was never cut off"
+        assert outcome["aborted_after"] < 1.0
 
 
 class TestSingleFlight:

@@ -9,6 +9,7 @@ drives random campaigns × random segment chunkings × random compaction
 schedules through the full equivalence check.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -161,6 +162,233 @@ class TestMergeEquivalence:
                     CompactionPolicy(max_segments=max_segments),
                 )
                 assert_same_answers(subject, reference, bins)
+
+
+def sync_counts(query: StoreQuery) -> dict:
+    """``repro_query_sync_total`` by mode (process-wide, so diff it)."""
+    counts = {"extend": 0.0, "rebuild": 0.0}
+    for child in query._syncs.snapshot().children:
+        counts[child.labelvalues[0]] = child.value
+    return counts
+
+
+def syncs_during(query: StoreQuery, action) -> dict:
+    before = sync_counts(query)
+    action()
+    after = sync_counts(query)
+    return {mode: int(after[mode] - before[mode]) for mode in after}
+
+
+#: One step of a store's life: (operation, argument).
+STEP = st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 3)),  # bins in the append
+    st.tuples(st.just("late"), st.integers(1, 4)),  # bins its alarms lag
+    st.tuples(st.just("merge"), st.integers(1, 4)),  # max_segments
+    st.tuples(st.just("coarsen"), st.integers(1, 6)),  # horizon, bins
+    st.tuples(st.just("drop"), st.integers(1, 6)),  # horizon, bins
+    st.tuples(st.just("recreate"), st.sampled_from([0, 2 * BIN_S])),  # start
+)
+
+
+class TestLongLivedEngine:
+    """Appends extend the answer: one engine held across a store's life.
+
+    Every other equivalence test opens its ``StoreQuery`` after the
+    store is built.  Here one engine lives through appends, compaction
+    passes, skipped generations and store recreation, and after every
+    step must answer exactly like a fresh engine and like the in-memory
+    ``InternetHealthReport`` — the derived state it carries from
+    generation to generation is either a provable extension or rebuilt.
+    The report knows nothing of retention: once a pass has coarsened
+    segments it is compared on what the journal feeds, and once a pass
+    has dropped history only the fresh engine is (until the store is
+    recreated).
+    """
+
+    @staticmethod
+    def assert_journal_answers(report, query, bins) -> None:
+        """What survives coarsening: everything the journal feeds."""
+        assert query.monitored_asns() == report.monitored_asns()
+        for asn in report.monitored_asns() + [99999]:
+            assert query.links_of(asn) == report.links_of(asn)
+            for kind in ("delay", "forwarding"):
+                expected_ts, expected = report.magnitude_series(asn, kind)
+                actual_ts, actual = query.magnitude_series(asn, kind)
+                assert actual_ts == expected_ts
+                assert np.array_equal(actual, expected)
+        span = bins[-1].timestamp + BIN_S
+        for kind in ("delay", "forwarding"):
+            assert query.top_asns(kind, 5) == report.top_asns(kind, 5)
+            assert query.top_events(kind, 0.5, 50) == (
+                report.top_events(kind, 0.5, 50)
+            )
+            assert query.events_in(0, span, kind, 0.5) == (
+                report.events_in(0, span, kind, 0.5)
+            )
+
+    @staticmethod
+    def campaign(seed: int, quiet_every: int, start: int = 0):
+        """Bins to append, every *quiet_every*-th one without alarms (a
+        quiet bin moves the clock, and old ASes' magnitudes, rowlessly)."""
+        return iter(
+            dataclasses.replace(result, delay_alarms=[], forwarding_alarms=[])
+            if index % quiet_every == quiet_every - 1
+            else result
+            for index, result in enumerate(synthetic_bins(48, seed, start))
+        )
+
+    @staticmethod
+    def lagged(result, lag_bins: int, floor):
+        """*result* with its delay alarms stamped *lag_bins* bins earlier
+        (never before *floor*, the store's start): rows that land in
+        bins the engine has already scored, so rescoring must reach back."""
+        if floor is None:  # the very first append sets the start itself
+            return result
+        return dataclasses.replace(
+            result,
+            delay_alarms=[
+                dataclasses.replace(
+                    alarm,
+                    timestamp=max(floor, alarm.timestamp - lag_bins * BIN_S),
+                )
+                for alarm in result.delay_alarms
+            ],
+        )
+
+    @given(
+        seed=st.integers(0, 2**16),
+        window=st.sampled_from([2, 64]),  # shorter / longer than the series
+        quiet_every=st.integers(2, 5),
+        warmup=st.integers(1, 4),
+        schedule=st.lists(
+            st.tuples(STEP, st.booleans()), min_size=2, max_size=8
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_matches_fresh_engine_and_ihr(
+        self, seed, window, quiet_every, warmup, schedule
+    ):
+        mapper = make_mapper()
+        # A few queried appends first, so that every later step meets an
+        # engine that already carries state.
+        schedule = [(("append", 1), True)] * warmup + schedule
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store"
+            # No start yet: the first append sets the clock.
+            writer = AlarmStoreWriter.create(path, mapper, bin_s=BIN_S)
+            live = StoreQuery(path, window_bins=window)
+            assert live.monitored_asns() == []
+            epoch = 0
+            supply = self.campaign(seed, quiet_every)
+            bins, coarsened, dropped = [], False, False
+            for (operation, argument), query_after in schedule:
+                if operation == "append":
+                    fresh_bins = [next(supply) for _ in range(argument)]
+                    writer.append_bins(fresh_bins)
+                    bins.extend(fresh_bins)
+                elif operation == "late":
+                    result = self.lagged(
+                        next(supply), argument, writer.manifest.start
+                    )
+                    writer.append_bins([result])
+                    bins.append(result)
+                elif operation == "recreate":
+                    epoch += 1
+                    writer = AlarmStoreWriter.create(
+                        path, mapper, bin_s=BIN_S, start=argument,
+                        overwrite=True,
+                    )
+                    supply = self.campaign(
+                        seed + epoch, quiet_every, start=argument
+                    )
+                    bins, coarsened, dropped = [], False, False
+                else:
+                    policy = {
+                        "merge": CompactionPolicy(max_segments=argument),
+                        "coarsen": CompactionPolicy(
+                            max_segments=None, coarsen_after_bins=argument
+                        ),
+                        "drop": CompactionPolicy(
+                            max_segments=None, drop_after_bins=argument
+                        ),
+                    }[operation]
+                    report = compact_store(path, policy)
+                    writer.reload()
+                    coarsened = coarsened or report.coarsened > 0
+                    dropped = dropped or report.dropped > 0
+                if not query_after:
+                    continue  # generations pile up between two queries
+                assert_same_answers(
+                    live, StoreQuery(path, window_bins=window), bins
+                )
+                if bins and not dropped:
+                    ihr = InternetHealthReport(
+                        analysis_of(bins, mapper), window_bins=window
+                    )
+                    if coarsened:
+                        self.assert_journal_answers(ihr, live, bins)
+                    else:
+                        assert_equivalent(ihr, live, bins)
+
+    def test_plain_appends_extend_and_rewrites_rebuild(self, tmp_path):
+        """The fast path is the one taken: over N plain appends the sync
+        counter reads one rebuild and N extends; a merge or a drop
+        costs exactly one rebuild each, and a no-op pass nothing."""
+        mapper = make_mapper()
+        bins = synthetic_bins(14, seed=41)
+        writer = build_store(tmp_path / "store", bins[:4], mapper, chunk=2)
+        live = StoreQuery(tmp_path / "store", window_bins=4)
+        ask = lambda: live.top_asns("delay", 3)  # noqa: E731
+        assert syncs_during(live, ask) == {"extend": 0, "rebuild": 1}
+        assert syncs_during(live, ask) == {"extend": 0, "rebuild": 0}
+
+        def appends():
+            for result in bins[4:10]:
+                writer.append_bins([result])
+                ask()
+                live.as_condition(65001)  # same generation: no second sync
+
+        assert syncs_during(live, appends) == {"extend": 6, "rebuild": 0}
+
+        def skipped():
+            writer.append_bins(bins[10:11])
+            writer.append_bins(bins[11:12])
+            ask()
+
+        assert syncs_during(live, skipped) == {"extend": 1, "rebuild": 0}
+        for policy in (
+            CompactionPolicy(max_segments=3),
+            CompactionPolicy(max_segments=None, drop_after_bins=1),
+        ):
+            assert compact_store(tmp_path / "store", policy).changed
+            assert syncs_during(live, ask) == {"extend": 0, "rebuild": 1}
+        assert not compact_store(
+            tmp_path / "store", CompactionPolicy(max_segments=8)
+        ).changed
+        assert syncs_during(live, ask) == {"extend": 0, "rebuild": 0}
+        writer.reload()
+        writer.append_bins(bins[12:])
+        assert syncs_during(live, ask) == {"extend": 1, "rebuild": 0}
+        assert_same_answers(
+            live, StoreQuery(tmp_path / "store", window_bins=4), bins
+        )
+
+    def test_magnitude_series_is_a_copy(self, tmp_path):
+        """A caller's array must not change when a later sync rescoring
+        writes into the engine's matrix."""
+        mapper = make_mapper()
+        bins = synthetic_bins(8, seed=43)
+        writer = build_store(tmp_path / "store", bins[:6], mapper, chunk=3)
+        live = StoreQuery(tmp_path / "store", window_bins=3)
+        asn = live.monitored_asns()[0]
+        _, held = live.magnitude_series(asn, "delay")
+        snapshot = held.copy()
+        writer.append_bins(bins[6:])
+        _, extended = live.magnitude_series(asn, "delay")
+        assert extended.size == held.size + 2
+        assert np.array_equal(held, snapshot)
+        held[:] = 99.0
+        assert not np.any(live.magnitude_series(asn, "delay")[1] == 99.0)
 
 
 class TestRetentionTiers:

@@ -72,6 +72,23 @@ class TestResponseCache:
         assert cache.get(("/r", (), 0)).body == b"old"
         assert cache.get(("/r", (), 1)).body == b"new"
 
+    def test_retain_drops_other_tokens_and_counts_them(self):
+        cache = ResponseCache(8)
+        for token in ("1.aa", "2.aa"):
+            for route in ("/a", "/b"):
+                cache.put((route, (), token), self._entry(route + token))
+        before = cache.stats()
+        cache.retain("2.aa")
+        after = cache.stats()
+        assert set(after) == set(before)  # the index route's shape
+        assert after["entries"] == 2
+        assert after["evictions"] == before["evictions"] + 2
+        assert cache.get(("/a", (), "1.aa")) is None
+        assert cache.get(("/b", (), "2.aa")).body == b"/b2.aa"
+        cache.put(("/late", (), "1.aa"), self._entry("late"))  # harmless
+        cache.retain("2.aa")
+        assert cache.stats()["entries"] == 2
+
     def test_clear(self):
         cache = ResponseCache(4)
         cache.put(("/r", (), 0), self._entry("x"))
@@ -260,6 +277,33 @@ class TestCachingBehaviour:
             f"{json.loads(after)['store']['generation']}."
         )
         assert f"g{token}-" in headers["ETag"]
+
+
+    def test_token_change_purges_superseded_entries(self, tmp_path):
+        """Keys carry the token and lookups only use the current one:
+        after a bump the old entries are unreachable, so they go."""
+        mapper = make_mapper()
+        bins = synthetic_bins(8, seed=17)
+        writer = build_store(tmp_path / "store", bins[:6], mapper, chunk=2)
+        state = ServiceState(
+            StoreQuery(tmp_path / "store", window_bins=4), ResponseCache(64)
+        )
+        targets = [("/health/65001", {}), ("/top", {"k": "3"}), ("/events", {})]
+        for route, params in targets:
+            state.respond(route, params)
+        old_token = state.token()
+        assert state.cache.stats()["entries"] == 3
+        writer.append_bins(bins[6:])
+        evictions = state.cache.stats()["evictions"]
+        new_token = state.token()  # the bump is observed here
+        assert new_token != old_token
+        stats = state.cache.stats()
+        assert stats["entries"] == 0
+        assert stats["evictions"] == evictions + 3
+        for route, params in targets:
+            assert state.answer(route, params)[1] == "miss"
+            assert state.answer(route, params)[1] == "hit"
+        assert state.cache.stats()["entries"] == 3
 
 
 class TestStrictValidation:

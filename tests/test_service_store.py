@@ -8,6 +8,7 @@ and never from a truncated or corrupt file (those raise
 :class:`StoreError`).
 """
 
+import os
 import random
 import tempfile
 import threading
@@ -31,6 +32,7 @@ from repro.service import (
     StoreQuery,
     append_analysis,
 )
+from repro.service import store as store_module
 from repro.stats import WilsonInterval
 
 #: Prefix table: two prefixes share AS 65001 (multi-link ASes), one IP
@@ -504,3 +506,93 @@ class TestCorruption:
         manifest.write_bytes(b"junk")
         with pytest.raises(StoreError):
             query.monitored_asns()
+
+    def test_failed_sync_leaves_nothing_half_applied(self, tmp_path):
+        """A long-lived engine that hits a corrupt *new* segment raises,
+        and answers exactly like a fresh engine once the file is back."""
+        directory = _built_store(tmp_path)
+        query = StoreQuery(directory, window_bins=4)
+        assert query.monitored_asns()
+        writer = AlarmStoreWriter(directory, make_mapper())
+        more = synthetic_bins(4, seed=22, start=6 * BIN_S)
+        writer.append_bins(more[:2])
+        writer.append_bins(more[2:])  # two unapplied segments, one sync
+        newest = sorted(directory.glob("seg-*.seg"))[-1]
+        good = newest.read_bytes()
+        newest.write_bytes(good[:-9])
+        with pytest.raises(StoreError):
+            query.top_asns("delay", 5)
+        newest.write_bytes(good)
+        fresh = StoreQuery(directory, window_bins=4)
+        for kind in ("delay", "forwarding"):
+            assert query.top_asns(kind, 9) == fresh.top_asns(kind, 9)
+            assert query.top_events(kind, 0.5, 50) == (
+                fresh.top_events(kind, 0.5, 50)
+            )
+        for asn in fresh.monitored_asns():
+            assert query.as_condition(asn) == fresh.as_condition(asn)
+
+
+class TestManifestProbe:
+    """``AlarmStore.refresh`` recognises an unchanged manifest by its
+    bytes — no digest, no parse — and still validates anything else."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Paths handed to ``_unframe`` (every validated store file)."""
+        seen = []
+        real = store_module._unframe
+
+        def counting(blob, magic, path):
+            seen.append(Path(path).name)
+            return real(blob, magic, path)
+
+        monkeypatch.setattr(store_module, "_unframe", counting)
+        return seen
+
+    def test_unchanged_manifest_is_not_reparsed(self, tmp_path, parses):
+        store = AlarmStore(_built_store(tmp_path))
+        del parses[:]
+        assert not store.refresh()
+        assert not store.refresh()
+        assert parses == []
+
+    def test_rewritten_identical_manifest_is_a_noop(self, tmp_path, parses):
+        """Same bytes under a new inode and mtime: still nothing to do."""
+        directory = _built_store(tmp_path)
+        store = AlarmStore(directory)
+        token = store.manifest.token
+        manifest = directory / "MANIFEST"
+        twin = directory / "MANIFEST.twin"
+        twin.write_bytes(manifest.read_bytes())
+        os.replace(twin, manifest)
+        del parses[:]
+        assert not store.refresh()
+        assert parses == [] and store.manifest.token == token
+
+    def test_new_generation_is_parsed_once(self, tmp_path, parses):
+        directory = _built_store(tmp_path)
+        store = AlarmStore(directory)
+        AlarmStoreWriter(directory, make_mapper()).append_bins(
+            synthetic_bins(1, seed=23, start=6 * BIN_S)
+        )
+        del parses[:]
+        assert store.refresh()
+        assert not store.refresh()
+        assert parses == ["MANIFEST"]
+        assert store.generation == 4
+
+    def test_corrupt_manifest_is_not_mistaken_for_unchanged(self, tmp_path):
+        """Damage keeps raising on every probe, then recovery is seen."""
+        directory = _built_store(tmp_path)
+        store = AlarmStore(directory)
+        manifest = directory / "MANIFEST"
+        good = manifest.read_bytes()
+        flipped = bytearray(good)
+        flipped[-3] ^= 0x10
+        manifest.write_bytes(bytes(flipped))
+        for _ in range(2):
+            with pytest.raises(StoreError):
+                store.refresh()
+        manifest.write_bytes(good)
+        assert not store.refresh()

@@ -13,6 +13,7 @@ from repro.stats import (
     median_absolute_deviation,
     outlier_count,
     sliding_magnitude,
+    sliding_magnitude_rows,
     sliding_median_mad,
     trimmed_mean,
     weekly_window_bins,
@@ -113,6 +114,76 @@ class TestSlidingWindows:
     def test_sliding_magnitude_finite(self, values):
         mags = sliding_magnitude(values, window=7)
         assert np.all(np.isfinite(mags))
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """Float64 values as raw bit patterns (NaN payloads and -0.0 count)."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+class TestSlidingMagnitudeRows:
+    """The all-series kernel ≡ the 1-D reference, bit for bit."""
+
+    @staticmethod
+    def reference(values: np.ndarray, window: int) -> np.ndarray:
+        n_series = int(np.prod(values.shape[:-1]))
+        rows = [
+            sliding_magnitude(row, window=window)
+            for row in values.reshape(n_series, values.shape[-1])
+        ]
+        return np.array(rows).reshape(values.shape)
+
+    @pytest.mark.parametrize(
+        "shape, window",
+        [((40, 31), 7), ((2, 25, 12), 168), ((9, 20), 1), ((6, 5), 5),
+         ((0, 4), 3), ((3, 0), 3), ((11,), 4)],
+    )
+    def test_matches_reference_bit_for_bit(self, shape, window):
+        rng = np.random.default_rng(sum(shape) + window)
+        values = rng.uniform(-5.0, 50.0, shape) * (rng.random(shape) < 0.4)
+        if values.ndim > 1 and values.shape[-1] > 3 and len(values) > 2:
+            values[0] = 0.0  # a quiet AS: exact +0.0 everywhere
+            values[1, ..., 2] = np.nan  # NaN poisons only its own windows
+            values[2] = np.nan
+        expected = self.reference(values, window)
+        n = shape[-1]
+        for first in sorted({0, n // 2, max(0, n - 1), n}):
+            scored = sliding_magnitude_rows(values, window, first)
+            assert scored.shape == shape[:-1] + (n - first,)
+            assert np.array_equal(bits(scored), bits(expected[..., first:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(-1e6, 1e6), st.just(np.nan)),
+                min_size=6, max_size=6,
+            ),
+            min_size=1, max_size=5,
+        ),
+        window=st.integers(1, 8),
+        first=st.integers(0, 6),
+    )
+    def test_property_matches_reference(self, rows, window, first):
+        values = np.array(rows)
+        scored = sliding_magnitude_rows(values, window, first)
+        expected = self.reference(values, window)[:, first:]
+        assert np.array_equal(bits(scored), bits(expected))
+
+    def test_strided_input_is_not_modified(self):
+        capacity = np.zeros((2, 8, 16))
+        capacity[:, :5, :9] = np.random.default_rng(5).uniform(0, 9, (2, 5, 9))
+        before = capacity.copy()
+        live = capacity[:, :5, :9]
+        scored = sliding_magnitude_rows(live, 4, first=8)
+        assert np.array_equal(capacity, before)
+        assert np.array_equal(
+            bits(scored), bits(self.reference(live, 4)[..., 8:])
+        )
+
+    def test_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            sliding_magnitude_rows(np.zeros((2, 3)), window=0)
 
 
 class TestAuxiliaries:

@@ -10,7 +10,11 @@ tiny campaign with the CLI, publishes an alarm store, then:
    re-checks every scrape invariant (:func:`~repro.obs.expo.validate`);
 3. fetches ``/statusz`` and checks the progress document shape;
 4. issues one real query (``/top?kind=delay``) and confirms a second
-   scrape shows the request counter moved.
+   scrape shows the request counter moved;
+5. appends one bin to the store behind the server's back, asks again,
+   and confirms the query engine *extended* its derived state (the
+   ``repro_query_sync_*`` / ``repro_store_manifest_reads_total``
+   families are present and say so).
 
 Exit code 0 on success, 1 with the failed check's traceback otherwise.
 
@@ -37,7 +41,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core import BinResult  # noqa: E402
+from repro.net import AsMapper  # noqa: E402
 from repro.obs.expo import parse_text, validate  # noqa: E402
+from repro.service import AlarmStoreWriter  # noqa: E402
 
 #: Seconds to wait for the freshly booted server to answer.
 BOOT_TIMEOUT_S = 20.0
@@ -82,18 +89,31 @@ def _wait_for_boot(port):
             time.sleep(0.1)
 
 
-def _counter_total(families, name):
-    """Sum every plain sample of counter family *name* (0 if absent)."""
+def _counter_total(families, name, **labels):
+    """Sum the plain samples of family *name* carrying *labels* (0 if absent)."""
     entry = families.get(name)
     if entry is None:
         return 0.0
     return sum(
-        value for sample_name, _, value in entry["samples"]
-        if sample_name == name
+        value for sample_name, sample_labels, value in entry["samples"]
+        if sample_name == name and labels.items() <= sample_labels.items()
     )
 
 
-def _scrape(port):
+def _append_quiet_bin(store):
+    """Publish one more (alarm-free) bin: a new generation, no rewrite."""
+    writer = AlarmStoreWriter(store, AsMapper([]))
+    manifest = writer.manifest
+    writer.append_bins([
+        BinResult(
+            timestamp=manifest.end + manifest.bin_s, n_traceroutes=0,
+            n_links_observed=0, n_links_analyzed=0,
+            delay_alarms=[], forwarding_alarms=[],
+        )
+    ])
+
+
+def _scrape(port, store):
     """Scrape checks against the running server."""
     status, content_type, body = _get(port, "/metrics")
     assert status == 200, f"/metrics returned {status}"
@@ -122,7 +142,31 @@ def _scrape(port):
         - _counter_total(families, "repro_http_requests_total")
     )
     assert moved >= 1, f"request counter did not move ({moved})"
-    print(f"obs-smoke: OK ({len(after)} metric families, counters moving)")
+
+    _append_quiet_bin(store)
+    time.sleep(0.2)  # several freshness-probe intervals
+    status, _, _ = _get(port, "/top?kind=delay&k=3")
+    assert status == 200, f"query after the append returned {status}"
+    _, _, body = _get(port, "/metrics")
+    after = parse_text(body)
+    validate(after)
+    for name in ("repro_query_sync_total", "repro_query_sync_seconds",
+                 "repro_query_applied_segments",
+                 "repro_store_manifest_reads_total"):
+        assert name in after, f"metric family {name} is missing"
+    syncs = {
+        mode: _counter_total(after, "repro_query_sync_total", mode=mode)
+        for mode in ("rebuild", "extend")
+    }
+    assert syncs == {"rebuild": 1, "extend": 1}, (
+        f"one cold build then one extension expected, got {syncs}"
+    )
+    for result in ("parsed", "unchanged"):
+        assert _counter_total(
+            after, "repro_store_manifest_reads_total", result=result
+        ) >= 1, f"no manifest probe counted as {result}"
+    print(f"obs-smoke: OK ({len(after)} metric families, counters moving, "
+          f"append extended the query state)")
 
 
 def main(argv):
@@ -152,7 +196,7 @@ def main(argv):
         )
         try:
             _wait_for_boot(PORT)
-            _scrape(PORT)
+            _scrape(PORT, store)
         finally:
             server.terminate()
             try:
