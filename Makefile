@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke docs doclint
+.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke analyze-smoke docs doclint
 
 help:
 	@echo "targets:"
@@ -24,6 +24,7 @@ help:
 	@echo "  fetch-smoke  offline connector smoke: fixture fetch under faults"
 	@echo "  compact-smoke store compaction smoke: CLI round trip + equivalence tests"
 	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
+	@echo "  analyze-smoke analyze 4 ways (shards x bin cache), cmp output + store bytes"
 	@echo "  docs         docstring lint + pointers to docs/"
 	@echo "  doclint      docstring lint only"
 
@@ -91,6 +92,13 @@ compact-smoke:
 # the strict exposition parser, and check the request counter moves.
 obs-smoke:
 	$(PYTHON) tools/obs_smoke.py
+
+# `analyze` has one production path: run it default, --shards 2,
+# --bin-cache (cold) and --bin-cache --shards 2 (warm) on a generated
+# outage feed, cmp the four JSON reports and the four stores' segment
+# files, then check a truncated feed exits 1 with one error line.
+analyze-smoke:
+	PYTHON=$(PYTHON) sh tools/analyze_smoke.sh
 
 doclint:
 	$(PYTHON) tools/doclint.py

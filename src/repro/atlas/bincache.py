@@ -40,6 +40,7 @@ import mmap
 import os
 import struct
 import sys
+import warnings
 from array import array
 from pathlib import Path
 from typing import Optional, Tuple
@@ -352,7 +353,9 @@ def load_or_build(
     current fingerprint, the columns come straight from it; otherwise
     the JSONL is decoded (honouring *strict* exactly like
     :func:`~repro.atlas.columnar.decode_traceroutes`) and the cache is
-    (re)written for the next replay.
+    (re)written for the next replay.  A cache that cannot be written
+    (read-only directory, full disk) is only a :class:`RuntimeWarning`:
+    the decoded batch is returned all the same.
 
     *mapped* applies to cache hits: the columns stay zero-copy views
     into the cache file's mapping (see :func:`read_bincache`).  A
@@ -375,6 +378,15 @@ def load_or_build(
         except BinCacheError:
             pass  # stale or corrupt: fall through and rebuild
     batch = decode_traceroutes(source, strict=strict)
-    write_bincache(cache, batch, fingerprint=current)
+    try:
+        write_bincache(cache, batch, fingerprint=current)
+    except OSError as exc:
+        # The cache is an optimisation and the decode already succeeded:
+        # an unwritable cache path costs the next replay, not this one.
+        warnings.warn(
+            f"bin cache not written: {cache}: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     loads.labels("rebuilt").inc()
     return batch, False

@@ -36,20 +36,23 @@ Seven subcommands cover the common workflows:
   same pass inline on a live store,
 * ``replay``  — regenerate one of the paper's case studies end to end.
 
-``analyze`` and ``replay`` accept ``--shards N`` (and optionally
-``--jobs J``) to run the sharded parallel engine instead of the serial
-reference pipeline; results are bit-identical either way.  The engine
-has one extraction path, the fused columnar spine
-(:mod:`repro.core.fused`): columnar bins feed it directly, object bins
-are encoded into columns first.  ``analyze
---bin-cache [PATH]`` ingests through the columnar binary cache
-(:mod:`repro.atlas.bincache`): the first replay decodes the JSONL once
-into flat arrays and caches them, repeat replays map the cache
-zero-copy and skip JSON parsing entirely — output is bit-identical to
-plain ingestion.  ``analyze --timings`` prints
-per-stage wall-clock totals (decode/bin/extract/detect/store), and
-``monitor --json`` appends one ``timings/v1`` record after the last
-bin (``decode`` charged per tailed chunk, the rest per closed bin).
+``analyze``, ``replay`` and ``monitor`` all run the sharded engine
+(:class:`repro.core.engine.ShardedPipeline`) over columns; ``--shards N``
+(and optionally ``--jobs J``) only says how many shards the links are
+spread over (default 1: one shard, in-process) and never changes
+output, which is bit-identical to the serial reference pipeline's.
+The engine has one extraction path, the fused columnar spine
+(:mod:`repro.core.fused`): ``analyze`` decodes the campaign file
+straight into columns, ``replay``'s simulated traceroutes are encoded
+into columns at the engine's door.  ``analyze --bin-cache [PATH]``
+additionally persists the decoded columns
+(:mod:`repro.atlas.bincache`): the first replay writes them next to
+the campaign, repeat replays map the cache zero-copy and skip JSON
+parsing entirely — output is bit-identical either way.  ``analyze
+--timings`` prints per-stage wall-clock totals
+(decode/bin/extract/detect/store), and ``monitor --json`` appends one
+``timings/v1`` record after the last bin (``decode`` charged per tailed
+chunk, the rest per closed bin).
 
 ``analyze --checkpoint PATH [--checkpoint-every N]`` snapshots detector
 state and accumulated results to PATH every N bins
@@ -75,7 +78,7 @@ Examples::
         --atlas-cursor feed.cursor
     python -m repro analyze campaign.jsonl --json
     python -m repro analyze campaign.jsonl --shards 8 --jobs 4
-    python -m repro analyze campaign.jsonl --bin-cache --shards 8
+    python -m repro analyze campaign.jsonl --bin-cache
     python -m repro analyze campaign.jsonl --checkpoint state.ckpt
     python -m repro analyze campaign.jsonl --store alarms.store
     python -m repro monitor feed.jsonl --follow --checkpoint mon.ckpt \\
@@ -96,9 +99,10 @@ from typing import List, Optional
 from repro.atlas import (
     ColumnarStream,
     FeedTailer,
+    TracerouteDecodeError,
+    decode_traceroutes,
     default_cache_path,
     load_or_build,
-    read_traceroutes,
     write_traceroutes,
 )
 from repro.core import (
@@ -234,9 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="number of top events to list")
     analyze.add_argument(
         "--bin-cache", nargs="?", const="", default=None, metavar="PATH",
-        help="ingest through the columnar binary cache: reuse PATH "
-             "(default: <campaign>.binc) when it matches the campaign "
-             "file, else decode once and write it for the next replay")
+        help="persist the decoded columns: map PATH (default: "
+             "<campaign>.binc) instead of parsing JSON when it matches "
+             "the campaign file, else decode and write it for the next "
+             "replay")
     analyze.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="snapshot detector state and accumulated results to PATH "
@@ -529,17 +534,16 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
         help="shard links over N independent detector states in the "
-             "vectorized engine (at 1, analyze and replay run the "
-             "serial reference pipeline and monitor runs the engine "
-             "with a single shard)")
+             "vectorized engine (default 1: a single shard, "
+             "in-process; output is identical at every N)")
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="J",
         help="worker count for the sharded engine (default: one per "
              "shard, capped at the CPU count; requires --shards > 1)")
 
 
-def _engine_config(args, **overrides) -> Optional[PipelineConfig]:
-    """Build a PipelineConfig from CLI flags, or None for pure defaults."""
+def _engine_config(args, **overrides) -> PipelineConfig:
+    """Build the engine's PipelineConfig from the CLI flags."""
     if args.jobs is not None and args.shards <= 1:
         print(
             "repro: error: --jobs requires --shards > 1 "
@@ -548,13 +552,7 @@ def _engine_config(args, **overrides) -> Optional[PipelineConfig]:
         )
         raise SystemExit(2)
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    if args.shards > 1:
-        kwargs["n_shards"] = args.shards
-        if args.jobs is not None:
-            kwargs["n_jobs"] = args.jobs
-    if not kwargs:
-        return None
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(n_shards=args.shards, n_jobs=args.jobs, **kwargs)
 
 
 def _topology(seed: int, probes: Optional[int]):
@@ -748,34 +746,6 @@ def _warn_if_unattributed_store(writer, store_path) -> None:
         )
 
 
-def _decode_timed(iterable, timer: StageTimer):
-    """Yield *iterable*, charging the time spent pulling it to ``decode``.
-
-    JSONL ingestion is lazy, so decode time is interleaved with
-    detection; this wrapper meters exactly the pulls (one ``calls``
-    per traceroute) and folds the total into the timer when the
-    iterator is exhausted or dropped.
-    """
-    from time import perf_counter
-
-    spent = 0.0
-    items = 0
-    iterator = iter(iterable)
-    try:
-        while True:
-            start = perf_counter()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                return
-            finally:
-                spent += perf_counter() - start
-            items += 1
-            yield item
-    finally:
-        timer.add("decode", spent, calls=items)
-
-
 def _print_timings(timer: StageTimer) -> None:
     """Render accumulated stage timings as a text table."""
     rows = [
@@ -793,34 +763,49 @@ def _print_timings(timer: StageTimer) -> None:
 def _cmd_analyze(args) -> int:
     from repro.obs import Tracer
 
+    every = _checkpoint_every(args)
+    config = _engine_config(args, alpha=args.alpha)
     topology = _topology(args.seed, args.probes)
     platform = AtlasPlatform(topology, seed=args.seed)
-    config = _engine_config(args, alpha=args.alpha)
     timer = StageTimer(enabled=args.timings)
     tracer = Tracer(enabled=args.trace is not None)
-    if args.bin_cache is not None:
+    # The one ingest door: the campaign file becomes columns here,
+    # strictly; --bin-cache only decides whether they are persisted.
+    try:
         with timer.stage("decode"):
-            source, hit = load_or_build(
-                args.path, cache_path=args.bin_cache or None, mapped=True
-            )
-        if not args.json:
-            cache = args.bin_cache or default_cache_path(args.path)
-            state = "hit" if hit else "rebuilt"
-            print(f"bin cache {state}: {cache} ({len(source)} traceroutes)")
-    else:
-        source = read_traceroutes(args.path)
-        if timer.enabled:
-            source = _decode_timed(source, timer)
-    analysis = analyze_campaign(
-        source,
-        platform.as_mapper(),
-        config=config,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=_checkpoint_every(args),
-        checkpoint_source=args.path if args.checkpoint else None,
-        profiler=timer if timer.enabled else None,
-        tracer=tracer if tracer.enabled else None,
-    )
+            if args.bin_cache is None:
+                batch = decode_traceroutes(args.path)
+            else:
+                batch, hit = load_or_build(
+                    args.path, cache_path=args.bin_cache or None, mapped=True
+                )
+    except (OSError, EOFError, TracerouteDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"repro: error: {args.path}: {reason}", file=sys.stderr)
+        return 1
+    if args.bin_cache is not None and not args.json:
+        cache = args.bin_cache or default_cache_path(args.path)
+        state = "hit" if hit else "rebuilt"
+        print(f"bin cache {state}: {cache} ({len(batch)} traceroutes)")
+    # The engine at any --shards, exactly as in monitor.
+    with ShardedPipeline(config) as pipeline:
+        pipeline.profiler = timer
+        pipeline.tracer = tracer
+        campaign_start = tracer.now()
+        analysis = analyze_campaign(
+            batch,
+            platform.as_mapper(),
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=every,
+            checkpoint_source=args.path if args.checkpoint else None,
+            pipeline=pipeline,
+        )
+        tracer.add_span(
+            "campaign",
+            campaign_start,
+            tracer.now() - campaign_start,
+            args={"bins": len(analysis.bin_results)},
+        )
     if args.trace is not None:
         tracer.write(args.trace)
         if not args.json:
@@ -958,7 +943,7 @@ def _cmd_monitor(args) -> int:
     every = _checkpoint_every(args)
     if args.atlas:
         _monitor_prefetch(args)
-    config = _engine_config(args, bin_s=args.bin_s) or PipelineConfig()
+    config = _engine_config(args, bin_s=args.bin_s)
     # Every closed bin takes the engine's columnar path at any --shards
     # (1 = one shard on the in-process backend); the serial Pipeline is
     # the reference this output is held identical to, not a code path
@@ -1276,11 +1261,13 @@ def _cmd_replay(args) -> int:
         f"replaying '{args.case}' (event at hours "
         f"{window[0]//3600}-{window[1]//3600}) over {args.hours}h ..."
     )
-    analysis = analyze_campaign(
-        platform.run_campaign(config),
-        platform.as_mapper(),
-        config=_engine_config(args),
-    )
+    # Simulated traceroutes are encoded into columns at the engine's door.
+    with ShardedPipeline(_engine_config(args)) as pipeline:
+        analysis = analyze_campaign(
+            platform.run_campaign(config),
+            platform.as_mapper(),
+            pipeline=pipeline,
+        )
     report = InternetHealthReport(analysis, window_bins=args.hours // 2)
     rows = []
     for kind in ("delay", "forwarding"):

@@ -314,12 +314,14 @@ def extract_bin_fused(
     seg_start = [pool_offsets[:-1]]
 
     # Forwarding: each pair attributes the far hop's responsive reply
-    # count to its IP and its lost count to the UNRESPONSIVE bucket,
-    # in that (dict insertion) order.
+    # count to its IP and its lost count to the UNRESPONSIVE bucket;
+    # whichever the hop's first reply belongs to comes first (the
+    # reference pattern dict's insertion order).
     hop_resp = n_resp[far_h]
     hop_lost = lost[far_h]
     resp_c = hop_resp > 0
     lost_c = hop_lost > 0
+    lost_first = ~resp[reply_loc[far_h]]  # far hops here have replies
     fwd_router = [near_id[resp_c], near_id[lost_c]]
     fwd_dst = [dst_ids[row_f[resp_c]], dst_ids[row_f[lost_c]]]
     fwd_hop = [far_id[resp_c], np.full(int(lost_c.sum()), NO_IP, np.int64)]
@@ -329,8 +331,8 @@ def extract_bin_fused(
     ]
     fwd_pos = [pos_f[resp_c], pos_f[lost_c]]
     fwd_sub = [
-        np.zeros(int(resp_c.sum()), dtype=np.int64),
-        resp_c[lost_c].astype(np.int64),
+        lost_first[resp_c].astype(np.int64),
+        (resp_c & ~lost_first)[lost_c].astype(np.int64),
     ]
 
     # -- scalar fallback: pairs touching a multi-IP hop ---------------
@@ -361,11 +363,12 @@ def extract_bin_fused(
             hop_ips = ips[start:stop].tolist()
             hop_rtts = rtts[start:stop].tolist()
             ip_rtts: Dict[int, List[float]] = {}
+            # Packets per next hop, lost ones under NO_IP, in the
+            # reference pattern dict's first-occurrence order.
             counts: Dict[int, int] = {}
-            n_lost = 0
             for ident, rtt in zip(hop_ips, hop_rtts):
                 if ident < 0:
-                    n_lost += 1
+                    counts[NO_IP] = counts.get(NO_IP, 0) + 1
                     continue
                 samples = ip_rtts.get(ident)
                 if samples is None:
@@ -375,17 +378,17 @@ def extract_bin_fused(
                     counts[ident] += 1
                 if rtt == rtt:  # NaN marks a missing RTT
                     samples.append(rtt)
-            if not counts:
+            if not ip_rtts:
                 primary = None
-            elif len(counts) == 1:
-                (primary,) = counts
+            elif len(ip_rtts) == 1:
+                (primary,) = ip_rtts
             else:
                 # Ties break on the IP *string*, as the object path.
                 primary = max(
-                    counts,
+                    ip_rtts,
                     key=lambda ident: (counts[ident], strings[ident]),
                 )
-            info = (ip_rtts, counts, n_lost, primary, None, 0)
+            info = (ip_rtts, counts, primary)
             infos[hop] = info
             return info
 
@@ -416,23 +419,14 @@ def extract_bin_fused(
                             for near in a_samples
                         )
                         s_count.append(len(slow_pool) - s_start[-1])
-            router_id = near_info[3]
+            router_id = near_info[2]
             if router_id is not None:  # §5.1 packet attribution
                 dst_id = int(dst_ids[row])
-                sub = 0
-                for next_hop, count in far_info[1].items():
+                for sub, (next_hop, count) in enumerate(far_info[1].items()):
                     f_router.append(router_id)
                     f_dst.append(dst_id)
                     f_hop.append(next_hop)
                     f_weight.append(float(count))
-                    f_pos.append(position)
-                    f_sub.append(sub)
-                    sub += 1
-                if far_info[2]:  # lost packets -> UNRESPONSIVE bucket
-                    f_router.append(router_id)
-                    f_dst.append(dst_id)
-                    f_hop.append(NO_IP)
-                    f_weight.append(float(far_info[2]))
                     f_pos.append(position)
                     f_sub.append(sub)
 

@@ -21,7 +21,6 @@ chosen links — the material of Figures 2, 7 and 11.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -44,7 +43,6 @@ from repro.core.forwarding import (
     forwarding_patterns,
 )
 from repro.net.asmap import AsMapper
-from repro.obs.tracing import NULL_TIMER
 from repro.stats.smoothing import DEFAULT_ALPHA
 from repro.stats.wilson import (
     DEFAULT_Z,
@@ -195,10 +193,6 @@ class Pipeline:
         self._bins = 0
         self._traceroutes = 0
         self._last_timestamp: Optional[int] = None
-        #: Stage profiler hook; the whole serial bin is one "detect"
-        #: stage (matching what ``monitor`` charges on this engine).
-        #: Write-only telemetry — it can never change analysis output.
-        self.profiler = NULL_TIMER
 
     # -- per-bin processing ------------------------------------------------
 
@@ -212,7 +206,6 @@ class Pipeline:
         pipeline deliberately stays on the paper-shaped object path;
         the sharded engine is the one that consumes columns natively.
         """
-        detect_start = perf_counter()
         if isinstance(traceroutes, (TracerouteBatch, BatchView)):
             traceroutes = traceroutes.to_traceroutes()
         observations = differential_rtts(traceroutes)
@@ -272,7 +265,6 @@ class Pipeline:
         self._bins += 1
         self._traceroutes += len(traceroutes)
         self._last_timestamp = timestamp
-        self.profiler.add("detect", perf_counter() - detect_start)
         return BinResult(
             timestamp=timestamp,
             n_traceroutes=len(traceroutes),
@@ -582,18 +574,26 @@ def analyze_campaign(
     checkpoint_every: int = 1,
     checkpoint_source: Optional[object] = None,
     profiler: Optional[object] = None,
-    tracer: Optional[object] = None,
+    pipeline: Optional[object] = None,
 ) -> CampaignAnalysis:
     """Convenience driver: pipeline + AS aggregation in one call.
 
     ``start`` anchors the aggregation bin clock; by default the first
-    processed bin's timestamp is used.  With ``config.n_shards > 1`` (or
-    a non-default executor) the sharded engine runs the campaign and is
-    finalised before returning; its output is bit-identical to the
-    serial pipeline's.  *traceroutes* may also be a columnar
+    processed bin's timestamp is used.  Without ``pipeline`` the engine
+    is :func:`~repro.core.engine.create_pipeline` of *config*: the
+    serial reference :class:`Pipeline` at the library defaults, the
+    sharded engine with ``config.n_shards > 1`` (or a non-default
+    executor), finalised before returning; output is bit-identical
+    either way.  *traceroutes* may also be a columnar
     :class:`~repro.atlas.columnar.TracerouteBatch` (e.g. from the bin
-    cache): the sharded engine then consumes the columns directly and
-    the serial pipeline materialises objects per bin.
+    cache): the sharded engine consumes the columns directly and the
+    serial pipeline materialises objects per bin.
+
+    ``pipeline`` hands in a fresh engine to drive instead (*config* is
+    then unused).  The caller owns it: it attaches its own
+    profiler/tracer before the call and closes the engine afterwards —
+    what the CLI's ``analyze`` and ``replay`` do with their
+    :class:`~repro.core.engine.ShardedPipeline`, like ``monitor``.
 
     With ``checkpoint_path`` the campaign runs through the resumable
     driver (:func:`~repro.core.checkpoint.run_checkpointed`): detector
@@ -605,28 +605,21 @@ def analyze_campaign(
     binds the checkpoint to its input so a reused checkpoint path never
     silently merges two campaigns.
 
-    ``profiler`` (a :class:`~repro.obs.tracing.StageAccumulator`) attaches
-    per-stage wall-clock instrumentation to the sharded engine; the
-    caller reads the accumulated timings back off the timer afterwards.
-    ``tracer`` (a :class:`~repro.obs.Tracer`) likewise attaches span
-    tracing: the whole campaign runs inside a ``campaign`` span with
-    per-bin / per-stage / per-shard spans nested under it, ready for
-    Chrome trace-event export (``analyze --trace``).  Both are
-    write-only telemetry and cannot change analysis output.
+    ``profiler`` (a :class:`~repro.obs.tracing.StageAccumulator`) is set
+    as the stage hook of the engine this call builds: the sharded
+    engine charges ``extract``/``bin``/``detect`` to it, the serial
+    reference has no stages and never reads it.  Write-only telemetry;
+    it cannot change analysis output.
     """
     # Imported here, not at module level: the engine imports this module
     # for the result types, so a top-level import would be circular.
     from repro.core.engine import ShardedPipeline, create_pipeline
-    from repro.obs.tracing import NULL_TRACER
 
-    pipeline = create_pipeline(config)
-    if profiler is not None:
-        pipeline.profiler = profiler
-    if tracer is None:
-        tracer = NULL_TRACER
-    elif isinstance(pipeline, ShardedPipeline):
-        pipeline.tracer = tracer
-    campaign_start = tracer.now()
+    owned = pipeline is None
+    if owned:
+        pipeline = create_pipeline(config)
+        if profiler is not None:
+            pipeline.profiler = profiler
     if checkpoint_path is not None:
         from repro.core.checkpoint import run_checkpointed
 
@@ -637,13 +630,7 @@ def analyze_campaign(
         )
     else:
         bin_results = pipeline.run(traceroutes)
-    tracer.add_span(
-        "campaign",
-        campaign_start,
-        tracer.now() - campaign_start,
-        args={"bins": len(bin_results)},
-    )
-    if isinstance(pipeline, ShardedPipeline):
+    if owned and isinstance(pipeline, ShardedPipeline):
         pipeline.close()  # caches final stats/tracked, frees any workers
     anchor = start
     if anchor is None:

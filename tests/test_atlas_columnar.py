@@ -363,6 +363,43 @@ class TestBinCache:
         assert not hit
         assert batch.to_traceroutes() == _mixed_traceroutes()
 
+    def test_load_or_build_survives_an_unwritable_cache(self, tmp_path):
+        """A cache path whose parent is a regular file cannot be written
+        by anyone (root included): the decoded batch still comes back,
+        with one warning and no temp file left behind."""
+        source = tmp_path / "c.jsonl"
+        write_traceroutes(source, _mixed_traceroutes())
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory")
+        with pytest.warns(RuntimeWarning, match="bin cache not written"):
+            batch, hit = load_or_build(source, cache_path=blocker / "x.binc")
+        assert not hit
+        assert batch.to_traceroutes() == _mixed_traceroutes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "c.jsonl"
+        ]
+
+    def test_load_or_build_failed_publish_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """The write gets as far as a complete temp file and fails at the
+        rename (e.g. a full disk): same outcome, and the temp is gone."""
+        from repro.atlas import bincache
+
+        source = tmp_path / "c.jsonl"
+        write_traceroutes(source, _mixed_traceroutes())
+
+        def refuse(src, dst):
+            assert os.path.exists(src)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(bincache.os, "replace", refuse)
+        with pytest.warns(RuntimeWarning, match="No space left"):
+            batch, hit = load_or_build(source)
+        assert not hit
+        assert batch.to_traceroutes() == _mixed_traceroutes()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
     def test_explicit_cache_path(self, tmp_path):
         source = tmp_path / "c.jsonl"
         cache = tmp_path / "elsewhere.bin"

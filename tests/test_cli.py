@@ -183,6 +183,191 @@ class TestAnalyzeCheckpoint:
             )
 
 
+def _run(*argv):
+    """``main(argv)`` in-process; returns (exit code, stdout, stderr)."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _segment_bytes(store):
+    """The store's segment files, in name order, as bytes."""
+    segments = sorted(store.glob("*.seg"))
+    assert segments
+    return [path.read_bytes() for path in segments]
+
+
+def _case_study_mapper(seed, probes):
+    """The IP-to-AS table ``analyze --seed SEED --probes PROBES`` builds."""
+    from repro.simulation import AtlasPlatform, TopologyParams, build_topology
+
+    params = TopologyParams.case_study()
+    params.n_probes = probes
+    return AtlasPlatform(build_topology(params, seed=seed), seed=seed).as_mapper()
+
+
+class TestAnalyzeOneProductionPath:
+    """``analyze`` has one ingest x engine path — columns into the
+    sharded engine — whatever ``--shards`` and ``--bin-cache`` say, and
+    its bytes are the serial reference ``Pipeline``'s, run here by name
+    (no CLI flag reaches it any more)."""
+
+    ARGS = ("--seed", "3", "--probes", "12")
+
+    @pytest.fixture(scope="class")
+    def feed(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-matrix") / "leak.jsonl"
+        assert main(
+            [
+                "generate", "--hours", "6", "--seed", "3", "--probes", "12",
+                "--scenario", "leak", "--out", str(path),
+            ]
+        ) == 0
+        return path
+
+    @pytest.fixture(scope="class")
+    def oracle(self, feed, tmp_path_factory):
+        """(``--json`` stdout, ``--store`` segment bytes) of the oracle:
+        objects -> serial ``Pipeline`` -> IHR report + store export."""
+        from repro.atlas import read_traceroutes
+        from repro.core import Pipeline, PipelineConfig, analyze_campaign
+        from repro.reporting import InternetHealthReport
+        from repro.service import append_analysis
+
+        analysis = analyze_campaign(
+            read_traceroutes(feed),
+            _case_study_mapper(3, 12),
+            pipeline=Pipeline(PipelineConfig()),
+        )
+        assert analysis.delay_alarms and analysis.forwarding_alarms
+        store = tmp_path_factory.mktemp("cli-oracle") / "oracle.store"
+        append_analysis(store, analysis)
+        stdout = InternetHealthReport(analysis).to_json() + "\n"
+        return stdout, _segment_bytes(store)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_identity_matrix(self, feed, oracle, tmp_path, suffix):
+        """{no cache, cache cold, cache warm} x {--shards 1, 2}: the
+        same stdout and the same store bytes, equal to the oracle's."""
+        import gzip
+
+        source = tmp_path / f"feed{suffix}"
+        data = feed.read_bytes()
+        source.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        for shards in ("1", "2"):
+            cache = tmp_path / f"shards{shards}.binc"
+            for state in ("none", "cold", "warm"):
+                store = tmp_path / f"{state}{shards}.store"
+                extra = [] if state == "none" else ["--bin-cache", cache]
+                assert cache.exists() == (state == "warm")
+                code, out, _ = _run(
+                    "analyze", source, *self.ARGS, "--json", "--store", store,
+                    "--shards", shards, *extra,
+                )
+                assert code == 0
+                assert out == oracle[0], (suffix, shards, state)
+                assert _segment_bytes(store) == oracle[1], (suffix, shards, state)
+
+    def test_serial_checkpoint_resumes_under_default_analyze(
+        self, feed, oracle, tmp_path
+    ):
+        """Snapshots are engine-agnostic: a checkpoint the serial
+        ``Pipeline`` wrote mid-campaign resumes on the engine to the
+        uninterrupted output, processing only the bins it lacks."""
+        from repro.atlas import read_traceroutes
+        from repro.core import Pipeline, PipelineConfig, run_checkpointed
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        ckpt = tmp_path / "state.ckpt"
+        head = [t for t in read_traceroutes(feed) if t.timestamp < 3 * 3600]
+        results, resumed = run_checkpointed(
+            Pipeline(PipelineConfig()), head, ckpt, source_path=feed
+        )
+        assert len(results) == 3 and not resumed
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            code, out, _ = _run(
+                "analyze", feed, *self.ARGS, "--json", "--checkpoint", ckpt
+            )
+        finally:
+            set_default_registry(previous)
+        assert code == 0
+        assert out == oracle[0]
+        [bins] = [
+            family for family in registry.collect()
+            if family.name == "repro_engine_bins_total"
+        ]
+        assert [child.value for child in bins.children] == [3]
+
+    def test_default_timings_and_trace_come_from_the_engine(
+        self, feed, tmp_path
+    ):
+        """No ``--shards`` needed: ``--timings`` has the engine's stage
+        rows under one ``decode``, ``--trace`` has bin and stage spans."""
+        trace = tmp_path / "trace.json"
+        code, _, err = _run(
+            "analyze", feed, *self.ARGS, "--json", "--timings",
+            "--trace", trace,
+        )
+        assert code == 0
+        timings = json.loads(err.strip().splitlines()[-1])["timings"]
+        assert timings["decode"]["calls"] == 1
+        for stage in ("extract", "bin", "detect"):
+            assert timings[stage]["calls"] == 6, stage
+        names = [e["name"] for e in json.loads(trace.read_text())["traceEvents"]]
+        assert names.count("campaign") == 1
+        # "bin" names the whole-bin span and the binning stage under it.
+        for span, count in (("bin", 12), ("extract", 6), ("detect", 6)):
+            assert names.count(span) == count, span
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_bad_input_is_an_error_line_not_a_traceback(
+        self, feed, tmp_path, cache
+    ):
+        """A missing feed, a malformed line (decode is strict) and a
+        truncated gzip all exit 1 with ``repro: error: PATH: ...``."""
+        import gzip
+
+        extra = ["--bin-cache"] if cache else []
+        lines = feed.read_bytes().splitlines(keepends=True)[:40]
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(b"".join(lines[:3]) + lines[3][:200] + b"\n")
+        short = tmp_path / "short.jsonl.gz"
+        short.write_bytes(gzip.compress(b"".join(lines))[:-20])
+        for path, reason in (
+            (tmp_path / "nope.jsonl", "No such file or directory"),
+            (torn, "line 4: "),
+            (short, "Compressed file ended"),
+        ):
+            code, out, err = _run("analyze", path, *self.ARGS, *extra)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"repro: error: {path}: {reason}"), err
+            assert "Traceback" not in err
+            assert not list(tmp_path.glob("*.binc*"))
+
+    def test_unwritable_bin_cache_does_not_kill_the_analysis(
+        self, feed, oracle, tmp_path
+    ):
+        """The cache's parent is a regular file (unwritable for root
+        too): one warning, exit 0, the full report."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory")
+        with pytest.warns(RuntimeWarning, match="bin cache not written"):
+            code, out, _ = _run(
+                "analyze", feed, *self.ARGS, "--json",
+                "--bin-cache", blocker / "x.binc",
+            )
+        assert code == 0
+        assert out == oracle[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 class TestMonitor:
     @pytest.fixture(scope="class")
     def feed_path(self, tmp_path_factory):
@@ -315,13 +500,9 @@ class TestMonitor:
 
 def _run_monitor(*argv):
     """``monitor --json`` in-process; returns its stdout (bin records)."""
-    import contextlib
-    import io
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["monitor", *map(str, argv), "--json"]) == 0
-    return out.getvalue()
+    code, out, _ = _run("monitor", *argv, "--json")
+    assert code == 0
+    return out
 
 
 def _store_state(path):
@@ -500,10 +681,11 @@ class TestAlarmStore:
             assert one.as_condition(asn) == two.as_condition(asn)
 
     def test_store_bytes_independent_of_hash_seed(self, tmp_path):
-        """``analyze --store`` at ``--shards 1`` (the serial pipeline)
-        writes the same segment bytes under any ``PYTHONHASHSEED``, and
-        the same bytes as the sharded engine (regression: the serial
-        forwarding references were once kept in set order)."""
+        """The serial reference ``Pipeline`` (library level: no CLI flag
+        reaches it) exports the same segment bytes under any
+        ``PYTHONHASHSEED``, and the same bytes as ``analyze --store``
+        (regression: the serial forwarding references were once kept in
+        set order)."""
         import subprocess
         import sys
 
@@ -514,30 +696,40 @@ class TestAlarmStore:
                 "--no-anchoring", "--scenario", "outage", "--out", str(feed),
             ]
         ) == 0
+        script = (
+            "import sys\n"
+            "from repro.atlas import read_traceroutes\n"
+            "from repro.core import Pipeline, PipelineConfig, analyze_campaign\n"
+            "from repro.service import append_analysis\n"
+            "from tests.test_cli import _case_study_mapper\n"
+            "analysis = analyze_campaign(\n"
+            "    read_traceroutes(sys.argv[1]), _case_study_mapper(3, 12),\n"
+            "    pipeline=Pipeline(PipelineConfig()))\n"
+            "assert analysis.forwarding_alarms\n"
+            "append_analysis(sys.argv[2], analysis)\n"
+        )
         env = _cli_env()
 
-        def segment_bytes(name, hash_seed, *extra):
-            store = tmp_path / name
+        def serial_segments(hash_seed):
+            store = tmp_path / f"seed{hash_seed}.store"
             env["PYTHONHASHSEED"] = hash_seed
             subprocess.run(
-                [
-                    sys.executable, "-m", "repro", "analyze", str(feed),
-                    "--seed", "3", "--probes", "12", "--json",
-                    "--store", str(store), *extra,
-                ],
+                [sys.executable, "-c", script, str(feed), str(store)],
                 env=env, check=True, capture_output=True, timeout=300,
             )
-            segments = sorted(store.glob("*.seg"))
-            assert segments
-            return [path.read_bytes() for path in segments]
+            return _segment_bytes(store)
 
-        from repro.service import StoreQuery
-
-        serial = segment_bytes("seed1.store", "1")
-        manifest = StoreQuery(tmp_path / "seed1.store").store.manifest
-        assert sum(s.n_forwarding for s in manifest.segments) > 0
-        assert segment_bytes("seed3.store", "3") == serial
-        assert segment_bytes("sharded.store", "1", "--shards", "2") == serial
+        serial = serial_segments("1")
+        assert serial_segments("3") == serial
+        for shards in ("1", "2"):
+            store = tmp_path / f"cli{shards}.store"
+            assert main(
+                [
+                    "analyze", str(feed), "--seed", "3", "--probes", "12",
+                    "--json", "--store", str(store), "--shards", shards,
+                ]
+            ) == 0
+            assert _segment_bytes(store) == serial
 
     def test_serve_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.store")]) == 1
@@ -660,6 +852,16 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "replaying 'outage'" in out
         assert "AS1200" in out
+
+    def test_shard_count_does_not_change_the_report(self, capsys):
+        """``--shards`` spreads links over detector states; it is not an
+        engine switch, so the report is the same text."""
+        argv = ["replay", "outage", "--hours", "8", "--seed", "1"]
+        assert main(argv) == 0
+        one = capsys.readouterr().out
+        assert "forwarding" in one and "delay" in one
+        assert main(argv + ["--shards", "2"]) == 0
+        assert capsys.readouterr().out == one
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):

@@ -60,6 +60,64 @@ class TestPatternExtraction:
         assert forwarding_patterns(trs)[("R", "dst")] == {"A": 5.0}
 
 
+class TestEnginePatternOrder:
+    """The alarm store writes hop maps in dict order, so the engine's
+    fused kernel must insert next hops — the lost-packet bucket included
+    — in the reference extractor's first-occurrence order, not merely
+    build equal dicts."""
+
+    @staticmethod
+    def _ordered(patterns):
+        return {key: list(pattern.items()) for key, pattern in patterns.items()}
+
+    def test_loss_before_the_first_responder(self):
+        """Regression: the kernel used to emit the responder before the
+        lost bucket whatever the reply order said."""
+        from repro.atlas import TracerouteBatch
+        from tests.test_engine_equivalence import _fused_as_dicts
+
+        traceroutes = [
+            make_traceroute(
+                1, "s", "dst", 0,
+                [[("R", 1.0)], [(None, None), ("A", 2.0), ("A", 2.1)]],
+            ),
+            # Multi-IP far hop: the kernel's scalar fallback.
+            make_traceroute(
+                2, "s", "other", 0,
+                [[("R", 1.0)], [("A", 2.0), (None, None), ("B", 2.1)]],
+            ),
+        ]
+        reference = forwarding_patterns(traceroutes)
+        assert list(reference[("R", "dst")]) == [UNRESPONSIVE, "A"]
+        assert list(reference[("R", "other")]) == ["A", UNRESPONSIVE, "B"]
+        _, patterns = _fused_as_dicts(
+            TracerouteBatch.from_traceroutes(traceroutes)
+        )
+        assert self._ordered(patterns) == self._ordered(reference)
+
+    def test_insertion_order_matches_on_random_bins(self):
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        from repro.atlas import TracerouteBatch
+        from tests.test_engine_equivalence import (
+            _fused_as_dicts,
+            traceroute_strategy,
+        )
+
+        @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+        @given(st.lists(traceroute_strategy(), max_size=15))
+        def check(traceroutes):
+            _, patterns = _fused_as_dicts(
+                TracerouteBatch.from_traceroutes(traceroutes)
+            )
+            assert self._ordered(patterns) == self._ordered(
+                forwarding_patterns(traceroutes)
+            )
+
+        check()
+
+
 class TestResponsibility:
     def test_paper_figure4_worked_example(self):
         """§5.2.2 worked example: F̄=[A:10,B:100,Z:5], F=[A:12,B:2,C:60,Z:30].

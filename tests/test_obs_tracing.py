@@ -212,6 +212,35 @@ class TestTimingsSchemaCoherence:
             "repro_ingest_feed_reopens_total": 0,
         }
 
+    def test_default_analyze_moves_the_engine_and_ingest_counters(
+        self, campaign_path, capsys
+    ):
+        """``analyze`` at ``--shards 1`` is the engine over decoded
+        columns: the scrape reports the campaign's real totals."""
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            assert main(
+                ["analyze", str(campaign_path), "--seed", "3",
+                 "--probes", "12", "--json"]
+            ) == 0
+        finally:
+            set_default_registry(previous)
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["bins_processed"] == 3
+        values = {
+            (family.name, child.labelvalues): child.value
+            for family in registry.collect()
+            for child in family.children
+        }
+        n_traceroutes = len(campaign_path.read_text().splitlines())
+        assert stats["traceroutes_processed"] == n_traceroutes
+        assert values["repro_engine_bins_total", ("fused",)] == 3
+        assert values["repro_engine_traceroutes_total", ()] == n_traceroutes
+        assert values["repro_ingest_traceroutes_total", ()] == n_traceroutes
+
     def test_monitor_and_analyze_agree_on_shared_stage_names(
         self, campaign_path, capsys
     ):
