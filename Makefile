@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke analyze-smoke docs doclint
+.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke analyze-smoke import-budget docs doclint
 
 help:
 	@echo "targets:"
@@ -25,6 +25,7 @@ help:
 	@echo "  compact-smoke store compaction smoke: CLI round trip + equivalence tests"
 	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
 	@echo "  analyze-smoke analyze 4 ways (shards x bin cache), cmp output + store bytes"
+	@echo "  import-budget per command: modules loaded, import wall, peak RSS"
 	@echo "  docs         docstring lint + pointers to docs/"
 	@echo "  doclint      docstring lint only"
 
@@ -99,6 +100,12 @@ obs-smoke:
 # files, then check a truncated feed exits 1 with one error line.
 analyze-smoke:
 	PYTHON=$(PYTHON) sh tools/analyze_smoke.sh
+
+# What each CLI command loads, on a tiny generated feed/store: module
+# count, the ten costliest imports (-X importtime) and ru_maxrss.  The
+# budget itself is enforced by tests/test_import_budget.py.
+import-budget:
+	$(PYTHON) tools/import_budget.py
 
 doclint:
 	$(PYTHON) tools/doclint.py

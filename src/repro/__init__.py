@@ -14,11 +14,11 @@ Public API layout:
 * :mod:`repro.stats` — the robust statistics substrate (Wilson scores,
   exponential smoothing, entropy, sliding median/MAD, ...).  The hot
   paths have batched variants operating on whole bins at once —
-  :func:`~repro.stats.median_confidence_interval_batch` characterises
+  :func:`~repro.stats.median_confidence_interval_arrays` characterises
   every link of a bin with one padded 2-D sort and vectorized Wilson
   scores (bit-identical to the scalar
   :func:`~repro.stats.median_confidence_interval`), and
-  :func:`~repro.stats.pearson_correlation_batch` correlates all judged
+  :func:`~repro.stats.pearson_correlation_pooled` correlates all judged
   forwarding patterns in a handful of numpy calls.
 * :mod:`repro.net` — IP/prefix utilities and longest-prefix IP→AS mapping.
 * :mod:`repro.quality` — ground-truth labels and detection-quality
@@ -29,7 +29,7 @@ Public API layout:
 * :mod:`repro.reporting` — Internet-Health-Report-style summaries.
 * :mod:`repro.service` — the §8 serving layer: a persistent columnar
   alarm store, a query engine answering IHR queries bit-identically
-  from mmapped columns, and a stdlib HTTP JSON API with
+  from mmapped columns, and one asyncio HTTP JSON server with
   generation-keyed response caching (CLI: ``analyze/monitor --store``
   and ``serve``).
 
@@ -52,47 +52,33 @@ stop after any bin and continue bit-identically — see the ``monitor``
 CLI subcommand and :func:`run_checkpointed`.
 """
 
-from repro.core import (
-    AlarmAggregator,
-    CampaignAnalysis,
-    DelayAlarm,
-    DelayChangeDetector,
-    EngineSnapshot,
-    ForwardingAlarm,
-    ForwardingAnomalyDetector,
-    Pipeline,
-    PipelineConfig,
-    ShardedPipeline,
-    SnapshotError,
-    analyze_campaign,
-    create_pipeline,
-    load_snapshot,
-    run_checkpointed,
-    save_snapshot,
-)
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AlarmAggregator",
-    "CampaignAnalysis",
-    "DelayAlarm",
-    "DelayChangeDetector",
-    "EngineSnapshot",
-    "ForwardingAlarm",
-    "ForwardingAnomalyDetector",
-    "Pipeline",
-    "PipelineConfig",
-    "ShardedPipeline",
-    "SnapshotError",
-    "analyze_campaign",
-    "create_pipeline",
-    "load_snapshot",
-    "quick_campaign",
-    "run_checkpointed",
-    "save_snapshot",
-    "__version__",
-]
+_EXPORTS = {
+    "AlarmAggregator": "repro.core.events",
+    "CampaignAnalysis": "repro.core.pipeline",
+    "DelayAlarm": "repro.core.alarms",
+    "DelayChangeDetector": "repro.core.delaydetector",
+    "EngineSnapshot": "repro.core.checkpoint",
+    "ForwardingAlarm": "repro.core.alarms",
+    "ForwardingAnomalyDetector": "repro.core.forwarding",
+    "Pipeline": "repro.core.pipeline",
+    "PipelineConfig": "repro.core.pipeline",
+    "ShardedPipeline": "repro.core.engine",
+    "SnapshotError": "repro.core.checkpoint",
+    "analyze_campaign": "repro.core.pipeline",
+    "create_pipeline": "repro.core.engine",
+    "load_snapshot": "repro.core.checkpoint",
+    "run_checkpointed": "repro.core.checkpoint",
+    "save_snapshot": "repro.core.checkpoint",
+}
+
+__all__ = [*_EXPORTS, "quick_campaign", "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 def quick_campaign(
@@ -106,11 +92,13 @@ def quick_campaign(
     Returns ``(CampaignAnalysis, Topology, AsMapper)``.  Intended for
     quickstarts and tests; real studies compose the pieces directly.
     """
-    from repro.simulation import AtlasPlatform, CampaignConfig, build_topology
+    from repro.core.pipeline import analyze_campaign
+    from repro.simulation.platform import AtlasPlatform, CampaignConfig
+    from repro.simulation.topology import build_topology
 
     topology = build_topology(seed=seed)
     platform = AtlasPlatform(topology, scenario=scenario, seed=seed)
-    mapper = platform.as_mapper()
+    mapper = topology.as_mapper()
     campaign = CampaignConfig(duration_s=duration_hours * 3600)
     analysis = analyze_campaign(
         platform.run_campaign(campaign), mapper, config=config

@@ -5,108 +5,54 @@ subpackage defines the in-memory/on-disk representation of that data plus
 the builtin/anchoring measurement cadences (paper §2 and Appendix B).
 """
 
-from repro.atlas.io import (
-    DecodeWarning,
-    TracerouteDecodeError,
-    count_traceroutes,
-    read_traceroutes,
-    write_traceroutes,
-)
-from repro.atlas.columnar import (
-    NO_INT,
-    NO_IP,
-    BatchView,
-    IPInterner,
-    TracerouteBatch,
-    bin_views,
-    decode_lines,
-    decode_traceroutes,
-)
-from repro.atlas.bincache import (
-    CACHE_VERSION,
-    BinCacheError,
-    default_cache_path,
-    fingerprint_of,
-    load_or_build,
-    read_bincache,
-    write_bincache,
-)
-from repro.atlas.measurements import (
-    ANCHORING,
-    BUILTIN,
-    PACKETS_PER_HOP,
-    MeasurementKind,
-    MeasurementSpec,
-    minimum_usable_bin_s,
-    shortest_detectable_event_s,
-)
-from repro.atlas.model import (
-    TIMEOUT,
-    Hop,
-    Reply,
-    Traceroute,
-    make_traceroute,
-)
-from repro.atlas.validate import (
-    MAX_SANE_RTT_MS,
-    SanitationReport,
-    sanitize,
-    sanitize_one,
-)
-from repro.atlas.stream import (
-    DEFAULT_BIN_S,
-    ColumnarStream,
-    FeedTailer,
-    LatenessWindow,
-    TimeBinner,
-    TracerouteStream,
-    bin_start,
-    binned_payloads,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANCHORING",
-    "BUILTIN",
-    "BatchView",
-    "BinCacheError",
-    "CACHE_VERSION",
-    "ColumnarStream",
-    "DEFAULT_BIN_S",
-    "DecodeWarning",
-    "FeedTailer",
-    "Hop",
-    "IPInterner",
-    "LatenessWindow",
-    "MAX_SANE_RTT_MS",
-    "MeasurementKind",
-    "MeasurementSpec",
-    "NO_INT",
-    "NO_IP",
-    "PACKETS_PER_HOP",
-    "Reply",
-    "SanitationReport",
-    "TIMEOUT",
-    "TimeBinner",
-    "Traceroute",
-    "TracerouteBatch",
-    "TracerouteDecodeError",
-    "TracerouteStream",
-    "bin_start",
-    "bin_views",
-    "binned_payloads",
-    "count_traceroutes",
-    "decode_lines",
-    "decode_traceroutes",
-    "default_cache_path",
-    "fingerprint_of",
-    "load_or_build",
-    "make_traceroute",
-    "minimum_usable_bin_s",
-    "read_bincache",
-    "read_traceroutes",
-    "sanitize",
-    "sanitize_one",
-    "shortest_detectable_event_s",
-    "write_bincache",
-    "write_traceroutes",
-]
+_EXPORTS = {
+    "ANCHORING": "repro.atlas.measurements",
+    "BUILTIN": "repro.atlas.measurements",
+    "BatchView": "repro.atlas.columnar",
+    "BinCacheError": "repro.atlas.bincache",
+    "CACHE_VERSION": "repro.atlas.bincache",
+    "ColumnarStream": "repro.atlas.stream",
+    "DEFAULT_BIN_S": "repro.atlas.stream",
+    "DecodeWarning": "repro.atlas.io",
+    "FeedTailer": "repro.atlas.stream",
+    "Hop": "repro.atlas.model",
+    "IPInterner": "repro.atlas.columnar",
+    "LatenessWindow": "repro.atlas.stream",
+    "MAX_SANE_RTT_MS": "repro.atlas.validate",
+    "MeasurementKind": "repro.atlas.measurements",
+    "MeasurementSpec": "repro.atlas.measurements",
+    "NO_INT": "repro.atlas.columnar",
+    "NO_IP": "repro.atlas.columnar",
+    "PACKETS_PER_HOP": "repro.atlas.measurements",
+    "Reply": "repro.atlas.model",
+    "SanitationReport": "repro.atlas.validate",
+    "TIMEOUT": "repro.atlas.model",
+    "TimeBinner": "repro.atlas.stream",
+    "Traceroute": "repro.atlas.model",
+    "TracerouteBatch": "repro.atlas.columnar",
+    "TracerouteDecodeError": "repro.atlas.io",
+    "TracerouteStream": "repro.atlas.stream",
+    "bin_start": "repro.atlas.stream",
+    "bin_views": "repro.atlas.columnar",
+    "binned_payloads": "repro.atlas.stream",
+    "count_traceroutes": "repro.atlas.io",
+    "decode_lines": "repro.atlas.columnar",
+    "decode_traceroutes": "repro.atlas.columnar",
+    "default_cache_path": "repro.atlas.bincache",
+    "fingerprint_of": "repro.atlas.bincache",
+    "load_or_build": "repro.atlas.bincache",
+    "make_traceroute": "repro.atlas.model",
+    "minimum_usable_bin_s": "repro.atlas.measurements",
+    "read_bincache": "repro.atlas.bincache",
+    "read_traceroutes": "repro.atlas.io",
+    "sanitize": "repro.atlas.validate",
+    "sanitize_one": "repro.atlas.validate",
+    "shortest_detectable_event_s": "repro.atlas.measurements",
+    "write_bincache": "repro.atlas.bincache",
+    "write_traceroutes": "repro.atlas.io",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

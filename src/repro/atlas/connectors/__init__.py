@@ -25,104 +25,54 @@ spine is *fault tolerance*, not fetching:
   retry/backoff/cursor path is provable offline.
 """
 
-from repro.atlas.connectors.cursors import (
-    CURSOR_VERSION,
-    CursorError,
-    FetchCursor,
-    cursor_key,
-    load_cursor,
-    save_cursor,
-)
-from repro.atlas.connectors.probes import (
-    META_LATEST_URL,
-    ProbeInfo,
-    ProbeSet,
-    asn_probe_map,
-    fetch_probes,
-    parse_probe_dump,
-    prefix_entries,
-    refresh_mapper,
-    usable_probes,
-)
-from repro.atlas.connectors.results import (
-    DEFAULT_BASE_URL,
-    DEFAULT_PAGE_SIZE,
-    FetchReport,
-    fetch_results,
-    results_url,
-)
-from repro.atlas.connectors.testing import (
-    Fault,
-    FaultSchedule,
-    ScriptedTransport,
-    load_fixture,
-    paged_results_fixture,
-    probe_dump_fixture,
-    write_fixture,
-)
-from repro.atlas.connectors.transport import (
-    API_KEY_ENV,
-    CircuitBreaker,
-    CircuitOpenError,
-    ClientStats,
-    FatalError,
-    FaultTolerantClient,
-    HttpResponse,
-    MalformedResponseError,
-    RetryableError,
-    RetryBudgetExceeded,
-    RetryPolicy,
-    TokenBucket,
-    Transport,
-    TransportError,
-    UrllibTransport,
-    load_api_key,
-    parse_retry_after,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "API_KEY_ENV",
-    "CURSOR_VERSION",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "ClientStats",
-    "CursorError",
-    "DEFAULT_BASE_URL",
-    "DEFAULT_PAGE_SIZE",
-    "FatalError",
-    "Fault",
-    "FaultSchedule",
-    "FaultTolerantClient",
-    "FetchCursor",
-    "FetchReport",
-    "HttpResponse",
-    "META_LATEST_URL",
-    "MalformedResponseError",
-    "ProbeInfo",
-    "ProbeSet",
-    "RetryBudgetExceeded",
-    "RetryPolicy",
-    "RetryableError",
-    "ScriptedTransport",
-    "TokenBucket",
-    "Transport",
-    "TransportError",
-    "UrllibTransport",
-    "asn_probe_map",
-    "cursor_key",
-    "fetch_probes",
-    "fetch_results",
-    "load_api_key",
-    "load_cursor",
-    "load_fixture",
-    "paged_results_fixture",
-    "parse_probe_dump",
-    "parse_retry_after",
-    "prefix_entries",
-    "probe_dump_fixture",
-    "refresh_mapper",
-    "results_url",
-    "save_cursor",
-    "usable_probes",
-    "write_fixture",
-]
+_EXPORTS = {
+    "API_KEY_ENV": "repro.atlas.connectors.transport",
+    "CURSOR_VERSION": "repro.atlas.connectors.cursors",
+    "CircuitBreaker": "repro.atlas.connectors.transport",
+    "CircuitOpenError": "repro.atlas.connectors.transport",
+    "ClientStats": "repro.atlas.connectors.transport",
+    "CursorError": "repro.atlas.connectors.cursors",
+    "DEFAULT_BASE_URL": "repro.atlas.connectors.results",
+    "DEFAULT_PAGE_SIZE": "repro.atlas.connectors.results",
+    "FatalError": "repro.atlas.connectors.transport",
+    "Fault": "repro.atlas.connectors.testing",
+    "FaultSchedule": "repro.atlas.connectors.testing",
+    "FaultTolerantClient": "repro.atlas.connectors.transport",
+    "FetchCursor": "repro.atlas.connectors.cursors",
+    "FetchReport": "repro.atlas.connectors.results",
+    "HttpResponse": "repro.atlas.connectors.transport",
+    "META_LATEST_URL": "repro.atlas.connectors.probes",
+    "MalformedResponseError": "repro.atlas.connectors.transport",
+    "ProbeInfo": "repro.atlas.connectors.probes",
+    "ProbeSet": "repro.atlas.connectors.probes",
+    "RetryBudgetExceeded": "repro.atlas.connectors.transport",
+    "RetryPolicy": "repro.atlas.connectors.transport",
+    "RetryableError": "repro.atlas.connectors.transport",
+    "ScriptedTransport": "repro.atlas.connectors.testing",
+    "TokenBucket": "repro.atlas.connectors.transport",
+    "Transport": "repro.atlas.connectors.transport",
+    "TransportError": "repro.atlas.connectors.transport",
+    "UrllibTransport": "repro.atlas.connectors.transport",
+    "asn_probe_map": "repro.atlas.connectors.probes",
+    "cursor_key": "repro.atlas.connectors.cursors",
+    "fetch_probes": "repro.atlas.connectors.probes",
+    "fetch_results": "repro.atlas.connectors.results",
+    "load_api_key": "repro.atlas.connectors.transport",
+    "load_cursor": "repro.atlas.connectors.cursors",
+    "load_fixture": "repro.atlas.connectors.testing",
+    "paged_results_fixture": "repro.atlas.connectors.testing",
+    "parse_probe_dump": "repro.atlas.connectors.probes",
+    "parse_retry_after": "repro.atlas.connectors.transport",
+    "prefix_entries": "repro.atlas.connectors.probes",
+    "probe_dump_fixture": "repro.atlas.connectors.testing",
+    "refresh_mapper": "repro.atlas.connectors.probes",
+    "results_url": "repro.atlas.connectors.results",
+    "save_cursor": "repro.atlas.connectors.cursors",
+    "usable_probes": "repro.atlas.connectors.probes",
+    "write_fixture": "repro.atlas.connectors.testing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

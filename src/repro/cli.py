@@ -96,47 +96,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.atlas import (
-    ColumnarStream,
-    FeedTailer,
-    TracerouteDecodeError,
-    decode_traceroutes,
-    default_cache_path,
-    load_or_build,
-    write_traceroutes,
-)
-from repro.core import (
-    PipelineConfig,
-    ShardedPipeline,
-    SnapshotError,
-    StageTimer,
-    analyze_campaign,
-    load_snapshot,
-    save_snapshot,
-    source_digest_of,
-)
-from repro.reporting import (
-    InternetHealthReport,
-    bin_event_record,
-    dumps_canonical,
-    format_table,
-    record_json,
-)
-from repro.simulation import (
-    AtlasPlatform,
-    BgpHijackScenario,
-    CampaignConfig,
-    CatchmentShiftScenario,
-    DdosScenario,
-    DiurnalCongestionScenario,
-    IxpOutageScenario,
-    ProbeChurnScenario,
-    RouteLeakScenario,
-    ScenarioFuzzer,
-    TopologyParams,
-    build_topology,
-)
-
 #: event scenarios ``generate --scenario`` can inject (window mid-campaign).
 SCENARIO_CHOICES = (
     "ddos",
@@ -498,18 +457,21 @@ def _make_client(
     circuit breaker, and the key from ``ATLAS_API_KEY``/*secrets* —
     sent only as a header, never logged.
     """
-    from repro.atlas.connectors import (
+    from repro.atlas.connectors.transport import (
         CircuitBreaker,
-        FaultSchedule,
         FaultTolerantClient,
         RetryPolicy,
-        ScriptedTransport,
         TokenBucket,
         load_api_key,
-        load_fixture,
     )
 
     if fixture is not None:
+        from repro.atlas.connectors.testing import (
+            FaultSchedule,
+            ScriptedTransport,
+            load_fixture,
+        )
+
         schedule = (
             FaultSchedule.seeded(fault_seed, fault_rate)
             if fault_rate > 0.0
@@ -542,8 +504,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "shard, capped at the CPU count; requires --shards > 1)")
 
 
-def _engine_config(args, **overrides) -> PipelineConfig:
+def _engine_config(args, **overrides):
     """Build the engine's PipelineConfig from the CLI flags."""
+    from repro.core.pipeline import PipelineConfig
+
     if args.jobs is not None and args.shards <= 1:
         print(
             "repro: error: --jobs requires --shards > 1 "
@@ -556,14 +520,35 @@ def _engine_config(args, **overrides) -> PipelineConfig:
 
 
 def _topology(seed: int, probes: Optional[int]):
+    from repro.simulation.topology import TopologyParams, build_topology
+
     params = TopologyParams.case_study()
     if probes is not None:
         params.n_probes = probes
     return build_topology(params, seed=seed)
 
 
+def _as_mapper(args):
+    """IP→AS table of the topology the feed was generated on.
+
+    Only the prefix table is read: no routing graph, tracer or platform.
+    """
+    return _topology(args.seed, args.probes).as_mapper()
+
+
 def _scenario_for(name: str, topology, duration_s: int, seed: int):
     """Build the named labeled scenario with its window mid-campaign."""
+    from repro.simulation.scenarios import (
+        BgpHijackScenario,
+        CatchmentShiftScenario,
+        DdosScenario,
+        DiurnalCongestionScenario,
+        IxpOutageScenario,
+        ProbeChurnScenario,
+        RouteLeakScenario,
+        ScenarioFuzzer,
+    )
+
     start = (duration_s * 5 // 12) // 3600 * 3600
     window = (start, start + 2 * 3600)
     if name == "ddos":
@@ -607,6 +592,9 @@ def _scenario_for(name: str, topology, duration_s: int, seed: int):
 
 
 def _cmd_generate(args) -> int:
+    from repro.atlas.io import write_traceroutes
+    from repro.simulation.platform import AtlasPlatform, CampaignConfig
+
     if args.labels and not args.scenario:
         print("repro: --labels requires --scenario", file=sys.stderr)
         return 2
@@ -639,15 +627,18 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fetch(args) -> int:
     """Body of the ``fetch`` subcommand (connector-layer ingestion)."""
-    from repro.atlas.connectors import (
-        DEFAULT_BASE_URL,
+    from repro.atlas.connectors.probes import (
         META_LATEST_URL,
-        TransportError,
         asn_probe_map,
         fetch_probes,
-        fetch_results,
         prefix_entries,
     )
+    from repro.atlas.connectors.results import (
+        DEFAULT_BASE_URL,
+        fetch_results,
+    )
+    from repro.atlas.connectors.transport import TransportError
+    from repro.reporting.jsonio import dumps_canonical
 
     if args.verbose:
         _enable_connector_logging()
@@ -746,8 +737,10 @@ def _warn_if_unattributed_store(writer, store_path) -> None:
         )
 
 
-def _print_timings(timer: StageTimer) -> None:
+def _print_timings(timer) -> None:
     """Render accumulated stage timings as a text table."""
+    from repro.reporting.render import format_table
+
     rows = [
         [name, entry["calls"], f"{entry['seconds'] * 1000.0:.1f}"]
         for name, entry in timer.timings().items()
@@ -761,13 +754,19 @@ def _print_timings(timer: StageTimer) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.obs import Tracer
+    from repro.atlas.bincache import default_cache_path, load_or_build
+    from repro.atlas.columnar import decode_traceroutes
+    from repro.atlas.io import TracerouteDecodeError
+    from repro.core.engine import ShardedPipeline
+    from repro.core.pipeline import analyze_campaign
+    from repro.obs.tracing import StageAccumulator, Tracer
+    from repro.reporting.export import record_json
+    from repro.reporting.ihr import InternetHealthReport
+    from repro.reporting.render import format_table
 
     every = _checkpoint_every(args)
     config = _engine_config(args, alpha=args.alpha)
-    topology = _topology(args.seed, args.probes)
-    platform = AtlasPlatform(topology, seed=args.seed)
-    timer = StageTimer(enabled=args.timings)
+    timer = StageAccumulator(enabled=args.timings)
     tracer = Tracer(enabled=args.trace is not None)
     # The one ingest door: the campaign file becomes columns here,
     # strictly; --bin-cache only decides whether they are persisted.
@@ -794,7 +793,7 @@ def _cmd_analyze(args) -> int:
         campaign_start = tracer.now()
         analysis = analyze_campaign(
             batch,
-            platform.as_mapper(),
+            _as_mapper(args),
             checkpoint_path=args.checkpoint,
             checkpoint_every=every,
             checkpoint_source=args.path if args.checkpoint else None,
@@ -813,7 +812,7 @@ def _cmd_analyze(args) -> int:
                   f"({len(tracer.events())} spans)")
     report = InternetHealthReport(analysis)
     if args.store:
-        from repro.service import append_analysis
+        from repro.service.store import append_analysis
 
         with timer.stage("store"):
             writer = append_analysis(args.store, analysis)
@@ -871,6 +870,8 @@ def _cmd_analyze(args) -> int:
 def _emit_bin(result, as_json: bool) -> None:
     """Print one closed bin's outcome (text or one-line JSON)."""
     if as_json:
+        from repro.reporting.export import bin_event_record, record_json
+
         print(record_json(bin_event_record(result)), flush=True)
         return
     print(
@@ -907,7 +908,10 @@ def _monitor_prefetch(args) -> int:
     exactly-once, so a crashed monitor re-run refetches nothing it
     already has.
     """
-    from repro.atlas.connectors import DEFAULT_BASE_URL, fetch_results
+    from repro.atlas.connectors.results import (
+        DEFAULT_BASE_URL,
+        fetch_results,
+    )
 
     if args.atlas_msm is None:
         print("repro: error: --atlas requires --atlas-msm", file=sys.stderr)
@@ -937,7 +941,17 @@ def _monitor_prefetch(args) -> int:
 
 def _cmd_monitor(args) -> int:
     """Body of the ``monitor`` subcommand (live path + checkpointing)."""
-    from repro.obs import default_board
+    from repro.atlas.stream import ColumnarStream, FeedTailer
+    from repro.core.checkpoint import (
+        SnapshotError,
+        load_snapshot,
+        save_snapshot,
+        source_digest_of,
+    )
+    from repro.core.engine import ShardedPipeline
+    from repro.obs.status import default_board
+    from repro.obs.tracing import StageAccumulator
+    from repro.reporting.export import record_json
 
     board = default_board()
     every = _checkpoint_every(args)
@@ -952,7 +966,7 @@ def _cmd_monitor(args) -> int:
     # JSON mode appends one timings/v1 record to stderr on exit: the
     # engine meters extract/bin/detect through its profiler hook, the
     # loop below adds decode (per chunk), store and compact.
-    timer = StageTimer(enabled=args.json)
+    timer = StageAccumulator(enabled=args.json)
     pipeline.profiler = timer
     snapshot = None
     feed_digest = b""
@@ -998,13 +1012,10 @@ def _cmd_monitor(args) -> int:
     )
     store_writer = None
     if args.store:
-        from repro.service import AlarmStoreWriter
+        from repro.service.store import AlarmStoreWriter
 
-        store_platform = AtlasPlatform(
-            _topology(args.seed, args.probes), seed=args.seed
-        )
         store_writer = AlarmStoreWriter.open_or_create(
-            args.store, store_platform.as_mapper(), bin_s=config.bin_s
+            args.store, _as_mapper(args), bin_s=config.bin_s
         )
     if args.compact_every is not None and not args.store:
         print(
@@ -1038,7 +1049,7 @@ def _cmd_monitor(args) -> int:
             and args.compact_every is not None
             and bins_since_compact >= args.compact_every
         ):
-            from repro.service import compact_store
+            from repro.service.compact import compact_store
 
             with timer.stage("compact"):
                 report = compact_store(args.store)
@@ -1147,12 +1158,8 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Body of the ``serve`` subcommand (HTTP API over an alarm store)."""
-    from repro.service import (
-        StoreError,
-        read_manifest,
-        run_async_server,
-        start_worker_pool,
-    )
+    from repro.service.aio import run_async_server, start_worker_pool
+    from repro.service.store import StoreError, read_manifest
 
     try:
         read_manifest(args.store)  # fail fast, before any fork
@@ -1203,7 +1210,8 @@ def _cmd_serve(args) -> int:
 
 def _cmd_compact(args) -> int:
     """Body of the ``compact`` subcommand (store maintenance pass)."""
-    from repro.service import CompactionPolicy, StoreError, compact_store
+    from repro.service.compact import CompactionPolicy, compact_store
+    from repro.service.store import StoreError
 
     policy = CompactionPolicy(
         max_segments=args.max_segments,
@@ -1233,6 +1241,17 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from repro.core.engine import ShardedPipeline
+    from repro.core.pipeline import analyze_campaign
+    from repro.reporting.ihr import InternetHealthReport
+    from repro.reporting.render import format_table
+    from repro.simulation.platform import AtlasPlatform, CampaignConfig
+    from repro.simulation.scenarios import (
+        DdosScenario,
+        IxpOutageScenario,
+        RouteLeakScenario,
+    )
+
     topology = _topology(args.seed, None)
     window = (args.hours * 3600 // 2, args.hours * 3600 // 2 + 2 * 3600)
     if args.case == "ddos":
@@ -1265,7 +1284,7 @@ def _cmd_replay(args) -> int:
     with ShardedPipeline(_engine_config(args)) as pipeline:
         analysis = analyze_campaign(
             platform.run_campaign(config),
-            platform.as_mapper(),
+            topology.as_mapper(),
             pipeline=pipeline,
         )
     report = InternetHealthReport(analysis, window_bins=args.hours // 2)

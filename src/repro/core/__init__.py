@@ -23,170 +23,78 @@ Per-stage wall-clock instrumentation (``StageTimer``/``STAGES``/
 ``NULL_TIMER``) is re-exported from :mod:`repro.obs.tracing`.
 """
 
-from repro.core.alarms import (
-    UNRESPONSIVE,
-    DelayAlarm,
-    ForwardingAlarm,
-    Link,
-)
-from repro.core.alias import (
-    AliasResolution,
-    evaluate_resolution,
-    resolve_aliases,
-)
-from repro.core.arena import (
-    DelayArena,
-    ForwardingArena,
-    LinkInterner,
-)
-from repro.core.checkpoint import (
-    SNAPSHOT_VERSION,
-    DelayTable,
-    EngineSnapshot,
-    ForwardingTable,
-    SnapshotError,
-    config_fingerprint,
-    load_snapshot,
-    run_checkpointed,
-    save_snapshot,
-    source_digest_of,
-)
-from repro.core.correlate import CorrelatedEvent, correlate_events
-from repro.core.delaydetector import (
-    MIN_SHIFT_MS,
-    DelayChangeDetector,
-    LinkDelayState,
-    deviation_score,
-)
-from repro.core.diffrtt import LinkObservations, differential_rtts
-from repro.core.diversity import (
-    MIN_ASNS,
-    MIN_ENTROPY,
-    DiversityFilter,
-    DiversityVerdict,
-)
-from repro.core.engine import (
-    ShardedPipeline,
-    create_pipeline,
-)
-from repro.core.events import (
-    AlarmAggregator,
-    AsTimeSeries,
-    DetectedEvent,
-)
-from repro.core.forwarding import (
-    DEFAULT_TAU,
-    ForwardingAnomalyDetector,
-    ForwardingModelState,
-    forwarding_patterns,
-    responsibility_scores,
-)
-from repro.core.graphs import (
-    ComponentSummary,
-    alarm_graph,
-    component_of,
-    components_by_size,
-    summarize_component,
-)
-from repro.core.fused import (
-    SHM_PREFIX,
-    FusedBin,
-    extract_bin_fused,
-    partition_fused,
-    string_ranks,
-)
-from repro.core.pipeline import (
-    BinResult,
-    CampaignAnalysis,
-    CampaignStats,
-    Pipeline,
-    PipelineConfig,
-    TrackedLinkPoint,
-    analyze_campaign,
-)
-from repro.core.sensitivity import (
-    SensitivityPoint,
-    sensitivity_point,
-    sensitivity_table,
-)
-from repro.core.sharding import (
-    shard_layout,
-    shard_of,
-    stable_hash64,
-)
-from repro.obs.tracing import (
-    NULL_TIMER,
-    STAGE_NAMES as STAGES,
-    StageAccumulator as StageTimer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlarmAggregator",
-    "AliasResolution",
-    "AsTimeSeries",
-    "BinResult",
-    "CampaignAnalysis",
-    "CampaignStats",
-    "ComponentSummary",
-    "CorrelatedEvent",
-    "DEFAULT_TAU",
-    "DelayAlarm",
-    "DelayArena",
-    "DelayChangeDetector",
-    "DelayTable",
-    "DetectedEvent",
-    "DiversityFilter",
-    "DiversityVerdict",
-    "EngineSnapshot",
-    "ForwardingAlarm",
-    "ForwardingAnomalyDetector",
-    "ForwardingArena",
-    "ForwardingModelState",
-    "ForwardingTable",
-    "FusedBin",
-    "Link",
-    "LinkDelayState",
-    "LinkInterner",
-    "LinkObservations",
-    "MIN_ASNS",
-    "MIN_ENTROPY",
-    "MIN_SHIFT_MS",
-    "NULL_TIMER",
-    "Pipeline",
-    "PipelineConfig",
-    "SHM_PREFIX",
-    "SNAPSHOT_VERSION",
-    "STAGES",
-    "SensitivityPoint",
-    "ShardedPipeline",
-    "SnapshotError",
-    "StageTimer",
-    "TrackedLinkPoint",
-    "UNRESPONSIVE",
-    "alarm_graph",
-    "analyze_campaign",
-    "component_of",
-    "config_fingerprint",
-    "correlate_events",
-    "components_by_size",
-    "create_pipeline",
-    "deviation_score",
-    "differential_rtts",
-    "evaluate_resolution",
-    "extract_bin_fused",
-    "forwarding_patterns",
-    "partition_fused",
-    "load_snapshot",
-    "resolve_aliases",
-    "responsibility_scores",
-    "run_checkpointed",
-    "save_snapshot",
-    "sensitivity_point",
-    "sensitivity_table",
-    "shard_layout",
-    "shard_of",
-    "source_digest_of",
-    "string_ranks",
-    "stable_hash64",
-    "summarize_component",
-]
+_EXPORTS = {
+    "AlarmAggregator": "repro.core.events",
+    "AliasResolution": "repro.core.alias",
+    "AsTimeSeries": "repro.core.events",
+    "BinResult": "repro.core.pipeline",
+    "CampaignAnalysis": "repro.core.pipeline",
+    "CampaignStats": "repro.core.pipeline",
+    "ComponentSummary": "repro.core.graphs",
+    "CorrelatedEvent": "repro.core.correlate",
+    "DEFAULT_TAU": "repro.core.forwarding",
+    "DelayAlarm": "repro.core.alarms",
+    "DelayArena": "repro.core.arena",
+    "DelayChangeDetector": "repro.core.delaydetector",
+    "DelayTable": "repro.core.checkpoint",
+    "DetectedEvent": "repro.core.events",
+    "DiversityFilter": "repro.core.diversity",
+    "DiversityVerdict": "repro.core.diversity",
+    "EngineSnapshot": "repro.core.checkpoint",
+    "ForwardingAlarm": "repro.core.alarms",
+    "ForwardingAnomalyDetector": "repro.core.forwarding",
+    "ForwardingArena": "repro.core.arena",
+    "ForwardingModelState": "repro.core.forwarding",
+    "ForwardingTable": "repro.core.checkpoint",
+    "FusedBin": "repro.core.fused",
+    "Link": "repro.core.alarms",
+    "LinkDelayState": "repro.core.delaydetector",
+    "LinkInterner": "repro.core.arena",
+    "LinkObservations": "repro.core.diffrtt",
+    "MIN_ASNS": "repro.core.diversity",
+    "MIN_ENTROPY": "repro.core.diversity",
+    "MIN_SHIFT_MS": "repro.core.delaydetector",
+    "NULL_TIMER": "repro.obs.tracing",
+    "Pipeline": "repro.core.pipeline",
+    "PipelineConfig": "repro.core.pipeline",
+    "SHM_PREFIX": "repro.core.fused",
+    "SNAPSHOT_VERSION": "repro.core.checkpoint",
+    "STAGES": "repro.obs.tracing:STAGE_NAMES",
+    "SensitivityPoint": "repro.core.sensitivity",
+    "ShardedPipeline": "repro.core.engine",
+    "SnapshotError": "repro.core.checkpoint",
+    "StageTimer": "repro.obs.tracing:StageAccumulator",
+    "TrackedLinkPoint": "repro.core.pipeline",
+    "UNRESPONSIVE": "repro.core.alarms",
+    "alarm_graph": "repro.core.graphs",
+    "analyze_campaign": "repro.core.pipeline",
+    "component_of": "repro.core.graphs",
+    "config_fingerprint": "repro.core.checkpoint",
+    "correlate_events": "repro.core.correlate",
+    "components_by_size": "repro.core.graphs",
+    "create_pipeline": "repro.core.engine",
+    "deviation_score": "repro.core.delaydetector",
+    "differential_rtts": "repro.core.diffrtt",
+    "evaluate_resolution": "repro.core.alias",
+    "extract_bin_fused": "repro.core.fused",
+    "forwarding_patterns": "repro.core.forwarding",
+    "partition_fused": "repro.core.fused",
+    "load_snapshot": "repro.core.checkpoint",
+    "resolve_aliases": "repro.core.alias",
+    "responsibility_scores": "repro.core.forwarding",
+    "run_checkpointed": "repro.core.checkpoint",
+    "save_snapshot": "repro.core.checkpoint",
+    "sensitivity_point": "repro.core.sensitivity",
+    "sensitivity_table": "repro.core.sensitivity",
+    "shard_layout": "repro.core.sharding",
+    "shard_of": "repro.core.sharding",
+    "source_digest_of": "repro.core.checkpoint",
+    "string_ranks": "repro.core.fused",
+    "stable_hash64": "repro.core.sharding",
+    "summarize_component": "repro.core.graphs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

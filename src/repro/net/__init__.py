@@ -6,41 +6,26 @@ autonomous systems with a longest-prefix match, exactly as the authors do
 with RIB-derived prefix tables.
 """
 
-from repro.net.addr import (
-    MAX_IPV4,
-    int_to_ip,
-    ip_in_prefix,
-    ip_to_int,
-    is_valid_ipv4,
-    prefix_netmask,
-    prefix_size,
-)
-from repro.net.addr6 import (
-    MAX_IPV6,
-    int_to_ip6,
-    ip6_in_prefix,
-    ip6_to_int,
-    is_valid_ipv6,
-    prefix6_netmask,
-)
-from repro.net.asmap import AsMapper, AsMappingError
-from repro.net.prefixtrie import PrefixTrie
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MAX_IPV4",
-    "MAX_IPV6",
-    "AsMapper",
-    "AsMappingError",
-    "PrefixTrie",
-    "int_to_ip",
-    "int_to_ip6",
-    "ip6_in_prefix",
-    "ip6_to_int",
-    "ip_in_prefix",
-    "ip_to_int",
-    "is_valid_ipv4",
-    "is_valid_ipv6",
-    "prefix6_netmask",
-    "prefix_netmask",
-    "prefix_size",
-]
+_EXPORTS = {
+    "MAX_IPV4": "repro.net.addr",
+    "MAX_IPV6": "repro.net.addr6",
+    "AsMapper": "repro.net.asmap",
+    "AsMappingError": "repro.net.asmap",
+    "PrefixTrie": "repro.net.prefixtrie",
+    "int_to_ip": "repro.net.addr",
+    "int_to_ip6": "repro.net.addr6",
+    "ip6_in_prefix": "repro.net.addr6",
+    "ip6_to_int": "repro.net.addr6",
+    "ip_in_prefix": "repro.net.addr",
+    "ip_to_int": "repro.net.addr",
+    "is_valid_ipv4": "repro.net.addr",
+    "is_valid_ipv6": "repro.net.addr6",
+    "prefix6_netmask": "repro.net.addr6",
+    "prefix_netmask": "repro.net.addr",
+    "prefix_size": "repro.net.addr",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

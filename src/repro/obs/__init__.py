@@ -11,6 +11,8 @@ ever influencing it:
   and the Chrome-trace :class:`Tracer` behind ``analyze --trace``.
 * :mod:`repro.obs.expo` — Prometheus text-format v0.0.4 rendering and
   the conformance parser; served as ``/metrics`` by both HTTP tiers.
+* :mod:`repro.obs.process` — the standard ``process_*`` families
+  (RSS, CPU seconds, open fds, ...), read at scrape time only.
 * :mod:`repro.obs.status` — the progress board behind ``/statusz``.
 
 The invariant the whole package is built around: **observability never
@@ -19,62 +21,37 @@ computation; ``bench_obs.py`` asserts bit-identical engine results
 with instrumentation enabled vs. disabled.
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    ChildSnapshot,
-    Counter,
-    FamilySnapshot,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    default_registry,
-    exponential_buckets,
-    set_default_registry,
-)
-from .tracing import (
-    NULL_TIMER,
-    NULL_TRACER,
-    STAGE_NAMES,
-    StageAccumulator,
-    Tracer,
-    stage_order,
-)
-from .expo import (
-    CONTENT_TYPE,
-    ExpositionError,
-    format_value,
-    parse_text,
-    render_text,
-    validate,
-)
-from .status import StatusBoard, default_board, set_default_board
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "DEFAULT_LATENCY_BUCKETS",
-    "ChildSnapshot",
-    "Counter",
-    "ExpositionError",
-    "FamilySnapshot",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "NULL_TIMER",
-    "NULL_TRACER",
-    "STAGE_NAMES",
-    "StageAccumulator",
-    "StatusBoard",
-    "Tracer",
-    "default_board",
-    "default_registry",
-    "exponential_buckets",
-    "format_value",
-    "parse_text",
-    "render_text",
-    "set_default_board",
-    "set_default_registry",
-    "stage_order",
-    "validate",
-]
+_EXPORTS = {
+    "CONTENT_TYPE": "repro.obs.expo",
+    "DEFAULT_LATENCY_BUCKETS": "repro.obs.metrics",
+    "ChildSnapshot": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "ExpositionError": "repro.obs.expo",
+    "FamilySnapshot": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricError": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NULL_TIMER": "repro.obs.tracing",
+    "NULL_TRACER": "repro.obs.tracing",
+    "STAGE_NAMES": "repro.obs.tracing",
+    "StageAccumulator": "repro.obs.tracing",
+    "StatusBoard": "repro.obs.status",
+    "Tracer": "repro.obs.tracing",
+    "default_board": "repro.obs.status",
+    "default_registry": "repro.obs.metrics",
+    "exponential_buckets": "repro.obs.metrics",
+    "format_value": "repro.obs.expo",
+    "parse_text": "repro.obs.expo",
+    "process_families": "repro.obs.process",
+    "render_text": "repro.obs.expo",
+    "set_default_board": "repro.obs.status",
+    "set_default_registry": "repro.obs.metrics",
+    "stage_order": "repro.obs.tracing",
+    "validate": "repro.obs.expo",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,7 +19,8 @@ intentionally strict — an unknown line shape is an error, not a skip.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 from .metrics import FamilySnapshot, MetricsRegistry
 
@@ -93,10 +94,17 @@ def _render_family(family: FamilySnapshot, lines: List[str]) -> None:
             lines.append(f"{family.name}{labels} {format_value(child.value)}")
 
 
-def render_text(registry: MetricsRegistry) -> bytes:
-    """Render the registry as Prometheus text-format v0.0.4 bytes."""
+def render_text(
+    registry: MetricsRegistry, extra: Sequence[FamilySnapshot] = ()
+) -> bytes:
+    """Render the registry as Prometheus text-format v0.0.4 bytes.
+
+    *extra* families (the scrape-time ``process_*`` snapshot) are merged
+    in by name, keeping the output sorted.
+    """
     lines: List[str] = []
-    for family in registry.collect():
+    families = [*registry.collect(), *extra]
+    for family in sorted(families, key=attrgetter("name")):
         _render_family(family, lines)
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 

@@ -18,28 +18,19 @@ Typical use::
     print(report.precision, report.recall, report.f1, report.ttd_bins)
 """
 
-from repro.quality.labels import (
-    SCHEMA,
-    DelayLabel,
-    ForwardingLabel,
-    GroundTruth,
-)
-from repro.quality.scoring import (
-    EventQuality,
-    MatchConfig,
-    QualityReport,
-    score_alarms,
-    score_bin_results,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "DelayLabel",
-    "EventQuality",
-    "ForwardingLabel",
-    "GroundTruth",
-    "MatchConfig",
-    "QualityReport",
-    "score_alarms",
-    "score_bin_results",
-]
+_EXPORTS = {
+    "SCHEMA": "repro.quality.labels",
+    "DelayLabel": "repro.quality.labels",
+    "EventQuality": "repro.quality.scoring",
+    "ForwardingLabel": "repro.quality.labels",
+    "GroundTruth": "repro.quality.labels",
+    "MatchConfig": "repro.quality.scoring",
+    "QualityReport": "repro.quality.scoring",
+    "score_alarms": "repro.quality.scoring",
+    "score_bin_results": "repro.quality.scoring",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

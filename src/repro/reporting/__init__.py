@@ -1,58 +1,35 @@
 """Reporting layer: IHR-style summaries and text figure rendering."""
 
-from repro.reporting.export import (
-    BIN_EVENT_FIELDS,
-    DELAY_ALARM_FIELDS,
-    FORWARDING_ALARM_FIELDS,
-    SCHEMA_VERSION,
-    bin_event_record,
-    bin_result_from_record,
-    delay_alarm_from_record,
-    delay_alarm_record,
-    forwarding_alarm_from_record,
-    forwarding_alarm_record,
-    record_json,
-    write_alarm_graph,
-    write_distribution,
-    write_magnitude_series,
-    write_tracked_link,
-)
-from repro.reporting.ihr import AsCondition, InternetHealthReport, LinkHealth
-from repro.reporting.jsonio import dumps_canonical, dumps_canonical_stdlib
-from repro.reporting.render import (
-    format_table,
-    hours_axis,
-    render_cdf,
-    render_qq,
-    render_series,
-    sparkline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsCondition",
-    "BIN_EVENT_FIELDS",
-    "DELAY_ALARM_FIELDS",
-    "FORWARDING_ALARM_FIELDS",
-    "InternetHealthReport",
-    "LinkHealth",
-    "SCHEMA_VERSION",
-    "bin_event_record",
-    "bin_result_from_record",
-    "delay_alarm_from_record",
-    "delay_alarm_record",
-    "dumps_canonical",
-    "dumps_canonical_stdlib",
-    "format_table",
-    "forwarding_alarm_from_record",
-    "forwarding_alarm_record",
-    "hours_axis",
-    "record_json",
-    "render_cdf",
-    "render_qq",
-    "render_series",
-    "sparkline",
-    "write_alarm_graph",
-    "write_distribution",
-    "write_magnitude_series",
-    "write_tracked_link",
-]
+_EXPORTS = {
+    "AsCondition": "repro.reporting.ihr",
+    "BIN_EVENT_FIELDS": "repro.reporting.export",
+    "DELAY_ALARM_FIELDS": "repro.reporting.export",
+    "FORWARDING_ALARM_FIELDS": "repro.reporting.export",
+    "InternetHealthReport": "repro.reporting.ihr",
+    "LinkHealth": "repro.reporting.ihr",
+    "SCHEMA_VERSION": "repro.reporting.export",
+    "bin_event_record": "repro.reporting.export",
+    "bin_result_from_record": "repro.reporting.export",
+    "delay_alarm_from_record": "repro.reporting.export",
+    "delay_alarm_record": "repro.reporting.export",
+    "dumps_canonical": "repro.reporting.jsonio",
+    "dumps_canonical_stdlib": "repro.reporting.jsonio",
+    "format_table": "repro.reporting.render",
+    "forwarding_alarm_from_record": "repro.reporting.export",
+    "forwarding_alarm_record": "repro.reporting.export",
+    "hours_axis": "repro.reporting.render",
+    "record_json": "repro.reporting.export",
+    "render_cdf": "repro.reporting.render",
+    "render_qq": "repro.reporting.render",
+    "render_series": "repro.reporting.render",
+    "sparkline": "repro.reporting.render",
+    "write_alarm_graph": "repro.reporting.export",
+    "write_distribution": "repro.reporting.export",
+    "write_magnitude_series": "repro.reporting.export",
+    "write_tracked_link": "repro.reporting.export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

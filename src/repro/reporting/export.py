@@ -27,12 +27,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
-from repro.core.pipeline import BinResult, TrackedLinkPoint
 from repro.reporting.jsonio import dumps_canonical
 from repro.stats.wilson import WilsonInterval
 
-if TYPE_CHECKING:  # annotation only; networkx loads on first use
+if TYPE_CHECKING:  # annotations only: networkx loads on first use, and
+    # `serve` decodes alarm records without loading the pipeline
     import networkx as nx
+
+    from repro.core.pipeline import BinResult, TrackedLinkPoint
 
 PathLike = Union[str, Path]
 
@@ -304,6 +306,8 @@ def forwarding_alarm_from_record(record: dict) -> ForwardingAlarm:
 
 def bin_result_from_record(record: dict) -> BinResult:
     """Inverse of :func:`bin_event_record` (bit-identical round trip)."""
+    from repro.core.pipeline import BinResult
+
     _check_schema(record, "bin_event")
     return BinResult(
         timestamp=int(record["bin"]),

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.alarms import DelayAlarm, ForwardingAlarm, Link
 from repro.core.events import DetectedEvent
-from repro.core.pipeline import CampaignAnalysis
+
+if TYPE_CHECKING:  # `serve` answers AsCondition/LinkHealth, no pipeline
+    from repro.core.pipeline import CampaignAnalysis
 
 
 @dataclass(frozen=True)

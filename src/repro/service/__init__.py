@@ -18,48 +18,29 @@ merging plus tiered retention under the same generation-token cutover
 discipline.
 """
 
-from repro.service.aio import (
-    AsyncAlarmService,
-    AsyncServerThread,
-    WorkerPool,
-    run_async_server,
-    start_async_server,
-    start_worker_pool,
-)
-from repro.service.cache import CachedResponse, ResponseCache
-from repro.service.compact import (
-    CompactionPolicy,
-    CompactionReport,
-    compact_store,
-)
-from repro.service.query import StoreQuery
-from repro.service.routes import ServiceState, if_none_match_matches
-from repro.service.store import (
-    AlarmStore,
-    AlarmStoreWriter,
-    StoreError,
-    append_analysis,
-    read_manifest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlarmStore",
-    "AlarmStoreWriter",
-    "AsyncAlarmService",
-    "AsyncServerThread",
-    "CachedResponse",
-    "CompactionPolicy",
-    "CompactionReport",
-    "ResponseCache",
-    "ServiceState",
-    "StoreError",
-    "StoreQuery",
-    "WorkerPool",
-    "append_analysis",
-    "compact_store",
-    "if_none_match_matches",
-    "read_manifest",
-    "run_async_server",
-    "start_async_server",
-    "start_worker_pool",
-]
+_EXPORTS = {
+    "AlarmStore": "repro.service.store",
+    "AlarmStoreWriter": "repro.service.store",
+    "AsyncAlarmService": "repro.service.aio",
+    "AsyncServerThread": "repro.service.aio",
+    "CachedResponse": "repro.service.cache",
+    "CompactionPolicy": "repro.service.compact",
+    "CompactionReport": "repro.service.compact",
+    "ResponseCache": "repro.service.cache",
+    "ServiceState": "repro.service.routes",
+    "StoreError": "repro.service.store",
+    "StoreQuery": "repro.service.query",
+    "WorkerPool": "repro.service.aio",
+    "append_analysis": "repro.service.store",
+    "compact_store": "repro.service.compact",
+    "if_none_match_matches": "repro.service.routes",
+    "read_manifest": "repro.service.store",
+    "run_async_server": "repro.service.aio",
+    "start_async_server": "repro.service.aio",
+    "start_worker_pool": "repro.service.aio",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

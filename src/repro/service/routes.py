@@ -66,6 +66,7 @@ from repro.obs.metrics import (
     default_registry,
     exponential_buckets,
 )
+from repro.obs.process import process_families
 from repro.obs.status import default_board
 from repro.reporting.jsonio import dumps_canonical
 from repro.service.cache import (
@@ -519,14 +520,15 @@ class ServiceState:
     def observability(self, route: str) -> Optional[CachedResponse]:
         """Answer the scrape routes, or ``None`` for a query route.
 
-        ``/metrics`` renders the process default registry as Prometheus
-        text and ``/statusz`` the progress board as JSON.  Neither is
+        ``/metrics`` renders the process default registry plus the
+        scrape-time ``process_*`` footprint as Prometheus text and
+        ``/statusz`` the progress board as JSON.  Neither is
         memoised in the response cache (their values move independently
         of the store generation) and ``/metrics`` never touches the
         store at all, so a wedged manifest cannot take the scrape down.
         """
         if route == "/metrics":
-            body = render_text(default_registry())
+            body = render_text(default_registry(), process_families())
             return CachedResponse(
                 200,
                 body,

@@ -54,7 +54,16 @@ import struct
 from time import perf_counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 try:  # POSIX only; the lock degrades to a no-op elsewhere
     import fcntl
@@ -63,12 +72,13 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 import numpy as np
 
-from repro.atlas.columnar import IPInterner
 from repro.atlas.io import PathLike
 from repro.core.alarms import UNRESPONSIVE
-from repro.core.pipeline import BinResult
 from repro.net.asmap import AsMapper
 from repro.obs.metrics import MetricsRegistry, default_registry, exponential_buckets
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import BinResult
 
 
 def store_metrics(registry: MetricsRegistry) -> dict:
@@ -429,6 +439,10 @@ class _SegmentBuilder:
     """
 
     def __init__(self, mapper: Optional[AsMapper]) -> None:
+        # Writers only: a store opened for reading (`serve`) never
+        # loads the columnar decoder.
+        from repro.atlas.columnar import IPInterner
+
         self.mapper = mapper
         self.interner = IPInterner()
         self.columns: Dict[str, list] = {

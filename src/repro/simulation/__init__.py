@@ -12,84 +12,48 @@ Every scenario emits a machine-readable ground-truth label set
 (:meth:`Scenario.ground_truth`) scored by :mod:`repro.quality`.
 """
 
-from repro.simulation.delays import DelaySampler, NoiseParams, combined_loss
-from repro.simulation.platform import (
-    ANCHORING_MSM_BASE,
-    BUILTIN_MSM_BASE,
-    AtlasPlatform,
-    CampaignConfig,
-)
-from repro.simulation.routing import NoRouteError, RoutingEngine
-from repro.simulation.scenarios import (
-    LOSS_LABEL_FLOOR,
-    BgpHijackScenario,
-    CatchmentShiftScenario,
-    CompositeScenario,
-    DdosScenario,
-    DiurnalCongestionScenario,
-    IxpOutageScenario,
-    LinkPerturbation,
-    ProbeChurnScenario,
-    RouteLeakScenario,
-    Scenario,
-    ScenarioFuzzer,
-    WindowedLinkScenario,
-)
-from repro.simulation.topology import (
-    IXP_ASES,
-    LEAKER_AS,
-    ROOT_SERVICES,
-    TIER1_ASES,
-    Anchor,
-    AnycastInstance,
-    AnycastService,
-    AsInfo,
-    Probe,
-    RouterInfo,
-    Topology,
-    TopologyBuilder,
-    TopologyParams,
-    build_topology,
-)
-from repro.simulation.tracer import TargetSpec, TracerouteEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANCHORING_MSM_BASE",
-    "BUILTIN_MSM_BASE",
-    "Anchor",
-    "AnycastInstance",
-    "AnycastService",
-    "AsInfo",
-    "AtlasPlatform",
-    "BgpHijackScenario",
-    "CampaignConfig",
-    "CatchmentShiftScenario",
-    "CompositeScenario",
-    "DdosScenario",
-    "DelaySampler",
-    "DiurnalCongestionScenario",
-    "IXP_ASES",
-    "IxpOutageScenario",
-    "LEAKER_AS",
-    "LOSS_LABEL_FLOOR",
-    "LinkPerturbation",
-    "NoRouteError",
-    "NoiseParams",
-    "Probe",
-    "ProbeChurnScenario",
-    "ROOT_SERVICES",
-    "RouteLeakScenario",
-    "RouterInfo",
-    "RoutingEngine",
-    "Scenario",
-    "ScenarioFuzzer",
-    "TIER1_ASES",
-    "TargetSpec",
-    "Topology",
-    "TopologyBuilder",
-    "TopologyParams",
-    "TracerouteEngine",
-    "WindowedLinkScenario",
-    "build_topology",
-    "combined_loss",
-]
+_EXPORTS = {
+    "ANCHORING_MSM_BASE": "repro.simulation.platform",
+    "BUILTIN_MSM_BASE": "repro.simulation.platform",
+    "Anchor": "repro.simulation.topology",
+    "AnycastInstance": "repro.simulation.topology",
+    "AnycastService": "repro.simulation.topology",
+    "AsInfo": "repro.simulation.topology",
+    "AtlasPlatform": "repro.simulation.platform",
+    "BgpHijackScenario": "repro.simulation.scenarios",
+    "CampaignConfig": "repro.simulation.platform",
+    "CatchmentShiftScenario": "repro.simulation.scenarios",
+    "CompositeScenario": "repro.simulation.scenarios",
+    "DdosScenario": "repro.simulation.scenarios",
+    "DelaySampler": "repro.simulation.delays",
+    "DiurnalCongestionScenario": "repro.simulation.scenarios",
+    "IXP_ASES": "repro.simulation.topology",
+    "IxpOutageScenario": "repro.simulation.scenarios",
+    "LEAKER_AS": "repro.simulation.topology",
+    "LOSS_LABEL_FLOOR": "repro.simulation.scenarios",
+    "LinkPerturbation": "repro.simulation.scenarios",
+    "NoRouteError": "repro.simulation.routing",
+    "NoiseParams": "repro.simulation.delays",
+    "Probe": "repro.simulation.topology",
+    "ProbeChurnScenario": "repro.simulation.scenarios",
+    "ROOT_SERVICES": "repro.simulation.topology",
+    "RouteLeakScenario": "repro.simulation.scenarios",
+    "RouterInfo": "repro.simulation.topology",
+    "RoutingEngine": "repro.simulation.routing",
+    "Scenario": "repro.simulation.scenarios",
+    "ScenarioFuzzer": "repro.simulation.scenarios",
+    "TIER1_ASES": "repro.simulation.topology",
+    "TargetSpec": "repro.simulation.tracer",
+    "Topology": "repro.simulation.topology",
+    "TopologyBuilder": "repro.simulation.topology",
+    "TopologyParams": "repro.simulation.topology",
+    "TracerouteEngine": "repro.simulation.tracer",
+    "WindowedLinkScenario": "repro.simulation.scenarios",
+    "build_topology": "repro.simulation.topology",
+    "combined_loss": "repro.simulation.delays",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

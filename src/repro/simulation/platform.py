@@ -80,7 +80,7 @@ class AtlasPlatform:
 
     def as_mapper(self) -> AsMapper:
         """IP→AS mapper loaded with the topology's prefix table."""
-        return AsMapper(self.topology.prefix_table())
+        return self.topology.as_mapper()
 
     def builtin_targets(
         self, names: Optional[Sequence[str]] = None, af: int = 4

@@ -25,11 +25,14 @@ loss probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # networkx loads when a topology is built
+from repro.net.asmap import AsMapper
+
+if TYPE_CHECKING:  # networkx loads when the routing graph is first read
     import networkx as nx
 
 # ---------------------------------------------------------------------------
@@ -184,9 +187,15 @@ class TopologyParams:
 
 @dataclass
 class Topology:
-    """The generated synthetic Internet."""
+    """The generated synthetic Internet.
 
-    graph: nx.DiGraph
+    ``nodes`` and ``edges`` are the builder's creation-order log of the
+    routing graph; :attr:`graph` replays it into networkx on first read,
+    so consumers of the prefix table alone never load the router.
+    """
+
+    nodes: Dict[str, dict]
+    edges: Dict[Tuple[str, str], dict]
     ases: Dict[int, AsInfo]
     routers: Dict[str, RouterInfo]
     probes: List[Probe]
@@ -194,6 +203,26 @@ class Topology:
     anchors: List[Anchor]
     params: TopologyParams
     seed: int
+
+    @cached_property
+    def graph(self) -> nx.DiGraph:
+        """The routing graph: the log replayed once, in creation order.
+
+        Same insertion order as building it in place, hence the same
+        adjacency iteration, routes and campaign bytes.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self.nodes.items())
+        graph.add_edges_from(
+            (u, v, data) for (u, v), data in self.edges.items()
+        )
+        return graph
+
+    def as_mapper(self) -> AsMapper:
+        """IP→AS mapper loaded with :meth:`prefix_table` (graph-free)."""
+        return AsMapper(self.prefix_table())
 
     def prefix_table(self) -> List[Tuple[str, int, int]]:
         """(network, length, asn) rows for :class:`repro.net.AsMapper`.
@@ -298,12 +327,11 @@ class TopologyBuilder:
     """Deterministic builder for the synthetic Internet."""
 
     def __init__(self, params: Optional[TopologyParams] = None, seed: int = 0):
-        import networkx as nx
-
         self.params = params or TopologyParams()
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._graph = nx.DiGraph()
+        self._nodes: Dict[str, dict] = {}
+        self._edges: Dict[Tuple[str, str], dict] = {}
         self._ases: Dict[int, AsInfo] = {}
         self._routers: Dict[str, RouterInfo] = {}
         self._allocators: Dict[int, _AddressAllocator] = {}
@@ -339,7 +367,7 @@ class TopologyBuilder:
             responsive,
             loopback_ip6=allocator.next_ip6(),
         )
-        self._graph.add_node(node, asn=asn)
+        self._nodes[node] = dict(asn=asn)
         return node
 
     def _delay(self, bounds: Tuple[float, float]) -> float:
@@ -366,7 +394,7 @@ class TopologyBuilder:
         """
         base = self._delay(delay_bounds)
         for src, dst in ((u, v), (v, u)):
-            if self._graph.has_edge(src, dst):
+            if (src, dst) in self._edges:
                 continue
             # The ingress IP belongs to the head router's AS, unless the
             # link crosses an IXP LAN (override), in which case the head
@@ -383,9 +411,7 @@ class TopologyBuilder:
             weight = self._weight(one_way)
             if ingress_asn_override is not None:
                 weight *= self.params.ixp_weight_penalty
-            self._graph.add_edge(
-                src,
-                dst,
+            self._edges[src, dst] = dict(
                 ingress_ip=ingress_ip,
                 ingress_ip6=ingress_ip6,
                 ingress_asn=owner_asn,
@@ -550,11 +576,9 @@ class TopologyBuilder:
             services[service_name] = service
             # Virtual sink for anycast routing.
             sink = service.virtual_node
-            self._graph.add_node(sink, asn=service_asn, virtual=True)
+            self._nodes[sink] = dict(asn=service_asn, virtual=True)
             for instance in instances:
-                self._graph.add_edge(
-                    instance.node,
-                    sink,
+                self._edges[instance.node, sink] = dict(
                     ingress_ip=None,
                     ingress_ip6=None,
                     ingress_asn=service_asn,
@@ -603,7 +627,8 @@ class TopologyBuilder:
             )
 
         return Topology(
-            graph=self._graph,
+            nodes=self._nodes,
+            edges=self._edges,
             ases=self._ases,
             routers=self._routers,
             probes=probes,
@@ -630,9 +655,7 @@ class TopologyBuilder:
         params = self.params
         base = self._delay(params.ixp_lan_delay)
         instance_asn = self._routers[instance].asn
-        self._graph.add_edge(
-            upstream,
-            instance,
+        self._edges[upstream, instance] = dict(
             ingress_ip=service_ip,
             ingress_ip6=service_ip6,
             ingress_asn=instance_asn,
@@ -646,9 +669,7 @@ class TopologyBuilder:
         # the instance still use it (every return path must), but no
         # transit path ever enters-and-exits a root server — servers
         # answer queries, they do not forward traffic.
-        self._graph.add_edge(
-            instance,
-            upstream,
+        self._edges[instance, upstream] = dict(
             ingress_ip=allocator.next_ip(),
             ingress_ip6=allocator.next_ip6(),
             ingress_asn=owner,

@@ -12,91 +12,45 @@ Every statistical primitive the paper relies on lives here:
 * Q-Q analysis against the normal distribution (Figure 3).
 """
 
-from repro.stats.correlation import (
-    align_patterns,
-    pearson_correlation,
-    pearson_correlation_batch,
-    pearson_correlation_pooled,
-)
-from repro.stats.distributions import (
-    eccdf,
-    ecdf,
-    fraction_above,
-    fraction_below,
-    quantile_of_fraction,
-    tail_weight,
-)
-from repro.stats.entropy import entropy_after_discard, normalized_entropy
-from repro.stats.qq import (
-    normal_qq,
-    normality_verdict,
-    qq_linearity,
-    qq_max_deviation,
-)
-from repro.stats.robust import (
-    MAD_SCALE,
-    mad,
-    magnitude_score,
-    median,
-    median_absolute_deviation,
-    outlier_count,
-    sliding_magnitude,
-    sliding_magnitude_rows,
-    sliding_median_mad,
-    trimmed_mean,
-    weekly_window_bins,
-)
-from repro.stats.smoothing import (
-    DEFAULT_ALPHA,
-    ExponentialSmoother,
-    VectorSmoother,
-    exponential_smoothing,
-)
-from repro.stats.wilson import (
-    DEFAULT_Z,
-    WilsonInterval,
-    median_confidence_interval,
-    median_confidence_interval_arrays,
-    median_confidence_interval_batch,
-    wilson_score_bounds,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_ALPHA",
-    "DEFAULT_Z",
-    "MAD_SCALE",
-    "ExponentialSmoother",
-    "VectorSmoother",
-    "WilsonInterval",
-    "align_patterns",
-    "eccdf",
-    "ecdf",
-    "entropy_after_discard",
-    "exponential_smoothing",
-    "fraction_above",
-    "fraction_below",
-    "mad",
-    "magnitude_score",
-    "median",
-    "median_absolute_deviation",
-    "median_confidence_interval",
-    "median_confidence_interval_arrays",
-    "median_confidence_interval_batch",
-    "normal_qq",
-    "normality_verdict",
-    "normalized_entropy",
-    "outlier_count",
-    "pearson_correlation",
-    "pearson_correlation_batch",
-    "pearson_correlation_pooled",
-    "qq_linearity",
-    "qq_max_deviation",
-    "quantile_of_fraction",
-    "sliding_magnitude",
-    "sliding_magnitude_rows",
-    "sliding_median_mad",
-    "tail_weight",
-    "trimmed_mean",
-    "weekly_window_bins",
-    "wilson_score_bounds",
-]
+_EXPORTS = {
+    "DEFAULT_ALPHA": "repro.stats.smoothing",
+    "DEFAULT_Z": "repro.stats.wilson",
+    "MAD_SCALE": "repro.stats.robust",
+    "ExponentialSmoother": "repro.stats.smoothing",
+    "VectorSmoother": "repro.stats.smoothing",
+    "WilsonInterval": "repro.stats.wilson",
+    "align_patterns": "repro.stats.correlation",
+    "eccdf": "repro.stats.distributions",
+    "ecdf": "repro.stats.distributions",
+    "entropy_after_discard": "repro.stats.entropy",
+    "exponential_smoothing": "repro.stats.smoothing",
+    "fraction_above": "repro.stats.distributions",
+    "fraction_below": "repro.stats.distributions",
+    "mad": "repro.stats.robust",
+    "magnitude_score": "repro.stats.robust",
+    "median": "repro.stats.robust",
+    "median_absolute_deviation": "repro.stats.robust",
+    "median_confidence_interval": "repro.stats.wilson",
+    "median_confidence_interval_arrays": "repro.stats.wilson",
+    "normal_qq": "repro.stats.qq",
+    "normality_verdict": "repro.stats.qq",
+    "normalized_entropy": "repro.stats.entropy",
+    "outlier_count": "repro.stats.robust",
+    "pearson_correlation": "repro.stats.correlation",
+    "pearson_correlation_pooled": "repro.stats.correlation",
+    "qq_linearity": "repro.stats.qq",
+    "qq_max_deviation": "repro.stats.qq",
+    "quantile_of_fraction": "repro.stats.distributions",
+    "sliding_magnitude": "repro.stats.robust",
+    "sliding_magnitude_rows": "repro.stats.robust",
+    "sliding_median_mad": "repro.stats.robust",
+    "tail_weight": "repro.stats.distributions",
+    "trimmed_mean": "repro.stats.robust",
+    "weekly_window_bins": "repro.stats.robust",
+    "wilson_score_bounds": "repro.stats.wilson",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -76,37 +76,6 @@ def pearson_correlation(x: Vector, y: Vector) -> float:
     return max(-1.0, min(1.0, rho))
 
 
-def pearson_correlation_batch(
-    pairs: Sequence[Tuple[Mapping[object, float], Mapping[object, float]]],
-) -> List[float]:
-    """Vectorized :func:`pearson_correlation` over many mapping pairs.
-
-    The forwarding detector's per-bin hot path: every judged
-    (pattern, reference) pair of a time bin is correlated in a handful of
-    numpy calls instead of ~8 per pair.  Pairs are aligned onto their
-    sorted union key order and handed to
-    :func:`pearson_correlation_pooled`, which performs the grouped block
-    arithmetic; results are **bit-identical** to the scalar function (the
-    engine's equivalence guarantee relies on this).
-
-    >>> pearson_correlation_batch([({"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 4.0})])
-    [1.0]
-    """
-    xs_pool: List[float] = []
-    ys_pool: List[float] = []
-    offsets = [0]
-    for current, reference in pairs:
-        keys = sorted(set(current) | set(reference), key=str)
-        if not keys:
-            raise ValueError("correlation of empty vectors")
-        xs_pool.extend(float(current.get(key, 0.0)) for key in keys)
-        ys_pool.extend(float(reference.get(key, 0.0)) for key in keys)
-        offsets.append(len(xs_pool))
-    return pearson_correlation_pooled(
-        np.asarray(xs_pool), np.asarray(ys_pool), offsets
-    )
-
-
 def pearson_correlation_pooled(
     values_x: np.ndarray,
     values_y: np.ndarray,

@@ -121,52 +121,23 @@ def median_confidence_interval(
     )
 
 
-def median_confidence_interval_batch(
+def median_confidence_interval_arrays(
     sample_sets: Sequence[Sequence[float]], z: float = DEFAULT_Z
-) -> List[WilsonInterval]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`median_confidence_interval` over many sample sets.
 
     The per-bin hot path of the sharded engine: instead of one
     sort/median/score call per link, all links of a bin are padded into
-    one 2-D array (padding value ``+inf`` so it sorts past every real
-    sample) and characterised with a single sort plus vectorized Wilson
-    scores.  Results are **bit-identical** to calling the scalar function
-    on each sample set — the arithmetic is performed in the same order on
-    the same float64 values — which the engine's serial-vs-sharded
-    equivalence guarantee relies on.
-
-    >>> batch = median_confidence_interval_batch([[1.0, 2.0, 3.0], [5.0]])
-    >>> batch[0] == median_confidence_interval([1.0, 2.0, 3.0])
-    True
-    >>> batch[1].n
-    1
-    """
-    medians, lowers, uppers, ns = median_confidence_interval_arrays(
-        sample_sets, z=z
-    )
-    return [
-        WilsonInterval(
-            median=float(medians[index]),
-            lower=float(lowers[index]),
-            upper=float(uppers[index]),
-            n=int(ns[index]),
-        )
-        for index in range(len(sample_sets))
-    ]
-
-
-def median_confidence_interval_arrays(
-    sample_sets: Sequence[Sequence[float]], z: float = DEFAULT_Z
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Wilson characterisation returning flat parallel arrays.
-
-    Same statistics as :func:`median_confidence_interval_batch` — value
-    for value, bit for bit — but returned as four aligned float64/int64
-    arrays ``(medians, lowers, uppers, ns)`` instead of one
-    :class:`WilsonInterval` per set.  This is the form the detector-state
-    arena (:mod:`repro.core.arena`) consumes: the per-bin kernels stay in
-    NumPy end to end and interval objects are materialised only for the
-    anomalous subset.
+    2-D arrays (padding value ``+inf`` so it sorts past every real
+    sample) and characterised with one sort per size class plus
+    vectorized Wilson scores.  Results are **bit-identical** to calling
+    the scalar function on each sample set — the arithmetic is performed
+    in the same order on the same float64 values — which the engine's
+    serial-vs-sharded equivalence guarantee relies on.  They come back
+    as four aligned float64/int64 arrays ``(medians, lowers, uppers,
+    ns)``, the form the detector-state arena (:mod:`repro.core.arena`)
+    consumes: the per-bin kernels stay in NumPy end to end and interval
+    objects are materialised only for the anomalous subset.
 
     >>> medians, lowers, uppers, ns = median_confidence_interval_arrays(
     ...     [[1.0, 2.0, 3.0]])

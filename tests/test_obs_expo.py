@@ -1,6 +1,7 @@
 """Property and conformance tests for Prometheus text exposition."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from repro.obs.expo import (
     validate,
 )
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
+from repro.obs.process import process_families
 
 # Label values must survive the three escaped characters plus anything
 # printable; metric/label names follow the Prometheus grammar.
@@ -230,3 +232,48 @@ class TestValidate:
         hist.labels("/top").observe(0.05)
         hist.labels("/top").observe(5.0)
         validate(parse_text(render_text(registry)))
+
+
+class TestProcessFamilies:
+    """The scrape-time ``process_*`` snapshot (``repro.obs.process``)."""
+
+    KINDS = {
+        "process_cpu_seconds_total": "counter",
+        "process_open_fds": "gauge",
+        "process_resident_memory_bytes": "gauge",
+        "process_start_time_seconds": "gauge",
+        "process_virtual_memory_bytes": "gauge",
+    }
+
+    def test_standard_names_kinds_and_sane_values(self):
+        registry = MetricsRegistry()
+        registry.counter("zz_total", "h").inc()
+        registry.counter("aa_total", "h").inc()
+        body = render_text(registry, process_families())
+        families = parse_text(body)
+        validate(families)
+        kinds = {name: entry["type"] for name, entry in families.items()}
+        assert {k: kinds.get(k) for k in self.KINDS} == self.KINDS
+        # Merged by name, not appended after the registry's families.
+        assert list(families) == sorted(families)
+        value = {
+            name: families[name]["samples"][0][2] for name in self.KINDS
+        }
+        rss = value["process_resident_memory_bytes"]
+        assert 1 << 20 < rss <= value["process_virtual_memory_bytes"]
+        assert value["process_open_fds"] >= 3
+        assert value["process_cpu_seconds_total"] > 0
+        assert 0 < value["process_start_time_seconds"] <= time.time()
+
+    def test_read_at_scrape_time(self):
+        ballast = bytearray(32 << 20)  # touched: zero-filled pages
+        grown = process_families()
+        del ballast
+        by_name = {family.name: family for family in grown}
+        rss = by_name["process_resident_memory_bytes"].children[0].value
+        assert rss > 32 << 20
+
+    def test_registry_only_render_is_unchanged(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", "h").set(1)
+        assert b"process_" not in render_text(registry)

@@ -1,7 +1,5 @@
 """Tests for the top-level public API (repro.__init__)."""
 
-import pytest
-
 import repro
 from repro import quick_campaign
 from repro.core import CampaignAnalysis
@@ -39,31 +37,6 @@ class TestPackageSurface:
         for module in modules:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
-
-
-class TestColdStart:
-    def test_importing_the_cli_does_not_load_scipy_or_networkx(self):
-        """``scipy.stats`` and ``networkx`` are most of what importing
-        the package used to cost; both load on first use instead."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        loaded = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import sys, repro.cli; "
-                "print(sorted({'scipy', 'networkx'} & set(sys.modules)))",
-            ],
-            env=env, check=True, capture_output=True, text=True,
-        ).stdout.strip()
-        assert loaded == "[]"
 
 
 class TestQuickCampaign:

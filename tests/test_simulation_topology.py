@@ -1,8 +1,13 @@
 """Tests for the synthetic topology builder."""
 
+import hashlib
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
+from repro.cli import main as cli_main
 from repro.net import AsMapper, ip_in_prefix
 from repro.simulation import (
     IXP_ASES,
@@ -150,3 +155,45 @@ class TestCustomParams:
         topo = build_topology(params, seed=5)
         responsive = [r.responsive for r in topo.routers.values()]
         assert not all(responsive)
+
+
+class TestPinnedBytes:
+    """The routing graph is replayed lazily from the builder's log; these
+    digests (computed with the builder writing straight into an
+    ``nx.DiGraph``) prove the replay is order-identical."""
+
+    GRAPH_DIGESTS = {
+        1: "6acfb77ccebaf995f31618b4fb38e40d",
+        5: "13ced8b2f444b22f6e9a3757152ffce7",
+    }
+    GENERATE_DIGEST = "bf1954312201a8bd3431f6fca8b3308e"
+
+    @pytest.mark.parametrize("seed", sorted(GRAPH_DIGESTS))
+    def test_case_study_graph_digest(self, seed):
+        graph = build_topology(TopologyParams.case_study(), seed=seed).graph
+        text = repr(list(graph.nodes(data=True))) + repr(
+            list(graph.edges(data=True))
+        )
+        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+        assert digest == self.GRAPH_DIGESTS[seed]
+
+    def test_generate_output_digest(self, tmp_path):
+        out = tmp_path / "campaign.jsonl"
+        argv = ["generate", "--hours", "2", "--seed", "5",
+                "--scenario", "ddos", "--out", str(out)]
+        assert cli_main(argv) == 0
+        digest = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+        assert digest == self.GENERATE_DIGEST
+
+    def test_graph_is_built_once(self, topo):
+        assert topo.graph is topo.graph
+
+    def test_as_mapper_needs_no_graph(self):
+        code = (
+            "import sys\n"
+            "from repro.simulation.topology import build_topology\n"
+            "mapper = build_topology(seed=3).as_mapper()\n"
+            "assert mapper.asn_of('193.0.14.129') == 25152\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -14,11 +14,33 @@ import pytest
 
 from repro.core.alarms import UNRESPONSIVE
 from repro.stats import (
+    WilsonInterval,
+    align_patterns,
     median_confidence_interval,
-    median_confidence_interval_batch,
+    median_confidence_interval_arrays,
     pearson_correlation,
-    pearson_correlation_batch,
+    pearson_correlation_pooled,
 )
+
+
+def _intervals(sample_sets, z=1.96):
+    """The arrays form the engine consumes, boxed for ``==`` on floats."""
+    columns = median_confidence_interval_arrays(sample_sets, z=z)
+    return [
+        WilsonInterval(float(m), float(lo), float(up), int(n))
+        for m, lo, up, n in zip(*columns)
+    ]
+
+
+def _pooled(pairs):
+    """Align each pair like the forwarding arena does, then pool."""
+    xs, ys, offsets = [], [], [0]
+    for current, reference in pairs:
+        cur, ref, _ = align_patterns(current, reference)
+        xs.extend(cur)
+        ys.extend(ref)
+        offsets.append(len(xs))
+    return pearson_correlation_pooled(np.array(xs), np.array(ys), offsets)
 
 
 class TestWilsonBatch:
@@ -31,7 +53,7 @@ class TestWilsonBatch:
             if rng.random() < 0.3:  # duplicates stress tie handling
                 values = np.round(values)
             sample_sets.append(list(values))
-        batch = median_confidence_interval_batch(sample_sets)
+        batch = _intervals(sample_sets)
         for values, batched in zip(sample_sets, batch):
             scalar = median_confidence_interval(values)
             assert scalar == batched  # dataclass eq -> exact floats
@@ -40,33 +62,33 @@ class TestWilsonBatch:
     def test_boundary_sizes(self, n):
         rng = np.random.default_rng(n)
         values = list(rng.normal(0.0, 5.0, n))
-        [batched] = median_confidence_interval_batch([values])
+        [batched] = _intervals([values])
         assert batched == median_confidence_interval(values)
 
     def test_custom_z(self):
         values = [5.0, 1.0, 3.0, 2.0, 8.0, 13.0]
-        [batched] = median_confidence_interval_batch([values], z=2.58)
+        [batched] = _intervals([values], z=2.58)
         assert batched == median_confidence_interval(values, z=2.58)
 
     def test_mixed_lengths_padding_isolated(self):
         """A huge set next to a singleton must not leak padding."""
         big = list(np.random.default_rng(1).normal(0, 1, 400))
-        batch = median_confidence_interval_batch([big, [7.0], big[:3]])
+        batch = _intervals([big, [7.0], big[:3]])
         assert batch[1].median == 7.0
         assert batch[1].lower == 7.0
         assert batch[1].upper == 7.0
         assert batch[2] == median_confidence_interval(big[:3])
 
     def test_empty_batch(self):
-        assert median_confidence_interval_batch([]) == []
+        assert _intervals([]) == []
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValueError):
-            median_confidence_interval_batch([[1.0], []])
+            _intervals([[1.0], []])
 
     def test_invalid_z(self):
         with pytest.raises(ValueError):
-            median_confidence_interval_batch([[1.0]], z=0.0)
+            _intervals([[1.0]], z=0.0)
 
 
 def _random_pattern(rng, keys):
@@ -94,23 +116,23 @@ class TestPearsonBatch:
             if rng.random() < 0.1:  # identical patterns -> rho == 1
                 reference = dict(current)
             pairs.append((current, reference))
-        batch = pearson_correlation_batch(pairs)
+        batch = _pooled(pairs)
         for (current, reference), batched in zip(pairs, batch):
             assert pearson_correlation(current, reference) == batched
 
     def test_degenerate_policies(self):
         # Both constant and proportional -> +1.
-        [rho] = pearson_correlation_batch([({"a": 5.0}, {"a": 9.0})])
+        [rho] = _pooled([({"a": 5.0}, {"a": 9.0})])
         assert rho == 1.0
         # One constant, one varying -> 0.
-        [rho] = pearson_correlation_batch(
+        [rho] = _pooled(
             [({"a": 5.0, "b": 5.0}, {"a": 1.0, "b": 9.0})]
         )
         assert rho == 0.0
 
     def test_empty_batch(self):
-        assert pearson_correlation_batch([]) == []
+        assert _pooled([]) == []
 
     def test_empty_pair_rejected(self):
         with pytest.raises(ValueError):
-            pearson_correlation_batch([({}, {})])
+            _pooled([({}, {})])

@@ -7,7 +7,8 @@ tiny campaign with the CLI, publishes an alarm store, then:
 1. boots the server as a real ``python -m repro serve`` subprocess;
 2. scrapes ``/metrics`` and checks the Content-Type, parses the body
    with the strict parser (:func:`repro.obs.expo.parse_text`) and
-   re-checks every scrape invariant (:func:`~repro.obs.expo.validate`);
+   re-checks every scrape invariant (:func:`~repro.obs.expo.validate`),
+   including the standard ``process_*`` footprint families;
 3. fetches ``/statusz`` and checks the progress document shape;
 4. issues one real query (``/top?kind=delay``) and confirms a second
    scrape shows the request counter moved;
@@ -50,6 +51,15 @@ from repro.service import AlarmStoreWriter  # noqa: E402
 BOOT_TIMEOUT_S = 20.0
 
 PORT = 8181
+
+#: The standard footprint families every scrape must carry.
+PROCESS_FAMILIES = {
+    "process_cpu_seconds_total": "counter",
+    "process_open_fds": "gauge",
+    "process_resident_memory_bytes": "gauge",
+    "process_start_time_seconds": "gauge",
+    "process_virtual_memory_bytes": "gauge",
+}
 
 
 _ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
@@ -122,6 +132,11 @@ def _scrape(port, store):
     )
     families = parse_text(body)
     validate(families)
+    for name, kind in PROCESS_FAMILIES.items():
+        assert name in families, f"metric family {name} is missing"
+        assert families[name]["type"] == kind, f"{name} is not a {kind}"
+    rss = _counter_total(families, "process_resident_memory_bytes")
+    assert 1 << 20 < rss < 1 << 30, f"implausible server RSS {rss}"
 
     status, content_type, body = _get(port, "/statusz")
     assert status == 200, f"/statusz returned {status}"
