@@ -387,7 +387,7 @@ def test_detection_speedup(benchmark):
     # serial oracle on the same campaign.
     serial = Pipeline(PipelineConfig())
     serial_results = serial.run(traceroutes)
-    engine = ShardedPipeline(PipelineConfig(n_shards=2, executor="serial"))
+    engine = ShardedPipeline(PipelineConfig(n_shards=2))
     assert engine.run(traceroutes) == serial_results
     assert engine.stats() == serial.stats()
 

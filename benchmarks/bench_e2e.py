@@ -5,9 +5,9 @@ the number that matters operationally is **traceroutes per second from
 a cold on-disk campaign to a published alarm store**.  The sharded
 engine keeps one columnar spine end to end: the cache is mmap'd
 (``mapped=True``), extraction emits interned-id flat arrays
-(:mod:`repro.core.fused`), shard payloads travel by shared memory, and
-alarms materialise str-keyed objects exactly once, at the store/report
-boundary.  The baseline is the paper-shaped serial
+(:mod:`repro.core.fused`), every shard core runs in this process over
+its slice of the bin, and alarms materialise str-keyed objects exactly
+once, at the store/report boundary.  The baseline is the paper-shaped serial
 :class:`~repro.core.Pipeline` over the same cache: columns copied out,
 objects materialised per bin, links analysed one at a time.
 
@@ -16,12 +16,10 @@ Hard claims proved here on a simulator-generated campaign:
 1. **bit-identity** — per-bin results (alarms and counts), campaign
    stats and the *on-disk store bytes* (manifest minus the random
    ``store_id``, every segment file) are identical between the engine
-   and the serial pipeline at 1/2/4 shards under the serial and
-   process executors;
+   and the serial pipeline at 1/2/4 shards;
 2. **speedup** — the engine is at least ``MIN_SPEEDUP`` (2x) faster
-   end to end than the serial pipeline, single-process
-   (``executor="serial"``, deterministic timing) and at the headline
-   parallel configuration.
+   end to end than the serial pipeline at every one of those shard
+   counts.
 
 Results (headline traceroutes/second included) are written to
 ``BENCH_e2e.json`` at the repository root.  Set ``REPRO_BENCH_SMOKE=1``
@@ -64,12 +62,11 @@ ROUNDS = 1 if SMOKE else 3
 #: Hard floor for the fused end-to-end speedup (full mode only).
 MIN_SPEEDUP = 2.0
 
-#: The equivalence matrix: every executor at every shard count.
+#: The equivalence and timing matrix.
 SHARD_COUNTS = (1, 2, 4)
-EXECUTORS = ("serial", "process")
 
-#: The headline parallel configuration (throughput is quoted here).
-HEADLINE = {"n_shards": 4, "executor": "process", "n_jobs": 4}
+#: The headline configuration (throughput is quoted here).
+HEADLINE = {"n_shards": 4}
 
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
@@ -88,12 +85,8 @@ def _e2e(cache_path, mapper, store_dir, **engine_kwargs):
     else:
         pipeline = Pipeline(PipelineConfig())
         batch = read_bincache(cache_path)
-    try:
-        results = pipeline.run(batch)
-        stats = pipeline.stats()
-    finally:
-        if engine_kwargs:
-            pipeline.close()
+    results = pipeline.run(batch)
+    stats = pipeline.stats()
     writer = AlarmStoreWriter.create(
         store_dir, mapper, bin_s=3600, overwrite=True
     )
@@ -180,26 +173,19 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     reference_store = _store_fingerprint(tmp_path / "reference.store")
 
     # Hard claim 1: bit-identical results, stats and store bytes at
-    # every (executor, shard count) pair.
-    for executor in EXECUTORS:
-        for n_shards in SHARD_COUNTS:
-            kwargs = {"n_shards": n_shards, "executor": executor}
-            if executor != "serial":
-                kwargs["n_jobs"] = min(n_shards, 4)
-            tag = f"{executor}-{n_shards}"
-            results, stats = _e2e(
-                cache_path, mapper, tmp_path / f"{tag}.store", **kwargs
-            )
-            assert results == reference_results, (
-                f"engine results diverged at {tag}"
-            )
-            assert stats == reference_stats, (
-                f"campaign stats diverged at {tag}"
-            )
-            assert (
-                _store_fingerprint(tmp_path / f"{tag}.store")
-                == reference_store
-            ), f"store bytes diverged from the serial pipeline at {tag}"
+    # every shard count.
+    for n_shards in SHARD_COUNTS:
+        tag = f"shards-{n_shards}"
+        results, stats = _e2e(
+            cache_path, mapper, tmp_path / f"{tag}.store", n_shards=n_shards
+        )
+        assert results == reference_results, (
+            f"engine results diverged at {tag}"
+        )
+        assert stats == reference_stats, f"campaign stats diverged at {tag}"
+        assert (
+            _store_fingerprint(tmp_path / f"{tag}.store") == reference_store
+        ), f"store bytes diverged from the serial pipeline at {tag}"
 
     # Hard claim 2 + the headline number: timed end-to-end runs.
     def timed(**kwargs):
@@ -209,10 +195,10 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
         )[0]
 
     reference_s = timed()
-    fused_serial_s = timed(n_shards=4, executor="serial")
-    fused_headline_s = timed(**HEADLINE)
-
-    serial_speedup = reference_s / fused_serial_s
+    engine_s = {
+        str(n_shards): timed(n_shards=n_shards) for n_shards in SHARD_COUNTS
+    }
+    fused_headline_s = engine_s[str(HEADLINE["n_shards"])]
     headline_speedup = reference_s / fused_headline_s
     throughput = n_traceroutes / fused_headline_s
 
@@ -227,10 +213,10 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     rows = [
         ["serial Pipeline", f"{reference_s:.3f}", "1.00",
          f"{n_traceroutes / reference_s:,.0f}"],
-        ["engine, serial x4", f"{fused_serial_s:.3f}",
-         f"{serial_speedup:.2f}", f"{n_traceroutes / fused_serial_s:,.0f}"],
-        ["engine, process x4", f"{fused_headline_s:.3f}",
-         f"{headline_speedup:.2f}", f"{throughput:,.0f}"],
+    ] + [
+        [f"engine, {n_shards} shard(s)", f"{seconds:.3f}",
+         f"{reference_s / seconds:.2f}", f"{n_traceroutes / seconds:,.0f}"]
+        for n_shards, seconds in engine_s.items()
     ]
     print(
         f"\n=== fused end-to-end throughput ({mode}: {DURATION_H}h campaign, "
@@ -253,27 +239,22 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
         "cache_bytes": cache_bytes,
         "rounds": ROUNDS,
         "reference_serial_s": reference_s,
-        "fused_serial_s": fused_serial_s,
+        "engine_s": engine_s,
         "fused_headline_s": fused_headline_s,
-        "serial_speedup": serial_speedup,
         "headline_speedup": headline_speedup,
         "headline_traceroutes_per_s": throughput,
         "headline_config": dict(HEADLINE),
         "min_speedup_required": MIN_SPEEDUP,
         "equivalent_shard_counts": list(SHARD_COUNTS),
-        "equivalent_executors": list(EXECUTORS),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")
 
     if not SMOKE:
-        assert serial_speedup >= MIN_SPEEDUP, (
-            f"engine serial speedup {serial_speedup:.2f}x fell below the "
-            f"{MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
-            f"engine {fused_serial_s:.3f}s)"
-        )
-        assert headline_speedup >= MIN_SPEEDUP, (
-            f"engine headline speedup {headline_speedup:.2f}x fell below "
-            f"the {MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
-            f"engine {fused_headline_s:.3f}s)"
-        )
+        for n_shards, seconds in engine_s.items():
+            assert reference_s / seconds >= MIN_SPEEDUP, (
+                f"engine speedup at {n_shards} shard(s) "
+                f"{reference_s / seconds:.2f}x fell below the "
+                f"{MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
+                f"engine {seconds:.3f}s)"
+            )

@@ -3,8 +3,8 @@
 The paper's dataset is 2.8 *billion* traceroutes; the serial reference
 pipeline analyses links one at a time in pure-Python loops.  The sharded
 engine (``repro.core.engine``) fuses the two per-bin extraction passes,
-batches the Wilson/Pearson statistics across each bin, and fans per-link
-work out over N consistently-hashed shards.
+batches the Wilson/Pearson statistics across each bin, and splits its
+state over N consistently-hashed shards, all in one process.
 
 This benchmark proves the two hard claims behind that engine:
 
@@ -14,14 +14,11 @@ This benchmark proves the two hard claims behind that engine:
    and counter);
 2. **speedup** — on the case-study synthetic campaign the engine at
    4 shards is at least 2x faster than the serial reference, from
-   vectorization alone (in-process executor; the process executor adds
-   machine-dependent parallelism on top and is reported when the host
-   has more than one CPU).
+   vectorization alone.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core import Pipeline, PipelineConfig, ShardedPipeline
@@ -96,7 +93,6 @@ def test_engine_scaling(benchmark):
     rows = [
         [
             "serial reference",
-            "-",
             f"{serial_time:.3f}",
             "1.00",
             len(traceroutes),
@@ -105,9 +101,7 @@ def test_engine_scaling(benchmark):
     speedups = {}
     for n_shards in SHARD_COUNTS:
         engine_time, engine_results, engine = _best_time(
-            lambda: ShardedPipeline(
-                PipelineConfig(n_shards=n_shards, executor="serial")
-            ),
+            lambda: ShardedPipeline(PipelineConfig(n_shards=n_shards)),
             traceroutes,
         )
         # Hard claim 1: bit-identical output at every shard count.
@@ -122,38 +116,15 @@ def test_engine_scaling(benchmark):
         rows.append(
             [
                 f"sharded n={n_shards}",
-                "in-process",
                 f"{engine_time:.3f}",
                 f"{speedups[n_shards]:.2f}",
                 len(traceroutes),
             ]
         )
 
-    if (os.cpu_count() or 1) > 1:
-        process_time, process_results, process_engine = _best_time(
-            lambda: ShardedPipeline(
-                PipelineConfig(n_shards=4, executor="process")
-            ),
-            traceroutes,
-        )
-        assert process_results == serial_results
-        assert process_engine.stats() == serial_stats
-        process_engine.close()
-        rows.append(
-            [
-                "sharded n=4",
-                "process pool",
-                f"{process_time:.3f}",
-                f"{serial_time / process_time:.2f}",
-                len(traceroutes),
-            ]
-        )
-
     # Give pytest-benchmark one canonical measurement: the 4-shard run.
     benchmark.pedantic(
-        lambda: ShardedPipeline(
-            PipelineConfig(n_shards=4, executor="serial")
-        ).run(traceroutes),
+        lambda: ShardedPipeline(PipelineConfig(n_shards=4)).run(traceroutes),
         rounds=1,
         iterations=1,
     )
@@ -162,7 +133,7 @@ def test_engine_scaling(benchmark):
           f"({DURATION_H}h case-study campaign, best of {ROUNDS}) ===")
     print(
         format_table(
-            ["configuration", "executor", "seconds", "speedup", "traceroutes"],
+            ["configuration", "seconds", "speedup", "traceroutes"],
             rows,
         )
     )

@@ -129,7 +129,7 @@ def test_ingest_speedup(benchmark, tmp_path):
     assert sum(len(r.delay_alarms) for r in reference_results) >= 0
     for n_shards in SHARD_COUNTS:
         engine = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards, executor="serial")
+            PipelineConfig(n_shards=n_shards)
         )
         assert engine.run(batch) == reference_results, (
             f"columnar engine output diverged at n_shards={n_shards}"

@@ -59,10 +59,8 @@ ROUNDS = 1 if SMOKE else 5
 #: Hard floor: instrumented throughput over uninstrumented throughput.
 MIN_RATIO = 0.97
 
-#: The engine configuration under test (the fused serial spine — the
-#: deterministic-timing configuration, so the ratio is not executor
-#: scheduling noise).
-ENGINE = {"n_shards": 4, "executor": "serial"}
+#: The engine configuration under test (the fused in-process spine).
+ENGINE = {"n_shards": 4}
 
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
@@ -79,12 +77,9 @@ def _run_engine(cache_path, registry):
     try:
         batch = read_bincache(cache_path, mapped=True)
         engine = ShardedPipeline(PipelineConfig(**ENGINE))
-        try:
-            start = time.perf_counter()
-            results = engine.run(batch)
-            elapsed = time.perf_counter() - start
-        finally:
-            engine.close()
+        start = time.perf_counter()
+        results = engine.run(batch)
+        elapsed = time.perf_counter() - start
     finally:
         set_default_registry(previous)
     return results, elapsed

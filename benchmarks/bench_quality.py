@@ -159,7 +159,7 @@ def _run_scenario(topology, name, scenario):
         service_names=["K-root"],
         anchor_names=[a.name for a in topology.anchors[: N_ANCHORS]],
     )
-    engine = ShardedPipeline(PipelineConfig(n_shards=2, executor="serial"))
+    engine = ShardedPipeline(PipelineConfig(n_shards=2))
     results = engine.run(platform.run_campaign(config))
     truth = scenario.ground_truth()
     report = score_bin_results(truth, results, config=MATCH, scenario=name)

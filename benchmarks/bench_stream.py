@@ -126,7 +126,7 @@ def test_stream_checkpoint_overhead(benchmark, tmp_path):
     full = reference.run(traceroutes)
     for n_shards in SHARD_COUNTS:
         engine = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards, executor="serial")
+            PipelineConfig(n_shards=n_shards)
         )
         first = [
             engine.process_bin(start, payload)
@@ -135,7 +135,7 @@ def test_stream_checkpoint_overhead(benchmark, tmp_path):
         path = tmp_path / f"crash{n_shards}.ckpt"
         save_snapshot(path, engine.snapshot(results=first))
         resumed = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards, executor="serial")
+            PipelineConfig(n_shards=n_shards)
         )
         resumed_results = resumed.run(
             traceroutes, resume_from=load_snapshot(path)

@@ -137,7 +137,7 @@ def main() -> None:
     print("API down: served the cached probe set flagged stale=True")
 
     # -- 5. the fetched feed through the normal detection loop --
-    engine = create_pipeline(PipelineConfig(n_shards=2, executor="serial"))
+    engine = create_pipeline(PipelineConfig(n_shards=2))
     stream = TracerouteStream(bin_s=3600, dense=True)
     bins = delay_alarms = forwarding_alarms = 0
     results = []

@@ -64,7 +64,7 @@ def main() -> None:
         anchor_names=[topology.anchors[0].name],
     )
     print(f"running {platform.campaign_size(config)} traceroutes ...")
-    engine = ShardedPipeline(PipelineConfig(n_shards=2, executor="serial"))
+    engine = ShardedPipeline(PipelineConfig(n_shards=2))
     results = engine.run(platform.run_campaign(config))
 
     report = score_bin_results(

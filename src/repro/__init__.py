@@ -6,7 +6,7 @@ Public API layout:
 * :mod:`repro.core` — the paper's detection methods (differential RTT
   delay-change detection, packet-forwarding anomaly detection, AS-level
   event aggregation), the end-to-end serial :class:`~repro.core.Pipeline`
-  reference, and the sharded parallel
+  reference, and the sharded, vectorized in-process
   :class:`~repro.core.ShardedPipeline` production engine.
 * :mod:`repro.atlas` — RIPE-Atlas-style traceroute data model and IO.
 * :mod:`repro.simulation` — the synthetic Internet and measurement
@@ -40,10 +40,10 @@ Quickstart::
     analysis, topology, mapper = quick_campaign(duration_hours=24, seed=1)
     print(analysis.stats())
 
-Scaling out: set ``PipelineConfig(n_shards=8)`` (optionally ``executor``
-/ ``n_jobs``) and :func:`analyze_campaign` — or the ``--shards`` CLI
-flag — runs the campaign on :class:`~repro.core.ShardedPipeline`, whose
-output is bit-identical to the serial pipeline's.
+The production engine: set ``PipelineConfig(n_shards=8)`` and
+:func:`analyze_campaign` — or the ``--shards`` CLI flag — runs the
+campaign on :class:`~repro.core.ShardedPipeline`, whose output is
+bit-identical to the serial pipeline's at every shard count.
 
 Running continuously: both engines expose an incremental API
 (``process_bin`` / ``snapshot`` / ``restore`` / ``run(resume_from=...)``)

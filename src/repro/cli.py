@@ -37,10 +37,10 @@ Seven subcommands cover the common workflows:
 * ``replay``  — regenerate one of the paper's case studies end to end.
 
 ``analyze``, ``replay`` and ``monitor`` all run the sharded engine
-(:class:`repro.core.engine.ShardedPipeline`) over columns; ``--shards N``
-(and optionally ``--jobs J``) only says how many shards the links are
-spread over (default 1: one shard, in-process) and never changes
-output, which is bit-identical to the serial reference pipeline's.
+(:class:`repro.core.engine.ShardedPipeline`) over columns, in-process;
+``--shards N`` only says how many shards the links are spread over
+(default 1) and never changes output, which is bit-identical to the
+serial reference pipeline's.
 The engine has one extraction path, the fused columnar spine
 (:mod:`repro.core.fused`): ``analyze`` decodes the campaign file
 straight into columns, ``replay``'s simulated traceroutes are encoded
@@ -77,7 +77,7 @@ Examples::
     python -m repro monitor feed.jsonl --atlas --atlas-msm 5051 \\
         --atlas-cursor feed.cursor
     python -m repro analyze campaign.jsonl --json
-    python -m repro analyze campaign.jsonl --shards 8 --jobs 4
+    python -m repro analyze campaign.jsonl --shards 8
     python -m repro analyze campaign.jsonl --bin-cache
     python -m repro analyze campaign.jsonl --checkpoint state.ckpt
     python -m repro analyze campaign.jsonl --store alarms.store
@@ -496,27 +496,16 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
         help="shard links over N independent detector states in the "
-             "vectorized engine (default 1: a single shard, "
-             "in-process; output is identical at every N)")
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="J",
-        help="worker count for the sharded engine (default: one per "
-             "shard, capped at the CPU count; requires --shards > 1)")
+             "vectorized engine (default 1; output is identical at "
+             "every N)")
 
 
 def _engine_config(args, **overrides):
     """Build the engine's PipelineConfig from the CLI flags."""
     from repro.core.pipeline import PipelineConfig
 
-    if args.jobs is not None and args.shards <= 1:
-        print(
-            "repro: error: --jobs requires --shards > 1 "
-            "(a single shard runs in-process, without workers)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return PipelineConfig(n_shards=args.shards, n_jobs=args.jobs, **kwargs)
+    return PipelineConfig(n_shards=args.shards, **kwargs)
 
 
 def _topology(seed: int, probes: Optional[int]):
@@ -787,24 +776,24 @@ def _cmd_analyze(args) -> int:
         state = "hit" if hit else "rebuilt"
         print(f"bin cache {state}: {cache} ({len(batch)} traceroutes)")
     # The engine at any --shards, exactly as in monitor.
-    with ShardedPipeline(config) as pipeline:
-        pipeline.profiler = timer
-        pipeline.tracer = tracer
-        campaign_start = tracer.now()
-        analysis = analyze_campaign(
-            batch,
-            _as_mapper(args),
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=every,
-            checkpoint_source=args.path if args.checkpoint else None,
-            pipeline=pipeline,
-        )
-        tracer.add_span(
-            "campaign",
-            campaign_start,
-            tracer.now() - campaign_start,
-            args={"bins": len(analysis.bin_results)},
-        )
+    pipeline = ShardedPipeline(config)
+    pipeline.profiler = timer
+    pipeline.tracer = tracer
+    campaign_start = tracer.now()
+    analysis = analyze_campaign(
+        batch,
+        _as_mapper(args),
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=every,
+        checkpoint_source=args.path if args.checkpoint else None,
+        pipeline=pipeline,
+    )
+    tracer.add_span(
+        "campaign",
+        campaign_start,
+        tracer.now() - campaign_start,
+        args={"bins": len(analysis.bin_results)},
+    )
     if args.trace is not None:
         tracer.write(args.trace)
         if not args.json:
@@ -955,13 +944,18 @@ def _cmd_monitor(args) -> int:
 
     board = default_board()
     every = _checkpoint_every(args)
+    if args.compact_every is not None and not args.store:
+        print(
+            "repro: error: --compact-every requires --store",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     if args.atlas:
         _monitor_prefetch(args)
     config = _engine_config(args, bin_s=args.bin_s)
-    # Every closed bin takes the engine's columnar path at any --shards
-    # (1 = one shard on the in-process backend); the serial Pipeline is
-    # the reference this output is held identical to, not a code path
-    # here.
+    # Every closed bin takes the engine's columnar path at any --shards;
+    # the serial Pipeline is the reference this output is held
+    # identical to, not a code path here.
     pipeline = ShardedPipeline(config)
     # JSON mode appends one timings/v1 record to stderr on exit: the
     # engine meters extract/bin/detect through its profiler hook, the
@@ -1017,12 +1011,6 @@ def _cmd_monitor(args) -> int:
         store_writer = AlarmStoreWriter.open_or_create(
             args.store, _as_mapper(args), bin_s=config.bin_s
         )
-    if args.compact_every is not None and not args.store:
-        print(
-            "repro: error: --compact-every requires --store",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     closed_bins = 0
     pending = 0
     store_buffer: List = []
@@ -1107,23 +1095,20 @@ def _cmd_monitor(args) -> int:
         poll=args.poll,
         idle_timeout=args.idle_timeout,
     )
-    try:
-        stopped = False
-        for chunk in tailer.chunks():
-            # Straight into columns; a live feed's bad line is skipped
-            # and counted, never fatal.
-            with timer.stage("decode"):
-                closed = stream.push(chunk)
-            if handle(closed):
-                stopped = True
-                break
-        if not stopped:
-            handle(stream.drain())
-        flush_store()
-        if args.checkpoint and pending:
-            checkpoint()
-    finally:
-        pipeline.close()
+    stopped = False
+    for chunk in tailer.chunks():
+        # Straight into columns; a live feed's bad line is skipped and
+        # counted, never fatal.
+        with timer.stage("decode"):
+            closed = stream.push(chunk)
+        if handle(closed):
+            stopped = True
+            break
+    if not stopped:
+        handle(stream.drain())
+    flush_store()
+    if args.checkpoint and pending:
+        checkpoint()
     if store_writer is not None:
         _warn_if_unattributed_store(store_writer, args.store)
     if args.json:
@@ -1281,12 +1266,11 @@ def _cmd_replay(args) -> int:
         f"{window[0]//3600}-{window[1]//3600}) over {args.hours}h ..."
     )
     # Simulated traceroutes are encoded into columns at the engine's door.
-    with ShardedPipeline(_engine_config(args)) as pipeline:
-        analysis = analyze_campaign(
-            platform.run_campaign(config),
-            topology.as_mapper(),
-            pipeline=pipeline,
-        )
+    analysis = analyze_campaign(
+        platform.run_campaign(config),
+        topology.as_mapper(),
+        pipeline=ShardedPipeline(_engine_config(args)),
+    )
     report = InternetHealthReport(analysis, window_bins=args.hours // 2)
     rows = []
     for kind in ("delay", "forwarding"):

@@ -16,8 +16,8 @@ Modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.arena` — structure-of-arrays detector state and the
   vectorized per-bin detection kernels (Eq. 6–9 in batch form)
 * :mod:`repro.core.fused` — the fused columnar spine: flat-array bin
-  payloads, shard partitioning and the shared-memory transport
-* :mod:`repro.core.engine` — the sharded, vectorized execution engine
+  payloads and shard partitioning
+* :mod:`repro.core.engine` — the sharded, vectorized in-process engine
 
 Per-stage wall-clock instrumentation (``StageTimer``/``STAGES``/
 ``NULL_TIMER``) is re-exported from :mod:`repro.obs.tracing`.
@@ -59,7 +59,6 @@ _EXPORTS = {
     "NULL_TIMER": "repro.obs.tracing",
     "Pipeline": "repro.core.pipeline",
     "PipelineConfig": "repro.core.pipeline",
-    "SHM_PREFIX": "repro.core.fused",
     "SNAPSHOT_VERSION": "repro.core.checkpoint",
     "STAGES": "repro.obs.tracing:STAGE_NAMES",
     "SensitivityPoint": "repro.core.sensitivity",
@@ -88,7 +87,6 @@ _EXPORTS = {
     "save_snapshot": "repro.core.checkpoint",
     "sensitivity_point": "repro.core.sensitivity",
     "sensitivity_table": "repro.core.sensitivity",
-    "shard_layout": "repro.core.sharding",
     "shard_of": "repro.core.sharding",
     "source_digest_of": "repro.core.checkpoint",
     "string_ranks": "repro.core.fused",

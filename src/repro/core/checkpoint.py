@@ -111,10 +111,9 @@ def config_fingerprint(config: PipelineConfig) -> bytes:
     Two runs may only share a snapshot when every parameter that shapes
     detector state matches: bin size, smoothing factor, Wilson z,
     minimum shift, diversity thresholds, tau, warm-up length, winsorize
-    mode, RNG seed and the tracked-link set.  Execution knobs
-    (``n_shards``/``executor``/``n_jobs``) are deliberately **excluded**
-    — state is canonical per link/model, so a snapshot taken at one
-    shard count or executor restores into any other.
+    mode, RNG seed and the tracked-link set.  The shard count is
+    deliberately **excluded** — state is canonical per link/model, so a
+    snapshot taken at one shard count restores into any other.
 
     Floats are hashed by their exact hex representation so that the
     fingerprint is as strict as the bit-identity guarantee it guards.

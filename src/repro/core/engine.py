@@ -1,4 +1,4 @@
-"""Sharded parallel execution engine with vectorized hot paths.
+"""Sharded in-process execution engine with vectorized hot paths.
 
 :class:`~repro.core.pipeline.Pipeline` is the paper-shaped *reference*
 implementation: it analyses links one at a time in readable pure-Python
@@ -22,11 +22,17 @@ path through it:
   :func:`~repro.stats.correlation.pearson_correlation_pooled` for the
   forwarding side;
 * :class:`ShardedPipeline` consistently hashes links (and routers, for
-  the forwarding method) into N independent shards, fans each bin out
-  over a serial loop or persistent per-shard worker processes, and
+  the forwarding method) into N independent shards, runs every shard
+  core over its slice of each bin in shard order, in this process, and
   merges results deterministically (alarms sorted by link / model key)
   into the same :class:`~repro.core.pipeline.BinResult` and
   :class:`~repro.core.pipeline.CampaignStats` the serial path produces.
+
+One process is enough for the paper's rate: 2.8 billion traceroutes
+over eight months is about 130 traceroutes/s, and this engine runs at
+tens of thousands per second on one core.  Shards therefore partition
+state (for checkpoints, repartitioning on restore and the imbalance
+gauge), not CPUs.
 
 Equivalence is a hard guarantee, not an aspiration: every numeric step
 of the batched path performs the same float64 arithmetic in the same
@@ -35,14 +41,11 @@ per-evaluation-order) random streams, and the property tests in
 ``tests/test_engine_equivalence.py`` and ``tests/test_fused_spine.py``
 plus the equality assertions in ``benchmarks/bench_engine_scaling.py``
 hold the output bit-identical to the serial pipeline for any shard
-count and executor.
+count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import traceback
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -72,12 +75,9 @@ from repro.core.diversity import DiversityFilter, DiversityVerdict
 from repro.core.forwarding import ModelKey
 from repro.core.fused import (
     FusedBin,
-    attach_shm,
     extract_bin_fused,
-    pack_fused,
     partition_fused,
     string_ranks,
-    unpack_fused,
 )
 from repro.core.pipeline import (
     BinResult,
@@ -88,7 +88,7 @@ from repro.core.pipeline import (
 )
 from repro.obs.metrics import MetricsRegistry, default_registry, exponential_buckets
 from repro.obs.tracing import NULL_TIMER, NULL_TRACER
-from repro.core.sharding import shard_layout, shard_of
+from repro.core.sharding import shard_of
 from repro.stats.smoothing import SEED_BINS
 from repro.stats.wilson import (
     WilsonInterval,
@@ -102,16 +102,15 @@ class _FusedShardOutput:
     """What one shard contributes to one bin's merged result.
 
     Delay alarms stay in array form (:class:`~repro.core.arena.DelayAlarmRows`
-    plus the alarmed links, aligned) until the parent materializes
+    plus the alarmed links, aligned) until the engine materializes
     :class:`~repro.core.alarms.DelayAlarm` objects at the merge — the
     str-keyed objects exist exactly once, at the reporting boundary.
-    Forwarding alarms are rare enough that the worker builds them
+    Forwarding alarms are rare enough that the shard builds them
     directly (their payload *is* str-keyed pattern dicts).
 
-    ``elapsed_s`` is the shard's own wall time for the partition —
-    measured inside the worker (serial or process) so the parent can
-    lay deterministic per-shard spans onto the trace; it is telemetry
-    only and never feeds back into detection.
+    ``elapsed_s`` is the shard's own wall time for the partition, so
+    the engine can lay deterministic per-shard spans onto the trace; it
+    is telemetry only and never feeds back into detection.
     """
 
     shard_id: int
@@ -236,19 +235,6 @@ class _FusedLinkObs:
         return out
 
 
-@dataclass
-class _ShardSnapshot:
-    """One shard's cumulative statistics and tracked-link series."""
-
-    links_analyzed: Set[Link]
-    links_alarmed: Set[Link]
-    probes_per_link: Dict[Link, int]
-    forwarding_models: int
-    forwarding_routers: int
-    next_hops_total: int
-    tracked: Dict[Link, List[TrackedLinkPoint]]
-
-
 class _ShardCore:
     """One shard's detection state and vectorized per-bin analysis.
 
@@ -259,8 +245,7 @@ class _ShardCore:
     accepted links are characterised with one batched Wilson call and
     judged/updated with the arena's vectorized Eq. 6/7 kernels, and all
     of its forwarding models with the arena's pooled Eq. 8 smoothing and
-    one batched correlation call.  Runs wherever the executor puts it —
-    inline or inside a persistent worker process.
+    one batched correlation call.
     """
 
     def __init__(
@@ -317,7 +302,7 @@ class _ShardCore:
         the forwarding arena ingests the pattern CSR
         (:meth:`~repro.core.arena.ForwardingArena.observe_bin_ids`),
         and delay alarms leave as :class:`~repro.core.arena.DelayAlarmRows`
-        for the parent to materialize at the merge.  The hypothesis
+        for the engine to materialize at the merge.  The hypothesis
         property in ``tests/test_fused_spine.py`` holds the output
         bit-identical to the serial oracle.
         """
@@ -508,21 +493,6 @@ class _ShardCore:
             )
         )
 
-    def snapshot(self) -> _ShardSnapshot:
-        # The cumulative aggregates live in the arenas (every link the
-        # delay arena ever interned passed the diversity filter, so the
-        # interner *is* the analyzed-links set) — no per-bin Python
-        # bookkeeping needed on the hot path.
-        return _ShardSnapshot(
-            links_analyzed=set(self.delay_arena.links()),
-            links_alarmed=self.delay_arena.alarmed_links(),
-            probes_per_link=self.delay_arena.max_probes_map(),
-            forwarding_models=self.forwarding_arena.n_models,
-            forwarding_routers=self.forwarding_arena.n_routers,
-            next_hops_total=self.forwarding_arena.next_hops_total(),
-            tracked={link: list(points) for link, points in self.tracked.items()},
-        )
-
     def export_state(self) -> dict:
         """This shard's full durable state in canonical checkpoint form."""
         return {
@@ -541,278 +511,6 @@ class _ShardCore:
         self.forwarding_arena.import_state(state["forwarding"])
         for link, points in state["tracked"].items():
             self.tracked[link] = list(points)
-
-
-def _tracked_partition(
-    config: PipelineConfig, n_shards: int
-) -> List[Set[Link]]:
-    """Assign each tracked link to its owning shard."""
-    parts: List[Set[Link]] = [set() for _ in range(n_shards)]
-    for link in config.track_links:
-        parts[shard_of(link, n_shards)].add(link)
-    return parts
-
-
-# -- executor backends -------------------------------------------------------
-
-
-class _SerialBackend:
-    """All shard cores in-process, processed one after another."""
-
-    def __init__(self, config: PipelineConfig, n_shards: int) -> None:
-        tracked = _tracked_partition(config, n_shards)
-        self.cores = [
-            _ShardCore(shard, config, tracked[shard])
-            for shard in range(n_shards)
-        ]
-
-    def set_strings(self, strings: List[str], known: int) -> None:
-        """Install an interner table of which ``strings[:known]`` is held.
-
-        ``known == 0`` announces a new interner (id caches reset).  A
-        grown table needs nothing here: the cores hold the interner's
-        own list, which grew in place.
-        """
-        if known == 0:
-            for core in self.cores:
-                core.set_strings(strings)
-
-    def run_fused_bin(
-        self, timestamp: int, parts: List[FusedBin]
-    ) -> List[_FusedShardOutput]:
-        return [
-            core.process_partition_fused(timestamp, part)
-            for core, part in zip(self.cores, parts)
-        ]
-
-    def snapshots(self) -> List[_ShardSnapshot]:
-        return [core.snapshot() for core in self.cores]
-
-    def export_states(self) -> List[dict]:
-        return [core.export_state() for core in self.cores]
-
-    def import_states(self, parts: List[dict]) -> None:
-        for core, part in zip(self.cores, parts):
-            core.import_state(part)
-
-    def close(self) -> None:  # nothing to release
-        pass
-
-
-def _worker_main(connection, shard_ids, config, tracked_by_shard) -> None:
-    """Body of one persistent worker process owning one or more shards."""
-    cores = {
-        shard: _ShardCore(shard, config, tracked_by_shard[shard])
-        for shard in shard_ids
-    }
-    strings: List[str] = []  # this worker's copy of the interner table
-    while True:
-        try:
-            message = connection.recv()
-        except EOFError:
-            break
-        tag = message[0]
-        try:
-            if tag == "fbin":
-                _, timestamp, name, layouts = message
-                block = attach_shm(name)
-                try:
-                    outputs = []
-                    for shard in shard_ids:
-                        part = unpack_fused(block, layouts[shard])
-                        outputs.append(
-                            cores[shard].process_partition_fused(
-                                timestamp, part
-                            )
-                        )
-                        del part
-                    connection.send(("ok", outputs))
-                    del outputs
-                finally:
-                    try:
-                        block.close()
-                    except BufferError:  # pragma: no cover - error paths
-                        # A live view pins the mapping (e.g. an exception
-                        # escaped mid-shard); the parent still unlinks
-                        # the name, so the segment dies with the worker.
-                        pass
-            elif tag == "strings":
-                _, known, tail = message
-                if known == 0:
-                    strings = tail
-                    for core in cores.values():
-                        core.set_strings(strings)
-                else:
-                    strings.extend(tail)  # the cores share this list
-                connection.send(("ok", None))
-            elif tag == "snapshot":
-                connection.send(
-                    ("ok", [cores[shard].snapshot() for shard in shard_ids])
-                )
-            elif tag == "export":
-                connection.send(
-                    ("ok", [cores[shard].export_state() for shard in shard_ids])
-                )
-            elif tag == "import":
-                _, parts = message
-                for shard in shard_ids:
-                    cores[shard].import_state(parts[shard])
-                connection.send(("ok", None))
-            elif tag == "stop":
-                connection.send(("ok", None))
-                break
-            else:  # pragma: no cover - protocol misuse guard
-                connection.send(("error", f"unknown message tag: {tag!r}"))
-        except Exception:  # pragma: no cover - surfaced in the parent
-            connection.send(("error", traceback.format_exc()))
-    connection.close()
-
-
-class _ProcessBackend:
-    """Persistent per-shard worker processes connected by pipes.
-
-    Each worker owns its shards' detector state for the whole campaign —
-    only the per-bin partitions travel over the pipes, never the
-    accumulated references.  Replies are collected in worker order, so
-    merging stays deterministic regardless of scheduling.
-    """
-
-    def __init__(
-        self, config: PipelineConfig, n_shards: int, n_jobs: int
-    ) -> None:
-        # Start the resource tracker *before* forking: children then
-        # inherit the one live tracker, so their shared-memory attach
-        # registrations land in the same cache the parent's unlink
-        # clears.  Forked before the tracker exists, each worker would
-        # lazily start a private tracker that warns about "leaked"
-        # segments (long since unlinked by the parent) at worker exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        tracked = _tracked_partition(config, n_shards)
-        self.n_shards = n_shards
-        self.workers: List[dict] = []
-        for shard_ids in shard_layout(n_shards, n_jobs):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    child_end,
-                    shard_ids,
-                    config,
-                    {shard: tracked[shard] for shard in shard_ids},
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self.workers.append(
-                {"process": process, "pipe": parent_end, "shards": shard_ids}
-            )
-
-    def _collect(self) -> List:
-        payloads = []
-        for worker in self.workers:
-            tag, payload = worker["pipe"].recv()
-            if tag == "error":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{payload}")
-            payloads.append(payload)
-        return payloads
-
-    def set_strings(self, strings: List[str], known: int) -> None:
-        """Ship the part of an interner table the workers do not hold yet.
-
-        ``known == 0`` announces a new interner (id caches reset);
-        otherwise only the appended tail travels.
-        """
-        for worker in self.workers:
-            worker["pipe"].send(("strings", known, strings[known:]))
-        self._collect()
-
-    def run_fused_bin(
-        self, timestamp: int, parts: List[FusedBin]
-    ) -> List[_FusedShardOutput]:
-        """Fan one fused bin out through a shared-memory block.
-
-        Every shard's flat arrays are packed into a single
-        ``repro-fb-*`` segment that workers map by name — no per-bin
-        pickling of payloads.  The parent is the sole owner: the block
-        is closed and unlinked in a ``finally``, so worker crashes,
-        mid-bin exceptions and normal completion all leave zero
-        segments behind (asserted by ``tests/test_fused_spine.py``).
-        """
-        block, layouts = pack_fused(parts)
-        try:
-            for worker in self.workers:
-                worker["pipe"].send(
-                    (
-                        "fbin",
-                        timestamp,
-                        block.name,
-                        {
-                            shard: layouts[shard]
-                            for shard in worker["shards"]
-                        },
-                    )
-                )
-            outputs = [
-                output for payload in self._collect() for output in payload
-            ]
-        finally:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        outputs.sort(key=lambda output: output.shard_id)
-        return outputs
-
-    def snapshots(self) -> List[_ShardSnapshot]:
-        for worker in self.workers:
-            worker["pipe"].send(("snapshot",))
-        return [snap for payload in self._collect() for snap in payload]
-
-    def export_states(self) -> List[dict]:
-        for worker in self.workers:
-            worker["pipe"].send(("export",))
-        states: List[Tuple[int, dict]] = []
-        for worker, payload in zip(self.workers, self._collect()):
-            states.extend(zip(worker["shards"], payload))
-        states.sort(key=lambda item: item[0])
-        return [state for _, state in states]
-
-    def import_states(self, parts: List[dict]) -> None:
-        for worker in self.workers:
-            worker["pipe"].send(
-                ("import", {shard: parts[shard] for shard in worker["shards"]})
-            )
-        self._collect()
-
-    def close(self) -> None:
-        for worker in self.workers:
-            process, pipe = worker["process"], worker["pipe"]
-            try:
-                if process.is_alive():
-                    pipe.send(("stop",))
-                    pipe.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            try:
-                pipe.close()
-            except OSError:  # pragma: no cover
-                pass
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - stuck worker guard
-                process.terminate()
-        self.workers = []
 
 
 # -- the engine itself -------------------------------------------------------
@@ -879,40 +577,35 @@ class ShardedPipeline:
     Same surface (``process_bin`` / ``run`` / ``stats`` / ``tracked`` /
     ``config``), same output bit for bit, different execution strategy:
     links are consistently hashed into ``config.n_shards`` independent
-    shards, each bin's per-shard work fans out over the configured
-    executor, and per-shard results merge deterministically (alarms
-    sorted by link / model key — exactly the order the serial loop
-    emits them in).
-
-    Use as a context manager (or call :meth:`close`) when the process
-    executor is active so worker processes are released promptly.
+    shard cores, each bin runs every core over its slice in shard
+    order, and per-shard results merge deterministically (alarms sorted
+    by link / model key — exactly the order the serial loop emits them
+    in).  Everything lives in this process; there is nothing to close.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
         self.config = config or PipelineConfig()
         cfg = self.config
         self.n_shards = cfg.n_shards
-        self.executor = self._resolve_executor(cfg)
-        cpu = os.cpu_count() or 1
-        self.n_jobs = cfg.n_jobs or min(self.n_shards, cpu)
-        if self.executor == "serial":
-            self._backend = _SerialBackend(cfg, self.n_shards)
-        else:
-            self._backend = _ProcessBackend(cfg, self.n_shards, self.n_jobs)
+        tracked: List[Set[Link]] = [set() for _ in range(self.n_shards)]
+        for link in cfg.track_links:
+            tracked[shard_of(link, self.n_shards)].add(link)
+        self._cores = [
+            _ShardCore(shard, cfg, tracked[shard])
+            for shard in range(self.n_shards)
+        ]
         self._links_seen: Set[Link] = set()
         self._bins = 0
         self._traceroutes = 0
         self._last_timestamp: Optional[int] = None
-        self._snapshot_cache: Optional[Tuple[int, List[_ShardSnapshot]]] = None
-        self._closed = False
         # The id space object-model bins are encoded into at the door.
         self._object_interner = IPInterner()
         # Id-keyed state, valid for one interner (its ids are
         # append-only): the interner the caches describe, how many of
-        # its strings the rank table and the shard cores cover, the
-        # string-order rank table, and the shard caches (links and
-        # routers recur bin after bin; remembering their shard skips
-        # the consistent hash on every revisit).
+        # its strings the rank table covers, the string-order rank
+        # table, and the shard caches (links and routers recur bin
+        # after bin; remembering their shard skips the consistent hash
+        # on every revisit).
         self._fused_interner: Optional[IPInterner] = None
         self._fused_n_strings = 0
         self._fused_ranks: Optional[np.ndarray] = None
@@ -928,51 +621,6 @@ class ShardedPipeline:
         #: construction (swap the default before building the engine to
         #: inject, e.g. a disabled registry for overhead benchmarks).
         self.metrics = _EngineMetrics(default_registry())
-
-    @staticmethod
-    def _resolve_executor(config: PipelineConfig) -> str:
-        """Map ``auto`` onto the machine: processes only when they help."""
-        if config.executor != "auto":
-            return config.executor
-        cpu = os.cpu_count() or 1
-        if config.n_shards > 1 and cpu > 1:
-            return "process"
-        return "serial"
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release executor resources (idempotent).
-
-        Survives dead workers: when a shard process already crashed,
-        the final-statistics snapshot is skipped (stats queried after
-        this close serve whatever was cached before the crash) and the
-        backend teardown still runs.
-        """
-        if not self._closed:
-            try:
-                # Preserve final statistics before workers go away.
-                self._snapshot_cache = (
-                    self._bins, self._backend.snapshots()
-                )
-            except (RuntimeError, BrokenPipeError, EOFError, OSError):
-                pass
-            self._backend.close()
-            self._closed = True
-
-    def __enter__(self) -> "ShardedPipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
-        try:
-            if not getattr(self, "_closed", True):
-                self._backend.close()
-                self._closed = True
-        except Exception:
-            pass
 
     # -- observability (telemetry only; never read back) -------------------
 
@@ -1003,10 +651,10 @@ class ShardedPipeline:
     ) -> None:
         """Record one merged bin's telemetry: counters, spans, imbalance.
 
-        Shard spans are merged deterministically: each shard measured
-        its own ``elapsed_s`` inside the worker, and the parent lays
-        them onto the detect stage's timeline in shard-id order (the
-        outputs arrive pre-sorted), one trace track per shard.
+        Shard spans are laid deterministically: each shard measured its
+        own ``elapsed_s``, and the engine lays them end to end from the
+        detect stage's start in shard-id order — the order they ran
+        in — one trace track per shard.
         """
         metrics = self.metrics
         metrics.bins_fused.inc()
@@ -1023,13 +671,15 @@ class ShardedPipeline:
             metrics.imbalance.set(max(loads) * len(loads) / total)
         tracer = self.tracer
         if tracer.enabled:
+            shard_start = detect_start
             for output in outputs:
                 tracer.add_span(
                     f"shard-{output.shard_id}",
-                    detect_start,
+                    shard_start,
                     output.elapsed_s,
                     tid=output.shard_id + 1,
                 )
+                shard_start += output.elapsed_s
             tracer.add_span(
                 "bin",
                 bin_start,
@@ -1053,14 +703,11 @@ class ShardedPipeline:
         missing RTT); a columnar batch/view is read as is.  Extraction
         emits interned-id flat arrays
         (:func:`~repro.core.fused.extract_bin_fused`), partitioning
-        gathers CSR slices per shard, the executor ships them without
-        per-bin pickling (shared memory under the process backend), and
-        delay alarms come back as arrays — the str-keyed
+        gathers CSR slices per shard, each shard core analyses its
+        slice, and delay alarms come back as arrays — the str-keyed
         :class:`~repro.core.alarms.DelayAlarm` objects are built here,
         once, at the merge.
         """
-        if self._closed:
-            raise RuntimeError("engine is closed; create a new one")
         bin_start = perf_counter()
         if not isinstance(traceroutes, (TracerouteBatch, BatchView)):
             traceroutes = TracerouteBatch.from_traceroutes(
@@ -1075,17 +722,18 @@ class ShardedPipeline:
         strings = interner.strings
         new_interner = interner is not self._fused_interner
         if new_interner:
-            # A new id space: every id-keyed cache is void.
+            # A new id space: every id-keyed cache is void.  The cores
+            # hold the interner's own list, which then grows in place.
             self._fused_interner = interner
             self._fused_n_strings = 0
             self._fused_link_shard = {}
             self._fused_router_shard = {}
+            for core in self._cores:
+                core.set_strings(strings)
         if new_interner or len(strings) != self._fused_n_strings:
             # Old ids keep their meaning as an interner grows, so a
             # fresh batch per window or new addresses cost a rank
-            # refresh and the new tail shipped to the shard cores —
-            # never the shard caches.
-            self._backend.set_strings(strings, self._fused_n_strings)
+            # refresh — never the shard caches.
             self._fused_ranks = string_ranks(strings)
             self._fused_n_strings = len(strings)
         fused = extract_bin_fused(traceroutes, self._fused_ranks)
@@ -1099,7 +747,10 @@ class ShardedPipeline:
             links_seen=self._links_seen,
         )
         detect_start = self._charge("bin", stage_start)
-        outputs = self._backend.run_fused_bin(timestamp, parts)
+        outputs = [
+            core.process_partition_fused(timestamp, part)
+            for core, part in zip(self._cores, parts)
+        ]
         self._charge("detect", detect_start)
 
         delay_alarms: List[DelayAlarm] = []
@@ -1119,7 +770,6 @@ class ShardedPipeline:
         self._bins += 1
         self._traceroutes += len(traceroutes)
         self._last_timestamp = timestamp
-        self._snapshot_cache = None
         self._finish_bin(
             timestamp,
             bin_start,
@@ -1179,18 +829,14 @@ class ShardedPipeline:
     ) -> EngineSnapshot:
         """Canonical durable state, merged deterministically across shards.
 
-        Per-shard arena/diversity/tracked state is exported wherever the
-        cores live (inline or in worker processes) and merged
+        Per-shard arena/diversity/tracked state is exported and merged
         shard-major into the engine-agnostic canonical form of
         :class:`~repro.core.checkpoint.EngineSnapshot` — restorable into
-        any shard count or executor, or into the serial reference
-        pipeline.  Pass *results* to embed the per-bin results produced
+        any shard count, or into the serial reference pipeline.  Pass *results* to embed the per-bin results produced
         so far (the resumable driver does; a long-running monitor should
         not, to keep snapshots bounded).
         """
-        if self._closed:
-            raise RuntimeError("engine is closed; snapshot before close()")
-        states = self._backend.export_states()
+        states = [core.export_state() for core in self._cores]
 
         delay_parts = [state["delay"] for state in states]
         delay_links = [
@@ -1275,8 +921,6 @@ class ShardedPipeline:
         when the engine already holds state or the snapshot was taken
         under a different detection configuration.
         """
-        if self._closed:
-            raise RuntimeError("engine is closed; create a new one")
         if self._bins or self._links_seen:
             raise SnapshotError("restore requires a fresh engine")
         if snapshot.fingerprint != config_fingerprint(self.config):
@@ -1366,38 +1010,34 @@ class ShardedPipeline:
             parts[shard_of(link, n_shards)]["rounds"][link] = count
         for link, points in snapshot.tracked.items():
             parts[shard_of(link, n_shards)]["tracked"][link] = points
-        self._backend.import_states(parts)
+        for core, part in zip(self._cores, parts):
+            core.import_state(part)
         self._links_seen = set(snapshot.links_seen)
         self._bins = snapshot.bins_processed
         self._traceroutes = snapshot.traceroutes_processed
         self._last_timestamp = snapshot.last_timestamp
-        self._snapshot_cache = None
 
     # -- statistics --------------------------------------------------------
 
-    def _snapshots(self) -> List[_ShardSnapshot]:
-        if self._snapshot_cache and self._snapshot_cache[0] == self._bins:
-            return self._snapshot_cache[1]
-        if self._closed:  # cache predates close() only on the same bin count
-            raise RuntimeError("engine is closed and has no cached snapshot")
-        snapshots = self._backend.snapshots()
-        self._snapshot_cache = (self._bins, snapshots)
-        return snapshots
-
     def stats(self) -> CampaignStats:
-        """Cumulative campaign statistics, merged across shards."""
-        snapshots = self._snapshots()
+        """Cumulative campaign statistics, merged across shards.
+
+        The aggregates live in the arenas (every link the delay arena
+        ever interned passed the diversity filter, so its interner *is*
+        the analyzed-links set) — no per-bin bookkeeping on the hot path.
+        """
         links_analyzed: Set[Link] = set()
         links_alarmed: Set[Link] = set()
         probes_sum = 0
         models = routers = next_hops = 0
-        for snap in snapshots:
-            links_analyzed |= snap.links_analyzed
-            links_alarmed |= snap.links_alarmed
-            probes_sum += sum(snap.probes_per_link.values())
-            models += snap.forwarding_models
-            routers += snap.forwarding_routers
-            next_hops += snap.next_hops_total
+        for core in self._cores:
+            delay, forwarding = core.delay_arena, core.forwarding_arena
+            links_analyzed.update(delay.links())
+            links_alarmed |= delay.alarmed_links()
+            probes_sum += sum(delay.max_probes_map().values())
+            models += forwarding.n_models
+            routers += forwarding.n_routers
+            next_hops += forwarding.next_hops_total()
         return CampaignStats(
             links_observed=len(self._links_seen),
             links_analyzed=len(links_analyzed),
@@ -1414,20 +1054,20 @@ class ShardedPipeline:
     def tracked(self) -> Dict[Link, List[TrackedLinkPoint]]:
         """Merged per-link tracked series (same content as the serial
         pipeline's ``tracked`` attribute)."""
-        merged: Dict[Link, List[TrackedLinkPoint]] = {}
-        for snap in self._snapshots():
-            merged.update(snap.tracked)
-        return merged
+        return {
+            link: list(points)
+            for core in self._cores
+            for link, points in core.tracked.items()
+        }
 
 
 def create_pipeline(config: Optional[PipelineConfig] = None):
     """Build the right engine for *config*.
 
-    ``n_shards == 1`` with the default executor returns the serial
-    reference :class:`Pipeline`; anything else returns a
-    :class:`ShardedPipeline`.
+    ``n_shards == 1`` returns the serial reference :class:`Pipeline`;
+    anything else returns a :class:`ShardedPipeline`.
     """
     cfg = config or PipelineConfig()
-    if cfg.n_shards == 1 and cfg.executor in ("auto", "serial"):
+    if cfg.n_shards == 1:
         return Pipeline(cfg)
     return ShardedPipeline(cfg)

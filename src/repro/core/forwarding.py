@@ -84,8 +84,8 @@ def responsibility_scores(
 
     Keys are processed in sorted order so the floating-point
     normalisation sum is independent of Python's per-process string-hash
-    seed — a requirement for the sharded engine's worker processes to
-    reproduce the serial pipeline bit for bit.
+    seed — a requirement for alarms (and the store bytes written from
+    them) to be bit-identical across interpreter runs.
     """
     keys = sorted(set(pattern) | set(reference), key=str)
     diffs = {

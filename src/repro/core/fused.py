@@ -1,10 +1,10 @@
 """The fused columnar spine: flat-array bin payloads, mmap to arena.
 
-ROADMAP item 3: each pipeline layer is individually fast, but bin
-payloads historically crossed stage boundaries through Python objects —
+Each pipeline layer is individually fast, but bin payloads
+historically crossed stage boundaries through Python objects —
 bincache columns were re-boxed into :class:`LinkObservations` dicts and
-``(str, str)``-keyed pattern dicts, pickled per bin to process workers,
-and re-hashed at every hand-off.  This module is the replacement spine:
+``(str, str)``-keyed pattern dicts and re-hashed at every hand-off.
+This module is the replacement spine:
 
 * :class:`FusedBin` — one bin's complete extraction output as twelve
   flat NumPy arrays (CSR layouts for per-link sample segments and
@@ -24,14 +24,7 @@ and re-hashed at every hand-off.  This module is the replacement spine:
   comparing strings per bin;
 * :func:`partition_fused` — consistent-hash shard partitioning of a
   :class:`FusedBin` with vectorized CSR gathers (the string hash runs
-  once per distinct link per batch, cached under the id pair);
-* :func:`pack_fused` / :func:`unpack_fused` — the process executor's
-  shared-memory transport: every shard payload of a bin is packed into
-  one :class:`multiprocessing.shared_memory.SharedMemory` block that
-  workers map read-only, replacing per-bin pickling of extraction
-  dicts.  Cleanup is the creator's job and the engine guarantees it
-  (see ``_ProcessBackend``); blocks are named ``repro-fb-*`` so tests
-  can enumerate leaks.
+  once per distinct link per batch, cached under the id pair).
 
 The paper-shaped reference functions are the equivalence oracle:
 ``tests/test_engine_equivalence.py`` holds :func:`extract_bin_fused`
@@ -42,9 +35,7 @@ bit-identical to the serial pipeline.
 
 from __future__ import annotations
 
-import os
 from array import array
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -59,11 +50,7 @@ from repro.atlas.columnar import (
 from repro.core.alarms import Link
 from repro.core.sharding import shard_of
 
-#: Prefix of every shared-memory block the fused transport creates.
-#: Tests enumerate ``/dev/shm`` for this prefix to assert zero leaks.
-SHM_PREFIX = "repro-fb-"
-
-#: (attribute, dtype) schema of a :class:`FusedBin`, in pack order.
+#: (attribute, dtype) schema of a :class:`FusedBin`.
 _FIELDS: Tuple[Tuple[str, np.dtype], ...] = (
     ("link_near", np.dtype(np.int64)),
     ("link_far", np.dtype(np.int64)),
@@ -604,94 +591,3 @@ def partition_fused(
             part.hop_counts = fused.hop_counts[hop_idx]
         parts.append(part)
     return parts
-
-
-# -- shared-memory transport -------------------------------------------------
-
-_shm_sequence = 0
-
-
-def shm_name() -> str:
-    """A fresh block name under :data:`SHM_PREFIX` (pid + sequence)."""
-    global _shm_sequence
-    _shm_sequence += 1
-    return f"{SHM_PREFIX}{os.getpid()}-{_shm_sequence}"
-
-
-def attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without adopting ownership.
-
-    On CPython < 3.13 ``SharedMemory(name=...)`` auto-registers the
-    segment with the resource tracker (bpo-38119).  The engine's shard
-    workers *share* the parent's tracker process —
-    ``_ProcessBackend`` starts it before forking precisely so the fd
-    is inherited — which makes the attach-side registration an
-    idempotent set-add of a name the creating parent already
-    registered; the parent's ``unlink()`` clears it exactly once.
-    Unregistering here would instead strip the parent's registration
-    and turn that unlink into tracker ``KeyError`` noise — so attach
-    really is just attach; the creator-side ``finally`` stays the
-    single cleanup point.
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
-def pack_fused(
-    parts: Sequence[FusedBin], name: Optional[str] = None
-) -> Tuple[shared_memory.SharedMemory, List[dict]]:
-    """Pack per-shard fused bins into one shared-memory block.
-
-    Returns the created block and a picklable per-shard layout (field
-    offsets/lengths) that :func:`unpack_fused` maps back into arrays.
-    The caller owns the block: it must ``close()`` and ``unlink()`` it
-    once every worker has replied (the engine does so in a ``finally``).
-    """
-    layouts: List[dict] = []
-    total = 0
-    for part in parts:
-        layout: Dict[str, object] = {"n_traceroutes": part.n_traceroutes}
-        fields = {}
-        for field, dtype in _FIELDS:
-            arr = getattr(part, field)
-            fields[field] = (total, len(arr))
-            total += len(arr) * dtype.itemsize
-        layout["fields"] = fields
-        layouts.append(layout)
-    block = shared_memory.SharedMemory(
-        create=True, size=max(total, 1), name=name or shm_name()
-    )
-    for part, layout in zip(parts, layouts):
-        for field, dtype in _FIELDS:
-            offset, count = layout["fields"][field]
-            if count:
-                view = np.frombuffer(
-                    block.buf, dtype=dtype, count=count, offset=offset
-                )
-                view[:] = getattr(part, field)
-                del view
-    return block, layouts
-
-
-def unpack_fused(
-    block: shared_memory.SharedMemory, layout: dict
-) -> FusedBin:
-    """Rebuild one shard's :class:`FusedBin` as views over *block*.
-
-    The arrays alias the mapping: the caller must drop every reference
-    to the returned bin (and anything sliced from it) before closing
-    the block, or ``close()`` raises ``BufferError``.
-    """
-    part = FusedBin(int(layout["n_traceroutes"]))
-    for field, dtype in _FIELDS:
-        offset, count = layout["fields"][field]
-        if count:
-            setattr(
-                part,
-                field,
-                np.frombuffer(
-                    block.buf, dtype=dtype, count=count, offset=offset
-                ),
-            )
-        elif field.endswith("_offsets"):
-            setattr(part, field, _ZERO_OFF)
-    return part

@@ -50,22 +50,15 @@ from repro.stats.wilson import (
     median_confidence_interval,
 )
 
-#: Executors understood by the sharded engine (``repro.core.engine``).
-_EXECUTORS = ("auto", "serial", "process")
-
-
 @dataclass
 class PipelineConfig:
     """All tunables of the analysis, with the paper's defaults.
 
-    ``n_shards``, ``executor`` and ``n_jobs`` configure the sharded
-    parallel engine (:class:`repro.core.engine.ShardedPipeline`); the
-    serial :class:`Pipeline` ignores them.  ``executor`` is one of
-    ``auto`` (processes when the machine has more than one CPU, else a
-    serial loop), ``serial`` or ``process``; ``n_jobs`` bounds the
-    worker count (default: one per shard, capped at the CPU count).
-    All three are execution knobs: they never change output and are
-    excluded from the checkpoint fingerprint.
+    ``n_shards`` is how many independent shard cores the sharded
+    engine (:class:`repro.core.engine.ShardedPipeline`) spreads links
+    over; the serial :class:`Pipeline` ignores it.  It is an execution
+    knob: it never changes output and is excluded from the checkpoint
+    fingerprint.
     """
 
     bin_s: int = DEFAULT_BIN_S
@@ -80,20 +73,12 @@ class PipelineConfig:
     seed: int = 0
     track_links: Set[Link] = field(default_factory=set)
     n_shards: int = 1
-    executor: str = "auto"
-    n_jobs: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.bin_s <= 0:
             raise ValueError(f"bin size must be positive: {self.bin_s}")
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {self.n_shards}")
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}: {self.executor!r}"
-            )
-        if self.n_jobs is not None and self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1: {self.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -582,17 +567,15 @@ def analyze_campaign(
     processed bin's timestamp is used.  Without ``pipeline`` the engine
     is :func:`~repro.core.engine.create_pipeline` of *config*: the
     serial reference :class:`Pipeline` at the library defaults, the
-    sharded engine with ``config.n_shards > 1`` (or a non-default
-    executor), finalised before returning; output is bit-identical
-    either way.  *traceroutes* may also be a columnar
+    sharded engine with ``config.n_shards > 1``; output is
+    bit-identical either way.  *traceroutes* may also be a columnar
     :class:`~repro.atlas.columnar.TracerouteBatch` (e.g. from the bin
     cache): the sharded engine consumes the columns directly and the
     serial pipeline materialises objects per bin.
 
     ``pipeline`` hands in a fresh engine to drive instead (*config* is
-    then unused).  The caller owns it: it attaches its own
-    profiler/tracer before the call and closes the engine afterwards —
-    what the CLI's ``analyze`` and ``replay`` do with their
+    then unused), with its own profiler/tracer attached before the
+    call — what the CLI's ``analyze`` and ``replay`` do with their
     :class:`~repro.core.engine.ShardedPipeline`, like ``monitor``.
 
     With ``checkpoint_path`` the campaign runs through the resumable
@@ -613,10 +596,9 @@ def analyze_campaign(
     """
     # Imported here, not at module level: the engine imports this module
     # for the result types, so a top-level import would be circular.
-    from repro.core.engine import ShardedPipeline, create_pipeline
+    from repro.core.engine import create_pipeline
 
-    owned = pipeline is None
-    if owned:
+    if pipeline is None:
         pipeline = create_pipeline(config)
         if profiler is not None:
             pipeline.profiler = profiler
@@ -630,8 +612,6 @@ def analyze_campaign(
         )
     else:
         bin_results = pipeline.run(traceroutes)
-    if owned and isinstance(pipeline, ShardedPipeline):
-        pipeline.close()  # caches final stats/tracked, frees any workers
     anchor = start
     if anchor is None:
         anchor = bin_results[0].timestamp if bin_results else 0

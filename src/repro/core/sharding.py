@@ -1,11 +1,9 @@
-"""Consistent shard assignment for the parallel execution engine.
+"""Consistent shard assignment for the sharded execution engine.
 
-The paper's scale (2.8 billion traceroutes) demands that a bin's
-per-link work fan out over many workers.  Both detection methods keep
-**independent per-key state** — the delay detector per link, the
-forwarding detector per (router, destination) — so the state space can
-be partitioned freely as long as every key always lands on the same
-shard:
+Both detection methods keep **independent per-key state** — the delay
+detector per link, the forwarding detector per (router, destination) —
+so the state space can be partitioned freely as long as every key
+always lands on the same shard:
 
 * delay state is sharded by the link (the ordered IP pair);
 * forwarding state is sharded by the **router IP alone**, so all of a
@@ -21,7 +19,6 @@ checkpointed campaign can resume with the same layout.
 from __future__ import annotations
 
 import hashlib
-from typing import List
 
 #: Domain-separation prefix so unrelated hash uses can never collide.
 _HASH_PERSON = b"repro-shard"
@@ -62,27 +59,3 @@ def shard_of(key, n_shards: int) -> int:
     else:
         text = str(key)
     return stable_hash64(text) % n_shards
-
-
-def shard_layout(n_shards: int, n_jobs: int) -> List[List[int]]:
-    """Assign shard ids to ``n_jobs`` workers as evenly as possible.
-
-    Workers own contiguous shard ranges; with ``n_jobs >= n_shards``
-    each busy worker owns exactly one shard.
-
-    >>> shard_layout(5, 2)
-    [[0, 1, 2], [3, 4]]
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1: {n_shards}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1: {n_jobs}")
-    n_jobs = min(n_jobs, n_shards)
-    base, extra = divmod(n_shards, n_jobs)
-    layout: List[List[int]] = []
-    start = 0
-    for worker in range(n_jobs):
-        size = base + (1 if worker < extra else 0)
-        layout.append(list(range(start, start + size)))
-        start += size
-    return layout

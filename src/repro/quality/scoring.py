@@ -33,7 +33,7 @@ label pins one).
 
 All inputs and outputs are plain data; scoring two bit-identical alarm
 streams yields ``==``-equal reports, which lifts the engine's
-shard/executor/checkpoint bit-identity guarantee to the quality layer.
+shard-count/checkpoint bit-identity guarantee to the quality layer.
 """
 
 from __future__ import annotations

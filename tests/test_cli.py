@@ -182,6 +182,14 @@ class TestAnalyzeCheckpoint:
                 ]
             )
 
+    def test_jobs_flag_is_gone(self, campaign_path, capsys):
+        """The engine runs in-process; there is no worker count to set."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(campaign_path), "--shards", "2",
+                  "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 def _run(*argv):
     """``main(argv)`` in-process; returns (exit code, stdout, stderr)."""
@@ -493,9 +501,34 @@ class TestMonitor:
 
     def test_monitor_sharded_engine(self, feed_path, capsys):
         assert main(
-            ["monitor", str(feed_path), "--shards", "2", "--jobs", "1"]
+            ["monitor", str(feed_path), "--shards", "2"]
         ) == 0
         assert "monitor done: 3 bins" in capsys.readouterr().out
+
+    def test_compact_every_without_store_fails_before_any_work(
+        self, feed_path, tmp_path, capsys
+    ):
+        """A usage error is reported before the checkpoint is restored
+        (which would print "resumed from checkpoint") or rewritten."""
+        ckpt = tmp_path / "mon.ckpt"
+        assert main(
+            ["monitor", str(feed_path), "--checkpoint", str(ckpt),
+             "--max-bins", "1"]
+        ) == 0
+        capsys.readouterr()
+        before = ckpt.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["monitor", str(feed_path), "--checkpoint", str(ckpt),
+                 "--compact-every", "2"]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: --compact-every requires --store\n"
+        )
+        assert ckpt.read_bytes() == before
 
 
 def _run_monitor(*argv):

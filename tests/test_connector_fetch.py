@@ -343,9 +343,7 @@ class TestPipelineIdentity:
         )
 
         def run(path):
-            engine = ShardedPipeline(
-                PipelineConfig(n_shards=2, executor="serial")
-            )
+            engine = ShardedPipeline(PipelineConfig(n_shards=2))
             stream = TracerouteStream(bin_s=3600)
             results = []
             for traceroute in read_traceroutes(path):

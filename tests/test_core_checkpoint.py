@@ -8,7 +8,7 @@ Three guarantees are pinned here:
    value, counter, diversity round and tracked point — at 1/2/4 shards
    and for the serial reference pipeline (hypothesis property);
 2. a run interrupted after any bin and resumed in a fresh engine (any
-   executor, any shard count, even a *different* one) produces exactly
+   shard count, even a *different* one) produces exactly
    the uninterrupted run's alarms, campaign aggregates and tracked-link
    series;
 3. the binary snapshot format never silently serves a truncated,
@@ -133,7 +133,7 @@ def _assert_arena_state_identical(original, restored):
     """Compare two ShardedPipelines' full internal state, bit for bit."""
     assert original.n_shards == restored.n_shards
     for core_a, core_b in zip(
-        original._backend.cores, restored._backend.cores
+        original._cores, restored._cores
     ):
         da, db = core_a.delay_arena, core_b.delay_arena
         assert da.interner.keys == db.interner.keys
@@ -192,11 +192,11 @@ class TestRoundTripProperty:
         campaign = _campaign(
             n_links=n_links, n_probes=6, n_bins=n_bins, seed=seed
         )
-        engine = ShardedPipeline(_config(n_shards=n_shards, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=n_shards))
         engine.run(campaign)
         snapshot = engine.snapshot()
         restored = ShardedPipeline(
-            _config(n_shards=n_shards, executor="serial")
+            _config(n_shards=n_shards)
         )
         restored.restore(snapshot)
         _assert_arena_state_identical(engine, restored)
@@ -245,7 +245,7 @@ class TestRoundTripProperty:
     def test_disk_roundtrip_preserves_everything(self, campaign, tmp_path):
         """save → load reproduces the snapshot including results and
         float bit patterns."""
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=2))
         results = engine.run(campaign)
         snapshot = engine.snapshot(results=results)
         path = tmp_path / "state.ckpt"
@@ -286,7 +286,7 @@ class TestRoundTripProperty:
         """Two identical runs write byte-identical snapshot files."""
         paths = []
         for index in range(2):
-            engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+            engine = ShardedPipeline(_config(n_shards=2))
             results = engine.run(campaign)
             path = tmp_path / f"state{index}.ckpt"
             save_snapshot(path, engine.snapshot(results=results))
@@ -297,11 +297,8 @@ class TestRoundTripProperty:
 # -- crash/resume equivalence ------------------------------------------------
 
 
-def _sharded(n_shards, executor="serial", n_jobs=None):
-    kwargs = {"n_shards": n_shards, "executor": executor}
-    if n_jobs is not None:
-        kwargs["n_jobs"] = n_jobs
-    return ShardedPipeline(_config(**kwargs))
+def _sharded(n_shards):
+    return ShardedPipeline(_config(n_shards=n_shards))
 
 
 class TestCrashResumeEquivalence:
@@ -345,46 +342,29 @@ class TestCrashResumeEquivalence:
         assert resumed.stats() == serial.stats()
         assert resumed.tracked == serial.tracked
 
-    def test_cross_executor_resume(
+    def test_cross_shard_count_resume(
         self, campaign, campaign_bins, serial_reference, tmp_path
     ):
-        """A checkpoint taken under the process executor resumes under
-        the serial executor (and at a different shard count)."""
+        """A checkpoint taken at 3 shards resumes at 2: restore
+        repartitions the canonical state by the consistent hash."""
         serial, full = serial_reference
         path = tmp_path / "state.ckpt"
-        with _sharded(3, executor="process", n_jobs=2) as engine:
-            first = [
-                engine.process_bin(start, payload)
-                for start, payload in campaign_bins[:4]
-            ]
-            save_snapshot(path, engine.snapshot(results=first))
+        engine = _sharded(3)
+        first = [
+            engine.process_bin(start, payload)
+            for start, payload in campaign_bins[:4]
+        ]
+        save_snapshot(path, engine.snapshot(results=first))
         resumed = _sharded(2)
         assert resumed.run(campaign, resume_from=load_snapshot(path)) == full
         assert resumed.stats() == serial.stats()
-
-    def test_process_executor_resume(
-        self, campaign, campaign_bins, serial_reference, tmp_path
-    ):
-        serial, full = serial_reference
-        path = tmp_path / "state.ckpt"
-        engine = _sharded(2)
-        first = [
-            engine.process_bin(start, payload)
-            for start, payload in campaign_bins[:5]
-        ]
-        save_snapshot(path, engine.snapshot(results=first))
-        with _sharded(2, executor="process", n_jobs=2) as resumed:
-            out = resumed.run(campaign, resume_from=load_snapshot(path))
-            assert out == full
-            assert resumed.stats() == serial.stats()
-            assert resumed.tracked == serial.tracked
+        assert resumed.tracked == serial.tracked
 
     def test_serial_snapshot_resumes_in_sharded_engine(
         self, campaign, campaign_bins, serial_reference, tmp_path
     ):
         """Snapshots are engine-agnostic: a serial-pipeline checkpoint
-        resumes inside the sharded engine (and vice versa, covered by
-        test_cross_executor_resume)."""
+        resumes inside the sharded engine."""
         serial, full = serial_reference
         path = tmp_path / "state.ckpt"
         first_pipeline = Pipeline(_config())
@@ -467,7 +447,7 @@ class TestCrashResumeEquivalence:
 
 @pytest.fixture()
 def valid_checkpoint(campaign_bins, tmp_path):
-    engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+    engine = ShardedPipeline(_config(n_shards=2))
     results = [
         engine.process_bin(start, payload)
         for start, payload in campaign_bins[:5]
@@ -521,8 +501,7 @@ class TestSnapshotFormatVetting:
 
     def test_restore_rejects_foreign_fingerprint(self, valid_checkpoint):
         snapshot = load_snapshot(valid_checkpoint)
-        engine = ShardedPipeline(_config(alpha=0.05, n_shards=2,
-                                         executor="serial"))
+        engine = ShardedPipeline(_config(alpha=0.05, n_shards=2))
         with pytest.raises(SnapshotError, match="fingerprint"):
             engine.restore(snapshot)
         pipeline = Pipeline(_config(alpha=0.05))
@@ -677,13 +656,29 @@ class TestSnapshotFormatVetting:
     def test_fingerprint_covers_detection_params_only(self):
         base = _config()
         assert config_fingerprint(base) == config_fingerprint(
-            _config(n_shards=8, executor="process", n_jobs=2)
+            _config(n_shards=8)
         )
         assert config_fingerprint(base) != config_fingerprint(
             _config(alpha=0.05)
         )
         assert config_fingerprint(base) != config_fingerprint(
             PipelineConfig()  # different tracked links
+        )
+
+    def test_fingerprint_pins(self):
+        """Literal fingerprints, as written into every checkpoint so
+        far: a change to the digest inputs would orphan them all."""
+        assert config_fingerprint(PipelineConfig()).hex() == (
+            "12d75c8e5e6f88184215d3a678534f59"
+        )
+        custom = PipelineConfig(
+            bin_s=1800, alpha=0.05, z=2.576, min_shift_ms=2.0, min_asns=2,
+            min_entropy=0.4, tau=-0.3, forwarding_warmup=5,
+            winsorize=False, seed=7,
+            track_links={("10.0.0.1", "10.0.0.2")},
+        )
+        assert config_fingerprint(custom).hex() == (
+            "aa9ac975bb04b4aaf762998c30b683ca"
         )
 
     def test_run_checkpointed_validates_every_bins(self, campaign, tmp_path):
@@ -765,16 +760,9 @@ class TestStreamFeedsIncrementalEngine:
 
 
 class TestSnapshotApi:
-    def test_snapshot_after_close_raises(self, campaign_bins):
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
-        engine.process_bin(*campaign_bins[0])
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.snapshot()
-
     def test_empty_engine_snapshot_roundtrip(self, tmp_path):
         """A snapshot of a fresh engine is valid and restorable."""
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=2))
         path = tmp_path / "empty.ckpt"
         save_snapshot(path, engine.snapshot())
         loaded = load_snapshot(path, config=_config())

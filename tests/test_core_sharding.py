@@ -4,11 +4,7 @@ import pytest
 
 from repro.atlas import TracerouteBatch, make_traceroute
 from repro.core.fused import extract_bin_fused, partition_fused, string_ranks
-from repro.core.sharding import (
-    shard_layout,
-    shard_of,
-    stable_hash64,
-)
+from repro.core.sharding import shard_of, stable_hash64
 
 
 class TestStableHash:
@@ -135,25 +131,29 @@ class TestPartitions:
         assert merged == _models_of(fused, strings)
 
 
-class TestShardLayout:
-    def test_even_split(self):
-        assert shard_layout(4, 2) == [[0, 1], [2, 3]]
-
-    def test_uneven_split(self):
-        assert shard_layout(5, 2) == [[0, 1, 2], [3, 4]]
-
-    def test_more_jobs_than_shards(self):
-        assert shard_layout(2, 8) == [[0], [1]]
-
-    def test_all_shards_covered_once(self):
-        for n_shards in (1, 3, 8, 13):
-            for n_jobs in (1, 2, 5, 16):
-                layout = shard_layout(n_shards, n_jobs)
-                flat = [shard for worker in layout for shard in worker]
-                assert sorted(flat) == list(range(n_shards))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            shard_layout(0, 1)
-        with pytest.raises(ValueError):
-            shard_layout(1, 0)
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
+    def test_every_shard_count_partitions_exactly(self, n_shards):
+        """At any shard count the parts tile the bin: every link and
+        model lands on exactly the shard ``shard_of`` names."""
+        batch = TracerouteBatch.from_traceroutes(
+            make_traceroute(
+                i, "src", f"d{i % 3}", i,
+                [[(f"r{i % 4}", 1.0)], [(f"n{i}", 2.0 + i)]],
+                from_asn=65001,
+            )
+            for i in range(24)
+        )
+        strings = batch.interner.strings
+        fused = extract_bin_fused(batch, string_ranks(strings))
+        parts = partition_fused(fused, n_shards, strings, {}, {})
+        assert len(parts) == n_shards
+        links, models = {}, {}
+        for shard, part in enumerate(parts):
+            for link in _links_of(part, strings):
+                assert shard_of(link, n_shards) == shard
+            for router, _ in _models_of(part, strings):
+                assert shard_of(router, n_shards) == shard
+            links.update(_links_of(part, strings))
+            models.update(_models_of(part, strings))
+        assert links == _links_of(fused, strings)
+        assert models == _models_of(fused, strings)

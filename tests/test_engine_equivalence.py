@@ -2,7 +2,7 @@
 
 The sharded engine must be a *drop-in* for the serial reference
 pipeline: same alarms, same statistics, same tracked-link series — bit
-for bit, for any shard count, any executor, and any workload.  These
+for bit, for any shard count and any workload.  These
 tests drive both implementations over synthetic campaigns rich enough to
 exercise every code path (diversity rejection *and* entropy rebalancing,
 delay alarms in both directions, forwarding churn, tracked links with
@@ -119,12 +119,12 @@ def serial_results(campaign):
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
     def test_identical_results_stats_and_tracked(
         self, campaign, serial_results, n_shards
     ):
         serial, results = serial_results
-        engine = ShardedPipeline(_config(n_shards=n_shards, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=n_shards))
         engine_results = engine.run(campaign)
         assert engine_results == results
         assert engine.stats() == serial.stats()
@@ -143,39 +143,6 @@ class TestShardedEquivalence:
         observed = [p.observed is None for p in serial.tracked[gap_link]]
         assert any(observed)  # the gap produced hole points
 
-    def test_process_executor_identical(self, campaign, serial_results):
-        serial, results = serial_results
-        with ShardedPipeline(
-            _config(n_shards=2, executor="process", n_jobs=2)
-        ) as engine:
-            engine_results = engine.run(campaign)
-            assert engine_results == results
-            assert engine.stats() == serial.stats()
-            assert engine.tracked == serial.tracked
-
-    def test_uneven_worker_to_shard_mapping(self, campaign, serial_results):
-        """3 shards on 2 process workers: one worker owns two shards."""
-        serial, results = serial_results
-        with ShardedPipeline(
-            _config(n_shards=3, executor="process", n_jobs=2)
-        ) as engine:
-            assert engine.run(campaign) == results
-            assert engine.stats() == serial.stats()
-
-    def test_stats_available_after_close(self, campaign):
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
-        engine.run(campaign)
-        expected = engine.stats()
-        engine.close()
-        assert engine.stats() == expected
-        assert engine.tracked  # served from the final snapshot cache
-
-    def test_closed_engine_rejects_bins(self, campaign):
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.process_bin(0, [])
-
 
 class TestColumnarEquivalence:
     """The columnar ingestion fast path is bit-identical to objects.
@@ -190,12 +157,12 @@ class TestColumnarEquivalence:
     def batch(self, campaign):
         return TracerouteBatch.from_traceroutes(campaign)
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
     def test_batch_input_identical(
         self, campaign, serial_results, batch, n_shards
     ):
         serial, results = serial_results
-        engine = ShardedPipeline(_config(n_shards=n_shards, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=n_shards))
         assert engine.run(batch) == results
         assert engine.stats() == serial.stats()
         assert engine.tracked == serial.tracked
@@ -212,7 +179,7 @@ class TestColumnarEquivalence:
         cache = tmp_path / "campaign.binc"
         write_bincache(cache, decoded)
         for source in (decoded, read_bincache(cache)):
-            engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+            engine = ShardedPipeline(_config(n_shards=2))
             assert engine.run(source) == results
             assert engine.stats() == serial.stats()
             assert engine.tracked == serial.tracked
@@ -227,16 +194,6 @@ class TestColumnarEquivalence:
         assert pipeline.run(batch) == results
         assert pipeline.stats() == serial.stats()
 
-    def test_process_executor_with_columnar_input(
-        self, serial_results, batch
-    ):
-        serial, results = serial_results
-        with ShardedPipeline(
-            _config(n_shards=2, executor="process", n_jobs=2)
-        ) as engine:
-            assert engine.run(batch) == results
-            assert engine.stats() == serial.stats()
-
 
 class TestObjectDoor:
     """Object-model bins are encoded into columns at ``process_bin`` and
@@ -244,9 +201,9 @@ class TestObjectDoor:
     and tracked series as the serial reference pipeline, and the same
     snapshot bytes as a :class:`BatchView` feed."""
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("n_shards", [1, 2])
     def test_objects_views_and_alternation_identical(
-        self, campaign, serial_results, executor, tmp_path
+        self, campaign, serial_results, n_shards, tmp_path
     ):
         serial, results = serial_results
         object_bins = list(binned_payloads(campaign))
@@ -263,18 +220,16 @@ class TestObjectDoor:
         ]
         snapshots = []
         for bins in (object_bins, view_bins, mixed_bins):
-            with ShardedPipeline(
-                _config(n_shards=2, executor=executor, n_jobs=2)
-            ) as engine:
-                assert [
-                    engine.process_bin(start, payload)
-                    for start, payload in bins
-                ] == results
-                assert engine.stats() == serial.stats()
-                assert engine.tracked == serial.tracked
-                path = tmp_path / "state.ckpt"
-                save_snapshot(path, engine.snapshot(results=results))
-                snapshots.append(path.read_bytes())
+            engine = ShardedPipeline(_config(n_shards=n_shards))
+            assert [
+                engine.process_bin(start, payload)
+                for start, payload in bins
+            ] == results
+            assert engine.stats() == serial.stats()
+            assert engine.tracked == serial.tracked
+            path = tmp_path / "state.ckpt"
+            save_snapshot(path, engine.snapshot(results=results))
+            snapshots.append(path.read_bytes())
         assert snapshots[0] == snapshots[1] == snapshots[2]
 
     def test_object_input_takes_the_columnar_contract(self):
@@ -283,7 +238,7 @@ class TestObjectDoor:
         traceroute = make_traceroute(
             1, "s", "d", 0, [[("A", 1.0)], [("B", 2.0)]], from_asn=-5
         )
-        engine = ShardedPipeline(_config(n_shards=2, executor="serial"))
+        engine = ShardedPipeline(_config(n_shards=2))
         with pytest.raises(ValueError, match="non-negative"):
             engine.process_bin(0, [traceroute])
 
@@ -294,20 +249,20 @@ class TestCreatePipeline:
         assert isinstance(create_pipeline(None), Pipeline)
 
     def test_sharded_when_requested(self):
-        engine = create_pipeline(PipelineConfig(n_shards=2, executor="serial"))
+        engine = create_pipeline(PipelineConfig(n_shards=2))
         assert isinstance(engine, ShardedPipeline)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(n_shards=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(executor="gpu")
-        with pytest.raises(ValueError):
-            PipelineConfig(n_jobs=0)
+        with pytest.raises(TypeError, match="n_jobs"):
+            PipelineConfig(n_shards=2, n_jobs=2)
 
     def test_thread_executor_is_rejected(self):
-        with pytest.raises(ValueError, match="'auto', 'serial', 'process'"):
-            PipelineConfig(executor="thread")
+        """The engine has one in-process executor and no knob for it."""
+        for executor in ("thread", "process", "serial", "auto"):
+            with pytest.raises(TypeError, match="executor"):
+                PipelineConfig(executor=executor)
 
 
 class TestAnalyzeCampaignDispatch:
@@ -318,9 +273,7 @@ class TestAnalyzeCampaignDispatch:
         mapper = AsMapper([("0.0.0.0", 0, 64999)])
         serial = analyze_campaign(campaign, mapper)
         sharded = analyze_campaign(
-            campaign, mapper, config=PipelineConfig(
-                n_shards=4, executor="serial"
-            )
+            campaign, mapper, config=PipelineConfig(n_shards=4)
         )
         assert sharded.bin_results == serial.bin_results
         assert sharded.stats() == serial.stats()

@@ -1,27 +1,19 @@
-"""Fused-spine guarantees: shm hygiene, oracle equivalence, JSON bytes.
+"""Fused-spine guarantees: oracle equivalence, JSON bytes, mapped caches.
 
-Four contracts of the fused end-to-end throughput path:
+Three contracts of the fused end-to-end throughput path:
 
-1. **Zero shared-memory leaks.**  The process executor ships every
-   fused bin through one ``repro-fb-*`` block whose cleanup belongs to
-   the creator alone — normal shutdown, a SIGKILLed worker and a
-   mid-bin send failure must all leave ``/dev/shm`` empty.
-2. **The serial pipeline is the oracle.**  For random campaigns, the
+1. **The serial pipeline is the oracle.**  For random campaigns, the
    fused spine produces bit-identical alarms, stats and per-bin
    results to the serial reference pipeline.
-3. **Canonical JSON is byte-compatible.**  ``dumps_canonical`` (orjson
+2. **Canonical JSON is byte-compatible.**  ``dumps_canonical`` (orjson
    when available) and ``dumps_canonical_stdlib`` emit the same bytes
    for every record the system serialises on its hot write paths.
-4. **Mapped bin caches are transparent.**  A ``mapped=True`` cache read
+3. **Mapped bin caches are transparent.**  A ``mapped=True`` cache read
    (zero-copy memoryview columns over the mmap) is indistinguishable
    from the copying read, all the way through the engine.
 """
 
-import glob
 import json
-import os
-import signal
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,7 +33,6 @@ from repro.core import (
     PipelineConfig,
     ShardedPipeline,
 )
-from repro.core.fused import SHM_PREFIX, pack_fused, unpack_fused
 from repro.reporting import (
     bin_event_record,
     delay_alarm_record,
@@ -104,102 +95,14 @@ def batch(campaign):
 def serial_results(campaign):
     pipeline = Pipeline(PipelineConfig())
     results = pipeline.run(campaign)
-    # Vacuity guard: the shm/equivalence tests below are only meaningful
+    # Vacuity guard: the equivalence tests below are only meaningful
     # if the campaign actually produces both alarm kinds.
     assert sum(len(r.delay_alarms) for r in results) > 0
     assert sum(len(r.forwarding_alarms) for r in results) > 0
     return pipeline, results
 
 
-# -- 1. shared-memory lifecycle ---------------------------------------------
-
-SHM_DIR = Path("/dev/shm")
-
-needs_dev_shm = pytest.mark.skipif(
-    not SHM_DIR.is_dir(), reason="needs a visible /dev/shm to enumerate"
-)
-
-
-def _leaked():
-    """Every fused-transport block currently visible in /dev/shm."""
-    return sorted(glob.glob(str(SHM_DIR / f"{SHM_PREFIX}*")))
-
-
-@needs_dev_shm
-class TestShmLifecycle:
-    def test_normal_run_and_shutdown_leaves_no_blocks(
-        self, batch, serial_results
-    ):
-        assert _leaked() == []
-        serial, results = serial_results
-        with ShardedPipeline(
-            PipelineConfig(n_shards=4, executor="process", n_jobs=2)
-        ) as engine:
-            assert engine.run(batch) == results
-            assert engine.stats() == serial.stats()
-        assert _leaked() == []
-
-    def test_worker_crash_leaves_no_blocks(self, batch):
-        assert _leaked() == []
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=2, executor="process", n_jobs=2)
-        )
-        try:
-            engine.process_bin(0, batch.view(range(0, 50)))
-            victim = engine._backend.workers[0]["process"]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            with pytest.raises(
-                (RuntimeError, EOFError, BrokenPipeError, OSError)
-            ):
-                engine.process_bin(3600, batch.view(range(50, 100)))
-        finally:
-            engine.close()
-        assert _leaked() == []
-
-    def test_mid_bin_send_failure_leaves_no_blocks(self, batch):
-        assert _leaked() == []
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=2, executor="process", n_jobs=2)
-        )
-        try:
-            engine.process_bin(0, batch.view(range(0, 50)))
-            # Sever one worker's pipe from the parent side: the next
-            # fused send fails after pack_fused created the block, so
-            # only the engine's ``finally`` stands between the block
-            # and a leak.
-            engine._backend.workers[-1]["pipe"].close()
-            with pytest.raises((OSError, ValueError, BrokenPipeError)):
-                engine.process_bin(3600, batch.view(range(50, 100)))
-        finally:
-            engine.close()
-        assert _leaked() == []
-
-    def test_pack_unpack_roundtrip_and_unlink(self, batch):
-        from repro.core import extract_bin_fused, partition_fused, string_ranks
-
-        strings = batch.interner.strings
-        fused = extract_bin_fused(
-            batch.view(range(0, 80)), string_ranks(strings)
-        )
-        parts = partition_fused(fused, 3, strings, {}, {})
-        block, layouts = pack_fused(parts)
-        try:
-            assert _leaked() != []  # the block really lives in /dev/shm
-            for part, layout in zip(parts, layouts):
-                view = unpack_fused(block, layout)
-                assert view.n_traceroutes == part.n_traceroutes
-                assert view.samples.tolist() == part.samples.tolist()
-                assert view.link_near.tolist() == part.link_near.tolist()
-                assert view.hop_ids.tolist() == part.hop_ids.tolist()
-                del view  # views alias the mapping; drop before close
-        finally:
-            block.close()
-            block.unlink()
-        assert _leaked() == []
-
-
-# -- 2. fused == object-path oracle -----------------------------------------
+# -- 1. fused == object-path oracle -----------------------------------------
 
 ip_strategy = st.sampled_from(
     ["10.0.0.1", "10.0.0.2", "10.0.1.1", "10.1.0.1", "10.1.0.2", "*"]
@@ -256,16 +159,14 @@ class TestFusedOracle:
         offsets = [0]
         for bin_trs in bins:
             offsets.append(offsets[-1] + len(bin_trs))
-        fused_engine = ShardedPipeline(
-            PipelineConfig(n_shards=3, executor="serial")
-        )
+        fused_engine = ShardedPipeline(PipelineConfig(n_shards=3))
         for b in range(3):
             view = batch.view(range(offsets[b], offsets[b + 1]))
             assert fused_engine.process_bin(b * 3600, view) == reference[b]
         assert fused_engine.stats() == serial.stats()
 
 
-# -- 3. canonical JSON byte-compatibility -----------------------------------
+# -- 2. canonical JSON byte-compatibility -----------------------------------
 
 
 class TestCanonicalJsonBytes:
@@ -349,7 +250,7 @@ class TestCanonicalJsonBytes:
         assert body == '{"a":[1,2],"b":1,"ü":"é"}'.encode("utf-8")
 
 
-# -- 4. mapped bin cache -----------------------------------------------------
+# -- 3. mapped bin cache -----------------------------------------------------
 
 
 class TestMappedBinCache:
@@ -380,11 +281,10 @@ class TestMappedBinCache:
     ):
         serial, results = serial_results
         mapped = read_bincache(cache_path, mapped=True)
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=2, executor="serial")
-        )
-        assert engine.run(mapped) == results
-        assert engine.stats() == serial.stats()
+        for n_shards in (1, 2, 4):
+            engine = ShardedPipeline(PipelineConfig(n_shards=n_shards))
+            assert engine.run(mapped) == results
+            assert engine.stats() == serial.stats()
 
     def test_load_or_build_mapped_hit(self, cache_path, campaign):
         jsonl = cache_path.parent / "campaign.jsonl"

@@ -26,6 +26,7 @@ PIPELINE_BUDGET = (
     "networkx",
     "scipy",
     "asyncio",
+    "multiprocessing",
     "repro.service.aio",
     "repro.service.routes",
     "repro.simulation.platform",
