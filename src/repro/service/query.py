@@ -4,8 +4,8 @@
 per-AS condition summaries, magnitude series, event lists, top-K
 rankings, link drill-down, alarm retrieval — **bit-identically** to
 :class:`~repro.reporting.ihr.InternetHealthReport` computed over the
-equivalent in-memory campaign, but from NumPy scans of the store's
-mmapped columns instead of Python object traversal:
+equivalent in-memory campaign, from one state derived out of the
+store's mmapped columns instead of Python object traversal:
 
 * per-AS severity series are rebuilt by scattering the store's AS-event
   journal (``np.add.at`` in row order — the exact accumulation order of
@@ -15,26 +15,37 @@ mmapped columns instead of Python object traversal:
   :func:`~repro.stats.robust.sliding_magnitude_rows` (bit-identical to
   the per-series :func:`~repro.stats.robust.sliding_magnitude` the
   oracle uses);
-* alarm objects are materialised only for the rows a query actually
-  returns, through the canonical record constructors of
-  :mod:`repro.reporting.export`;
-* per-segment ASN/time min-max indexes prune segments before their
-  columns are touched.
+* the link drill-down reads a table of per-(AS, near IP, far IP)
+  aggregates — alarm count, summed and peak deviation, newest
+  timestamp — folded from the delay rows of the same journal, in the
+  same order, as each segment is applied;
+* per-AS peaks and troughs are one reduction along the bin axis per
+  generation, and an event list is one threshold mask plus one
+  ``lexsort``;
+* result objects are materialised only for the rows a query returns,
+  alarms through the canonical record constructors of
+  :mod:`repro.reporting.export`.
 
-**Appends extend the answer.**  Matrices, counts and magnitudes are one
-derived state that only comes to exist by *applying segments in
-manifest order* (:meth:`StoreQuery._sync`): a fresh engine applies from
-zero, a long-lived one from where it stopped.  A new generation is an
-extension only when it provably is one — same store clock ``(store_id,
-start, bin_s)`` **and** the applied ``(name, digest)`` list is a prefix
-of the new manifest's; then only the new segments are scattered and,
-magnitudes being trailing-window, only positions from the lowest bin
-they touched are rescored (one column for a normal append).  Anything
-else — a merge, coarsen or drop rewrote a segment, the store was
-recreated, the first append set ``start`` — discards the state and
-applies from zero through the same code.  Public query methods refresh
-first and the state syncs at the first derived read of a generation, so
-a long-lived engine always serves the current one.
+A cache miss on ``/health``, ``/links``, ``/events`` or ``/top`` is
+therefore a lookup into that state and never opens a segment; only
+:meth:`StoreQuery.alarms_at` (segments pruned by their time range) and
+:meth:`StoreQuery.alarms_involving` read segment columns per call.
+
+**Appends extend the answer.**  Matrices, counts, link aggregates and
+magnitudes are one derived state that only comes to exist by *applying
+segments in manifest order* (:meth:`StoreQuery._sync`): a fresh engine
+applies from zero, a long-lived one from where it stopped.  A new
+generation is an extension only when it provably is one — same store
+clock ``(store_id, start, bin_s)`` **and** the applied
+``(name, digest)`` list is a prefix of the new manifest's; then only the
+new segments are scattered and folded and, magnitudes being
+trailing-window, only positions from the lowest bin they touched are
+rescored (one column for a normal append).  Anything else — a merge,
+coarsen or drop rewrote a segment, the store was recreated, the first
+append set ``start`` — discards the state and applies from zero through
+the same code.  Public query methods refresh first and the state syncs
+at the first derived read of a generation, so a long-lived engine
+always serves the current one.
 """
 
 from __future__ import annotations
@@ -86,7 +97,19 @@ class _Derived:
     ``values``/``magnitudes`` are ``[kind code, AS row, bin]`` with
     spare capacity on the last two axes; ``events`` counts journal rows
     per ``[kind code, AS row]`` (zero: the AS has no series of that
-    kind) and ``routers`` forwarding alarms per router AS.
+    kind), ``asns`` holds each row's ASN and ``routers`` counts
+    forwarding alarms per router AS.
+
+    The link table has one slot per (AS row, near IP, far IP) of the
+    delay journal, kept in ascending ``link_keys`` order.  A key packs
+    the row above the two link ends' ids into ``names``, each ``bits``
+    wide, so one AS's slots are one contiguous slice.  Per slot:
+    ``link_count`` journal rows, their summed (``link_total``) and
+    largest (``link_peak``) deviation and the newest timestamp
+    (``link_last``).
+
+    ``extremes`` memoises per-row reductions of ``magnitudes`` until
+    the next sync.
     """
 
     def __init__(self, clock: Tuple[bytes, Optional[int], int]) -> None:
@@ -95,10 +118,22 @@ class _Derived:
         self.applied: List[Tuple[str, bytes]] = []
         self.n_bins = 0
         self.rows: Dict[int, int] = {}
+        self.asns = np.zeros(0, dtype=np.int64)
         self.values = np.zeros((len(_KINDS), 0, 0))
         self.magnitudes = np.zeros((len(_KINDS), 0, 0))
         self.events = np.zeros((len(_KINDS), 0), dtype=np.int64)
         self.routers: Counter = Counter()
+        self.ids: Dict[str, int] = {}
+        self.names: List[str] = []
+        self.bits = 1
+        self.link_keys = np.zeros(0, dtype=np.int64)
+        self.link_count = np.zeros(0, dtype=np.int64)
+        self.link_total = np.zeros(0)
+        self.link_peak = np.zeros(0)
+        self.link_last = np.zeros(0, dtype=np.int64)
+        self.extremes: Dict[
+            Tuple[int, str], Tuple[np.ndarray, np.ndarray]
+        ] = {}
 
     def apply(self, segment: AlarmSegment, n_bins: int) -> int:
         """Scatter one segment's journal; returns the lowest bin touched."""
@@ -109,6 +144,8 @@ class _Derived:
             [known.setdefault(asn, len(known)) for asn in asns.tolist()],
             dtype=np.intp,
         )[inverse]
+        if len(known) != self.asns.size:
+            self.asns = np.fromiter(known, dtype=np.int64, count=len(known))
         self.values = _fit(self.values, (len(_KINDS), len(known), n_bins))
         self.events = _fit(self.events, (len(_KINDS), len(known)))
         bins = (segment.e_ts - start) // bin_s
@@ -121,7 +158,125 @@ class _Derived:
         np.add.at(self.events, (segment.e_kind, rows), 1)
         asns, counts = np.unique(segment.f_router_asn, return_counts=True)
         self.routers.update(dict(zip(asns.tolist(), counts.tolist())))
+        delay = segment.e_kind == KIND_DELAY
+        if delay.any():
+            self._fold_links(segment, rows[delay], delay)
         return int(bins.min()) if bins.size else n_bins
+
+    def _fold_links(
+        self, segment: AlarmSegment, rows: np.ndarray, delay: np.ndarray
+    ) -> None:
+        """Fold the segment's delay-journal rows into the link table.
+
+        Journal order, like the oracle's per-alarm loop: totals by
+        ``np.add.at`` from 0.0, peaks by ``np.fmax.at`` from 0.0.
+        Python's ``max(peak, deviation)`` keeps ``peak`` unless the
+        deviation is larger (a NaN never is), as ``fmax`` does — except
+        that ``fmax(0.0, -0.0)`` is ``-0.0``, so deviations enter the
+        peak fold as ``deviation + 0.0``.  New slots are inserted in key
+        order; the temporaries are this segment's size.
+        """
+        near, far = segment.e_near[delay], segment.e_far[delay]
+        used = np.zeros(len(segment.strings), dtype=bool)
+        used[near] = used[far] = True
+        gids = np.zeros(len(segment.strings), dtype=np.int64)
+        ids, names = self.ids, self.names
+        for index in np.flatnonzero(used).tolist():
+            name = segment.strings[index]
+            gid = ids.get(name)
+            if gid is None:
+                gid = ids[name] = len(names)
+                names.append(name)
+            gids[index] = gid
+        bits = len(names).bit_length()
+        if len(self.rows).bit_length() + 2 * bits > 62:
+            raise OverflowError("link table keys need more than 62 bits")
+        if bits != self.bits:  # wider ids: re-pack, the slot order holds
+            old, keys = self.bits, self.link_keys
+            mask = (1 << old) - 1
+            self.link_keys = (
+                ((keys >> 2 * old) << 2 * bits)
+                | (((keys >> old) & mask) << bits)
+                | (keys & mask)
+            )
+            self.bits = bits
+        keys = (
+            (rows.astype(np.int64) << 2 * bits)
+            | (gids[near] << bits)
+            | gids[far]
+        )
+        # Membership by binary search, not np.setdiff1d (which sorts
+        # the whole table in with the new keys on every append).
+        unique, inverse = np.unique(keys, return_inverse=True)
+        at = np.searchsorted(self.link_keys, unique)
+        held = at < self.link_keys.size
+        held[held] = self.link_keys[at[held]] == unique[held]
+        if not held.all():
+            at, fresh = at[~held], unique[~held]
+            self.link_keys = np.insert(self.link_keys, at, fresh)
+            self.link_count = np.insert(self.link_count, at, 0)
+            self.link_total = np.insert(self.link_total, at, 0.0)
+            self.link_peak = np.insert(self.link_peak, at, 0.0)
+            self.link_last = np.insert(
+                self.link_last, at, np.iinfo(np.int64).min
+            )
+        slots = np.searchsorted(self.link_keys, unique)[inverse]
+        deviations = segment.e_value[delay]
+        np.add.at(self.link_count, slots, 1)
+        np.add.at(self.link_total, slots, deviations)
+        np.fmax.at(self.link_peak, slots, deviations + 0.0)
+        np.maximum.at(self.link_last, slots, segment.e_ts[delay])
+
+    def links(self, row: int) -> List[LinkHealth]:
+        """The slots of AS *row*, sorted like the oracle's drill-down."""
+        bits, names = self.bits, self.names
+        mask = (1 << bits) - 1
+        lo, hi = np.searchsorted(
+            self.link_keys, [row << 2 * bits, (row + 1) << 2 * bits]
+        )
+        summaries = [
+            LinkHealth(
+                link=(names[(key >> bits) & mask], names[key & mask]),
+                alarm_count=count,
+                peak_deviation=peak,
+                total_deviation=total,
+                last_timestamp=last,
+            )
+            for key, count, peak, total, last in zip(
+                self.link_keys[lo:hi].tolist(),
+                self.link_count[lo:hi].tolist(),
+                self.link_peak[lo:hi].tolist(),
+                self.link_total[lo:hi].tolist(),
+                self.link_last[lo:hi].tolist(),
+            )
+        ]
+        summaries.sort(
+            key=lambda s: (-s.alarm_count, -s.total_deviation, s.link)
+        )
+        return summaries
+
+    def extreme(self, code: int, how: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row (bin index, magnitude) where kind *code* peaks.
+
+        *how* is ``"max"``, ``"min"`` or ``"abs"`` (largest
+        ``|magnitude|``): the first such bin, as the oracle's per-series
+        ``argmax``/``argmin`` — here one reduction for every row,
+        computed on first use and kept until the next sync.
+        """
+        found = self.extremes.get((code, how))
+        if found is None:
+            n_as = len(self.rows)
+            block = self.magnitudes[code, :n_as, : self.n_bins]
+            if block.size:
+                scored = np.abs(block) if how == "abs" else block
+                index = (np.argmin if how == "min" else np.argmax)(
+                    scored, axis=1
+                )
+                found = (index, block[np.arange(n_as), index])
+            else:
+                found = (np.zeros(n_as, dtype=np.intp), np.zeros(n_as))
+            self.extremes[(code, how)] = found
+        return found
 
 
 class StoreQuery:
@@ -250,18 +405,13 @@ class StoreQuery:
         state.magnitudes[:, :n_as, first:n_bins] = sliding_magnitude_rows(
             state.values[:, :n_as, :n_bins], self._window(), first
         )
+        state.extremes.clear()
         state.applied, state.n_bins, state.token = live, n_bins, manifest.token
         self._derived = state
         self._syncs.labels("extend" if extend else "rebuild").inc()
         self._sync_seconds.observe(perf_counter() - started)
         self._applied_segments.set(len(live))
         return state
-
-    def _asns(self, kind: str) -> List[int]:
-        """Every AS with at least one severity contribution of *kind*."""
-        state = self._synced()
-        present = state.events[_KINDS[kind]].tolist()
-        return [asn for asn, row in state.rows.items() if present[row]]
 
     def _magnitude_values(self, kind: str, asn: int) -> Optional[np.ndarray]:
         """Eq. 10 magnitudes of (kind, asn); None when the AS is absent.
@@ -287,24 +437,22 @@ class StoreQuery:
     def as_condition(self, asn: int) -> AsCondition:
         """Summarise one AS (zeros if the AS never raised alarms)."""
         self.refresh()
-        delay = self._magnitude_values("delay", asn)
-        forwarding = self._magnitude_values("forwarding", asn)
-        peak_value, peak_hour = 0.0, None
-        if delay is not None and delay.size:
-            index = int(np.argmax(delay))
-            peak_value, peak_hour = float(delay[index]), self._hour_of(index)
-        trough_value, trough_hour = 0.0, None
-        if forwarding is not None and forwarding.size:
-            index = int(np.argmin(forwarding))
-            trough_value = float(forwarding[index])
-            trough_hour = self._hour_of(index)
         state = self._synced()
         row = state.rows.get(asn)
+        delay_count = 0 if row is None else int(state.events[KIND_DELAY, row])
+        peak_value, peak_hour = 0.0, None
+        if delay_count:
+            index, values = state.extreme(KIND_DELAY, "max")
+            peak_value = float(values[row])
+            peak_hour = self._hour_of(int(index[row]))
+        trough_value, trough_hour = 0.0, None
+        if row is not None and state.events[KIND_FORWARDING, row]:
+            index, values = state.extreme(KIND_FORWARDING, "min")
+            trough_value = float(values[row])
+            trough_hour = self._hour_of(int(index[row]))
         return AsCondition(
             asn=asn,
-            delay_alarm_count=(
-                0 if row is None else int(state.events[KIND_DELAY, row])
-            ),
+            delay_alarm_count=delay_count,
             forwarding_alarm_count=state.routers[asn],
             peak_delay_magnitude=peak_value,
             peak_delay_hour=peak_hour,
@@ -333,40 +481,12 @@ class StoreQuery:
         """Per-link drill-down: this AS's delay alarms grouped by link.
 
         Same grouping, accumulation order and sort as
-        :meth:`InternetHealthReport.links_of`.
+        :meth:`InternetHealthReport.links_of`, read from the link table.
         """
         self.refresh()
-        counts: Dict[Tuple[str, str], int] = {}
-        peaks: Dict[Tuple[str, str], float] = {}
-        totals: Dict[Tuple[str, str], float] = {}
-        last: Dict[Tuple[str, str], int] = {}
-        for segment in self.store.segments(asn=asn):
-            mask = (segment.e_kind == KIND_DELAY) & (segment.e_asn == asn)
-            for row in np.nonzero(mask)[0]:
-                link = (
-                    segment.strings[segment.e_near[row]],
-                    segment.strings[segment.e_far[row]],
-                )
-                deviation = float(segment.e_value[row])
-                timestamp = int(segment.e_ts[row])
-                counts[link] = counts.get(link, 0) + 1
-                peaks[link] = max(peaks.get(link, 0.0), deviation)
-                totals[link] = totals.get(link, 0.0) + deviation
-                last[link] = max(last.get(link, timestamp), timestamp)
-        summaries = [
-            LinkHealth(
-                link=link,
-                alarm_count=counts[link],
-                peak_deviation=peaks[link],
-                total_deviation=totals[link],
-                last_timestamp=last[link],
-            )
-            for link in counts
-        ]
-        summaries.sort(
-            key=lambda s: (-s.alarm_count, -s.total_deviation, s.link)
-        )
-        return summaries
+        state = self._synced()
+        row = state.rows.get(asn)
+        return [] if row is None else state.links(row)
 
     def top_asns(
         self, kind: str = "delay", k: int = 10
@@ -377,48 +497,65 @@ class StoreQuery:
             raise ValueError(f"kind must be 'delay' or 'forwarding': {kind}")
         if k < 0:
             raise ValueError(f"k must be >= 0: {k}")
-        ranking: List[Tuple[int, float]] = []
-        for asn in sorted(self._asns(kind)):
-            magnitudes = self._magnitude_values(kind, asn)
-            if magnitudes is None or not magnitudes.size:
-                continue
-            index = int(np.argmax(np.abs(magnitudes)))
-            ranking.append((asn, float(magnitudes[index])))
-        ranking.sort(key=lambda entry: (-abs(entry[1]), entry[0]))
-        return ranking[:k]
+        state = self._synced()
+        code = _KINDS[kind]
+        present = np.flatnonzero(state.events[code, : len(state.rows)])
+        peaks = state.extreme(code, "abs")[1][present]
+        asns = state.asns[present]
+        order = np.lexsort((asns, -np.abs(peaks)))[:k]
+        return list(zip(asns[order].tolist(), peaks[order].tolist()))
 
     # -- event queries -------------------------------------------------------
 
-    def _detect_events(self, kind: str, threshold: float) -> List[DetectedEvent]:
-        """Mirror of :meth:`AlarmAggregator.detect_events` on the store."""
+    def _detect_events(
+        self,
+        kind: str,
+        threshold: float,
+        span: Optional[Tuple[int, int]] = None,
+        limit: Optional[int] = None,
+    ) -> List[DetectedEvent]:
+        """Mirror of :meth:`AlarmAggregator.detect_events` on the store.
+
+        One threshold mask over the magnitude matrix and one ``lexsort``
+        on (-|magnitude|, ASN, timestamp); events outside ``[start,
+        end)`` of *span* are dropped and only the first *limit* built.
+        """
         if threshold <= 0:
             raise ValueError(f"threshold must be positive: {threshold}")
         if kind not in _KINDS:
             raise ValueError(f"kind must be 'delay' or 'forwarding': {kind}")
-        manifest = self.store.manifest
-        events: List[DetectedEvent] = []
-        for asn in sorted(self._asns(kind)):
-            magnitudes = self._magnitude_values(kind, asn)
-            if magnitudes is None:
-                continue
-            for index in np.nonzero(np.abs(magnitudes) > threshold)[0]:
-                events.append(
-                    DetectedEvent(
-                        asn=asn,
-                        timestamp=manifest.start + int(index) * manifest.bin_s,
-                        magnitude=float(magnitudes[index]),
-                        kind=kind,
-                    )
-                )
-        events.sort(key=lambda e: (-abs(e.magnitude), e.asn, e.timestamp))
-        return events
+        state = self._synced()
+        code = _KINDS[kind]
+        block = state.magnitudes[code, : len(state.rows), : state.n_bins]
+        # A row with no series of this kind scores 0.0 in every bin.
+        rows, bins = np.nonzero(np.abs(block) > threshold)
+        if not rows.size:
+            return []
+        _, start, bin_s = state.clock
+        timestamps = start + bins * bin_s
+        if span is not None:
+            keep = (span[0] <= timestamps) & (timestamps < span[1])
+            rows, bins, timestamps = rows[keep], bins[keep], timestamps[keep]
+        magnitudes = block[rows, bins]
+        asns = state.asns[rows]
+        order = np.lexsort((timestamps, asns, -np.abs(magnitudes)))[:limit]
+        return [
+            DetectedEvent(
+                asn=asn, timestamp=timestamp, magnitude=magnitude, kind=kind
+            )
+            for asn, timestamp, magnitude in zip(
+                asns[order].tolist(),
+                timestamps[order].tolist(),
+                magnitudes[order].tolist(),
+            )
+        ]
 
     def top_events(
         self, kind: str = "delay", threshold: float = 5.0, limit: int = 10
     ) -> List[DetectedEvent]:
         """Most severe magnitude excursions, like the IHR front page."""
         self.refresh()
-        return self._detect_events(kind, threshold)[:limit]
+        return self._detect_events(kind, threshold, limit=limit)
 
     def events_in(
         self,
@@ -433,11 +570,9 @@ class StoreQuery:
             raise ValueError(
                 f"end {end_timestamp} precedes start {start_timestamp}"
             )
-        return [
-            event
-            for event in self._detect_events(kind, threshold)
-            if start_timestamp <= event.timestamp < end_timestamp
-        ]
+        return self._detect_events(
+            kind, threshold, span=(start_timestamp, end_timestamp)
+        )
 
     # -- alarm retrieval -----------------------------------------------------
 

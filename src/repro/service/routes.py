@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.atlas.io import PathLike
@@ -223,7 +222,16 @@ def if_none_match_matches(header: Optional[str], etag: str) -> bool:
 
 def _health_payload(engine: StoreQuery, asn: int) -> Dict[str, object]:
     condition = engine.as_condition(asn)
-    return {**asdict(condition), "healthy": condition.healthy}
+    return {
+        "asn": condition.asn,
+        "delay_alarm_count": condition.delay_alarm_count,
+        "forwarding_alarm_count": condition.forwarding_alarm_count,
+        "peak_delay_magnitude": condition.peak_delay_magnitude,
+        "peak_delay_hour": condition.peak_delay_hour,
+        "trough_forwarding_magnitude": condition.trough_forwarding_magnitude,
+        "trough_forwarding_hour": condition.trough_forwarding_hour,
+        "healthy": condition.healthy,
+    }
 
 
 def _links_payload(engine: StoreQuery, asn: int) -> List[Dict[str, object]]:
@@ -266,7 +274,15 @@ def _events_payload(engine: StoreQuery, params: Dict[str, str]):
         events = engine.events_in(start, end, kind, threshold)[:limit]
     else:
         events = engine.top_events(kind, threshold, limit)
-    return [asdict(event) for event in events]
+    return [
+        {
+            "asn": event.asn,
+            "timestamp": event.timestamp,
+            "magnitude": event.magnitude,
+            "kind": event.kind,
+        }
+        for event in events
+    ]
 
 
 def answer_route(

@@ -21,9 +21,9 @@ pipeline raised, in the repository's binary idiom
   structural vetting (anchored monotone offsets, interner ids in
   range).  A truncated, foreign or corrupt file always raises
   :class:`StoreError` — partial data is never served;
-* **per-segment min/max indexes** over ASN and time let range queries
-  (one AS's series, one window's events) skip irrelevant segments
-  without touching their bytes.
+* **per-segment min/max indexes** over time let a one-window read skip
+  irrelevant segments without touching their bytes (the ASN range is
+  recorded beside it).
 
 The *AS-level event* rows are the store's denormalised severity journal:
 one row per (delay alarm × attributed AS) carrying the Eq. 6 deviation,
@@ -206,10 +206,12 @@ _EVENT_COLUMNS = (
 class SegmentMeta:
     """One segment's manifest entry: identity, size and prune indexes.
 
-    ``min_asn``/``max_asn`` cover every ASN the segment's event rows and
-    forwarding router attributions mention; ``min_ts``/``max_ts`` cover
-    every row timestamp.  Empty ranges are ``(0, -1)`` so no query ever
-    matches them.
+    ``min_ts``/``max_ts`` cover every row timestamp; time-range reads
+    and retention prune by them.  ``min_asn``/``max_asn`` cover every
+    ASN the segment's event rows and forwarding router attributions
+    mention (recorded, but no read prunes by them: per-AS answers come
+    from the query engine's applied state).  Empty ranges
+    are ``(0, -1)`` so no query ever matches them.
     """
 
     name: str
@@ -221,10 +223,6 @@ class SegmentMeta:
     max_ts: int
     min_asn: int
     max_asn: int
-
-    def covers_asn(self, asn: int) -> bool:
-        """May this segment hold rows attributed to *asn*?"""
-        return self.min_asn <= asn <= self.max_asn
 
     def overlaps(self, t0: int, t1: int) -> bool:
         """May this segment hold rows with ``t0 <= ts < t1``?"""
@@ -862,18 +860,16 @@ class AlarmStore:
 
     def segments(
         self,
-        asn: Optional[int] = None,
         t0: Optional[int] = None,
         t1: Optional[int] = None,
     ) -> Iterable[AlarmSegment]:
-        """Open segments possibly relevant to the given ASN/time range.
+        """Open segments possibly holding rows in ``[t0, t1)`` (all
+        segments without a range).
 
         Yields in manifest (append) order — the order that preserves
         the severity journal's accumulation semantics.
         """
         for meta in self.manifest.segments:
-            if asn is not None and not meta.covers_asn(asn):
-                continue
             if t0 is not None and t1 is not None and not meta.overlaps(t0, t1):
                 continue
             yield self.segment(meta)

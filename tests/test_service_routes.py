@@ -206,6 +206,68 @@ class TestRoutes:
             for asn, magnitude in query.top_asns("delay", 2)
         ]
 
+    def test_body_bytes_are_pinned(self, served_store):
+        """Exact bodies of one answer per derived route, recorded before
+        the query engine served them from its applied state."""
+        expected = {
+            "/health/65001": (
+                b'{"asn":65001,"delay_alarm_count":8,'
+                b'"forwarding_alarm_count":2,"healthy":false,'
+                b'"peak_delay_hour":5,'
+                b'"peak_delay_magnitude":5.009214808378692,'
+                b'"trough_forwarding_hour":5,'
+                b'"trough_forwarding_magnitude":-1.5114321838664517}\n'
+            ),
+            "/links/65001": (
+                b'[{"alarm_count":2,"last_timestamp":16369,'
+                b'"link":["10.0.0.2","10.0.2.1"],'
+                b'"peak_deviation":18.427901276761265,'
+                b'"total_deviation":35.95747129118525},'
+                b'{"alarm_count":1,"last_timestamp":3560,'
+                b'"link":["198.51.100.7","10.0.0.2"],'
+                b'"peak_deviation":41.882825525164904,'
+                b'"total_deviation":41.882825525164904},'
+                b'{"alarm_count":1,"last_timestamp":19610,'
+                b'"link":["10.0.0.2","10.1.0.1"],'
+                b'"peak_deviation":26.679793520476647,'
+                b'"total_deviation":26.679793520476647},'
+                b'{"alarm_count":1,"last_timestamp":11859,'
+                b'"link":["10.0.2.1","10.0.0.2"],'
+                b'"peak_deviation":15.846699624372473,'
+                b'"total_deviation":15.846699624372473},'
+                b'{"alarm_count":1,"last_timestamp":5057,'
+                b'"link":["10.0.0.2","10.0.1.1"],'
+                b'"peak_deviation":15.688068291266289,'
+                b'"total_deviation":15.688068291266289},'
+                b'{"alarm_count":1,"last_timestamp":6080,'
+                b'"link":["10.0.2.1","10.0.1.1"],'
+                b'"peak_deviation":6.555068520186758,'
+                b'"total_deviation":6.555068520186758},'
+                b'{"alarm_count":1,"last_timestamp":12109,'
+                b'"link":["10.0.0.1","198.51.100.7"],'
+                b'"peak_deviation":1.5869883359103387,'
+                b'"total_deviation":1.5869883359103387}]\n'
+            ),
+            "/events?kind=delay&threshold=0.5&limit=5": (
+                b'[{"asn":65010,"kind":"delay",'
+                b'"magnitude":17.55209920371041,"timestamp":14400},'
+                b'{"asn":65001,"kind":"delay",'
+                b'"magnitude":5.009214808378692,"timestamp":18000},'
+                b'{"asn":65002,"kind":"delay",'
+                b'"magnitude":3.334670934256512,"timestamp":18000},'
+                b'{"asn":65010,"kind":"delay",'
+                b'"magnitude":1.277800990359844,"timestamp":18000},'
+                b'{"asn":65002,"kind":"delay",'
+                b'"magnitude":0.6465485091648386,"timestamp":3600}]\n'
+            ),
+            "/top?kind=forwarding&k=3": (
+                b'[{"asn":65001,"magnitude":-1.5114321838664517}]\n'
+            ),
+        }
+        for url, body in expected.items():
+            status, _, actual = _get(served_store["base"] + url)
+            assert (status, actual) == (200, body), url
+
     def test_index_route(self, served_store):
         status, _, body = _get(served_store["base"] + "/")
         assert status == 200

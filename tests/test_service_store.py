@@ -8,6 +8,7 @@ and never from a truncated or corrupt file (those raise
 :class:`StoreError`).
 """
 
+import math
 import os
 import random
 import tempfile
@@ -235,6 +236,185 @@ class TestEquivalence:
         append_analysis(tmp_path / "store", analysis, segment_bins=4)
         query = StoreQuery(tmp_path / "store", window_bins=5)
         assert_equivalent(report, query, analysis.bin_results)
+
+
+class TestAppliedState:
+    """Derived reads are lookups into the applied state: after the first
+    sync no query opens a segment, and an append applies exactly one."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Names of the segments ``AlarmStore.segment`` hands out."""
+        seen = []
+        real = AlarmStore.segment
+
+        def counting(store, meta):
+            seen.append(meta.name)
+            return real(store, meta)
+
+        monkeypatch.setattr(AlarmStore, "segment", counting)
+        return seen
+
+    def test_derived_reads_open_no_segment(self, tmp_path, opened):
+        bins = synthetic_bins(8, seed=51)
+        build_store(tmp_path / "store", bins, make_mapper(), chunk=2)
+        query = StoreQuery(tmp_path / "store", window_bins=4)
+        asns = query.monitored_asns() + [99999]
+        assert len(opened) == len(query.store.manifest.segments) > 1
+        del opened[:]
+        for asn in asns:
+            query.links_of(asn)
+            query.as_condition(asn)
+        for kind in ("delay", "forwarding"):
+            query.top_asns(kind, 5)
+            query.top_events(kind, 0.5, 5)
+            query.events_in(0, len(bins) * BIN_S, kind, 0.5)
+        assert opened == []
+
+    def test_one_append_applies_one_segment(self, tmp_path, opened):
+        bins = synthetic_bins(8, seed=52)
+        writer = build_store(
+            tmp_path / "store", bins[:6], make_mapper(), chunk=2
+        )
+        query = StoreQuery(tmp_path / "store", window_bins=4)
+        query.links_of(65001)
+        del opened[:]
+        writer.append_bins(bins[6:])
+        query.links_of(65001)
+        assert opened == [writer.manifest.segments[-1].name]
+        assert len(writer.manifest.segments) == 4
+
+
+class TestTieOrder:
+    """Literal ties, ranked exactly like the in-memory report.
+
+    Window 2, alarms in bins 1 and 3 only.  Each delay alarm (deviation
+    7.0) credits AS 65001 and AS 65010 alike, on two links that differ
+    only by the near IP, so link counts and totals tie and the two ASes'
+    magnitude series are equal: +m, -m, +m from bin 1 on.  Each
+    forwarding alarm moves -3.0 to AS 65002 and +3.0 to AS 65010, so
+    their series are exact negatives.
+    """
+
+    @staticmethod
+    def bins(deviation: float = 7.0):
+        def delay(timestamp, near):
+            return DelayAlarm(
+                timestamp=timestamp,
+                link=(near, "10.1.0.1"),
+                observed=WilsonInterval(20.0, 19.0, 21.0, 50),
+                reference=WilsonInterval(10.0, 9.5, 10.5, 50),
+                deviation=deviation,
+                direction=1,
+                n_probes=9,
+                n_asns=3,
+            )
+
+        results = []
+        for index in range(4):
+            timestamp = index * BIN_S
+            alarmed = index % 2 == 1
+            results.append(
+                BinResult(
+                    timestamp=timestamp,
+                    n_traceroutes=0,
+                    n_links_observed=0,
+                    n_links_analyzed=0,
+                    # Interned in this order, ranked the other way.
+                    delay_alarms=[
+                        delay(timestamp, "10.0.0.2"),
+                        delay(timestamp, "10.0.0.1"),
+                    ] if alarmed else [],
+                    forwarding_alarms=[
+                        ForwardingAlarm(
+                            timestamp=timestamp,
+                            router_ip="10.0.0.1",
+                            destination="anchor-1",
+                            correlation=-0.5,
+                            responsibilities={
+                                "10.0.1.1": -3.0, "10.1.0.2": 3.0,
+                            },
+                            pattern={"10.0.1.1": 0.0, "10.1.0.2": 30.0},
+                            reference={"10.0.1.1": 30.0},
+                        )
+                    ] if alarmed else [],
+                )
+            )
+        return results
+
+    def both(self, tmp_path, window: int, deviation: float = 7.0):
+        mapper = make_mapper()
+        results = self.bins(deviation)
+        build_store(tmp_path / "store", results, mapper, chunk=2)
+        report = InternetHealthReport(
+            analysis_of(results, mapper), window_bins=window
+        )
+        return report, StoreQuery(tmp_path / "store", window_bins=window)
+
+    def test_links_tied_on_count_and_total_go_by_link(self, tmp_path):
+        report, query = self.both(tmp_path, window=2)
+        for asn in (65001, 65010):
+            links = query.links_of(asn)
+            assert links == report.links_of(asn)
+            assert [summary.link for summary in links] == [
+                ("10.0.0.1", "10.1.0.1"), ("10.0.0.2", "10.1.0.1"),
+            ]
+            assert {(s.alarm_count, s.total_deviation) for s in links} == {
+                (2, 14.0)
+            }
+
+    def test_zero_deviation_peaks_are_positive_zero(self, tmp_path):
+        """The report's peak starts at +0.0 and only a larger deviation
+        replaces it, so a -0.0 deviation leaves +0.0 behind."""
+        report, query = self.both(tmp_path, window=2, deviation=-0.0)
+        links = query.links_of(65001)
+        assert links == report.links_of(65001)
+        for summary, expected in zip(links, report.links_of(65001)):
+            assert math.copysign(1.0, summary.peak_deviation) == 1.0
+            assert math.copysign(1.0, expected.peak_deviation) == 1.0
+
+    def test_top_asns_ties_go_by_asn(self, tmp_path):
+        report, query = self.both(tmp_path, window=2)
+        delay = query.top_asns("delay", 5)
+        assert delay == report.top_asns("delay", 5)
+        assert [asn for asn, _ in delay] == [65001, 65010]
+        assert delay[0][1] == delay[1][1] > 0
+        forwarding = query.top_asns("forwarding", 5)
+        assert forwarding == report.top_asns("forwarding", 5)
+        assert [asn for asn, _ in forwarding] == [65002, 65010]
+        assert forwarding[0][1] == -forwarding[1][1] < 0
+
+    def test_zero_magnitude_ties_go_by_asn(self, tmp_path):
+        """Window 1: every magnitude is +0.0, every AS ties."""
+        report, query = self.both(tmp_path, window=1)
+        for kind, asns in (
+            ("delay", [65001, 65010]), ("forwarding", [65002, 65010]),
+        ):
+            ranking = query.top_asns(kind, 5)
+            assert ranking == report.top_asns(kind, 5)
+            assert ranking == [(asn, 0.0) for asn in asns]
+            assert all(math.copysign(1.0, m) == 1.0 for _, m in ranking)
+            assert query.top_events(kind, 0.1, 10) == []
+
+    def test_event_ties_go_by_asn_then_timestamp(self, tmp_path):
+        report, query = self.both(tmp_path, window=2)
+        for kind, threshold, asns in (
+            ("delay", 0.5, (65001, 65010)),
+            ("forwarding", 0.4, (65002, 65010)),
+        ):
+            events = query.top_events(kind, threshold, 10)
+            assert events == report.top_events(kind, threshold, 10)
+            assert [(e.asn, e.timestamp) for e in events] == [
+                (asn, index * BIN_S) for asn in asns for index in (1, 2, 3)
+            ]
+            assert len({abs(e.magnitude) for e in events}) == 1
+            assert {math.copysign(1.0, e.magnitude) for e in events} == {
+                1.0, -1.0,
+            }
+            assert query.top_events(kind, threshold, 4) == events[:4]
+            assert query.events_in(2 * BIN_S, 4 * BIN_S, kind, threshold) == (
+                report.events_in(2 * BIN_S, 4 * BIN_S, kind, threshold)
+            )
 
 
 class TestWriterSemantics:

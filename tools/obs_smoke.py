@@ -2,7 +2,8 @@
 """Observability smoke test: boot the HTTP server and scrape it.
 
 CI's end-to-end check for the :mod:`repro.obs` surface.  It builds a
-tiny campaign with the CLI, publishes an alarm store, then:
+tiny campaign with an injected DDoS event with the CLI, publishes an
+alarm store, then:
 
 1. boots the server as a real ``python -m repro serve`` subprocess;
 2. scrapes ``/metrics`` and checks the Content-Type, parses the body
@@ -12,10 +13,14 @@ tiny campaign with the CLI, publishes an alarm store, then:
 3. fetches ``/statusz`` and checks the progress document shape;
 4. issues one real query (``/top?kind=delay``) and confirms a second
    scrape shows the request counter moved;
-5. appends one bin to the store behind the server's back, asks again,
-   and confirms the query engine *extended* its derived state (the
-   ``repro_query_sync_*`` / ``repro_store_manifest_reads_total``
-   families are present and say so).
+5. fetches ``/links/{busiest AS}``, ``/top`` and ``/events`` and checks
+   each body against an in-process ``ServiceState.respond``;
+6. appends one bin behind the server's back that alarms the busiest
+   AS's top link again, repeats step 5 (the link's count must have
+   grown by one) and confirms the query engine *extended* its derived
+   state, link aggregates included (the ``repro_query_sync_*`` /
+   ``repro_store_manifest_reads_total`` families are present and say
+   so).
 
 Exit code 0 on success, 1 with the failed check's traceback otherwise.
 
@@ -29,6 +34,7 @@ Run via ``make obs-smoke``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -45,7 +51,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core import BinResult  # noqa: E402
 from repro.net import AsMapper  # noqa: E402
 from repro.obs.expo import parse_text, validate  # noqa: E402
-from repro.service import AlarmStoreWriter  # noqa: E402
+from repro.service import (  # noqa: E402
+    AlarmStoreWriter,
+    ResponseCache,
+    ServiceState,
+    StoreQuery,
+)
 
 #: Seconds to wait for the freshly booted server to answer.
 BOOT_TIMEOUT_S = 20.0
@@ -110,17 +121,58 @@ def _counter_total(families, name, **labels):
     )
 
 
-def _append_quiet_bin(store):
-    """Publish one more (alarm-free) bin: a new generation, no rewrite."""
-    writer = AlarmStoreWriter(store, AsMapper([]))
-    manifest = writer.manifest
+def _busiest_link(store):
+    """(ASN, link): the AS with the most alarmed links and its top link."""
+    query = StoreQuery(store)
+    asn = max(
+        query.monitored_asns(),
+        key=lambda candidate: (len(query.links_of(candidate)), -candidate),
+        default=None,
+    )
+    assert asn is not None and query.links_of(asn), (
+        "the smoke campaign raised no delay alarms"
+    )
+    return asn, query.links_of(asn)[0].link
+
+
+def _append_alarm_bin(store, asn, link):
+    """Publish one more bin re-alarming *link* for *asn*: a new
+    generation that extends one existing link aggregate, no rewrite."""
+    alarm = next(
+        alarm for alarm in StoreQuery(store).alarms_involving(link[0])
+        if alarm.link == link
+    )
+    near = link[0]
+    writer = AlarmStoreWriter(
+        store, AsMapper([(near, 128 if ":" in near else 32, asn)])
+    )
+    timestamp = writer.manifest.end + writer.manifest.bin_s
     writer.append_bins([
         BinResult(
-            timestamp=manifest.end + manifest.bin_s, n_traceroutes=0,
+            timestamp=timestamp, n_traceroutes=0,
             n_links_observed=0, n_links_analyzed=0,
-            delay_alarms=[], forwarding_alarms=[],
+            delay_alarms=[dataclasses.replace(alarm, timestamp=timestamp)],
+            forwarding_alarms=[],
         )
     ])
+
+
+def _check_in_process(port, store, routes):
+    """Each route's wire body equals an in-process ServiceState's."""
+    state = ServiceState(StoreQuery(store), ResponseCache(16))
+    for route in routes:
+        _, _, body = _get(port, route)
+        expected = state.respond(route, {}).body
+        assert body == expected, f"{route}: wire differs from respond()"
+
+
+def _link_count(port, asn, link):
+    """The served ``alarm_count`` of *link* in ``/links/{asn}``."""
+    _, _, body = _get(port, f"/links/{asn}")
+    return next(
+        entry["alarm_count"] for entry in json.loads(body)
+        if tuple(entry["link"]) == link
+    )
 
 
 def _scrape(port, store):
@@ -158,10 +210,16 @@ def _scrape(port, store):
     )
     assert moved >= 1, f"request counter did not move ({moved})"
 
-    _append_quiet_bin(store)
+    asn, link = _busiest_link(store)
+    routes = [f"/links/{asn}", "/top", "/events"]
+    _check_in_process(port, store, routes)
+    count = _link_count(port, asn, link)
+    _append_alarm_bin(store, asn, link)
     time.sleep(0.2)  # several freshness-probe intervals
-    status, _, _ = _get(port, "/top?kind=delay&k=3")
-    assert status == 200, f"query after the append returned {status}"
+    _check_in_process(port, store, routes)
+    assert _link_count(port, asn, link) == count + 1, (
+        "the appended alarm did not reach the served link aggregate"
+    )
     _, _, body = _get(port, "/metrics")
     after = parse_text(body)
     validate(after)
@@ -181,7 +239,7 @@ def _scrape(port, store):
             after, "repro_store_manifest_reads_total", result=result
         ) >= 1, f"no manifest probe counted as {result}"
     print(f"obs-smoke: OK ({len(after)} metric families, counters moving, "
-          f"append extended the query state)")
+          f"append extended the query state and its link aggregates)")
 
 
 def main(argv):
@@ -198,8 +256,10 @@ def main(argv):
         workdir.mkdir(parents=True, exist_ok=True)
         campaign = workdir / "campaign.jsonl"
         store = workdir / "alarms.store"
-        _run_cli(["generate", "--hours", "3", "--seed", "3",
-                  "--probes", "12", "--no-anchoring",
+        # The shortest campaign whose injected event raises delay
+        # alarms: step 5 needs an alarmed link to drill into.
+        _run_cli(["generate", "--hours", "6", "--seed", "3",
+                  "--probes", "12", "--no-anchoring", "--scenario", "ddos",
                   "--out", str(campaign)], stdout=subprocess.DEVNULL)
         _run_cli(["analyze", str(campaign), "--seed", "3", "--probes", "12",
                   "--store", str(store)], stdout=subprocess.DEVNULL)
