@@ -118,7 +118,7 @@ def main() -> None:
         for i in range(9)
     ] + [{"id": 999, "status_id": 2, "is_public": True, "asn_v4": 65009}]
     meta_pages = {META_URL: probe_dump_fixture(raw_probes, compress=True)}
-    cache = workdir / "probes.cache.json"
+    cache = workdir / "probes.cache"
     live = fetch_probes(
         make_client(meta_pages), url=META_URL, cache_path=cache
     )

@@ -2,21 +2,17 @@
 
 Replaying an archived campaign through the pipeline twice should not pay
 for JSON parsing twice.  This module persists a
-:class:`~repro.atlas.columnar.TracerouteBatch` as one flat binary file —
-a magic/version header, a fingerprint of the source JSONL (size +
+:class:`~repro.atlas.columnar.TracerouteBatch` as one
+:mod:`repro.binfmt` file — a fingerprint of the source JSONL (size +
 mtime), the interner's string table, and the raw bytes of every column —
 so a warm replay goes disk → ``array.frombytes`` → detection with no
 JSON, no object construction and no per-value Python work at all.
 
-The format is deliberately dumb and fully versioned:
-
-* an incompatible layout change bumps :data:`CACHE_VERSION`, and stale
-  or foreign files fail loudly with :class:`BinCacheError` (callers such
-  as :func:`load_or_build` then just rebuild);
-* byte order is recorded in the header and fixed up with
-  ``array.byteswap`` on load, so caches move between machines;
-* writes go to a temp file renamed into place, so a crashed writer can
-  never leave a half-written cache that a later run would trust.
+The frame carries magic, version and a payload digest, so a stale,
+foreign or corrupt cache fails loudly with :class:`BinCacheError` and
+:func:`load_or_build` rebuilds it.  Column payloads keep the writer's
+byte order (recorded in the payload, fixed up with ``array.byteswap``
+on load), so caches move between machines.
 
 :func:`load_or_build` is the one-call workflow used by the CLI's
 ``--bin-cache`` flag: return the cached columns when the cache matches
@@ -36,7 +32,6 @@ silently fall back to the copying load.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import sys
@@ -47,13 +42,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import binfmt
 from repro.atlas.columnar import IPInterner, TracerouteBatch, decode_traceroutes
 from repro.obs.metrics import default_registry
 from repro.atlas.io import PathLike
 
 #: File identification: magic bytes plus an explicit format version.
+#: Version 2 put the payload under the shared frame's digest.
 MAGIC = b"RPROBINC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Default suffix appended to the source path for implicit cache files.
 DEFAULT_SUFFIX = ".binc"
@@ -75,22 +72,19 @@ _COLUMNS = (
     ("reply_rtt", "d"),
 )
 
-#: Header after the magic: version, big-endian flag, string count,
-#: string-blob byte length.  Header integers are always little-endian;
-#: only the column payloads use the recorded byte order.
-_HEADER = struct.Struct("<IBQQ")
-
-#: Source fingerprint: size in bytes and mtime in nanoseconds.
-_FINGERPRINT = struct.Struct("<QQ")
-
-#: Per-column prefix: typecode byte + payload byte length.
-_COLUMN_PREFIX = struct.Struct("<cQ")
+#: Payload head: big-endian columns flag, then the source fingerprint
+#: (size in bytes, mtime in nanoseconds).  The string table follows,
+#: then each column as an element count and its raw bytes.
+_PREFIX = struct.Struct("<?QQ")
 
 Fingerprint = Tuple[int, int]
 
 
-class BinCacheError(RuntimeError):
+class BinCacheError(binfmt.FormatError):
     """A cache file is missing, foreign, truncated, stale or corrupt."""
+
+
+BINCACHE = binfmt.Format(MAGIC, CACHE_VERSION, "bin cache", BinCacheError)
 
 
 def fingerprint_of(path: PathLike) -> Fingerprint:
@@ -110,54 +104,24 @@ def write_bincache(
     batch: TracerouteBatch,
     fingerprint: Optional[Fingerprint] = None,
 ) -> int:
-    """Persist *batch* to *path*; returns the bytes written.
+    """Persist *batch* to *path* durably; returns the bytes written.
 
     *fingerprint* ties the cache to its source JSONL ((0, 0) = unbound,
-    always accepted).  The file is written to a sibling temp path and
-    renamed into place so readers never observe a partial cache.
+    always accepted).  Columns stream straight to disk, so peak memory
+    stays at the batch itself rather than batch + a serialised copy
+    (campaign batches are the multi-GB case this cache exists for).
     """
     size, mtime_ns = fingerprint if fingerprint is not None else (0, 0)
-    encoded = [value.encode("utf-8") for value in batch.interner.strings]
-    blob = b"".join(
-        struct.pack("<I", len(value)) + value for value in encoded
-    )
-    target = Path(path)
-    temp = target.with_name(target.name + f".tmp{os.getpid()}")
-    try:
-        # Stream straight to disk — column payloads go out via
-        # array.tofile, so peak memory stays at the batch itself rather
-        # than batch + a full serialized copy (campaign batches are the
-        # multi-GB case this cache exists for).
-        with open(temp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(
-                _HEADER.pack(
-                    CACHE_VERSION,
-                    1 if sys.byteorder == "big" else 0,
-                    len(encoded),
-                    len(blob),
-                )
-            )
-            handle.write(_FINGERPRINT.pack(size, mtime_ns))
-            handle.write(blob)
-            for name, typecode in _COLUMNS:
-                column = getattr(batch, name)
-                handle.write(
-                    _COLUMN_PREFIX.pack(
-                        typecode.encode(),
-                        len(column) * column.itemsize,
-                    )
-                )
-                if isinstance(column, array):
-                    column.tofile(handle)
-                else:  # a mapped batch's memoryview column
-                    handle.write(column)
-            written = handle.tell()
-        os.replace(temp, target)
-    finally:
-        if temp.exists():  # pragma: no cover - only on a failed replace
-            temp.unlink()
-    return written
+
+    def chunks():
+        yield _PREFIX.pack(sys.byteorder == "big", size, mtime_ns)
+        yield binfmt.string_table(batch.interner.strings)
+        for name, _ in _COLUMNS:
+            column = getattr(batch, name)
+            yield binfmt.U64.pack(len(column))
+            yield column
+
+    return binfmt.atomic_write(path, BINCACHE, chunks()).size
 
 
 def read_bincache(
@@ -177,106 +141,31 @@ def read_bincache(
     alive by the columns themselves); the returned batch is then
     read-only.  See the module docs for the exact semantics.
     """
-    # The file is memory-mapped, not read into a bytes object: columns
-    # are copied directly from the page cache into their arrays (or, in
-    # mapped mode, stay views into it), so peak memory is at most the
-    # batch itself, not batch + file image.
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise BinCacheError(f"cannot read bin cache {path}: {exc}") from exc
-    with handle:
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:  # e.g. an empty file
-            raise BinCacheError(
-                f"cannot map bin cache {path}: {exc}"
-            ) from exc
-        # A parse failure is captured as a message (not re-raised in
-        # place): a propagating exception would pin the parser's frame
-        # — and its memoryview slices of the mapping — in its traceback,
-        # and mmap.close() refuses to close under exported buffers.
-        error = None
-        keep = False
-        try:
-            view = memoryview(mapping)
-            try:
-                batch = _parse_cache(view, path, fingerprint, mapped=mapped)
-                # Mapped columns alias the mapping: leave it open, the
-                # column views keep it alive for the batch's lifetime.
-                keep = mapped
-                return batch
-            finally:
-                if not keep:
-                    view.release()
-        except BinCacheError as exc:
-            error = str(exc)
-        finally:
-            if not keep:
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - leaked slice guard
-                    pass
-    raise BinCacheError(error)
+    return binfmt.map_frame(
+        path,
+        BINCACHE,
+        lambda reader: _parse_cache(reader, fingerprint, mapped),
+        keep=mapped,
+    )
 
 
 def _parse_cache(
-    view: memoryview,
-    path: PathLike,
+    reader: binfmt.Reader,
     fingerprint: Optional[Fingerprint],
-    mapped: bool = False,
+    mapped: bool,
 ) -> TracerouteBatch:
-    """Parse a mapped cache image (see :func:`read_bincache`)."""
-    offset = 0
-
-    def take(count: int) -> memoryview:
-        nonlocal offset
-        if offset + count > len(view):
-            raise BinCacheError(f"truncated bin cache: {path}")
-        chunk = view[offset : offset + count]
-        offset += count
-        return chunk
-
-    if bytes(take(len(MAGIC))) != MAGIC:
-        raise BinCacheError(f"not a bin cache (bad magic): {path}")
-    version, big_endian, n_strings, blob_length = _HEADER.unpack(
-        take(_HEADER.size)
-    )
-    if version != CACHE_VERSION:
-        raise BinCacheError(
-            f"bin cache version {version} != {CACHE_VERSION}: {path}"
-        )
-    size, mtime_ns = _FINGERPRINT.unpack(take(_FINGERPRINT.size))
+    """Decode a vetted cache payload (see :func:`read_bincache`)."""
+    big_endian, size, mtime_ns = reader.unpack(_PREFIX)
     if fingerprint is not None and (size, mtime_ns) not in ((0, 0), tuple(fingerprint)):
         raise BinCacheError(
-            f"stale bin cache (source changed since it was built): {path}"
+            f"stale bin cache (source changed since it was built): "
+            f"{reader.path}"
         )
-    blob = take(blob_length)
-    strings = []
-    blob_offset = 0
-    for _ in range(n_strings):
-        if blob_offset + 4 > len(blob):
-            raise BinCacheError(f"truncated string table: {path}")
-        (length,) = struct.unpack_from("<I", blob, blob_offset)
-        blob_offset += 4
-        strings.append(bytes(blob[blob_offset : blob_offset + length]).decode("utf-8"))
-        blob_offset += length
-
-    batch = TracerouteBatch(IPInterner(strings))
-    foreign_order = big_endian != (1 if sys.byteorder == "big" else 0)
+    batch = TracerouteBatch(IPInterner(reader.strings()))
+    foreign_order = big_endian != (sys.byteorder == "big")
     for name, typecode in _COLUMNS:
-        raw_code, payload_length = _COLUMN_PREFIX.unpack(
-            bytes(take(_COLUMN_PREFIX.size))
-        )
-        if raw_code.decode() != typecode:
-            raise BinCacheError(
-                f"column {name!r} has typecode {raw_code!r}, "
-                f"expected {typecode!r}: {path}"
-            )
         column = array(typecode)
-        if payload_length % column.itemsize:
-            raise BinCacheError(f"ragged column {name!r}: {path}")
-        payload = take(payload_length)
+        payload = reader.take(reader.u64() * column.itemsize)
         if mapped and not foreign_order:
             # Zero-copy: the column IS the mapping, cast to its element
             # type.  Indexing yields plain ints/floats exactly like the
@@ -288,9 +177,8 @@ def _parse_cache(
         if foreign_order:
             column.byteswap()
         setattr(batch, name, column)
-    if offset != len(view):
-        raise BinCacheError(f"trailing bytes after last column: {path}")
-    _validate_shape(batch, path)
+    reader.done()
+    _validate_shape(batch, reader.path)
     return batch
 
 
@@ -299,8 +187,8 @@ def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
 
     Beyond column lengths, this vets what analysis will later *index
     with*: offset tables must be monotone and anchored, and every
-    interner id must point inside the string table.  A corrupt cache
-    must always surface here as :class:`BinCacheError` (so
+    interner id must point inside the string table.  A digest-valid but
+    wrong cache must surface here as :class:`BinCacheError` (so
     :func:`load_or_build` rebuilds it) — never as an IndexError or
     silently wrong attribution mid-analysis.
     """
@@ -309,35 +197,28 @@ def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
                  "paris_id", "af"):
         if len(getattr(batch, name)) != n:
             raise BinCacheError(f"column {name!r} length mismatch: {path}")
-    if len(batch.hop_offsets) != n + 1 or batch.hop_offsets[0] != 0:
-        raise BinCacheError(f"bad hop offset table: {path}")
-    if batch.hop_offsets[-1] != len(batch.hop_ttl):
-        raise BinCacheError(f"bad hop offset table: {path}")
-    n_hops = len(batch.hop_ttl)
-    if len(batch.reply_offsets) != n_hops + 1 or batch.reply_offsets[0] != 0:
-        raise BinCacheError(f"bad reply offset table: {path}")
-    if batch.reply_offsets[-1] != len(batch.reply_ip):
-        raise BinCacheError(f"bad reply offset table: {path}")
     if len(batch.reply_rtt) != len(batch.reply_ip):
         raise BinCacheError(f"reply column length mismatch: {path}")
-    # Vectorized value checks (numpy views, no copies): offsets must
-    # never step backwards, and ids must index the string table.
+    def column(name: str) -> np.ndarray:  # a numpy view, no copy
+        return np.frombuffer(getattr(batch, name), dtype=np.int64)
+
+    binfmt.check_offsets(
+        column("hop_offsets"), n, len(batch.hop_ttl),
+        f"hop_offsets in {path}", BinCacheError,
+    )
+    binfmt.check_offsets(
+        column("reply_offsets"), len(batch.hop_ttl), len(batch.reply_ip),
+        f"reply_offsets in {path}", BinCacheError,
+    )
     n_strings = len(batch.interner)
-    for name in ("hop_offsets", "reply_offsets"):
-        offsets = np.frombuffer(getattr(batch, name), dtype=np.int64)
-        if offsets.size > 1 and np.any(np.diff(offsets) < 0):
-            raise BinCacheError(f"non-monotone {name}: {path}")
-    reply_ip = np.frombuffer(batch.reply_ip, dtype=np.int64)
-    if reply_ip.size and (
-        int(reply_ip.min()) < -1 or int(reply_ip.max()) >= n_strings
-    ):
-        raise BinCacheError(f"reply ip id out of range: {path}")
+    binfmt.check_ids(
+        column("reply_ip"), n_strings, f"reply_ip in {path}", BinCacheError,
+        low=-1,
+    )
     for name in ("src_id", "dst_id"):
-        ids = np.frombuffer(getattr(batch, name), dtype=np.int64)
-        if ids.size and (
-            int(ids.min()) < 0 or int(ids.max()) >= n_strings
-        ):
-            raise BinCacheError(f"{name} out of range: {path}")
+        binfmt.check_ids(
+            column(name), n_strings, f"{name} in {path}", BinCacheError
+        )
 
 
 def load_or_build(

@@ -11,7 +11,7 @@ spine is *fault tolerance*, not fetching:
   backoff with deterministic seeded jitter, ``Retry-After`` honoured, a
   token-bucket rate limiter, and a circuit breaker;
 * :mod:`~repro.atlas.connectors.cursors` — durable resumable
-  pagination cursors (bincache-idiom binary files) so a killed fetch
+  pagination cursors (:mod:`repro.binfmt` files) so a killed fetch
   resumes its window exactly once;
 * :mod:`~repro.atlas.connectors.results` — the measurement-results
   connector, normalizing API pages into the canonical traceroute JSONL

@@ -17,37 +17,26 @@ rewrites the cursor recording:
   the cursor write — re-fetching that page is then exactly-once, not
   at-least-once.
 
-The on-disk format follows the bincache/checkpoint binary idiom
-(:mod:`repro.atlas.bincache`, :mod:`repro.core.checkpoint`): magic +
-version + payload length + a 16-byte BLAKE2b payload digest, explicit
-little-endian, atomic temp-file + rename writes.  Anything truncated,
-foreign, stale-versioned, bit-flipped or trailing-garbage raises the
-typed :class:`CursorError` — the fetcher then restarts the window from
-page zero rather than trusting the file, which can lose only time,
-never data.
+The file is a :mod:`repro.binfmt` frame (magic + version + payload
+length + BLAKE2b payload digest, durable atomic writes) around a JSON
+payload.  Anything truncated, foreign, stale-versioned, bit-flipped or
+trailing-garbage raises the typed :class:`CursorError` — the fetcher
+then restarts the window from page zero rather than trusting the file,
+which can lose only time, never data.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import struct
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Optional
 
+from repro import binfmt
 from repro.atlas.io import PathLike
 
 #: File identification: magic bytes plus an explicit format version.
 MAGIC = b"RPROCRSR"
 CURSOR_VERSION = 1
-
-#: Header after the magic: format version, payload byte length, payload
-#: BLAKE2b-128 digest.  Always little-endian.
-_HEADER = struct.Struct("<IQ16s")
-
-_DIGEST_SIZE = 16
 
 #: The exact payload fields (name, required type) a valid cursor carries.
 _FIELDS = (
@@ -60,8 +49,11 @@ _FIELDS = (
 )
 
 
-class CursorError(RuntimeError):
+class CursorError(binfmt.FormatError):
     """A cursor file is missing, foreign, truncated, stale or corrupt."""
+
+
+CURSOR = binfmt.Format(MAGIC, CURSOR_VERSION, "cursor", CursorError)
 
 
 @dataclass
@@ -90,22 +82,9 @@ def cursor_key(endpoint: str, **params) -> str:
 
 
 def save_cursor(path: PathLike, cursor: FetchCursor) -> int:
-    """Atomically persist *cursor* to *path*; returns bytes written."""
+    """Durably persist *cursor* to *path*; returns bytes written."""
     payload = json.dumps(asdict(cursor), sort_keys=True).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    target = Path(path)
-    temp = target.with_name(target.name + f".tmp{os.getpid()}")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(_HEADER.pack(CURSOR_VERSION, len(payload), digest))
-            handle.write(payload)
-            written = handle.tell()
-        os.replace(temp, target)
-    finally:
-        if temp.exists():  # pragma: no cover - only on a failed replace
-            temp.unlink()
-    return written
+    return binfmt.atomic_write(path, CURSOR, [payload]).size
 
 
 def load_cursor(
@@ -118,30 +97,9 @@ def load_cursor(
     mistyped fields, or (with *expected_key*) a cursor that belongs to
     a different pagination window — raises :class:`CursorError`.
     """
+    payload = binfmt.read_frame(path, CURSOR)
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise CursorError(f"cannot read cursor {path}: {exc}") from exc
-    header_end = len(MAGIC) + _HEADER.size
-    if len(raw) < header_end:
-        raise CursorError(f"truncated cursor: {path}")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CursorError(f"not a cursor file (bad magic): {path}")
-    version, payload_length, digest = _HEADER.unpack_from(raw, len(MAGIC))
-    if version != CURSOR_VERSION:
-        raise CursorError(
-            f"cursor version {version} != {CURSOR_VERSION}: {path}"
-        )
-    payload = raw[header_end : header_end + payload_length]
-    if len(payload) != payload_length:
-        raise CursorError(f"truncated cursor payload: {path}")
-    if len(raw) != header_end + payload_length:
-        raise CursorError(f"trailing bytes after cursor payload: {path}")
-    actual = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    if actual != digest:
-        raise CursorError(f"cursor digest mismatch (corrupt): {path}")
-    try:
-        data = json.loads(payload.decode("utf-8"))
+        data = json.loads(bytes(payload).decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise CursorError(f"undecodable cursor payload: {path}") from exc
     if not isinstance(data, dict) or set(data) != {

@@ -19,18 +19,21 @@ Fault tolerance degrades to *stale but serving*: when the circuit
 breaker is open or the retry budget runs out and a previous dump was
 cached on disk, :func:`fetch_probes` returns the cached probes flagged
 ``stale=True`` instead of failing — yesterday's probe map beats no
-probe map for a monitoring system that must keep running.
+probe map for a monitoring system that must keep running.  The cache
+is JSON inside a :mod:`repro.binfmt` frame; a cache that fails the
+frame's vetting (corrupt, foreign, or an older unframed file) is
+treated as absent.
 """
 
 from __future__ import annotations
 
 import bz2
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro import binfmt
 from repro.atlas.connectors.transport import (
     CircuitOpenError,
     FaultTolerantClient,
@@ -44,6 +47,9 @@ META_LATEST_URL = "https://ftp.ripe.net/ripe/atlas/probes/archive/meta-latest"
 
 #: Atlas probe ``status_id`` for a connected probe.
 STATUS_CONNECTED = 1
+
+#: The stale-serving cache: a framed JSON probe set.
+PROBE_CACHE = binfmt.Format(b"RPROPRBC", 1, "probe cache")
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,7 @@ def refresh_mapper(mapper: AsMapper, probes: List[ProbeInfo]) -> int:
 
 
 def _write_cache(path: Path, probes: List[ProbeInfo], total: int) -> None:
-    """Atomically persist a fetched probe set for stale-serving."""
+    """Durably persist a fetched probe set for stale-serving."""
     payload = {
         "total_in_dump": total,
         "probes": [
@@ -185,15 +191,14 @@ def _write_cache(path: Path, probes: List[ProbeInfo], total: int) -> None:
             for p in probes
         ],
     }
-    temp = path.with_name(path.name + f".tmp{os.getpid()}")
-    temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    os.replace(temp, path)
+    encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+    binfmt.atomic_write(path, PROBE_CACHE, [encoded])
 
 
 def _read_cache(path: Path) -> Optional[ProbeSet]:
     """Load a previously cached probe set, or None when unusable."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(bytes(binfmt.read_frame(path, PROBE_CACHE)))
         probes = tuple(
             ProbeInfo(
                 id=int(p["id"]),
@@ -204,7 +209,7 @@ def _read_cache(path: Path) -> Optional[ProbeSet]:
             )
             for p in payload["probes"]
         )
-    except (OSError, ValueError, TypeError, KeyError):
+    except (binfmt.FormatError, ValueError, TypeError, KeyError):
         return None
     return ProbeSet(
         probes=probes,

@@ -17,14 +17,12 @@ is exactly what this module provides:
   (``snapshot()``) and consume one (``restore()``), so a snapshot taken
   at 2 shards restores into 4 shards — or into the serial reference —
   and continues identically;
-* :func:`save_snapshot` / :func:`load_snapshot` persist snapshots in a
-  versioned binary format in the style of
-  :mod:`repro.atlas.bincache`: magic + version + a fingerprint of the
-  detection-relevant configuration, a 16-byte BLAKE2b digest over the
-  payload, explicitly little-endian encoding fixed up on load, and
-  atomic temp-file + rename writes.  Truncated, foreign, stale or
-  corrupt files always raise :class:`SnapshotError` — they are never
-  silently served;
+* :func:`save_snapshot` / :func:`load_snapshot` persist snapshots as
+  :mod:`repro.binfmt` files (magic, version, payload digest, durable
+  atomic writes) whose payload opens with a fingerprint of the
+  detection-relevant configuration, followed by a tagged little-endian
+  encoding of the state.  Truncated, foreign, stale or corrupt files
+  always raise :class:`SnapshotError` — they are never silently served;
 * :func:`run_checkpointed` is the one-call resumable driver used by the
   CLI's ``analyze --checkpoint`` flag and the ``monitor`` subcommand: it
   replays a campaign bin by bin, checkpoints every N bins, and on
@@ -32,17 +30,15 @@ is exactly what this module provides:
   scratch when the file is corrupt or was written under a different
   configuration).
 
-The format trusts nothing: the payload digest catches random
+The format trusts nothing: the frame's digest catches random
 corruption, and structural vetting (offset tables must be monotone and
 anchored, array lengths must agree, warm-up counts must fit the seed
-window) catches well-formed-but-wrong images, mirroring the bin cache's
-validation discipline.
+window) catches well-formed-but-wrong images.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import binfmt
 from repro.atlas.io import PathLike
 from repro.atlas.stream import binned_payloads
 from repro.core.alarms import DelayAlarm, ForwardingAlarm, Link
@@ -59,19 +56,17 @@ from repro.stats.smoothing import SEED_BINS
 from repro.stats.wilson import WilsonInterval
 
 #: File identification: magic bytes plus an explicit format version.
+#: Version 2 moved the config fingerprint from the header into the
+#: digested payload's first 16 bytes.
 MAGIC = b"RPROCKPT"
-SNAPSHOT_VERSION = 1
-
-#: Header after the magic: format version, config fingerprint, payload
-#: byte length, payload BLAKE2b-128 digest.  Always little-endian.
-_HEADER = struct.Struct("<I16sQ16s")
+SNAPSHOT_VERSION = 2
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
-#: How many bytes of fingerprint/digest the header carries.
-_DIGEST_SIZE = 16
+#: How many bytes a fingerprint or source digest has.
+_DIGEST_SIZE = binfmt.DIGEST_SIZE
 
 #: Maximum nesting depth the payload decoder will follow.  Real
 #: snapshot payloads nest ~6 levels (dict → list → result → alarm →
@@ -85,8 +80,11 @@ _MAX_DEPTH = 64
 _SOURCE_HEAD_BYTES = 65536
 
 
-class SnapshotError(RuntimeError):
+class SnapshotError(binfmt.FormatError):
     """A snapshot is missing, foreign, truncated, stale or corrupt."""
+
+
+CHECKPOINT = binfmt.Format(MAGIC, SNAPSHOT_VERSION, "snapshot", SnapshotError)
 
 
 def source_digest_of(path: PathLike) -> bytes:
@@ -336,28 +334,6 @@ def _encode(obj, out: bytearray) -> None:
         )
 
 
-class _Reader:
-    """Bounds-checked cursor over the payload bytes."""
-
-    __slots__ = ("view", "offset")
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.offset = 0
-
-    def take(self, count: int) -> memoryview:
-        end = self.offset + count
-        if count < 0 or end > len(self.view):
-            raise SnapshotError("truncated snapshot payload")
-        chunk = self.view[self.offset : end]
-        self.offset = end
-        return chunk
-
-    @property
-    def exhausted(self) -> bool:
-        return self.offset == len(self.view)
-
-
 def _expect(value, types, what: str):
     """Type-check one decoded field, with a corrupt-snapshot error."""
     if types is None:
@@ -378,7 +354,7 @@ def _expect_optional(value, types, what: str):
     return value
 
 
-def _decode(reader: _Reader, depth: int = 0):
+def _decode(reader: binfmt.Reader, depth: int = 0):
     if depth > _MAX_DEPTH:
         raise SnapshotError("corrupt snapshot: nesting too deep")
     tag = bytes(reader.take(1))
@@ -599,17 +575,6 @@ def _array_field(section: dict, name: str, kind: str, what: str) -> np.ndarray:
     return value
 
 
-def _check_offsets(offsets: np.ndarray, rows: int, total: int, what: str):
-    """Offset tables must be monotone and anchored at both ends."""
-    if (
-        offsets.size != rows + 1
-        or (offsets.size and offsets[0] != 0)
-        or (offsets.size and offsets[-1] != total)
-        or (offsets.size > 1 and bool(np.any(np.diff(offsets) < 0)))
-    ):
-        raise SnapshotError(f"corrupt snapshot: non-monotonic {what}")
-
-
 def _build_snapshot(payload: dict, fingerprint: bytes) -> EngineSnapshot:
     """Structural vetting: turn decoded payload into an EngineSnapshot."""
     _expect(payload, dict, "payload")
@@ -662,7 +627,9 @@ def _build_snapshot(payload: dict, fingerprint: bytes) -> EngineSnapshot:
         int(warm_count.min()) < 0 or int(warm_count.max()) > seed_bins
     ):
         raise SnapshotError("corrupt snapshot: warm_count out of range")
-    _check_offsets(warm_offsets, n, warm_values.size, "warm_offsets")
+    binfmt.check_offsets(
+        warm_offsets, n, warm_values.size, "warm_offsets", SnapshotError
+    )
     stored = np.where(np.isnan(median), warm_count, 0)
     if not np.array_equal(np.diff(warm_offsets), 3 * stored):
         raise SnapshotError(
@@ -702,7 +669,9 @@ def _build_snapshot(payload: dict, fingerprint: bytes) -> EngineSnapshot:
         raise SnapshotError(
             "corrupt snapshot: forwarding reference length mismatch"
         )
-    _check_offsets(ref_offsets, m, len(ref_hops), "ref_offsets")
+    binfmt.check_offsets(
+        ref_offsets, m, len(ref_hops), "ref_offsets", SnapshotError
+    )
     forwarding = ForwardingTable(
         keys=keys,
         bins_seen=fwd_bins,
@@ -741,39 +710,19 @@ def _build_snapshot(payload: dict, fingerprint: bytes) -> EngineSnapshot:
 
 
 def save_snapshot(path: PathLike, snapshot: EngineSnapshot) -> int:
-    """Persist *snapshot* to *path* atomically; returns bytes written.
+    """Persist *snapshot* to *path* durably; returns bytes written.
 
-    The file is written to a sibling temp path and renamed into place,
-    so a crashed writer can never leave a half-written checkpoint that
-    a later resume would trust (a truncated file fails the digest).
+    :func:`repro.binfmt.atomic_write` replaces the file only once the new
+    one is complete and synced, so a crashed writer never leaves a
+    half-written checkpoint that a later resume would trust.
     """
     if len(snapshot.fingerprint) != _DIGEST_SIZE:
         raise SnapshotError(
             f"fingerprint must be {_DIGEST_SIZE} bytes, "
             f"got {len(snapshot.fingerprint)}"
         )
-    payload = _encode_payload(snapshot)
-    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    target = Path(path)
-    temp = target.with_name(target.name + f".tmp{os.getpid()}")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(
-                _HEADER.pack(
-                    SNAPSHOT_VERSION,
-                    snapshot.fingerprint,
-                    len(payload),
-                    digest,
-                )
-            )
-            handle.write(payload)
-            written = handle.tell()
-        os.replace(temp, target)
-    finally:
-        if temp.exists():  # pragma: no cover - only on a failed replace
-            temp.unlink()
-    return written
+    chunks = (snapshot.fingerprint, _encode_payload(snapshot))
+    return binfmt.atomic_write(path, CHECKPOINT, chunks).size
 
 
 def load_snapshot(
@@ -786,36 +735,15 @@ def load_snapshot(
     fingerprint does not match :func:`config_fingerprint` of *config*).
     A snapshot is **never** silently served in any of those states.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    header_end = len(MAGIC) + _HEADER.size
-    if len(raw) < header_end:
-        raise SnapshotError(f"truncated snapshot: {path}")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise SnapshotError(f"not a snapshot (bad magic): {path}")
-    version, fingerprint, payload_length, digest = _HEADER.unpack_from(
-        raw, len(MAGIC)
-    )
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot version {version} != {SNAPSHOT_VERSION}: {path}"
-        )
-    payload = raw[header_end:]
-    if len(payload) != payload_length:
-        raise SnapshotError(f"truncated snapshot: {path}")
-    actual = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    if actual != digest:
-        raise SnapshotError(f"corrupt snapshot (digest mismatch): {path}")
+    payload = binfmt.read_frame(path, CHECKPOINT)
+    reader = binfmt.Reader(payload, CHECKPOINT, path)
+    fingerprint = bytes(reader.take(_DIGEST_SIZE))
     if config is not None and fingerprint != config_fingerprint(config):
         raise SnapshotError(
             f"stale snapshot (config fingerprint mismatch): {path}"
         )
-    reader = _Reader(memoryview(payload))
     decoded = _decode(reader)
-    if not reader.exhausted:
-        raise SnapshotError(f"trailing bytes after snapshot payload: {path}")
+    reader.done()
     return _build_snapshot(decoded, fingerprint)
 
 

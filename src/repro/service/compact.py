@@ -28,8 +28,8 @@ module is the counterweight, an explicitly scheduled maintenance pass
   their absolute bin indexes; dropped history reads as zeros.
 
 Publication follows the store's existing crash-safe discipline: new
-segments are written first (atomic temp + rename), then one manifest
-swap under the same epoch id with ``generation + 1``, then the replaced
+segments are written durably first, then one durable manifest swap
+under the same epoch id with ``generation + 1``, then the replaced
 files are unlinked.  Live readers cut over on their next
 ``refresh()``; response caches and ETags keyed on the generation token
 invalidate implicitly; a concurrent :class:`AlarmStoreWriter` is
@@ -47,19 +47,15 @@ from typing import List, Optional, Set
 from repro.atlas.io import PathLike
 from repro.obs.metrics import default_registry
 from repro.service.store import (
-    MANIFEST_MAGIC,
-    MANIFEST_NAME,
     AlarmSegment,
     Manifest,
     SegmentMeta,
     StoreError,
-    _atomic_write,
-    _framed,
-    _pack_manifest,
     _SegmentBuilder,
     publish_lock,
     read_manifest,
     store_metrics,
+    write_manifest,
 )
 
 
@@ -225,11 +221,9 @@ def _compact_locked(
         if not builder.n_rows:
             return None
         name = f"seg-{next_index:08d}.seg"
-        blob, meta = builder.serialise(name)
-        _atomic_write(directory / name, blob)
         new_blobs.append(name)
         next_index += 1
-        return meta
+        return builder.write(directory, name)
 
     try:
         merge_builder: Optional[_SegmentBuilder] = None
@@ -263,7 +257,7 @@ def _compact_locked(
             merged_meta = publish(merge_builder)
             if merged_meta is not None:
                 new_segments.append(merged_meta)
-    except StoreError:
+    except (StoreError, OSError):
         for name in new_blobs:  # leave the store exactly as found
             (directory / name).unlink(missing_ok=True)
         raise
@@ -277,10 +271,7 @@ def _compact_locked(
         end=manifest.end,
         segments=new_segments,
     )
-    _atomic_write(
-        directory / MANIFEST_NAME,
-        _framed(MANIFEST_MAGIC, _pack_manifest(new_manifest)),
-    )
+    write_manifest(directory, new_manifest)
     # Only after the swap is durable do the replaced files go away:
     # a reader holding the old manifest either already has the old
     # segments open (its mmaps stay valid past the unlink) or fails

@@ -4,22 +4,22 @@ The paper's results are *served*, not just computed: §8 exposes per-AS
 delay and forwarding conditions through the Internet Health Report
 website and API.  This module is the persistence half of that serving
 layer — a durable, queryable database of everything the detection
-pipeline raised, in the repository's binary idiom
-(:mod:`repro.atlas.bincache` / :mod:`repro.core.checkpoint`):
+pipeline raised, in :mod:`repro.binfmt` files:
 
 * **a store is a directory** holding one small ``MANIFEST`` plus
   immutable columnar segment files.  Appending a batch of closed bins
-  writes one new segment (atomic temp + rename), then atomically
-  replaces the manifest with ``generation + 1`` — a reader always sees
-  a complete, internally consistent generation, never a partial append;
+  writes one new segment durably, then atomically replaces the
+  manifest with ``generation + 1`` — a reader always sees a complete,
+  internally consistent generation, never a partial append;
 * **segments are columnar**: flat little-endian arrays of delay alarms,
   forwarding alarms (hop maps pooled CSR-style) and AS-level severity
   events keyed by (bin timestamp, ASN, interned IP ids), mmap-read into
   NumPy views with zero row objects;
-* **everything is versioned and digest-checked**: magic + version +
-  BLAKE2b payload digests on the manifest and every segment, plus
-  structural vetting (anchored monotone offsets, interner ids in
-  range).  A truncated, foreign or corrupt file always raises
+* **everything is versioned and digest-checked**: both files are
+  :mod:`repro.binfmt` frames (magic + version + BLAKE2b payload digest,
+  fsynced atomic writes), the manifest pins each segment's digest, and
+  structural vetting checks anchored monotone offsets and interner ids
+  in range.  A truncated, foreign or corrupt file always raises
   :class:`StoreError` — partial data is never served;
 * **per-segment min/max indexes** over time let a one-window read skip
   irrelevant segments without touching their bytes (the ASN range is
@@ -47,8 +47,6 @@ re-interns the strings into segment-local ids.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import mmap
 import os
 import struct
 from time import perf_counter
@@ -72,6 +70,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 import numpy as np
 
+from repro import binfmt
 from repro.atlas.io import PathLike
 from repro.core.alarms import UNRESPONSIVE
 from repro.net.asmap import AsMapper
@@ -144,12 +143,6 @@ STORE_VERSION = 1
 #: Name of the manifest file inside a store directory.
 MANIFEST_NAME = "MANIFEST"
 
-#: BLAKE2b digest size used throughout the store format.
-_DIGEST_SIZE = 16
-
-#: Shared header after the magic: version, payload length, digest.
-_HEADER = struct.Struct("<IQ16s")
-
 #: Manifest payload prefix: store epoch id, generation, next segment
 #: index, bin_s, has_start flag, start, end.
 _MANIFEST_PREFIX = struct.Struct("<16sQQqBqq")
@@ -157,8 +150,6 @@ _MANIFEST_PREFIX = struct.Struct("<16sQQqBqq")
 #: Per-segment manifest entry after the name: digest, row counts,
 #: min/max timestamp, min/max ASN.
 _SEGMENT_ENTRY = struct.Struct("<16sQQQqqqq")
-
-_U32 = struct.Struct("<I")
 
 #: Segment payload count block: delay rows, forwarding rows,
 #: responsibility/pattern/reference pool sizes, event rows.
@@ -172,12 +163,16 @@ KIND_FORWARDING = 1
 NO_ASN = -1
 
 
-class StoreError(RuntimeError):
+class StoreError(binfmt.FormatError):
     """A store file is missing, foreign, truncated, stale or corrupt."""
 
 
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
+MANIFEST = binfmt.Format(
+    MANIFEST_MAGIC, STORE_VERSION, "store manifest", StoreError
+)
+SEGMENT = binfmt.Format(
+    SEGMENT_MAGIC, STORE_VERSION, "store segment", StoreError
+)
 
 
 #: The fixed column schema of a segment, in serialisation order:
@@ -273,11 +268,11 @@ def _pack_manifest(manifest: Manifest) -> bytes:
             manifest.start if manifest.start is not None else 0,
             manifest.end,
         ),
-        _U32.pack(len(manifest.segments)),
+        binfmt.U32.pack(len(manifest.segments)),
     ]
     for meta in manifest.segments:
         encoded = meta.name.encode("utf-8")
-        parts.append(_U32.pack(len(encoded)))
+        parts.append(binfmt.U32.pack(len(encoded)))
         parts.append(encoded)
         parts.append(
             _SEGMENT_ENTRY.pack(
@@ -289,16 +284,11 @@ def _pack_manifest(manifest: Manifest) -> bytes:
     return b"".join(parts)
 
 
-def _atomic_write(path: Path, blob: bytes) -> None:
-    """Write *blob* via a sibling temp file renamed into place."""
-    temp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(blob)
-        os.replace(temp, path)
-    finally:
-        if temp.exists():  # pragma: no cover - only on a failed replace
-            temp.unlink()
+def write_manifest(directory: Path, manifest: Manifest) -> None:
+    """Durably publish *manifest* as the store's root (the commit point)."""
+    binfmt.atomic_write(
+        directory / MANIFEST_NAME, MANIFEST, [_pack_manifest(manifest)]
+    )
 
 
 #: Sidecar file taken (``flock``) by every store *publisher*.
@@ -335,84 +325,33 @@ def publish_lock(directory: Path) -> Iterator[None]:
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def _framed(magic: bytes, payload: bytes) -> bytes:
-    """Magic + header + payload, digest-protected."""
-    return magic + _HEADER.pack(
-        STORE_VERSION, len(payload), _digest(payload)
-    ) + payload
-
-
-def _unframe(blob, magic: bytes, path: PathLike) -> memoryview:
-    """Validate the frame of *blob* (bytes or mmap); return its payload.
-
-    The returned payload is a zero-copy :class:`memoryview` into the
-    caller's buffer, digest-verified end to end.
-    """
-    base = len(magic) + _HEADER.size
-    if len(blob) < base:
-        raise StoreError(f"truncated store file: {path}")
-    if bytes(blob[: len(magic)]) != magic:
-        raise StoreError(f"not a store file (bad magic): {path}")
-    version, length, digest = _HEADER.unpack(blob[len(magic) : base])
-    if version != STORE_VERSION:
-        raise StoreError(
-            f"store version {version} != {STORE_VERSION}: {path}"
-        )
-    if len(blob) != base + length:
-        raise StoreError(f"truncated store file: {path}")
-    payload = memoryview(blob)[base:]
-    if _digest(payload) != digest:
-        raise StoreError(f"corrupt store file (bad digest): {path}")
-    return payload
-
-
-def _manifest_bytes(manifest_path: Path) -> bytes:
-    try:
-        return manifest_path.read_bytes()
-    except OSError as exc:
-        raise StoreError(
-            f"cannot read store manifest {manifest_path}: {exc}"
-        ) from exc
-
-
 def read_manifest(path: PathLike) -> Manifest:
     """Load and validate the manifest of the store directory *path*."""
     manifest_path = Path(path) / MANIFEST_NAME
-    return _parse_manifest(_manifest_bytes(manifest_path), manifest_path)
+    blob = binfmt.read_bytes(manifest_path, MANIFEST)
+    return _parse_manifest(blob, manifest_path)
 
 
 def _parse_manifest(blob: bytes, manifest_path: Path) -> Manifest:
     """Validate and decode the manifest file's bytes *blob*."""
-    payload = _unframe(blob, MANIFEST_MAGIC, manifest_path)
-    offset = 0
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(payload):
-            raise StoreError(f"truncated manifest: {manifest_path}")
-        chunk = payload[offset : offset + count]
-        offset += count
-        return chunk
-
+    reader = binfmt.Reader(
+        binfmt.unframe(blob, MANIFEST, manifest_path), MANIFEST, manifest_path
+    )
     store_id, generation, next_index, bin_s, has_start, start, end = (
-        _MANIFEST_PREFIX.unpack(take(_MANIFEST_PREFIX.size))
+        reader.unpack(_MANIFEST_PREFIX)
     )
     if bin_s <= 0:
         raise StoreError(f"bad bin size {bin_s}: {manifest_path}")
-    (n_segments,) = _U32.unpack(take(_U32.size))
     segments = []
-    for _ in range(n_segments):
-        (name_length,) = _U32.unpack(take(_U32.size))
+    for _ in range(reader.u32()):
         try:
-            name = bytes(take(name_length)).decode("utf-8")
+            name = bytes(reader.take(reader.u32())).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StoreError(
                 f"corrupt manifest segment name: {manifest_path}"
             ) from exc
-        entry = _SEGMENT_ENTRY.unpack(take(_SEGMENT_ENTRY.size))
-        segments.append(SegmentMeta(name, *entry))
-    if offset != len(payload):
-        raise StoreError(f"trailing bytes in manifest: {manifest_path}")
+        segments.append(SegmentMeta(name, *reader.unpack(_SEGMENT_ENTRY)))
+    reader.done()
     return Manifest(
         store_id=store_id,
         generation=generation,
@@ -624,14 +563,10 @@ class _SegmentBuilder:
         self.asns.extend(segment.e_asn.tolist())
         self.timestamps.extend(segment.e_ts.tolist())
 
-    def serialise(self, name: str) -> Tuple[bytes, SegmentMeta]:
-        """Return the framed segment bytes and its manifest entry."""
+    def write(self, directory: Path, name: str) -> SegmentMeta:
+        """Durably write the rows as segment *name*; return its entry."""
         columns = self.columns
-        parts = [_U32.pack(len(self.interner.strings))]
-        for value in self.interner.strings:
-            encoded = value.encode("utf-8")
-            parts.append(_U32.pack(len(encoded)))
-            parts.append(encoded)
+        parts = [binfmt.string_table(self.interner.strings)]
         n_delay = len(columns["d_ts"])
         n_fwd = len(columns["f_ts"])
         n_events = len(columns["e_ts"])
@@ -643,26 +578,18 @@ class _SegmentBuilder:
         )
         for spec in (_DELAY_COLUMNS, _FWD_COLUMNS):
             for column_name, dtype in spec:
-                parts.append(
-                    np.asarray(columns[column_name], dtype=dtype).tobytes()
-                )
+                parts.append(np.asarray(columns[column_name], dtype=dtype))
         for offsets in (self.resp_offsets, self.pat_offsets, self.ref_offsets):
-            parts.append(np.asarray(offsets, dtype="<i8").tobytes())
+            parts.append(np.asarray(offsets, dtype="<i8"))
         for pool in (self.resp, self.pat, self.ref):
-            parts.append(
-                np.asarray([e[0] for e in pool], dtype="<i8").tobytes()
-            )
-            parts.append(
-                np.asarray([e[1] for e in pool], dtype="<f8").tobytes()
-            )
+            parts.append(np.asarray([e[0] for e in pool], dtype="<i8"))
+            parts.append(np.asarray([e[1] for e in pool], dtype="<f8"))
         for column_name, dtype in _EVENT_COLUMNS:
-            parts.append(
-                np.asarray(columns[column_name], dtype=dtype).tobytes()
-            )
-        payload = b"".join(parts)
-        meta = SegmentMeta(
+            parts.append(np.asarray(columns[column_name], dtype=dtype))
+        written = binfmt.atomic_write(directory / name, SEGMENT, parts)
+        return SegmentMeta(
             name=name,
-            digest=_digest(payload),
+            digest=written.digest,
             n_delay=n_delay,
             n_forwarding=n_fwd,
             n_events=n_events,
@@ -671,7 +598,6 @@ class _SegmentBuilder:
             min_asn=min(self.asns) if self.asns else 0,
             max_asn=max(self.asns) if self.asns else -1,
         )
-        return _framed(SEGMENT_MAGIC, payload), meta
 
 
 class AlarmSegment:
@@ -685,54 +611,19 @@ class AlarmSegment:
 
     def __init__(self, path: Path, meta: SegmentMeta) -> None:
         self.meta = meta
-        try:
-            handle = open(path, "rb")
-        except OSError as exc:
-            raise StoreError(f"cannot read segment {path}: {exc}") from exc
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:  # e.g. an empty file
-            handle.close()
-            raise StoreError(f"cannot map segment {path}: {exc}") from exc
-        # The mapping and file object live as long as the segment: every
-        # column below is a zero-copy numpy view into the page cache.
-        self._handle = handle
-        self._mmap = mapped
-        payload = _unframe(mapped, SEGMENT_MAGIC, path)
-        if _digest(payload) != meta.digest:
+        self._index: Optional[Dict[str, int]] = None
+        # The mapping lives as long as the segment: every column is a
+        # zero-copy numpy view into the page cache.
+        binfmt.map_frame(path, SEGMENT, self._parse, keep=True)
+
+    def _parse(self, reader: binfmt.Reader) -> None:
+        path = reader.path
+        if reader.digest != self.meta.digest:
             raise StoreError(
                 f"segment digest does not match its manifest entry: {path}"
             )
-        self._parse(payload, path)
-        self._index: Optional[Dict[str, int]] = None
-
-    def _parse(self, payload: memoryview, path: Path) -> None:
-        offset = 0
-
-        def take(count: int) -> memoryview:
-            nonlocal offset
-            if offset + count > len(payload):
-                raise StoreError(f"truncated segment: {path}")
-            chunk = payload[offset : offset + count]
-            offset += count
-            return chunk
-
-        def column(dtype: str, length: int) -> np.ndarray:
-            itemsize = np.dtype(dtype).itemsize
-            return np.frombuffer(take(length * itemsize), dtype=dtype)
-
-        (n_strings,) = _U32.unpack(take(_U32.size))
-        strings = []
-        for _ in range(n_strings):
-            (length,) = _U32.unpack(take(_U32.size))
-            try:
-                strings.append(bytes(take(length)).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise StoreError(
-                    f"corrupt segment string table: {path}"
-                ) from exc
-        self.strings = strings
-        counts = _SEGMENT_COUNTS.unpack(take(_SEGMENT_COUNTS.size))
+        self.strings = reader.strings()
+        counts = reader.unpack(_SEGMENT_COUNTS)
         n_delay, n_fwd, n_resp, n_pat, n_ref, n_events = counts
         if (n_delay, n_fwd, n_events) != (
             self.meta.n_delay, self.meta.n_forwarding, self.meta.n_events
@@ -740,6 +631,7 @@ class AlarmSegment:
             raise StoreError(
                 f"segment row counts disagree with the manifest: {path}"
             )
+        column = reader.column
         for name, dtype in _DELAY_COLUMNS:
             setattr(self, name, column(dtype, n_delay))
         for name, dtype in _FWD_COLUMNS:
@@ -755,33 +647,27 @@ class AlarmSegment:
         self.f_ref_value = column("<f8", n_ref)
         for name, dtype in _EVENT_COLUMNS:
             setattr(self, name, column(dtype, n_events))
-        if offset != len(payload):
-            raise StoreError(f"trailing bytes in segment: {path}")
+        reader.done()
         self._validate(path)
 
     def _validate(self, path: Path) -> None:
-        """Structural vetting beyond the digest (bincache discipline)."""
-        n_strings = len(self.strings)
-        for offsets, pool_length in (
-            (self.f_resp_offsets, self.f_resp_hop.size),
-            (self.f_pat_offsets, self.f_pat_hop.size),
-            (self.f_ref_offsets, self.f_ref_hop.size),
+        """Structural vetting beyond the digest."""
+        for name in ("resp", "pat", "ref"):
+            binfmt.check_offsets(
+                getattr(self, f"f_{name}_offsets"),
+                self.f_ts.size,
+                getattr(self, f"f_{name}_hop").size,
+                f"{name} hop offsets in {path}",
+                StoreError,
+            )
+        for name in (
+            "d_near", "d_far", "f_router", "f_dest", "f_resp_hop",
+            "f_pat_hop", "f_ref_hop", "e_near", "e_far",
         ):
-            if offsets.size == 0 or offsets[0] != 0:
-                raise StoreError(f"unanchored hop offsets: {path}")
-            if offsets[-1] != pool_length:
-                raise StoreError(f"bad hop offset table: {path}")
-            if offsets.size > 1 and np.any(np.diff(offsets) < 0):
-                raise StoreError(f"non-monotone hop offsets: {path}")
-        for ids in (
-            self.d_near, self.d_far, self.f_router, self.f_dest,
-            self.f_resp_hop, self.f_pat_hop, self.f_ref_hop,
-            self.e_near, self.e_far,
-        ):
-            if ids.size and (
-                int(ids.min()) < 0 or int(ids.max()) >= n_strings
-            ):
-                raise StoreError(f"interner id out of range: {path}")
+            binfmt.check_ids(
+                getattr(self, name), len(self.strings), f"{name} in {path}",
+                StoreError,
+            )
         if self.e_kind.size and int(self.e_kind.max()) > KIND_FORWARDING:
             raise StoreError(f"unknown event kind: {path}")
 
@@ -805,7 +691,7 @@ class AlarmStore:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self._manifest_path = self.path / MANIFEST_NAME
-        self._blob = _manifest_bytes(self._manifest_path)
+        self._blob = binfmt.read_bytes(self._manifest_path, MANIFEST)
         self.manifest = _parse_manifest(self._blob, self._manifest_path)
         self._segments: Dict[Tuple[str, bytes], AlarmSegment] = {}
         self._reads = store_metrics(default_registry())["manifest_reads"]
@@ -831,7 +717,7 @@ class AlarmStore:
         parsed again (every cache miss probes it).  Byte equality, not
         ``stat``: an atomic rename may reuse inode and mtime.
         """
-        blob = _manifest_bytes(self._manifest_path)
+        blob = binfmt.read_bytes(self._manifest_path, MANIFEST)
         if blob == self._blob:
             self._reads.labels("unchanged").inc()
             return False
@@ -916,7 +802,7 @@ class AlarmStoreWriter:
                 f"store already exists (pass overwrite=True): {directory}"
             )
         manifest = Manifest(
-            store_id=os.urandom(_DIGEST_SIZE),
+            store_id=os.urandom(binfmt.DIGEST_SIZE),
             generation=0,
             next_index=0,
             bin_s=bin_s,
@@ -924,9 +810,7 @@ class AlarmStoreWriter:
             end=start - bin_s if start is not None else 0,
             segments=[],
         )
-        _atomic_write(
-            manifest_path, _framed(MANIFEST_MAGIC, _pack_manifest(manifest))
-        )
+        write_manifest(directory, manifest)
         for stale in directory.glob("seg-*.seg"):
             stale.unlink()
         return cls(directory, mapper)
@@ -1059,9 +943,7 @@ class AlarmStoreWriter:
         next_index = manifest.next_index
         metrics = store_metrics(default_registry())
         if builder.n_rows:
-            name = f"seg-{next_index:08d}.seg"
-            blob, meta = builder.serialise(name)
-            _atomic_write(self.path / name, blob)
+            meta = builder.write(self.path, f"seg-{next_index:08d}.seg")
             segments.append(meta)
             next_index += 1
             metrics["rows"].labels("delay").inc(meta.n_delay)
@@ -1076,10 +958,7 @@ class AlarmStoreWriter:
             end=end,
             segments=segments,
         )
-        _atomic_write(
-            self.path / MANIFEST_NAME,
-            _framed(MANIFEST_MAGIC, _pack_manifest(self.manifest)),
-        )
+        write_manifest(self.path, self.manifest)
         metrics["appends"].inc()
         metrics["append_seconds"].observe(perf_counter() - append_start)
         metrics["segments"].set(len(self.manifest.segments))

@@ -275,14 +275,6 @@ class TestBinCache:
         with pytest.raises(BinCacheError):
             read_bincache(cache)
 
-    def test_truncation_rejected(self, tmp_path):
-        batch = TracerouteBatch.from_traceroutes(_mixed_traceroutes())
-        cache = tmp_path / "x.binc"
-        write_bincache(cache, batch)
-        cache.write_bytes(cache.read_bytes()[:-8])
-        with pytest.raises(BinCacheError):
-            read_bincache(cache)
-
     def test_length_preserving_corruption_rejected(self, tmp_path):
         """Regression: a flipped value inside a column payload (same
         lengths, out-of-range ids) must fail validation — analysis must

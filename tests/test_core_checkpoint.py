@@ -462,15 +462,6 @@ class TestSnapshotFormatVetting:
         with pytest.raises(SnapshotError, match="cannot read"):
             load_snapshot(tmp_path / "nope.ckpt")
 
-    def test_truncated_everywhere(self, valid_checkpoint):
-        """Any prefix of a valid file must raise, never load."""
-        raw = valid_checkpoint.read_bytes()
-        target = valid_checkpoint.with_name("trunc.ckpt")
-        for cut in (0, 4, len(MAGIC), 20, len(raw) // 2, len(raw) - 1):
-            target.write_bytes(raw[:cut])
-            with pytest.raises(SnapshotError):
-                load_snapshot(target)
-
     def test_flipped_magic(self, valid_checkpoint):
         raw = bytearray(valid_checkpoint.read_bytes())
         raw[0] ^= 0xFF
@@ -625,21 +616,12 @@ class TestSnapshotFormatVetting:
     def test_deeply_nested_payload_rejected(self, tmp_path):
         """A digest-valid payload of pathological nesting raises
         SnapshotError (depth limit) — never RecursionError."""
-        import hashlib
+        from repro import binfmt
+        from repro.core.checkpoint import CHECKPOINT
 
-        from repro.core import checkpoint as ck
-
-        payload = b"l\x01\x00\x00\x00" * 5000 + b"N"
-        digest = hashlib.blake2b(payload, digest_size=16).digest()
-        raw = (
-            ck.MAGIC
-            + ck._HEADER.pack(
-                SNAPSHOT_VERSION, b"\x00" * 16, len(payload), digest
-            )
-            + payload
-        )
+        nested = b"l\x01\x00\x00\x00" * 5000 + b"N"
         path = tmp_path / "deep.ckpt"
-        path.write_bytes(raw)
+        binfmt.atomic_write(path, CHECKPOINT, [b"\x00" * 16, nested])
         with pytest.raises(SnapshotError, match="nesting"):
             load_snapshot(path)
 

@@ -6,8 +6,11 @@ import-budget`` reports on exactly these runs) and the test asserts on
 ``sys.modules`` as the command returns: the live and replay paths must
 not pay for the simulator's router, the HTTP tier or scipy, and the
 server must not pay for the simulator, the engine or the decoder.
+Sharing the durable frame (:mod:`repro.binfmt`) must not drag one
+format's module into a command that never touches that format.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +45,8 @@ STORE_BUDGET = (
     "repro.core.engine",
     "repro.atlas.columnar",
     "repro.atlas.connectors",
+    "repro.atlas.bincache",
+    "repro.core.checkpoint",
 )
 
 #: command -> (modules it must not load, modules it cannot run without).
@@ -71,6 +76,29 @@ def test_command_stays_inside_its_import_budget(work, command):
     assert [name for name in forbidden if loaded.loads(name)] == []
     # The run did the real work (and the module snapshot is not empty).
     assert [name for name in required if not loaded.loads(name)] == []
+
+
+def test_binfmt_loads_only_stdlib_and_numpy():
+    """The frame module is a leaf: any persisting command can afford it."""
+    probe = "import sys{}; print('\\n'.join(sorted(sys.modules)))"
+
+    def loaded(extra):
+        return set(
+            subprocess.run(
+                [sys.executable, "-c", probe.format(extra)],
+                env=import_budget._ENV, capture_output=True, text=True,
+                check=True,
+            ).stdout.split()
+        )
+
+    added = loaded(", repro.binfmt") - loaded("")
+    assert {name for name in added if name.split(".")[0] == "repro"} == {
+        "repro", "repro._lazy", "repro.binfmt"
+    }
+    foreign = {
+        name.split(".")[0] for name in added
+    } - set(sys.stdlib_module_names) - {"numpy", "repro"}
+    assert foreign == set()
 
 
 class TestLazyFacade:

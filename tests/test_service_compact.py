@@ -107,6 +107,34 @@ class TestMergeEquivalence:
         assert names_after == {m.name for m in manifest.segments}
         assert len(names_after & names_before) <= 1  # only the newest kept
 
+    def test_full_disk_mid_pass_leaves_the_store_as_found(
+        self, tmp_path, monkeypatch
+    ):
+        """A segment write failing after another one succeeded removes
+        the pass's new files; the old manifest still rules."""
+        import errno
+
+        from repro import binfmt
+
+        store = tmp_path / "store"
+        build_store(store, synthetic_bins(6, seed=5), make_mapper(), chunk=1)
+        before = {p.name: p.read_bytes() for p in store.iterdir()}
+        real, calls = binfmt.atomic_write, []
+
+        def fill_up(path, fmt, chunks):
+            calls.append(Path(path).name)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, fmt, chunks)
+
+        monkeypatch.setattr(binfmt, "atomic_write", fill_up)
+        with pytest.raises(OSError):
+            compact_store(store, CompactionPolicy(
+                max_segments=None, coarsen_after_bins=2
+            ))
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
     def test_noop_pass_publishes_nothing(self, tmp_path):
         bins = synthetic_bins(6, seed=5)
         build_store(tmp_path / "store", bins, make_mapper(), chunk=3)

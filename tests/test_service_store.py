@@ -33,7 +33,7 @@ from repro.service import (
     StoreQuery,
     append_analysis,
 )
-from repro.service import store as store_module
+from repro import binfmt
 from repro.stats import WilsonInterval
 
 #: Prefix table: two prefixes share AS 65001 (multi-link ASes), one IP
@@ -719,15 +719,15 @@ class TestManifestProbe:
 
     @pytest.fixture()
     def parses(self, monkeypatch):
-        """Paths handed to ``_unframe`` (every validated store file)."""
+        """Paths handed to ``binfmt.unframe`` (every validated file)."""
         seen = []
-        real = store_module._unframe
+        real = binfmt.unframe
 
-        def counting(blob, magic, path):
+        def counting(blob, fmt, path):
             seen.append(Path(path).name)
-            return real(blob, magic, path)
+            return real(blob, fmt, path)
 
-        monkeypatch.setattr(store_module, "_unframe", counting)
+        monkeypatch.setattr(binfmt, "unframe", counting)
         return seen
 
     def test_unchanged_manifest_is_not_reparsed(self, tmp_path, parses):
