@@ -379,7 +379,7 @@ class ServiceMetrics:
     request path.
     """
 
-    __slots__ = ("requests", "latency", "cache", "coalesced")
+    __slots__ = ("requests", "latency", "cache", "coalesced", "_bound")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else default_registry()
@@ -390,7 +390,9 @@ class ServiceMetrics:
         )
         self.latency = registry.histogram(
             "repro_http_request_seconds",
-            "Request wall time from parse to fully written response.",
+            "Seconds from a parsed request to its rendered response "
+            "bytes (cache probe or computation, then rendering); "
+            "socket writes are not included.",
             ("route",),
             buckets=_REQUEST_BUCKETS,
         )
@@ -404,18 +406,33 @@ class ServiceMetrics:
             "Requests that awaited another request's in-flight "
             "computation (async single-flight).",
         )
+        #: (family, status, outcome) -> (latency child, counter children
+        #: to increment): a bounded key set, bound on first use.
+        self._bound: Dict[Tuple[str, int, str], Tuple[object, tuple]] = {}
+
+    def _bind(self, family: str, status: int, outcome: str):
+        """Look up, once, the children one kind of answer touches."""
+        counters = [self.requests.labels(family, str(status))]
+        if outcome == "coalesced":
+            counters += [self.coalesced.labels(), self.cache.labels("miss")]
+        elif outcome in ("hit", "miss"):
+            counters.append(self.cache.labels(outcome))
+        bound = self._bound[family, status, outcome] = (
+            self.latency.labels(family), tuple(counters)
+        )
+        return bound
 
     def observe(
         self, family: str, status: int, seconds: float, outcome: str
     ) -> None:
         """Record one answered request (count, latency, cache outcome)."""
-        self.requests.labels(family, str(status)).inc()
-        self.latency.labels(family).observe(seconds)
-        if outcome == "coalesced":
-            self.coalesced.inc()
-            self.cache.labels("miss").inc()
-        elif outcome in ("hit", "miss"):
-            self.cache.labels(outcome).inc()
+        bound = self._bound.get((family, status, outcome))
+        if bound is None:
+            bound = self._bind(family, status, outcome)
+        latency, counters = bound
+        latency.observe(seconds)
+        for counter in counters:
+            counter.inc()
 
 
 class AccessLog:

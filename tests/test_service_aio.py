@@ -254,6 +254,186 @@ class TestConnectionHandling:
             client.close()
 
 
+def render_get(target: str, headers=None) -> bytes:
+    """One GET request head, as :class:`KeepAliveClient` sends it."""
+    lines = [f"GET {target} HTTP/1.1", "Host: test"]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def oracle_entry(oracle: ServiceState, target: str) -> CachedResponse:
+    parsed = urlsplit(target)
+    return oracle.respond(
+        parsed.path.rstrip("/") or "/", dict(parse_qsl(parsed.query))
+    )
+
+
+def oracle_wire(oracle: ServiceState, target: str, close=False) -> bytes:
+    """The exact response bytes the server owes *target*."""
+    return aio._render(oracle_entry(oracle, target), close)
+
+
+def recv_exactly(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ConnectionError(f"closed after {len(data)}/{count} bytes")
+        data += chunk
+    return data
+
+
+def recv_until_closed(sock: socket.socket) -> bytes:
+    """Every byte the server sends before it ends the connection."""
+    data = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            return data
+        if not chunk:
+            return data
+        data += chunk
+
+
+class TestPipelinedBatch:
+    """Many requests in one write: answered in order, one by one."""
+
+    def test_mixed_batch_answers_in_order_and_stops_at_close(self, stack):
+        oracle = stack["oracle"]
+        service = stack["async_server"].service
+        revalidated = "/links/65002"
+        etag = oracle_entry(oracle, revalidated).etag
+        fresh = "/events?kind=delay&threshold=0.25&limit=3"
+        batch = [
+            ("/health/65001", {}),
+            (fresh, {}),  # a miss: no other test asks for it
+            (fresh, {}),  # ...then a hit
+            ("/health/notanasn", {}),  # 400
+            (revalidated, {"If-None-Match": etag}),  # 304
+            ("/top?kind=forwarding&k=6", {}),  # a miss
+            (revalidated, {}),
+            ("/health/65010", {"Connection": "close"}),
+            ("/health/65002", {}),  # after the close: never answered
+            ("/top?kind=delay&k=3", {}),
+        ]
+        expected = [
+            oracle_wire(oracle, target) for target, _ in batch[:7]
+        ]
+        expected[4] = aio._render_304(etag, False)
+        expected.append(oracle_wire(oracle, "/health/65010", close=True))
+        assert expected[3].startswith(b"HTTP/1.1 400 ")
+        misses_before = service.misses
+        sock = socket.create_connection(
+            ("127.0.0.1", stack["async_port"]), timeout=30
+        )
+        try:
+            sock.sendall(
+                b"".join(render_get(target, h) for target, h in batch)
+            )
+            wire = recv_until_closed(sock)
+        finally:
+            sock.close()
+        assert wire == b"".join(expected)
+        assert service.misses >= misses_before + 2
+
+    def test_batch_split_at_every_byte_offset(self, stack):
+        """Framing survives a request boundary anywhere in a read."""
+        oracle = stack["oracle"]
+        targets = ["/health/65001", "/links/65001"]
+        payload = b"".join(map(render_get, targets))
+        expected = b"".join(oracle_wire(oracle, t) for t in targets)
+        sock = socket.create_connection(
+            ("127.0.0.1", stack["async_port"]), timeout=30
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for offset in range(1, len(payload)):
+                sock.sendall(payload[:offset])
+                time.sleep(0.002)  # let the server read the first part
+                sock.sendall(payload[offset:])
+                assert recv_exactly(sock, len(expected)) == expected, offset
+        finally:
+            sock.close()
+
+
+class TestHeadTooLarge:
+    """A head must end within ``MAX_REQUEST_BYTES``, terminator included."""
+
+    TOO_LARGE = aio._render(
+        error_response(400, "request head too large", "-"), True
+    )
+
+    @staticmethod
+    def padded_head(size: int, terminated: bool = True) -> bytes:
+        """A GET head of exactly *size* bytes."""
+        prefix = b"GET /health/65001 HTTP/1.1\r\nX-Pad: "
+        end = b"\r\n\r\n" if terminated else b""
+        return prefix + b"x" * (size - len(prefix) - len(end)) + end
+
+    def _exchange(self, stack, payload: bytes) -> bytes:
+        sock = socket.create_connection(
+            ("127.0.0.1", stack["async_port"]), timeout=30
+        )
+        try:
+            sock.sendall(payload)
+            return recv_until_closed(sock)
+        finally:
+            sock.close()
+
+    def test_head_at_the_bound_is_served(self, stack):
+        head = self.padded_head(aio.MAX_REQUEST_BYTES)
+        client = KeepAliveClient(stack["async_port"])
+        try:
+            client.sock.sendall(head)
+            status, _, body = client.read_response()
+        finally:
+            client.close()
+        assert status == 200
+        assert body == oracle_entry(stack["oracle"], "/health/65001").body
+
+    @pytest.mark.parametrize("terminated", [False, True])
+    def test_oversized_head_gets_400_then_close(self, stack, terminated):
+        size = aio.MAX_REQUEST_BYTES + (1 if terminated else 0)
+        wire = self._exchange(stack, self.padded_head(size, terminated))
+        assert wire == self.TOO_LARGE
+
+    def test_oversized_head_after_a_complete_request(self, stack):
+        """The complete request gets its 200, then the 400, then EOF."""
+        payload = render_get("/health/65002") + self.padded_head(
+            aio.MAX_REQUEST_BYTES, terminated=False
+        )
+        wire = self._exchange(stack, payload)
+        expected = oracle_wire(stack["oracle"], "/health/65002")
+        assert expected.startswith(b"HTTP/1.1 200 ")
+        assert wire == expected + self.TOO_LARGE
+
+
+class TestTargetMemo:
+    def test_long_targets_never_become_memo_keys(self, stack):
+        """5 000 distinct 300-character targets: none enters the memo,
+        and the memo stays within its size."""
+        memo = aio._memo_target
+        before = memo.cache_info()
+        client = KeepAliveClient(stack["async_port"])
+        try:
+            for start in range(0, 5000, 250):
+                targets = [
+                    f"/nonsense/{index:05d}/" + "x" * 300
+                    for index in range(start, start + 250)
+                ]
+                assert all(len(t) > aio.MEMO_TARGET_CHARS for t in targets)
+                client.sock.sendall(b"".join(map(render_get, targets)))
+                for _ in targets:
+                    assert client.read_response()[0] == 404
+        finally:
+            client.close()
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after.currsize <= after.maxsize
+
+
 class TestRender:
     """Wire bytes are pinned to literals; only the head is memoised."""
 
