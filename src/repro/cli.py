@@ -26,9 +26,9 @@ Seven subcommands cover the common workflows:
   the connector layer (resumably, with ``--atlas-cursor``), then
   monitors it — the live-data entry point,
 * ``serve``   — expose a persistent alarm store over the IHR-style
-  HTTP JSON API (:mod:`repro.service`: keep-alive, single-flight
-  coalescing); ``--workers N`` pre-forks N processes sharing the port
-  via ``SO_REUSEPORT``,
+  HTTP JSON API (:mod:`repro.service`: keep-alive, misses answered on
+  the event loop); ``--workers N`` pre-forks N processes sharing the
+  port via ``SO_REUSEPORT``,
 * ``compact`` — merge an alarm store's small segments and apply tiered
   retention (:mod:`repro.service.compact`): queries stay bit-identical
   under merging, while ``--coarsen-after``/``--drop-after`` trade old

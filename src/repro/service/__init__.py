@@ -8,7 +8,7 @@ events in an append-only columnar binary store,
 bit-identically to the in-memory
 :class:`~repro.reporting.ihr.InternetHealthReport`, and one HTTP
 server exposes the IHR-style JSON routes: the asyncio server in
-:mod:`repro.service.aio` (keep-alive, single-flight coalescing,
+:mod:`repro.service.aio` (keep-alive, misses answered on the loop,
 ``SO_REUSEPORT`` worker pools) answers every request through the
 transport-free :class:`~repro.service.routes.ServiceState`
 (:mod:`repro.service.routes`) with generation-keyed response caching

@@ -16,27 +16,27 @@ discipline), so the wire carries exactly the bodies and ETags
   request head within ``HEAD_TIMEOUT_S`` of opening (or of its previous
   response being written) is aborted, so silent, byte-at-a-time and
   never-reading clients cannot pin tasks, sockets and buffers.
-* **Single-flight coalescing.**  N concurrent misses on one cache key
-  await a single computation (an :class:`asyncio.Future` per in-flight
-  key); the engine computes once, everyone gets the entry.
 * **Throttled freshness probe.**  The generation token is re-read from
   the manifest at most every ``token_ttl`` seconds (default
-  ``DEFAULT_TOKEN_TTL_S``); between probes cache hits skip the disk
+  ``DEFAULT_TOKEN_TTL_S``); between probes requests skip the disk
   entirely.  ``token_ttl=0`` probes on every request, exactly like
   :meth:`ServiceState.respond`.  Coherence is unaffected — bodies are
   always computed pinned to the token they are cached and ETagged
   under; the TTL only bounds how quickly a *new* generation becomes
   visible.
+* **Misses are lookups on the loop.**  The probe runs in a thread-pool
+  executor and applies the new generation to the query engine
+  (:meth:`ServiceState.token`); a miss is answered inline on the loop
+  at the probed token (:meth:`ServiceState.compute_at`), with no
+  executor hop or manifest read, so one key is never computed twice.
+  The loop never applies a segment or waits on ``engine_lock``; only
+  the probe and the scrape routes (``/metrics``, ``/statusz``) leave it.
 * **Pre-fork workers.**  :class:`WorkerPool` runs N processes, each
   with its own event loop, ``StoreQuery`` (its own mmap) and response
   cache, all listening on one port via ``SO_REUSEPORT`` — the kernel
   load-balances accepts, no shared state, no GIL contention.  The
   parent holds a bound (non-listening) reservation socket so an
   ephemeral port can be chosen once and shared by every worker.
-
-Blocking work (engine queries, manifest probes) runs in a thread-pool
-executor so slow cache misses never stall the event loop; the state's
-``engine_lock`` serialises engine access.
 """
 
 from __future__ import annotations
@@ -57,17 +57,16 @@ from repro.obs.metrics import default_registry
 from repro.service.cache import (
     DEFAULT_CACHE_SIZE,
     CachedResponse,
-    CacheKey,
     ResponseCache,
 )
 from repro.service.routes import (
     DEFAULT_HOST,
-    RETRY_AFTER_S,
     AccessLog,
     ServiceState,
     error_response,
     if_none_match_matches,
     route_family,
+    unavailable,
 )
 from repro.service.query import StoreQuery
 
@@ -163,13 +162,13 @@ def _render_304(etag: str, close: bool) -> bytes:
 
 
 class AsyncAlarmService:
-    """The single-flight, throttled-token request broker.
+    """The throttled-token request broker.
 
     Wraps one :class:`~repro.service.routes.ServiceState` (engine +
-    cache + lock) for one event loop.  :meth:`respond` is the whole
-    request path: throttled token probe, lock-free cache probe on the
-    loop, and — only on a miss — a single-flight computation in the
-    executor under the shared coherence discipline.
+    cache + lock) for one event loop.  :meth:`answer` is the whole
+    request path: throttled token probe (which applies any new
+    generation, in the executor), then the cache probe and, on a miss,
+    the computation, both inline on the loop.
     """
 
     def __init__(
@@ -180,10 +179,9 @@ class AsyncAlarmService:
         self._token: Optional[str] = None
         self._token_at = float("-inf")
         self._token_guard: Optional[asyncio.Lock] = None
-        self._inflight: Dict[CacheKey, "asyncio.Future[CachedResponse]"] = {}
         #: Requests answered straight from the response cache.
         self.hits = 0
-        #: Requests that awaited a (possibly coalesced) computation.
+        #: Requests computed on a cache miss.
         self.misses = 0
 
     def _fresh_token(self, now: float) -> Optional[str]:
@@ -193,8 +191,8 @@ class AsyncAlarmService:
         return None
 
     async def _probe_token(self, loop: asyncio.AbstractEventLoop) -> str:
-        """Re-read the generation token (one probe at a time: a request
-        queued behind another's probe takes its result)."""
+        """Refresh and apply the generation in the executor (one probe at
+        a time: a request queued behind another's probe takes its result)."""
         if self._token_guard is None:
             self._token_guard = asyncio.Lock()
         async with self._token_guard:
@@ -206,75 +204,41 @@ class AsyncAlarmService:
             self._token_at = loop.time()
             return token
 
-    async def respond(
-        self, route: str, params: Dict[str, str]
-    ) -> CachedResponse:
-        """Answer one request (cache hit, coalesced miss, or error)."""
-        entry, _outcome = await self.answer(route, params)
-        return entry
-
     async def answer(
         self, route: str, params: Dict[str, str]
     ) -> Tuple[CachedResponse, str]:
-        """:meth:`respond` plus the cache outcome, for telemetry.
+        """Answer one request, with :meth:`ServiceState.answer`'s cache
+        outcome (``"hit"``, ``"miss"``, ``"none"``) for telemetry.
 
-        Outcomes mirror :meth:`ServiceState.answer` — ``"hit"``,
-        ``"miss"``, ``"none"`` — plus the async-only ``"coalesced"``
-        (this request awaited another request's in-flight computation;
-        counted as a miss in the ``hits``/``misses`` totals, since the
-        response cache did not hold the answer).
+        A miss runs synchronously, so a second request for its key finds
+        the entry cached.  Should the engine be busy or not at the
+        probed token, the request probes again rather than apply
+        anything on the loop.
         """
         state = self.state
         loop = asyncio.get_running_loop()
         if route in ("/metrics", "/statusz"):
-            # Off the loop: /statusz stats the manifest for its token.
             entry = await loop.run_in_executor(
                 None, state.observability, route
             )
             return entry, "none"
-        try:
-            token = self._fresh_token(loop.time())
-            if token is None:
-                token = await self._probe_token(loop)
-        except Exception as exc:  # StoreError: manifest unreadable
-            return (
-                error_response(
-                    503, f"store unavailable: {exc}", "-",
-                    retry_after=RETRY_AFTER_S,
-                ),
-                "none",
-            )
-        key = state.cache_key(route, params, token)
-        if route != "/":
-            entry = state.cache.get(key)
+        while True:
+            try:
+                token = self._fresh_token(loop.time())
+                if token is None:
+                    token = await self._probe_token(loop)
+            except Exception as exc:  # StoreError: store unreadable
+                return unavailable(exc), "none"
+            if route != "/":
+                entry = state.cache.get(state.cache_key(route, params, token))
+                if entry is not None:
+                    self.hits += 1
+                    return entry, "hit"
+            entry = state.compute_at(token, route, params)
             if entry is not None:
-                self.hits += 1
-                return entry, "hit"
-        self.misses += 1
-        outcome = "miss" if route != "/" else "none"
-        pending = self._inflight.get(key)
-        if pending is not None:
-            return await asyncio.shield(pending), "coalesced"
-        future: "asyncio.Future[CachedResponse]" = loop.create_future()
-        self._inflight[key] = future
-        try:
-            entry = await loop.run_in_executor(
-                None, state.compute, route, params
-            )
-        except BaseException as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                # Consumed by awaiting followers (or nobody); don't
-                # let an unretrieved-exception warning fire for the
-                # no-follower case.
-                future.exception()
-            raise
-        else:
-            if not future.cancelled():
-                future.set_result(entry)
-            return entry, outcome
-        finally:
-            self._inflight.pop(key, None)
+                self.misses += 1
+                return entry, "miss" if route != "/" else "none"
+            self._token_at = float("-inf")
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -44,8 +44,8 @@ rescored (one column for a normal append).  Anything else — a merge,
 coarsen or drop rewrote a segment, the store was recreated, the first
 append set ``start`` — discards the state and applies from zero through
 the same code.  Public query methods refresh first and the state syncs
-at the first derived read of a generation, so a long-lived engine
-always serves the current one.
+at the first derived read of a generation (or earlier, at
+:meth:`StoreQuery.sync`): a long-lived engine serves the current one.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ from repro.service.store import (
 from repro.stats.robust import sliding_magnitude_rows, weekly_window_bins
 
 _KINDS = {"delay": KIND_DELAY, "forwarding": KIND_FORWARDING}
+
+#: One link of an AS's drill-down: :class:`LinkHealth`'s fields, in order.
+LinkRow = Tuple[Tuple[str, str], int, float, float, int]
 
 
 def _fit(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -227,33 +230,31 @@ class _Derived:
         np.fmax.at(self.link_peak, slots, deviations + 0.0)
         np.maximum.at(self.link_last, slots, segment.e_ts[delay])
 
-    def links(self, row: int) -> List[LinkHealth]:
+    def link_rows(self, row: int) -> List[LinkRow]:
         """The slots of AS *row*, sorted like the oracle's drill-down."""
         bits, names = self.bits, self.names
         mask = (1 << bits) - 1
         lo, hi = np.searchsorted(
             self.link_keys, [row << 2 * bits, (row + 1) << 2 * bits]
         )
-        summaries = [
-            LinkHealth(
-                link=(names[(key >> bits) & mask], names[key & mask]),
-                alarm_count=count,
-                peak_deviation=peak,
-                total_deviation=total,
-                last_timestamp=last,
+        # Pre-ordered by numpy, the exact sort below is one linear pass
+        # that only breaks (count, total) ties by link.
+        totals, counts = self.link_total[lo:hi], self.link_count[lo:hi]
+        at = lo + np.lexsort((-totals, -counts))
+        rows = list(
+            zip(
+                [
+                    (names[(k >> bits) & mask], names[k & mask])
+                    for k in self.link_keys[at].tolist()
+                ],
+                self.link_count[at].tolist(),
+                self.link_peak[at].tolist(),
+                self.link_total[at].tolist(),
+                self.link_last[at].tolist(),
             )
-            for key, count, peak, total, last in zip(
-                self.link_keys[lo:hi].tolist(),
-                self.link_count[lo:hi].tolist(),
-                self.link_peak[lo:hi].tolist(),
-                self.link_total[lo:hi].tolist(),
-                self.link_last[lo:hi].tolist(),
-            )
-        ]
-        summaries.sort(
-            key=lambda s: (-s.alarm_count, -s.total_deviation, s.link)
         )
-        return summaries
+        rows.sort(key=lambda r: (-r[1], -r[3], r[0]))
+        return rows
 
     def extreme(self, code: int, how: str) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (bin index, magnitude) where kind *code* peaks.
@@ -371,6 +372,18 @@ class StoreQuery:
             return self.window_bins
         return weekly_window_bins(self.store.bin_s)
 
+    def sync(self) -> str:
+        """Apply the manifest last seen by :meth:`refresh` now rather
+        than at the next derived read; returns the token applied."""
+        return self._synced().token
+
+    @property
+    def synced_token(self) -> Optional[str]:
+        """The current token once it is applied (queries at it apply
+        nothing), else ``None``."""
+        state, token = self._derived, self.cache_token
+        return token if state is not None and state.token == token else None
+
     def _synced(self) -> _Derived:
         """The derived state, caught up with the current manifest."""
         manifest = self.store.manifest
@@ -477,16 +490,20 @@ class StoreQuery:
         ]
         return timestamps, magnitudes.copy()
 
+    def link_rows(self, asn: int) -> List[LinkRow]:
+        """:meth:`links_of` as plain rows, in the same order."""
+        self.refresh()
+        state = self._synced()
+        row = state.rows.get(asn)
+        return [] if row is None else state.link_rows(row)
+
     def links_of(self, asn: int) -> List[LinkHealth]:
         """Per-link drill-down: this AS's delay alarms grouped by link.
 
         Same grouping, accumulation order and sort as
         :meth:`InternetHealthReport.links_of`, read from the link table.
         """
-        self.refresh()
-        state = self._synced()
-        row = state.rows.get(asn)
-        return [] if row is None else state.links(row)
+        return [LinkHealth(*row) for row in self.link_rows(asn)]
 
     def top_asns(
         self, kind: str = "delay", k: int = 10
@@ -563,16 +580,16 @@ class StoreQuery:
         end_timestamp: int,
         kind: str = "delay",
         threshold: float = 5.0,
+        limit: Optional[int] = None,
     ) -> List[DetectedEvent]:
-        """Events within ``[start, end)``, most severe first."""
+        """Up to *limit* events within ``[start, end)``, most severe first."""
         self.refresh()
         if end_timestamp < start_timestamp:
             raise ValueError(
                 f"end {end_timestamp} precedes start {start_timestamp}"
             )
-        return self._detect_events(
-            kind, threshold, span=(start_timestamp, end_timestamp)
-        )
+        span = (start_timestamp, end_timestamp)
+        return self._detect_events(kind, threshold, span, limit)
 
     # -- alarm retrieval -----------------------------------------------------
 

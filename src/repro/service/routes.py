@@ -237,13 +237,13 @@ def _health_payload(engine: StoreQuery, asn: int) -> Dict[str, object]:
 def _links_payload(engine: StoreQuery, asn: int) -> List[Dict[str, object]]:
     return [
         {
-            "link": list(summary.link),
-            "alarm_count": summary.alarm_count,
-            "peak_deviation": summary.peak_deviation,
-            "total_deviation": summary.total_deviation,
-            "last_timestamp": summary.last_timestamp,
+            "link": link,
+            "alarm_count": count,
+            "peak_deviation": peak,
+            "total_deviation": total,
+            "last_timestamp": last,
         }
-        for summary in engine.links_of(asn)
+        for link, count, peak, total, last in engine.link_rows(asn)
     ]
 
 
@@ -271,7 +271,7 @@ def _events_payload(engine: StoreQuery, params: Dict[str, str]):
             raise _BadRequest(
                 f"parameter 'end' precedes 'start': {end} < {start}"
             )
-        events = engine.events_in(start, end, kind, threshold)[:limit]
+        events = engine.events_in(start, end, kind, threshold, limit)
     else:
         events = engine.top_events(kind, threshold, limit)
     return [
@@ -344,6 +344,13 @@ def error_response(
     )
 
 
+def unavailable(exc: Exception, generation="-") -> CachedResponse:
+    """The 503 for an unreadable store (advertising ``RETRY_AFTER_S``)."""
+    return error_response(
+        503, f"store unavailable: {exc}", generation, retry_after=RETRY_AFTER_S
+    )
+
+
 def _params_key(params: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(params.items()))
 
@@ -379,7 +386,7 @@ class ServiceMetrics:
     request path.
     """
 
-    __slots__ = ("requests", "latency", "cache", "coalesced", "_bound")
+    __slots__ = ("requests", "latency", "cache", "_bound")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else default_registry()
@@ -401,11 +408,6 @@ class ServiceMetrics:
             "Response-cache probes by result (hit = served as cached).",
             ("result",),
         )
-        self.coalesced = registry.counter(
-            "repro_http_coalesced_total",
-            "Requests that awaited another request's in-flight "
-            "computation (async single-flight).",
-        )
         #: (family, status, outcome) -> (latency child, counter children
         #: to increment): a bounded key set, bound on first use.
         self._bound: Dict[Tuple[str, int, str], Tuple[object, tuple]] = {}
@@ -413,9 +415,7 @@ class ServiceMetrics:
     def _bind(self, family: str, status: int, outcome: str):
         """Look up, once, the children one kind of answer touches."""
         counters = [self.requests.labels(family, str(status))]
-        if outcome == "coalesced":
-            counters += [self.coalesced.labels(), self.cache.labels("miss")]
-        elif outcome in ("hit", "miss"):
+        if outcome in ("hit", "miss"):
             counters.append(self.cache.labels(outcome))
         bound = self._bound[family, status, outcome] = (
             self.latency.labels(family), tuple(counters)
@@ -438,8 +438,8 @@ class ServiceMetrics:
 class AccessLog:
     """One canonical-JSON line per answered request (``--access-log``).
 
-    Four fields — ``cache`` (``hit`` / ``miss`` / ``coalesced`` /
-    ``none``), ``latency_us``, ``route`` (the raw path), ``status`` —
+    Four fields — ``cache`` (``hit`` / ``miss`` / ``none``),
+    ``latency_us``, ``route`` (the raw path), ``status`` —
     rendered by :func:`repro.reporting.jsonio.dumps_canonical`, whose
     sorted-key output fixes the field order.
     Writes are line-buffered under a lock; with pre-forked workers each
@@ -480,11 +480,13 @@ class ServiceState:
     coherence fix exist in exactly one place:
 
     * :meth:`respond` — fast path: one lock acquisition to refresh and
-      read the generation token, then a lock-free cache probe;
+      apply the generation, then a lock-free cache probe;
     * :meth:`compute` — miss path: **token and payload under a single
       lock acquisition**, with the engine pinned so intra-request
       refreshes cannot observe a concurrent writer's new generation.
-      The entry is cached under the token its body was computed at.
+      The entry is cached under the token its body was computed at;
+    * :meth:`compute_at` — the same miss at a token :meth:`token`
+      applied, reading no manifest: the server's loop calls it inline.
     """
 
     def __init__(
@@ -506,9 +508,13 @@ class ServiceState:
         return self.engine.cache_token
 
     def token(self) -> str:
-        """The current epoch-qualified generation token (refreshed)."""
+        """Refresh the engine and apply its generation; returns its token.
+
+        The server's freshness probe, run off its event loop.
+        """
         with self.engine_lock:
-            return self._refreshed_token()
+            self._refreshed_token()
+            return self.engine.sync()
 
     def cache_key(
         self, route: str, params: Dict[str, str], token: str
@@ -522,32 +528,45 @@ class ServiceState:
             try:
                 token = self._refreshed_token()
             except StoreError as exc:
-                return error_response(
-                    503, f"store unavailable: {exc}", "-",
-                    retry_after=RETRY_AFTER_S,
-                )
-            try:
-                # Pinned: the payload is computed entirely at `token`'s
-                # generation even if a writer publishes a new one
-                # mid-request (each public query method would otherwise
-                # refresh and mix generations into one response).
-                with self.engine.pinned():
-                    payload = answer_route(
-                        self.engine, self.cache, route, params
-                    )
-            except _BadRequest as exc:
-                return error_response(400, str(exc), token)
-            except StoreError as exc:
-                return error_response(
-                    503, f"store unavailable: {exc}", token,
-                    retry_after=RETRY_AFTER_S,
-                )
-            if payload is None:
-                return error_response(404, f"no such route: {route}", token)
-            body = _json_body(payload)
-            entry = CachedResponse(200, body, make_etag(body, token))
-            if route != "/":
-                self.cache.put(self.cache_key(route, params, token), entry)
+                return unavailable(exc)
+            return self._compute(route, params, token)
+
+    def compute_at(
+        self, token: str, route: str, params: Dict[str, str]
+    ) -> Optional[CachedResponse]:
+        """:meth:`compute` at *token*, or ``None`` unless the engine is
+        free and has applied it: never waits, applies or reads the
+        manifest."""
+        if not self.engine_lock.acquire(blocking=False):
+            return None
+        try:
+            if self.engine.synced_token != token:
+                return None
+            return self._compute(route, params, token)
+        finally:
+            self.engine_lock.release()
+
+    def _compute(
+        self, route: str, params: Dict[str, str], token: str
+    ) -> CachedResponse:
+        """The miss at *token*, the engine's current token (lock held)."""
+        try:
+            # Pinned: the payload is computed entirely at `token`'s
+            # generation even if a writer publishes a new one
+            # mid-request (each public query method would otherwise
+            # refresh and mix generations into one response).
+            with self.engine.pinned():
+                payload = answer_route(self.engine, self.cache, route, params)
+        except _BadRequest as exc:
+            return error_response(400, str(exc), token)
+        except StoreError as exc:
+            return unavailable(exc, token)
+        if payload is None:
+            return error_response(404, f"no such route: {route}", token)
+        body = _json_body(payload)
+        entry = CachedResponse(200, body, make_etag(body, token))
+        if route != "/":
+            self.cache.put(self.cache_key(route, params, token), entry)
         return entry
 
     def observability(self, route: str) -> Optional[CachedResponse]:
@@ -570,16 +589,15 @@ class ServiceState:
             )
         if route != "/statusz":
             return None
-        store: Dict[str, object] = {}
-        try:
-            store["token"] = self.token()
-            store["generation"] = self.engine.generation
-        except StoreError as exc:
-            store["error"] = str(exc)
+        # The generation served; only the freshness probe refreshes.
+        manifest = self.engine.store.manifest
         body = _json_body(
             {
                 "components": default_board().snapshot(),
-                "store": store,
+                "store": {
+                    "generation": manifest.generation,
+                    "token": manifest.token,
+                },
                 "cache": self.cache.stats(),
             }
         )
@@ -601,13 +619,7 @@ class ServiceState:
         try:
             token = self.token()
         except StoreError as exc:
-            return (
-                error_response(
-                    503, f"store unavailable: {exc}", "-",
-                    retry_after=RETRY_AFTER_S,
-                ),
-                "none",
-            )
+            return unavailable(exc), "none"
         if route != "/":  # the index route reports live cache stats
             entry = self.cache.get(self.cache_key(route, params, token))
             if entry is not None:

@@ -4,7 +4,7 @@ The acceptance contract: ``/metrics`` and ``/statusz`` exist, expose
 the fixed metric families (names and kinds), the access log has a
 fixed field order, query routes stay bit-identical to the in-process
 oracle with metrics enabled, and the request telemetry (counts, cache
-outcomes, 304s, coalesces) reflects what the server actually did.
+outcomes, 304s) reflects what the server actually did.
 """
 
 import json
@@ -124,7 +124,6 @@ class TestScrapeRoutes:
             ("repro_http_requests_total", "counter"),
             ("repro_http_request_seconds", "histogram"),
             ("repro_http_cache_total", "counter"),
-            ("repro_http_coalesced_total", "counter"),
             ("repro_query_sync_total", "counter"),
             ("repro_query_sync_seconds", "histogram"),
             ("repro_query_applied_segments", "gauge"),
@@ -246,7 +245,7 @@ class TestAccessLog:
         assert by_route["/nonsense"]["status"] == 404
         for record in records:
             assert list(record) == ["cache", "latency_us", "route", "status"]
-            assert record["cache"] in ("hit", "miss", "coalesced", "none")
+            assert record["cache"] in ("hit", "miss", "none")
             assert record["latency_us"] >= 0
         # Byte-level: with the values stripped, every line is the one
         # fixed field skeleton log consumers parse.
@@ -281,17 +280,13 @@ class TestServiceMetricsUnit:
         metrics = ServiceMetrics(registry)
         metrics.observe("/top", 200, 0.001, "miss")
         metrics.observe("/top", 200, 0.0005, "hit")
-        metrics.observe("/top", 200, 0.002, "coalesced")
         metrics.observe("/metrics", 200, 0.0001, "none")
         families = {f.name: f for f in registry.collect()}
         cache = {
             c.labelvalues: c.value
             for c in families["repro_http_cache_total"].children
         }
-        # A coalesced request is a cache miss that waited on a peer.
-        assert cache == {("hit",): 1.0, ("miss",): 2.0}
-        [coalesced] = families["repro_http_coalesced_total"].children
-        assert coalesced.value == 1.0
+        assert cache == {("hit",): 1.0, ("miss",): 1.0}
 
     def test_access_log_canonical_bytes(self, tmp_path):
         path = tmp_path / "access.jsonl"

@@ -5,11 +5,13 @@ body, ETag and ``Retry-After`` on the wire must equal what an
 independent in-process :class:`~repro.service.routes.ServiceState`
 answers from the same store.  These tests drive that matrix (success,
 batch, 400/404 and 304 paths), the server's own machinery (keep-alive
-framing, the head deadline, single-flight coalescing, ``SO_REUSEPORT``
-worker pools), and the hard case: wire and oracle agreeing while a
-writer appends and the compactor rewrites the store underneath them.
+framing, the head deadline, one computation per missed key,
+``SO_REUSEPORT`` worker pools), and the hard case: wire and oracle
+agreeing while a writer appends and the compactor rewrites the store
+underneath them.
 """
 
+import contextlib
 import gc
 import json
 import random
@@ -21,6 +23,8 @@ from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
+from repro.reporting import InternetHealthReport
+from repro.reporting.jsonio import dumps_canonical
 from repro.service import (
     AlarmStoreWriter,
     CompactionPolicy,
@@ -35,8 +39,10 @@ from repro.service.aio import AsyncServerThread, start_worker_pool
 from repro.service.cache import CachedResponse
 from repro.service.routes import error_response
 
+from tests import test_service_store as store_tests
 from tests.test_service_store import (
     BIN_S,
+    analysis_of,
     build_store,
     make_mapper,
     synthetic_bins,
@@ -570,19 +576,20 @@ class TestHeadDeadline:
             client.close()
 
     def test_slow_compute_is_not_cut_off(self, impatient):
-        state = impatient.service.state
-        original = state.compute
+        engine = impatient.service.state.engine
+        original = engine.sync
         release = threading.Event()
 
-        def blocked_compute(route, params):
+        def blocked_sync():
             assert release.wait(timeout=10)
-            return original(route, params)
+            return original()
 
-        state.compute = blocked_compute
+        # The probe applies the generation before any miss is answered.
+        engine.sync = blocked_sync
         client = KeepAliveClient(impatient.port)
         try:
             client.send("/top?kind=delay&k=7")
-            time.sleep(0.6)  # three deadlines pass mid-computation
+            time.sleep(0.6)  # three deadlines pass mid-sync
             release.set()
             status, _, _ = client.read_response()
             assert status == 200
@@ -690,16 +697,18 @@ class TestSingleFlight:
             warm = KeepAliveClient(server.port)
             warm.get("/health/65001")  # prime the token probe
             warm.close()
-            state = server.service.state
-            original = state.compute
+            service = server.service
+            state = service.state
+            original = state.compute_at
             calls = []
 
-            def slow_compute(route, params):
+            def slow_compute_at(token, route, params):
                 calls.append(route)
                 time.sleep(0.3)
-                return original(route, params)
+                return original(token, route, params)
 
-            state.compute = slow_compute
+            state.compute_at = slow_compute_at
+            hits_before, misses_before = service.hits, service.misses
             clients = [KeepAliveClient(server.port) for _ in range(6)]
             try:
                 target = "/top?kind=forwarding&k=4"
@@ -709,19 +718,11 @@ class TestSingleFlight:
             finally:
                 for client in clients:
                     client.close()
-            assert len(calls) == 1  # coalesced: one compute for six waiters
+            assert len(calls) == 1  # one compute for six requests
+            assert service.misses == misses_before + 1
+            assert service.hits == hits_before + 5
             assert len({body for _, _, body in replies}) == 1
             assert len({h["etag"] for _, h, _ in replies}) == 1
-            assert server.service.misses >= 6
-            # The computed entry is cached: the next request is a pure hit.
-            hits_before = server.service.hits
-            follow_up = KeepAliveClient(server.port)
-            try:
-                follow_up.get(target)
-            finally:
-                follow_up.close()
-            assert len(calls) == 1
-            assert server.service.hits == hits_before + 1
 
 
 class TestWorkerPool:
@@ -835,3 +836,124 @@ class TestLiveStoreEquivalence:
             for target in MATRIX:
                 assert_wire_matches_oracle(client, oracle, target)
             client.close()
+
+
+class TestLinksTieBreak:
+    def test_tied_links_on_the_wire_equal_the_report(self, tmp_path):
+        """Links tied on count and total deviation go by link, on the
+        wire exactly as :meth:`InternetHealthReport.links_of` ranks them."""
+        mapper = make_mapper()
+        results = store_tests.TestTieOrder.bins()
+        directory = tmp_path / "store"
+        build_store(directory, results, mapper, chunk=2)
+        report = InternetHealthReport(
+            analysis_of(results, mapper), window_bins=2
+        )
+        with AsyncServerThread(directory, window_bins=2) as server:
+            client = KeepAliveClient(server.port)
+            try:
+                for asn in (65001, 65010):
+                    links = report.links_of(asn)
+                    assert len(links) == 2
+                    assert len(
+                        {(s.alarm_count, s.total_deviation) for s in links}
+                    ) == 1
+                    expected = dumps_canonical(
+                        [
+                            {
+                                "link": list(s.link),
+                                "alarm_count": s.alarm_count,
+                                "peak_deviation": s.peak_deviation,
+                                "total_deviation": s.total_deviation,
+                                "last_timestamp": s.last_timestamp,
+                            }
+                            for s in links
+                        ]
+                    ) + b"\n"
+                    assert client.get(f"/links/{asn}")[::2] == (200, expected)
+            finally:
+                client.close()
+
+
+@contextlib.contextmanager
+def churning(directory, mapper, bins):
+    """A writer appending *bins* one at a time and a compactor running
+    until the block exits; yields the writer's thread."""
+    stop = threading.Event()
+    failures = []
+
+    def writer_loop():
+        writer = AlarmStoreWriter.open_or_create(
+            directory, mapper, bin_s=BIN_S
+        )
+        for result in bins:
+            for _ in range(10):
+                try:
+                    writer.append_bins([result])
+                    break
+                except StoreError:
+                    writer.reload()  # the compactor got there first
+            else:  # pragma: no cover - would mean a livelock
+                failures.append("writer starved by compactor")
+                return
+            time.sleep(0.01)
+
+    def compactor_loop():
+        while not stop.is_set():
+            try:
+                compact_store(directory, CompactionPolicy(max_segments=3))
+            except StoreError as exc:  # pragma: no cover - unexpected
+                failures.append(f"compactor failed: {exc}")
+                return
+            time.sleep(0.03)
+
+    writer_thread = threading.Thread(target=writer_loop)
+    compactor_thread = threading.Thread(target=compactor_loop)
+    writer_thread.start()
+    compactor_thread.start()
+    try:
+        yield writer_thread
+    finally:
+        writer_thread.join(timeout=60)
+        stop.set()
+        compactor_thread.join(timeout=60)
+    assert not failures, failures
+
+
+class TestLoopNeverSyncs:
+    def test_no_sync_runs_on_the_loop_thread(self, tmp_path, monkeypatch):
+        """Segments are applied by the freshness probe in the executor,
+        never on the event loop, while a writer appends, the compactor
+        rewrites and ``/statusz`` is scraped between requests."""
+        synced_on = []
+        original = StoreQuery._sync
+
+        def recording_sync(engine, manifest):
+            synced_on.append((engine, threading.get_ident()))
+            return original(engine, manifest)
+
+        monkeypatch.setattr(StoreQuery, "_sync", recording_sync)
+        mapper = make_mapper()
+        bins = synthetic_bins(16, seed=59)
+        directory = tmp_path / "store"
+        build_store(directory, bins[:6], mapper, chunk=2)
+        targets = [t for t in MATRIX if "nonsense" not in t]
+        rng = random.Random(11)
+        with AsyncServerThread(
+            directory, window_bins=4, token_ttl=0.0
+        ) as server:
+            client = KeepAliveClient(server.port)
+            try:
+                with churning(directory, mapper, bins[6:]) as writer:
+                    iterations = 0
+                    while writer.is_alive() or iterations < 60:
+                        iterations += 1
+                        client.get(rng.choice(targets))
+                        assert client.get("/statusz")[0] == 200
+            finally:
+                client.close()
+            engine = server.service.state.engine
+            loop_thread = server._thread.ident
+        threads = [ident for owner, ident in synced_on if owner is engine]
+        assert len(threads) > 1  # the churn reached the server
+        assert loop_thread not in threads

@@ -551,6 +551,27 @@ class TestCoherenceRace:
         assert entry.body == fresh_entry.body
         assert entry.etag == fresh_entry.etag
 
+    def test_compute_at_never_waits_or_applies(self, tmp_path):
+        """The event-loop miss answers only at the applied token."""
+        directory = tmp_path / "store"
+        bins = synthetic_bins(8, seed=61)
+        writer = build_store(directory, bins[:6], make_mapper(), chunk=2)
+        state = ServiceState(
+            StoreQuery(directory, window_bins=4), ResponseCache(8)
+        )
+        route, params = "/top", {"k": "3"}
+        token = state.token()
+        writer.append_bins(bins[6:])
+        state.engine.refresh()  # a new manifest, not applied yet
+        assert state.compute_at(token, route, params) is None
+        assert state.compute_at(state.engine.cache_token, route, params) is None
+        applied = state.token()
+        with state.engine_lock:  # busy: no wait
+            assert state.compute_at(applied, route, params) is None
+        entry = state.compute_at(applied, route, params)
+        assert entry is not None and f"g{applied}-" in entry.etag
+        assert entry == state.compute(route, params)
+
     def test_pinned_engine_never_mixes_generations(self, tmp_path):
         directory = tmp_path / "store"
         mapper = make_mapper()

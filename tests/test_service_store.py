@@ -417,6 +417,26 @@ class TestTieOrder:
             )
 
 
+class TestEventsLimit:
+    """``events_in(limit=n)`` builds only what the full list keeps."""
+
+    def test_limited_span_equals_full_list_sliced(self, tmp_path):
+        bin_results = synthetic_bins(8, seed=11)
+        build_store(tmp_path / "store", bin_results, make_mapper())
+        query = StoreQuery(tmp_path / "store", window_bins=4)
+        end = bin_results[-1].timestamp + BIN_S
+        spans = [(0, end), (2 * BIN_S, 6 * BIN_S), (end, end)]
+        for kind in ("delay", "forwarding"):
+            assert query.events_in(0, end, kind, 0.1), kind  # not vacuous
+            for threshold in (0.1, 0.5, 2.0, 5.0):
+                for start, stop in spans:
+                    full = query.events_in(start, stop, kind, threshold)
+                    for limit in range(len(full) + 2):
+                        assert query.events_in(
+                            start, stop, kind, threshold, limit
+                        ) == full[:limit]
+
+
 class TestWriterSemantics:
     def test_create_refuses_existing_store(self, tmp_path):
         mapper = make_mapper()
