@@ -20,9 +20,10 @@ is exactly what this module provides:
 * :func:`save_snapshot` / :func:`load_snapshot` persist snapshots as
   :mod:`repro.binfmt` files (magic, version, payload digest, durable
   atomic writes) whose payload opens with a fingerprint of the
-  detection-relevant configuration, followed by a tagged little-endian
-  encoding of the state.  Truncated, foreign, stale or corrupt files
-  always raise :class:`SnapshotError` — they are never silently served;
+  detection-relevant configuration, followed by one string table of
+  every IP and hop, a count block and the state as typed little-endian
+  columns.  Truncated, foreign, stale or corrupt files always raise
+  :class:`SnapshotError` — they are never silently served;
 * :func:`run_checkpointed` is the one-call resumable driver used by the
   CLI's ``analyze --checkpoint`` flag and the ``monitor`` subcommand: it
   replays a campaign bin by bin, checkpoints every N bins, and on
@@ -31,9 +32,12 @@ is exactly what this module provides:
   configuration).
 
 The format trusts nothing: the frame's digest catches random
-corruption, and structural vetting (offset tables must be monotone and
-anchored, array lengths must agree, warm-up counts must fit the seed
-window) catches well-formed-but-wrong images.
+corruption, and structural vetting (ids must index the string table,
+offset tables must be monotone and anchored, warm-up counts must fit
+the seed window) catches well-formed-but-wrong images.  It is also
+canonical — strings in first-use order, no flag bit beyond the defined
+ones, zeros behind every absent value — so one snapshot has exactly one
+encoding.
 """
 
 from __future__ import annotations
@@ -57,22 +61,13 @@ from repro.stats.wilson import WilsonInterval
 
 #: File identification: magic bytes plus an explicit format version.
 #: Version 2 moved the config fingerprint from the header into the
-#: digested payload's first 16 bytes.
+#: digested payload's first 16 bytes; version 3 replaced the tagged value
+#: encoding with typed columns over one string table.
 MAGIC = b"RPROCKPT"
-SNAPSHOT_VERSION = 2
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+SNAPSHOT_VERSION = 3
 
 #: How many bytes a fingerprint or source digest has.
 _DIGEST_SIZE = binfmt.DIGEST_SIZE
-
-#: Maximum nesting depth the payload decoder will follow.  Real
-#: snapshot payloads nest ~6 levels (dict → list → result → alarm →
-#: interval); anything deeper is a hostile or corrupt file and must
-#: surface as SnapshotError, never as RecursionError.
-_MAX_DEPTH = 64
 
 #: How much of a source file's head feeds :func:`source_digest_of`.
 #: The head identifies a campaign/feed yet stays stable while a live
@@ -213,497 +208,368 @@ class EngineSnapshot:
     source_digest: bytes = b""
 
 
-# -- the typed binary codec --------------------------------------------------
+# -- the payload layout ------------------------------------------------------
 #
-# A small recursive tagged encoding covering exactly the types snapshot
-# state is made of.  Floats travel as raw IEEE-754 little-endian bytes
-# and arrays as raw '<f8'/'<i8' buffers, so every value round-trips bit
-# for bit; nothing is ever eval'd or unpickled, so a hostile file can at
-# worst raise SnapshotError.
+# After the fingerprint: one string table holding every IP and hop,
+# interned in first-use order; the fixed head; one count block; then
+# typed little-endian columns in _SCHEMA order.  Floats travel as raw
+# IEEE-754 bytes, so every value round-trips bit for bit, and nothing is
+# ever eval'd or unpickled.
+
+#: String-table ids: the only u4 columns.
+_ID = "<u4"
+
+#: Hop maps a forwarding alarm carries, pooled CSR-style in dict order.
+_HOP_MAPS = ("responsibilities", "pattern", "reference")
+
+#: The array fields of the delay (``d_*``) and forwarding (``f_*``)
+#: tables, stored as they are.
+_DELAY_ARRAYS = (
+    "median", "lower", "upper", "warm_count", "bins_seen", "alarms_raised",
+    "max_probes", "warm_offsets", "warm_values",
+)
+_FORWARDING_ARRAYS = ("bins_seen", "alarms_raised", "ref_offsets",
+                      "ref_weights")
+
+#: (column, dtype, row count, values per row), in payload order.
+_SCHEMA = (
+    ("links_seen", _ID, "links_seen", 2),
+    ("round_links", _ID, "rounds", 2),
+    ("round_counts", "<i8", "rounds", 1),
+    ("d_links", _ID, "delay", 2),
+    ("d_median", "<f8", "delay", 1),
+    ("d_lower", "<f8", "delay", 1),
+    ("d_upper", "<f8", "delay", 1),
+    ("d_warm_count", "<i8", "delay", 1),
+    ("d_bins_seen", "<i8", "delay", 1),
+    ("d_alarms_raised", "<i8", "delay", 1),
+    ("d_max_probes", "<i8", "delay", 1),
+    ("d_warm_offsets", "<i8", "delay", 1),
+    ("d_warm_values", "<f8", "warm", 1),
+    ("f_keys", _ID, "forwarding", 2),
+    ("f_bins_seen", "<i8", "forwarding", 1),
+    ("f_alarms_raised", "<i8", "forwarding", 1),
+    ("f_ref_offsets", "<i8", "forwarding", 1),
+    ("f_ref_hops", _ID, "ref", 1),
+    ("f_ref_weights", "<f8", "ref", 1),
+    ("tracked_links", _ID, "tracked", 2),
+    ("point_offsets", "<i8", "tracked", 1),
+    ("point_flags", "u1", "points", 1),
+    # timestamp, n_probes, observed n, reference n
+    ("point_ints", "<i8", "points", 4),
+    # observed median/lower/upper, reference median/lower/upper, mean, std
+    ("point_floats", "<f8", "points", 8),
+    # timestamp, n_traceroutes, n_links_observed, n_links_analyzed
+    ("bin_ints", "<i8", "results", 4),
+    ("delay_alarm_offsets", "<i8", "results", 1),
+    ("fwd_alarm_offsets", "<i8", "results", 1),
+    ("alarm_links", _ID, "delay_alarms", 2),
+    # timestamp, direction, n_probes, n_asns, observed n, reference n
+    ("alarm_ints", "<i8", "delay_alarms", 6),
+    # observed median/lower/upper, reference median/lower/upper, deviation
+    ("alarm_floats", "<f8", "delay_alarms", 7),
+    ("fwd_alarm_ips", _ID, "fwd_alarms", 2),  # router, destination
+    ("fwd_alarm_ts", "<i8", "fwd_alarms", 1),
+    ("correlation", "<f8", "fwd_alarms", 1),
+) + tuple(
+    column
+    for name in _HOP_MAPS
+    for column in (
+        (f"{name}_offsets", "<i8", "fwd_alarms", 1),
+        (f"{name}_hops", _ID, name, 1),
+        (f"{name}_weights", "<f8", name, 1),
+    )
+)
+
+#: Each CSR offset table (one entry more than its rows) and the row
+#: count of the pool it indexes.
+_OFFSETS = {
+    "d_warm_offsets": "warm",
+    "f_ref_offsets": "ref",
+    "point_offsets": "points",
+    "delay_alarm_offsets": "delay_alarms",
+    "fwd_alarm_offsets": "fwd_alarms",
+    **{f"{name}_offsets": name for name in _HOP_MAPS},
+}
+
+#: The count block: every row count, in order of first use.
+_COUNTS = tuple(dict.fromkeys(rows for _, _, rows, _ in _SCHEMA))
+_COUNT_BLOCK = struct.Struct(f"<{len(_COUNTS)}Q")
+
+#: source-digest flag, digest, bins, traceroutes, last-timestamp flag,
+#: last timestamp, seed_bins.
+_HEAD = struct.Struct("<B16sqqBqq")
+
+#: Tracked-point flag bits: which optional fields are present (an absent
+#: one is written as zeros), and the point's two booleans.
+_OBSERVED, _REFERENCE, _ALARMED, _ACCEPTED, _MEAN, _STD = 1, 2, 4, 8, 16, 32
 
 
-def _encode(obj, out: bytearray) -> None:
-    kind = type(obj)
-    if obj is None:
-        out += b"N"
-    elif obj is True:
-        out += b"T"
-    elif obj is False:
-        out += b"F"
-    elif kind is int or isinstance(obj, (int, np.integer)):
-        try:
-            out += b"i"
-            out += _I64.pack(int(obj))
-        except struct.error as exc:
-            raise SnapshotError(f"integer out of int64 range: {obj}") from exc
-    elif kind is float or isinstance(obj, (float, np.floating)):
-        out += b"f"
-        out += _F64.pack(float(obj))
-    elif kind is str:
-        raw = obj.encode("utf-8")
-        out += b"s"
-        out += _U32.pack(len(raw))
-        out += raw
-    elif kind is tuple:
-        out += b"t"
-        out += _U32.pack(len(obj))
-        for item in obj:
-            _encode(item, out)
-    elif kind is list:
-        out += b"l"
-        out += _U32.pack(len(obj))
-        for item in obj:
-            _encode(item, out)
-    elif kind is dict:
-        out += b"d"
-        out += _U32.pack(len(obj))
-        for key, value in obj.items():
-            _encode(key, out)
-            _encode(value, out)
-    elif isinstance(obj, np.ndarray):
-        if obj.ndim != 1:
-            raise SnapshotError("only 1-D arrays are serializable")
-        if obj.dtype.kind == "f":
-            out += b"D"
-            raw = np.ascontiguousarray(obj, dtype="<f8").tobytes()
-        elif obj.dtype.kind in ("i", "u"):
-            out += b"I"
-            raw = np.ascontiguousarray(obj, dtype="<i8").tobytes()
-        else:
-            raise SnapshotError(f"unsupported array dtype: {obj.dtype}")
-        out += struct.pack("<Q", obj.size)
-        out += raw
-    elif isinstance(obj, WilsonInterval):
-        out += b"W"
-        out += _F64.pack(obj.median)
-        out += _F64.pack(obj.lower)
-        out += _F64.pack(obj.upper)
-        out += _I64.pack(obj.n)
-    elif isinstance(obj, TrackedLinkPoint):
-        out += b"P"
-        for value in (
-            obj.timestamp,
-            obj.observed,
-            obj.reference,
-            obj.alarmed,
-            obj.accepted,
-            obj.n_probes,
-            obj.mean,
-            obj.sample_std,
-        ):
-            _encode(value, out)
-    elif isinstance(obj, DelayAlarm):
-        out += b"A"
-        for value in (
-            obj.timestamp,
-            obj.link,
-            obj.observed,
-            obj.reference,
-            obj.deviation,
-            obj.direction,
-            obj.n_probes,
-            obj.n_asns,
-        ):
-            _encode(value, out)
-    elif isinstance(obj, ForwardingAlarm):
-        out += b"G"
-        for value in (
-            obj.timestamp,
-            obj.router_ip,
-            obj.destination,
-            obj.correlation,
-            obj.responsibilities,
-            obj.pattern,
-            obj.reference,
-        ):
-            _encode(value, out)
-    elif isinstance(obj, BinResult):
-        out += b"B"
-        for value in (
-            obj.timestamp,
-            obj.n_traceroutes,
-            obj.n_links_observed,
-            obj.n_links_analyzed,
-            obj.delay_alarms,
-            obj.forwarding_alarms,
-        ):
-            _encode(value, out)
-    else:
-        raise SnapshotError(
-            f"unsupported snapshot value of type {kind.__name__}"
-        )
+def _flat(pairs) -> list:
+    return [value for pair in pairs for value in pair]
 
 
-def _expect(value, types, what: str):
-    """Type-check one decoded field, with a corrupt-snapshot error."""
-    if types is None:
-        if value is not None:
-            raise SnapshotError(f"corrupt snapshot: {what} must be null")
-    elif not isinstance(value, types):
-        raise SnapshotError(
-            f"corrupt snapshot: {what} has type {type(value).__name__}"
-        )
-    return value
+def _offsets(groups) -> np.ndarray:
+    return np.cumsum([0, *(len(group) for group in groups)])
 
 
-def _expect_optional(value, types, what: str):
-    if value is not None and not isinstance(value, types):
-        raise SnapshotError(
-            f"corrupt snapshot: {what} has type {type(value).__name__}"
-        )
-    return value
+def _split(items: list, offsets: np.ndarray) -> List[list]:
+    """*items* cut into the rows a CSR offset table delimits."""
+    ends = offsets.tolist()
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _decode(reader: binfmt.Reader, depth: int = 0):
-    if depth > _MAX_DEPTH:
-        raise SnapshotError("corrupt snapshot: nesting too deep")
-    tag = bytes(reader.take(1))
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return _I64.unpack(reader.take(8))[0]
-    if tag == b"f":
-        return _F64.unpack(reader.take(8))[0]
-    if tag == b"s":
-        (length,) = _U32.unpack(reader.take(4))
-        try:
-            return bytes(reader.take(length)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SnapshotError("corrupt snapshot: bad utf-8") from exc
-    if tag == b"t":
-        (count,) = _U32.unpack(reader.take(4))
-        return tuple(_decode(reader, depth + 1) for _ in range(count))
-    if tag == b"l":
-        (count,) = _U32.unpack(reader.take(4))
-        return [_decode(reader, depth + 1) for _ in range(count)]
-    if tag == b"d":
-        (count,) = _U32.unpack(reader.take(4))
-        result = {}
-        for _ in range(count):
-            key = _decode(reader, depth + 1)
-            try:
-                result[key] = _decode(reader, depth + 1)
-            except TypeError as exc:  # unhashable key
-                raise SnapshotError(
-                    "corrupt snapshot: unhashable dict key"
-                ) from exc
-        return result
-    if tag in (b"D", b"I"):
-        (count,) = struct.unpack("<Q", reader.take(8))
-        raw = reader.take(count * 8)
-        dtype = "<f8" if tag == b"D" else "<i8"
-        target = np.float64 if tag == b"D" else np.int64
-        # astype fixes the byte order on big-endian hosts and makes the
-        # array writable (frombuffer views are read-only).
-        return np.frombuffer(raw, dtype=dtype).astype(target)
-    if tag == b"W":
-        median = _F64.unpack(reader.take(8))[0]
-        lower = _F64.unpack(reader.take(8))[0]
-        upper = _F64.unpack(reader.take(8))[0]
-        n = _I64.unpack(reader.take(8))[0]
-        return WilsonInterval(median=median, lower=lower, upper=upper, n=n)
-    if tag == b"P":
-        timestamp = _expect(_decode(reader, depth + 1), int, "point timestamp")
-        observed = _expect_optional(
-            _decode(reader, depth + 1), WilsonInterval, "point observed"
-        )
-        reference = _expect_optional(
-            _decode(reader, depth + 1), WilsonInterval, "point reference"
-        )
-        alarmed = _expect(_decode(reader, depth + 1), bool, "point alarmed")
-        accepted = _expect(_decode(reader, depth + 1), bool, "point accepted")
-        n_probes = _expect(_decode(reader, depth + 1), int, "point n_probes")
-        mean = _expect_optional(_decode(reader, depth + 1), float, "point mean")
-        sample_std = _expect_optional(
-            _decode(reader, depth + 1), float, "point sample_std"
-        )
-        return TrackedLinkPoint(
-            timestamp=timestamp,
-            observed=observed,
-            reference=reference,
-            alarmed=alarmed,
-            accepted=accepted,
-            n_probes=n_probes,
-            mean=mean,
-            sample_std=sample_std,
-        )
-    if tag == b"A":
-        timestamp = _expect(_decode(reader, depth + 1), int, "alarm timestamp")
-        link = _as_link(_decode(reader, depth + 1), "alarm link")
-        observed = _expect(_decode(reader, depth + 1), WilsonInterval, "alarm observed")
-        reference = _expect(
-            _decode(reader, depth + 1), WilsonInterval, "alarm reference"
-        )
-        deviation = _expect(_decode(reader, depth + 1), float, "alarm deviation")
-        direction = _expect(_decode(reader, depth + 1), int, "alarm direction")
-        n_probes = _expect(_decode(reader, depth + 1), int, "alarm n_probes")
-        n_asns = _expect(_decode(reader, depth + 1), int, "alarm n_asns")
-        return DelayAlarm(
-            timestamp=timestamp,
-            link=link,
-            observed=observed,
-            reference=reference,
-            deviation=deviation,
-            direction=direction,
-            n_probes=n_probes,
-            n_asns=n_asns,
-        )
-    if tag == b"G":
-        timestamp = _expect(_decode(reader, depth + 1), int, "alarm timestamp")
-        router_ip = _expect(_decode(reader, depth + 1), str, "alarm router")
-        destination = _expect(_decode(reader, depth + 1), str, "alarm destination")
-        correlation = _expect(_decode(reader, depth + 1), float, "alarm correlation")
-        responsibilities = _as_pattern(
-            _decode(reader, depth + 1), "alarm responsibilities"
-        )
-        pattern = _as_pattern(_decode(reader, depth + 1), "alarm pattern")
-        reference = _as_pattern(_decode(reader, depth + 1), "alarm reference")
-        return ForwardingAlarm(
-            timestamp=timestamp,
-            router_ip=router_ip,
-            destination=destination,
-            correlation=correlation,
-            responsibilities=responsibilities,
-            pattern=pattern,
-            reference=reference,
-        )
-    if tag == b"B":
-        timestamp = _expect(_decode(reader, depth + 1), int, "bin timestamp")
-        n_traceroutes = _expect(_decode(reader, depth + 1), int, "bin n_traceroutes")
-        n_links_observed = _expect(
-            _decode(reader, depth + 1), int, "bin n_links_observed"
-        )
-        n_links_analyzed = _expect(
-            _decode(reader, depth + 1), int, "bin n_links_analyzed"
-        )
-        delay_alarms = _expect(_decode(reader, depth + 1), list, "bin delay alarms")
-        forwarding_alarms = _expect(
-            _decode(reader, depth + 1), list, "bin forwarding alarms"
-        )
-        for alarm in delay_alarms:
-            _expect(alarm, DelayAlarm, "bin delay alarm")
-        for alarm in forwarding_alarms:
-            _expect(alarm, ForwardingAlarm, "bin forwarding alarm")
-        return BinResult(
-            timestamp=timestamp,
-            n_traceroutes=n_traceroutes,
-            n_links_observed=n_links_observed,
-            n_links_analyzed=n_links_analyzed,
-            delay_alarms=delay_alarms,
-            forwarding_alarms=forwarding_alarms,
-        )
-    raise SnapshotError(f"corrupt snapshot: unknown tag {tag!r}")
+def _bounds(interval: Optional[WilsonInterval]) -> Tuple[float, ...]:
+    if interval is None:
+        return (0.0, 0.0, 0.0)
+    return (interval.median, interval.lower, interval.upper)
 
 
-def _as_link(value, what: str) -> Link:
-    if (
-        not isinstance(value, tuple)
-        or len(value) != 2
-        or not all(isinstance(part, str) for part in value)
-    ):
-        raise SnapshotError(f"corrupt snapshot: {what} is not a link")
-    return value
-
-
-def _as_pattern(value, what: str) -> Dict[str, float]:
-    _expect(value, dict, what)
-    for key, weight in value.items():
-        if not isinstance(key, str) or not isinstance(weight, float):
-            raise SnapshotError(f"corrupt snapshot: bad {what} entry")
-    return value
-
-
-# -- payload assembly and vetting --------------------------------------------
+def _columns(snapshot: EngineSnapshot) -> dict:
+    """Every schema column's values (ids still as strings)."""
+    delay, fwd = snapshot.delay, snapshot.forwarding
+    points = [point for run in snapshot.tracked.values() for point in run]
+    results = snapshot.results
+    delay_alarms = [alarm for r in results for alarm in r.delay_alarms]
+    fwd_alarms = [alarm for r in results for alarm in r.forwarding_alarms]
+    columns = {
+        "links_seen": _flat(snapshot.links_seen),
+        "round_links": _flat(snapshot.rounds),
+        "round_counts": list(snapshot.rounds.values()),
+        "d_links": _flat(delay.links),
+        "f_keys": _flat(fwd.keys),
+        "f_ref_hops": fwd.ref_hops,
+        "tracked_links": _flat(snapshot.tracked),
+        "point_offsets": _offsets(snapshot.tracked.values()),
+        "point_flags": [
+            (p.observed is not None) * _OBSERVED
+            | (p.reference is not None) * _REFERENCE
+            | bool(p.alarmed) * _ALARMED
+            | bool(p.accepted) * _ACCEPTED
+            | (p.mean is not None) * _MEAN
+            | (p.sample_std is not None) * _STD
+            for p in points
+        ],
+        "point_ints": [
+            (
+                p.timestamp, p.n_probes,
+                0 if p.observed is None else p.observed.n,
+                0 if p.reference is None else p.reference.n,
+            )
+            for p in points
+        ],
+        "point_floats": [
+            (
+                *_bounds(p.observed), *_bounds(p.reference),
+                0.0 if p.mean is None else p.mean,
+                0.0 if p.sample_std is None else p.sample_std,
+            )
+            for p in points
+        ],
+        "bin_ints": [
+            (r.timestamp, r.n_traceroutes, r.n_links_observed,
+             r.n_links_analyzed)
+            for r in results
+        ],
+        "delay_alarm_offsets": _offsets(r.delay_alarms for r in results),
+        "fwd_alarm_offsets": _offsets(r.forwarding_alarms for r in results),
+        "alarm_links": _flat(a.link for a in delay_alarms),
+        "alarm_ints": [
+            (a.timestamp, a.direction, a.n_probes, a.n_asns,
+             a.observed.n, a.reference.n)
+            for a in delay_alarms
+        ],
+        "alarm_floats": [
+            (*_bounds(a.observed), *_bounds(a.reference), a.deviation)
+            for a in delay_alarms
+        ],
+        "fwd_alarm_ips": _flat(
+            (a.router_ip, a.destination) for a in fwd_alarms
+        ),
+        "fwd_alarm_ts": [a.timestamp for a in fwd_alarms],
+        "correlation": [a.correlation for a in fwd_alarms],
+    }
+    columns.update((f"d_{n}", getattr(delay, n)) for n in _DELAY_ARRAYS)
+    columns.update((f"f_{n}", getattr(fwd, n)) for n in _FORWARDING_ARRAYS)
+    for name in _HOP_MAPS:
+        maps = [getattr(alarm, name) for alarm in fwd_alarms]
+        columns[f"{name}_offsets"] = _offsets(maps)
+        columns[f"{name}_hops"] = [hop for m in maps for hop in m]
+        columns[f"{name}_weights"] = [w for m in maps for w in m.values()]
+    return columns
 
 
 def _encode_payload(snapshot: EngineSnapshot) -> bytes:
-    """Serialise a snapshot's canonical state into payload bytes."""
-    delay = snapshot.delay
-    forwarding = snapshot.forwarding
-    payload = {
-        "source_digest": snapshot.source_digest.hex(),
-        "bins": int(snapshot.bins_processed),
-        "traceroutes": int(snapshot.traceroutes_processed),
-        "last_timestamp": (
-            None
-            if snapshot.last_timestamp is None
-            else int(snapshot.last_timestamp)
-        ),
-        "links_seen": list(snapshot.links_seen),
-        "rounds": {
-            link: int(count) for link, count in snapshot.rounds.items()
-        },
-        "delay": {
-            "seed_bins": int(delay.seed_bins),
-            "links": list(delay.links),
-            "median": delay.median,
-            "lower": delay.lower,
-            "upper": delay.upper,
-            "warm_count": delay.warm_count,
-            "bins_seen": delay.bins_seen,
-            "alarms_raised": delay.alarms_raised,
-            "max_probes": delay.max_probes,
-            "warm_offsets": delay.warm_offsets,
-            "warm_values": delay.warm_values,
-        },
-        "forwarding": {
-            "keys": list(forwarding.keys),
-            "bins_seen": forwarding.bins_seen,
-            "alarms_raised": forwarding.alarms_raised,
-            "ref_offsets": forwarding.ref_offsets,
-            "ref_hops": list(forwarding.ref_hops),
-            "ref_weights": forwarding.ref_weights,
-        },
-        "tracked": {
-            link: list(points) for link, points in snapshot.tracked.items()
-        },
-        "results": list(snapshot.results),
-    }
-    out = bytearray()
-    _encode(payload, out)
-    return bytes(out)
-
-
-def _array_field(section: dict, name: str, kind: str, what: str) -> np.ndarray:
-    value = section.get(name)
-    if not isinstance(value, np.ndarray) or value.dtype.kind != kind:
-        raise SnapshotError(f"corrupt snapshot: bad {what} column {name!r}")
-    return value
-
-
-def _build_snapshot(payload: dict, fingerprint: bytes) -> EngineSnapshot:
-    """Structural vetting: turn decoded payload into an EngineSnapshot."""
-    _expect(payload, dict, "payload")
+    """Serialise a snapshot's state: the payload after its fingerprint."""
+    digest = snapshot.source_digest
+    if digest and len(digest) != _DIGEST_SIZE:
+        raise SnapshotError(
+            f"source digest must be empty or {_DIGEST_SIZE} bytes, "
+            f"got {len(digest)}"
+        )
+    last = snapshot.last_timestamp
+    columns = _columns(snapshot)
+    strings: Dict[str, int] = {}
+    counts: Dict[str, int] = {}
+    parts = []
     try:
-        source_digest = bytes.fromhex(
-            _expect(payload.get("source_digest"), str, "source_digest")
+        head = _HEAD.pack(
+            bool(digest), digest, snapshot.bins_processed,
+            snapshot.traceroutes_processed, last is not None,
+            0 if last is None else last, snapshot.delay.seed_bins,
         )
-    except ValueError as exc:
-        raise SnapshotError("corrupt snapshot: bad source digest") from exc
-    if source_digest and len(source_digest) != _DIGEST_SIZE:
-        raise SnapshotError("corrupt snapshot: bad source digest")
-    bins = _expect(payload.get("bins"), int, "bins")
-    traceroutes = _expect(payload.get("traceroutes"), int, "traceroutes")
-    last_timestamp = _expect_optional(
-        payload.get("last_timestamp"), int, "last_timestamp"
-    )
-    links_seen = _expect(payload.get("links_seen"), list, "links_seen")
-    for link in links_seen:
-        _as_link(link, "links_seen entry")
-    rounds = _expect(payload.get("rounds"), dict, "rounds")
-    for link, count in rounds.items():
-        _as_link(link, "rounds key")
-        if not isinstance(count, int) or count < 0:
-            raise SnapshotError("corrupt snapshot: bad rounds count")
+        for name, dtype, rows, width in _SCHEMA:
+            values = columns[name]
+            if dtype == _ID:
+                values = [strings.setdefault(s, len(strings)) for s in values]
+            array = np.ascontiguousarray(values, dtype=dtype)
+            count = (array.size - (name in _OFFSETS)) // width
+            if counts.setdefault(rows, count) != count:
+                raise SnapshotError(f"column {name} disagrees on {rows} rows")
+            parts.append(array.tobytes())
+    except (OverflowError, struct.error) as exc:
+        raise SnapshotError(f"snapshot value out of range: {exc}") from exc
+    block = _COUNT_BLOCK.pack(*(counts[rows] for rows in _COUNTS))
+    return b"".join([binfmt.string_table(list(strings)), head, block, *parts])
 
-    section = _expect(payload.get("delay"), dict, "delay table")
-    seed_bins = _expect(section.get("seed_bins"), int, "seed_bins")
-    if seed_bins < 1:
-        raise SnapshotError("corrupt snapshot: seed_bins must be >= 1")
-    delay_links = _expect(section.get("links"), list, "delay links")
-    for link in delay_links:
-        _as_link(link, "delay link")
-    n = len(delay_links)
-    median = _array_field(section, "median", "f", "delay")
-    lower = _array_field(section, "lower", "f", "delay")
-    upper = _array_field(section, "upper", "f", "delay")
-    warm_count = _array_field(section, "warm_count", "i", "delay")
-    bins_seen = _array_field(section, "bins_seen", "i", "delay")
-    alarms_raised = _array_field(section, "alarms_raised", "i", "delay")
-    max_probes = _array_field(section, "max_probes", "i", "delay")
-    warm_offsets = _array_field(section, "warm_offsets", "i", "delay")
-    warm_values = _array_field(section, "warm_values", "f", "delay")
-    for column in (median, lower, upper, warm_count, bins_seen,
-                   alarms_raised, max_probes):
-        if column.size != n:
-            raise SnapshotError(
-                "corrupt snapshot: delay column length mismatch"
-            )
-    if warm_count.size and (
-        int(warm_count.min()) < 0 or int(warm_count.max()) > seed_bins
-    ):
-        raise SnapshotError("corrupt snapshot: warm_count out of range")
-    binfmt.check_offsets(
-        warm_offsets, n, warm_values.size, "warm_offsets", SnapshotError
+
+def _decode_payload(
+    reader: binfmt.Reader, fingerprint: bytes
+) -> EngineSnapshot:
+    """Read, vet and rebuild the state :func:`_encode_payload` wrote."""
+    strings = reader.strings()
+    has_digest, digest, bins, traceroutes, has_last, last, seed_bins = (
+        reader.unpack(_HEAD)
     )
-    stored = np.where(np.isnan(median), warm_count, 0)
-    if not np.array_equal(np.diff(warm_offsets), 3 * stored):
-        raise SnapshotError(
-            "corrupt snapshot: warm buffer sizes disagree with warm_count"
+    counts = dict(zip(_COUNTS, reader.unpack(_COUNT_BLOCK)))
+    columns = {}
+    for name, dtype, rows, width in _SCHEMA:
+        size = counts[rows] * width + (name in _OFFSETS)
+        column = reader.column(dtype, size)
+        if dtype == _ID:
+            binfmt.check_ids(column, len(strings), name, SnapshotError)
+        columns[name] = column.reshape(-1, width) if width > 1 else column
+    reader.done()
+    _vet(columns, counts, seed_bins)
+
+    def links(name: str) -> List[Link]:
+        return [(strings[a], strings[b]) for a, b in columns[name].tolist()]
+
+    def hop_maps(name: str) -> List[Dict[str, float]]:
+        offsets = columns[f"{name}_offsets"]
+        hops = [strings[i] for i in columns[f"{name}_hops"].tolist()]
+        weights = columns[f"{name}_weights"].tolist()
+        return [
+            dict(zip(*row))
+            for row in zip(_split(hops, offsets), _split(weights, offsets))
+        ]
+
+    points = [
+        TrackedLinkPoint(
+            timestamp=timestamp,
+            observed=(WilsonInterval(*f[0:3], observed_n)
+                      if flags & _OBSERVED else None),
+            reference=(WilsonInterval(*f[3:6], reference_n)
+                       if flags & _REFERENCE else None),
+            alarmed=bool(flags & _ALARMED),
+            accepted=bool(flags & _ACCEPTED),
+            n_probes=n_probes,
+            mean=f[6] if flags & _MEAN else None,
+            sample_std=f[7] if flags & _STD else None,
         )
+        for flags, (timestamp, n_probes, observed_n, reference_n), f in zip(
+            columns["point_flags"].tolist(),
+            columns["point_ints"].tolist(),
+            columns["point_floats"].tolist(),
+        )
+    ]
+    tracked = dict(
+        zip(links("tracked_links"), _split(points, columns["point_offsets"]))
+    )
+    delay_alarms = [
+        DelayAlarm(
+            timestamp=timestamp, link=link,
+            observed=WilsonInterval(*f[0:3], observed_n),
+            reference=WilsonInterval(*f[3:6], reference_n),
+            deviation=f[6], direction=direction, n_probes=n_probes,
+            n_asns=n_asns,
+        )
+        for link, (
+            timestamp, direction, n_probes, n_asns, observed_n, reference_n
+        ), f in zip(
+            links("alarm_links"),
+            columns["alarm_ints"].tolist(),
+            columns["alarm_floats"].tolist(),
+        )
+    ]
+    fwd_alarms = [
+        ForwardingAlarm(
+            timestamp=timestamp, router_ip=router, destination=destination,
+            correlation=correlation, **dict(zip(_HOP_MAPS, maps)),
+        )
+        for (router, destination), timestamp, correlation, *maps in zip(
+            links("fwd_alarm_ips"),
+            columns["fwd_alarm_ts"].tolist(),
+            columns["correlation"].tolist(),
+            *(hop_maps(name) for name in _HOP_MAPS),
+        )
+    ]
+    results = [
+        BinResult(*ints, delays, forwardings)
+        for ints, delays, forwardings in zip(
+            columns["bin_ints"].tolist(),
+            _split(delay_alarms, columns["delay_alarm_offsets"]),
+            _split(fwd_alarms, columns["fwd_alarm_offsets"]),
+        )
+    ]
+    # The tables own writable copies, not views of the file's bytes.
     delay = DelayTable(
-        links=delay_links,
-        median=median,
-        lower=lower,
-        upper=upper,
-        warm_count=warm_count,
-        bins_seen=bins_seen,
-        alarms_raised=alarms_raised,
-        max_probes=max_probes,
-        warm_offsets=warm_offsets,
-        warm_values=warm_values,
-        seed_bins=seed_bins,
-    )
-
-    section = _expect(payload.get("forwarding"), dict, "forwarding table")
-    keys = _expect(section.get("keys"), list, "forwarding keys")
-    for key in keys:
-        _as_link(key, "forwarding key")
-    m = len(keys)
-    fwd_bins = _array_field(section, "bins_seen", "i", "forwarding")
-    fwd_alarms = _array_field(section, "alarms_raised", "i", "forwarding")
-    ref_offsets = _array_field(section, "ref_offsets", "i", "forwarding")
-    ref_weights = _array_field(section, "ref_weights", "f", "forwarding")
-    ref_hops = _expect(section.get("ref_hops"), list, "forwarding hops")
-    for hop in ref_hops:
-        _expect(hop, str, "forwarding hop")
-    if fwd_bins.size != m or fwd_alarms.size != m:
-        raise SnapshotError(
-            "corrupt snapshot: forwarding column length mismatch"
-        )
-    if len(ref_hops) != ref_weights.size:
-        raise SnapshotError(
-            "corrupt snapshot: forwarding reference length mismatch"
-        )
-    binfmt.check_offsets(
-        ref_offsets, m, len(ref_hops), "ref_offsets", SnapshotError
+        links=links("d_links"), seed_bins=seed_bins,
+        **{n: columns[f"d_{n}"].copy() for n in _DELAY_ARRAYS},
     )
     forwarding = ForwardingTable(
-        keys=keys,
-        bins_seen=fwd_bins,
-        alarms_raised=fwd_alarms,
-        ref_offsets=ref_offsets,
-        ref_hops=ref_hops,
-        ref_weights=ref_weights,
+        keys=links("f_keys"),
+        ref_hops=[strings[i] for i in columns["f_ref_hops"].tolist()],
+        **{n: columns[f"f_{n}"].copy() for n in _FORWARDING_ARRAYS},
     )
-
-    tracked = _expect(payload.get("tracked"), dict, "tracked table")
-    for link, points in tracked.items():
-        _as_link(link, "tracked link")
-        _expect(points, list, "tracked points")
-        for point in points:
-            _expect(point, TrackedLinkPoint, "tracked point")
-    results = _expect(payload.get("results"), list, "results")
-    for result in results:
-        _expect(result, BinResult, "result")
-
     return EngineSnapshot(
         fingerprint=fingerprint,
         bins_processed=bins,
         traceroutes_processed=traceroutes,
-        last_timestamp=last_timestamp,
-        links_seen=links_seen,
-        rounds=rounds,
+        last_timestamp=last if has_last else None,
+        links_seen=links("links_seen"),
+        rounds=dict(
+            zip(links("round_links"), columns["round_counts"].tolist())
+        ),
         delay=delay,
         forwarding=forwarding,
         tracked=tracked,
         results=results,
-        source_digest=source_digest,
+        source_digest=digest if has_digest else b"",
     )
+
+
+def _vet(columns: dict, counts: Dict[str, int], seed_bins: int) -> None:
+    """The checks a well-framed payload must still pass."""
+    for name, pool in _OFFSETS.items():
+        offsets = columns[name]
+        binfmt.check_offsets(
+            offsets, offsets.size - 1, counts[pool], name, SnapshotError
+        )
+    if np.any(columns["round_counts"] < 0):
+        raise SnapshotError("corrupt snapshot: bad rounds count")
+    if seed_bins < 1:
+        raise SnapshotError("corrupt snapshot: seed_bins must be >= 1")
+    warm_count = columns["d_warm_count"]
+    if warm_count.size and (
+        int(warm_count.min()) < 0 or int(warm_count.max()) > seed_bins
+    ):
+        raise SnapshotError("corrupt snapshot: warm_count out of range")
+    stored = np.where(np.isnan(columns["d_median"]), warm_count, 0)
+    if not np.array_equal(np.diff(columns["d_warm_offsets"]), 3 * stored):
+        raise SnapshotError(
+            "corrupt snapshot: warm buffer sizes disagree with warm_count"
+        )
 
 
 # -- persistence -------------------------------------------------------------
@@ -742,9 +608,13 @@ def load_snapshot(
         raise SnapshotError(
             f"stale snapshot (config fingerprint mismatch): {path}"
         )
-    decoded = _decode(reader)
-    reader.done()
-    return _build_snapshot(decoded, fingerprint)
+    snapshot = _decode_payload(reader, fingerprint)
+    # One snapshot has exactly one encoding: stray flag bits, a value
+    # behind a zero flag, a duplicate key or string, or strings out of
+    # first-use order all decode to a snapshot that re-encodes otherwise.
+    if _encode_payload(snapshot) != payload[_DIGEST_SIZE:]:
+        raise SnapshotError(f"non-canonical snapshot encoding: {path}")
+    return snapshot
 
 
 # -- the resumable driver ----------------------------------------------------

@@ -8,7 +8,9 @@ a full disk mid-write), one test pins the durability order of every
 writer, and the files written before the shared frame existed
 (``tests/fixtures/pre_frame``) pin what happens to them now: store and
 cursor bytes load unchanged, the checkpoint, bin cache and probe cache
-are refused and each caller takes its fallback.
+are refused and each caller takes its fallback.  A framed checkpoint of
+an older layout (``tests/fixtures/checkpoint.v2``) is refused the same
+way.
 """
 
 import errno
@@ -44,10 +46,9 @@ from repro.core import (
     PipelineConfig,
     load_snapshot,
     run_checkpointed,
-    save_snapshot,
 )
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
-from repro.core.checkpoint import CHECKPOINT, SnapshotError
+from repro.core.checkpoint import CHECKPOINT, SNAPSHOT_VERSION, SnapshotError
 from repro.core.pipeline import BinResult
 from repro.net import AsMapper
 from repro.service import (
@@ -68,6 +69,13 @@ from repro.service.store import (
 from repro.stats import WilsonInterval
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pre_frame"
+
+#: A checkpoint of each earlier version, written by that version's
+#: ``run_checkpointed(Pipeline(PipelineConfig()), campaign(), path)``.
+OLD_CHECKPOINTS = {
+    1: FIXTURES / "checkpoint.v1",
+    2: FIXTURES.parent / "checkpoint.v2",
+}
 
 MAPPER_ENTRIES = [("10.0.0.0", 24, 65001), ("10.0.1.0", 24, 65002)]
 
@@ -103,6 +111,48 @@ def campaign():
                 )
             )
     return out
+
+
+#: The link the checkpoint case tracks.
+TRACKED_LINK = ("10.0.0.1", "10.0.1.1")
+
+
+def alarm_campaign():
+    """Three probes over five hourly bins; the last bin shifts the delay
+    of every link and moves the last hop, so it raises delay and
+    forwarding alarms."""
+    out = []
+    for index in range(5):
+        shift = 40.0 if index == 4 else 0.0
+        last = "10.0.2.9" if index == 4 else "10.0.2.1"
+        for probe in (1, 2, 3):
+            out.append(
+                make_traceroute(
+                    probe, f"192.0.2.{probe}", "203.0.113.9",
+                    index * 3600 + probe,
+                    [
+                        [("10.0.0.1", 1.0 + probe + d) for d in (0, 0.1, 0.2)],
+                        [("10.0.1.1", 3.0 + probe + shift + d)
+                         for d in (0, 0.1, 0.2)],
+                        [(last, 4.0 + probe + shift)] * 3,
+                    ],
+                    from_asn=65000 + probe,
+                )
+            )
+    return out
+
+
+def _write_checkpoint(path: Path, variant: int) -> None:
+    """A checkpoint whose every table is non-empty: links, a tracked
+    link, and results holding both alarm kinds."""
+    config = PipelineConfig(
+        alpha=0.01 * 5**variant, track_links={TRACKED_LINK}
+    )
+    campaign = alarm_campaign()
+    run_checkpointed(  # one write, after the last bin
+        Pipeline(config), campaign, path, every_bins=len(campaign),
+        resume=False,
+    )
 
 
 def store_bins():
@@ -197,11 +247,7 @@ CASES = {
         read_bincache,
     ),
     "checkpoint": Case(
-        CHECKPOINT, "state.ckpt",
-        lambda path, variant: save_snapshot(
-            path, Pipeline(PipelineConfig(alpha=0.01 * 5**variant)).snapshot()
-        ),
-        load_snapshot,
+        CHECKPOINT, "state.ckpt", _write_checkpoint, load_snapshot
     ),
     "cursor": Case(
         CURSOR, "fetch.cursor",
@@ -506,6 +552,19 @@ class TestFrame:
                 binfmt.check_ids(ids, count, "t", ValueError, low=low)
 
 
+def test_checkpoint_case_fills_every_table(tmp_path):
+    """The matrix's checkpoint reaches the columns: every table has rows
+    and the file stays small enough for the every-byte loops."""
+    path = tmp_path / "state.ckpt"
+    _write_checkpoint(path, 0)
+    snapshot = load_snapshot(path)
+    assert path.stat().st_size < 3072
+    assert snapshot.delay.links and snapshot.forwarding.keys
+    assert snapshot.rounds and list(snapshot.tracked) == [TRACKED_LINK]
+    assert any(r.delay_alarms for r in snapshot.results)
+    assert any(r.forwarding_alarms for r in snapshot.results)
+
+
 def test_bincache_bit_flip_in_a_column_is_caught_and_rebuilt(tmp_path):
     """``reply_rtt`` is the file's last column: flipping one byte of it
     used to load a wrong RTT with no error."""
@@ -571,9 +630,17 @@ class TestPreFrameFiles:
         save_cursor(tmp_path / "new.cursor", FIXTURE_CURSOR)
         assert (tmp_path / "new.cursor").read_bytes() == old.read_bytes()
 
-    def test_checkpoint_is_refused_and_the_driver_rebuilds(self, tmp_path):
-        old = _fixture(tmp_path, "checkpoint.v1")
-        with pytest.raises(SnapshotError, match="version 1 != 2"):
+    @pytest.mark.parametrize(
+        "version", sorted(OLD_CHECKPOINTS), ids="v{}".format
+    )
+    def test_checkpoint_is_refused_and_the_driver_rebuilds(
+        self, tmp_path, version
+    ):
+        old = tmp_path / "old.ckpt"
+        shutil.copyfile(OLD_CHECKPOINTS[version], old)
+        with pytest.raises(
+            SnapshotError, match=f"version {version} != {SNAPSHOT_VERSION}"
+        ):
             load_snapshot(old)
         results, resumed = run_checkpointed(
             Pipeline(PipelineConfig()), campaign(), old
@@ -582,7 +649,12 @@ class TestPreFrameFiles:
         assert results == Pipeline(PipelineConfig()).run(campaign())
         assert load_snapshot(old).bins_processed == len(results)
 
-    def test_checkpoint_is_refused_and_monitor_starts_fresh(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version", sorted(OLD_CHECKPOINTS), ids="v{}".format
+    )
+    def test_checkpoint_is_refused_and_monitor_starts_fresh(
+        self, tmp_path, version
+    ):
         """``monitor`` reports the old checkpoint, runs from the first
         bin, and its store append skips the bins the store holds."""
         from repro.cli import main
@@ -595,14 +667,17 @@ class TestPreFrameFiles:
         assert main(argv) == 0
         ckpt_bytes = ckpt.read_bytes()
         store_files = {p.name: p.read_bytes() for p in store.iterdir()}
-        shutil.copyfile(FIXTURES / "checkpoint.v1", ckpt)
+        shutil.copyfile(OLD_CHECKPOINTS[version], ckpt)
         import contextlib
         import io
 
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(argv) == 0
-        assert "checkpoint ignored (snapshot version 1 != 2" in err.getvalue()
+        assert (
+            f"checkpoint ignored (snapshot version {version} != "
+            f"{SNAPSHOT_VERSION}" in err.getvalue()
+        )
         assert "starting fresh" in err.getvalue()
         assert len(out.getvalue().splitlines()) == 3
         assert ckpt.read_bytes() == ckpt_bytes

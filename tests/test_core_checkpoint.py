@@ -1,7 +1,7 @@
 """Checkpoint/resume: snapshot round-trips, crash/resume equivalence,
 and snapshot-format corruption handling.
 
-Three guarantees are pinned here:
+Four guarantees are pinned here:
 
 1. ``snapshot()`` → ``restore()`` reproduces detector state
    **bit-identically** — every arena array, warm-up buffer, smoother
@@ -14,14 +14,22 @@ Three guarantees are pinned here:
 3. the binary snapshot format never silently serves a truncated,
    foreign, stale or corrupt file — every such file raises
    :class:`SnapshotError`, and the resumable driver rebuilds from
-   scratch instead of trusting it.
+   scratch instead of trusting it;
+4. save → load keeps every float's bits, every dict's order and plain
+   Python scalar types, and a payload that loads re-encodes to its own
+   bytes (hypothesis properties over synthetic snapshots and hostile
+   payloads).
 """
+
+import dataclasses
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import binfmt
 from repro.atlas import TimeBinner, make_traceroute
 from repro.core import (
     EngineSnapshot,
@@ -34,11 +42,22 @@ from repro.core import (
     run_checkpointed,
     save_snapshot,
 )
+from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.core.checkpoint import (
+    _COUNT_BLOCK,
+    _COUNTS,
+    _HEAD,
+    _OFFSETS,
+    _SCHEMA,
+    CHECKPOINT,
     MAGIC,
     SNAPSHOT_VERSION,
+    DelayTable,
+    ForwardingTable,
     _encode_payload,
 )
+from repro.core.pipeline import BinResult, TrackedLinkPoint
+from repro.stats import WilsonInterval
 
 # -- synthetic campaign generator -------------------------------------------
 
@@ -613,18 +632,6 @@ class TestSnapshotFormatVetting:
         assert resumed
         assert results == full
 
-    def test_deeply_nested_payload_rejected(self, tmp_path):
-        """A digest-valid payload of pathological nesting raises
-        SnapshotError (depth limit) — never RecursionError."""
-        from repro import binfmt
-        from repro.core.checkpoint import CHECKPOINT
-
-        nested = b"l\x01\x00\x00\x00" * 5000 + b"N"
-        path = tmp_path / "deep.ckpt"
-        binfmt.atomic_write(path, CHECKPOINT, [b"\x00" * 16, nested])
-        with pytest.raises(SnapshotError, match="nesting"):
-            load_snapshot(path)
-
     def test_atomic_write_leaves_no_temp(self, valid_checkpoint):
         siblings = list(valid_checkpoint.parent.glob("*.tmp*"))
         assert siblings == []
@@ -634,6 +641,13 @@ class TestSnapshotFormatVetting:
         snapshot.fingerprint = b"short"
         with pytest.raises(SnapshotError, match="fingerprint"):
             save_snapshot(tmp_path / "x.ckpt", snapshot)
+        # A source digest is empty (unbound) or 16 bytes; anything else
+        # would write a file no load accepts.
+        snapshot = Pipeline(_config()).snapshot()
+        snapshot.source_digest = b"\x01" * 15
+        with pytest.raises(SnapshotError, match="source digest"):
+            save_snapshot(tmp_path / "x.ckpt", snapshot)
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_fingerprint_covers_detection_params_only(self):
         base = _config()
@@ -757,3 +771,276 @@ class TestSnapshotApi:
         """_encode_payload exists for corruption-crafting tests."""
         snapshot = Pipeline(_config()).snapshot()
         assert isinstance(_encode_payload(snapshot), bytes)
+
+
+# -- hostile payloads and bit-exact round trips ------------------------------
+
+
+def _write_framed(path, payload):
+    """Write *payload* behind a zero fingerprint, with a fresh digest."""
+    body = bytes(16) + payload
+    path.write_bytes(
+        MAGIC
+        + binfmt.HEADER.pack(SNAPSHOT_VERSION, len(body), binfmt.digest(body))
+        + body
+    )
+
+
+def _frame_and_load(path, payload):
+    """Frame and load *payload*: the snapshot, or ``None`` when it is
+    refused.  A payload that loads must re-encode to its own bytes."""
+    _write_framed(path, payload)
+    try:
+        snapshot = load_snapshot(path)
+    except SnapshotError:
+        return None
+    assert _encode_payload(snapshot) == payload
+    return snapshot
+
+
+@pytest.fixture(scope="module")
+def valid_payload():
+    """A small payload with rows in every column: a tracked link's
+    points and both alarm kinds, hop maps included."""
+    pipeline = Pipeline(PipelineConfig(track_links={("10.0.0.1", "10.0.0.2")}))
+    results = pipeline.run(_campaign(n_links=5, n_probes=4, n_bins=7))
+    assert any(r.forwarding_alarms for r in results)
+    assert any(r.delay_alarms for r in results)
+    return _encode_payload(pipeline.snapshot(results=results))
+
+
+_HOSTILE = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestHostilePayloads:
+    """A digest-valid payload loads or raises SnapshotError — never
+    IndexError, ValueError, OverflowError, MemoryError or struct.error."""
+
+    @_HOSTILE
+    @given(payload=st.binary(max_size=512))
+    @example(payload=b"l\x01\x00\x00\x00" * 5000 + b"N")  # 5 000-deep nesting
+    def test_arbitrary_bytes(self, tmp_path, payload):
+        _frame_and_load(tmp_path / "hostile.ckpt", payload)
+
+    @_HOSTILE
+    @given(cut=st.integers(0, 1 << 16), tail=st.binary(max_size=64))
+    def test_valid_prefix_then_arbitrary_bytes(
+        self, tmp_path, valid_payload, cut, tail
+    ):
+        _frame_and_load(tmp_path / "hostile.ckpt", valid_payload[:cut] + tail)
+
+    def test_every_single_byte_mutation(self, tmp_path, valid_payload):
+        path = tmp_path / "hostile.ckpt"
+        for offset in range(len(valid_payload)):
+            mutated = bytearray(valid_payload)
+            mutated[offset] ^= 0xFF
+            _frame_and_load(path, bytes(mutated))
+
+    def test_count_field_mutations(self, tmp_path, valid_payload):
+        """Any changed count is refused: every row count moves the end
+        of the column data."""
+        reader = binfmt.Reader(memoryview(valid_payload), CHECKPOINT, "p")
+        reader.strings()
+        at = reader.offset + _HEAD.size
+        counts = _COUNT_BLOCK.unpack_from(valid_payload, at)
+        rest = valid_payload[at + _COUNT_BLOCK.size :]
+        for index, count in enumerate(counts):
+            for value in {0, 1, count - 1, count + 1, 2**32, 2**63, 2**64 - 1}:
+                if value == count or value < 0:
+                    continue
+                mutated = list(counts)
+                mutated[index] = value
+                block = _COUNT_BLOCK.pack(*mutated)
+                payload = valid_payload[:at] + block + rest
+                assert _frame_and_load(tmp_path / "c.ckpt", payload) is None
+
+
+def _column_at(payload):
+    """The byte offset of the head and of every schema column."""
+    reader = binfmt.Reader(memoryview(payload), CHECKPOINT, "p")
+    reader.strings()
+    at = {"head": reader.offset}
+    reader.take(_HEAD.size)
+    counts = dict(zip(_COUNTS, reader.unpack(_COUNT_BLOCK)))
+    for name, dtype, rows, width in _SCHEMA:
+        at[name] = reader.offset
+        reader.column(dtype, counts[rows] * width + (name in _OFFSETS))
+    return at
+
+
+#: (field, byte offset in it, new byte): edits that decode to a valid
+#: snapshot which re-encodes to other bytes.
+_NON_CANONICAL = {
+    "unknown flag bit": ("point_flags", 0, 0x08 | 0x40),  # 0x08: accepted
+    "mean behind a zero flag": ("point_floats", 6 * 8 + 7, 0x80),  # -0.0
+    "observed n behind a zero flag": ("point_ints", 2 * 8, 1),
+    "digest behind a zero flag": ("head", 1, 1),
+    "timestamp behind a zero flag": ("head", 1 + 16 + 8 + 8 + 1, 1),
+    # "a" and "b" swapped in the table, and in the ids that use them.
+    "strings out of first-use order": ("links_seen", 0, 1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_NON_CANONICAL))
+def test_non_canonical_payload_refused(tmp_path, edit):
+    """One snapshot has exactly one encoding: any other is refused."""
+    snapshot = Pipeline(PipelineConfig()).snapshot()
+    snapshot.links_seen = [("a", "b")]
+    snapshot.tracked = {
+        ("a", "b"): [TrackedLinkPoint(7, None, None, False, True, 3)]
+    }
+    payload = bytearray(_encode_payload(snapshot))
+    assert _frame_and_load(tmp_path / "ok.ckpt", bytes(payload))
+    field, offset, value = _NON_CANONICAL[edit]
+    at = _column_at(payload)
+    payload[at[field] + offset] = value
+    if field == "links_seen":
+        payload[at[field] + 4] = 0
+        payload[4:14] = payload[9:14] + payload[4:9]
+    _write_framed(tmp_path / "c.ckpt", bytes(payload))
+    with pytest.raises(SnapshotError, match="non-canonical"):
+        load_snapshot(tmp_path / "c.ckpt")
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+    5e-324, -2.2250738585072e-308,  # subnormals
+    struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0],  # NaN payload
+]
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_i64 = st.integers(-(2**63), 2**63 - 1)
+_hops = st.one_of(
+    st.sampled_from(["", "*", "10.0.0.1", "2001:db8::1", "rôuter-é", "☃"]),
+    st.text(max_size=4),
+)
+_links = st.tuples(_hops, _hops)
+_intervals = st.builds(WilsonInterval, _floats, _floats, _floats, _i64)
+_hop_maps = st.dictionaries(_hops, _floats, max_size=3)
+_points = st.builds(
+    TrackedLinkPoint,
+    timestamp=_i64,
+    observed=st.none() | _intervals,
+    reference=st.none() | _intervals,
+    alarmed=st.booleans(),
+    accepted=st.booleans(),
+    n_probes=_i64,
+    mean=st.sampled_from([None, 0.0]) | _floats,
+    sample_std=st.sampled_from([None, 0.0]) | _floats,
+)
+_delay_alarms = st.builds(
+    DelayAlarm, _i64, _links, _intervals, _intervals, _floats,
+    st.sampled_from([-1, 1]), _i64, _i64,
+)
+_forwarding_alarms = st.builds(
+    ForwardingAlarm, _i64, _hops, _hops, _floats, _hop_maps, _hop_maps,
+    _hop_maps,
+)
+_results = st.builds(
+    BinResult, _i64, _i64, _i64, _i64,
+    st.lists(_delay_alarms, max_size=2),
+    st.lists(_forwarding_alarms, max_size=2),
+)
+
+
+@st.composite
+def _snapshots(draw):
+    """Synthetic snapshots: every float column draws the special values,
+    optional fields draw ``None`` beside ``0.0``."""
+    seed_bins = draw(st.integers(1, 4))
+    links = draw(st.lists(_links, max_size=4))
+    n = len(links)
+    median = [draw(_floats) for _ in range(n)]
+    warm_count = [draw(st.integers(0, seed_bins)) for _ in range(n)]
+    stored = [3 * c if m != m else 0 for m, c in zip(median, warm_count)]
+    delay = DelayTable(
+        links=links,
+        median=np.array(median, dtype=np.float64),
+        lower=np.array([draw(_floats) for _ in range(n)], dtype=np.float64),
+        upper=np.array([draw(_floats) for _ in range(n)], dtype=np.float64),
+        warm_count=np.array(warm_count, dtype=np.int64),
+        bins_seen=np.array([draw(_i64) for _ in range(n)], dtype=np.int64),
+        alarms_raised=np.array([draw(_i64) for _ in range(n)], dtype=np.int64),
+        max_probes=np.array([draw(_i64) for _ in range(n)], dtype=np.int64),
+        warm_offsets=np.cumsum([0, *stored], dtype=np.int64),
+        warm_values=np.array(
+            [draw(_floats) for _ in range(sum(stored))], dtype=np.float64
+        ),
+        seed_bins=seed_bins,
+    )
+    keys = draw(st.lists(_links, max_size=3))
+    references = [draw(_hop_maps) for _ in keys]
+    forwarding = ForwardingTable(
+        keys=keys,
+        bins_seen=np.array([draw(_i64) for _ in keys], dtype=np.int64),
+        alarms_raised=np.array([draw(_i64) for _ in keys], dtype=np.int64),
+        ref_offsets=np.cumsum([0, *map(len, references)], dtype=np.int64),
+        ref_hops=[hop for ref in references for hop in ref],
+        ref_weights=np.array(
+            [w for ref in references for w in ref.values()], dtype=np.float64
+        ),
+    )
+    return EngineSnapshot(
+        fingerprint=draw(st.binary(min_size=16, max_size=16)),
+        bins_processed=draw(_i64),
+        traceroutes_processed=draw(_i64),
+        last_timestamp=draw(st.none() | st.integers(-(2**63), -1) | _i64),
+        links_seen=draw(st.lists(_links, max_size=4)),
+        rounds=draw(st.dictionaries(_links, st.integers(0, 2**63 - 1),
+                                    max_size=3)),
+        delay=delay,
+        forwarding=forwarding,
+        tracked=draw(st.dictionaries(_links, st.lists(_points, max_size=3),
+                                     max_size=3)),
+        results=draw(st.lists(_results, max_size=3)),
+        source_digest=draw(
+            st.just(b"") | st.binary(min_size=16, max_size=16)
+        ),
+    )
+
+
+def _exact(value):
+    """*value* as nested tuples in which every float is its IEEE-754
+    bytes and every dict keeps its order; anything but a plain Python
+    scalar, a container, an array or a dataclass is refused."""
+    kind = type(value)
+    if kind is float:
+        return struct.pack("<d", value)
+    if value is None or kind in (bool, int, str, bytes):
+        return (kind.__name__, value)
+    if kind in (list, tuple):
+        return (kind.__name__, *map(_exact, value))
+    if kind is dict:
+        return ("dict", *((_exact(k), _exact(v)) for k, v in value.items()))
+    if kind is np.ndarray:
+        return ("array", value.dtype.str, value.tobytes())
+    assert dataclasses.is_dataclass(value), f"unexpected {kind!r}"
+    return (kind.__name__, *(
+        _exact(getattr(value, f.name)) for f in dataclasses.fields(value)
+    ))
+
+
+class TestBitExactRoundTrip:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+        ],
+    )
+    @given(snapshot=_snapshots())
+    def test_save_load_preserves_bits_order_and_types(
+        self, tmp_path, snapshot
+    ):
+        """Float bit patterns (−0.0, NaN payloads, ±inf, subnormals),
+        dict order, ``None`` vs ``0.0`` and Python scalar types all
+        survive save → load, and the loaded snapshot re-encodes to the
+        same bytes."""
+        path = tmp_path / "exact.ckpt"
+        save_snapshot(path, snapshot)
+        loaded = load_snapshot(path)
+        assert _exact(loaded) == _exact(snapshot)
+        assert _encode_payload(loaded) == _encode_payload(snapshot)
