@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke analyze-smoke import-budget docs doclint
+.PHONY: help test bench bench-engine bench-ingest bench-detect bench-stream bench-serve bench-quality bench-fetch bench-e2e bench-obs benchstat fetch-smoke compact-smoke obs-smoke analyze-smoke import-budget ledger-pairs docs doclint
 
 help:
 	@echo "targets:"
@@ -26,6 +26,7 @@ help:
 	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
 	@echo "  analyze-smoke analyze 4 ways (shards x bin cache), cmp output + store bytes"
 	@echo "  import-budget per command: modules loaded, import wall, peak RSS"
+	@echo "  ledger-pairs parent/change ledger pairs: PARENT=rev WORKLOAD=w SEEDS=a-b [PAIRS=n]"
 	@echo "  docs         docstring lint + pointers to docs/"
 	@echo "  doclint      docstring lint only"
 
@@ -106,6 +107,12 @@ analyze-smoke:
 # budget itself is enforced by tests/test_import_budget.py.
 import-budget:
 	$(PYTHON) tools/import_budget.py
+
+# Paired parent/change runs of the perf ledger (alternating which side
+# runs first), judged by the gain rule and the BENCHMARK.json bounds.
+ledger-pairs:
+	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seeds $(SEEDS) $(if $(PAIRS),--pairs $(PAIRS))
 
 doclint:
 	$(PYTHON) tools/doclint.py

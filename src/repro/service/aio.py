@@ -24,13 +24,16 @@ discipline), so the wire carries exactly the bodies and ETags
   always computed pinned to the token they are cached and ETagged
   under; the TTL only bounds how quickly a *new* generation becomes
   visible.
-* **Misses are lookups on the loop.**  The probe runs in a thread-pool
-  executor and applies the new generation to the query engine
-  (:meth:`ServiceState.token`); a miss is answered inline on the loop
-  at the probed token (:meth:`ServiceState.compute_at`), with no
+* **Hits and misses are synchronous on the loop.**  A request head
+  seen before is looked up, not parsed (a bounded memo keyed on its
+  bytes); with a fresh token the response cache is probed once and a
+  hit is rendered without creating a coroutine.  A miss is computed
+  inline at the probed token (:meth:`ServiceState.compute_at`), with no
   executor hop or manifest read, so one key is never computed twice.
-  The loop never applies a segment or waits on ``engine_lock``; only
-  the probe and the scrape routes (``/metrics``, ``/statusz``) leave it.
+  The probe runs in a thread-pool executor and applies the new
+  generation (:meth:`ServiceState.token`); the loop never applies a
+  segment or waits on ``engine_lock``, and only the probe and the
+  scrape routes (``/metrics``, ``/statusz``) leave it.
 * **Pre-fork workers.**  :class:`WorkerPool` runs N processes, each
   with its own event loop, ``StoreQuery`` (its own mmap) and response
   cache, all listening on one port via ``SO_REUSEPORT`` — the kernel
@@ -46,10 +49,13 @@ import contextlib
 import multiprocessing
 import socket
 import threading
+from collections import OrderedDict
 from functools import lru_cache
 from http.client import responses as _REASONS
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (
+    Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.atlas.io import PathLike
@@ -63,6 +69,7 @@ from repro.service.routes import (
     DEFAULT_HOST,
     AccessLog,
     ServiceState,
+    _params_key,
     error_response,
     if_none_match_matches,
     route_family,
@@ -87,34 +94,55 @@ HEAD_TIMEOUT_S = 60.0
 
 _SERVER_NAME = "repro-ihr-aio/1.0"
 
-#: Longest request target the parse memo keeps: a client sending
-#: distinct 64 KiB targets must not be able to pin them in memory.
-MEMO_TARGET_CHARS = 256
+#: The head memo's bounds: at most this many heads, none longer than
+#: ``MEMO_HEAD_BYTES``, so distinct hostile heads pin at most 256 KiB.
+MEMO_HEADS = DEFAULT_CACHE_SIZE
+MEMO_HEAD_BYTES = 1024
 
-#: One parsed request target: (route, query items, route family).
-ParsedTarget = Tuple[str, Tuple[Tuple[str, str], ...], str]
+#: Routes the response cache never holds (the index embeds live cache
+#: stats; the scrape routes move independently of the store).
+_UNCACHED = ("/", "/metrics", "/statusz")
 
 
-def _parse_target(target: str) -> ParsedTarget:
-    """Route, query items (last value of a repeated name wins) and
-    metric family of one request target."""
+class Request(NamedTuple):
+    """One parsed GET head.  ``key`` is its response-cache key without
+    the token, ``None`` for a route the cache never holds."""
+
+    route: str
+    family: str
+    key: Optional[Tuple[str, Tuple[Tuple[str, str], ...]]]
+    params: Dict[str, str]
+    close: bool
+    if_none_match: Optional[str]
+
+
+def _parse_head(head: bytes) -> Union[Request, CachedResponse]:
+    """The request one head (without its terminator) asks for, or the
+    error response that ends its connection.  The last value of a
+    repeated query name wins; ``params`` is shared, never mutated."""
+    request_line, _, header_block = head.decode("latin-1").partition("\r\n")
+    try:
+        method, target, version = request_line.split(" ", 2)
+    except ValueError:
+        return error_response(400, "malformed request line", "-")
+    if method != "GET":
+        return error_response(501, f"unsupported method: {method!r}", "-")
+    headers: Dict[str, str] = {}
+    for line in header_block.split("\r\n"):
+        name, sep, value = line.partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    close = version != "HTTP/1.1" or (
+        headers.get("connection", "").lower() == "close"
+    )
     parsed = urlsplit(target)
     route = parsed.path.rstrip("/") or "/"
-    items = tuple(dict(parse_qsl(parsed.query)).items())
-    return route, items, route_family(route)
-
-
-#: Sized like the default response cache: the parse it saves matters
-#: only on a cache hit, a miss costs far more than the parse.
-_memo_target = lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_parse_target)
-
-
-def _split_target(target: str) -> ParsedTarget:
-    """:func:`_parse_target`, memoised for targets of at most
-    ``MEMO_TARGET_CHARS`` characters (clients repeat a few targets)."""
-    if len(target) > MEMO_TARGET_CHARS:
-        return _parse_target(target)
-    return _memo_target(target)
+    params = dict(parse_qsl(parsed.query))
+    key = None if route in _UNCACHED else (route, _params_key(params))
+    return Request(
+        route, route_family(route), key, params, close,
+        headers.get("if-none-match"),
+    )
 
 
 @lru_cache(maxsize=512)
@@ -165,10 +193,11 @@ class AsyncAlarmService:
     """The throttled-token request broker.
 
     Wraps one :class:`~repro.service.routes.ServiceState` (engine +
-    cache + lock) for one event loop.  :meth:`answer` is the whole
-    request path: throttled token probe (which applies any new
-    generation, in the executor), then the cache probe and, on a miss,
-    the computation, both inline on the loop.
+    cache + lock) for one event loop.  A request is a memo lookup of
+    its head, then — with a fresh token — one cache probe and, on a
+    miss, the computation, all synchronous on the loop; only the token
+    probe (which applies any new generation, in the executor) and the
+    scrape routes await anything.
     """
 
     def __init__(
@@ -179,6 +208,10 @@ class AsyncAlarmService:
         self._token: Optional[str] = None
         self._token_at = float("-inf")
         self._token_guard: Optional[asyncio.Lock] = None
+        #: Head bytes -> its parse, oldest first (see ``MEMO_HEADS``).
+        self._heads: OrderedDict = OrderedDict()
+        #: Open connections: transport -> handler task.
+        self._connections: Dict[asyncio.BaseTransport, asyncio.Task] = {}
         #: Requests answered straight from the response cache.
         self.hits = 0
         #: Requests computed on a cache miss.
@@ -204,73 +237,126 @@ class AsyncAlarmService:
             self._token_at = loop.time()
             return token
 
-    async def answer(
-        self, route: str, params: Dict[str, str]
-    ) -> Tuple[CachedResponse, str]:
-        """Answer one request, with :meth:`ServiceState.answer`'s cache
-        outcome (``"hit"``, ``"miss"``, ``"none"``) for telemetry.
-
-        A miss runs synchronously, so a second request for its key finds
-        the entry cached.  Should the engine be busy or not at the
-        probed token, the request probes again rather than apply
-        anything on the loop.
+    def _serve(
+        self, head: bytes, out: List[bytes], now: float
+    ) -> Union[bool, Awaitable[bool]]:
+        """Answer one framed request head (without its terminator):
+        append the response to *out*, return True if the connection
+        must close after it — or return the coroutine that does so when
+        the answer must wait (no fresh token, an uncached route).
         """
+        start = perf_counter()
+        request = self._heads.get(head)
+        if request is None:
+            request = _parse_head(head)
+            if len(head) <= MEMO_HEAD_BYTES:
+                if len(self._heads) >= MEMO_HEADS:
+                    self._heads.popitem(last=False)
+                self._heads[head] = request
+        if request.__class__ is not Request:
+            out.append(_render(request, True))
+            return True
+        if request.key is not None and now - self._token_at <= self.token_ttl:
+            close = self._answer_at(request, self._token, start, out)
+            if close is not None:
+                return close
+        return self._answer_later(request, start, out)
+
+    def _answer_at(
+        self, request: Request, token: str, start: float, out: List[bytes]
+    ) -> Optional[bool]:
+        """Answer at *token*: one cache probe, then the inline computation;
+        ``None`` (forcing a fresh probe) if the engine is busy or not at
+        *token*.  Nothing is applied or waited for here."""
         state = self.state
+        if request.key is not None:
+            entry = state.cache.get(request.key + (token,))
+            if entry is not None:
+                self.hits += 1
+                return self._emit(request, entry, "hit", start, out)
+        entry = state.compute_at(token, request.route, request.params)
+        if entry is None:
+            self._token_at = float("-inf")
+            return None
+        self.misses += 1
+        outcome = "miss" if request.key is not None else "none"
+        return self._emit(request, entry, outcome, start, out)
+
+    async def _answer_later(
+        self, request: Request, start: float, out: List[bytes]
+    ) -> bool:
+        """:meth:`_answer_at` after a token probe; the scrape routes in
+        the executor."""
         loop = asyncio.get_running_loop()
-        if route in ("/metrics", "/statusz"):
+        if request.route in ("/metrics", "/statusz"):
             entry = await loop.run_in_executor(
-                None, state.observability, route
+                None, self.state.observability, request.route
             )
-            return entry, "none"
+            return self._emit(request, entry, "none", start, out)
         while True:
             try:
-                token = self._fresh_token(loop.time())
-                if token is None:
-                    token = await self._probe_token(loop)
+                token = await self._probe_token(loop)
             except Exception as exc:  # StoreError: store unreadable
-                return unavailable(exc), "none"
-            if route != "/":
-                entry = state.cache.get(state.cache_key(route, params, token))
-                if entry is not None:
-                    self.hits += 1
-                    return entry, "hit"
-            entry = state.compute_at(token, route, params)
-            if entry is not None:
-                self.misses += 1
-                return entry, "miss" if route != "/" else "none"
-            self._token_at = float("-inf")
+                return self._emit(request, unavailable(exc), "none", start, out)
+            close = self._answer_at(request, token, start, out)
+            if close is not None:
+                return close
+
+    def _emit(
+        self, request: Request, entry: CachedResponse, outcome: str,
+        start: float, out: List[bytes],
+    ) -> bool:
+        """Append the response's head and body (a 304 when the client's
+        ``If-None-Match`` holds its ETag), then record it."""
+        route, family, _, _, close, validator = request
+        status = entry.status
+        if status == 200 and validator is not None and (
+            if_none_match_matches(validator, entry.etag)
+        ):
+            status = 304
+            out.append(_render_304(entry.etag, close))
+            out.append(b"")
+        else:
+            out.append(_head(
+                status, entry.content_type, len(entry.body), entry.etag,
+                entry.retry_after, close,
+            ))
+            out.append(entry.body)
+        state = self.state
+        elapsed = perf_counter() - start
+        state.metrics.observe(family, status, elapsed, outcome)
+        if state.access_log is not None:
+            state.access_log.write(route, status, int(elapsed * 1e6), outcome)
+        return close
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one client connection until it closes (keep-alive).
 
-        One pass per read: whatever the socket has (at most
-        ``MAX_REQUEST_BYTES``) joins the unframed tail of the previous
-        read, every complete head in it is answered in order, and the
-        responses go out in one write and one drain.  A pipelining
-        client costs one syscall and one drain per read instead of per
-        request.  Pending output is flushed early whenever it passes the
-        transport's write high-water mark, so a client that never reads
-        holds at most one read's worth of responses.  ``Connection:
-        close``, a malformed request line or a non-GET method ends the
-        batch after that request's own response; a head that does not
-        end within ``MAX_REQUEST_BYTES`` is answered with a 400, after
-        every complete request before it.
+        One pass per read: the bytes read (at most ``MAX_REQUEST_BYTES``)
+        join the unframed tail of the previous read, every complete head
+        is answered in order, and the responses go out in one write and
+        one drain; output past the transport's write high-water mark is
+        flushed early, so a client that never reads holds at most one
+        read's worth.  ``Connection: close``, a malformed request line
+        or a non-GET method ends the batch after its own response; a
+        head that does not end within ``MAX_REQUEST_BYTES`` gets a 400
+        after every complete request before it.
 
-        The head deadline costs the request path two assignments:
-        ``waiting_since`` says when the wait on the client began — for
-        its next head, or for it to read the responses just written
-        (``None`` while a response is being computed, which is never
-        cut off), and one timer per connection, re-armed only when it
-        fires, aborts the transport once that wait reaches
-        ``HEAD_TIMEOUT_S``.  On a 2-vCPU host the server spends 10-12 µs
-        of CPU per pipelined cache hit (22-23 µs when every response
-        was its own read, write and drain); a ``call_later`` handle per
-        request would add 3-5 µs to that, an ``asyncio.wait_for`` task
-        more.
+        The head deadline costs two assignments per request:
+        ``waiting_since`` says when the wait on the client began (for its
+        next head, or for it to read the responses just written; ``None``
+        while answering, which is never cut off), and one timer per
+        connection, re-armed only when it fires, aborts the transport
+        once that wait reaches ``HEAD_TIMEOUT_S`` (a ``call_later`` per
+        request would cost 3-5 µs).  On a 2-vCPU host the server spends
+        10-14 µs of CPU per pipelined cache hit, 17-19 µs in the same
+        runs before the head memo (22-23 µs, on a quieter day, when every
+        response was its own read, write and drain).
         """
         loop = asyncio.get_running_loop()
+        self._connections[writer.transport] = asyncio.current_task()
         waiting_since: Optional[float] = loop.time()
 
         def expire() -> None:
@@ -316,11 +402,15 @@ class AsyncAlarmService:
                     if end < 0:
                         break
                     waiting_since = None
-                    close = await self._serve_one(buffer[start:end], out)
+                    close = self._serve(buffer[start:end], out, loop.time())
+                    if close.__class__ is not bool:
+                        close = await close
                     start = search = end + 4
                     if close:
                         break
-                    pending += len(out[-1])
+                    # A response that keeps the connection open is
+                    # two items: head and body.
+                    pending += len(out[-2]) + len(out[-1])
                     if pending > high_water:
                         # Stamped before the drain, so the same deadline
                         # also aborts a client that never reads.
@@ -341,56 +431,27 @@ class AsyncAlarmService:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+            del self._connections[writer.transport]
 
-    async def _serve_one(self, head: bytes, out: List[bytes]) -> bool:
-        """Answer one framed request head (without its terminator).
+    async def serve(self, server: asyncio.AbstractServer) -> None:
+        """Serve until cancelled; then stop accepting, abort every open
+        connection and wait for its handler to return.
 
-        Appends the response's wire bytes to *out*; True when the
-        connection must close after them.
+        Not cancelled: Python 3.11 and 3.12 log a traceback for every
+        stream handler that ends cancelled.  Not ``serve_forever()``:
+        from 3.12.1 its cancellation waits for every connection to
+        close, which an idle keep-alive client never does.
         """
-        request_line, _, header_block = head.decode("latin-1").partition(
-            "\r\n"
-        )
-        try:
-            method, target, version = request_line.split(" ", 2)
-        except ValueError:
-            out.append(
-                _render(error_response(400, "malformed request line", "-"), True)
-            )
-            return True
-        headers: Dict[str, str] = {}
-        for line in header_block.split("\r\n"):
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        close = version != "HTTP/1.1" or (
-            headers.get("connection", "").lower() == "close"
-        )
-        if method != "GET":
-            out.append(
-                _render(
-                    error_response(501, f"unsupported method: {method!r}", "-"),
-                    True,
+        async with server:
+            try:
+                await asyncio.get_running_loop().create_future()
+            finally:
+                server.close()
+                for transport in self._connections:
+                    transport.abort()
+                await asyncio.gather(
+                    *self._connections.values(), return_exceptions=True
                 )
-            )
-            return True
-        route, items, family = _split_target(target)
-        start = perf_counter()
-        response, outcome = await self.answer(route, dict(items))
-        if response.status == 200 and if_none_match_matches(
-            headers.get("if-none-match"), response.etag
-        ):
-            status = 304
-            out.append(_render_304(response.etag, close))
-        else:
-            status = response.status
-            out.append(_render(response, close))
-        state = self.state
-        elapsed = perf_counter() - start
-        state.metrics.observe(family, status, elapsed, outcome)
-        if state.access_log is not None:
-            state.access_log.write(route, status, int(elapsed * 1e6), outcome)
-        return close
 
 
 async def start_async_server(
@@ -453,7 +514,7 @@ def run_async_server(
     """
 
     async def _main() -> None:
-        server, _service = await start_async_server(
+        server, service = await start_async_server(
             store_path,
             host,
             port,
@@ -465,8 +526,7 @@ def run_async_server(
         )
         if ready is not None:
             ready(server.sockets[0].getsockname()[:2])
-        async with server:
-            await server.serve_forever()
+        await service.serve(server)
 
     try:
         asyncio.run(_main())
@@ -491,6 +551,7 @@ class AsyncServerThread:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._failure: Optional[BaseException] = None
+        self._main: Optional[asyncio.Task] = None
         self.port: int = 0
         self.service: Optional[AsyncAlarmService] = None
 
@@ -506,10 +567,10 @@ class AsyncServerThread:
                 return
             self.port = server.sockets[0].getsockname()[1]
             self.service = service
+            self._main = asyncio.current_task()
             self._ready.set()
-            async with server:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await server.serve_forever()
+            with contextlib.suppress(asyncio.CancelledError):
+                await service.serve(server)
 
         loop = asyncio.new_event_loop()
         self._loop = loop
@@ -532,15 +593,11 @@ class AsyncServerThread:
         self.stop()
 
     def stop(self) -> None:
-        """Stop the server loop and join its thread."""
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            def _shutdown() -> None:
-                for task in asyncio.all_tasks():
-                    task.cancel()
-
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(_shutdown)
+        """Stop serving, end every open connection and join the thread."""
+        loop, main = self._loop, self._main
+        if loop is not None and main is not None:
+            with contextlib.suppress(RuntimeError):  # the loop has closed
+                loop.call_soon_threadsafe(main.cancel)
         if self._thread is not None:
             self._thread.join(timeout=10)
 

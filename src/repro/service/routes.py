@@ -397,9 +397,9 @@ class ServiceMetrics:
         )
         self.latency = registry.histogram(
             "repro_http_request_seconds",
-            "Seconds from a parsed request to its rendered response "
-            "bytes (cache probe or computation, then rendering); "
-            "socket writes are not included.",
+            "Seconds from a request head's memo lookup (and parse, "
+            "when new) to its rendered response bytes; socket writes "
+            "are not included.",
             ("route",),
             buckets=_REQUEST_BUCKETS,
         )

@@ -16,6 +16,9 @@ import gc
 import json
 import random
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import weakref
@@ -40,6 +43,7 @@ from repro.service.cache import CachedResponse
 from repro.service.routes import error_response
 
 from tests import test_service_store as store_tests
+from tests.test_cli import _cli_env as subprocess_env
 from tests.test_service_store import (
     BIN_S,
     analysis_of,
@@ -416,28 +420,215 @@ class TestHeadTooLarge:
         assert wire == expected + self.TOO_LARGE
 
 
-class TestTargetMemo:
-    def test_long_targets_never_become_memo_keys(self, stack):
-        """5 000 distinct 300-character targets: none enters the memo,
-        and the memo stays within its size."""
-        memo = aio._memo_target
-        before = memo.cache_info()
+class TestHeadMemo:
+    def test_memo_stays_bounded(self, stack):
+        """5 000 distinct heads — 300-character targets, short targets
+        with a varying header, and heads over the byte limit — leave at
+        most ``MEMO_HEADS`` heads memoised, none over the limit."""
+        heads = stack["async_server"].service._heads
         client = KeepAliveClient(stack["async_port"])
         try:
             for start in range(0, 5000, 250):
-                targets = [
-                    f"/nonsense/{index:05d}/" + "x" * 300
-                    for index in range(start, start + 250)
-                ]
-                assert all(len(t) > aio.MEMO_TARGET_CHARS for t in targets)
-                client.sock.sendall(b"".join(map(render_get, targets)))
-                for _ in targets:
+                batch = []
+                for index in range(start, start + 250):
+                    if index % 3 == 0:
+                        target = f"/nonsense/{index:05d}/" + "x" * 300
+                        batch.append(render_get(target))
+                    elif index % 3 == 1:
+                        batch.append(
+                            render_get("/nonsense", {"X-Seq": str(index)})
+                        )
+                    else:
+                        pad = "y" * aio.MEMO_HEAD_BYTES
+                        batch.append(
+                            render_get(f"/nonsense/{index}", {"X-Pad": pad})
+                        )
+                client.sock.sendall(b"".join(batch))
+                for _ in batch:
                     assert client.read_response()[0] == 404
+                assert 0 < len(heads) <= aio.MEMO_HEADS
+                assert max(map(len, heads)) <= aio.MEMO_HEAD_BYTES
         finally:
             client.close()
-        after = memo.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert after.currsize <= after.maxsize
+
+
+@pytest.fixture(scope="module")
+def memo_server(stack):
+    """A second server on the stack's store whose token stays fresh, so
+    a repeated head is answered on the synchronous hit path."""
+    with AsyncServerThread(
+        stack["directory"], window_bins=4, token_ttl=60.0
+    ) as server:
+        yield server
+
+
+def exchange(port: int, payload: bytes) -> bytes:
+    """Send *payload* on a fresh connection; every byte until EOF."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    try:
+        sock.sendall(payload)
+        return recv_until_closed(sock)
+    finally:
+        sock.close()
+
+
+class TestMemoHits:
+    """A repeated head answers with the bytes of its first answer."""
+
+    def _thrice(self, server, head: bytes, expected: bytes) -> None:
+        """The same head three times on one keep-alive connection: a
+        memo miss, then two memo hits that create no coroutine."""
+        service = server.service
+        slow_paths = []
+        original = service._answer_later
+
+        def counting(request, start, out):
+            slow_paths.append(request.route)
+            return original(request, start, out)
+
+        sock = socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        )
+        try:
+            sock.sendall(head)
+            assert recv_exactly(sock, len(expected)) == expected
+            assert head[:-4] in service._heads
+            service._answer_later = counting
+            for _ in range(2):
+                sock.sendall(head)
+                assert recv_exactly(sock, len(expected)) == expected
+        finally:
+            del service._answer_later
+            sock.close()
+        assert slow_paths == []
+
+    def test_matrix_repeats_are_byte_identical(self, stack, memo_server):
+        oracle = stack["oracle"]
+        for target in MATRIX:
+            self._thrice(
+                memo_server, render_get(target), oracle_wire(oracle, target)
+            )
+
+    def test_if_none_match_repeats(self, stack, memo_server):
+        oracle = stack["oracle"]
+        target = "/top?kind=delay&k=3"
+        etag = oracle_entry(oracle, target).etag
+        not_modified = aio._render_304(etag, False)
+        for header, expected in (
+            (etag, not_modified),
+            ('"zzz"', oracle_wire(oracle, target)),
+            ("*", not_modified),
+            (f"W/{etag}", not_modified),
+        ):
+            self._thrice(
+                memo_server,
+                render_get(target, {"If-None-Match": header}),
+                expected,
+            )
+
+    def test_close_and_http10_end_the_batch_every_time(
+        self, stack, memo_server
+    ):
+        oracle = stack["oracle"]
+        target = "/health/65001"
+        plain = render_get(target)
+        closing = render_get(target, {"Connection": "close"})
+        http10 = plain.replace(b"HTTP/1.1", b"HTTP/1.0", 1)
+        open_wire = oracle_wire(oracle, target)
+        close_wire = oracle_wire(oracle, target, close=True)
+        for _ in range(3):
+            wire = exchange(memo_server.port, plain + closing + plain)
+            assert wire == open_wire + close_wire
+            assert exchange(memo_server.port, http10 + plain) == close_wire
+
+    def test_header_case_and_extra_headers_answer_identically(
+        self, stack, memo_server
+    ):
+        oracle = stack["oracle"]
+        target = "/links/65001"
+        etag = oracle_entry(oracle, target).etag
+        variants = [
+            render_get(target),
+            render_get(target).replace(b"Host:", b"HOST:"),
+            render_get(target, {"X-Extra": "1"}),
+        ]
+        wire = exchange(
+            memo_server.port,
+            b"".join(variants) + render_get(target, {"Connection": "close"}),
+        )
+        assert wire == oracle_wire(oracle, target) * 3 + oracle_wire(
+            oracle, target, close=True
+        )
+        revalidations = [
+            render_get(target, {"If-None-Match": etag}),
+            render_get(target, {"if-none-match": etag}),
+            render_get(target, {"IF-NONE-MATCH": etag, "X-Extra": "2"}),
+        ]
+        for head in revalidations:
+            self._thrice(memo_server, head, aio._render_304(etag, False))
+
+    def test_hits_recheck_the_token(self, tmp_path):
+        """A bin appended between two identical heads: the second
+        answer carries the new generation's ETag."""
+        mapper = make_mapper()
+        bins = synthetic_bins(7, seed=47)
+        directory = tmp_path / "store"
+        build_store(directory, bins[:6], mapper, chunk=2)
+        head = render_get("/top?kind=delay&k=3")
+        with AsyncServerThread(
+            directory, window_bins=4, token_ttl=0.05
+        ) as server:
+            client = KeepAliveClient(server.port)
+            try:
+                client.sock.sendall(head)
+                before = client.read_response()
+                client.sock.sendall(head)
+                assert client.read_response() == before
+                writer = AlarmStoreWriter.open_or_create(
+                    directory, mapper, bin_s=BIN_S
+                )
+                writer.append_bins(bins[6:])
+                time.sleep(0.2)  # past the token TTL
+                client.sock.sendall(head)
+                after = client.read_response()
+            finally:
+                client.close()
+        o_status, o_headers, o_body = oracle_get(
+            make_oracle(directory), "/top?kind=delay&k=3"
+        )
+        assert after[1]["etag"] == o_headers["etag"] != before[1]["etag"]
+        assert (after[0], after[2]) == (o_status, o_body)
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["ttl0", "ttl60"])
+    def test_one_cache_probe_per_request(self, stack, memo_server, fresh):
+        """Hits and misses pipelined: the response cache is probed
+        exactly once per cacheable request, as the service counts."""
+        server = memo_server if fresh else stack["async_server"]
+        service = server.service
+        cache = service.state.cache
+        targets = [
+            "/health/65001", "/links/65002", "/health/65001",
+            f"/events?kind=delay&threshold=0.{1 + fresh}&limit=2",  # miss
+            f"/events?kind=delay&threshold=0.{1 + fresh}&limit=2",  # hit
+            "/top?kind=delay&k=3", "/nonsense", "/health/notanasn",
+            "/top?kind=delay&k=3",
+        ]
+        before = cache.stats()
+        hits, misses = service.hits, service.misses
+        payload = b"".join(map(render_get, targets))
+        wire = exchange(
+            server.port,
+            payload + render_get("/health/65001", {"Connection": "close"}),
+        )
+        assert wire.count(b"HTTP/1.1 ") == len(targets) + 1
+        after = cache.stats()
+        probes = (after["hits"] - before["hits"]) + (
+            after["misses"] - before["misses"]
+        )
+        assert probes == len(targets) + 1
+        assert after["hits"] - before["hits"] == service.hits - hits
+        assert after["misses"] - before["misses"] == service.misses - misses
+        assert service.hits - hits >= 2
 
 
 class TestRender:
@@ -957,3 +1148,69 @@ class TestLoopNeverSyncs:
         threads = [ident for owner, ident in synced_on if owner is engine]
         assert len(threads) > 1  # the churn reached the server
         assert loop_thread not in threads
+
+
+#: Run in a fresh interpreter: serve, read three keep-alive responses,
+#: then shut down with the connection still open.
+SHUTDOWN_CLIENT = """
+import socket, sys
+def three(port):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    reader = sock.makefile("rb")
+    for _ in range(3):
+        sock.sendall(b"GET /top HTTP/1.1\\r\\nHost: test\\r\\n\\r\\n")
+        length = 0
+        for line in iter(reader.readline, b"\\r\\n"):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        reader.read(length)
+    return sock
+"""
+
+
+class TestShutdown:
+    """Stopping the server with a keep-alive connection open is silent."""
+
+    def _store(self, tmp_path):
+        directory = tmp_path / "store"
+        build_store(directory, synthetic_bins(6, seed=53), make_mapper())
+        return directory
+
+    def test_thread_stop_is_silent(self, tmp_path, capfd):
+        script = SHUTDOWN_CLIENT + textwrap.dedent("""
+            import gc
+            from repro.service.aio import AsyncServerThread
+            with AsyncServerThread(sys.argv[1]) as server:
+                sock = three(server.port)
+            gc.collect()
+            sock.close()
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(self._store(tmp_path))],
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert capfd.readouterr().err == ""
+
+    def test_cli_sigint_is_silent(self, tmp_path, capfd):
+        script = SHUTDOWN_CLIENT + textwrap.dedent("""
+            import signal, subprocess
+            server = subprocess.Popen(
+                [sys.executable, "-u", "-m", "repro", "serve", sys.argv[1],
+                 "--port", "0"],
+                stdout=subprocess.PIPE,
+            )
+            banner = server.stdout.readline().decode()
+            sock = three(int(banner.rsplit(":", 1)[1].split()[0]))
+            server.send_signal(signal.SIGINT)
+            sys.exit(server.wait(timeout=30))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(self._store(tmp_path))],
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert capfd.readouterr().err == ""
