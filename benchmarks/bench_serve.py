@@ -3,7 +3,7 @@
 The alarm store exists so that operator queries (paper §8: the IHR
 website/API) are answered from mmapped columns and per-generation
 caches instead of re-scanning Python alarm objects.  This benchmark
-holds four claims:
+holds three claims:
 
 1. **equivalence** — every query the serving layer answers (per-AS
    health, link drill-down, top-K rankings, events, alarm retrieval) is
@@ -17,9 +17,7 @@ holds four claims:
    serves exactly the bodies and ETags an in-process
    :meth:`ServiceState.respond` computes, with response-cache hits and
    ETag revalidation observable, over one-connection-per-request
-   clients and a pipelined keep-alive connection alike;
-4. **worker pool** — a 2-process ``SO_REUSEPORT`` pool answers the same
-   bytes through forked workers.
+   clients and a pipelined keep-alive connection alike.
 
 Serving *throughput* is held by the benchmark ledger's ``serve_hot``
 and ``serve_churn`` workloads (``BENCHMARK.json``), not here; the
@@ -51,7 +49,7 @@ from repro.service import (
     StoreQuery,
     append_analysis,
 )
-from repro.service.aio import AsyncServerThread, start_worker_pool
+from repro.service.aio import AsyncServerThread
 from repro.simulation import (
     AtlasPlatform,
     CampaignConfig,
@@ -313,20 +311,6 @@ def test_serve_speedup_and_throughput(benchmark, tmp_path):
     requests_per_s = HTTP_REQUESTS / cached_s
     async_rps = ASYNC_REQUESTS / async_s
 
-    # -- worker pool: same bytes through forked SO_REUSEPORT workers -----
-    pool = start_worker_pool(store_path, workers=2, window_bins=WINDOW_BINS)
-    try:
-        pool_client = _PipelineClient(pool.port)
-        try:
-            for target in targets:
-                assert pool_client.warm(target) == expected[target], target
-        finally:
-            pool_client.close()
-        pool_workers = pool.alive()
-        assert pool_workers == 2
-    finally:
-        pool.stop()
-
     # One canonical pytest-benchmark measurement: a warm per-AS query.
     benchmark.pedantic(
         lambda: engine.as_condition(asns[0]), rounds=1, iterations=1
@@ -361,8 +345,7 @@ def test_serve_speedup_and_throughput(benchmark, tmp_path):
         f"repeated-query speedup: {speedup:.1f}x (floor "
         f"{MIN_SPEEDUP:.0f}x), HTTP {requests_per_s:.0f} req/s per-"
         f"connection, {async_rps:.0f} req/s pipelined, cache hits "
-        f"{cache_stats['hits']}/{cache_stats['hits'] + cache_stats['misses']}; "
-        f"worker pool served byte-identically with {pool_workers} workers"
+        f"{cache_stats['hits']}/{cache_stats['hits'] + cache_stats['misses']}"
     )
 
     payload = {
@@ -389,7 +372,6 @@ def test_serve_speedup_and_throughput(benchmark, tmp_path):
         "async_s": async_s,
         "async_per_request_ms": 1000 * async_s / ASYNC_REQUESTS,
         "async_requests_per_s": async_rps,
-        "worker_pool_workers": pool_workers,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")

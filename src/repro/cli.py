@@ -27,8 +27,7 @@ Seven subcommands cover the common workflows:
   monitors it — the live-data entry point,
 * ``serve``   — expose a persistent alarm store over the IHR-style
   HTTP JSON API (:mod:`repro.service`: keep-alive, misses answered on
-  the event loop); ``--workers N`` pre-forks N processes sharing the
-  port via ``SO_REUSEPORT``,
+  the event loop) from one process,
 * ``compact`` — merge an alarm store's small segments and apply tiered
   retention (:mod:`repro.service.compact`): queries stay bit-identical
   under merging, while ``--coarsen-after``/``--drop-after`` trade old
@@ -84,7 +83,6 @@ Examples::
     python -m repro monitor feed.jsonl --follow --checkpoint mon.ckpt \\
         --store alarms.store
     python -m repro serve alarms.store --port 8080
-    python -m repro serve alarms.store --workers 4
     python -m repro compact alarms.store --max-segments 8 --drop-after 720
     python -m repro replay ddos
 """
@@ -314,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "(from analyze/monitor --store)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8080,
+    serve.add_argument("--port", type=_port, default=8080,
                        help="TCP port (default 8080; 0 = ephemeral)")
     serve.add_argument(
         "--cache-size", type=_positive_int, default=256, metavar="N",
@@ -326,10 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # opt-in still pass it.
     serve.add_argument("--async", action="store_true",
                        help=argparse.SUPPRESS)
-    serve.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
-        help="pre-fork N worker processes sharing the port via "
-             "SO_REUSEPORT (default 1)")
     serve.add_argument(
         "--access-log", metavar="PATH", default=None,
         help="append one canonical-JSON line per answered request "
@@ -388,6 +382,14 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0-65535."""
+    value = _nonnegative_int(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535: {value}")
     return value
 
 
@@ -1143,42 +1145,14 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Body of the ``serve`` subcommand (HTTP API over an alarm store)."""
-    from repro.service.aio import run_async_server, start_worker_pool
+    from repro.service.aio import run_async_server
     from repro.service.store import StoreError, read_manifest
 
     try:
-        read_manifest(args.store)  # fail fast, before any fork
+        read_manifest(args.store)  # fail fast, before binding the port
     except StoreError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
-    options = {
-        "cache_size": args.cache_size,
-        "window_bins": args.window_bins,
-        "access_log": args.access_log,
-    }
-    if args.workers > 1:
-        pool = start_worker_pool(
-            args.store,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            **options,
-        )
-        # SIGTERM must unwind through the ``finally`` below, or the
-        # pre-forked workers outlive the parent and hold the port.
-        import signal
-
-        signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-        print(
-            f"serving {args.store} on http://{pool.host}:{pool.port} "
-            f"(async, {args.workers} workers, SO_REUSEPORT)",
-            flush=True,
-        )
-        try:
-            pool.join()
-        finally:
-            pool.stop()
-        return 0
 
     def _banner(address) -> None:
         host, port = address
@@ -1187,9 +1161,19 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
-    run_async_server(
-        args.store, args.host, args.port, ready=_banner, **options
-    )
+    try:
+        run_async_server(
+            args.store,
+            args.host,
+            args.port,
+            cache_size=args.cache_size,
+            window_bins=args.window_bins,
+            ready=_banner,
+            access_log=args.access_log,
+        )
+    except OSError as exc:  # busy port, bad --host, unwritable --access-log
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

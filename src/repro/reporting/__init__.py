@@ -11,7 +11,6 @@ _EXPORTS = {
     "LinkHealth": "repro.reporting.ihr",
     "SCHEMA_VERSION": "repro.reporting.export",
     "bin_event_record": "repro.reporting.export",
-    "bin_result_from_record": "repro.reporting.export",
     "delay_alarm_from_record": "repro.reporting.export",
     "delay_alarm_record": "repro.reporting.export",
     "dumps_canonical": "repro.reporting.jsonio",

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # annotations only: networkx loads on first use, and
     # `serve` decodes alarm records without loading the pipeline
     import networkx as nx
 
-    from repro.core.pipeline import BinResult, TrackedLinkPoint
+    from repro.core.pipeline import TrackedLinkPoint
 
 PathLike = Union[str, Path]
 
@@ -209,8 +209,7 @@ def bin_event_record(result) -> dict:
     The ``monitor`` CLI emits one of these per closed time bin (JSONL
     mode); alarms ride along as :func:`delay_alarm_record` /
     :func:`forwarding_alarm_record` entries.  Field order is
-    :data:`BIN_EVENT_FIELDS`; :func:`bin_result_from_record` round-trips
-    the record.
+    :data:`BIN_EVENT_FIELDS`.
     """
     return {
         "schema": _schema_tag("bin_event"),
@@ -301,27 +300,6 @@ def forwarding_alarm_from_record(record: dict) -> ForwardingAlarm:
             str(hop): float(value)
             for hop, value in record["reference"].items()
         },
-    )
-
-
-def bin_result_from_record(record: dict) -> BinResult:
-    """Inverse of :func:`bin_event_record` (bit-identical round trip)."""
-    from repro.core.pipeline import BinResult
-
-    _check_schema(record, "bin_event")
-    return BinResult(
-        timestamp=int(record["bin"]),
-        n_traceroutes=int(record["n_traceroutes"]),
-        n_links_observed=int(record["n_links_observed"]),
-        n_links_analyzed=int(record["n_links_analyzed"]),
-        delay_alarms=[
-            delay_alarm_from_record(entry)
-            for entry in record["delay_alarms"]
-        ],
-        forwarding_alarms=[
-            forwarding_alarm_from_record(entry)
-            for entry in record["forwarding_alarms"]
-        ],
     )
 
 

@@ -9,7 +9,7 @@ bit-identically to the in-memory
 :class:`~repro.reporting.ihr.InternetHealthReport`, and one HTTP
 server exposes the IHR-style JSON routes: the asyncio server in
 :mod:`repro.service.aio` (keep-alive, misses answered on the loop,
-``SO_REUSEPORT`` worker pools) answers every request through the
+one process) answers every request through the
 transport-free :class:`~repro.service.routes.ServiceState`
 (:mod:`repro.service.routes`) with generation-keyed response caching
 (:mod:`repro.service.cache`).
@@ -32,14 +32,12 @@ _EXPORTS = {
     "ServiceState": "repro.service.routes",
     "StoreError": "repro.service.store",
     "StoreQuery": "repro.service.query",
-    "WorkerPool": "repro.service.aio",
     "append_analysis": "repro.service.store",
     "compact_store": "repro.service.compact",
     "if_none_match_matches": "repro.service.routes",
     "read_manifest": "repro.service.store",
     "run_async_server": "repro.service.aio",
     "start_async_server": "repro.service.aio",
-    "start_worker_pool": "repro.service.aio",
 }
 
 __all__ = list(_EXPORTS)

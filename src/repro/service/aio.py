@@ -34,20 +34,12 @@ discipline), so the wire carries exactly the bodies and ETags
   generation (:meth:`ServiceState.token`); the loop never applies a
   segment or waits on ``engine_lock``, and only the probe and the
   scrape routes (``/metrics``, ``/statusz``) leave it.
-* **Pre-fork workers.**  :class:`WorkerPool` runs N processes, each
-  with its own event loop, ``StoreQuery`` (its own mmap) and response
-  cache, all listening on one port via ``SO_REUSEPORT`` — the kernel
-  load-balances accepts, no shared state, no GIL contention.  The
-  parent holds a bound (non-listening) reservation socket so an
-  ephemeral port can be chosen once and shared by every worker.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing
-import socket
 import threading
 from collections import OrderedDict
 from functools import lru_cache
@@ -59,7 +51,6 @@ from typing import (
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.atlas.io import PathLike
-from repro.obs.metrics import default_registry
 from repro.service.cache import (
     DEFAULT_CACHE_SIZE,
     CachedResponse,
@@ -461,15 +452,12 @@ async def start_async_server(
     cache_size: int = DEFAULT_CACHE_SIZE,
     window_bins: Optional[int] = None,
     token_ttl: float = DEFAULT_TOKEN_TTL_S,
-    reuse_port: bool = False,
     access_log: Optional[PathLike] = None,
 ) -> Tuple[asyncio.AbstractServer, AsyncAlarmService]:
     """Open the store and start serving it on the running event loop.
 
     Returns the :class:`asyncio.Server` (close it to stop) and the
-    :class:`AsyncAlarmService` answering its requests.  With
-    ``reuse_port`` the listening socket sets ``SO_REUSEPORT`` so
-    several processes can share the port (see :class:`WorkerPool`).
+    :class:`AsyncAlarmService` answering its requests.
     ``access_log`` appends one canonical-JSON line per answered
     request.
     """
@@ -489,7 +477,6 @@ async def start_async_server(
         host,
         port,
         limit=MAX_REQUEST_BYTES,
-        reuse_port=reuse_port or None,
     )
     return server, service
 
@@ -501,16 +488,13 @@ def run_async_server(
     cache_size: int = DEFAULT_CACHE_SIZE,
     window_bins: Optional[int] = None,
     token_ttl: float = DEFAULT_TOKEN_TTL_S,
-    reuse_port: bool = False,
     ready: Optional[Callable[[Tuple[str, int]], None]] = None,
     access_log: Optional[PathLike] = None,
 ) -> None:
     """Run the server in the foreground until interrupted.
 
     ``ready``, when given, is called with the bound ``(host, port)``
-    once the server is accepting: the CLI prints its banner from it,
-    the :class:`WorkerPool` parent passes a queue's ``put`` as the
-    workers' readiness signal.
+    once the server is accepting: the CLI prints its banner from it.
     """
 
     async def _main() -> None:
@@ -521,7 +505,6 @@ def run_async_server(
             cache_size=cache_size,
             window_bins=window_bins,
             token_ttl=token_ttl,
-            reuse_port=reuse_port,
             access_log=access_log,
         )
         if ready is not None:
@@ -600,135 +583,3 @@ class AsyncServerThread:
                 loop.call_soon_threadsafe(main.cancel)
         if self._thread is not None:
             self._thread.join(timeout=10)
-
-
-def _reserve_port(host: str, port: int) -> Tuple[socket.socket, int]:
-    """Bind (without listening) a ``SO_REUSEPORT`` reservation socket.
-
-    ``SO_REUSEPORT`` load-balances only among *listening* sockets, so
-    a bound-but-not-listening socket pins the port number for the pool
-    without ever receiving a connection — letting ``port=0`` pick one
-    ephemeral port that every worker then shares.
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    sock.bind((host, port))
-    return sock, sock.getsockname()[1]
-
-
-class WorkerPool:
-    """Pre-fork pool: N async workers sharing one ``SO_REUSEPORT`` port.
-
-    Each worker is a separate process running its own event loop with
-    its own :class:`~repro.service.query.StoreQuery` (private mmap),
-    response cache and executor — no shared mutable state, no GIL
-    contention; the kernel distributes accepted connections across the
-    workers' listening sockets.  Construct with :func:`start_worker_pool`
-    (which waits for every worker to signal readiness), stop with
-    :meth:`stop`.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        reservation: socket.socket,
-        workers: List[multiprocessing.Process],
-    ) -> None:
-        self.host = host
-        self.port = port
-        self._reservation = reservation
-        self.workers = workers
-        #: Pool liveness, exported from the *parent* process registry —
-        #: the single process that can observe every worker's state.
-        self._alive_gauge = default_registry().gauge(
-            "repro_serve_workers_alive",
-            "Worker processes currently running in the pre-fork pool.",
-        )
-        self._alive_gauge.set(float(self.alive()))
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def alive(self) -> int:
-        """How many worker processes are currently running."""
-        count = sum(1 for proc in self.workers if proc.is_alive())
-        gauge = getattr(self, "_alive_gauge", None)
-        if gauge is not None:
-            gauge.set(float(count))
-        return count
-
-    def join(self) -> None:  # pragma: no cover - interactive serving
-        """Block until every worker exits (Ctrl-C stops the pool)."""
-        try:
-            for proc in self.workers:
-                proc.join()
-        except KeyboardInterrupt:
-            self.stop()
-
-    def stop(self) -> None:
-        """Terminate every worker and release the port reservation."""
-        for proc in self.workers:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.workers:
-            proc.join(timeout=10)
-        self._reservation.close()
-        self.alive()  # refresh the liveness gauge to (normally) zero
-
-
-def start_worker_pool(
-    store_path: PathLike,
-    host: str = DEFAULT_HOST,
-    port: int = 0,
-    workers: int = 2,
-    cache_size: int = DEFAULT_CACHE_SIZE,
-    window_bins: Optional[int] = None,
-    token_ttl: float = DEFAULT_TOKEN_TTL_S,
-    access_log: Optional[PathLike] = None,
-) -> WorkerPool:
-    """Start *workers* pre-forked async servers on one shared port.
-
-    Requires ``SO_REUSEPORT`` (Linux, modern BSDs).  Blocks until every
-    worker has bound its socket and is accepting connections, so the
-    returned pool's ``.port`` is immediately usable.  With
-    ``access_log`` every worker appends to the same path (``O_APPEND``
-    keeps whole lines intact across processes).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover - linux CI
-        raise RuntimeError("worker pool requires SO_REUSEPORT support")
-    reservation, bound_port = _reserve_port(host, port)
-    context = multiprocessing.get_context()
-    ready: "multiprocessing.queues.Queue" = context.Queue()
-    procs: List[multiprocessing.Process] = []
-    try:
-        for _ in range(workers):
-            proc = context.Process(
-                target=run_async_server,
-                args=(store_path, host, bound_port),
-                kwargs={
-                    "cache_size": cache_size,
-                    "window_bins": window_bins,
-                    "token_ttl": token_ttl,
-                    "reuse_port": True,
-                    "ready": ready.put,
-                    "access_log": access_log,
-                },
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
-        for _ in range(workers):
-            ready.get(timeout=30)
-    except Exception:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        reservation.close()
-        raise
-    return WorkerPool(host, bound_port, reservation, procs)

@@ -442,8 +442,7 @@ class AccessLog:
     ``latency_us``, ``route`` (the raw path), ``status`` —
     rendered by :func:`repro.reporting.jsonio.dumps_canonical`, whose
     sorted-key output fixes the field order.
-    Writes are line-buffered under a lock; with pre-forked workers each
-    process appends whole lines (``O_APPEND``), so lines never split.
+    Writes are line-buffered under a lock, so lines never split.
     """
 
     def __init__(self, path: PathLike) -> None:

@@ -852,22 +852,42 @@ class TestServeCommand:
         assert seen[0] == seen[1]
         assert seen[0][2][1].startswith(b"HTTP/1.1 200 OK\r\n")
 
-    def test_workers_boot_a_pool_without_async(self, store):
-        import re
+    def test_workers_is_not_an_option(self, store):
+        """Serving is one process: ``--workers`` is a usage error."""
+        import subprocess
+        import sys
 
-        proc, banner = self._serve(store, "--workers", "2")
-        try:
-            match = re.search(
-                r"http://127\.0\.0\.1:(\d+) "
-                r"\(async, 2 workers, SO_REUSEPORT\)",
-                banner,
-            )
-            assert match is not None, banner
-            reply = self._fetch(int(match.group(1)), "/health/65001")
-            assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
-        finally:
-            code = self._stop(proc)
-        assert code == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", str(store),
+             "--port", "0", "--workers", "2"],
+            env=_cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --workers 2" in proc.stderr
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_bad_port_is_a_usage_error(self, store, capsys, port):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(store), "--port", port])
+        assert excinfo.value.code == 2
+        assert "argument --port" in capsys.readouterr().err
+
+    def test_busy_port_fails_cleanly(self, store, capsys):
+        """A bind failure is one ``repro: error:`` line and exit 1."""
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["serve", str(store), "--port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: error: ")
+        assert f"('127.0.0.1', {port})" in lines[0]
+        assert "address already in use" in lines[0]
 
     def test_help_does_not_list_async(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -875,7 +895,7 @@ class TestServeCommand:
         assert excinfo.value.code == 0
         usage = capsys.readouterr().out
         assert "--async" not in usage
-        assert "--workers" in usage
+        assert "--workers" not in usage
 
 
 class TestReplay:

@@ -41,6 +41,7 @@ PIPELINE_BUDGET = (
 STORE_BUDGET = (
     "networkx",
     "scipy",
+    "multiprocessing",
     "repro.simulation",
     "repro.core.engine",
     "repro.atlas.columnar",

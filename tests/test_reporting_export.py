@@ -13,7 +13,6 @@ from repro.reporting import (
     FORWARDING_ALARM_FIELDS,
     SCHEMA_VERSION,
     bin_event_record,
-    bin_result_from_record,
     delay_alarm_from_record,
     delay_alarm_record,
     forwarding_alarm_from_record,
@@ -159,14 +158,6 @@ class TestCanonicalRecords:
             alarm.responsibilities
         )
         assert list(rebuilt.pattern) == list(alarm.pattern)
-
-    def test_bin_event_round_trip(self):
-        result = BinResult(
-            timestamp=7200, n_traceroutes=9, n_links_observed=4,
-            n_links_analyzed=3, delay_alarms=[_delay_alarm()],
-            forwarding_alarms=[_forwarding_alarm()],
-        )
-        assert bin_result_from_record(bin_event_record(result)) == result
 
     def test_schema_less_record_accepted(self):
         record = delay_alarm_record(_delay_alarm())

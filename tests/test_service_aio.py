@@ -5,8 +5,8 @@ body, ETag and ``Retry-After`` on the wire must equal what an
 independent in-process :class:`~repro.service.routes.ServiceState`
 answers from the same store.  These tests drive that matrix (success,
 batch, 400/404 and 304 paths), the server's own machinery (keep-alive
-framing, the head deadline, one computation per missed key,
-``SO_REUSEPORT`` worker pools), and the hard case: wire and oracle
+framing, the head deadline, one computation per missed key), and
+the hard case: wire and oracle
 agreeing while a writer appends and the compactor rewrites the store
 underneath them.
 """
@@ -38,7 +38,7 @@ from repro.service import (
     compact_store,
 )
 from repro.service import aio
-from repro.service.aio import AsyncServerThread, start_worker_pool
+from repro.service.aio import AsyncServerThread
 from repro.service.cache import CachedResponse
 from repro.service.routes import error_response
 
@@ -914,29 +914,6 @@ class TestSingleFlight:
             assert service.hits == hits_before + 5
             assert len({body for _, _, body in replies}) == 1
             assert len({h["etag"] for _, h, _ in replies}) == 1
-
-
-class TestWorkerPool:
-    def test_pool_serves_identically_then_stops(self, tmp_path):
-        directory = tmp_path / "store"
-        build_store(directory, synthetic_bins(6, seed=41), make_mapper())
-        oracle = make_oracle(directory)
-        pool = start_worker_pool(
-            directory, workers=2, window_bins=4, token_ttl=0.0
-        )
-        try:
-            assert pool.alive() == 2
-            # Several connections so the kernel spreads the accepts.
-            for _ in range(3):
-                client = KeepAliveClient(pool.port)
-                try:
-                    for target in MATRIX[:6]:
-                        assert_wire_matches_oracle(client, oracle, target)
-                finally:
-                    client.close()
-        finally:
-            pool.stop()
-        assert pool.alive() == 0
 
 
 class TestLiveStoreEquivalence:
