@@ -11,7 +11,7 @@ help:
 	@echo "targets:"
 	@echo "  test         tier-1 test suite (pytest -x -q)"
 	@echo "  bench        full figure/table benchmark suite"
-	@echo "  bench-engine sharded-engine scaling benchmark only"
+	@echo "  bench-engine engine-vs-serial scaling benchmark only"
 	@echo "  bench-ingest columnar ingestion benchmark (BENCH_ingest.json)"
 	@echo "  bench-detect detection-kernel benchmark (BENCH_detect.json)"
 	@echo "  bench-stream checkpoint-overhead benchmark (BENCH_stream.json)"
@@ -24,7 +24,7 @@ help:
 	@echo "  fetch-smoke  offline connector smoke: fixture fetch under faults"
 	@echo "  compact-smoke store compaction smoke: CLI round trip + equivalence tests"
 	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
-	@echo "  analyze-smoke analyze 4 ways (shards x bin cache), cmp output + store bytes"
+	@echo "  analyze-smoke analyze 3 ways (bin cache off/cold/warm), cmp output + store bytes"
 	@echo "  import-budget per command: modules loaded, import wall, peak RSS"
 	@echo "  ledger-pairs parent/change ledger pairs: PARENT=rev WORKLOAD=w SEEDS=a-b [PAIRS=n]"
 	@echo "  docs         docstring lint + pointers to docs/"
@@ -95,9 +95,9 @@ compact-smoke:
 obs-smoke:
 	$(PYTHON) tools/obs_smoke.py
 
-# `analyze` has one production path: run it default, --shards 2,
-# --bin-cache (cold) and --bin-cache --shards 2 (warm) on a generated
-# outage feed, cmp the four JSON reports and the four stores' segment
+# `analyze` has one production path: run it default, --bin-cache
+# (cold) and the ledger's --bin-cache --shards 2 (warm) on a generated
+# outage feed, cmp the three JSON reports and the three stores' segment
 # files, then check a truncated feed exits 1 with one error line.
 analyze-smoke:
 	PYTHON=$(PYTHON) sh tools/analyze_smoke.sh
@@ -118,5 +118,5 @@ doclint:
 	$(PYTHON) tools/doclint.py
 
 docs: doclint
-	@echo "docs/architecture.md   - dataflow and the shard/merge engine"
+	@echo "docs/architecture.md   - dataflow and the engine"
 	@echo "docs/paper_mapping.md  - paper section/figure -> module map"

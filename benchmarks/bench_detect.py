@@ -1,7 +1,7 @@
 """Detection-phase speedup: scalar detectors vs the vectorized arenas.
 
-After the sharded engine (PR 1) and the columnar ingestion layer (PR 2),
-detection itself dominates a replayed campaign: the scalar path walks
+With extraction fused and ingestion columnar, detection itself
+dominates a replayed campaign: the scalar path walks
 every link and forwarding model with per-key dict lookups, three
 ``ExponentialSmoother`` object updates, scalar Eq. 6 branches and one
 tiny-vector Pearson call per model.  The detector-state arena
@@ -12,12 +12,12 @@ This benchmark isolates the detection phase — extraction, diversity
 filtering and Wilson characterisation are precomputed once and shared by
 both paths — and proves the arena's two hard claims:
 
-1. **bit-identical output** — at 1, 2 and 4 shards the arenas produce
-   exactly the alarms the scalar detectors produce (structural equality
-   over every alarm), plus identical per-link references, per-key
-   counters and campaign aggregates;
+1. **bit-identical output** — the arenas produce exactly the alarms the
+   scalar detectors produce (structural equality over every alarm),
+   plus identical per-link references, per-key counters and campaign
+   aggregates;
 2. **speedup** — the arena detection phase is at least 3x faster than
-   the scalar detectors at every measured shard count.
+   the scalar detectors.
 
 Timings and speedups are written to ``BENCH_detect.json`` at the
 repository root.  Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke mode) to run
@@ -37,14 +37,13 @@ from repro.core import (
     DelayChangeDetector,
     ForwardingAnomalyDetector,
     ForwardingArena,
+    Engine,
     Pipeline,
     PipelineConfig,
-    ShardedPipeline,
     differential_rtts,
     forwarding_patterns,
 )
 from repro.core.diversity import DiversityFilter
-from repro.core.sharding import shard_of
 from repro.atlas.stream import TimeBinner
 from repro.reporting import format_table
 from repro.simulation import (
@@ -75,9 +74,6 @@ ROUNDS = 1 if SMOKE else 3
 
 #: Hard floor for the arena detection-phase speedup.
 MIN_SPEEDUP = 3.0
-
-#: Shard counts whose arena results must equal the scalar detectors.
-SHARD_COUNTS = (1, 2, 4)
 
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_detect.json"
@@ -206,96 +202,38 @@ def _run_scalar(prepared, config):
     return delay_alarms, forwarding_alarms, delay, forwarding
 
 
-def _partition_bins(prepared, n_shards):
-    """Pre-split every bin's links/patterns into per-shard slices.
-
-    The engine memoises each link's and router's shard assignment across
-    bins (``ShardedPipeline._fused_link_shard``), so the consistent hash is
-    not part of steady-state detection cost; partitioning therefore
-    happens outside the timed region, once per shard count.
-    """
-    partitioned = []
-    for bin_data in prepared:
-        links = bin_data["links"]
-        if n_shards == 1:
-            row_parts = [list(range(len(links)))]
-            pattern_parts = [bin_data["patterns"]]
-        else:
-            row_parts = [[] for _ in range(n_shards)]
-            for row, link in enumerate(links):
-                row_parts[shard_of(link, n_shards)].append(row)
-            pattern_parts = [{} for _ in range(n_shards)]
-            for key, pattern in bin_data["patterns"].items():
-                pattern_parts[shard_of(key[0], n_shards)][key] = pattern
-        shards = []
-        for shard in range(n_shards):
-            rows = row_parts[shard]
-            shards.append(
-                {
-                    "links": [links[row] for row in rows],
-                    "medians": bin_data["medians"][rows],
-                    "lowers": bin_data["lowers"][rows],
-                    "uppers": bin_data["uppers"][rows],
-                    "counts": bin_data["counts"][rows],
-                    "n_probes": [bin_data["n_probes"][row] for row in rows],
-                    "n_asns": [bin_data["n_asns"][row] for row in rows],
-                    "patterns": pattern_parts[shard],
-                }
-            )
-        partitioned.append({"timestamp": bin_data["timestamp"], "shards": shards})
-    return partitioned
-
-
-def _run_arena(partitioned, config, n_shards):
-    """Drive per-shard arena pairs; return (alarms, arenas)."""
-    delay_arenas = [
-        DelayArena(
-            alpha=config.alpha,
-            min_shift_ms=config.min_shift_ms,
-            winsorize=config.winsorize,
-        )
-        for _ in range(n_shards)
-    ]
-    forwarding_arenas = [
-        ForwardingArena(
-            tau=config.tau,
-            alpha=config.alpha,
-            warmup_bins=config.forwarding_warmup,
-        )
-        for _ in range(n_shards)
-    ]
+def _run_arena(prepared, config):
+    """Drive one arena pair; return (alarms, arenas)."""
+    delay_arena = DelayArena(
+        alpha=config.alpha,
+        min_shift_ms=config.min_shift_ms,
+        winsorize=config.winsorize,
+    )
+    forwarding_arena = ForwardingArena(
+        tau=config.tau,
+        alpha=config.alpha,
+        warmup_bins=config.forwarding_warmup,
+    )
     delay_alarms = []
     forwarding_alarms = []
-    for bin_data in partitioned:
+    for bin_data in prepared:
         timestamp = bin_data["timestamp"]
-        bin_delay = []
-        bin_forwarding = []
-        for shard, part in enumerate(bin_data["shards"]):
-            bin_delay.extend(
-                delay_arenas[shard].observe_bin(
-                    timestamp,
-                    part["links"],
-                    part["medians"],
-                    part["lowers"],
-                    part["uppers"],
-                    part["counts"],
-                    part["n_probes"],
-                    part["n_asns"],
-                )
+        delay_alarms.extend(
+            delay_arena.observe_bin(
+                timestamp,
+                bin_data["links"],
+                bin_data["medians"],
+                bin_data["lowers"],
+                bin_data["uppers"],
+                bin_data["counts"],
+                bin_data["n_probes"],
+                bin_data["n_asns"],
             )
-            bin_forwarding.extend(
-                forwarding_arenas[shard].observe_bin(
-                    timestamp, part["patterns"]
-                )
-            )
-        # Deterministic merge, exactly as the sharded engine merges.
-        bin_delay.sort(key=lambda alarm: alarm.link)
-        bin_forwarding.sort(
-            key=lambda alarm: (alarm.router_ip, alarm.destination)
         )
-        delay_alarms.extend(bin_delay)
-        forwarding_alarms.extend(bin_forwarding)
-    return delay_alarms, forwarding_alarms, delay_arenas, forwarding_arenas
+        forwarding_alarms.extend(
+            forwarding_arena.observe_bin(timestamp, bin_data["patterns"])
+        )
+    return delay_alarms, forwarding_alarms, delay_arena, forwarding_arena
 
 
 def _best_time(fn):
@@ -311,28 +249,22 @@ def _best_time(fn):
     return best, result
 
 
-def _assert_state_identical(scalar, arenas, config):
+def _assert_state_identical(scalar, arenas):
     """Every per-key reference and counter must match, bit for bit."""
     delay, forwarding = scalar
-    delay_arenas, forwarding_arenas = arenas
-    arena_links = set()
-    for arena in delay_arenas:
-        arena_links.update(arena.links())
-    assert arena_links == set(delay._states)
+    delay_arena, forwarding_arena = arenas
+    assert set(delay_arena.links()) == set(delay._states)
     for link, state in delay._states.items():
-        shard = shard_of(link, len(delay_arenas))
-        arena = delay_arenas[shard]
-        assert arena.reference_of(link) == state.reference, link
-        assert arena.bins_seen_of(link) == state.bins_seen, link
-        assert arena.alarms_raised_of(link) == state.alarms_raised, link
-    n_models = sum(arena.n_models for arena in forwarding_arenas)
-    assert n_models == forwarding.n_models
+        assert delay_arena.reference_of(link) == state.reference, link
+        assert delay_arena.bins_seen_of(link) == state.bins_seen, link
+        assert delay_arena.alarms_raised_of(link) == state.alarms_raised, link
+    assert forwarding_arena.n_models == forwarding.n_models
     for key, state in forwarding._states.items():
-        shard = shard_of(key[0], len(forwarding_arenas))
-        arena = forwarding_arenas[shard]
-        assert arena.reference_of(key) == state.reference, key
-        assert arena.bins_seen_of(key) == state.bins_seen, key
-        assert arena.alarms_raised_of(key) == state.alarms_raised, key
+        assert forwarding_arena.reference_of(key) == state.reference, key
+        assert forwarding_arena.bins_seen_of(key) == state.bins_seen, key
+        assert (
+            forwarding_arena.alarms_raised_of(key) == state.alarms_raised
+        ), key
 
 
 def test_detection_speedup(benchmark):
@@ -351,50 +283,35 @@ def test_detection_speedup(benchmark):
         "campaign produced no alarms; the equivalence claim would be vacuous"
     )
 
+    arena_time, arena_result = _best_time(
+        lambda: _run_arena(prepared, config)
+    )
+    arena_delay, arena_forwarding, delay_arena, forwarding_arena = (
+        arena_result
+    )
+    # Hard claim 1: bit-identical alarms and per-key state.
+    assert arena_delay == scalar_delay, "delay alarms diverged"
+    assert arena_forwarding == scalar_forwarding, "forwarding alarms diverged"
+    _assert_state_identical(
+        (delay, forwarding), (delay_arena, forwarding_arena)
+    )
+    speedup = scalar_time / arena_time
     rows = [
         ["scalar detectors", "-", f"{scalar_time:.3f}", "1.00"],
+        ["arena", "vectorized", f"{arena_time:.3f}", f"{speedup:.2f}"],
     ]
-    speedups = {}
-    for n_shards in SHARD_COUNTS:
-        partitioned = _partition_bins(prepared, n_shards)
-        arena_time, arena_result = _best_time(
-            lambda: _run_arena(partitioned, config, n_shards)
-        )
-        arena_delay, arena_forwarding, delay_arenas, forwarding_arenas = (
-            arena_result
-        )
-        # Hard claim 1: bit-identical alarms and per-key state.
-        assert arena_delay == scalar_delay, (
-            f"delay alarms diverged at n_shards={n_shards}"
-        )
-        assert arena_forwarding == scalar_forwarding, (
-            f"forwarding alarms diverged at n_shards={n_shards}"
-        )
-        _assert_state_identical(
-            (delay, forwarding), (delay_arenas, forwarding_arenas), config
-        )
-        speedups[n_shards] = scalar_time / arena_time
-        rows.append(
-            [
-                f"arena n={n_shards}",
-                "vectorized",
-                f"{arena_time:.3f}",
-                f"{speedups[n_shards]:.2f}",
-            ]
-        )
 
     # End-to-end cross-check: the arena-backed engine still equals the
     # serial oracle on the same campaign.
     serial = Pipeline(PipelineConfig())
     serial_results = serial.run(traceroutes)
-    engine = ShardedPipeline(PipelineConfig(n_shards=2))
+    engine = Engine()
     assert engine.run(traceroutes) == serial_results
     assert engine.stats() == serial.stats()
 
-    # One canonical pytest-benchmark measurement: the 1-shard arena run.
-    single = _partition_bins(prepared, 1)
+    # One canonical pytest-benchmark measurement: the arena run.
     benchmark.pedantic(
-        lambda: _run_arena(single, config, 1), rounds=1, iterations=1
+        lambda: _run_arena(prepared, config), rounds=1, iterations=1
     )
 
     mode = "smoke" if SMOKE else "full"
@@ -422,24 +339,19 @@ def test_detection_speedup(benchmark):
         "n_model_bins": n_model_bins,
         "rounds": ROUNDS,
         "scalar_detect_s": scalar_time,
-        "arena_detect_s": {
-            str(n): scalar_time / speedups[n] for n in SHARD_COUNTS
-        },
-        "speedups": {str(n): speedups[n] for n in SHARD_COUNTS},
+        "arena_detect_s": arena_time,
+        "speedup": speedup,
         "min_speedup_required": MIN_SPEEDUP,
         "delay_alarms": len(scalar_delay),
         "forwarding_alarms": len(scalar_forwarding),
-        "equivalent_shard_counts": list(SHARD_COUNTS),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")
 
-    # Hard claim 2: >= 3x at every shard count (skipped in smoke mode,
-    # where the campaign is too short for stable timings).
+    # Hard claim 2: >= 3x (skipped in smoke mode, where the campaign is
+    # too short for stable timings).
     if not SMOKE:
-        for n_shards in SHARD_COUNTS:
-            assert speedups[n_shards] >= MIN_SPEEDUP, (
-                f"arena speedup {speedups[n_shards]:.2f}x at "
-                f"n_shards={n_shards} fell below the {MIN_SPEEDUP}x floor "
-                f"(scalar {scalar_time:.3f}s)"
-            )
+        assert speedup >= MIN_SPEEDUP, (
+            f"arena speedup {speedup:.2f}x fell below the {MIN_SPEEDUP}x "
+            f"floor (scalar {scalar_time:.3f}s)"
+        )

@@ -2,12 +2,12 @@
 
 The paper's deployment replays archived traceroutes continuously, so
 the number that matters operationally is **traceroutes per second from
-a cold on-disk campaign to a published alarm store**.  The sharded
-engine keeps one columnar spine end to end: the cache is mmap'd
+a cold on-disk campaign to a published alarm store**.  The engine
+keeps one columnar spine end to end: the cache is mmap'd
 (``mapped=True``), extraction emits interned-id flat arrays
-(:mod:`repro.core.fused`), every shard core runs in this process over
-its slice of the bin, and alarms materialise str-keyed objects exactly
-once, at the store/report boundary.  The baseline is the paper-shaped serial
+(:mod:`repro.core.fused`), the arenas judge the whole bin in this
+process, and alarms materialise str-keyed objects exactly once, at the
+store/report boundary.  The baseline is the paper-shaped serial
 :class:`~repro.core.Pipeline` over the same cache: columns copied out,
 objects materialised per bin, links analysed one at a time.
 
@@ -16,10 +16,9 @@ Hard claims proved here on a simulator-generated campaign:
 1. **bit-identity** — per-bin results (alarms and counts), campaign
    stats and the *on-disk store bytes* (manifest minus the random
    ``store_id``, every segment file) are identical between the engine
-   and the serial pipeline at 1/2/4 shards;
+   and the serial pipeline;
 2. **speedup** — the engine is at least ``MIN_SPEEDUP`` (2x) faster
-   end to end than the serial pipeline at every one of those shard
-   counts.
+   end to end than the serial pipeline.
 
 Results (headline traceroutes/second included) are written to
 ``BENCH_e2e.json`` at the repository root.  Set ``REPRO_BENCH_SMOKE=1``
@@ -36,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.atlas import decode_traceroutes, read_bincache, write_bincache, write_traceroutes
-from repro.core import Pipeline, PipelineConfig, ShardedPipeline
+from repro.core import Engine, Pipeline, PipelineConfig
 from repro.reporting import format_table
 from repro.service import AlarmStoreWriter
 from repro.service.store import read_manifest
@@ -62,25 +61,19 @@ ROUNDS = 1 if SMOKE else 3
 #: Hard floor for the fused end-to-end speedup (full mode only).
 MIN_SPEEDUP = 2.0
 
-#: The equivalence and timing matrix.
-SHARD_COUNTS = (1, 2, 4)
-
-#: The headline configuration (throughput is quoted here).
-HEADLINE = {"n_shards": 4}
-
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
 
 
-def _e2e(cache_path, mapper, store_dir, **engine_kwargs):
+def _e2e(cache_path, mapper, store_dir, engine=False):
     """One cold end-to-end run: bin cache -> detection -> alarm store.
 
-    With *engine_kwargs* the sharded engine reads the cache mapped
-    zero-copy; without, the serial reference pipeline reads a copy and
-    materialises objects per bin.  Returns (bin results, stats).
+    With *engine* the engine reads the cache mapped zero-copy; without,
+    the serial reference pipeline reads a copy and materialises objects
+    per bin.  Returns (bin results, stats).
     """
-    if engine_kwargs:
-        pipeline = ShardedPipeline(PipelineConfig(**engine_kwargs))
+    if engine:
+        pipeline = Engine()
         batch = read_bincache(cache_path, mapped=True)
     else:
         pipeline = Pipeline(PipelineConfig())
@@ -172,39 +165,31 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     )
     reference_store = _store_fingerprint(tmp_path / "reference.store")
 
-    # Hard claim 1: bit-identical results, stats and store bytes at
-    # every shard count.
-    for n_shards in SHARD_COUNTS:
-        tag = f"shards-{n_shards}"
-        results, stats = _e2e(
-            cache_path, mapper, tmp_path / f"{tag}.store", n_shards=n_shards
-        )
-        assert results == reference_results, (
-            f"engine results diverged at {tag}"
-        )
-        assert stats == reference_stats, f"campaign stats diverged at {tag}"
-        assert (
-            _store_fingerprint(tmp_path / f"{tag}.store") == reference_store
-        ), f"store bytes diverged from the serial pipeline at {tag}"
+    # Hard claim 1: bit-identical results, stats and store bytes.
+    results, stats = _e2e(
+        cache_path, mapper, tmp_path / "engine.store", engine=True
+    )
+    assert results == reference_results, "engine results diverged"
+    assert stats == reference_stats, "campaign stats diverged"
+    assert _store_fingerprint(tmp_path / "engine.store") == reference_store, (
+        "store bytes diverged from the serial pipeline"
+    )
 
     # Hard claim 2 + the headline number: timed end-to-end runs.
-    def timed(**kwargs):
+    def timed(engine):
         store = tmp_path / "timed.store"
         return _best_time(
-            lambda: _e2e(cache_path, mapper, store, **kwargs)
+            lambda: _e2e(cache_path, mapper, store, engine=engine)
         )[0]
 
-    reference_s = timed()
-    engine_s = {
-        str(n_shards): timed(n_shards=n_shards) for n_shards in SHARD_COUNTS
-    }
-    fused_headline_s = engine_s[str(HEADLINE["n_shards"])]
-    headline_speedup = reference_s / fused_headline_s
-    throughput = n_traceroutes / fused_headline_s
+    reference_s = timed(engine=False)
+    engine_s = timed(engine=True)
+    headline_speedup = reference_s / engine_s
+    throughput = n_traceroutes / engine_s
 
     benchmark.pedantic(
         lambda: _e2e(
-            cache_path, mapper, tmp_path / "timed.store", **HEADLINE
+            cache_path, mapper, tmp_path / "timed.store", engine=True
         ),
         rounds=1, iterations=1,
     )
@@ -213,10 +198,8 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
     rows = [
         ["serial Pipeline", f"{reference_s:.3f}", "1.00",
          f"{n_traceroutes / reference_s:,.0f}"],
-    ] + [
-        [f"engine, {n_shards} shard(s)", f"{seconds:.3f}",
-         f"{reference_s / seconds:.2f}", f"{n_traceroutes / seconds:,.0f}"]
-        for n_shards, seconds in engine_s.items()
+        ["engine", f"{engine_s:.3f}", f"{headline_speedup:.2f}",
+         f"{throughput:,.0f}"],
     ]
     print(
         f"\n=== fused end-to-end throughput ({mode}: {DURATION_H}h campaign, "
@@ -240,21 +223,16 @@ def test_fused_e2e_throughput(benchmark, tmp_path):
         "rounds": ROUNDS,
         "reference_serial_s": reference_s,
         "engine_s": engine_s,
-        "fused_headline_s": fused_headline_s,
         "headline_speedup": headline_speedup,
         "headline_traceroutes_per_s": throughput,
-        "headline_config": dict(HEADLINE),
         "min_speedup_required": MIN_SPEEDUP,
-        "equivalent_shard_counts": list(SHARD_COUNTS),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")
 
     if not SMOKE:
-        for n_shards, seconds in engine_s.items():
-            assert reference_s / seconds >= MIN_SPEEDUP, (
-                f"engine speedup at {n_shards} shard(s) "
-                f"{reference_s / seconds:.2f}x fell below the "
-                f"{MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
-                f"engine {seconds:.3f}s)"
-            )
+        assert headline_speedup >= MIN_SPEEDUP, (
+            f"engine speedup {headline_speedup:.2f}x fell below the "
+            f"{MIN_SPEEDUP}x floor (serial Pipeline {reference_s:.3f}s, "
+            f"engine {engine_s:.3f}s)"
+        )

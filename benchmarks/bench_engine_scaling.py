@@ -1,27 +1,24 @@
-"""Sharded-engine scaling: serial-vs-sharded equivalence and speedup.
+"""Engine scaling: engine-vs-serial equivalence and speedup.
 
 The paper's dataset is 2.8 *billion* traceroutes; the serial reference
-pipeline analyses links one at a time in pure-Python loops.  The sharded
-engine (``repro.core.engine``) fuses the two per-bin extraction passes,
-batches the Wilson/Pearson statistics across each bin, and splits its
-state over N consistently-hashed shards, all in one process.
+pipeline analyses links one at a time in pure-Python loops.  The engine
+(``repro.core.engine``) fuses the two per-bin extraction passes and
+batches the Wilson/Pearson statistics across each bin, in one process.
 
 This benchmark proves the two hard claims behind that engine:
 
-1. **bit-identical output** — for every shard count the engine produces
-   exactly the serial pipeline's ``BinResult`` list and
-   ``CampaignStats`` (structural equality over every alarm, interval
-   and counter);
-2. **speedup** — on the case-study synthetic campaign the engine at
-   4 shards is at least 2x faster than the serial reference, from
-   vectorization alone.
+1. **bit-identical output** — the engine produces exactly the serial
+   pipeline's ``BinResult`` list and ``CampaignStats`` (structural
+   equality over every alarm, interval and counter);
+2. **speedup** — on the case-study synthetic campaign the engine is at
+   least 2x faster than the serial reference, from vectorization alone.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core import Pipeline, PipelineConfig, ShardedPipeline
+from repro.core import Engine, Pipeline, PipelineConfig
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,
@@ -37,9 +34,6 @@ from repro.simulation import (
 #: final hours produce genuine delay *and* forwarding alarms, so the
 #: equality assertions compare real detections, not empty lists.
 DURATION_H = 8
-
-#: Shard counts benchmarked.
-SHARD_COUNTS = (1, 2, 4, 8)
 
 #: Timing repetitions (best-of, to damp scheduler noise).
 ROUNDS = 3
@@ -98,38 +92,23 @@ def test_engine_scaling(benchmark):
             len(traceroutes),
         ]
     ]
-    speedups = {}
-    for n_shards in SHARD_COUNTS:
-        engine_time, engine_results, engine = _best_time(
-            lambda: ShardedPipeline(PipelineConfig(n_shards=n_shards)),
-            traceroutes,
-        )
-        # Hard claim 1: bit-identical output at every shard count.
-        assert engine_results == serial_results, (
-            f"engine output diverged from the serial pipeline at "
-            f"n_shards={n_shards}"
-        )
-        assert engine.stats() == serial_stats, (
-            f"CampaignStats diverged at n_shards={n_shards}"
-        )
-        speedups[n_shards] = serial_time / engine_time
-        rows.append(
-            [
-                f"sharded n={n_shards}",
-                f"{engine_time:.3f}",
-                f"{speedups[n_shards]:.2f}",
-                len(traceroutes),
-            ]
-        )
-
-    # Give pytest-benchmark one canonical measurement: the 4-shard run.
-    benchmark.pedantic(
-        lambda: ShardedPipeline(PipelineConfig(n_shards=4)).run(traceroutes),
-        rounds=1,
-        iterations=1,
+    engine_time, engine_results, engine = _best_time(Engine, traceroutes)
+    # Hard claim 1: bit-identical output.
+    assert engine_results == serial_results, (
+        "engine output diverged from the serial pipeline"
+    )
+    assert engine.stats() == serial_stats, "CampaignStats diverged"
+    speedup = serial_time / engine_time
+    rows.append(
+        ["engine", f"{engine_time:.3f}", f"{speedup:.2f}", len(traceroutes)]
     )
 
-    print("\n=== sharded engine scaling "
+    # Give pytest-benchmark one canonical measurement: the engine run.
+    benchmark.pedantic(
+        lambda: Engine().run(traceroutes), rounds=1, iterations=1
+    )
+
+    print("\n=== engine scaling "
           f"({DURATION_H}h case-study campaign, best of {ROUNDS}) ===")
     print(
         format_table(
@@ -145,8 +124,8 @@ def test_engine_scaling(benchmark):
     # Guard against a vacuous equality claim.
     assert alarms > 0 and forwarding > 0
 
-    # Hard claim 2: >= 2x at 4 shards on this campaign.
-    assert speedups[4] >= 2.0, (
-        f"4-shard engine speedup {speedups[4]:.2f}x fell below the 2x "
-        f"floor (serial {serial_time:.3f}s)"
+    # Hard claim 2: >= 2x on this campaign.
+    assert speedup >= 2.0, (
+        f"engine speedup {speedup:.2f}x fell below the 2x floor "
+        f"(serial {serial_time:.3f}s)"
     )

@@ -16,9 +16,9 @@ simulator-generated campaign:
    ``read_traceroutes`` + ``TimeBinner`` building object lists;
 2. **cache speedup** — a warm ``read_bincache`` replay (no JSON at
    all) is faster still, typically by two orders of magnitude;
-3. **bit-identical analysis** — ``ShardedPipeline`` consuming the
-   columns directly produces exactly the serial reference pipeline's
-   ``BinResult`` list and ``CampaignStats`` at 1, 2 and 4 shards.
+3. **bit-identical analysis** — ``Engine`` consuming the columns
+   directly produces exactly the serial reference pipeline's
+   ``BinResult`` list and ``CampaignStats``.
 
 Timings and speedups are also written to ``BENCH_ingest.json`` at the
 repository root for machine consumption.
@@ -38,7 +38,7 @@ from repro.atlas import (
     write_bincache,
     write_traceroutes,
 )
-from repro.core import Pipeline, PipelineConfig, ShardedPipeline
+from repro.core import Engine, Pipeline, PipelineConfig
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,
@@ -56,8 +56,6 @@ ROUNDS = 5
 #: Hard floor for the columnar decode+bin speedup.
 MIN_SPEEDUP = 3.0
 
-#: Shard counts whose columnar results must equal the object path.
-SHARD_COUNTS = (1, 2, 4)
 
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
@@ -119,24 +117,21 @@ def test_ingest_speedup(benchmark, tmp_path):
     columnar_speedup = object_time / columnar_time
     cache_speedup = object_time / cache_time
 
-    # Hard claim 3: ShardedPipeline on columns == serial Pipeline on
-    # objects, bit for bit, at every shard count.
+    # Hard claim 3: Engine on columns == serial Pipeline on objects,
+    # bit for bit.
     traceroutes = list(read_traceroutes(jsonl_path))
     batch = decode_traceroutes(jsonl_path)
     serial = Pipeline(PipelineConfig())
     reference_results = serial.run(traceroutes)
     reference_stats = serial.stats()
     assert sum(len(r.delay_alarms) for r in reference_results) >= 0
-    for n_shards in SHARD_COUNTS:
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards)
-        )
-        assert engine.run(batch) == reference_results, (
-            f"columnar engine output diverged at n_shards={n_shards}"
-        )
-        assert engine.stats() == reference_stats, (
-            f"columnar CampaignStats diverged at n_shards={n_shards}"
-        )
+    engine = Engine()
+    assert engine.run(batch) == reference_results, (
+        "columnar engine output diverged"
+    )
+    assert engine.stats() == reference_stats, (
+        "columnar CampaignStats diverged"
+    )
 
     # One canonical pytest-benchmark measurement: the columnar path.
     benchmark.pedantic(columnar_path, rounds=1, iterations=1)
@@ -172,7 +167,6 @@ def test_ingest_speedup(benchmark, tmp_path):
         "columnar_speedup": columnar_speedup,
         "bincache_speedup": cache_speedup,
         "min_speedup_required": MIN_SPEEDUP,
-        "equivalent_shard_counts": list(SHARD_COUNTS),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")

@@ -35,7 +35,7 @@ from repro.atlas import (
     write_bincache,
     write_traceroutes,
 )
-from repro.core import PipelineConfig, ShardedPipeline
+from repro.core import Engine
 from repro.obs.expo import parse_text, render_text, validate
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.reporting import format_table
@@ -59,9 +59,6 @@ ROUNDS = 1 if SMOKE else 5
 #: Hard floor: instrumented throughput over uninstrumented throughput.
 MIN_RATIO = 0.97
 
-#: The engine configuration under test (the fused in-process spine).
-ENGINE = {"n_shards": 4}
-
 #: Machine-readable results land here.
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -76,7 +73,7 @@ def _run_engine(cache_path, registry):
     previous = set_default_registry(registry)
     try:
         batch = read_bincache(cache_path, mapped=True)
-        engine = ShardedPipeline(PipelineConfig(**ENGINE))
+        engine = Engine()
         start = time.perf_counter()
         results = engine.run(batch)
         elapsed = time.perf_counter() - start
@@ -188,7 +185,6 @@ def test_observability_overhead(benchmark, tmp_path):
         "campaign_hours": DURATION_H,
         "n_traceroutes": n_traceroutes,
         "rounds": ROUNDS,
-        "engine_config": dict(ENGINE),
         "uninstrumented_s": off_s,
         "instrumented_s": on_s,
         "uninstrumented_traceroutes_per_s": n_traceroutes / off_s,

@@ -1,7 +1,7 @@
 """Detection-quality regression bench over the labeled scenario suite.
 
 Every scenario in :mod:`repro.simulation.scenarios` emits a ground-truth
-label set; this bench runs each through the sharded engine and scores
+label set; this bench runs each through the engine and scores
 the raised alarms with :mod:`repro.quality`, producing per-scenario
 precision, recall, F1 and time-to-detection.  It is the repository's
 answer to "did this change make the detectors worse?": the floors below
@@ -39,7 +39,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.core import PipelineConfig, ShardedPipeline
+from repro.core import Engine
 from repro.quality import MatchConfig, score_bin_results
 from repro.reporting import format_table
 from repro.simulation import (
@@ -151,7 +151,7 @@ def _scenarios(topology):
 
 
 def _run_scenario(topology, name, scenario):
-    """Campaign → sharded engine → quality report for one scenario."""
+    """Campaign → engine → quality report for one scenario."""
     platform = AtlasPlatform(topology, scenario=scenario, seed=2)
     config = CampaignConfig(
         start=0,
@@ -159,7 +159,7 @@ def _run_scenario(topology, name, scenario):
         service_names=["K-root"],
         anchor_names=[a.name for a in topology.anchors[: N_ANCHORS]],
     )
-    engine = ShardedPipeline(PipelineConfig(n_shards=2))
+    engine = Engine()
     results = engine.run(platform.run_campaign(config))
     truth = scenario.ground_truth()
     report = score_bin_results(truth, results, config=MATCH, scenario=name)

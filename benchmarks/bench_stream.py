@@ -13,7 +13,7 @@ hard claims:
    (``process_bin``) averaged over the campaign;
 2. **equivalence** — a run interrupted mid-campaign and resumed from
    the on-disk checkpoint produces bit-identical alarms, campaign
-   aggregates and per-bin results, at 1, 2 and 4 shards.
+   aggregates and per-bin results in the engine.
 
 Timings land in ``BENCH_stream.json`` at the repository root.  Set
 ``REPRO_BENCH_SMOKE=1`` (the CI smoke mode) to run a shortened campaign
@@ -29,9 +29,9 @@ from pathlib import Path
 
 from repro.atlas.stream import TimeBinner
 from repro.core import (
+    Engine,
     Pipeline,
     PipelineConfig,
-    ShardedPipeline,
     load_snapshot,
     save_snapshot,
 )
@@ -54,9 +54,6 @@ DURATION_H = 5 if SMOKE else 8
 
 #: Hard ceiling on snapshot+save time as a share of detection time.
 MAX_OVERHEAD = 0.05
-
-#: Shard counts whose interrupted runs must equal the uninterrupted run.
-SHARD_COUNTS = (1, 2, 4)
 
 #: Bin index after which the simulated crash happens.
 CRASH_AFTER = 3
@@ -124,28 +121,21 @@ def test_stream_checkpoint_overhead(benchmark, tmp_path):
     # -- equivalence: crash after CRASH_AFTER bins, resume from disk -----
     reference = Pipeline(config)
     full = reference.run(traceroutes)
-    for n_shards in SHARD_COUNTS:
-        engine = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards)
-        )
-        first = [
-            engine.process_bin(start, payload)
-            for start, payload in bins[:CRASH_AFTER]
-        ]
-        path = tmp_path / f"crash{n_shards}.ckpt"
-        save_snapshot(path, engine.snapshot(results=first))
-        resumed = ShardedPipeline(
-            PipelineConfig(n_shards=n_shards)
-        )
-        resumed_results = resumed.run(
-            traceroutes, resume_from=load_snapshot(path)
-        )
-        assert resumed_results == full, (
-            f"resumed run diverged at n_shards={n_shards}"
-        )
-        assert resumed.stats() == reference.stats(), (
-            f"campaign aggregates diverged at n_shards={n_shards}"
-        )
+    engine = Engine(config)
+    first = [
+        engine.process_bin(start, payload)
+        for start, payload in bins[:CRASH_AFTER]
+    ]
+    path = tmp_path / "crash.ckpt"
+    save_snapshot(path, engine.snapshot(results=first))
+    resumed = Engine(config)
+    resumed_results = resumed.run(
+        traceroutes, resume_from=load_snapshot(path)
+    )
+    assert resumed_results == full, "resumed run diverged"
+    assert resumed.stats() == reference.stats(), (
+        "campaign aggregates diverged"
+    )
 
     # One canonical pytest-benchmark measurement: a single snapshot+save.
     benchmark.pedantic(
@@ -189,7 +179,6 @@ def test_stream_checkpoint_overhead(benchmark, tmp_path):
         "max_overhead": MAX_OVERHEAD,
         "snapshot_bytes": snapshot_bytes,
         "crash_after_bins": CRASH_AFTER,
-        "equivalent_shard_counts": list(SHARD_COUNTS),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULT_PATH}")

@@ -42,7 +42,7 @@ from repro.atlas.connectors import (
     paged_results_fixture,
     probe_dump_fixture,
 )
-from repro.core import PipelineConfig, create_pipeline
+from repro.core import Engine
 from repro.simulation import (
     AtlasPlatform,
     CampaignConfig,
@@ -137,7 +137,7 @@ def main() -> None:
     print("API down: served the cached probe set flagged stale=True")
 
     # -- 5. the fetched feed through the normal detection loop --
-    engine = create_pipeline(PipelineConfig(n_shards=2))
+    engine = Engine()
     stream = TracerouteStream(bin_s=3600, dense=True)
     bins = delay_alarms = forwarding_alarms = 0
     results = []

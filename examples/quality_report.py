@@ -5,14 +5,14 @@ Every simulation scenario knows exactly what it perturbed — which links,
 when, by how much, and which paths it moved — and publishes that as a
 machine-readable label set (``Scenario.ground_truth()``).  This demo
 injects a K-root DDoS together with a BGP hijack, runs the campaign
-through the sharded engine, and scores the raised alarms with
+through the engine, and scores the raised alarms with
 ``repro.quality``: per-event recall, precision, F1 and time-to-detection,
 plus the label JSON round-trip used by ``generate --labels``.
 
 Run:  python examples/quality_report.py
 """
 
-from repro.core import PipelineConfig, ShardedPipeline
+from repro.core import Engine
 from repro.quality import GroundTruth, MatchConfig, score_bin_results
 from repro.reporting import format_table
 from repro.simulation import (
@@ -64,7 +64,7 @@ def main() -> None:
         anchor_names=[topology.anchors[0].name],
     )
     print(f"running {platform.campaign_size(config)} traceroutes ...")
-    engine = ShardedPipeline(PipelineConfig(n_shards=2))
+    engine = Engine()
     results = engine.run(platform.run_campaign(config))
 
     report = score_bin_results(

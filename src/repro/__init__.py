@@ -6,8 +6,8 @@ Public API layout:
 * :mod:`repro.core` — the paper's detection methods (differential RTT
   delay-change detection, packet-forwarding anomaly detection, AS-level
   event aggregation), the end-to-end serial :class:`~repro.core.Pipeline`
-  reference, and the sharded, vectorized in-process
-  :class:`~repro.core.ShardedPipeline` production engine.
+  reference, and the vectorized in-process :class:`~repro.core.Engine`
+  production engine.
 * :mod:`repro.atlas` — RIPE-Atlas-style traceroute data model and IO.
 * :mod:`repro.simulation` — the synthetic Internet and measurement
   platform used as an offline substitute for the Atlas platform.
@@ -40,10 +40,11 @@ Quickstart::
     analysis, topology, mapper = quick_campaign(duration_hours=24, seed=1)
     print(analysis.stats())
 
-The production engine: set ``PipelineConfig(n_shards=8)`` and
-:func:`analyze_campaign` — or the ``--shards`` CLI flag — runs the
-campaign on :class:`~repro.core.ShardedPipeline`, whose output is
-bit-identical to the serial pipeline's at every shard count.
+The production engine: pass ``pipeline=Engine(config)`` to
+:func:`analyze_campaign` — the CLI's ``analyze``, ``monitor`` and
+``replay`` always do — to run the campaign on
+:class:`~repro.core.Engine`, whose output and checkpoint bytes are the
+serial pipeline's, bit for bit.
 
 Running continuously: both engines expose an incremental API
 (``process_bin`` / ``snapshot`` / ``restore`` / ``run(resume_from=...)``)
@@ -63,12 +64,12 @@ _EXPORTS = {
     "CampaignAnalysis": "repro.core.pipeline",
     "DelayAlarm": "repro.core.alarms",
     "DelayChangeDetector": "repro.core.delaydetector",
+    "Engine": "repro.core.engine",
     "EngineSnapshot": "repro.core.checkpoint",
     "ForwardingAlarm": "repro.core.alarms",
     "ForwardingAnomalyDetector": "repro.core.forwarding",
     "Pipeline": "repro.core.pipeline",
     "PipelineConfig": "repro.core.pipeline",
-    "ShardedPipeline": "repro.core.engine",
     "SnapshotError": "repro.core.checkpoint",
     "analyze_campaign": "repro.core.pipeline",
     "create_pipeline": "repro.core.engine",

@@ -119,7 +119,7 @@ def binned_payloads(
     """Yield ``(bin_start, payload)`` on the dense clock, resume-aware.
 
     The one bin loop every campaign driver shares (serial ``run``,
-    sharded ``run``, the checkpointing driver): dense binning, an
+    engine ``run``, the checkpointing driver): dense binning, an
     optional skip of every bin at or before *skip_through* (a resumed
     run's last checkpointed bin), and object payloads materialised to
     lists while columnar input stays a

@@ -19,8 +19,8 @@ Seven subcommands cover the common workflows:
   stream moves past them, emit alarms per closed bin, and durably
   checkpoint detector state as it goes.  The feed is read in chunks
   and decoded straight into columns, and every closed bin runs
-  through the sharded engine's columnar path at any ``--shards``
-  (output bit-identical to the serial reference pipeline).
+  through the engine's columnar path (output bit-identical to the
+  serial reference pipeline).
   ``--atlas --atlas-msm ID``
   first fetches the measurement's results into the feed file through
   the connector layer (resumably, with ``--atlas-cursor``), then
@@ -35,11 +35,10 @@ Seven subcommands cover the common workflows:
   same pass inline on a live store,
 * ``replay``  — regenerate one of the paper's case studies end to end.
 
-``analyze``, ``replay`` and ``monitor`` all run the sharded engine
-(:class:`repro.core.engine.ShardedPipeline`) over columns, in-process;
-``--shards N`` only says how many shards the links are spread over
-(default 1) and never changes output, which is bit-identical to the
-serial reference pipeline's.
+``analyze``, ``replay`` and ``monitor`` all run the engine
+(:class:`repro.core.engine.Engine`) over columns, in-process; its
+output and checkpoint bytes are bit-identical to the serial reference
+pipeline's.
 The engine has one extraction path, the fused columnar spine
 (:mod:`repro.core.fused`): ``analyze`` decodes the campaign file
 straight into columns, ``replay``'s simulated traceroutes are encoded
@@ -49,7 +48,7 @@ additionally persists the decoded columns
 the campaign, repeat replays map the cache zero-copy and skip JSON
 parsing entirely — output is bit-identical either way.  ``analyze
 --timings`` prints per-stage wall-clock totals
-(decode/bin/extract/detect/store), and ``monitor --json`` appends one
+(decode/extract/detect/store), and ``monitor --json`` appends one
 ``timings/v1`` record after the last bin (``decode`` charged per tailed
 chunk, the rest per closed bin).
 
@@ -76,7 +75,6 @@ Examples::
     python -m repro monitor feed.jsonl --atlas --atlas-msm 5051 \\
         --atlas-cursor feed.cursor
     python -m repro analyze campaign.jsonl --json
-    python -m repro analyze campaign.jsonl --shards 8
     python -m repro analyze campaign.jsonl --bin-cache
     python -m repro analyze campaign.jsonl --checkpoint state.ckpt
     python -m repro analyze campaign.jsonl --store alarms.store
@@ -215,13 +213,13 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--timings", action="store_true",
         help="report per-stage wall-clock totals "
-             "(decode/bin/extract/detect/store) after the summary")
+             "(decode/extract/detect/store) after the summary")
     analyze.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a Chrome trace-event JSON file of the analysis "
-             "(campaign/bin/shard/stage spans; open in Perfetto or "
+             "(campaign/bin/stage spans; open in Perfetto or "
              "chrome://tracing)")
-    _add_engine_flags(analyze)
+    _accept_shards(analyze)
 
     monitor = sub.add_parser(
         "monitor",
@@ -301,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="file holding the Atlas API key for --atlas (the "
              "ATLAS_API_KEY environment variable wins)")
     _add_connector_flags(monitor)
-    _add_engine_flags(monitor)
+    _accept_shards(monitor)
 
     serve = sub.add_parser(
         "serve",
@@ -359,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("case", choices=["ddos", "leak", "outage"])
     replay.add_argument("--hours", type=int, default=48)
     replay.add_argument("--seed", type=int, default=1)
-    _add_engine_flags(replay)
+    _accept_shards(replay)
     return parser
 
 
@@ -493,21 +491,23 @@ def _make_client(
     )
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Sharded-engine knobs shared by the analysis subcommands."""
-    parser.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help="shard links over N independent detector states in the "
-             "vectorized engine (default 1; output is identical at "
-             "every N)")
+def _accept_shards(parser: argparse.ArgumentParser) -> None:
+    """Accept ``--shards N``, check it and ignore it.
+
+    The engine no longer spreads links over shard cores; scripts that
+    still pass the flag keep working, like ``serve --async``.
+    """
+    parser.add_argument("--shards", type=_positive_int, default=1,
+                        help=argparse.SUPPRESS)
 
 
-def _engine_config(args, **overrides):
-    """Build the engine's PipelineConfig from the CLI flags."""
+def _engine(**overrides):
+    """The analysis subcommands' engine; ``None`` keeps a default."""
+    from repro.core.engine import Engine
     from repro.core.pipeline import PipelineConfig
 
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return PipelineConfig(n_shards=args.shards, **kwargs)
+    return Engine(PipelineConfig(**kwargs))
 
 
 def _topology(seed: int, probes: Optional[int]):
@@ -748,7 +748,6 @@ def _cmd_analyze(args) -> int:
     from repro.atlas.bincache import default_cache_path, load_or_build
     from repro.atlas.columnar import decode_traceroutes
     from repro.atlas.io import TracerouteDecodeError
-    from repro.core.engine import ShardedPipeline
     from repro.core.pipeline import analyze_campaign
     from repro.obs.tracing import StageAccumulator, Tracer
     from repro.reporting.export import record_json
@@ -756,7 +755,6 @@ def _cmd_analyze(args) -> int:
     from repro.reporting.render import format_table
 
     every = _checkpoint_every(args)
-    config = _engine_config(args, alpha=args.alpha)
     timer = StageAccumulator(enabled=args.timings)
     tracer = Tracer(enabled=args.trace is not None)
     # The one ingest door: the campaign file becomes columns here,
@@ -777,8 +775,8 @@ def _cmd_analyze(args) -> int:
         cache = args.bin_cache or default_cache_path(args.path)
         state = "hit" if hit else "rebuilt"
         print(f"bin cache {state}: {cache} ({len(batch)} traceroutes)")
-    # The engine at any --shards, exactly as in monitor.
-    pipeline = ShardedPipeline(config)
+    # The engine, exactly as in monitor.
+    pipeline = _engine(alpha=args.alpha)
     pipeline.profiler = timer
     pipeline.tracer = tracer
     campaign_start = tracer.now()
@@ -939,7 +937,6 @@ def _cmd_monitor(args) -> int:
         save_snapshot,
         source_digest_of,
     )
-    from repro.core.engine import ShardedPipeline
     from repro.obs.status import default_board
     from repro.obs.tracing import StageAccumulator
     from repro.reporting.export import record_json
@@ -954,13 +951,13 @@ def _cmd_monitor(args) -> int:
         raise SystemExit(2)
     if args.atlas:
         _monitor_prefetch(args)
-    config = _engine_config(args, bin_s=args.bin_s)
-    # Every closed bin takes the engine's columnar path at any --shards;
-    # the serial Pipeline is the reference this output is held
-    # identical to, not a code path here.
-    pipeline = ShardedPipeline(config)
+    # Every closed bin takes the engine's columnar path; the serial
+    # Pipeline is the reference this output is held identical to, not a
+    # code path here.
+    pipeline = _engine(bin_s=args.bin_s)
+    config = pipeline.config
     # JSON mode appends one timings/v1 record to stderr on exit: the
-    # engine meters extract/bin/detect through its profiler hook, the
+    # engine meters extract/detect through its profiler hook, the
     # loop below adds decode (per chunk), store and compact.
     timer = StageAccumulator(enabled=args.json)
     pipeline.profiler = timer
@@ -1210,7 +1207,6 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.core.engine import ShardedPipeline
     from repro.core.pipeline import analyze_campaign
     from repro.reporting.ihr import InternetHealthReport
     from repro.reporting.render import format_table
@@ -1253,7 +1249,7 @@ def _cmd_replay(args) -> int:
     analysis = analyze_campaign(
         platform.run_campaign(config),
         topology.as_mapper(),
-        pipeline=ShardedPipeline(_engine_config(args)),
+        pipeline=_engine(),
     )
     report = InternetHealthReport(analysis, window_bins=args.hours // 2)
     rows = []

@@ -12,12 +12,11 @@ Modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.graphs` — alarm connected components (Figures 8/12)
 * :mod:`repro.core.sensitivity` — Eq. 11 detectability bounds (App. B)
 * :mod:`repro.core.pipeline` — the end-to-end per-bin reference engine
-* :mod:`repro.core.sharding` — consistent link/router shard assignment
 * :mod:`repro.core.arena` — structure-of-arrays detector state and the
   vectorized per-bin detection kernels (Eq. 6–9 in batch form)
 * :mod:`repro.core.fused` — the fused columnar spine: flat-array bin
-  payloads and shard partitioning
-* :mod:`repro.core.engine` — the sharded, vectorized in-process engine
+  payloads
+* :mod:`repro.core.engine` — the vectorized in-process engine
 
 Per-stage wall-clock instrumentation (``StageTimer``/``STAGES``/
 ``NULL_TIMER``) is re-exported from :mod:`repro.obs.tracing`.
@@ -42,6 +41,7 @@ _EXPORTS = {
     "DetectedEvent": "repro.core.events",
     "DiversityFilter": "repro.core.diversity",
     "DiversityVerdict": "repro.core.diversity",
+    "Engine": "repro.core.engine",
     "EngineSnapshot": "repro.core.checkpoint",
     "ForwardingAlarm": "repro.core.alarms",
     "ForwardingAnomalyDetector": "repro.core.forwarding",
@@ -62,7 +62,6 @@ _EXPORTS = {
     "SNAPSHOT_VERSION": "repro.core.checkpoint",
     "STAGES": "repro.obs.tracing:STAGE_NAMES",
     "SensitivityPoint": "repro.core.sensitivity",
-    "ShardedPipeline": "repro.core.engine",
     "SnapshotError": "repro.core.checkpoint",
     "StageTimer": "repro.obs.tracing:StageAccumulator",
     "TrackedLinkPoint": "repro.core.pipeline",
@@ -79,7 +78,6 @@ _EXPORTS = {
     "evaluate_resolution": "repro.core.alias",
     "extract_bin_fused": "repro.core.fused",
     "forwarding_patterns": "repro.core.forwarding",
-    "partition_fused": "repro.core.fused",
     "load_snapshot": "repro.core.checkpoint",
     "resolve_aliases": "repro.core.alias",
     "responsibility_scores": "repro.core.forwarding",
@@ -87,10 +85,8 @@ _EXPORTS = {
     "save_snapshot": "repro.core.checkpoint",
     "sensitivity_point": "repro.core.sensitivity",
     "sensitivity_table": "repro.core.sensitivity",
-    "shard_of": "repro.core.sharding",
     "source_digest_of": "repro.core.checkpoint",
     "string_ranks": "repro.core.fused",
-    "stable_hash64": "repro.core.sharding",
     "summarize_component": "repro.core.graphs",
 }
 

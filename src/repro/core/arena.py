@@ -36,8 +36,8 @@ Both arenas are **bit-identical** to their scalar counterparts: every
 kernel performs the same float64 arithmetic the scalar code performs,
 elementwise, which the hypothesis properties in
 ``tests/test_core_arena.py`` and the speedup benchmark
-``benchmarks/bench_detect.py`` both assert.  The sharded engine
-(:mod:`repro.core.engine`) runs one arena pair per shard; the serial
+``benchmarks/bench_detect.py`` both assert.  The engine
+(:mod:`repro.core.engine`) runs one arena pair; the serial
 :class:`~repro.core.pipeline.Pipeline` keeps the scalar detectors as the
 readable equivalence oracle.
 """
@@ -49,6 +49,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.alarms import UNRESPONSIVE, DelayAlarm, ForwardingAlarm, Link
+from repro.core.checkpoint import DelayTable, ForwardingTable
 from repro.core.delaydetector import (
     MIN_SHIFT_MS,
     deviation_score_batch,
@@ -72,8 +73,8 @@ _INITIAL_CAPACITY = 1024
 class DelayAlarmRows:
     """One bin's delay alarms as parallel arrays, pre-materialization.
 
-    The fused engine keeps alarms in this form while they cross the
-    worker boundary (a dozen scalars per alarm instead of nested
+    The engine keeps a bin's alarms in this form out of the kernel (a
+    dozen scalars per alarm instead of nested
     :class:`~repro.stats.wilson.WilsonInterval` objects);
     :meth:`materialize` builds the str-keyed
     :class:`~repro.core.alarms.DelayAlarm` objects exactly once, at the
@@ -372,73 +373,74 @@ class DelayArena:
 
     # -- checkpointing ------------------------------------------------------
 
-    def export_state(self) -> Dict[str, object]:
-        """Copy out every link's state in canonical (checkpoint) form.
+    def export_table(self) -> DelayTable:
+        """Every link's state as a checkpoint table, sorted by link.
 
-        Returns first-seen-ordered parallel columns: ``links`` plus the
-        reference/counter arrays trimmed to the live row count, and the
-        §4.2.4 warm-up buffers compacted into one flat ``warm_values``
-        array — ``3 * warm_count`` values per *warming* link (component
-        major: medians, lowers, uppers), nothing for ready links, whose
-        buffer slots are dead storage.  The inverse of
-        :meth:`import_state`.
+        The reference/counter arrays are gathered in sorted-link order
+        (the serial pipeline's row order) and the §4.2.4 warm-up
+        buffers compacted into one flat ``warm_values`` pool —
+        ``3 * warm_count`` values per *warming* link (component major:
+        medians, lowers, uppers), nothing for ready links, whose buffer
+        slots are dead storage.  The inverse of :meth:`import_table`.
         """
-        n = len(self.interner)
-        median = self._median[:n].copy()
-        warm_count = self._warm_count[:n].copy()
+        keys = self.interner.keys
+        order = np.array(
+            sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64
+        )
+        median = self._median[order]
+        warm_count = self._warm_count[order]
         stored = np.where(np.isnan(median), warm_count, 0)
-        warm_values = np.empty(int(stored.sum()) * 3)
-        cursor = 0
-        for ident in np.flatnonzero(stored):
-            count = int(stored[ident])
-            warm_values[cursor : cursor + 3 * count] = self._warm[
-                ident, :, :count
-            ].ravel()
-            cursor += 3 * count
-        return {
-            "links": list(self.interner.keys),
-            "median": median,
-            "lower": self._lower[:n].copy(),
-            "upper": self._upper[:n].copy(),
-            "warm_count": warm_count,
-            "bins_seen": self._bins_seen[:n].copy(),
-            "alarms_raised": self._alarms_raised[:n].copy(),
-            "max_probes": self._max_probes[:n].copy(),
-            "warm_values": warm_values,
-        }
+        warm_offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(3 * stored, out=warm_offsets[1:])
+        return DelayTable(
+            links=[keys[row] for row in order.tolist()],
+            median=median,
+            lower=self._lower[order],
+            upper=self._upper[order],
+            warm_count=warm_count,
+            bins_seen=self._bins_seen[order],
+            alarms_raised=self._alarms_raised[order],
+            max_probes=self._max_probes[order],
+            warm_offsets=warm_offsets,
+            warm_values=self._warm[order][self._warm_mask(stored)],
+            seed_bins=self.seed_bins,
+        )
 
-    def import_state(self, state: Dict[str, object]) -> None:
-        """Load canonical state (from :meth:`export_state`) into a fresh
+    def import_table(self, table: DelayTable) -> None:
+        """Load a checkpoint table (rows in any order) into this fresh
         arena.
 
         The arena must be empty — checkpoints restore into newly built
         engines, never merge into live state.  Every subsequent
         :meth:`observe_bin` is bit-identical to one on the arena the
-        state was exported from.
+        table was exported from.
         """
         if len(self.interner):
-            raise ValueError("import_state requires an empty arena")
-        links = state["links"]
-        self.intern_links(links)  # ids are dense 0..n-1 on an empty arena
-        n = len(links)
-        if not n:
-            return
-        self._median[:n] = state["median"]
-        self._lower[:n] = state["lower"]
-        self._upper[:n] = state["upper"]
-        self._warm_count[:n] = state["warm_count"]
-        self._bins_seen[:n] = state["bins_seen"]
-        self._alarms_raised[:n] = state["alarms_raised"]
-        self._max_probes[:n] = state["max_probes"]
-        warm_values = state["warm_values"]
-        stored = np.where(np.isnan(self._median[:n]), self._warm_count[:n], 0)
-        cursor = 0
-        for ident in np.flatnonzero(stored):
-            count = int(stored[ident])
-            self._warm[ident, :, :count] = np.reshape(
-                warm_values[cursor : cursor + 3 * count], (3, count)
-            )
-            cursor += 3 * count
+            raise ValueError("import_table requires an empty arena")
+        self.intern_links(table.links)  # ids are dense 0..n-1
+        n = len(table.links)
+        self._median[:n] = table.median
+        self._lower[:n] = table.lower
+        self._upper[:n] = table.upper
+        self._warm_count[:n] = table.warm_count
+        self._bins_seen[:n] = table.bins_seen
+        self._alarms_raised[:n] = table.alarms_raised
+        self._max_probes[:n] = table.max_probes
+        stored = np.where(np.isnan(table.median), table.warm_count, 0)
+        self._warm[:n][self._warm_mask(stored)] = table.warm_values
+
+    def _warm_mask(self, stored: np.ndarray) -> np.ndarray:
+        """Which ``(row, component, slot)`` warm-up cells hold values.
+
+        Row *i* keeps its first ``stored[i]`` slots of each component,
+        so the mask's C-order walk is the checkpoint's ``warm_values``
+        layout.
+        """
+        slots = np.arange(self.seed_bins)
+        mask = slots[None, :] < stored[:, None]
+        return np.broadcast_to(
+            mask[:, None, :], (len(stored), 3, self.seed_bins)
+        )
 
     # -- the per-bin kernel -------------------------------------------------
 
@@ -677,69 +679,64 @@ class ForwardingArena:
 
     # -- checkpointing ------------------------------------------------------
 
-    def export_state(self) -> Dict[str, object]:
-        """Copy out every model's state in canonical (checkpoint) form.
+    def export_table(self) -> ForwardingTable:
+        """Every model's state as a checkpoint table, sorted by key.
 
-        First-seen-ordered parallel columns: ``keys``, the per-model
-        counters, and the smoothed reference patterns flattened into
-        ``ref_hops``/``ref_weights`` with ``ref_sizes[i]`` entries per
-        model.  Hops are emitted in sorted order so the canonical form
-        is independent of the process hash seed (reference dict order is
-        never semantics-bearing — every consumer sorts before reducing).
-        The inverse of :meth:`import_state`.
+        Rows follow sorted (router, destination) order and each smoothed
+        reference pattern is flattened into ``ref_hops``/``ref_weights``
+        in sorted-hop order, so the table is independent of the process
+        hash seed (reference dict order is never semantics-bearing —
+        every consumer sorts before reducing).  The inverse of
+        :meth:`import_table`.
         """
-        sizes = np.fromiter(
-            (len(reference) for reference in self._references),
-            dtype=np.int64,
-            count=len(self._references),
-        )
+        keys = self.interner.keys
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         hops: List[str] = []
         weights: List[float] = []
-        for reference in self._references:
+        offsets = [0]
+        for ident in order:
+            reference = self._references[ident]
             for hop in sorted(reference):
                 hops.append(hop)
                 weights.append(reference[hop])
-        return {
-            "keys": list(self.interner.keys),
-            "bins_seen": np.asarray(self._bins_seen, dtype=np.int64),
-            "alarms_raised": np.asarray(self._alarms_raised, dtype=np.int64),
-            "ref_sizes": sizes,
-            "ref_hops": hops,
-            "ref_weights": np.asarray(weights, dtype=np.float64),
-        }
+            offsets.append(len(hops))
+        return ForwardingTable(
+            keys=[keys[ident] for ident in order],
+            bins_seen=np.array(
+                [self._bins_seen[ident] for ident in order], dtype=np.int64
+            ),
+            alarms_raised=np.array(
+                [self._alarms_raised[ident] for ident in order],
+                dtype=np.int64,
+            ),
+            ref_offsets=np.array(offsets, dtype=np.int64),
+            ref_hops=hops,
+            ref_weights=np.array(weights, dtype=np.float64),
+        )
 
-    def import_state(self, state: Dict[str, object]) -> None:
-        """Load canonical state (from :meth:`export_state`) into a fresh
+    def import_table(self, table: ForwardingTable) -> None:
+        """Load a checkpoint table (rows in any order) into this fresh
         arena.
 
-        The arena must be empty.  Restored reference dicts are built in
-        sorted-hop order; subsequent :meth:`observe_bin` calls are
-        bit-identical to ones on the exporting arena (all reference
+        The arena must be empty.  Subsequent :meth:`observe_bin` calls
+        are bit-identical to ones on the exporting arena (all reference
         consumers align on sorted key order, so insertion order is
         irrelevant).
         """
         if len(self.interner):
-            raise ValueError("import_state requires an empty arena")
-        keys = state["keys"]
-        hops = state["ref_hops"]
-        weights = state["ref_weights"]
-        cursor = 0
-        for key, size in zip(keys, state["ref_sizes"]):
+            raise ValueError("import_table requires an empty arena")
+        hops = table.ref_hops
+        weights = table.ref_weights.tolist()
+        bounds = table.ref_offsets.tolist()
+        for row, key in enumerate(table.keys):
             self.interner.intern(key)
             self._routers.add(key[0])
-            size = int(size)
+            start, stop = bounds[row], bounds[row + 1]
             self._references.append(
-                {
-                    hop: float(weight)
-                    for hop, weight in zip(
-                        hops[cursor : cursor + size],
-                        weights[cursor : cursor + size],
-                    )
-                }
+                dict(zip(hops[start:stop], weights[start:stop]))
             )
-            cursor += size
-        self._bins_seen = [int(count) for count in state["bins_seen"]]
-        self._alarms_raised = [int(count) for count in state["alarms_raised"]]
+        self._bins_seen = table.bins_seen.tolist()
+        self._alarms_raised = table.alarms_raised.tolist()
 
     # -- the per-bin kernel -------------------------------------------------
 

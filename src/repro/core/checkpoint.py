@@ -12,11 +12,11 @@ is exactly what this module provides:
   filter's per-link evaluation rounds (which seed its rebalancing RNG
   streams), tracked-link series, campaign aggregates, and optionally
   the per-bin results produced so far.  Both the serial
-  :class:`~repro.core.pipeline.Pipeline` and the sharded
-  :class:`~repro.core.engine.ShardedPipeline` can produce one
-  (``snapshot()``) and consume one (``restore()``), so a snapshot taken
-  at 2 shards restores into 4 shards — or into the serial reference —
-  and continues identically;
+  :class:`~repro.core.pipeline.Pipeline` and the
+  :class:`~repro.core.engine.Engine` produce one (``snapshot()``) with
+  every row sorted by its key — the same bytes for the same feed — and
+  consume one in any row order (``restore()``), so a snapshot from
+  either continues identically in the other;
 * :func:`save_snapshot` / :func:`load_snapshot` persist snapshots as
   :mod:`repro.binfmt` files (magic, version, payload digest, durable
   atomic writes) whose payload opens with a fingerprint of the
@@ -104,9 +104,10 @@ def config_fingerprint(config: PipelineConfig) -> bytes:
     Two runs may only share a snapshot when every parameter that shapes
     detector state matches: bin size, smoothing factor, Wilson z,
     minimum shift, diversity thresholds, tau, warm-up length, winsorize
-    mode, RNG seed and the tracked-link set.  The shard count is
-    deliberately **excluded** — state is canonical per link/model, so a
-    snapshot taken at one shard count restores into any other.
+    mode, RNG seed and the tracked-link set.  What only picks the
+    implementation is deliberately **excluded** — state is canonical
+    per link/model, so a snapshot written by the serial pipeline or the
+    engine restores into the other.
 
     Floats are hashed by their exact hex representation so that the
     fingerprint is as strict as the bit-identity guarantee it guards.
@@ -182,7 +183,7 @@ class ForwardingTable:
 class EngineSnapshot:
     """Everything a detection engine needs to continue bit-identically.
 
-    Produced by ``Pipeline.snapshot()`` / ``ShardedPipeline.snapshot()``
+    Produced by ``Pipeline.snapshot()`` / ``Engine.snapshot()``
     and consumed by their ``restore()``; persisted with
     :func:`save_snapshot` / :func:`load_snapshot`.  ``results`` holds
     the per-bin results of the bins processed so far when the caller

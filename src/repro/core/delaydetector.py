@@ -243,7 +243,7 @@ class DelayChangeDetector:
     ) -> Optional[DelayAlarm]:
         """Like :meth:`observe`, from a precomputed observed interval.
 
-        The sharded engine characterises all of a bin's links with one
+        The engine characterises all of a bin's links with one
         batched Wilson call and feeds the resulting intervals here; the
         detection and reference-update logic is shared with the sample
         path so both stay equivalent by construction.

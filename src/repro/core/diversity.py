@@ -46,8 +46,8 @@ class DiversityFilter:
     each evaluation is derived deterministically from ``(seed, link,
     evaluation round)`` rather than drawn from one shared stream.  This
     keeps runs reproducible *and* makes the draws independent of the
-    order links are evaluated in — the property the sharded engine needs
-    so that serial and any-N-shard runs make identical rebalancing
+    order links are evaluated in — the property the batched engine needs
+    so that it and the serial pipeline make identical rebalancing
     choices for every link.
     """
 

@@ -1,4 +1,4 @@
-"""Sharded in-process execution engine with vectorized hot paths.
+"""In-process execution engine with vectorized hot paths.
 
 :class:`~repro.core.pipeline.Pipeline` is the paper-shaped *reference*
 implementation: it analyses links one at a time in readable pure-Python
@@ -12,27 +12,24 @@ path through it:
   :func:`~repro.core.fused.extract_bin_fused` fuses differential-RTT
   extraction (§4.2.1) and forwarding-pattern extraction (§5.1) into one
   vectorized pass over the flat arrays;
-* :class:`_ShardCore` holds one shard's detector state in the
-  structure-of-arrays arenas (:class:`~repro.core.arena.DelayArena`,
-  :class:`~repro.core.arena.ForwardingArena`) and analyses its link
-  partition with batched kernels —
+* :class:`Engine` holds the detector state in the structure-of-arrays
+  arenas (:class:`~repro.core.arena.DelayArena`,
+  :class:`~repro.core.arena.ForwardingArena`) and analyses each bin
+  with batched kernels —
   :func:`~repro.stats.wilson.median_confidence_interval_arrays` (one
   padded 2-D sort per bin instead of one sort per link) feeding the
   arena's vectorized Eq. 6/7 detection, and pooled Eq. 8 smoothing +
   :func:`~repro.stats.correlation.pearson_correlation_pooled` for the
-  forwarding side;
-* :class:`ShardedPipeline` consistently hashes links (and routers, for
-  the forwarding method) into N independent shards, runs every shard
-  core over its slice of each bin in shard order, in this process, and
-  merges results deterministically (alarms sorted by link / model key)
-  into the same :class:`~repro.core.pipeline.BinResult` and
+  forwarding side — producing the same
+  :class:`~repro.core.pipeline.BinResult` and
   :class:`~repro.core.pipeline.CampaignStats` the serial path produces.
 
-One process is enough for the paper's rate: 2.8 billion traceroutes
-over eight months is about 130 traceroutes/s, and this engine runs at
-tens of thousands per second on one core.  Shards therefore partition
-state (for checkpoints, repartitioning on restore and the imbalance
-gauge), not CPUs.
+One core is enough for the paper's rate: 2.8 billion traceroutes over
+eight months is about 130 traceroutes/s, and this engine runs at tens
+of thousands per second.  Both detectors keep independent state per
+link (§4) and per router and destination (§5), so that state is one
+arena pair, and a snapshot lists it sorted by link and model key — the
+serial pipeline's order, so the two write the same checkpoint bytes.
 
 Equivalence is a hard guarantee, not an aspiration: every numeric step
 of the batched path performs the same float64 arithmetic in the same
@@ -40,13 +37,11 @@ order as the scalar path, the diversity filter draws per-link (not
 per-evaluation-order) random streams, and the property tests in
 ``tests/test_engine_equivalence.py`` and ``tests/test_fused_spine.py``
 plus the equality assertions in ``benchmarks/bench_engine_scaling.py``
-hold the output bit-identical to the serial pipeline for any shard
-count.
+hold the output bit-identical to the serial pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -60,12 +55,10 @@ from repro.atlas.columnar import (
 )
 from repro.atlas.model import Traceroute
 from repro.atlas.stream import binned_payloads
-from repro.core.alarms import DelayAlarm, ForwardingAlarm, Link
+from repro.core.alarms import DelayAlarm, Link
 from repro.core.arena import DelayAlarmRows, DelayArena, ForwardingArena
 from repro.core.checkpoint import (
-    DelayTable,
     EngineSnapshot,
-    ForwardingTable,
     SnapshotError,
     config_fingerprint,
     prepare_resume,
@@ -73,12 +66,7 @@ from repro.core.checkpoint import (
 from repro.core.diffrtt import LinkObservations
 from repro.core.diversity import DiversityFilter, DiversityVerdict
 from repro.core.forwarding import ModelKey
-from repro.core.fused import (
-    FusedBin,
-    extract_bin_fused,
-    partition_fused,
-    string_ranks,
-)
+from repro.core.fused import FusedBin, extract_bin_fused, string_ranks
 from repro.core.pipeline import (
     BinResult,
     CampaignStats,
@@ -88,37 +76,11 @@ from repro.core.pipeline import (
 )
 from repro.obs.metrics import MetricsRegistry, default_registry, exponential_buckets
 from repro.obs.tracing import NULL_TIMER, NULL_TRACER
-from repro.core.sharding import shard_of
-from repro.stats.smoothing import SEED_BINS
 from repro.stats.wilson import (
     WilsonInterval,
     median_confidence_interval,
     median_confidence_interval_arrays,
 )
-
-
-@dataclass
-class _FusedShardOutput:
-    """What one shard contributes to one bin's merged result.
-
-    Delay alarms stay in array form (:class:`~repro.core.arena.DelayAlarmRows`
-    plus the alarmed links, aligned) until the engine materializes
-    :class:`~repro.core.alarms.DelayAlarm` objects at the merge — the
-    str-keyed objects exist exactly once, at the reporting boundary.
-    Forwarding alarms are rare enough that the shard builds them
-    directly (their payload *is* str-keyed pattern dicts).
-
-    ``elapsed_s`` is the shard's own wall time for the partition, so
-    the engine can lay deterministic per-shard spans onto the trace; it
-    is telemetry only and never feeds back into detection.
-    """
-
-    shard_id: int
-    delay_rows: DelayAlarmRows
-    delay_links: List[Link]
-    forwarding_alarms: List[ForwardingAlarm]
-    n_links_analyzed: int
-    elapsed_s: float = 0.0
 
 
 class _FusedLinkObs:
@@ -235,96 +197,249 @@ class _FusedLinkObs:
         return out
 
 
-class _ShardCore:
-    """One shard's detection state and vectorized per-bin analysis.
+#: Stage-latency bounds: 100 microseconds up to ~1.6 seconds per bin.
+_STAGE_BUCKETS = exponential_buckets(0.0001, 4.0, 8)
 
-    Mirrors the serial :class:`Pipeline` per-link logic exactly, but
-    holds its detector state in the structure-of-arrays arenas
-    (:class:`~repro.core.arena.DelayArena`,
-    :class:`~repro.core.arena.ForwardingArena`): all of the shard's
-    accepted links are characterised with one batched Wilson call and
-    judged/updated with the arena's vectorized Eq. 6/7 kernels, and all
-    of its forwarding models with the arena's pooled Eq. 8 smoothing and
-    one batched correlation call.
+
+class _EngineMetrics:
+    """The engine's metric families, with hot children pre-interned.
+
+    Families register against the given registry (idempotently, so
+    several engines share them); on a disabled registry every handle is
+    a shared no-op.  Nothing here is read back by the engine —
+    instrumentation cannot change detection output.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        config: PipelineConfig,
-        tracked_links: Set[Link],
-    ) -> None:
-        self.shard_id = shard_id
-        self.config = config
+    __slots__ = (
+        "bins_fused", "traceroutes", "links_analyzed",
+        "alarms_delay", "alarms_forwarding", "stage",
+    )
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        bins = registry.counter(
+            "repro_engine_bins_total",
+            "Time bins processed, by extraction path.",
+            ("path",),
+        )
+        self.bins_fused = bins.labels("fused")
+        self.traceroutes = registry.counter(
+            "repro_engine_traceroutes_total",
+            "Traceroutes folded into processed bins.",
+        )
+        self.links_analyzed = registry.counter(
+            "repro_engine_links_analyzed_total",
+            "Links that passed the diversity filter and were analysed.",
+        )
+        alarms = registry.counter(
+            "repro_engine_alarms_total",
+            "Alarms emitted by the detection arenas.",
+            ("kind",),
+        )
+        self.alarms_delay = alarms.labels("delay")
+        self.alarms_forwarding = alarms.labels("forwarding")
+        stage = registry.histogram(
+            "repro_engine_stage_seconds",
+            "Per-bin wall time by pipeline stage.",
+            ("stage",),
+            buckets=_STAGE_BUCKETS,
+        )
+        self.stage = {name: stage.labels(name) for name in ("extract", "detect")}
+
+
+class Engine:
+    """Vectorized drop-in for :class:`Pipeline`.
+
+    Same surface (``process_bin`` / ``run`` / ``stats`` / ``tracked`` /
+    ``config``), same output bit for bit, different execution strategy:
+    one :class:`~repro.core.diversity.DiversityFilter`, one
+    :class:`~repro.core.arena.DelayArena` and one
+    :class:`~repro.core.arena.ForwardingArena` judge each fused columnar
+    bin with batched kernels.  All of a bin's accepted links are
+    characterised with one batched Wilson call and judged/updated with
+    the arena's vectorized Eq. 6/7 kernels, and all of its forwarding
+    models with the arena's pooled Eq. 8 smoothing and one batched
+    correlation call.  Alarms leave in sorted link / model-key order —
+    exactly the order the serial loop emits them in.  Everything lives
+    in this process; there is nothing to close.
+    """
+
+    def __init__(self, config: Optional[PipelineConfig] = None) -> None:
+        self.config = config or PipelineConfig()
+        cfg = self.config
         self.diversity = DiversityFilter(
-            min_asns=config.min_asns,
-            min_entropy=config.min_entropy,
-            seed=config.seed,
+            min_asns=cfg.min_asns,
+            min_entropy=cfg.min_entropy,
+            seed=cfg.seed,
         )
         self.delay_arena = DelayArena(
-            alpha=config.alpha,
-            min_shift_ms=config.min_shift_ms,
-            winsorize=config.winsorize,
+            alpha=cfg.alpha,
+            min_shift_ms=cfg.min_shift_ms,
+            winsorize=cfg.winsorize,
         )
         self.forwarding_arena = ForwardingArena(
-            tau=config.tau,
-            alpha=config.alpha,
-            warmup_bins=config.forwarding_warmup,
+            tau=cfg.tau,
+            alpha=cfg.alpha,
+            warmup_bins=cfg.forwarding_warmup,
         )
+        #: Per-link tracked series (same content as the serial
+        #: pipeline's ``tracked`` attribute).
         self.tracked: Dict[Link, List[TrackedLinkPoint]] = {
-            link: [] for link in tracked_links
+            link: [] for link in cfg.track_links
         }
-        # The current interner's string table and the id-keyed caches.
-        # Interner ids are append-only, so the caches live as long as
-        # the interner does — across bins, batches and table growth —
-        # and reset only on set_strings (a new interner).
-        self._strings: Optional[List[str]] = None
+        self._links_seen: Set[Link] = set()
+        self._bins = 0
+        self._traceroutes = 0
+        self._last_timestamp: Optional[int] = None
+        # The id space object-model bins are encoded into at the door.
+        self._object_interner = IPInterner()
+        # Id-keyed state, valid for one interner (its ids are
+        # append-only, so the caches survive bins, batches and table
+        # growth): the interner they describe, how many of its strings
+        # the rank table covers, the string-order rank table, and the
+        # id-pair -> link / arena row / model key caches.
+        self._interner: Optional[IPInterner] = None
+        self._n_ranked = 0
+        self._ranks: Optional[np.ndarray] = None
         self._pair_links: Dict[Tuple[int, int], Link] = {}
         self._pair_rows: Dict[Tuple[int, int], int] = {}
         self._model_keys: Dict[Tuple[int, int], ModelKey] = {}
+        #: Stage profiler hook (``extract`` / ``detect``); swap in an
+        #: enabled StageTimer to collect per-bin timings.
+        self.profiler = NULL_TIMER
+        #: Span tracer hook (``bin`` -> stage spans); swap in an enabled
+        #: :class:`repro.obs.Tracer` to record a timeline.
+        self.tracer = NULL_TRACER
+        #: Metric families, bound to the process default registry at
+        #: construction (swap the default before building the engine to
+        #: inject, e.g. a disabled registry for overhead benchmarks).
+        self.metrics = _EngineMetrics(default_registry())
 
-    def set_strings(self, strings: Optional[List[str]]) -> None:
-        """Install a new interner's table; reset the id-keyed caches."""
-        self._strings = strings
-        self._pair_links = {}
-        self._pair_rows = {}
-        self._model_keys = {}
+    # -- observability (telemetry only; never read back) -------------------
 
-    def process_partition_fused(
-        self, timestamp: int, part: FusedBin
-    ) -> _FusedShardOutput:
-        """Analyse this shard's slice of one fused columnar bin.
+    def _charge(self, stage: str, start: float) -> float:
+        """Charge ``start``..now to a stage on every telemetry surface.
+
+        Feeds the attached profiler (``--timings``), the stage-latency
+        histogram and the span tracer; returns the measured end time so
+        consecutive stages share one clock read.
+        """
+        now = perf_counter()
+        elapsed = now - start
+        self.profiler.add(stage, elapsed)
+        self.metrics.stage[stage].observe(elapsed)
+        self.tracer.add_span(stage, start, elapsed)
+        return now
+
+    # -- per-bin processing ------------------------------------------------
+
+    def process_bin(
+        self,
+        timestamp: int,
+        traceroutes: Union[Sequence[Traceroute], TracerouteBatch, BatchView],
+    ) -> BinResult:
+        """Run both methods over one closed time bin.
+
+        Every bin goes down the fused spine.  Object-model traceroutes
+        are encoded into columns first (so they take
+        :meth:`~repro.atlas.columnar.TracerouteBatch.append`'s contract:
+        a negative ``from_asn``/``msm_id`` raises, a NaN RTT is a
+        missing RTT); a columnar batch/view is read as is.  Extraction
+        emits interned-id flat arrays
+        (:func:`~repro.core.fused.extract_bin_fused`), the arenas judge
+        them, and delay alarms come back as arrays — the str-keyed
+        :class:`~repro.core.alarms.DelayAlarm` objects are built here,
+        once.
+        """
+        bin_start = perf_counter()
+        if not isinstance(traceroutes, (TracerouteBatch, BatchView)):
+            traceroutes = TracerouteBatch.from_traceroutes(
+                traceroutes, interner=self._object_interner
+            )
+        batch = (
+            traceroutes.batch
+            if isinstance(traceroutes, BatchView)
+            else traceroutes
+        )
+        interner = batch.interner
+        strings = interner.strings
+        if interner is not self._interner:
+            # A new id space: every id-keyed cache is void.
+            self._interner = interner
+            self._ranks = None
+            self._pair_links = {}
+            self._pair_rows = {}
+            self._model_keys = {}
+        if self._ranks is None or len(strings) != self._n_ranked:
+            # Old ids keep their meaning as an interner grows, so new
+            # addresses cost a rank refresh — never the caches.
+            self._ranks = string_ranks(strings)
+            self._n_ranked = len(strings)
+        fused = extract_bin_fused(traceroutes, self._ranks)
+        detect_start = self._charge("extract", bin_start)
+        delay_alarms, n_analyzed = self._detect_delay(
+            timestamp, fused, strings
+        )
+        forwarding_alarms = self.forwarding_arena.observe_bin_ids(
+            timestamp,
+            fused.model_router,
+            fused.model_dst,
+            fused.model_hop_offsets,
+            fused.hop_ids,
+            fused.hop_counts,
+            strings,
+            self._model_keys,
+        )
+        self._charge("detect", detect_start)
+
+        self._bins += 1
+        self._traceroutes += len(traceroutes)
+        self._last_timestamp = timestamp
+        metrics = self.metrics
+        metrics.bins_fused.inc()
+        metrics.traceroutes.inc(len(traceroutes))
+        metrics.links_analyzed.inc(n_analyzed)
+        if delay_alarms:
+            metrics.alarms_delay.inc(len(delay_alarms))
+        if forwarding_alarms:
+            metrics.alarms_forwarding.inc(len(forwarding_alarms))
+        self.tracer.add_span(
+            "bin",
+            bin_start,
+            perf_counter() - bin_start,
+            args={"timestamp": timestamp, "path": "fused"},
+        )
+        return BinResult(
+            timestamp=timestamp,
+            n_traceroutes=len(traceroutes),
+            n_links_observed=fused.n_links,
+            n_links_analyzed=n_analyzed,
+            delay_alarms=delay_alarms,
+            forwarding_alarms=forwarding_alarms,
+        )
+
+    def _detect_delay(
+        self, timestamp: int, fused: FusedBin, strings: List[str]
+    ) -> Tuple[List[DelayAlarm], int]:
+        """The delay method over one fused bin: (alarms, links analyzed).
 
         Links arrive pre-sorted in string order as interned-id CSR
         arrays, the diversity filter reads them through zero-copy
         :class:`_FusedLinkObs` views, the delay arena ingests arena rows
         directly (:meth:`~repro.core.arena.DelayArena.observe_bin_rows`),
-        the forwarding arena ingests the pattern CSR
-        (:meth:`~repro.core.arena.ForwardingArena.observe_bin_ids`),
-        and delay alarms leave as :class:`~repro.core.arena.DelayAlarmRows`
-        for the engine to materialize at the merge.  The hypothesis
-        property in ``tests/test_fused_spine.py`` holds the output
-        bit-identical to the serial oracle.
+        and the alarmed rows come back in that sorted order.  The
+        hypothesis property in ``tests/test_fused_spine.py`` holds the
+        output bit-identical to the serial oracle.
         """
-        shard_start = perf_counter()
-        strings = self._strings
-        if strings is None:
-            raise RuntimeError("set_strings must precede fused bins")
-        n_links = part.n_links
-        if not n_links and not part.n_models and not self.tracked:
-            return _FusedShardOutput(
-                self.shard_id, DelayAlarmRows.empty(), [], [], 0
-            )
-
-        near = part.link_near.tolist()
-        far = part.link_far.tolist()
-        seg_offsets = part.link_seg_offsets.tolist()
-        seg_probes = part.seg_probe.tolist()
-        seg_asns = part.seg_asn.tolist()
-        sample_offsets = part.seg_sample_offsets.tolist()
-        pool = part.samples
+        near = fused.link_near.tolist()
+        far = fused.link_far.tolist()
+        seg_offsets = fused.link_seg_offsets.tolist()
+        seg_probes = fused.seg_probe.tolist()
+        seg_asns = fused.seg_asn.tolist()
+        sample_offsets = fused.seg_sample_offsets.tolist()
+        pool = fused.samples
 
         pair_links = self._pair_links
+        links_seen = self._links_seen
         tracked = self.tracked
         evaluate = self.diversity.evaluate
         accepted_pairs: List[Tuple[int, int]] = []
@@ -338,14 +453,17 @@ class _ShardCore:
             Tuple[Link, DiversityVerdict, _FusedLinkObs]
         ] = []
         tracked_observed: Set[Link] = set()
-        for index in range(n_links):
+        for index in range(fused.n_links):
             pair = (near[index], far[index])
             link = pair_links.get(pair)
             if link is None:
+                # Once per link per interner: set semantics make this
+                # the serial pipeline's per-bin observed-links update.
                 link = pair_links[pair] = (
                     strings[pair[0]],
                     strings[pair[1]],
                 )
+                links_seen.add(link)
             seg_lo = seg_offsets[index]
             seg_hi = seg_offsets[index + 1]
             probe_asn: Dict[int, Optional[int]] = {}
@@ -379,27 +497,28 @@ class _ShardCore:
         medians, lowers, uppers, counts = median_confidence_interval_arrays(
             sample_arrays, z=self.config.z
         )
-        analyzed = len(accepted_pairs)
+        arena = self.delay_arena
         references_before = {
-            link: self.delay_arena.reference_of(link)
+            link: arena.reference_of(link)
             for _, link, _, _ in tracked_accepted
         }
         if accepted_pairs:
-            rows = self.delay_arena.intern_ids(
+            rows = arena.intern_ids(
                 [pair[0] for pair in accepted_pairs],
                 [pair[1] for pair in accepted_pairs],
                 strings,
                 self._pair_rows,
             )
-            alarm_rows = self.delay_arena.observe_bin_rows(
+            alarm_rows = arena.observe_bin_rows(
                 rows, medians, lowers, uppers, counts, n_probes, n_asns
             )
         else:
             alarm_rows = DelayAlarmRows.empty()
-        arena_keys = self.delay_arena.interner.keys
-        delay_links = [
-            arena_keys[row] for row in alarm_rows.arena_rows.tolist()
-        ]
+        arena_keys = arena.interner.keys
+        delay_alarms = alarm_rows.materialize(
+            timestamp,
+            [arena_keys[row] for row in alarm_rows.arena_rows.tolist()],
+        )
 
         if tracked_accepted:
             alarmed_positions = set(alarm_rows.positions.tolist())
@@ -430,31 +549,13 @@ class _ShardCore:
                     TrackedLinkPoint(
                         timestamp=timestamp,
                         observed=None,
-                        reference=self.delay_arena.reference_of(link),
+                        reference=arena.reference_of(link),
                         alarmed=False,
                         accepted=False,
                         n_probes=0,
                     )
                 )
-
-        forwarding_alarms = self.forwarding_arena.observe_bin_ids(
-            timestamp,
-            part.model_router,
-            part.model_dst,
-            part.model_hop_offsets,
-            part.hop_ids,
-            part.hop_counts,
-            strings,
-            self._model_keys,
-        )
-        return _FusedShardOutput(
-            shard_id=self.shard_id,
-            delay_rows=alarm_rows,
-            delay_links=delay_links,
-            forwarding_alarms=forwarding_alarms,
-            n_links_analyzed=analyzed,
-            elapsed_s=perf_counter() - shard_start,
-        )
+        return delay_alarms, len(accepted_pairs)
 
     def _record_tracked(
         self,
@@ -493,304 +594,6 @@ class _ShardCore:
             )
         )
 
-    def export_state(self) -> dict:
-        """This shard's full durable state in canonical checkpoint form."""
-        return {
-            "rounds": self.diversity.export_rounds(),
-            "delay": self.delay_arena.export_state(),
-            "forwarding": self.forwarding_arena.export_state(),
-            "tracked": {
-                link: list(points) for link, points in self.tracked.items()
-            },
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Load one shard's canonical state into this (fresh) core."""
-        self.diversity.restore_rounds(state["rounds"])
-        self.delay_arena.import_state(state["delay"])
-        self.forwarding_arena.import_state(state["forwarding"])
-        for link, points in state["tracked"].items():
-            self.tracked[link] = list(points)
-
-
-# -- the engine itself -------------------------------------------------------
-
-
-#: Stage-latency bounds: 100 microseconds up to ~1.6 seconds per bin.
-_STAGE_BUCKETS = exponential_buckets(0.0001, 4.0, 8)
-
-
-class _EngineMetrics:
-    """The engine's metric families, with hot children pre-interned.
-
-    Families register against the given registry (idempotently, so
-    several engines share them); on a disabled registry every handle is
-    a shared no-op.  Nothing here is read back by the engine —
-    instrumentation cannot change detection output.
-    """
-
-    __slots__ = (
-        "bins_fused", "traceroutes", "links_analyzed",
-        "alarms_delay", "alarms_forwarding", "stage", "imbalance",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        bins = registry.counter(
-            "repro_engine_bins_total",
-            "Time bins processed, by extraction path.",
-            ("path",),
-        )
-        self.bins_fused = bins.labels("fused")
-        self.traceroutes = registry.counter(
-            "repro_engine_traceroutes_total",
-            "Traceroutes folded into processed bins.",
-        )
-        self.links_analyzed = registry.counter(
-            "repro_engine_links_analyzed_total",
-            "Links that passed the diversity filter and were analysed.",
-        )
-        alarms = registry.counter(
-            "repro_engine_alarms_total",
-            "Alarms emitted by the detection arenas.",
-            ("kind",),
-        )
-        self.alarms_delay = alarms.labels("delay")
-        self.alarms_forwarding = alarms.labels("forwarding")
-        stage = registry.histogram(
-            "repro_engine_stage_seconds",
-            "Per-bin wall time by pipeline stage.",
-            ("stage",),
-            buckets=_STAGE_BUCKETS,
-        )
-        self.stage = {
-            name: stage.labels(name) for name in ("extract", "bin", "detect")
-        }
-        self.imbalance = registry.gauge(
-            "repro_engine_shard_imbalance_ratio",
-            "Largest shard load over the mean shard load, last bin.",
-        )
-
-
-class ShardedPipeline:
-    """Sharded, vectorized drop-in for :class:`Pipeline`.
-
-    Same surface (``process_bin`` / ``run`` / ``stats`` / ``tracked`` /
-    ``config``), same output bit for bit, different execution strategy:
-    links are consistently hashed into ``config.n_shards`` independent
-    shard cores, each bin runs every core over its slice in shard
-    order, and per-shard results merge deterministically (alarms sorted
-    by link / model key — exactly the order the serial loop emits them
-    in).  Everything lives in this process; there is nothing to close.
-    """
-
-    def __init__(self, config: Optional[PipelineConfig] = None) -> None:
-        self.config = config or PipelineConfig()
-        cfg = self.config
-        self.n_shards = cfg.n_shards
-        tracked: List[Set[Link]] = [set() for _ in range(self.n_shards)]
-        for link in cfg.track_links:
-            tracked[shard_of(link, self.n_shards)].add(link)
-        self._cores = [
-            _ShardCore(shard, cfg, tracked[shard])
-            for shard in range(self.n_shards)
-        ]
-        self._links_seen: Set[Link] = set()
-        self._bins = 0
-        self._traceroutes = 0
-        self._last_timestamp: Optional[int] = None
-        # The id space object-model bins are encoded into at the door.
-        self._object_interner = IPInterner()
-        # Id-keyed state, valid for one interner (its ids are
-        # append-only): the interner the caches describe, how many of
-        # its strings the rank table covers, the string-order rank
-        # table, and the shard caches (links and routers recur bin
-        # after bin; remembering their shard skips the consistent hash
-        # on every revisit).
-        self._fused_interner: Optional[IPInterner] = None
-        self._fused_n_strings = 0
-        self._fused_ranks: Optional[np.ndarray] = None
-        self._fused_link_shard: Dict[Tuple[int, int], int] = {}
-        self._fused_router_shard: Dict[int, int] = {}
-        #: Stage profiler hook (``extract`` / ``bin`` / ``detect``);
-        #: swap in an enabled StageTimer to collect per-bin timings.
-        self.profiler = NULL_TIMER
-        #: Span tracer hook (``bin`` -> stage -> shard spans); swap in
-        #: an enabled :class:`repro.obs.Tracer` to record a timeline.
-        self.tracer = NULL_TRACER
-        #: Metric families, bound to the process default registry at
-        #: construction (swap the default before building the engine to
-        #: inject, e.g. a disabled registry for overhead benchmarks).
-        self.metrics = _EngineMetrics(default_registry())
-
-    # -- observability (telemetry only; never read back) -------------------
-
-    def _charge(self, stage: str, start: float) -> float:
-        """Charge ``start``..now to a stage on every telemetry surface.
-
-        Feeds the attached profiler (``--timings``), the stage-latency
-        histogram and the span tracer; returns the measured end time so
-        consecutive stages share one clock read.
-        """
-        now = perf_counter()
-        elapsed = now - start
-        self.profiler.add(stage, elapsed)
-        self.metrics.stage[stage].observe(elapsed)
-        self.tracer.add_span(stage, start, elapsed)
-        return now
-
-    def _finish_bin(
-        self,
-        timestamp: int,
-        bin_start: float,
-        detect_start: float,
-        outputs: Sequence,
-        loads: Sequence[int],
-        n_traceroutes: int,
-        delay_alarms: Sequence,
-        forwarding_alarms: Sequence,
-    ) -> None:
-        """Record one merged bin's telemetry: counters, spans, imbalance.
-
-        Shard spans are laid deterministically: each shard measured its
-        own ``elapsed_s``, and the engine lays them end to end from the
-        detect stage's start in shard-id order — the order they ran
-        in — one trace track per shard.
-        """
-        metrics = self.metrics
-        metrics.bins_fused.inc()
-        metrics.traceroutes.inc(n_traceroutes)
-        metrics.links_analyzed.inc(
-            sum(output.n_links_analyzed for output in outputs)
-        )
-        if delay_alarms:
-            metrics.alarms_delay.inc(len(delay_alarms))
-        if forwarding_alarms:
-            metrics.alarms_forwarding.inc(len(forwarding_alarms))
-        total = sum(loads)
-        if total and loads:
-            metrics.imbalance.set(max(loads) * len(loads) / total)
-        tracer = self.tracer
-        if tracer.enabled:
-            shard_start = detect_start
-            for output in outputs:
-                tracer.add_span(
-                    f"shard-{output.shard_id}",
-                    shard_start,
-                    output.elapsed_s,
-                    tid=output.shard_id + 1,
-                )
-                shard_start += output.elapsed_s
-            tracer.add_span(
-                "bin",
-                bin_start,
-                perf_counter() - bin_start,
-                args={"timestamp": timestamp, "path": "fused"},
-            )
-
-    # -- per-bin processing ------------------------------------------------
-
-    def process_bin(
-        self,
-        timestamp: int,
-        traceroutes: Union[Sequence[Traceroute], TracerouteBatch, BatchView],
-    ) -> BinResult:
-        """Run both methods over one closed time bin, sharded.
-
-        Every bin goes down the fused spine.  Object-model traceroutes
-        are encoded into columns first (so they take
-        :meth:`~repro.atlas.columnar.TracerouteBatch.append`'s contract:
-        a negative ``from_asn``/``msm_id`` raises, a NaN RTT is a
-        missing RTT); a columnar batch/view is read as is.  Extraction
-        emits interned-id flat arrays
-        (:func:`~repro.core.fused.extract_bin_fused`), partitioning
-        gathers CSR slices per shard, each shard core analyses its
-        slice, and delay alarms come back as arrays — the str-keyed
-        :class:`~repro.core.alarms.DelayAlarm` objects are built here,
-        once, at the merge.
-        """
-        bin_start = perf_counter()
-        if not isinstance(traceroutes, (TracerouteBatch, BatchView)):
-            traceroutes = TracerouteBatch.from_traceroutes(
-                traceroutes, interner=self._object_interner
-            )
-        batch = (
-            traceroutes.batch
-            if isinstance(traceroutes, BatchView)
-            else traceroutes
-        )
-        interner = batch.interner
-        strings = interner.strings
-        new_interner = interner is not self._fused_interner
-        if new_interner:
-            # A new id space: every id-keyed cache is void.  The cores
-            # hold the interner's own list, which then grows in place.
-            self._fused_interner = interner
-            self._fused_n_strings = 0
-            self._fused_link_shard = {}
-            self._fused_router_shard = {}
-            for core in self._cores:
-                core.set_strings(strings)
-        if new_interner or len(strings) != self._fused_n_strings:
-            # Old ids keep their meaning as an interner grows, so a
-            # fresh batch per window or new addresses cost a rank
-            # refresh — never the shard caches.
-            self._fused_ranks = string_ranks(strings)
-            self._fused_n_strings = len(strings)
-        fused = extract_bin_fused(traceroutes, self._fused_ranks)
-        stage_start = self._charge("extract", bin_start)
-        parts = partition_fused(
-            fused,
-            self.n_shards,
-            strings,
-            self._fused_link_shard,
-            self._fused_router_shard,
-            links_seen=self._links_seen,
-        )
-        detect_start = self._charge("bin", stage_start)
-        outputs = [
-            core.process_partition_fused(timestamp, part)
-            for core, part in zip(self._cores, parts)
-        ]
-        self._charge("detect", detect_start)
-
-        delay_alarms: List[DelayAlarm] = []
-        for output in outputs:
-            delay_alarms.extend(
-                output.delay_rows.materialize(timestamp, output.delay_links)
-            )
-        delay_alarms.sort(key=lambda alarm: alarm.link)
-        forwarding_alarms = sorted(
-            (
-                alarm
-                for output in outputs
-                for alarm in output.forwarding_alarms
-            ),
-            key=lambda alarm: (alarm.router_ip, alarm.destination),
-        )
-        self._bins += 1
-        self._traceroutes += len(traceroutes)
-        self._last_timestamp = timestamp
-        self._finish_bin(
-            timestamp,
-            bin_start,
-            detect_start,
-            outputs,
-            [part.n_links + part.n_models for part in parts],
-            len(traceroutes),
-            delay_alarms,
-            forwarding_alarms,
-        )
-        return BinResult(
-            timestamp=timestamp,
-            n_traceroutes=len(traceroutes),
-            n_links_observed=fused.n_links,
-            n_links_analyzed=sum(
-                output.n_links_analyzed for output in outputs
-            ),
-            delay_alarms=delay_alarms,
-            forwarding_alarms=forwarding_alarms,
-        )
-
     # -- whole-campaign driving --------------------------------------------
 
     def run(
@@ -827,77 +630,18 @@ class ShardedPipeline:
     def snapshot(
         self, results: Optional[List[BinResult]] = None
     ) -> EngineSnapshot:
-        """Canonical durable state, merged deterministically across shards.
+        """Canonical durable state, every row sorted by its key.
 
-        Per-shard arena/diversity/tracked state is exported and merged
-        shard-major into the engine-agnostic canonical form of
-        :class:`~repro.core.checkpoint.EngineSnapshot` — restorable into
-        any shard count, or into the serial reference pipeline.  Pass *results* to embed the per-bin results produced
+        The arenas export their state as the checkpoint's
+        :class:`~repro.core.checkpoint.DelayTable` and
+        :class:`~repro.core.checkpoint.ForwardingTable` directly, sorted
+        by link and by model key — the order the serial reference
+        pipeline writes, so both produce the same snapshot bytes for the
+        same feed.  Pass *results* to embed the per-bin results produced
         so far (the resumable driver does; a long-running monitor should
         not, to keep snapshots bounded).
         """
-        states = [core.export_state() for core in self._cores]
-
-        delay_parts = [state["delay"] for state in states]
-        delay_links = [
-            link for part in delay_parts for link in part["links"]
-        ]
-        median = np.concatenate([part["median"] for part in delay_parts])
-        warm_count = np.concatenate(
-            [part["warm_count"] for part in delay_parts]
-        )
-        stored = np.where(np.isnan(median), warm_count, 0)
-        warm_offsets = np.zeros(len(delay_links) + 1, dtype=np.int64)
-        np.cumsum(3 * stored, out=warm_offsets[1:])
-        delay = DelayTable(
-            links=delay_links,
-            median=median,
-            lower=np.concatenate([part["lower"] for part in delay_parts]),
-            upper=np.concatenate([part["upper"] for part in delay_parts]),
-            warm_count=warm_count,
-            bins_seen=np.concatenate(
-                [part["bins_seen"] for part in delay_parts]
-            ),
-            alarms_raised=np.concatenate(
-                [part["alarms_raised"] for part in delay_parts]
-            ),
-            max_probes=np.concatenate(
-                [part["max_probes"] for part in delay_parts]
-            ),
-            warm_offsets=warm_offsets,
-            warm_values=np.concatenate(
-                [part["warm_values"] for part in delay_parts]
-            ),
-            seed_bins=SEED_BINS,
-        )
-
-        fwd_parts = [state["forwarding"] for state in states]
-        keys = [key for part in fwd_parts for key in part["keys"]]
-        sizes = np.concatenate([part["ref_sizes"] for part in fwd_parts])
-        ref_offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ref_offsets[1:])
-        forwarding = ForwardingTable(
-            keys=keys,
-            bins_seen=np.concatenate(
-                [part["bins_seen"] for part in fwd_parts]
-            ),
-            alarms_raised=np.concatenate(
-                [part["alarms_raised"] for part in fwd_parts]
-            ),
-            ref_offsets=ref_offsets,
-            ref_hops=[
-                hop for part in fwd_parts for hop in part["ref_hops"]
-            ],
-            ref_weights=np.concatenate(
-                [part["ref_weights"] for part in fwd_parts]
-            ),
-        )
-
-        rounds: Dict[Link, int] = {}
-        tracked: Dict[Link, List[TrackedLinkPoint]] = {}
-        for state in states:
-            rounds.update(state["rounds"])
-            tracked.update(state["tracked"])
+        rounds = self.diversity.export_rounds()
         return EngineSnapshot(
             fingerprint=config_fingerprint(self.config),
             bins_processed=self._bins,
@@ -905,21 +649,24 @@ class ShardedPipeline:
             last_timestamp=self._last_timestamp,
             links_seen=sorted(self._links_seen),
             rounds={link: rounds[link] for link in sorted(rounds)},
-            delay=delay,
-            forwarding=forwarding,
-            tracked={link: tracked[link] for link in sorted(tracked)},
+            delay=self.delay_arena.export_table(),
+            forwarding=self.forwarding_arena.export_table(),
+            tracked={
+                link: list(self.tracked[link]) for link in sorted(self.tracked)
+            },
             results=list(results) if results is not None else [],
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
-        """Load a snapshot into this fresh engine, repartitioned by shard.
+        """Load a snapshot into this fresh engine.
 
-        Canonical per-link/per-model state is sliced back onto this
-        engine's shard layout with the same consistent hash that routes
-        live bins, so a snapshot taken at any shard count restores into
-        any other.  Raises :class:`~repro.core.checkpoint.SnapshotError`
-        when the engine already holds state or the snapshot was taken
-        under a different detection configuration.
+        Rows may come in any order — a snapshot from the serial
+        pipeline, from this engine, or from an older engine that wrote
+        rows in first-seen order — so every subsequent bin is processed
+        bit-identically to the uninterrupted run.  Raises
+        :class:`~repro.core.checkpoint.SnapshotError` when the engine
+        already holds state or the snapshot was taken under a different
+        detection configuration.
         """
         if self._bins or self._links_seen:
             raise SnapshotError("restore requires a fresh engine")
@@ -927,91 +674,17 @@ class ShardedPipeline:
             raise SnapshotError(
                 "snapshot fingerprint does not match this configuration"
             )
-        if snapshot.delay.seed_bins != SEED_BINS:
+        seed_bins = self.delay_arena.seed_bins
+        if snapshot.delay.seed_bins != seed_bins:
             raise SnapshotError(
                 f"snapshot seed_bins {snapshot.delay.seed_bins} != "
-                f"{SEED_BINS}"
+                f"{seed_bins}"
             )
-        n_shards = self.n_shards
-        table = snapshot.delay
-        link_shards = np.fromiter(
-            (shard_of(link, n_shards) for link in table.links),
-            dtype=np.int64,
-            count=len(table.links),
-        )
-        key_shards = np.fromiter(
-            (
-                shard_of(key[0], n_shards)
-                for key in snapshot.forwarding.keys
-            ),
-            dtype=np.int64,
-            count=len(snapshot.forwarding.keys),
-        )
-        fwd = snapshot.forwarding
-        fwd_sizes = np.diff(fwd.ref_offsets)
-        parts: List[dict] = []
-        for shard in range(n_shards):
-            rows = np.flatnonzero(link_shards == shard)
-            warm_values = (
-                np.concatenate(
-                    [
-                        table.warm_values[
-                            table.warm_offsets[row] : table.warm_offsets[
-                                row + 1
-                            ]
-                        ]
-                        for row in rows
-                    ]
-                )
-                if rows.size
-                else np.empty(0)
-            )
-            delay_part = {
-                "links": [table.links[row] for row in rows],
-                "median": table.median[rows],
-                "lower": table.lower[rows],
-                "upper": table.upper[rows],
-                "warm_count": table.warm_count[rows],
-                "bins_seen": table.bins_seen[rows],
-                "alarms_raised": table.alarms_raised[rows],
-                "max_probes": table.max_probes[rows],
-                "warm_values": warm_values,
-            }
-            krows = np.flatnonzero(key_shards == shard)
-            ref_hops: List[str] = []
-            weight_slices = []
-            for row in krows:
-                start, stop = int(fwd.ref_offsets[row]), int(
-                    fwd.ref_offsets[row + 1]
-                )
-                ref_hops.extend(fwd.ref_hops[start:stop])
-                weight_slices.append(fwd.ref_weights[start:stop])
-            fwd_part = {
-                "keys": [fwd.keys[row] for row in krows],
-                "bins_seen": fwd.bins_seen[krows],
-                "alarms_raised": fwd.alarms_raised[krows],
-                "ref_sizes": fwd_sizes[krows],
-                "ref_hops": ref_hops,
-                "ref_weights": (
-                    np.concatenate(weight_slices)
-                    if weight_slices
-                    else np.empty(0)
-                ),
-            }
-            parts.append(
-                {
-                    "rounds": {},
-                    "delay": delay_part,
-                    "forwarding": fwd_part,
-                    "tracked": {},
-                }
-            )
-        for link, count in snapshot.rounds.items():
-            parts[shard_of(link, n_shards)]["rounds"][link] = count
+        self.diversity.restore_rounds(snapshot.rounds)
+        self.delay_arena.import_table(snapshot.delay)
+        self.forwarding_arena.import_table(snapshot.forwarding)
         for link, points in snapshot.tracked.items():
-            parts[shard_of(link, n_shards)]["tracked"][link] = points
-        for core, part in zip(self._cores, parts):
-            core.import_state(part)
+            self.tracked[link] = list(points)
         self._links_seen = set(snapshot.links_seen)
         self._bins = snapshot.bins_processed
         self._traceroutes = snapshot.traceroutes_processed
@@ -1020,54 +693,34 @@ class ShardedPipeline:
     # -- statistics --------------------------------------------------------
 
     def stats(self) -> CampaignStats:
-        """Cumulative campaign statistics, merged across shards.
+        """Cumulative campaign statistics.
 
         The aggregates live in the arenas (every link the delay arena
         ever interned passed the diversity filter, so its interner *is*
         the analyzed-links set) — no per-bin bookkeeping on the hot path.
         """
-        links_analyzed: Set[Link] = set()
-        links_alarmed: Set[Link] = set()
-        probes_sum = 0
-        models = routers = next_hops = 0
-        for core in self._cores:
-            delay, forwarding = core.delay_arena, core.forwarding_arena
-            links_analyzed.update(delay.links())
-            links_alarmed |= delay.alarmed_links()
-            probes_sum += sum(delay.max_probes_map().values())
-            models += forwarding.n_models
-            routers += forwarding.n_routers
-            next_hops += forwarding.next_hops_total()
+        delay, forwarding = self.delay_arena, self.forwarding_arena
         return CampaignStats(
             links_observed=len(self._links_seen),
-            links_analyzed=len(links_analyzed),
-            links_alarmed=len(links_alarmed),
-            max_probes_per_link_sum=probes_sum,
-            forwarding_models=models,
-            forwarding_routers=routers,
-            mean_next_hops=next_hops / models if models else 0.0,
+            links_analyzed=delay.n_links,
+            links_alarmed=len(delay.alarmed_links()),
+            max_probes_per_link_sum=sum(delay.max_probes_map().values()),
+            forwarding_models=forwarding.n_models,
+            forwarding_routers=forwarding.n_routers,
+            mean_next_hops=forwarding.mean_next_hops(),
             bins_processed=self._bins,
             traceroutes_processed=self._traceroutes,
         )
-
-    @property
-    def tracked(self) -> Dict[Link, List[TrackedLinkPoint]]:
-        """Merged per-link tracked series (same content as the serial
-        pipeline's ``tracked`` attribute)."""
-        return {
-            link: list(points)
-            for core in self._cores
-            for link, points in core.tracked.items()
-        }
 
 
 def create_pipeline(config: Optional[PipelineConfig] = None):
     """Build the right engine for *config*.
 
-    ``n_shards == 1`` returns the serial reference :class:`Pipeline`;
-    anything else returns a :class:`ShardedPipeline`.
+    ``n_shards == 1`` (the default) returns the serial reference
+    :class:`Pipeline`; anything else returns an :class:`Engine`.  The
+    field is only this selector: the engine never reads it.
     """
     cfg = config or PipelineConfig()
     if cfg.n_shards == 1:
         return Pipeline(cfg)
-    return ShardedPipeline(cfg)
+    return Engine(cfg)

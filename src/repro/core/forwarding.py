@@ -201,7 +201,7 @@ class ForwardingAnomalyDetector:
     ) -> List[ForwardingAlarm]:
         """Process every model of one time bin; return its alarms.
 
-        This is the scalar reference loop; the sharded engine's batched
+        This is the scalar reference loop; the engine's batched
         equivalent lives in
         :class:`~repro.core.arena.ForwardingArena`, which is held
         bit-identical to this method by the hypothesis property in

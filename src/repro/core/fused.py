@@ -21,10 +21,7 @@ This module is the replacement spine:
   Links come out sorted by their IP *strings* (via a per-batch rank
   table, :func:`string_ranks`) so downstream consumers keep the scalar
   pipeline's deterministic sorted-link processing order without ever
-  comparing strings per bin;
-* :func:`partition_fused` — consistent-hash shard partitioning of a
-  :class:`FusedBin` with vectorized CSR gathers (the string hash runs
-  once per distinct link per batch, cached under the id pair).
+  comparing strings per bin.
 
 The paper-shaped reference functions are the equivalence oracle:
 ``tests/test_engine_equivalence.py`` holds :func:`extract_bin_fused`
@@ -36,7 +33,7 @@ bit-identical to the serial pipeline.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,10 +42,7 @@ from repro.atlas.columnar import (
     NO_IP,
     BatchView,
     TracerouteBatch,
-    gather_ragged,
 )
-from repro.core.alarms import Link
-from repro.core.sharding import shard_of
 
 #: (attribute, dtype) schema of a :class:`FusedBin`.
 _FIELDS: Tuple[Tuple[str, np.dtype], ...] = (
@@ -509,85 +503,3 @@ def extract_bin_fused(
         out.hop_ids = u_hop[final]
         out.hop_counts = u_weight[final]
     return out
-
-
-# -- shard partitioning ------------------------------------------------------
-
-
-def partition_fused(
-    fused: FusedBin,
-    n_shards: int,
-    strings: Sequence[str],
-    link_shards: Dict[Tuple[int, int], int],
-    router_shards: Dict[int, int],
-    links_seen: Optional[Set[Link]] = None,
-) -> List[FusedBin]:
-    """Split one fused bin into per-shard fused bins.
-
-    Links hash by their ordered IP-string pair and models by router IP
-    string — exactly :func:`repro.core.sharding.shard_of`, the hash
-    snapshot restore places state by.  The hash runs once per distinct
-    id (pair) per batch; revisits hit the *link_shards*/*router_shards*
-    caches, and each cache miss also reports the link's string form
-    into *links_seen* (the engine's campaign-wide observed-links set —
-    set semantics make the once-per-batch report equivalent to the
-    serial pipeline's per-bin update).  String-sorted order is
-    preserved within every shard.
-    """
-    shard_arr = np.empty(fused.n_links, dtype=np.int64)
-    near_list = fused.link_near.tolist()
-    far_list = fused.link_far.tolist()
-    get_link_shard = link_shards.get
-    for position, pair in enumerate(zip(near_list, far_list)):
-        shard = get_link_shard(pair)
-        if shard is None:
-            link = (strings[pair[0]], strings[pair[1]])
-            shard = 0 if n_shards == 1 else shard_of(link, n_shards)
-            link_shards[pair] = shard
-            if links_seen is not None:
-                links_seen.add(link)
-        shard_arr[position] = shard
-
-    model_arr = np.empty(fused.n_models, dtype=np.int64)
-    get_router_shard = router_shards.get
-    for position, router in enumerate(fused.model_router.tolist()):
-        shard = get_router_shard(router)
-        if shard is None:
-            shard = (
-                0 if n_shards == 1 else shard_of(strings[router], n_shards)
-            )
-            router_shards[router] = shard
-        model_arr[position] = shard
-
-    if n_shards == 1:
-        return [fused]
-    parts: List[FusedBin] = []
-    for shard in range(n_shards):
-        part = FusedBin(fused.n_traceroutes)
-        rows = np.flatnonzero(shard_arr == shard)
-        if rows.size:
-            part.link_near = fused.link_near[rows]
-            part.link_far = fused.link_far[rows]
-            seg_offsets, seg_idx = gather_ragged(
-                fused.link_seg_offsets, rows
-            )
-            part.link_seg_offsets = seg_offsets
-            part.seg_probe = fused.seg_probe[seg_idx]
-            part.seg_asn = fused.seg_asn[seg_idx]
-            sample_offsets, sample_idx = gather_ragged(
-                fused.seg_sample_offsets, seg_idx
-            )
-            part.seg_sample_offsets = sample_offsets
-            part.samples = fused.samples[sample_idx]
-        model_rows = np.flatnonzero(model_arr == shard)
-        if model_rows.size:
-            part.model_router = fused.model_router[model_rows]
-            part.model_dst = fused.model_dst[model_rows]
-            hop_offsets, hop_idx = gather_ragged(
-                fused.model_hop_offsets, model_rows
-            )
-            part.model_hop_offsets = hop_offsets
-            part.hop_ids = fused.hop_ids[hop_idx]
-            part.hop_counts = fused.hop_counts[hop_idx]
-        parts.append(part)
-    return parts

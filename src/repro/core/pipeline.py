@@ -54,11 +54,11 @@ from repro.stats.wilson import (
 class PipelineConfig:
     """All tunables of the analysis, with the paper's defaults.
 
-    ``n_shards`` is how many independent shard cores the sharded
-    engine (:class:`repro.core.engine.ShardedPipeline`) spreads links
-    over; the serial :class:`Pipeline` ignores it.  It is an execution
-    knob: it never changes output and is excluded from the checkpoint
-    fingerprint.
+    ``n_shards`` only selects what
+    :func:`~repro.core.engine.create_pipeline` builds: 1 (the default)
+    the serial :class:`Pipeline`, anything else the
+    :class:`~repro.core.engine.Engine`.  Neither reads it, so it never
+    changes output and is excluded from the checkpoint fingerprint.
     """
 
     bin_s: int = DEFAULT_BIN_S
@@ -148,7 +148,7 @@ class Pipeline:
     :class:`~repro.core.forwarding.ForwardingAnomalyDetector`) driven in
     readable Python loops.  It deliberately stays scalar — it is the
     *equivalence oracle* for the production engine: the arena-backed
-    :class:`~repro.core.engine.ShardedPipeline` must reproduce this
+    :class:`~repro.core.engine.Engine` must reproduce this
     pipeline's output bit for bit, which the property tests and the
     ``bench_detect``/``bench_engine_scaling`` benchmarks assert.
     """
@@ -189,7 +189,7 @@ class Pipeline:
         Columnar input (:class:`~repro.atlas.columnar.TracerouteBatch`
         or a view) is materialised into objects first — the reference
         pipeline deliberately stays on the paper-shaped object path;
-        the sharded engine is the one that consumes columns natively.
+        the engine is the one that consumes columns natively.
         """
         if isinstance(traceroutes, (TracerouteBatch, BatchView)):
             traceroutes = traceroutes.to_traceroutes()
@@ -335,9 +335,9 @@ class Pipeline:
         Converts the scalar detectors' per-link smoothers and per-model
         vector smoothers into the engine-agnostic canonical form of
         :class:`~repro.core.checkpoint.EngineSnapshot` — restorable into
-        this pipeline *or* into a :class:`~repro.core.engine.ShardedPipeline`
-        at any shard count.  Pass *results* to embed the per-bin results
-        produced so far.
+        this pipeline *or* into an :class:`~repro.core.engine.Engine`,
+        which writes the same bytes.  Pass *results* to embed the
+        per-bin results produced so far.
         """
         from repro.core.checkpoint import (
             DelayTable,
@@ -437,7 +437,7 @@ class Pipeline:
 
         Rebuilds the scalar per-link smoothers and per-model vector
         smoothers from the canonical state — regardless of whether the
-        snapshot came from a serial or a sharded run — so every
+        snapshot came from this pipeline or the engine — so every
         subsequent bin is processed bit-identically to the uninterrupted
         run.  Raises :class:`~repro.core.checkpoint.SnapshotError` when
         the pipeline already holds state or the snapshot was taken under
@@ -567,16 +567,16 @@ def analyze_campaign(
     processed bin's timestamp is used.  Without ``pipeline`` the engine
     is :func:`~repro.core.engine.create_pipeline` of *config*: the
     serial reference :class:`Pipeline` at the library defaults, the
-    sharded engine with ``config.n_shards > 1``; output is
-    bit-identical either way.  *traceroutes* may also be a columnar
-    :class:`~repro.atlas.columnar.TracerouteBatch` (e.g. from the bin
-    cache): the sharded engine consumes the columns directly and the
+    :class:`~repro.core.engine.Engine` with ``config.n_shards > 1``;
+    output is bit-identical either way.  *traceroutes* may also be a
+    columnar :class:`~repro.atlas.columnar.TracerouteBatch` (e.g. from
+    the bin cache): the engine consumes the columns directly and the
     serial pipeline materialises objects per bin.
 
     ``pipeline`` hands in a fresh engine to drive instead (*config* is
     then unused), with its own profiler/tracer attached before the
     call — what the CLI's ``analyze`` and ``replay`` do with their
-    :class:`~repro.core.engine.ShardedPipeline`, like ``monitor``.
+    :class:`~repro.core.engine.Engine`, like ``monitor``.
 
     With ``checkpoint_path`` the campaign runs through the resumable
     driver (:func:`~repro.core.checkpoint.run_checkpointed`): detector
@@ -589,8 +589,8 @@ def analyze_campaign(
     silently merges two campaigns.
 
     ``profiler`` (a :class:`~repro.obs.tracing.StageAccumulator`) is set
-    as the stage hook of the engine this call builds: the sharded
-    engine charges ``extract``/``bin``/``detect`` to it, the serial
+    as the stage hook of the engine this call builds: the engine
+    charges ``extract``/``detect`` to it, the serial
     reference has no stages and never reads it.  Write-only telemetry;
     it cannot change analysis output.
     """

@@ -10,13 +10,9 @@ Two jobs live here:
   the engine's stage histograms all draw from this tuple, so the CLI
   surfaces can no longer disagree on spelling.
 * **Span tracing** — :class:`Tracer` records hierarchical spans
-  (campaign -> bin -> shard -> stage) as Chrome trace-event JSON
-  complete events (``"ph": "X"``), written by ``analyze --trace PATH``
-  and loadable in Perfetto or ``chrome://tracing``.  Per-shard spans
-  are *merged deterministically*: shard durations are measured inside
-  the worker (serial, thread or process) and shipped back on the shard
-  output, then re-laid onto the parent timeline in shard-id order, so
-  the trace shape does not depend on worker scheduling.
+  (campaign -> bin -> stage) as Chrome trace-event JSON complete
+  events (``"ph": "X"``), written by ``analyze --trace PATH`` and
+  loadable in Perfetto or ``chrome://tracing``.
 
 Like the rest of :mod:`repro.obs`, span timestamps are write-only
 telemetry: no clock value recorded here feeds back into detection.
@@ -70,11 +66,9 @@ _NULL_SPAN = _NullSpan()
 class StageAccumulator:
     """Aggregate wall-clock time per pipeline stage.
 
-    Thread-compatible, not thread-safe: each worker accumulates into
-    its own instance and the parent folds results in with
-    :meth:`merge`, mirroring how shard outputs merge.  A disabled
-    accumulator's ``stage()`` returns a shared no-op context manager,
-    so the hot path costs one attribute check.
+    Thread-compatible, not thread-safe.  A disabled accumulator's
+    ``stage()`` returns a shared no-op context manager, so the hot path
+    costs one attribute check.
     """
 
     __slots__ = ("enabled", "_seconds", "_calls")
@@ -105,11 +99,6 @@ class StageAccumulator:
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         self._calls[name] = self._calls.get(name, 0) + calls
 
-    def merge(self, timings: Dict[str, Dict[str, float]]) -> None:
-        """Fold another accumulator's :meth:`timings` output into this one."""
-        for name, entry in timings.items():
-            self.add(name, entry["seconds"], int(entry["calls"]))
-
     def timings(self) -> Dict[str, Dict[str, float]]:
         """Per-stage ``{"calls": n, "seconds": s}``, canonically ordered.
 
@@ -137,10 +126,10 @@ class Tracer:
     Spans carry microsecond timestamps relative to the tracer's own
     epoch (``time.perf_counter`` at construction), so traces are
     self-contained and never expose wall-clock time.  Track ids
-    (``tid``) separate the merged timeline: tid 0 is the coordinating
-    process, tid ``shard_id + 1`` carries per-shard spans.  Events are
-    exported sorted by ``(ts, -dur, tid, name)`` — a deterministic
-    function of the recorded spans, not of dict insertion order.
+    (``tid``) separate timelines; everything the CLI records is on tid
+    0.  Events are exported sorted by ``(ts, -dur, tid, name)`` — a
+    deterministic function of the recorded spans, not of dict insertion
+    order.
     """
 
     __slots__ = ("enabled", "_epoch", "_events")
@@ -172,10 +161,8 @@ class Tracer:
                  args: Optional[Dict[str, Any]] = None) -> None:
         """Record an explicit span; ``start`` is a :meth:`now` value.
 
-        This is the merge entry point: shard workers measure their own
-        elapsed time, and the parent lays each shard's span onto the
-        surrounding stage span's timeline (shard-id track, identical
-        start), so process-pool traces are reproducible.
+        For spans measured by the caller: the engine times its stages
+        with one clock read each and lays them onto the trace here.
         """
         if not self.enabled:
             return

@@ -5,7 +5,7 @@ emit :class:`GroundTruth` label sets (:mod:`repro.quality.labels`);
 :mod:`repro.quality.scoring` matches pipeline alarms against those
 labels with a configurable bin tolerance and computes per-scenario
 precision, recall, F1 and time-to-detection.  ``benchmarks/
-bench_quality.py`` runs the full scenario matrix through the sharded
+bench_quality.py`` runs the full scenario matrix through the
 engine and asserts per-scenario floors, writing ``BENCH_quality.json``.
 
 Typical use::

@@ -33,7 +33,7 @@ label pins one).
 
 All inputs and outputs are plain data; scoring two bit-identical alarm
 streams yields ``==``-equal reports, which lifts the engine's
-shard-count/checkpoint bit-identity guarantee to the quality layer.
+engine/checkpoint bit-identity guarantee to the quality layer.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def score_bin_results(
     """Score a pipeline run's ``BinResult`` sequence against *truth*.
 
     Accepts the ``List[BinResult]`` returned by ``Pipeline.run`` /
-    ``ShardedPipeline.run`` (or a ``CampaignAnalysis.results`` list) and
+    ``Engine.run`` (or a ``CampaignAnalysis.results`` list) and
     derives ``n_bins`` from its length.
     """
     results = list(results)

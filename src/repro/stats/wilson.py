@@ -126,14 +126,14 @@ def median_confidence_interval_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`median_confidence_interval` over many sample sets.
 
-    The per-bin hot path of the sharded engine: instead of one
+    The per-bin hot path of the engine: instead of one
     sort/median/score call per link, all links of a bin are padded into
     2-D arrays (padding value ``+inf`` so it sorts past every real
     sample) and characterised with one sort per size class plus
     vectorized Wilson scores.  Results are **bit-identical** to calling
     the scalar function on each sample set — the arithmetic is performed
     in the same order on the same float64 values — which the engine's
-    serial-vs-sharded equivalence guarantee relies on.  They come back
+    engine-vs-serial equivalence guarantee relies on.  They come back
     as four aligned float64/int64 arrays ``(medians, lowers, uppers,
     ns)``, the form the detector-state arena (:mod:`repro.core.arena`)
     consumes: the per-bin kernels stay in NumPy end to end and interval

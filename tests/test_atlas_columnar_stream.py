@@ -25,7 +25,7 @@ from repro.atlas import (
     make_traceroute,
 )
 from repro.atlas import columnar
-from repro.core import Pipeline, PipelineConfig, ShardedPipeline
+from repro.core import Engine, Pipeline, PipelineConfig
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 
 BIN_S = 3600
@@ -254,8 +254,7 @@ class TestEngineOverFreshBatches:
     """A fresh batch per window on one interner: the engine refreshes
     ranks for new strings and keeps its id-keyed caches."""
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_matches_serial_oracle_and_keeps_caches(self, n_shards):
+    def test_matches_serial_oracle_and_keeps_caches(self):
         import numpy as np
 
         rng = np.random.default_rng(11)
@@ -283,12 +282,12 @@ class TestEngineOverFreshBatches:
         ]
         stream = ColumnarStream(bin_s=BIN_S, lateness_bins=0, dense=True)
         results, batches, cache_sizes = [], set(), []
-        engine = ShardedPipeline(PipelineConfig(n_shards=n_shards))
+        engine = Engine()
         for first in range(0, len(lines), 9):
             for start, view in stream.push(lines[first:first + 9]):
                 results.append(engine.process_bin(start, view))
                 batches.add(id(view.batch))
-                cache_sizes.append(len(engine._fused_link_shard))
+                cache_sizes.append(len(engine._pair_links))
         for start, view in stream.drain():
             results.append(engine.process_bin(start, view))
         assert results == expected

@@ -185,8 +185,7 @@ class TestAnalyzeCheckpoint:
     def test_jobs_flag_is_gone(self, campaign_path, capsys):
         """The engine runs in-process; there is no worker count to set."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(campaign_path), "--shards", "2",
-                  "--jobs", "2"])
+            main(["analyze", str(campaign_path), "--jobs", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
@@ -220,9 +219,9 @@ def _case_study_mapper(seed, probes):
 
 class TestAnalyzeOneProductionPath:
     """``analyze`` has one ingest x engine path — columns into the
-    sharded engine — whatever ``--shards`` and ``--bin-cache`` say, and
-    its bytes are the serial reference ``Pipeline``'s, run here by name
-    (no CLI flag reaches it any more)."""
+    engine — whatever ``--bin-cache`` says, and its bytes are the serial
+    reference ``Pipeline``'s, run here by name (no CLI flag reaches it
+    any more)."""
 
     ARGS = ("--seed", "3", "--probes", "12")
 
@@ -259,26 +258,44 @@ class TestAnalyzeOneProductionPath:
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
     def test_identity_matrix(self, feed, oracle, tmp_path, suffix):
-        """{no cache, cache cold, cache warm} x {--shards 1, 2}: the
-        same stdout and the same store bytes, equal to the oracle's."""
+        """{no cache, cache cold, cache warm}: the same stdout and the
+        same store bytes, equal to the oracle's."""
         import gzip
 
         source = tmp_path / f"feed{suffix}"
         data = feed.read_bytes()
         source.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
-        for shards in ("1", "2"):
-            cache = tmp_path / f"shards{shards}.binc"
-            for state in ("none", "cold", "warm"):
-                store = tmp_path / f"{state}{shards}.store"
-                extra = [] if state == "none" else ["--bin-cache", cache]
-                assert cache.exists() == (state == "warm")
-                code, out, _ = _run(
-                    "analyze", source, *self.ARGS, "--json", "--store", store,
-                    "--shards", shards, *extra,
-                )
-                assert code == 0
-                assert out == oracle[0], (suffix, shards, state)
-                assert _segment_bytes(store) == oracle[1], (suffix, shards, state)
+        cache = tmp_path / "feed.binc"
+        for state in ("none", "cold", "warm"):
+            store = tmp_path / f"{state}.store"
+            extra = [] if state == "none" else ["--bin-cache", cache]
+            assert cache.exists() == (state == "warm")
+            code, out, _ = _run(
+                "analyze", source, *self.ARGS, "--json", "--store", store,
+                *extra,
+            )
+            assert code == 0
+            assert out == oracle[0], (suffix, state)
+            assert _segment_bytes(store) == oracle[1], (suffix, state)
+
+    def test_shards_flag_is_accepted_and_ignored(self, feed, tmp_path, capsys):
+        """``--shards N`` is still parsed and checked, then ignored: the
+        same stdout and store bytes as without it (the ledger's
+        ``analyze --bin-cache --shards 2 --store`` command relies on
+        it), and ``--shards 0`` is still a usage error."""
+        runs = []
+        store = tmp_path / "store"  # recreated by each run
+        for extra in ([], ["--shards", "2"]):
+            code, out, _ = _run(
+                "analyze", feed, *self.ARGS, "--store", store, *extra
+            )
+            assert code == 0
+            runs.append((out, _segment_bytes(store)))
+        assert runs[0] == runs[1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(feed), "--shards", "0"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_serial_checkpoint_resumes_under_default_analyze(
         self, feed, oracle, tmp_path
@@ -315,8 +332,9 @@ class TestAnalyzeOneProductionPath:
     def test_default_timings_and_trace_come_from_the_engine(
         self, feed, tmp_path
     ):
-        """No ``--shards`` needed: ``--timings`` has the engine's stage
-        rows under one ``decode``, ``--trace`` has bin and stage spans."""
+        """``--timings`` has the engine's stage rows under one
+        ``decode``, ``--trace`` has bin and stage spans — and neither
+        an engine ``bin`` stage nor a shard span."""
         trace = tmp_path / "trace.json"
         code, _, err = _run(
             "analyze", feed, *self.ARGS, "--json", "--timings",
@@ -325,13 +343,15 @@ class TestAnalyzeOneProductionPath:
         assert code == 0
         timings = json.loads(err.strip().splitlines()[-1])["timings"]
         assert timings["decode"]["calls"] == 1
-        for stage in ("extract", "bin", "detect"):
+        for stage in ("extract", "detect"):
             assert timings[stage]["calls"] == 6, stage
+        assert "bin" not in timings
         names = [e["name"] for e in json.loads(trace.read_text())["traceEvents"]]
         assert names.count("campaign") == 1
-        # "bin" names the whole-bin span and the binning stage under it.
-        for span, count in (("bin", 12), ("extract", 6), ("detect", 6)):
+        # "bin" names the whole-bin span only.
+        for span, count in (("bin", 6), ("extract", 6), ("detect", 6)):
             assert names.count(span) == count, span
+        assert not [name for name in names if name.startswith("shard-")]
 
     @pytest.mark.parametrize("cache", [False, True])
     def test_bad_input_is_an_error_line_not_a_traceback(
@@ -500,10 +520,14 @@ class TestMonitor:
         assert "monitor done: 3 bins" in captured.out
 
     def test_monitor_sharded_engine(self, feed_path, capsys):
+        """``monitor --shards 2`` is accepted and changes nothing."""
+        assert main(["monitor", str(feed_path), "--json"]) == 0
+        plain = capsys.readouterr().out
         assert main(
-            ["monitor", str(feed_path), "--shards", "2"]
+            ["monitor", str(feed_path), "--json", "--shards", "2"]
         ) == 0
-        assert "monitor done: 3 bins" in capsys.readouterr().out
+        assert capsys.readouterr().out == plain
+        assert len(plain.splitlines()) == 3
 
     def test_compact_every_without_store_fails_before_any_work(
         self, feed_path, tmp_path, capsys
@@ -556,7 +580,7 @@ def _store_state(path):
 class TestMonitorCrashResume:
     """The live path is resumable at any bin: stdout, checkpoint bytes
     and the store of an interrupted-then-rerun monitor equal an
-    uninterrupted run's, at any shard count."""
+    uninterrupted run's, at any ``--lateness``."""
 
     ARGS = ("--seed", "5", "--probes", "24", "--compact-every", "3")
 
@@ -572,16 +596,16 @@ class TestMonitorCrashResume:
         return path
 
     @pytest.fixture(scope="class", params=[1, 2])
-    def shards(self, request):
+    def lateness(self, request):
         return request.param
 
     @pytest.fixture(scope="class")
-    def reference(self, feed, shards, tmp_path_factory):
-        """One uninterrupted run at this shard count."""
+    def reference(self, feed, lateness, tmp_path_factory):
+        """One uninterrupted run at this lateness."""
         out = tmp_path_factory.mktemp("cli-resume-ref")
         stdout = _run_monitor(
-            feed, *self.ARGS, "--shards", shards, "--store", out / "store",
-            "--checkpoint", out / "ckpt",
+            feed, *self.ARGS, "--lateness", lateness,
+            "--store", out / "store", "--checkpoint", out / "ckpt",
         )
         records = [json.loads(line) for line in stdout.splitlines()]
         assert len(records) == 8
@@ -590,10 +614,10 @@ class TestMonitorCrashResume:
 
     @pytest.mark.parametrize("stop_after", [1, 5])
     def test_max_bins_then_rerun_equals_uninterrupted(
-        self, feed, reference, tmp_path, shards, stop_after
+        self, feed, reference, tmp_path, lateness, stop_after
     ):
         argv = (
-            feed, *self.ARGS, "--shards", shards,
+            feed, *self.ARGS, "--lateness", lateness,
             "--store", tmp_path / "store", "--checkpoint", tmp_path / "ckpt",
         )
         first = _run_monitor(*argv, "--max-bins", stop_after)
@@ -605,11 +629,11 @@ class TestMonitorCrashResume:
         assert _store_state(tmp_path / "store") == store
 
     def test_checkpoint_written_by_the_serial_pipeline_resumes(
-        self, feed, reference, shards, tmp_path
+        self, feed, reference, lateness, tmp_path
     ):
         """Checkpoints are engine-agnostic: one taken from the serial
-        reference ``Pipeline`` resumes under ``monitor``'s sharded
-        engine and ends in the same checkpoint bytes."""
+        reference ``Pipeline`` resumes under ``monitor``'s engine and
+        ends in the same checkpoint bytes."""
         from repro.atlas import read_traceroutes
         from repro.core import (
             Pipeline,
@@ -626,7 +650,7 @@ class TestMonitorCrashResume:
         state.source_digest = source_digest_of(feed)
         save_snapshot(tmp_path / "ckpt", state)
         resumed = _run_monitor(
-            feed, "--shards", shards, "--checkpoint", tmp_path / "ckpt"
+            feed, "--lateness", lateness, "--checkpoint", tmp_path / "ckpt"
         )
         stdout, checkpoint, _store = reference
         assert resumed == "".join(stdout.splitlines(keepends=True)[3:])
@@ -754,15 +778,14 @@ class TestAlarmStore:
 
         serial = serial_segments("1")
         assert serial_segments("3") == serial
-        for shards in ("1", "2"):
-            store = tmp_path / f"cli{shards}.store"
-            assert main(
-                [
-                    "analyze", str(feed), "--seed", "3", "--probes", "12",
-                    "--json", "--store", str(store), "--shards", shards,
-                ]
-            ) == 0
-            assert _segment_bytes(store) == serial
+        store = tmp_path / "cli.store"
+        assert main(
+            [
+                "analyze", str(feed), "--seed", "3", "--probes", "12",
+                "--json", "--store", str(store),
+            ]
+        ) == 0
+        assert _segment_bytes(store) == serial
 
     def test_serve_missing_store_fails_cleanly(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.store")]) == 1
@@ -890,12 +913,19 @@ class TestServeCommand:
         assert "address already in use" in lines[0]
 
     def test_help_does_not_list_async(self, capsys):
+        """Accepted-and-ignored flags stay out of ``--help``: ``serve
+        --async`` and the analysis commands' ``--shards``."""
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--help"])
         assert excinfo.value.code == 0
         usage = capsys.readouterr().out
         assert "--async" not in usage
         assert "--workers" not in usage
+        for command in ("analyze", "monitor", "replay"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--help"])
+            assert excinfo.value.code == 0
+            assert "--shards" not in capsys.readouterr().out, command
 
 
 class TestReplay:
@@ -907,8 +937,8 @@ class TestReplay:
         assert "AS1200" in out
 
     def test_shard_count_does_not_change_the_report(self, capsys):
-        """``--shards`` spreads links over detector states; it is not an
-        engine switch, so the report is the same text."""
+        """``--shards`` is accepted and ignored, so the report is the
+        same text."""
         argv = ["replay", "outage", "--hours", "8", "--seed", "1"]
         assert main(argv) == 0
         one = capsys.readouterr().out

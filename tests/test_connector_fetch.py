@@ -4,7 +4,7 @@ The acceptance bar for the connector layer, proven entirely offline:
 
 * a fetched measurement is **byte-identical** to the same campaign
   written locally by :func:`repro.atlas.io.write_traceroutes`, and runs
-  through ``TracerouteStream`` → ``ShardedPipeline`` to bit-identical
+  through ``TracerouteStream`` → ``Engine`` to bit-identical
   results;
 * a fetch interrupted at *any* page boundary — or mid-page, leaving a
   partial tail — resumes exactly-once: no duplicated and no skipped
@@ -51,7 +51,7 @@ from repro.atlas.connectors import (
     write_fixture,
 )
 from repro.cli import main
-from repro.core import PipelineConfig, ShardedPipeline
+from repro.core import Engine
 from repro.net.asmap import AsMapper
 
 BASE_URL = "https://atlas.example/api/v2"
@@ -335,7 +335,7 @@ class TestPipelineIdentity:
         self, tmp_path, pages, reference
     ):
         # The whole point of normalization: a fetched campaign streamed
-        # through TracerouteStream into the sharded engine yields
+        # through TracerouteStream into the engine yields
         # results indistinguishable from local-file ingestion.
         out = tmp_path / "fetched.jsonl"
         fetch_results(
@@ -343,7 +343,7 @@ class TestPipelineIdentity:
         )
 
         def run(path):
-            engine = ShardedPipeline(PipelineConfig(n_shards=2))
+            engine = Engine()
             stream = TracerouteStream(bin_s=3600)
             results = []
             for traceroute in read_traceroutes(path):

@@ -3,7 +3,7 @@
 The structure-of-arrays arenas (``repro.core.arena``) must reproduce the
 scalar detectors bit for bit: same alarms in the same order, same
 smoothed references, same counters — for any bin sequence, with
-winsorizing on or off, across shard-style partitions and past the
+winsorizing on or off, and past the
 initial array capacity.  The hypothesis properties here drive both
 implementations over random campaigns and assert full structural
 equality; the unit tests cover the interner and the arena-specific

@@ -5,12 +5,14 @@ Four guarantees are pinned here:
 
 1. ``snapshot()`` → ``restore()`` reproduces detector state
    **bit-identically** — every arena array, warm-up buffer, smoother
-   value, counter, diversity round and tracked point — at 1/2/4 shards
-   and for the serial reference pipeline (hypothesis property);
-2. a run interrupted after any bin and resumed in a fresh engine (any
-   shard count, even a *different* one) produces exactly
-   the uninterrupted run's alarms, campaign aggregates and tracked-link
-   series;
+   value, counter, diversity round and tracked point — for the engine
+   and for the serial reference pipeline, and the engine's snapshot
+   bytes equal the serial pipeline's after every bin (hypothesis
+   properties);
+2. a run interrupted after any bin and resumed in a fresh engine
+   (including from a checkpoint an older engine wrote with its rows in
+   shard order) produces exactly the uninterrupted run's alarms,
+   campaign aggregates and tracked-link series;
 3. the binary snapshot format never silently serves a truncated,
    foreign, stale or corrupt file — every such file raises
    :class:`SnapshotError`, and the resumable driver rebuilds from
@@ -23,6 +25,8 @@ Four guarantees are pinned here:
 
 import dataclasses
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +34,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import binfmt
-from repro.atlas import TimeBinner, make_traceroute
+from repro.atlas import (
+    TimeBinner,
+    decode_traceroutes,
+    make_traceroute,
+    read_traceroutes,
+)
+from repro.cli import main
 from repro.core import (
+    Engine,
     EngineSnapshot,
     Pipeline,
     PipelineConfig,
-    ShardedPipeline,
     SnapshotError,
     config_fingerprint,
     load_snapshot,
@@ -149,46 +159,68 @@ def serial_reference(campaign):
 
 
 def _assert_arena_state_identical(original, restored):
-    """Compare two ShardedPipelines' full internal state, bit for bit."""
-    assert original.n_shards == restored.n_shards
-    for core_a, core_b in zip(
-        original._cores, restored._cores
-    ):
-        da, db = core_a.delay_arena, core_b.delay_arena
-        assert da.interner.keys == db.interner.keys
-        n = len(da.interner)
-        for name in ("_median", "_lower", "_upper"):
+    """Compare two engines' full internal state, key by key, bit for bit.
+
+    Arena rows are matched by key: a restored arena holds its rows in
+    the snapshot's sorted order, not the original's first-seen order.
+    """
+    da, db = original.delay_arena, restored.delay_arena
+    links = sorted(da.interner.keys)
+    assert links == sorted(db.interner.keys)
+    rows_a = np.array([da.interner.get(link) for link in links], dtype=int)
+    rows_b = np.array([db.interner.get(link) for link in links], dtype=int)
+    for name in ("_median", "_lower", "_upper"):
+        assert np.array_equal(
+            getattr(da, name)[rows_a], getattr(db, name)[rows_b],
+            equal_nan=True,
+        ), name
+    for name in ("_warm_count", "_bins_seen", "_alarms_raised", "_max_probes"):
+        assert np.array_equal(
+            getattr(da, name)[rows_a], getattr(db, name)[rows_b]
+        ), name
+    # Warm-up buffers matter (bit for bit) only while a link is still
+    # warming; ready rows are dead storage.
+    for row_a, row_b in zip(rows_a, rows_b):
+        if np.isnan(da._median[row_a]):
+            count = int(da._warm_count[row_a])
             assert np.array_equal(
-                getattr(da, name)[:n], getattr(db, name)[:n], equal_nan=True
-            ), name
-        for name in (
-            "_warm_count",
-            "_bins_seen",
-            "_alarms_raised",
-            "_max_probes",
-        ):
-            assert np.array_equal(
-                getattr(da, name)[:n], getattr(db, name)[:n]
-            ), name
-        # Warm-up buffers matter (bit for bit) only while a link is
-        # still warming; ready rows are dead storage.
-        for ident in range(n):
-            if np.isnan(da._median[ident]):
-                count = int(da._warm_count[ident])
-                assert np.array_equal(
-                    da._warm[ident, :, :count], db._warm[ident, :, :count]
-                )
-        fa, fb = core_a.forwarding_arena, core_b.forwarding_arena
-        assert fa.interner.keys == fb.interner.keys
-        assert fa._references == fb._references
-        assert fa._bins_seen == fb._bins_seen
-        assert fa._alarms_raised == fb._alarms_raised
-        assert fa._routers == fb._routers
-        assert core_a.diversity._rounds == core_b.diversity._rounds
-        assert core_a.tracked == core_b.tracked
+                da._warm[row_a, :, :count], db._warm[row_b, :, :count]
+            )
+    fa, fb = original.forwarding_arena, restored.forwarding_arena
+    keys = sorted(fa.interner.keys)
+    assert keys == sorted(fb.interner.keys)
+    for key in keys:
+        ia, ib = fa.interner.get(key), fb.interner.get(key)
+        assert fa._references[ia] == fb._references[ib]
+        assert fa._bins_seen[ia] == fb._bins_seen[ib]
+        assert fa._alarms_raised[ia] == fb._alarms_raised[ib]
+    assert fa._routers == fb._routers
+    assert original.diversity._rounds == restored.diversity._rounds
+    assert original.tracked == restored.tracked
     assert original._links_seen == restored._links_seen
     assert original._bins == restored._bins
     assert original._traceroutes == restored._traceroutes
+
+
+def _staggered(campaign, n_links):
+    """*campaign* with link *i* first seen in bin ``n_links - 1 - i``.
+
+    Links and forwarding models then first appear in the reverse of
+    their sorted order, so an engine that kept first-seen row order
+    would write different snapshot bytes from the serial pipeline.
+    """
+    return [
+        t for t in campaign
+        if t.timestamp // 3600 >= n_links - 1 - int(t.dst_addr[3:])
+    ]
+
+
+def _file_bytes(snapshot):
+    """What :func:`save_snapshot` writes for *snapshot*."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "state.ckpt"
+        save_snapshot(path, snapshot)
+        return path.read_bytes()
 
 
 class TestRoundTripProperty:
@@ -201,26 +233,50 @@ class TestRoundTripProperty:
         n_links=st.integers(3, 6),
         n_bins=st.integers(1, 6),
         seed=st.integers(0, 5),
-        n_shards=st.sampled_from([1, 2, 4]),
     )
-    def test_snapshot_restore_is_bit_identical(
-        self, n_links, n_bins, seed, n_shards
-    ):
+    def test_snapshot_restore_is_bit_identical(self, n_links, n_bins, seed):
         """For arbitrary campaigns, snapshot → restore reproduces the
         arenas, interners, warm-up buffers and counters bit for bit."""
         campaign = _campaign(
             n_links=n_links, n_probes=6, n_bins=n_bins, seed=seed
         )
-        engine = ShardedPipeline(_config(n_shards=n_shards))
+        engine = Engine(_config())
         engine.run(campaign)
         snapshot = engine.snapshot()
-        restored = ShardedPipeline(
-            _config(n_shards=n_shards)
-        )
+        restored = Engine(_config())
         restored.restore(snapshot)
         _assert_arena_state_identical(engine, restored)
         assert restored.stats() == engine.stats()
         assert restored.tracked == engine.tracked
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n_links=st.integers(3, 6),
+        n_bins=st.integers(2, 7),
+        seed=st.integers(0, 5),
+    )
+    def test_engine_snapshot_bytes_equal_the_oracle(
+        self, n_links, n_bins, seed
+    ):
+        """After every bin the engine's checkpoint file is the serial
+        pipeline's, byte for byte — on campaigns whose links and models
+        first appear in later bins, in the reverse of sorted order."""
+        campaign = _staggered(
+            _campaign(n_links=n_links, n_probes=6, n_bins=n_bins, seed=seed),
+            n_links,
+        )
+        engine, oracle = Engine(_config()), Pipeline(_config())
+        engine_results, oracle_results = [], []
+        for start, payload in _bins(campaign):
+            engine_results.append(engine.process_bin(start, payload))
+            oracle_results.append(oracle.process_bin(start, payload))
+            assert _file_bytes(
+                engine.snapshot(results=engine_results)
+            ) == _file_bytes(oracle.snapshot(results=oracle_results))
 
     @settings(
         max_examples=8,
@@ -229,6 +285,7 @@ class TestRoundTripProperty:
     )
     @given(n_bins=st.integers(1, 6), seed=st.integers(0, 3))
     def test_serial_pipeline_roundtrip_smoother_state(self, n_bins, seed):
+
         """The scalar pipeline's smoothers (values *and* warm-up
         buffers) survive a snapshot round-trip bit-identically."""
         campaign = _campaign(n_links=5, n_probes=6, n_bins=n_bins, seed=seed)
@@ -264,7 +321,7 @@ class TestRoundTripProperty:
     def test_disk_roundtrip_preserves_everything(self, campaign, tmp_path):
         """save → load reproduces the snapshot including results and
         float bit patterns."""
-        engine = ShardedPipeline(_config(n_shards=2))
+        engine = Engine(_config())
         results = engine.run(campaign)
         snapshot = engine.snapshot(results=results)
         path = tmp_path / "state.ckpt"
@@ -305,7 +362,7 @@ class TestRoundTripProperty:
         """Two identical runs write byte-identical snapshot files."""
         paths = []
         for index in range(2):
-            engine = ShardedPipeline(_config(n_shards=2))
+            engine = Engine(_config())
             results = engine.run(campaign)
             path = tmp_path / f"state{index}.ckpt"
             save_snapshot(path, engine.snapshot(results=results))
@@ -316,29 +373,43 @@ class TestRoundTripProperty:
 # -- crash/resume equivalence ------------------------------------------------
 
 
-def _sharded(n_shards):
-    return ShardedPipeline(_config(n_shards=n_shards))
+class _Crash(Exception):
+    """The simulated crash: raised instead of processing a bin."""
+
+
+#: Checkpoints an older engine wrote at 1, 2 and 4 shards, rows in shard
+#: order (see ``test_cross_shard_count_resume``).
+PARENT_CHECKPOINTS = Path(__file__).parent / "fixtures" / "checkpoint.v3"
 
 
 class TestCrashResumeEquivalence:
     @pytest.mark.parametrize("k", [1, 3, 6, 8])
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    @pytest.mark.parametrize("every_bins", [1, 2, 4])
     def test_interrupted_equals_uninterrupted(
-        self, campaign, campaign_bins, serial_reference, k, n_shards, tmp_path
+        self, campaign, serial_reference, k, every_bins, tmp_path
     ):
-        """Run bins 0..k-1, checkpoint through disk, restore in a fresh
-        engine, run the rest: alarms, aggregates and tracked series are
-        identical to the uninterrupted serial run."""
+        """Crash the checkpointing driver before bin k, rerun it in a
+        fresh engine: alarms, aggregates and tracked series are
+        identical to the uninterrupted serial run, whichever bin the
+        last checkpoint (every *every_bins* bins) covered."""
         serial, full = serial_reference
-        first_engine = _sharded(n_shards)
-        first = [
-            first_engine.process_bin(start, payload)
-            for start, payload in campaign_bins[:k]
-        ]
         path = tmp_path / "state.ckpt"
-        save_snapshot(path, first_engine.snapshot(results=first))
-        resumed = _sharded(n_shards)
-        results = resumed.run(campaign, resume_from=load_snapshot(path))
+        crashing = Engine(_config())
+        process_bin = crashing.process_bin
+
+        def crash_at_k(start, payload):
+            if crashing._bins == k:
+                raise _Crash
+            return process_bin(start, payload)
+
+        crashing.process_bin = crash_at_k
+        with pytest.raises(_Crash):
+            run_checkpointed(crashing, campaign, path, every_bins=every_bins)
+        resumed = Engine(_config())
+        results, was_resumed = run_checkpointed(
+            resumed, campaign, path, every_bins=every_bins
+        )
+        assert was_resumed == (k >= every_bins)
         assert results == full
         assert resumed.stats() == serial.stats()
         assert resumed.tracked == serial.tracked
@@ -361,29 +432,58 @@ class TestCrashResumeEquivalence:
         assert resumed.stats() == serial.stats()
         assert resumed.tracked == serial.tracked
 
-    def test_cross_shard_count_resume(
-        self, campaign, campaign_bins, serial_reference, tmp_path
-    ):
-        """A checkpoint taken at 3 shards resumes at 2: restore
-        repartitions the canonical state by the consistent hash."""
-        serial, full = serial_reference
-        path = tmp_path / "state.ckpt"
-        engine = _sharded(3)
-        first = [
-            engine.process_bin(start, payload)
-            for start, payload in campaign_bins[:4]
-        ]
-        save_snapshot(path, engine.snapshot(results=first))
-        resumed = _sharded(2)
-        assert resumed.run(campaign, resume_from=load_snapshot(path)) == full
-        assert resumed.stats() == serial.stats()
-        assert resumed.tracked == serial.tracked
+    def test_cross_shard_count_resume(self, tmp_path_factory):
+        """Checkpoints an older engine wrote at 1, 2 and 4 shards — rows
+        in shard order — restore into the engine and resume to the
+        uninterrupted run, and re-saving any of them gives the serial
+        pipeline's bytes.
+
+        Written at that engine with::
+
+            python -m repro generate --hours 6 --seed 3 --probes 12 \\
+                --scenario outage --no-anchoring --out feed.jsonl
+            # head.jsonl: the feed's lines with timestamp < 3 * 3600
+            python -m repro analyze head.jsonl --seed 3 --probes 12 \\
+                --checkpoint shards-N.ckpt --shards N   # N = 1, 2, 4
+        """
+        feed = tmp_path_factory.mktemp("parent-ckpt") / "feed.jsonl"
+        assert main([
+            "generate", "--hours", "6", "--seed", "3", "--probes", "12",
+            "--scenario", "outage", "--no-anchoring", "--out", str(feed),
+        ]) == 0
+        traceroutes = list(read_traceroutes(feed))
+        oracle = Pipeline(PipelineConfig())
+        full = oracle.run(traceroutes)
+        assert any(
+            r.delay_alarms or r.forwarding_alarms for r in full[3:]
+        ), "vacuous resume"
+        resaved = set()
+        for shards in (1, 2, 4):
+            loaded = load_snapshot(
+                PARENT_CHECKPOINTS / f"shards-{shards}.ckpt",
+                config=PipelineConfig(),
+            )
+            assert loaded.bins_processed == len(loaded.results) == 3
+            engine = Engine(PipelineConfig())
+            engine.restore(loaded)
+            state = engine.snapshot(results=loaded.results)
+            state.source_digest = loaded.source_digest
+            resaved.add(_file_bytes(state))
+            resumed = engine.run(decode_traceroutes(feed), resume_from=loaded)
+            assert resumed == full
+            assert engine.stats() == oracle.stats()
+        head = Pipeline(PipelineConfig())
+        state = head.snapshot(results=head.run(
+            [t for t in traceroutes if t.timestamp < 3 * 3600]
+        ))
+        state.source_digest = loaded.source_digest
+        assert resaved == {_file_bytes(state)}
 
     def test_serial_snapshot_resumes_in_sharded_engine(
         self, campaign, campaign_bins, serial_reference, tmp_path
     ):
         """Snapshots are engine-agnostic: a serial-pipeline checkpoint
-        resumes inside the sharded engine."""
+        resumes inside the engine."""
         serial, full = serial_reference
         path = tmp_path / "state.ckpt"
         first_pipeline = Pipeline(_config())
@@ -392,7 +492,7 @@ class TestCrashResumeEquivalence:
             for start, payload in campaign_bins[:3]
         ]
         save_snapshot(path, first_pipeline.snapshot(results=first))
-        resumed = _sharded(4)
+        resumed = Engine(_config())
         out = resumed.run(campaign, resume_from=load_snapshot(path))
         assert out == full
         assert resumed.stats() == serial.stats()
@@ -401,7 +501,7 @@ class TestCrashResumeEquivalence:
     def test_resume_on_nonfresh_engine_rejected(
         self, campaign_bins, tmp_path
     ):
-        engine = _sharded(2)
+        engine = Engine(_config())
         first = [
             engine.process_bin(start, payload)
             for start, payload in campaign_bins[:2]
@@ -409,7 +509,7 @@ class TestCrashResumeEquivalence:
         path = tmp_path / "state.ckpt"
         save_snapshot(path, engine.snapshot(results=first))
         snapshot = load_snapshot(path)
-        busy = _sharded(2)
+        busy = Engine(_config())
         busy.process_bin(*campaign_bins[0])
         with pytest.raises(SnapshotError):
             busy.restore(snapshot)
@@ -431,7 +531,7 @@ class TestCrashResumeEquivalence:
         )
         assert not resumed
         assert results == full
-        rerun = _sharded(2)
+        rerun = Engine(_config())
         results, resumed = run_checkpointed(
             rerun, campaign, path, every_bins=2
         )
@@ -466,7 +566,7 @@ class TestCrashResumeEquivalence:
 
 @pytest.fixture()
 def valid_checkpoint(campaign_bins, tmp_path):
-    engine = ShardedPipeline(_config(n_shards=2))
+    engine = Engine(_config())
     results = [
         engine.process_bin(start, payload)
         for start, payload in campaign_bins[:5]
@@ -511,7 +611,7 @@ class TestSnapshotFormatVetting:
 
     def test_restore_rejects_foreign_fingerprint(self, valid_checkpoint):
         snapshot = load_snapshot(valid_checkpoint)
-        engine = ShardedPipeline(_config(alpha=0.05, n_shards=2))
+        engine = Engine(_config(alpha=0.05))
         with pytest.raises(SnapshotError, match="fingerprint"):
             engine.restore(snapshot)
         pipeline = Pipeline(_config(alpha=0.05))
@@ -758,7 +858,7 @@ class TestStreamFeedsIncrementalEngine:
 class TestSnapshotApi:
     def test_empty_engine_snapshot_roundtrip(self, tmp_path):
         """A snapshot of a fresh engine is valid and restorable."""
-        engine = ShardedPipeline(_config(n_shards=2))
+        engine = Engine(_config())
         path = tmp_path / "empty.ckpt"
         save_snapshot(path, engine.snapshot())
         loaded = load_snapshot(path, config=_config())

@@ -1,13 +1,15 @@
-"""Serial-vs-sharded equivalence: the engine's core guarantee.
+"""Engine-vs-serial equivalence: the engine's core guarantee.
 
-The sharded engine must be a *drop-in* for the serial reference
-pipeline: same alarms, same statistics, same tracked-link series — bit
-for bit, for any shard count and any workload.  These
+The engine must be a *drop-in* for the serial reference pipeline: same
+alarms, same statistics, same tracked-link series — bit for bit, for
+any workload.  These
 tests drive both implementations over synthetic campaigns rich enough to
 exercise every code path (diversity rejection *and* entropy rebalancing,
 delay alarms in both directions, forwarding churn, tracked links with
 gaps) and assert full structural equality.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ from repro.core import (
     UNRESPONSIVE,
     LinkObservations,
     Pipeline,
+    Engine,
     PipelineConfig,
-    ShardedPipeline,
     create_pipeline,
     differential_rtts,
     extract_bin_fused,
@@ -103,6 +105,17 @@ def _config(**kwargs):
     return PipelineConfig(track_links=set(TRACKED), **kwargs)
 
 
+@lru_cache(maxsize=None)
+def _serial(seed):
+    """The serial reference pipeline run over ``_campaign(seed=seed)``.
+
+    Cached per seed and shared read-only by the tests.
+    """
+    pipeline = Pipeline(_config())
+    results = pipeline.run(_campaign(seed=seed))
+    return pipeline, results
+
+
 @pytest.fixture(scope="module")
 def campaign():
     return _campaign()
@@ -110,22 +123,18 @@ def campaign():
 
 @pytest.fixture(scope="module")
 def serial_results(campaign):
-    pipeline = Pipeline(_config())
-    results = pipeline.run(campaign)
-    return pipeline, results
+    return _serial(3)
 
 
 # -- the equivalence properties ---------------------------------------------
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-    def test_identical_results_stats_and_tracked(
-        self, campaign, serial_results, n_shards
-    ):
-        serial, results = serial_results
-        engine = ShardedPipeline(_config(n_shards=n_shards))
-        engine_results = engine.run(campaign)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_identical_results_stats_and_tracked(self, seed):
+        serial, results = _serial(seed)
+        engine = Engine(_config())
+        engine_results = engine.run(_campaign(seed=seed))
         assert engine_results == results
         assert engine.stats() == serial.stats()
         assert engine.tracked == serial.tracked
@@ -147,23 +156,23 @@ class TestShardedEquivalence:
 class TestColumnarEquivalence:
     """The columnar ingestion fast path is bit-identical to objects.
 
-    ``ShardedPipeline`` consuming a :class:`TracerouteBatch` (built from
+    ``Engine`` consuming a :class:`TracerouteBatch` (built from
     objects, decoded from JSONL, or loaded from the bin cache) must
     produce exactly the object path's results — every alarm, statistic
-    and tracked point — at every shard count.
+    and tracked point.
     """
 
     @pytest.fixture(scope="class")
     def batch(self, campaign):
         return TracerouteBatch.from_traceroutes(campaign)
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-    def test_batch_input_identical(
-        self, campaign, serial_results, batch, n_shards
-    ):
-        serial, results = serial_results
-        engine = ShardedPipeline(_config(n_shards=n_shards))
-        assert engine.run(batch) == results
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_batch_input_identical(self, seed):
+        serial, results = _serial(seed)
+        engine = Engine(_config())
+        assert engine.run(
+            TracerouteBatch.from_traceroutes(_campaign(seed=seed))
+        ) == results
         assert engine.stats() == serial.stats()
         assert engine.tracked == serial.tracked
 
@@ -179,7 +188,7 @@ class TestColumnarEquivalence:
         cache = tmp_path / "campaign.binc"
         write_bincache(cache, decoded)
         for source in (decoded, read_bincache(cache)):
-            engine = ShardedPipeline(_config(n_shards=2))
+            engine = Engine(_config())
             assert engine.run(source) == results
             assert engine.stats() == serial.stats()
             assert engine.tracked == serial.tracked
@@ -201,11 +210,10 @@ class TestObjectDoor:
     and tracked series as the serial reference pipeline, and the same
     snapshot bytes as a :class:`BatchView` feed."""
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_objects_views_and_alternation_identical(
-        self, campaign, serial_results, n_shards, tmp_path
-    ):
-        serial, results = serial_results
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_objects_views_and_alternation_identical(self, seed, tmp_path):
+        serial, results = _serial(seed)
+        campaign = _campaign(seed=seed)
         object_bins = list(binned_payloads(campaign))
         view_bins = list(
             binned_payloads(TracerouteBatch.from_traceroutes(campaign))
@@ -220,7 +228,7 @@ class TestObjectDoor:
         ]
         snapshots = []
         for bins in (object_bins, view_bins, mixed_bins):
-            engine = ShardedPipeline(_config(n_shards=n_shards))
+            engine = Engine(_config())
             assert [
                 engine.process_bin(start, payload)
                 for start, payload in bins
@@ -238,7 +246,7 @@ class TestObjectDoor:
         traceroute = make_traceroute(
             1, "s", "d", 0, [[("A", 1.0)], [("B", 2.0)]], from_asn=-5
         )
-        engine = ShardedPipeline(_config(n_shards=2))
+        engine = Engine(_config())
         with pytest.raises(ValueError, match="non-negative"):
             engine.process_bin(0, [traceroute])
 
@@ -249,8 +257,9 @@ class TestCreatePipeline:
         assert isinstance(create_pipeline(None), Pipeline)
 
     def test_sharded_when_requested(self):
+        """``n_shards`` > 1 is the one selector left for the engine."""
         engine = create_pipeline(PipelineConfig(n_shards=2))
-        assert isinstance(engine, ShardedPipeline)
+        assert isinstance(engine, Engine)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -272,12 +281,12 @@ class TestAnalyzeCampaignDispatch:
 
         mapper = AsMapper([("0.0.0.0", 0, 64999)])
         serial = analyze_campaign(campaign, mapper)
-        sharded = analyze_campaign(
+        engine = analyze_campaign(
             campaign, mapper, config=PipelineConfig(n_shards=4)
         )
-        assert sharded.bin_results == serial.bin_results
-        assert sharded.stats() == serial.stats()
-        assert isinstance(sharded.pipeline, ShardedPipeline)
+        assert engine.bin_results == serial.bin_results
+        assert engine.stats() == serial.stats()
+        assert isinstance(engine.pipeline, Engine)
 
 
 # -- fused extraction equivalence -------------------------------------------

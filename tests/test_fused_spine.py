@@ -29,9 +29,9 @@ from repro.atlas import (
     write_traceroutes,
 )
 from repro.core import (
+    Engine,
     Pipeline,
     PipelineConfig,
-    ShardedPipeline,
 )
 from repro.reporting import (
     bin_event_record,
@@ -159,7 +159,7 @@ class TestFusedOracle:
         offsets = [0]
         for bin_trs in bins:
             offsets.append(offsets[-1] + len(bin_trs))
-        fused_engine = ShardedPipeline(PipelineConfig(n_shards=3))
+        fused_engine = Engine()
         for b in range(3):
             view = batch.view(range(offsets[b], offsets[b + 1]))
             assert fused_engine.process_bin(b * 3600, view) == reference[b]
@@ -280,10 +280,9 @@ class TestMappedBinCache:
     ):
         serial, results = serial_results
         mapped = read_bincache(cache_path, mapped=True)
-        for n_shards in (1, 2, 4):
-            engine = ShardedPipeline(PipelineConfig(n_shards=n_shards))
-            assert engine.run(mapped) == results
-            assert engine.stats() == serial.stats()
+        engine = Engine()
+        assert engine.run(mapped) == results
+        assert engine.stats() == serial.stats()
 
     def test_load_or_build_mapped_hit(self, cache_path, campaign):
         jsonl = cache_path.parent / "campaign.jsonl"

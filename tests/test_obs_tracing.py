@@ -45,13 +45,11 @@ class TestStageAccumulator:
         assert timings["detect"]["seconds"] >= 0.0
 
     def test_add_and_merge(self):
-        worker = StageAccumulator()
-        worker.add("extract", 0.25, calls=3)
-        parent = StageAccumulator()
-        parent.add("extract", 0.5)
-        parent.merge(worker.timings())
-        entry = parent.timings()["extract"]
-        assert entry == {"calls": 4, "seconds": 0.75}
+        """``add`` accumulates seconds and calls per stage."""
+        acc = StageAccumulator()
+        acc.add("extract", 0.25, calls=3)
+        acc.add("extract", 0.5)
+        assert acc.timings()["extract"] == {"calls": 4, "seconds": 0.75}
 
     def test_timings_canonically_ordered(self):
         acc = StageAccumulator()
@@ -88,11 +86,11 @@ class TestTracer:
     def test_add_span_lays_explicit_timeline(self):
         tracer = Tracer()
         start = tracer.now()
-        tracer.add_span("shard-1", start, 0.002, tid=2)
-        tracer.add_span("shard-0", start, 0.004, tid=1)
+        tracer.add_span("track-1", start, 0.002, tid=2)
+        tracer.add_span("track-0", start, 0.004, tid=1)
         events = tracer.events()
         # Same ts: longer span first, then tid breaks the tie.
-        assert [e["name"] for e in events] == ["shard-0", "shard-1"]
+        assert [e["name"] for e in events] == ["track-0", "track-1"]
 
     def test_export_order_is_deterministic(self):
         tracer = Tracer()
@@ -173,16 +171,15 @@ class TestTimingsSchemaCoherence:
         self, campaign_path, capsys
     ):
         """The live path charges ``decode`` once per tailed chunk (this
-        feed fits one), and extract/bin/detect come from the engine's
-        profiler hook, once per closed bin, at any ``--shards``."""
-        for shards in ("1", "2"):
-            assert main(
-                ["monitor", str(campaign_path), "--json", "--shards", shards]
-            ) == 0
-            timings = self._timings_record(capsys.readouterr().err)
-            assert timings["decode"]["calls"] == 1
-            for stage in ("extract", "bin", "detect"):
-                assert timings[stage]["calls"] == 3, (shards, stage)
+        feed fits one), and extract/detect come from the engine's
+        profiler hook, once per closed bin.  There is no engine ``bin``
+        stage."""
+        assert main(["monitor", str(campaign_path), "--json"]) == 0
+        timings = self._timings_record(capsys.readouterr().err)
+        assert timings["decode"]["calls"] == 1
+        for stage in ("extract", "detect"):
+            assert timings[stage]["calls"] == 3, stage
+        assert "bin" not in timings
 
     def test_monitor_ingest_counters_reach_the_registry(
         self, campaign_path, tmp_path, capsys
@@ -215,7 +212,7 @@ class TestTimingsSchemaCoherence:
     def test_default_analyze_moves_the_engine_and_ingest_counters(
         self, campaign_path, capsys
     ):
-        """``analyze`` at ``--shards 1`` is the engine over decoded
+        """``analyze`` is the engine over decoded
         columns: the scrape reports the campaign's real totals."""
         from repro.obs.metrics import MetricsRegistry, set_default_registry
 
@@ -260,17 +257,13 @@ class TestTimingsSchemaCoherence:
         trace = tmp_path / "trace.json"
         assert main(
             ["analyze", str(campaign_path), "--seed", "3", "--probes", "12",
-             "--shards", "2", "--trace", str(trace)]
+             "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
         events = json.loads(trace.read_text())["traceEvents"]
         names = {e["name"] for e in events}
-        assert "campaign" in names
-        stage_names = {
-            n for n in names
-            if n != "campaign" and not n.startswith("shard-")
-        }
-        assert stage_names <= set(STAGE_NAMES)
-        # Shard spans ride their own tracks; the coordinator is tid 0.
-        assert {e["tid"] for e in events if e["name"].startswith("shard-")} \
-            == {1, 2}
+        assert names == {"campaign", "bin", "extract", "detect"}
+        assert names - {"campaign"} <= set(STAGE_NAMES)
+        # One track: no shard spans ride tracks of their own.
+        assert {e["tid"] for e in events} == {0}
+        assert not any(name.startswith("shard-") for name in names)

@@ -1,7 +1,8 @@
 """Quality metrics are engine-invariant.
 
-The engine guarantees bit-identical alarms across shard counts and
-checkpoint/resume splits; since :class:`QualityReport`
+The engine guarantees bit-identical alarms however its columnar input
+is cut into batches and across checkpoint/resume splits; since
+:class:`QualityReport`
 is a pure function of those alarms and the (fixed) ground truth, the
 scores must be *exactly* equal too.  This pins the quality bench's
 meaning: a score cannot depend on how the pipeline was deployed.
@@ -9,11 +10,11 @@ meaning: a score cannot depend on how the pipeline was deployed.
 
 import pytest
 
-from repro.atlas import TimeBinner
+from repro.atlas import TimeBinner, TracerouteBatch
 from repro.core import (
+    Engine,
     Pipeline,
     PipelineConfig,
-    ShardedPipeline,
     load_snapshot,
     save_snapshot,
 )
@@ -87,11 +88,27 @@ def test_reference_is_not_vacuous(reference):
     assert reference.recall > 0.0
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-def test_shard_count_invariance(workload, reference, n_shards):
-    scenario, campaign = workload
-    engine = ShardedPipeline(PipelineConfig(n_shards=n_shards))
-    assert _score(scenario, engine.run(campaign)) == reference
+@pytest.mark.parametrize("n_batches", [1, 2, 3, 4])
+def test_shard_count_invariance(workload, campaign_bins, reference, n_batches):
+    """The campaign's bins fed as *n_batches* separately encoded
+    columnar batches score like the serial run: every new batch is a
+    new id space, so the engine's id-keyed caches and rank table reset
+    at each cut."""
+    scenario, _ = workload
+    engine = Engine()
+    results = []
+    size = -(-len(campaign_bins) // n_batches)
+    for first in range(0, len(campaign_bins), size):
+        bins = campaign_bins[first:first + size]
+        batch = TracerouteBatch.from_traceroutes(
+            [t for _, payload in bins for t in payload]
+        )
+        offset = 0
+        for start, payload in bins:
+            view = batch.view(range(offset, offset + len(payload)))
+            results.append(engine.process_bin(start, view))
+            offset += len(payload)
+    assert _score(scenario, results) == reference
 
 
 @pytest.mark.parametrize("split", [2, 7])
@@ -101,13 +118,13 @@ def test_checkpoint_resume_invariance(
     """Checkpoint after *split* bins, resume in a fresh engine: the
     quality report of the stitched run equals the uninterrupted one."""
     scenario, campaign = workload
-    engine = ShardedPipeline(PipelineConfig(n_shards=2))
+    engine = Engine()
     first = [
         engine.process_bin(start, payload)
         for start, payload in campaign_bins[:split]
     ]
     path = tmp_path / "state.ckpt"
     save_snapshot(path, engine.snapshot(results=first))
-    resumed = ShardedPipeline(PipelineConfig(n_shards=2))
+    resumed = Engine()
     results = resumed.run(campaign, resume_from=load_snapshot(path))
     assert _score(scenario, results) == reference

@@ -1,6 +1,6 @@
 """Bit-identity tests for the batched statistics hot paths.
 
-The sharded engine's equivalence guarantee rests on the batched Wilson
+The engine's equivalence guarantee rests on the batched Wilson
 interval and batched Pearson correlation producing results **bit
 identical** to their scalar counterparts — not merely approximately
 equal.  These tests compare exact float values over adversarial random

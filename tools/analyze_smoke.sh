@@ -1,7 +1,7 @@
 #!/bin/sh
-# `analyze` has one production path (columns -> ShardedPipeline): the
-# report and the alarm store must not depend on --shards or --bin-cache,
-# and a bad campaign file must end in one error line, not a traceback.
+# `analyze` has one production path (columns -> Engine): the report
+# and the alarm store must not depend on --bin-cache, and a bad campaign
+# file must end in one error line, not a traceback.
 # Needs PYTHONPATH=src (the Makefile and CI set it).
 set -eu
 PYTHON=${PYTHON:-python}
@@ -19,11 +19,12 @@ run() {
         --store "$work/$name.store" "$@" > "$work/$name.json"
 }
 run default
-run shards --shards 2
 run cache --bin-cache              # cold: decodes and writes feed.jsonl.binc
-run both --bin-cache --shards 2    # warm: maps it
+# The benchmark ledger's replay command, warm: maps the cache.  It still
+# passes --shards 2, which analyze accepts and ignores.
+run ledger --bin-cache --shards 2
 
-for name in shards cache both; do
+for name in cache ledger; do
     cmp "$work/default.json" "$work/$name.json"
     for segment in "$work"/default.store/*.seg; do
         cmp "$segment" "$work/$name.store/$(basename "$segment")"
@@ -38,4 +39,4 @@ cat "$work/torn.err"
 [ "$status" -eq 1 ]
 grep -q "^repro: error: $work/torn.jsonl: line " "$work/torn.err"
 ! grep -q Traceback "$work/torn.err"
-echo "analyze smoke: 4 runs byte-identical, truncated feed rejected cleanly"
+echo "analyze smoke: 3 runs byte-identical, truncated feed rejected cleanly"

@@ -121,7 +121,7 @@ def command_argv(work: Path, out: Path) -> Dict[str, List[str]]:
             "--checkpoint", str(out / "monitor.ckpt"),
         ],
         "analyze": [
-            "analyze", feed, *SEED_FLAGS, "--json", "--shards", "2",
+            "analyze", feed, *SEED_FLAGS, "--json",
             "--bin-cache", str(out / "feed.binc"),
             "--store", str(out / "analyze.store"),
         ],
