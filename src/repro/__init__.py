@@ -41,9 +41,9 @@ Quickstart::
     print(analysis.stats())
 
 The production engine: pass ``pipeline=Engine(config)`` to
-:func:`analyze_campaign` — the CLI's ``analyze``, ``monitor`` and
-``replay`` always do — to run the campaign on
-:class:`~repro.core.Engine`, whose output and checkpoint bytes are the
+:func:`analyze_campaign` to run the campaign on
+:class:`~repro.core.Engine` — the engine the CLI's ``analyze`` and
+``monitor`` always run — whose output and checkpoint bytes are the
 serial pipeline's, bit for bit.
 
 Running continuously: both engines expose an incremental API

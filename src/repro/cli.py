@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands cover the common workflows:
+Six subcommands cover the common workflows:
 
 * ``generate`` — run a measurement campaign on the synthetic Internet
   and store the traceroutes as JSONL (Atlas download format),
@@ -13,7 +13,9 @@ Seven subcommands cover the common workflows:
   recorded pages offline, optionally through an injected fault
   schedule (``--fault-seed/--fault-rate``),
 * ``analyze`` — run the detection pipeline over a stored campaign and
-  print alarms plus the per-AS health summary (optionally JSON),
+  print alarms plus the per-AS health summary (optionally JSON).  The
+  paper's case studies are ``generate --scenario {ddos,leak,outage}``
+  followed by ``analyze``,
 * ``monitor`` — tail a JSONL feed like the authors' near-real-time
   deployment tails the Atlas streaming API: close hourly bins as the
   stream moves past them, emit alarms per closed bin, and durably
@@ -32,20 +34,18 @@ Seven subcommands cover the common workflows:
   retention (:mod:`repro.service.compact`): queries stay bit-identical
   under merging, while ``--coarsen-after``/``--drop-after`` trade old
   raw alarms for bounded disk.  ``monitor --compact-every N`` runs the
-  same pass inline on a live store,
-* ``replay``  — regenerate one of the paper's case studies end to end.
+  same pass inline on a live store.
 
-``analyze``, ``replay`` and ``monitor`` all run the engine
+``analyze`` and ``monitor`` both run the engine
 (:class:`repro.core.engine.Engine`) over columns, in-process; its
 output and checkpoint bytes are bit-identical to the serial reference
 pipeline's.
 The engine has one extraction path, the fused columnar spine
 (:mod:`repro.core.fused`): ``analyze`` decodes the campaign file
-straight into columns, ``replay``'s simulated traceroutes are encoded
-into columns at the engine's door.  ``analyze --bin-cache [PATH]``
+straight into columns.  ``analyze --bin-cache [PATH]``
 additionally persists the decoded columns
-(:mod:`repro.atlas.bincache`): the first replay writes them next to
-the campaign, repeat replays map the cache zero-copy and skip JSON
+(:mod:`repro.atlas.bincache`): the first run writes them next to
+the campaign, repeat runs map the cache zero-copy and skip JSON
 parsing entirely — output is bit-identical either way.  ``analyze
 --timings`` prints per-stage wall-clock totals
 (decode/extract/detect/store), and ``monitor --json`` appends one
@@ -60,11 +60,13 @@ bit-identical output.  ``monitor`` shares the same snapshot format, so
 a crashed monitor restarted on the same feed continues where it left
 off, dropping the already-processed prefix as replay.
 
-``analyze --store DIR`` exports the campaign's alarms and AS events
-into a persistent alarm store; ``monitor --store DIR`` appends every
-closed bin to the store *while detection runs* (idempotently across
-checkpoint restarts).  ``serve DIR`` then answers IHR queries over
-HTTP from that store — no pipeline, no recomputation.
+``analyze`` prints its report from alarm-store columns through the
+query engine ``serve`` answers from (:mod:`repro.service.query`);
+``analyze --store DIR`` writes those columns into a persistent alarm
+store, without it they stay in memory.  ``monitor --store DIR``
+appends every closed bin to the store *while detection runs*
+(idempotently across checkpoint restarts).  ``serve DIR`` then answers
+IHR queries over HTTP from that store — no pipeline, no recomputation.
 
 Examples::
 
@@ -82,7 +84,8 @@ Examples::
         --store alarms.store
     python -m repro serve alarms.store --port 8080
     python -m repro compact alarms.store --max-segments 8 --drop-after 720
-    python -m repro replay ddos
+    python -m repro generate --scenario ddos --out ddos.jsonl
+    python -m repro analyze ddos.jsonl
 """
 
 from __future__ import annotations
@@ -119,9 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser(
         "generate", help="generate a traceroute campaign (JSONL output)"
     )
-    generate.add_argument("--hours", type=int, default=24)
+    generate.add_argument("--hours", type=_positive_int, default=24)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--probes", type=int, default=None,
+    generate.add_argument("--probes", type=_positive_int, default=None,
                           help="override the number of probes")
     generate.add_argument("--no-anchoring", action="store_true")
     generate.add_argument("--out", required=True, help="output .jsonl[.gz]")
@@ -186,17 +189,19 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="topology seed used at generation time "
                               "(needed for the IP-to-AS table)")
     analyze.add_argument("--probes", type=int, default=None)
-    analyze.add_argument("--alpha", type=float, default=None)
+    analyze.add_argument("--alpha", type=_unit_open, default=None,
+                         help="reference smoothing factor, in (0, 1) "
+                              "(default 0.01)")
     analyze.add_argument("--json", action="store_true",
                          help="emit the IHR summary as JSON")
-    analyze.add_argument("--top", type=int, default=10,
+    analyze.add_argument("--top", type=_nonnegative_int, default=10,
                          help="number of top events to list")
     analyze.add_argument(
         "--bin-cache", nargs="?", const="", default=None, metavar="PATH",
         help="persist the decoded columns: map PATH (default: "
              "<campaign>.binc) instead of parsing JSON when it matches "
              "the campaign file, else decode and write it for the next "
-             "replay")
+             "run")
     analyze.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="snapshot detector state and accumulated results to PATH "
@@ -231,10 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--follow", action="store_true",
         help="keep tailing the feed for new results (like tail -f)")
     monitor.add_argument(
-        "--poll", type=float, default=0.5, metavar="S",
+        "--poll", type=_positive_float, default=0.5, metavar="S",
         help="seconds between feed polls with --follow (default 0.5)")
     monitor.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
+        "--idle-timeout", type=_positive_float, default=None, metavar="S",
         help="with --follow, drain and exit after S seconds without "
              "new data (default: follow forever)")
     monitor.add_argument(
@@ -350,14 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compact.add_argument(
         "--dry-run", action="store_true",
         help="report what the pass would do without writing anything")
-
-    replay = sub.add_parser(
-        "replay", help="replay one of the paper's case studies"
-    )
-    replay.add_argument("case", choices=["ddos", "leak", "outage"])
-    replay.add_argument("--hours", type=int, default=48)
-    replay.add_argument("--seed", type=int, default=1)
-    _accept_shards(replay)
     return parser
 
 
@@ -380,6 +377,28 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0, rejected with a clean message."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
+    return value
+
+
+def _unit_open(text: str) -> float:
+    """argparse type: a number strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1): {text}")
     return value
 
 
@@ -748,11 +767,16 @@ def _cmd_analyze(args) -> int:
     from repro.atlas.bincache import default_cache_path, load_or_build
     from repro.atlas.columnar import decode_traceroutes
     from repro.atlas.io import TracerouteDecodeError
-    from repro.core.pipeline import analyze_campaign
     from repro.obs.tracing import StageAccumulator, Tracer
     from repro.reporting.export import record_json
-    from repro.reporting.ihr import InternetHealthReport
+    from repro.reporting.ihr import summary_json
     from repro.reporting.render import format_table
+    from repro.service.query import StoreQuery
+    from repro.service.store import (
+        AlarmStoreWriter,
+        MemoryStore,
+        append_results,
+    )
 
     every = _checkpoint_every(args)
     timer = StageAccumulator(enabled=args.timings)
@@ -780,40 +804,52 @@ def _cmd_analyze(args) -> int:
     pipeline.profiler = timer
     pipeline.tracer = tracer
     campaign_start = tracer.now()
-    analysis = analyze_campaign(
-        batch,
-        _as_mapper(args),
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=every,
-        checkpoint_source=args.path if args.checkpoint else None,
-        pipeline=pipeline,
-    )
+    if args.checkpoint:
+        from repro.core.checkpoint import run_checkpointed
+
+        results, _ = run_checkpointed(
+            pipeline, batch, args.checkpoint,
+            every_bins=every, source_path=args.path,
+        )
+    else:
+        results = pipeline.run(batch)
     tracer.add_span(
         "campaign",
         campaign_start,
         tracer.now() - campaign_start,
-        args={"bins": len(analysis.bin_results)},
+        args={"bins": len(results)},
     )
     if args.trace is not None:
         tracer.write(args.trace)
         if not args.json:
             print(f"trace written: {args.trace} "
                   f"({len(tracer.events())} spans)")
-    report = InternetHealthReport(analysis)
+    # The report is read from alarm-store columns, as `serve` reads
+    # them: written to --store, else held in memory.
+    mapper = _as_mapper(args)
+    start = results[0].timestamp if results else 0
+    bin_s = pipeline.config.bin_s
+    with timer.stage("store"):
+        if args.store:
+            store = AlarmStoreWriter.create(
+                args.store, mapper, bin_s=bin_s, start=start, overwrite=True
+            )
+        else:
+            store = MemoryStore(mapper, bin_s=bin_s, start=start)
+        append_results(store, results)
     if args.store:
-        from repro.service.store import append_analysis
-
-        with timer.stage("store"):
-            writer = append_analysis(args.store, analysis)
-        _warn_if_unattributed_store(writer, args.store)
+        _warn_if_unattributed_store(store, args.store)
         if not args.json:
             print(
                 f"alarm store updated: {args.store} "
-                f"(generation {writer.generation}, "
-                f"{len(analysis.bin_results)} bins)"
+                f"(generation {store.generation}, {len(results)} bins)"
             )
+    report = StoreQuery(args.store or store)
+    meta = report.meta()
+    stats = pipeline.stats()
     if args.json:
-        print(report.to_json())
+        empty = not meta["n_delay_alarms"] and not meta["n_forwarding_alarms"]
+        print(summary_json(report, empty, stats))
         if timer.enabled:
             print(
                 record_json(
@@ -822,7 +858,6 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
         return 0
-    stats = analysis.stats()
     print(
         format_table(
             ["statistic", "value"],
@@ -830,8 +865,8 @@ def _cmd_analyze(args) -> int:
                 ["traceroutes", stats.traceroutes_processed],
                 ["bins", stats.bins_processed],
                 ["links analyzed", stats.links_analyzed],
-                ["delay alarms", len(analysis.delay_alarms)],
-                ["forwarding alarms", len(analysis.forwarding_alarms)],
+                ["delay alarms", meta["n_delay_alarms"]],
+                ["forwarding alarms", meta["n_forwarding_alarms"]],
             ],
         )
     )
@@ -1206,67 +1241,6 @@ def _cmd_compact(args) -> int:
     return 0
 
 
-def _cmd_replay(args) -> int:
-    from repro.core.pipeline import analyze_campaign
-    from repro.reporting.ihr import InternetHealthReport
-    from repro.reporting.render import format_table
-    from repro.simulation.platform import AtlasPlatform, CampaignConfig
-    from repro.simulation.scenarios import (
-        DdosScenario,
-        IxpOutageScenario,
-        RouteLeakScenario,
-    )
-
-    topology = _topology(args.seed, None)
-    window = (args.hours * 3600 // 2, args.hours * 3600 // 2 + 2 * 3600)
-    if args.case == "ddos":
-        kroot = topology.services["K-root"]
-        scenario = DdosScenario(
-            topology,
-            "K-root",
-            [kroot.instances[0].node, kroot.instances[1].node],
-            windows=[window],
-            seed=3,
-        )
-    elif args.case == "leak":
-        scenario = RouteLeakScenario(
-            topology,
-            leak_waypoint=topology.routers_of_as(4788)[0],
-            leak_entry=topology.routers_of_as(3549)[0],
-            leaked_targets={a.name for a in topology.anchors},
-            window=window,
-            seed=3,
-        )
-    else:
-        scenario = IxpOutageScenario(topology, ixp_asn=1200, window=window)
-    platform = AtlasPlatform(topology, scenario=scenario, seed=2)
-    config = CampaignConfig(duration_s=args.hours * 3600)
-    print(
-        f"replaying '{args.case}' (event at hours "
-        f"{window[0]//3600}-{window[1]//3600}) over {args.hours}h ..."
-    )
-    # Simulated traceroutes are encoded into columns at the engine's door.
-    analysis = analyze_campaign(
-        platform.run_campaign(config),
-        topology.as_mapper(),
-        pipeline=_engine(),
-    )
-    report = InternetHealthReport(analysis, window_bins=args.hours // 2)
-    rows = []
-    for kind in ("delay", "forwarding"):
-        for event in report.top_events(kind, threshold=2.0, limit=5):
-            rows.append(
-                [f"AS{event.asn}", event.timestamp // 3600, kind,
-                 f"{event.magnitude:+.1f}"]
-            )
-    print(
-        format_table(["AS", "hour", "kind", "magnitude"], rows)
-        if rows
-        else "no events detected"
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse *argv* (default ``sys.argv``) and run the subcommand."""
     args = _build_parser().parse_args(argv)
@@ -1277,7 +1251,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "monitor": _cmd_monitor,
         "serve": _cmd_serve,
         "compact": _cmd_compact,
-        "replay": _cmd_replay,
     }
     return handlers[args.command](args)
 

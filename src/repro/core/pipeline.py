@@ -575,8 +575,11 @@ def analyze_campaign(
 
     ``pipeline`` hands in a fresh engine to drive instead (*config* is
     then unused), with its own profiler/tracer attached before the
-    call — what the CLI's ``analyze`` and ``replay`` do with their
-    :class:`~repro.core.engine.Engine`, like ``monitor``.
+    call.  The CLI's ``analyze`` does not come through here: it runs
+    its :class:`~repro.core.engine.Engine` directly and reports from
+    alarm-store columns, with this function (and the
+    :class:`~repro.core.events.AlarmAggregator` it fills) as the
+    oracle it is tested against.
 
     With ``checkpoint_path`` the campaign runs through the resumable
     driver (:func:`~repro.core.checkpoint.run_checkpointed`): detector

@@ -24,10 +24,6 @@ _EXPORTS = {
     "render_qq": "repro.reporting.render",
     "render_series": "repro.reporting.render",
     "sparkline": "repro.reporting.render",
-    "write_alarm_graph": "repro.reporting.export",
-    "write_distribution": "repro.reporting.export",
-    "write_magnitude_series": "repro.reporting.export",
-    "write_tracked_link": "repro.reporting.export",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,42 +1,21 @@
-"""CSV export of figure data series and canonical alarm/event records.
+"""The canonical record shape of the system's alarms and per-bin events.
 
-The benchmarks print text renderings; for external plotting (matplotlib,
-gnuplot, spreadsheets) these helpers write the underlying series as
-plain CSV files: magnitude time series (Figures 6/9/10/13), tracked-link
-differential RTT series (Figures 2/7/11), distribution samples
-(Figure 5) and alarm graph edge lists (Figures 8/12).
-
-The module also owns the **canonical record shape** of the system's
-alarms and per-bin events: :func:`delay_alarm_record`,
-:func:`forwarding_alarm_record` and :func:`bin_event_record` emit
-JSON-serialisable dicts with a documented, stable field order (the
-``*_FIELDS`` tuples) and a versioned ``schema`` tag
-(:data:`SCHEMA_VERSION`).  The ``monitor`` CLI's JSONL feed and the
-on-disk alarm store (:mod:`repro.service.store`) both speak exactly this
-shape, and the matching ``*_from_record`` constructors round-trip a
-record back into its alarm object bit-identically — a new field must be
-appended (never inserted) and bumps :data:`SCHEMA_VERSION`.
+:func:`delay_alarm_record`, :func:`forwarding_alarm_record` and
+:func:`bin_event_record` emit JSON-serialisable dicts with a
+documented, stable field order (the ``*_FIELDS`` tuples) and a
+versioned ``schema`` tag (:data:`SCHEMA_VERSION`).  The ``monitor``
+CLI's JSONL feed and the on-disk alarm store
+(:mod:`repro.service.store`) both speak exactly this shape, and the
+matching ``*_from_record`` constructors round-trip a record back into
+its alarm object bit-identically — a new field must be appended (never
+inserted) and bumps :data:`SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
-
-import numpy as np
-
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.reporting.jsonio import dumps_canonical
 from repro.stats.wilson import WilsonInterval
-
-if TYPE_CHECKING:  # annotations only: networkx loads on first use, and
-    # `serve` decodes alarm records without loading the pipeline
-    import networkx as nx
-
-    from repro.core.pipeline import TrackedLinkPoint
-
-PathLike = Union[str, Path]
 
 #: Version tag carried by every record's ``schema`` key.  Bumped when a
 #: record's field set or field order changes incompatibly.
@@ -65,88 +44,6 @@ BIN_EVENT_FIELDS = (
 def _schema_tag(name: str) -> str:
     """The versioned ``schema`` value for record kind *name*."""
     return f"{name}/v{SCHEMA_VERSION}"
-
-
-def write_magnitude_series(
-    path: PathLike,
-    timestamps: Sequence[int],
-    magnitudes: Sequence[float],
-    values: Optional[Sequence[float]] = None,
-) -> int:
-    """Write one AS's severity/magnitude series; returns rows written."""
-    timestamps = list(timestamps)
-    magnitudes = list(magnitudes)
-    if len(timestamps) != len(magnitudes):
-        raise ValueError(
-            f"length mismatch: {len(timestamps)} timestamps vs "
-            f"{len(magnitudes)} magnitudes"
-        )
-    if values is not None and len(values) != len(timestamps):
-        raise ValueError("values length mismatch")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ["timestamp", "magnitude"]
-        if values is not None:
-            header.append("severity")
-        writer.writerow(header)
-        for index, (ts, mag) in enumerate(zip(timestamps, magnitudes)):
-            row = [ts, f"{float(mag):.6f}"]
-            if values is not None:
-                row.append(f"{float(values[index]):.6f}")
-            writer.writerow(row)
-    return len(timestamps)
-
-
-def write_tracked_link(
-    path: PathLike, points: Iterable[TrackedLinkPoint]
-) -> int:
-    """Write a tracked link's per-bin series (Figure 2/7/11 material)."""
-    rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "timestamp", "median", "ci_lower", "ci_upper",
-                "ref_median", "ref_lower", "ref_upper",
-                "mean", "sample_std", "n_probes", "alarmed", "accepted",
-            ]
-        )
-        for point in points:
-            observed = point.observed
-            reference = point.reference
-            writer.writerow(
-                [
-                    point.timestamp,
-                    f"{observed.median:.6f}" if observed else "",
-                    f"{observed.lower:.6f}" if observed else "",
-                    f"{observed.upper:.6f}" if observed else "",
-                    f"{reference.median:.6f}" if reference else "",
-                    f"{reference.lower:.6f}" if reference else "",
-                    f"{reference.upper:.6f}" if reference else "",
-                    f"{point.mean:.6f}" if point.mean is not None else "",
-                    f"{point.sample_std:.6f}"
-                    if point.sample_std is not None
-                    else "",
-                    point.n_probes,
-                    int(point.alarmed),
-                    int(point.accepted),
-                ]
-            )
-            rows += 1
-    return rows
-
-
-def write_distribution(
-    path: PathLike, values: Sequence[float], column: str = "value"
-) -> int:
-    """Write raw distribution samples (Figure 5 material)."""
-    array = np.asarray(values, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([column])
-        for value in array:
-            writer.writerow([f"{value:.6f}"])
-    return int(array.size)
 
 
 def delay_alarm_record(alarm) -> dict:
@@ -301,30 +198,3 @@ def forwarding_alarm_from_record(record: dict) -> ForwardingAlarm:
             for hop, value in record["reference"].items()
         },
     )
-
-
-def write_alarm_graph(path: PathLike, graph: nx.Graph) -> int:
-    """Write an alarm graph edge list (Figure 8/12 material)."""
-    rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "near_ip", "far_ip", "deviation", "median_shift_ms",
-                "direction", "near_in_forwarding", "far_in_forwarding",
-            ]
-        )
-        for near, far, data in graph.edges(data=True):
-            writer.writerow(
-                [
-                    near,
-                    far,
-                    f"{data.get('deviation', 0.0):.4f}",
-                    f"{data.get('median_shift_ms', 0.0):.4f}",
-                    data.get("direction", 0),
-                    int(graph.nodes[near].get("in_forwarding_alarm", False)),
-                    int(graph.nodes[far].get("in_forwarding_alarm", False)),
-                ]
-            )
-            rows += 1
-    return rows

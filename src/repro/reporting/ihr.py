@@ -4,14 +4,17 @@ The authors expose their results through the IHR website and API so that
 operators can monitor ASes they care about.  :class:`InternetHealthReport`
 provides the equivalent offline: per-AS condition summaries, event lists,
 link-level drill-down, and JSON export — all computed from a
-:class:`~repro.core.pipeline.CampaignAnalysis`.
+:class:`~repro.core.pipeline.CampaignAnalysis`.  No command builds it:
+``analyze`` and ``serve`` answer from
+:class:`~repro.service.query.StoreQuery`, and this class is the oracle
+they are tested against.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from repro.core.alarms import DelayAlarm, ForwardingAlarm, Link
 from repro.core.events import DetectedEvent
 
 if TYPE_CHECKING:  # `serve` answers AsCondition/LinkHealth, no pipeline
-    from repro.core.pipeline import CampaignAnalysis
+    from repro.core.pipeline import CampaignAnalysis, CampaignStats
 
 
 @dataclass(frozen=True)
@@ -273,23 +276,27 @@ class InternetHealthReport:
     # -- export -------------------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialise the per-AS summary as the IHR API would.
+        """Serialise the per-AS summary as the IHR API would."""
+        return summary_json(self, self.is_empty, self.analysis.stats())
 
-        An alarm-free campaign is an explicit healthy report (``empty``
-        true, no conditions) rather than an error.
-        """
-        payload = {
-            "empty": self.is_empty,
-            "monitored_asns": self.monitored_asns(),
-            "stats": asdict(self.analysis.stats()),
-            "conditions": [
-                {
-                    **asdict(condition),
-                    "healthy": condition.healthy,
-                }
-                for condition in map(
-                    self.as_condition, self.monitored_asns()
-                )
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+def summary_json(source, empty: bool, stats: CampaignStats) -> str:
+    """The per-AS summary as the IHR API would serialise it.
+
+    *source* answers ``monitored_asns()`` and ``as_condition(asn)``: an
+    :class:`InternetHealthReport`, or the
+    :class:`~repro.service.query.StoreQuery` that ``analyze`` prints
+    from.  An alarm-free campaign (*empty*) is an explicit healthy
+    report (``empty`` true, no conditions) rather than an error.
+    """
+    asns = source.monitored_asns()
+    payload = {
+        "empty": empty,
+        "monitored_asns": asns,
+        "stats": asdict(stats),
+        "conditions": [
+            {**asdict(condition), "healthy": condition.healthy}
+            for condition in map(source.as_condition, asns)
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

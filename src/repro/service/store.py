@@ -42,6 +42,11 @@ record schema) rather than materialising a record dict per alarm — on
 the fused engine path this is the single point where interned-id
 payloads have become str-keyed objects, and the store immediately
 re-interns the strings into segment-local ids.
+
+:class:`MemoryStore` is a store without a directory: the same appends
+build the same segment payloads, parsed in place instead of written,
+so a one-shot report (``analyze`` without ``--store``) reads the
+columns ``serve`` would.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -563,19 +569,19 @@ class _SegmentBuilder:
         self.asns.extend(segment.e_asn.tolist())
         self.timestamps.extend(segment.e_ts.tolist())
 
-    def write(self, directory: Path, name: str) -> SegmentMeta:
-        """Durably write the rows as segment *name*; return its entry."""
+    def parts(self) -> list:
+        """The segment payload in serialisation order: string table,
+        counts, then every column array.  The one encoder of a segment:
+        :meth:`write` frames it on disk, :meth:`AlarmSegment.in_memory`
+        parses it in place."""
         columns = self.columns
-        parts = [binfmt.string_table(self.interner.strings)]
-        n_delay = len(columns["d_ts"])
-        n_fwd = len(columns["f_ts"])
-        n_events = len(columns["e_ts"])
-        parts.append(
+        parts = [
+            binfmt.string_table(self.interner.strings),
             _SEGMENT_COUNTS.pack(
-                n_delay, n_fwd, len(self.resp), len(self.pat),
-                len(self.ref), n_events,
-            )
-        )
+                len(columns["d_ts"]), len(columns["f_ts"]), len(self.resp),
+                len(self.pat), len(self.ref), len(columns["e_ts"]),
+            ),
+        ]
         for spec in (_DELAY_COLUMNS, _FWD_COLUMNS):
             for column_name, dtype in spec:
                 parts.append(np.asarray(columns[column_name], dtype=dtype))
@@ -586,18 +592,112 @@ class _SegmentBuilder:
             parts.append(np.asarray([e[1] for e in pool], dtype="<f8"))
         for column_name, dtype in _EVENT_COLUMNS:
             parts.append(np.asarray(columns[column_name], dtype=dtype))
-        written = binfmt.atomic_write(directory / name, SEGMENT, parts)
+        return parts
+
+    def meta(self, name: str, digest: bytes) -> SegmentMeta:
+        """The manifest entry of these rows as segment *name*."""
+        columns = self.columns
         return SegmentMeta(
             name=name,
-            digest=written.digest,
-            n_delay=n_delay,
-            n_forwarding=n_fwd,
-            n_events=n_events,
+            digest=digest,
+            n_delay=len(columns["d_ts"]),
+            n_forwarding=len(columns["f_ts"]),
+            n_events=len(columns["e_ts"]),
             min_ts=min(self.timestamps) if self.timestamps else 0,
             max_ts=max(self.timestamps) if self.timestamps else -1,
             min_asn=min(self.asns) if self.asns else 0,
             max_asn=max(self.asns) if self.asns else -1,
         )
+
+    def write(self, directory: Path, name: str) -> SegmentMeta:
+        """Durably write the rows as segment *name*; return its entry."""
+        written = binfmt.atomic_write(directory / name, SEGMENT, self.parts())
+        return self.meta(name, written.digest)
+
+
+def _empty_manifest(bin_s: int, start: Optional[int]) -> Manifest:
+    """Generation 0 of a new store epoch: no segments, no bins yet."""
+    if bin_s <= 0:
+        raise ValueError(f"bin size must be positive: {bin_s}")
+    return Manifest(
+        store_id=os.urandom(binfmt.DIGEST_SIZE),
+        generation=0,
+        next_index=0,
+        bin_s=bin_s,
+        start=start,
+        end=start - bin_s if start is not None else 0,
+        segments=[],
+    )
+
+
+def _appended(
+    manifest: Manifest,
+    mapper: AsMapper,
+    results: Sequence[BinResult],
+    put: Callable[[_SegmentBuilder, str], SegmentMeta],
+) -> Tuple[Manifest, int]:
+    """*manifest* after an append of *results*, and the bins appended.
+
+    Bins the manifest already covers are skipped; the fresh ones become
+    one segment's rows, which ``put(builder, name)`` stores (on disk or
+    in memory) and returns the entry of.  Quiet bins still advance the
+    clock.  Returns *manifest* itself and 0 when nothing is fresh.
+    """
+    fresh = [
+        result
+        for result in results
+        if manifest.start is None or result.timestamp > manifest.end
+    ]
+    if not fresh:
+        return manifest, 0
+    timestamps = [result.timestamp for result in fresh]
+    if timestamps != sorted(set(timestamps)):
+        raise StoreError(
+            "bin results must arrive in strictly increasing "
+            "timestamp order"
+        )
+    start = manifest.start if manifest.start is not None else timestamps[0]
+    for ts in timestamps:
+        if ts < start or (ts - start) % manifest.bin_s:
+            raise StoreError(
+                f"bin timestamp {ts} is off the store clock "
+                f"(start {start}, bin_s {manifest.bin_s})"
+            )
+    end = timestamps[-1]
+    builder = _SegmentBuilder(mapper)
+    for result in fresh:
+        builder.add_bin(result)
+    if builder.timestamps:
+        # Alarms may be stamped anywhere inside their bin; the clock
+        # must cover the bin containing the latest one (exactly like
+        # the aggregator's _last_timestamp) and never precede start.
+        if min(builder.timestamps) < start:
+            raise StoreError(
+                f"alarm timestamp {min(builder.timestamps)} precedes "
+                f"the store start {start}"
+            )
+        latest = max(builder.timestamps)
+        end = max(
+            end,
+            start + ((latest - start) // manifest.bin_s) * manifest.bin_s,
+        )
+    segments = list(manifest.segments)
+    next_index = manifest.next_index
+    if builder.n_rows:
+        segments.append(put(builder, f"seg-{next_index:08d}.seg"))
+        next_index += 1
+    return (
+        Manifest(
+            store_id=manifest.store_id,
+            generation=manifest.generation + 1,
+            next_index=next_index,
+            bin_s=manifest.bin_s,
+            start=start,
+            end=end,
+            segments=segments,
+        ),
+        len(fresh),
+    )
 
 
 class AlarmSegment:
@@ -615,6 +715,21 @@ class AlarmSegment:
         # The mapping lives as long as the segment: every column is a
         # zero-copy numpy view into the page cache.
         binfmt.map_frame(path, SEGMENT, self._parse, keep=True)
+
+    @classmethod
+    def in_memory(cls, builder: _SegmentBuilder, name: str) -> "AlarmSegment":
+        """*builder*'s rows as segment *name* with no file behind it.
+
+        The payload :meth:`_SegmentBuilder.write` would frame, parsed
+        and vetted in place: the same columns and digest as the file.
+        """
+        payload = memoryview(b"".join(builder.parts()))
+        digest = binfmt.digest(payload)
+        segment = cls.__new__(cls)
+        segment.meta = builder.meta(name, digest)
+        segment._index = None
+        segment._parse(binfmt.Reader(payload, SEGMENT, name, digest))
+        return segment
 
     def _parse(self, reader: binfmt.Reader) -> None:
         path = reader.path
@@ -761,6 +876,40 @@ class AlarmStore:
             yield self.segment(meta)
 
 
+class MemoryStore(AlarmStore):
+    """An alarm store held in memory, for a report nobody will serve.
+
+    :meth:`append_bins` builds exactly the segments and manifest that
+    :class:`AlarmStoreWriter` would publish, but keeps the segments as
+    in-memory columns (:meth:`AlarmSegment.in_memory`) and writes
+    nothing.  :class:`~repro.service.query.StoreQuery` reads it like a
+    store directory; nothing else writes it, so it never refreshes.
+    """
+
+    def __init__(
+        self, mapper: AsMapper, bin_s: int = 3600, start: Optional[int] = None
+    ) -> None:
+        # No directory: the AlarmStore fields that read one stay unset.
+        self.mapper = mapper
+        self.manifest = _empty_manifest(bin_s, start)
+        self._segments = {}
+
+    def refresh(self) -> bool:
+        return False
+
+    def append_bins(self, results: Sequence[BinResult]) -> int:
+        """Append closed bins like :meth:`AlarmStoreWriter.append_bins`."""
+        self.manifest, appended = _appended(
+            self.manifest, self.mapper, results, self._hold
+        )
+        return appended
+
+    def _hold(self, builder: _SegmentBuilder, name: str) -> SegmentMeta:
+        segment = AlarmSegment.in_memory(builder, name)
+        self._segments[(name, segment.meta.digest)] = segment
+        return segment.meta
+
+
 class AlarmStoreWriter:
     """Append side of a store directory.
 
@@ -792,8 +941,7 @@ class AlarmStoreWriter:
         first, so a concurrent reader fails loudly rather than reading
         unlinked files' stale cache).
         """
-        if bin_s <= 0:
-            raise ValueError(f"bin size must be positive: {bin_s}")
+        manifest = _empty_manifest(bin_s, start)
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         manifest_path = directory / MANIFEST_NAME
@@ -801,15 +949,6 @@ class AlarmStoreWriter:
             raise StoreError(
                 f"store already exists (pass overwrite=True): {directory}"
             )
-        manifest = Manifest(
-            store_id=os.urandom(binfmt.DIGEST_SIZE),
-            generation=0,
-            next_index=0,
-            bin_s=bin_s,
-            start=start,
-            end=start - bin_s if start is not None else 0,
-            segments=[],
-        )
         write_manifest(directory, manifest)
         for stale in directory.glob("seg-*.seg"):
             stale.unlink()
@@ -900,70 +1039,25 @@ class AlarmStoreWriter:
                 f"(disk {on_disk.token} != writer {self.manifest.token}); "
                 f"call reload() before appending: {self.path}"
             )
-        manifest = self.manifest
-        fresh = [
-            result
-            for result in results
-            if manifest.start is None or result.timestamp > manifest.end
-        ]
-        if not fresh:
+        manifest, appended = _appended(
+            self.manifest, self.mapper, results,
+            lambda builder, name: builder.write(self.path, name),
+        )
+        if not appended:
             return 0
-        timestamps = [result.timestamp for result in fresh]
-        if timestamps != sorted(set(timestamps)):
-            raise StoreError(
-                "bin results must arrive in strictly increasing "
-                "timestamp order"
-            )
-        start = manifest.start if manifest.start is not None else timestamps[0]
-        for ts in timestamps:
-            if ts < start or (ts - start) % manifest.bin_s:
-                raise StoreError(
-                    f"bin timestamp {ts} is off the store clock "
-                    f"(start {start}, bin_s {manifest.bin_s})"
-                )
-        end = timestamps[-1]
-        builder = _SegmentBuilder(self.mapper)
-        for result in fresh:
-            builder.add_bin(result)
-        if builder.timestamps:
-            # Alarms may be stamped anywhere inside their bin; the clock
-            # must cover the bin containing the latest one (exactly like
-            # the aggregator's _last_timestamp) and never precede start.
-            if min(builder.timestamps) < start:
-                raise StoreError(
-                    f"alarm timestamp {min(builder.timestamps)} precedes "
-                    f"the store start {start}"
-                )
-            latest = max(builder.timestamps)
-            end = max(
-                end,
-                start + ((latest - start) // manifest.bin_s) * manifest.bin_s,
-            )
-        segments = list(manifest.segments)
-        next_index = manifest.next_index
         metrics = store_metrics(default_registry())
-        if builder.n_rows:
-            meta = builder.write(self.path, f"seg-{next_index:08d}.seg")
-            segments.append(meta)
-            next_index += 1
+        if len(manifest.segments) > len(self.manifest.segments):
+            meta = manifest.segments[-1]
             metrics["rows"].labels("delay").inc(meta.n_delay)
             metrics["rows"].labels("forwarding").inc(meta.n_forwarding)
             metrics["rows"].labels("event").inc(meta.n_events)
-        self.manifest = Manifest(
-            store_id=manifest.store_id,
-            generation=manifest.generation + 1,
-            next_index=next_index,
-            bin_s=manifest.bin_s,
-            start=start,
-            end=end,
-            segments=segments,
-        )
+        self.manifest = manifest
         write_manifest(self.path, self.manifest)
         metrics["appends"].inc()
         metrics["append_seconds"].observe(perf_counter() - append_start)
         metrics["segments"].set(len(self.manifest.segments))
         metrics["generation"].set(self.manifest.generation)
-        return len(fresh)
+        return appended
 
 
 def append_analysis(
@@ -975,8 +1069,8 @@ def append_analysis(
     """Export a completed :class:`CampaignAnalysis` into a store.
 
     Creates (by default: recreates) the store at *path* anchored at the
-    analysis aggregator's bin clock, then appends every bin result in
-    chunks of *segment_bins* bins per segment.  Returns the writer (its
+    analysis aggregator's bin clock, then appends every bin result
+    through :func:`append_results`.  Returns the writer (its
     ``generation`` reflects the final published state).
     """
     if segment_bins < 1:
@@ -989,7 +1083,14 @@ def append_analysis(
         start=aggregator.start,
         overwrite=overwrite,
     )
-    results = analysis.bin_results
-    for index in range(0, len(results), segment_bins):
-        writer.append_bins(results[index : index + segment_bins])
+    append_results(writer, analysis.bin_results, segment_bins)
     return writer
+
+
+def append_results(
+    store, results: Sequence[BinResult], segment_bins: int = 64
+) -> None:
+    """Append *results* to *store* (an :class:`AlarmStoreWriter` or a
+    :class:`MemoryStore`), *segment_bins* bins per segment."""
+    for index in range(0, len(results), segment_bins):
+        store.append_bins(results[index : index + segment_bins])

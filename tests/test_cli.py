@@ -217,6 +217,35 @@ def _case_study_mapper(seed, probes):
     return AtlasPlatform(build_topology(params, seed=seed), seed=seed).as_mapper()
 
 
+def _oracle_text(analysis, top):
+    """``analyze``'s text stdout for *analysis*, rendered from the
+    oracle: ``InternetHealthReport.top_events``."""
+    from repro.reporting import InternetHealthReport, format_table
+
+    report = InternetHealthReport(analysis)
+    stats = analysis.stats()
+    table = format_table(
+        ["statistic", "value"],
+        [
+            ["traceroutes", stats.traceroutes_processed],
+            ["bins", stats.bins_processed],
+            ["links analyzed", stats.links_analyzed],
+            ["delay alarms", len(analysis.delay_alarms)],
+            ["forwarding alarms", len(analysis.forwarding_alarms)],
+        ],
+    )
+    events = report.top_events("delay", threshold=2.0, limit=top)
+    events += report.top_events("forwarding", threshold=2.0, limit=top)
+    if not events:
+        return f"{table}\n\nno significant events\n"
+    rows = [
+        [f"AS{e.asn}", e.timestamp // 3600, e.kind, f"{e.magnitude:+.1f}"]
+        for e in events[:top]
+    ]
+    listing = format_table(["AS", "hour", "kind", "magnitude"], rows)
+    return f"{table}\n\ntop events:\n{listing}\n"
+
+
 class TestAnalyzeOneProductionPath:
     """``analyze`` has one ingest x engine path — columns into the
     engine — whatever ``--bin-cache`` says, and its bytes are the serial
@@ -237,13 +266,11 @@ class TestAnalyzeOneProductionPath:
         return path
 
     @pytest.fixture(scope="class")
-    def oracle(self, feed, tmp_path_factory):
-        """(``--json`` stdout, ``--store`` segment bytes) of the oracle:
-        objects -> serial ``Pipeline`` -> IHR report + store export."""
+    def analysis(self, feed):
+        """The oracle's campaign: objects -> serial ``Pipeline`` ->
+        ``AlarmAggregator``."""
         from repro.atlas import read_traceroutes
         from repro.core import Pipeline, PipelineConfig, analyze_campaign
-        from repro.reporting import InternetHealthReport
-        from repro.service import append_analysis
 
         analysis = analyze_campaign(
             read_traceroutes(feed),
@@ -251,6 +278,15 @@ class TestAnalyzeOneProductionPath:
             pipeline=Pipeline(PipelineConfig()),
         )
         assert analysis.delay_alarms and analysis.forwarding_alarms
+        return analysis
+
+    @pytest.fixture(scope="class")
+    def oracle(self, analysis, tmp_path_factory):
+        """(``--json`` stdout, ``--store`` segment bytes) of the oracle:
+        IHR report + store export of :meth:`analysis`."""
+        from repro.reporting import InternetHealthReport
+        from repro.service import append_analysis
+
         store = tmp_path_factory.mktemp("cli-oracle") / "oracle.store"
         append_analysis(store, analysis)
         stdout = InternetHealthReport(analysis).to_json() + "\n"
@@ -277,6 +313,57 @@ class TestAnalyzeOneProductionPath:
             assert code == 0
             assert out == oracle[0], (suffix, state)
             assert _segment_bytes(store) == oracle[1], (suffix, state)
+
+    @pytest.mark.parametrize("top", [None, 3])
+    def test_text_report_matches_the_oracle(self, feed, analysis, top):
+        """Text stdout (statistics and top-events tables) is the
+        oracle's, rendered from ``InternetHealthReport.top_events``."""
+        extra = [] if top is None else ["--top", top]
+        code, out, _ = _run("analyze", feed, *self.ARGS, *extra)
+        assert code == 0
+        expected = _oracle_text(analysis, 10 if top is None else top)
+        assert "top events:" in expected
+        assert out == expected
+
+    def test_no_command_builds_the_oracle(
+        self, feed, analysis, oracle, tmp_path, monkeypatch
+    ):
+        """Text, ``--json``, ``--store`` and a ``--checkpoint`` resume
+        all print the oracle's report with ``AlarmAggregator`` and
+        ``InternetHealthReport`` unconstructible."""
+        from repro.atlas import read_traceroutes
+        from repro.core import Pipeline, PipelineConfig, run_checkpointed
+        from repro.core.events import AlarmAggregator
+        from repro.reporting.ihr import InternetHealthReport
+
+        ckpt = tmp_path / "state.ckpt"
+        head = [t for t in read_traceroutes(feed) if t.timestamp < 3 * 3600]
+        run_checkpointed(
+            Pipeline(PipelineConfig()), head, ckpt, source_path=feed
+        )
+
+        text = _oracle_text(analysis, 10)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command built the oracle")
+
+        monkeypatch.setattr(AlarmAggregator, "__init__", refuse)
+        monkeypatch.setattr(InternetHealthReport, "__init__", refuse)
+        code, out, _ = _run("analyze", feed, *self.ARGS)
+        assert (code, out) == (0, text)
+        code, out, _ = _run("analyze", feed, *self.ARGS, "--json")
+        assert (code, out) == (0, oracle[0])
+        store = tmp_path / "store"
+        code, out, _ = _run("analyze", feed, *self.ARGS, "--store", store)
+        assert code == 0
+        banner, rest = out.split("\n", 1)
+        assert banner.startswith(f"alarm store updated: {store} ")
+        assert rest == text
+        assert _segment_bytes(store) == oracle[1]
+        code, out, _ = _run(
+            "analyze", feed, *self.ARGS, "--json", "--checkpoint", ckpt
+        )
+        assert (code, out) == (0, oracle[0])
 
     def test_shards_flag_is_accepted_and_ignored(self, feed, tmp_path, capsys):
         """``--shards N`` is still parsed and checked, then ignored: the
@@ -921,7 +1008,7 @@ class TestServeCommand:
         usage = capsys.readouterr().out
         assert "--async" not in usage
         assert "--workers" not in usage
-        for command in ("analyze", "monitor", "replay"):
+        for command in ("analyze", "monitor"):
             with pytest.raises(SystemExit) as excinfo:
                 main([command, "--help"])
             assert excinfo.value.code == 0
@@ -929,27 +1016,41 @@ class TestServeCommand:
 
 
 class TestReplay:
-    def test_replay_outage_detects_event(self, capsys):
-        code = main(["replay", "outage", "--hours", "24", "--seed", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "replaying 'outage'" in out
-        assert "AS1200" in out
-
-    def test_shard_count_does_not_change_the_report(self, capsys):
-        """``--shards`` is accepted and ignored, so the report is the
-        same text."""
-        argv = ["replay", "outage", "--hours", "8", "--seed", "1"]
-        assert main(argv) == 0
-        one = capsys.readouterr().out
-        assert "forwarding" in one and "delay" in one
-        assert main(argv + ["--shards", "2"]) == 0
-        assert capsys.readouterr().out == one
-
-    def test_unknown_case_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["replay", "nonsense"])
+    def test_replay_is_not_a_command(self, capsys):
+        """The case studies are ``generate --scenario`` + ``analyze``
+        (``TestIxpOutageCase`` covers the outage one): ``replay`` is a
+        usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "ddos"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'replay'" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--out", "x.jsonl", "--hours", "0"], "--hours"),
+        (["generate", "--out", "x.jsonl", "--hours", "-2"], "--hours"),
+        (["generate", "--out", "x.jsonl", "--probes", "0"], "--probes"),
+        (["analyze", "x.jsonl", "--alpha", "2"], "--alpha"),
+        (["analyze", "x.jsonl", "--alpha", "0"], "--alpha"),
+        (["analyze", "x.jsonl", "--top", "-1"], "--top"),
+        (["monitor", "x.jsonl", "--poll", "-1"], "--poll"),
+        (["monitor", "x.jsonl", "--poll", "0"], "--poll"),
+        (["monitor", "x.jsonl", "--idle-timeout", "-1"], "--idle-timeout"),
+    ],
+)
+def test_bad_number_is_a_usage_error(argv, flag, capsys):
+    """Out-of-range numbers stop in the parser: exit 2 and one
+    ``repro CMD: error:`` line, not a traceback from deep inside (or,
+    for ``--top -1``, a report silently missing its last event)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument {flag}: " in err
+    assert "Traceback" not in err

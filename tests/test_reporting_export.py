@@ -1,12 +1,9 @@
-"""Tests for CSV export of figure data and the canonical alarm records."""
+"""Tests for the canonical alarm and per-bin event records."""
 
-import csv
-
-import networkx as nx
 import pytest
 
-from repro.core import alarm_graph, DelayAlarm, ForwardingAlarm
-from repro.core.pipeline import BinResult, TrackedLinkPoint
+from repro.core import DelayAlarm, ForwardingAlarm
+from repro.core.pipeline import BinResult
 from repro.reporting import (
     BIN_EVENT_FIELDS,
     DELAY_ALARM_FIELDS,
@@ -17,83 +14,8 @@ from repro.reporting import (
     delay_alarm_record,
     forwarding_alarm_from_record,
     forwarding_alarm_record,
-    write_alarm_graph,
-    write_distribution,
-    write_magnitude_series,
-    write_tracked_link,
 )
 from repro.stats import WilsonInterval
-
-
-def _read(path):
-    with open(path, newline="") as handle:
-        return list(csv.reader(handle))
-
-
-class TestMagnitudeSeries:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "mag.csv"
-        rows = write_magnitude_series(path, [0, 3600], [1.5, -2.0])
-        assert rows == 2
-        data = _read(path)
-        assert data[0] == ["timestamp", "magnitude"]
-        assert data[1] == ["0", "1.500000"]
-        assert data[2][1] == "-2.000000"
-
-    def test_with_severity_column(self, tmp_path):
-        path = tmp_path / "mag.csv"
-        write_magnitude_series(path, [0], [1.0], values=[42.0])
-        data = _read(path)
-        assert data[0] == ["timestamp", "magnitude", "severity"]
-        assert data[1][2] == "42.000000"
-
-    def test_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_magnitude_series(tmp_path / "x.csv", [0, 1], [1.0])
-        with pytest.raises(ValueError):
-            write_magnitude_series(
-                tmp_path / "x.csv", [0], [1.0], values=[1.0, 2.0]
-            )
-
-
-class TestTrackedLink:
-    def test_full_and_gap_rows(self, tmp_path):
-        points = [
-            TrackedLinkPoint(
-                timestamp=0,
-                observed=WilsonInterval(5.0, 4.9, 5.1, 100),
-                reference=WilsonInterval(5.0, 4.9, 5.1, 10),
-                alarmed=True,
-                accepted=True,
-                n_probes=12,
-                mean=5.2,
-                sample_std=1.1,
-            ),
-            TrackedLinkPoint(
-                timestamp=3600,
-                observed=None,
-                reference=None,
-                alarmed=False,
-                accepted=False,
-                n_probes=0,
-            ),
-        ]
-        path = tmp_path / "link.csv"
-        assert write_tracked_link(path, points) == 2
-        data = _read(path)
-        assert data[1][1] == "5.000000"
-        assert data[1][10] == "1"  # alarmed
-        assert data[2][1] == ""  # gap bin
-        assert data[2][10] == "0"
-
-
-class TestDistribution:
-    def test_write(self, tmp_path):
-        path = tmp_path / "dist.csv"
-        assert write_distribution(path, [1.0, 2.5], column="mag") == 2
-        data = _read(path)
-        assert data[0] == ["mag"]
-        assert data[2] == ["2.500000"]
 
 
 def _delay_alarm() -> DelayAlarm:
@@ -180,27 +102,3 @@ class TestCanonicalRecords:
         alarm = _forwarding_alarm()
         record = json.loads(json.dumps(forwarding_alarm_record(alarm)))
         assert forwarding_alarm_from_record(record) == alarm
-
-
-class TestAlarmGraph:
-    def test_edge_list(self, tmp_path):
-        alarm = DelayAlarm(
-            timestamp=0,
-            link=("A", "B"),
-            observed=WilsonInterval(15.0, 14.5, 15.5, 50),
-            reference=WilsonInterval(5.0, 4.8, 5.2, 50),
-            deviation=9.0,
-            direction=1,
-            n_probes=5,
-            n_asns=3,
-        )
-        graph = alarm_graph([alarm])
-        path = tmp_path / "graph.csv"
-        assert write_alarm_graph(path, graph) == 1
-        data = _read(path)
-        assert data[1][0] == "A" and data[1][1] == "B"
-        assert float(data[1][3]) == pytest.approx(10.0)
-
-    def test_empty_graph(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        assert write_alarm_graph(path, nx.Graph()) == 0

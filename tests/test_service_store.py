@@ -194,6 +194,34 @@ class TestEquivalence:
             query = StoreQuery(Path(tmp) / "store", window_bins=window)
             assert_equivalent(report, query, bin_results)
 
+    @given(
+        seed=st.integers(0, 10_000),
+        n_bins=st.integers(0, 6),
+        chunk=st.integers(1, 3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_memory_store_is_the_disk_store(self, seed, n_bins, chunk):
+        """``MemoryStore`` builds the segments a writer publishes (the
+        same entries, digests included) and answers like the IHR."""
+        from repro.service.store import MemoryStore, append_results
+
+        mapper = make_mapper()
+        bin_results = synthetic_bins(n_bins, seed)
+        start = bin_results[0].timestamp if bin_results else None
+        memory = MemoryStore(mapper, bin_s=BIN_S, start=start)
+        append_results(memory, bin_results, chunk)
+        with tempfile.TemporaryDirectory() as tmp:
+            disk = build_store(
+                Path(tmp) / "store", bin_results, mapper, chunk
+            ).manifest
+        held = memory.manifest
+        assert held.segments == disk.segments
+        assert (held.generation, held.start, held.end) == (
+            disk.generation, disk.start, disk.end
+        )
+        report = InternetHealthReport(analysis_of(bin_results, mapper))
+        assert_equivalent(report, StoreQuery(memory), bin_results)
+
     def test_multi_segment_equals_single_segment(self, tmp_path):
         mapper = make_mapper()
         bin_results = synthetic_bins(8, seed=7)
