@@ -7,6 +7,8 @@ import sys
 import networkx as nx
 import pytest
 
+from repro.atlas.io import write_traceroutes
+from repro.cli import SCENARIO_CHOICES
 from repro.cli import main as cli_main
 from repro.net import AsMapper, ip_in_prefix
 from repro.simulation import (
@@ -15,6 +17,12 @@ from repro.simulation import (
     TIER1_ASES,
     TopologyParams,
     build_topology,
+)
+from repro.simulation.platform import AtlasPlatform, CampaignConfig
+from repro.simulation.scenarios import (
+    CompositeScenario,
+    DdosScenario,
+    RouteLeakScenario,
 )
 
 
@@ -160,7 +168,9 @@ class TestCustomParams:
 class TestPinnedBytes:
     """The routing graph is replayed lazily from the builder's log; these
     digests (computed with the builder writing straight into an
-    ``nx.DiGraph``) prove the replay is order-identical."""
+    ``nx.DiGraph``) prove the replay is order-identical.  The campaign
+    digests pin the traceroute engine's output bytes: its RNG draw
+    order and its scenario queries."""
 
     GRAPH_DIGESTS = {
         1: "6acfb77ccebaf995f31618b4fb38e40d",
@@ -184,6 +194,67 @@ class TestPinnedBytes:
         assert cli_main(argv) == 0
         digest = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
         assert digest == self.GENERATE_DIGEST
+
+    #: ``generate --hours 2 --seed 5 --probes 12 --scenario NAME``: the
+    #: window covers the whole campaign, so every traceroute goes
+    #: through the scenario's delay, loss and waypoint queries.
+    SCENARIO_DIGESTS = {
+        "ddos": "489d3cc10cd03d9a94b5e347c837b121",
+        "leak": "3eb9161a704daa6e90c7ed94063a0217",
+        "outage": "cc3f72a6668e8887bb43d737a75ff81a",
+        "catchment": "bda49073d56930e697a6d206e1fdf32e",
+        "hijack-subprefix": "61f7ae2c8a8a109f738f4881e67c2b32",
+        "hijack-exact": "628717c544b4320bab7dd0f75a794f1c",
+        "diurnal": "db9dbb29b995091fd96469dad53e9b0b",
+        "churn": "650a7b640fad65c685019387cc6f7458",
+        "fuzz": "b4263fdf5f420b4a0b472e43c767b99c",
+    }
+    #: An IPv6 campaign under a DDoS layered with a route leak.
+    V6_DIGEST = "f28a8cce1abfcb198daeb7935db22774"
+
+    def test_every_scenario_choice_is_pinned(self):
+        assert tuple(sorted(self.SCENARIO_DIGESTS)) == tuple(
+            sorted(SCENARIO_CHOICES)
+        )
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DIGESTS))
+    def test_generate_scenario_digest(self, tmp_path, scenario):
+        out = tmp_path / "campaign.jsonl"
+        argv = ["generate", "--hours", "2", "--seed", "5", "--probes", "12",
+                "--scenario", scenario, "--out", str(out)]
+        assert cli_main(argv) == 0
+        digest = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+        assert digest == self.SCENARIO_DIGESTS[scenario]
+
+    def test_v6_campaign_digest(self, tmp_path):
+        params = TopologyParams.case_study()
+        params.n_probes = 12
+        topology = build_topology(params, seed=5)
+        kroot = topology.services["K-root"]
+        window = (0, 2 * 3600)
+        scenario = CompositeScenario(
+            [
+                DdosScenario(
+                    topology, "K-root",
+                    [kroot.instances[0].node, kroot.instances[-1].node],
+                    windows=[window], seed=5,
+                ),
+                RouteLeakScenario(
+                    topology,
+                    leak_waypoint=topology.routers_of_as(4788)[0],
+                    leak_entry=topology.routers_of_as(3549)[0],
+                    leaked_targets={a.name for a in topology.anchors[:3]},
+                    window=window,
+                    seed=5,
+                ),
+            ]
+        )
+        platform = AtlasPlatform(topology, scenario=scenario, seed=5)
+        config = CampaignConfig(duration_s=2 * 3600, address_family=6)
+        out = tmp_path / "v6.jsonl"
+        assert write_traceroutes(out, platform.run_campaign(config)) > 0
+        digest = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+        assert digest == self.V6_DIGEST
 
     def test_graph_is_built_once(self, topo):
         assert topo.graph is topo.graph
