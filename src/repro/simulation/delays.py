@@ -20,6 +20,7 @@ slow-path and measurement artefacts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,27 +54,45 @@ class DelaySampler:
 
     def rtt_noise(self, count: int) -> np.ndarray:
         """Noise (ms) for *count* packets: queueing + rare heavy outliers."""
-        params = self.params
-        noise = self._rng.gamma(
-            params.queue_shape, params.queue_scale_ms, size=count
-        )
-        noise += self._rng.normal(
-            params.last_mile_ms, params.last_mile_jitter_ms, size=count
-        ).clip(min=0.0)
-        outliers = self._rng.random(count) < params.outlier_probability
-        if outliers.any():
-            noise[outliers] += self._rng.exponential(
-                params.outlier_mean_ms, size=int(outliers.sum())
+        return self.hop_samples([0.0], count)[1][0]
+
+    def hop_samples(self, losses: Sequence[float], count: int) -> tuple:
+        """Survival flags and RTT noise (ms) of *count* packets per hop.
+
+        Hop by hop, the draws are those of :meth:`survives` then
+        :meth:`rtt_noise`: survival uniforms, gamma, normal, uniform and
+        the outliers' exponentials.  Only the arithmetic spans hops.
+        """
+        p = self.params
+        rng = self._rng
+        survival, queue, last_mile, outliers = [], [], [], []
+        for hop, loss in enumerate(losses):
+            survival.append(self._survival_draws(count, loss))
+            queue.append(rng.gamma(p.queue_shape, p.queue_scale_ms, count))
+            last_mile.append(
+                rng.normal(p.last_mile_ms, p.last_mile_jitter_ms, count)
             )
-        return noise
+            uniform = rng.random(count)  # list min() beats a numpy reduce
+            if min(uniform.tolist(), default=1.0) < p.outlier_probability:
+                mask = uniform < p.outlier_probability
+                tail = rng.exponential(p.outlier_mean_ms, int(mask.sum()))
+                outliers.append((hop, mask, tail))
+        noise = np.array(queue) + np.maximum(np.array(last_mile), 0.0)
+        for hop, mask, tail in outliers:
+            noise[hop, mask] += tail
+        return np.array(survival) >= np.array(losses)[:, None], noise
 
     def survives(self, count: int, loss_probability: float) -> np.ndarray:
         """Boolean array: which of *count* packets survive the given loss."""
-        if loss_probability <= 0.0:
-            return np.ones(count, dtype=bool)
-        if loss_probability >= 1.0:
-            return np.zeros(count, dtype=bool)
-        return self._rng.random(count) >= loss_probability
+        draws = self._survival_draws(count, loss_probability)
+        return draws >= loss_probability
+
+    def _survival_draws(self, count: int, loss: float) -> np.ndarray:
+        """Values a packet survives by being ``>= loss``: uniforms, drawn
+        only when 0 < loss < 1; otherwise 0.5, which survives iff loss <= 0."""
+        if 0.0 < loss < 1.0:
+            return self._rng.random(count)
+        return np.full(count, 0.5)
 
 
 def combined_loss(per_edge_losses) -> float:

@@ -91,7 +91,7 @@ class Scenario:
     """Neutral scenario: nothing ever happens.
 
     Subclasses override the queries they affect.  All methods must be
-    cheap; the traceroute engine calls them in its packet loop.
+    cheap; the traceroute engine calls them for every traceroute.
     """
 
     name = "neutral"
@@ -107,6 +107,13 @@ class Scenario:
     def extra_loss(self, u: str, v: str, t: int) -> float:
         """Additional loss probability on directed edge (u, v) at time t."""
         return 0.0
+
+    @property
+    def perturbed_edges(self) -> Set[Edge]:
+        """Directed edges whose delay or loss this scenario may change:
+        on any other edge :meth:`extra_delay_ms` and :meth:`extra_loss`
+        are exactly 0.0 at any t, so the traceroute engine skips them."""
+        return set()
 
     def waypoint(
         self, probe_id: int, target_name: str, t: int
@@ -1017,6 +1024,7 @@ class CompositeScenario(Scenario):
     def __init__(self, scenarios: Sequence[Scenario]) -> None:
         self.name = "+".join(s.name for s in scenarios) or "neutral"
         self._scenarios = list(scenarios)
+        self._perturbed = set().union(*(s.perturbed_edges for s in scenarios))
         self._truth: Optional[GroundTruth] = None
 
     @property
@@ -1035,6 +1043,11 @@ class CompositeScenario(Scenario):
         for scenario in self._scenarios:
             survival *= 1.0 - min(1.0, scenario.extra_loss(u, v, t))
         return 1.0 - survival
+
+    @property
+    def perturbed_edges(self) -> Set[Edge]:
+        """Union of the members' perturbed edges."""
+        return set(self._perturbed)
 
     def waypoint(
         self, probe_id: int, target_name: str, t: int

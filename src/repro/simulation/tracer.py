@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.atlas.model import Hop, Reply, Traceroute
 from repro.simulation.delays import DelaySampler, NoiseParams, combined_loss
 from repro.simulation.routing import RoutingEngine
@@ -86,9 +88,10 @@ class _HopPlan:
     node: str
     reported_ip: Optional[str]  # None -> router never responds
     forward_edges: List[Tuple[str, str]]
-    return_edges: List[Tuple[str, str]]
     base_rtt_ms: float  # forward + return base delay
     base_loss: float  # forward + return combined base loss
+    #: forward then return edges the scenario perturbs, in path order
+    scenario_edges: Tuple[Tuple[str, str], ...]
 
 
 @dataclass
@@ -96,6 +99,16 @@ class _PathPlan:
     """Cached plan for one (probe, target, waypoint) route."""
 
     hops: List[_HopPlan]
+
+    def __post_init__(self) -> None:
+        self.live = [hop for hop in self.hops if hop.reported_ip is not None]
+        self.bases = [hop.base_rtt_ms for hop in self.live]
+        self.losses = [hop.base_loss for hop in self.live]
+        edges = (edge for hop in self.hops for edge in hop.scenario_edges)
+        self.scenario_edges = tuple(dict.fromkeys(edges))
+
+
+_LOST = Reply(ip=None, rtt_ms=None)  # immutable: shared by every hop
 
 
 class TracerouteEngine:
@@ -116,6 +129,8 @@ class TracerouteEngine:
         self.routing = RoutingEngine(topology)
         self.sampler = DelaySampler(noise, seed=seed)
         self.packets_per_hop = packets_per_hop
+        self._all_lost = (_LOST,) * packets_per_hop
+        self._perturbed = frozenset(self.scenario.perturbed_edges)
         self._plans: Dict[Tuple[int, str, Optional[str]], _PathPlan] = {}
 
     # -- plan construction ---------------------------------------------------
@@ -142,17 +157,15 @@ class TracerouteEngine:
         routers = self.topology.routers
         ingress_attr = "ingress_ip" if target.af == 4 else "ingress_ip6"
         path = self._node_path(probe, target, waypoint)
+        path_edges = self.routing.path_edges(path)
         hops: List[_HopPlan] = []
-        forward_edges: List[Tuple[str, str]] = []
         forward_delay = 0.0
         forward_losses: List[float] = []
         for index, node in enumerate(path):
             if index > 0:
-                edge = (path[index - 1], node)
-                data = graph[edge[0]][edge[1]]
-                forward_edges = forward_edges + [edge]
+                data = graph[path[index - 1]][node]
                 forward_delay += data["base_delay_ms"]
-                forward_losses = forward_losses + [data["loss"]]
+                forward_losses.append(data["loss"])
                 reported = data[ingress_attr]
             else:
                 info = routers[node]
@@ -165,18 +178,20 @@ class TracerouteEngine:
                 reported = target.dst_ip
             if not routers[node].responsive and not is_last:
                 reported = None
+            forward_edges = path_edges[:index]
             return_path = self.routing.return_path(node, probe.router)
             return_edges = self.routing.path_edges(return_path)
+            both = forward_edges + return_edges
             return_delay = self.routing.path_base_delay_ms(return_path)
             return_losses = [graph[u][v]["loss"] for u, v in return_edges]
             hops.append(
                 _HopPlan(
                     node=node,
                     reported_ip=reported,
-                    forward_edges=list(forward_edges),
-                    return_edges=return_edges,
+                    forward_edges=forward_edges,
                     base_rtt_ms=forward_delay + return_delay,
                     base_loss=combined_loss(forward_losses + return_losses),
+                    scenario_edges=tuple(e for e in both if e in self._perturbed),
                 )
             )
         return _PathPlan(hops=hops)
@@ -203,43 +218,36 @@ class TracerouteEngine:
             else None
         )
         plan = self._plan_for(probe, target, waypoint)
-        packets = self.packets_per_hop
+        bases, losses = plan.bases, plan.losses
+        if scenario_active and plan.scenario_edges:
+            # Only perturbed edges are queried, once each: any other edge
+            # adds exactly 0.0 delay and loss.  Hops sum them in path order.
+            extra = {
+                e: (scenario.extra_delay_ms(*e, t), scenario.extra_loss(*e, t))
+                for e in plan.scenario_edges
+            }
+            bases, losses = [], []
+            for hop in plan.live:
+                delay, loss = 0.0, [hop.base_loss]
+                for shift, drop in map(extra.get, hop.scenario_edges):
+                    delay += shift
+                    if drop > 0.0:
+                        loss.append(drop)
+                bases.append(hop.base_rtt_ms + delay)
+                losses.append(combined_loss(loss) if len(loss) > 1 else loss[0])
+        alive, noise = self.sampler.hop_samples(losses, self.packets_per_hop)
+        rtts = (np.array(bases)[:, None] + noise).round(3).tolist()
+        samples = iter(zip(rtts, alive.tolist()))
         hops: List[Hop] = []
         for ttl, hop_plan in enumerate(plan.hops, start=1):
-            rtt_base = hop_plan.base_rtt_ms
-            loss = hop_plan.base_loss
-            if scenario_active:
-                extra_delay = 0.0
-                extra_losses: List[float] = []
-                for u, v in hop_plan.forward_edges:
-                    extra_delay += scenario.extra_delay_ms(u, v, t)
-                    edge_loss = scenario.extra_loss(u, v, t)
-                    if edge_loss > 0.0:
-                        extra_losses.append(edge_loss)
-                for u, v in hop_plan.return_edges:
-                    extra_delay += scenario.extra_delay_ms(u, v, t)
-                    edge_loss = scenario.extra_loss(u, v, t)
-                    if edge_loss > 0.0:
-                        extra_losses.append(edge_loss)
-                rtt_base += extra_delay
-                if extra_losses:
-                    loss = combined_loss([loss] + extra_losses)
-            if hop_plan.reported_ip is None:
-                replies = tuple(
-                    Reply(ip=None, rtt_ms=None) for _ in range(packets)
-                )
-            else:
-                survive = self.sampler.survives(packets, loss)
-                noise = self.sampler.rtt_noise(packets)
-                replies = tuple(
-                    Reply(
-                        ip=hop_plan.reported_ip,
-                        rtt_ms=float(round(rtt_base + noise[i], 3)),
-                    )
-                    if survive[i]
-                    else Reply(ip=None, rtt_ms=None)
-                    for i in range(packets)
-                )
+            ip = hop_plan.reported_ip
+            replies = self._all_lost
+            if ip is not None:
+                hop_rtts, hop_alive = next(samples)
+                replies = tuple([
+                    Reply(ip, rtt) if ok else _LOST
+                    for rtt, ok in zip(hop_rtts, hop_alive)
+                ])
             hops.append(Hop(ttl=ttl, replies=replies))
         return Traceroute(
             prb_id=probe.probe_id,

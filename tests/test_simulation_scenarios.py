@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation import (
     CompositeScenario,
@@ -405,3 +407,114 @@ class TestDiurnalCongestionScenario:
         mid = (WINDOW[0] + WINDOW[1]) // 2
         assert scenario.extra_delay_ms("nope", "nada", mid) == 0.0
         assert scenario.extra_loss("nope", "nada", mid) == 0.0
+
+
+def _one_of_each(topo):
+    """One scenario of every class, each with its windows inside
+    ``WINDOW`` (a composite one layers a DDoS on a route leak)."""
+    from repro.simulation import (
+        BgpHijackScenario,
+        CatchmentShiftScenario,
+        DiurnalCongestionScenario,
+        ProbeChurnScenario,
+    )
+
+    kroot = topo.services["K-root"]
+    anchors = [a.name for a in topo.anchors[:2]]
+    ddos = DdosScenario(
+        topo, "K-root", [kroot.instances[0].node], windows=[WINDOW], seed=3
+    )
+    leak = RouteLeakScenario(
+        topo,
+        leak_waypoint=topo.routers_of_as(4788)[0],
+        leak_entry=topo.routers_of_as(3549)[0],
+        leaked_targets=anchors,
+        window=WINDOW,
+        seed=4,
+    )
+    return [
+        Scenario(),
+        ddos,
+        leak,
+        IxpOutageScenario(topo, ixp_asn=1200, window=WINDOW),
+        CatchmentShiftScenario.largest_shift(topo, "K-root", WINDOW),
+        BgpHijackScenario(
+            topo, topo.routers_of_as(174)[0], anchors, WINDOW, "subprefix"
+        ),
+        BgpHijackScenario(
+            topo, topo.routers_of_as(174)[0], anchors, WINDOW, "exact"
+        ),
+        DiurnalCongestionScenario(topo, windows=[WINDOW], asn=174, seed=2),
+        ProbeChurnScenario(topo, windows=[WINDOW], seed=5),
+        CompositeScenario([ddos, leak]),
+    ]
+
+
+class TestPerturbedEdgesContract:
+    """``TracerouteEngine.run`` queries delay and loss only on a
+    scenario's ``perturbed_edges``: every other edge must read exactly
+    ``0.0`` of both, at any time."""
+
+    @pytest.fixture(scope="class")
+    def scenarios(self, topo):
+        return _one_of_each(topo)
+
+    @pytest.fixture(scope="class")
+    def edges(self, topo):
+        return sorted(topo.graph.edges()) + [("nope", "nada")]
+
+    @staticmethod
+    def _assert_zero_outside(scenario, edges, t):
+        perturbed = scenario.perturbed_edges
+        for u, v in edges:
+            if (u, v) in perturbed:
+                continue
+            assert scenario.extra_delay_ms(u, v, t) == 0.0, (u, v, t)
+            assert scenario.extra_loss(u, v, t) == 0.0, (u, v, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        index=st.integers(0, 9),
+        t=st.one_of(
+            st.integers(0, 30 * 3600),
+            st.sampled_from([WINDOW[0], (WINDOW[0] + WINDOW[1]) // 2]),
+        ),
+    )
+    def test_every_class_reads_zero_outside(self, scenarios, edges, index, t):
+        self._assert_zero_outside(scenarios[index], edges, t)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), t=st.integers(0, 24 * 3600))
+    def test_fuzzer_samples_read_zero_outside(self, topo, edges, seed, t):
+        from repro.simulation import ScenarioFuzzer
+
+        composite = ScenarioFuzzer(topo, seed=seed).sample()
+        self._assert_zero_outside(composite, edges, t)
+        for member in composite.members:
+            self._assert_zero_outside(member, edges, t)
+
+    def test_waypoint_and_churn_scenarios_perturb_no_edge(self, scenarios):
+        quiet = [
+            s for s in scenarios
+            if s.name == "neutral"
+            or s.name.startswith(("catchment", "hijack", "probe-churn"))
+        ]
+        assert len(quiet) == 5
+        for scenario in quiet:
+            assert scenario.perturbed_edges == set(), scenario.name
+
+    def test_link_scenarios_perturb_edges(self, scenarios):
+        for scenario in scenarios[1:4] + scenarios[7:8]:
+            assert scenario.perturbed_edges, scenario.name
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_events=st.integers(1, 4))
+    def test_composite_is_the_union_of_its_members(self, topo, seed, n_events):
+        from repro.simulation import ScenarioFuzzer
+
+        composite = ScenarioFuzzer(topo, seed=seed).sample(n_events)
+        union = set()
+        for member in composite.members:
+            union |= member.perturbed_edges
+        assert composite.perturbed_edges == union
+        assert CompositeScenario([]).perturbed_edges == set()
