@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true",
                          help="emit the IHR summary as JSON")
     analyze.add_argument("--top", type=_nonnegative_int, default=10,
-                         help="number of top events to list")
+                         help="number of top events to list (both kinds)")
     analyze.add_argument(
         "--bin-cache", nargs="?", const="", default=None, metavar="PATH",
         help="persist the decoded columns: map PATH (default: "
@@ -870,9 +870,14 @@ def _cmd_analyze(args) -> int:
             ],
         )
     )
-    events = report.top_events("delay", threshold=2.0, limit=args.top)
-    events += report.top_events("forwarding", threshold=2.0, limit=args.top)
-    if events:
+    limit = max(args.top, 1)  # one event tells "none" from "--top 0"
+    events = report.top_events("delay", threshold=2.0, limit=limit)
+    events += report.top_events("forwarding", threshold=2.0, limit=limit)
+    # Both kinds in one ranking: |magnitude|, then AS, time and kind.
+    events.sort(key=lambda e: (-abs(e.magnitude), e.asn, e.timestamp, e.kind))
+    if not events:
+        print("\nno significant events")
+    elif args.top:
         print("\ntop events:")
         print(
             format_table(
@@ -884,8 +889,6 @@ def _cmd_analyze(args) -> int:
                 ],
             )
         )
-    else:
-        print("\nno significant events")
     if timer.enabled:
         _print_timings(timer)
     return 0

@@ -217,12 +217,24 @@ def _case_study_mapper(seed, probes):
     return AtlasPlatform(build_topology(params, seed=seed), seed=seed).as_mapper()
 
 
-def _oracle_text(analysis, top):
-    """``analyze``'s text stdout for *analysis*, rendered from the
-    oracle: ``InternetHealthReport.top_events``."""
-    from repro.reporting import InternetHealthReport, format_table
+def _oracle_events(analysis):
+    """Every event of both kinds, most severe first (ties: AS, time,
+    kind), from the oracle: ``InternetHealthReport.top_events``."""
+    from repro.reporting import InternetHealthReport
 
     report = InternetHealthReport(analysis)
+    events = report.top_events("delay", threshold=2.0, limit=None)
+    events += report.top_events("forwarding", threshold=2.0, limit=None)
+    return sorted(
+        events, key=lambda e: (-abs(e.magnitude), e.asn, e.timestamp, e.kind)
+    )
+
+
+def _oracle_text(analysis, top):
+    """``analyze``'s text stdout for *analysis*, rendered from the
+    oracle's events."""
+    from repro.reporting import format_table
+
     stats = analysis.stats()
     table = format_table(
         ["statistic", "value"],
@@ -234,10 +246,11 @@ def _oracle_text(analysis, top):
             ["forwarding alarms", len(analysis.forwarding_alarms)],
         ],
     )
-    events = report.top_events("delay", threshold=2.0, limit=top)
-    events += report.top_events("forwarding", threshold=2.0, limit=top)
+    events = _oracle_events(analysis)
     if not events:
         return f"{table}\n\nno significant events\n"
+    if not top:
+        return f"{table}\n"
     rows = [
         [f"AS{e.asn}", e.timestamp // 3600, e.kind, f"{e.magnitude:+.1f}"]
         for e in events[:top]
@@ -324,6 +337,38 @@ class TestAnalyzeOneProductionPath:
         expected = _oracle_text(analysis, 10 if top is None else top)
         assert "top events:" in expected
         assert out == expected
+
+    def test_top_events_rank_both_kinds(self, feed, analysis):
+        """One ranking across kinds: a forwarding event more severe than
+        the fifth delay event is listed with ``--top 5`` (a delay-first
+        table would list five delay events)."""
+        events = _oracle_events(analysis)
+        assert sum(e.kind == "delay" for e in events) >= 5
+        assert "forwarding" in {e.kind for e in events[:5]}
+        code, out, _ = _run("analyze", feed, *self.ARGS, "--top", 5)
+        assert code == 0
+        assert out == _oracle_text(analysis, 5)
+        rows = out.split("top events:\n", 1)[1].splitlines()[2:]
+        assert [row.split()[2] for row in rows].count("forwarding") >= 1
+
+    def test_top_zero_lists_no_events_and_claims_none(
+        self, feed, analysis, tmp_path
+    ):
+        """``--top 0`` lists nothing and does not claim that a campaign
+        with events has none; "no significant events" means none."""
+        code, out, _ = _run("analyze", feed, *self.ARGS, "--top", 0)
+        assert code == 0
+        assert out == _oracle_text(analysis, 0)
+        assert "top events:" not in out
+        assert "no significant events" not in out
+        quiet = tmp_path / "quiet.jsonl"
+        assert main(
+            ["generate", "--hours", "3", *self.ARGS, "--out", str(quiet)]
+        ) == 0
+        for top in (0, 10):
+            code, out, _ = _run("analyze", quiet, *self.ARGS, "--top", top)
+            assert code == 0
+            assert out.endswith("\n\nno significant events\n")
 
     def test_no_command_builds_the_oracle(
         self, feed, analysis, oracle, tmp_path, monkeypatch
