@@ -65,9 +65,10 @@ class DelaySampler:
         """
         p = self.params
         rng = self._rng
+        fixed = np.full(count, 0.5)  # >= loss iff loss <= 0, as survives()
         survival, queue, last_mile, outliers = [], [], [], []
         for hop, loss in enumerate(losses):
-            survival.append(self._survival_draws(count, loss))
+            survival.append(rng.random(count) if 0.0 < loss < 1.0 else fixed)
             queue.append(rng.gamma(p.queue_shape, p.queue_scale_ms, count))
             last_mile.append(
                 rng.normal(p.last_mile_ms, p.last_mile_jitter_ms, count)
@@ -84,15 +85,11 @@ class DelaySampler:
 
     def survives(self, count: int, loss_probability: float) -> np.ndarray:
         """Boolean array: which of *count* packets survive the given loss."""
-        draws = self._survival_draws(count, loss_probability)
-        return draws >= loss_probability
-
-    def _survival_draws(self, count: int, loss: float) -> np.ndarray:
-        """Values a packet survives by being ``>= loss``: uniforms, drawn
-        only when 0 < loss < 1; otherwise 0.5, which survives iff loss <= 0."""
-        if 0.0 < loss < 1.0:
-            return self._rng.random(count)
-        return np.full(count, 0.5)
+        if loss_probability <= 0.0:
+            return np.ones(count, dtype=bool)
+        if loss_probability >= 1.0:
+            return np.zeros(count, dtype=bool)
+        return self._rng.random(count) >= loss_probability
 
 
 def combined_loss(per_edge_losses) -> float:

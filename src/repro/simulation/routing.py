@@ -56,6 +56,10 @@ class RoutingEngine:
         self._forward_cache: Dict[Tuple[str, str], List[str]] = {}
         self._return_cache: Dict[Tuple[str, str], List[str]] = {}
 
+    def clear_cache(self) -> None:
+        self._forward_cache.clear()
+        self._return_cache.clear()
+
     # -- raw shortest paths --------------------------------------------------
 
     def _shortest(self, src: str, dst: str) -> List[str]:

@@ -248,7 +248,7 @@ class TracerouteEngine:
                     Reply(ip, rtt) if ok else _LOST
                     for rtt, ok in zip(hop_rtts, hop_alive)
                 ])
-            hops.append(Hop(ttl=ttl, replies=replies))
+            hops.append(Hop(ttl, replies))
         return Traceroute(
             prb_id=probe.probe_id,
             src_addr=probe.ip if target.af == 4 else probe.ip6,
