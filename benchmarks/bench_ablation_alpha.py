@@ -10,7 +10,7 @@ with and without the winsorized update this implementation adds.
 
 import numpy as np
 
-from repro.core import DelayChangeDetector
+from repro.reference import DelayChangeDetector
 from repro.reporting import format_table
 
 EVENT = (40, 41)

@@ -13,9 +13,8 @@ the median detector flags exactly the event bins.
 
 import numpy as np
 
-from repro.core import DelayChangeDetector
+from repro.reference import DelayChangeDetector, ExponentialSmoother
 from repro.reporting import format_table
-from repro.stats import ExponentialSmoother
 
 
 def _make_bins(rng, n_bins=72, event_bins=(50, 51), n=300):

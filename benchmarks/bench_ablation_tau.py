@@ -18,7 +18,8 @@ best avoided" cuts both ways).
 
 import numpy as np
 
-from repro.core import UNRESPONSIVE, ForwardingAnomalyDetector
+from repro.core import UNRESPONSIVE
+from repro.reference import ForwardingAnomalyDetector
 from repro.reporting import format_table
 
 EVENTS = {

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.atlas import ANCHORING, BUILTIN
-from repro.core import DelayChangeDetector, sensitivity_table
+from repro.core import sensitivity_table
+from repro.reference import DelayChangeDetector
 from repro.reporting import format_table
 
 

@@ -32,19 +32,18 @@ import os
 import time
 from pathlib import Path
 
-from repro.core import (
-    DelayArena,
+import numpy as np
+
+from repro.core import DelayArena, ForwardingArena, Engine, PipelineConfig
+from repro.core.diversity import DiversityFilter
+from repro.atlas.stream import TimeBinner
+from repro.reference import (
     DelayChangeDetector,
     ForwardingAnomalyDetector,
-    ForwardingArena,
-    Engine,
     Pipeline,
-    PipelineConfig,
     differential_rtts,
     forwarding_patterns,
 )
-from repro.core.diversity import DiversityFilter
-from repro.atlas.stream import TimeBinner
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,
@@ -135,9 +134,7 @@ def _prepare_bins(traceroutes, config):
             n_probes.append(len(verdict.kept_probes))
             n_asns.append(verdict.n_asns)
             sample_arrays.append(
-                observations[link].samples_array(
-                    verdict.kept_probes, ordered=False
-                )
+                np.asarray(observations[link].all_samples(verdict.kept_probes))
             )
         medians, lowers, uppers, counts = median_confidence_interval_arrays(
             sample_arrays, z=config.z
@@ -218,20 +215,26 @@ def _run_arena(prepared, config):
     forwarding_alarms = []
     for bin_data in prepared:
         timestamp = bin_data["timestamp"]
+        links = bin_data["links"]
+        rows = delay_arena.observe_bin_rows(
+            delay_arena.intern_links(links),
+            bin_data["medians"],
+            bin_data["lowers"],
+            bin_data["uppers"],
+            bin_data["counts"],
+            bin_data["n_probes"],
+            bin_data["n_asns"],
+        )
         delay_alarms.extend(
-            delay_arena.observe_bin(
-                timestamp,
-                bin_data["links"],
-                bin_data["medians"],
-                bin_data["lowers"],
-                bin_data["uppers"],
-                bin_data["counts"],
-                bin_data["n_probes"],
-                bin_data["n_asns"],
+            rows.materialize(
+                timestamp, [links[pos] for pos in rows.positions.tolist()]
             )
         )
+        patterns = bin_data["patterns"]
         forwarding_alarms.extend(
-            forwarding_arena.observe_bin(timestamp, bin_data["patterns"])
+            forwarding_arena.observe_bin_sorted(
+                timestamp, [(key, patterns[key]) for key in sorted(patterns)]
+            )
         )
     return delay_alarms, forwarding_alarms, delay_arena, forwarding_arena
 

@@ -35,7 +35,8 @@ import time
 from pathlib import Path
 
 from repro.atlas import decode_traceroutes, read_bincache, write_bincache, write_traceroutes
-from repro.core import Engine, Pipeline, PipelineConfig
+from repro.core import Engine, PipelineConfig
+from repro.reference import Pipeline
 from repro.reporting import format_table
 from repro.service import AlarmStoreWriter
 from repro.service.store import read_manifest

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import time
 
-from repro.core import Engine, Pipeline, PipelineConfig
+from repro.core import Engine, PipelineConfig
+from repro.reference import Pipeline
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,

@@ -34,11 +34,11 @@ from repro.atlas import (
     TimeBinner,
     decode_traceroutes,
     read_bincache,
-    read_traceroutes,
     write_bincache,
     write_traceroutes,
 )
-from repro.core import Engine, Pipeline, PipelineConfig
+from repro.core import Engine, PipelineConfig
+from repro.reference import Pipeline, read_traceroutes
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,

@@ -42,7 +42,8 @@ from urllib.parse import parse_qsl
 import numpy as np
 
 from repro.core import analyze_campaign
-from repro.reporting import InternetHealthReport, format_table
+from repro.reference import InternetHealthReport
+from repro.reporting import format_table
 from repro.service import (
     ResponseCache,
     ServiceState,

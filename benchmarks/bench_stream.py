@@ -28,13 +28,8 @@ import time
 from pathlib import Path
 
 from repro.atlas.stream import TimeBinner
-from repro.core import (
-    Engine,
-    Pipeline,
-    PipelineConfig,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.core import Engine, PipelineConfig, load_snapshot, save_snapshot
+from repro.reference import Pipeline
 from repro.reporting import format_table
 from repro.simulation import (
     AtlasPlatform,

@@ -15,8 +15,10 @@ hours    event         paper counterpart
 192-194  route leak    Telekom Malaysia leak, June 12 2015 (§7.2)
 =======  ============  ==========================================
 
-The campaign is generated once per pytest session; individual benchmarks
-time their own analysis step on top of it.
+The campaign is generated once per pytest session and analysed by the
+production engine (:func:`~repro.core.analyze_campaign`'s default),
+which is checked once against the serial reference; individual
+benchmarks time their own analysis step on top of it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import pytest
 from repro.core import (
     CampaignAnalysis,
     DiversityFilter,
-    Pipeline,
     PipelineConfig,
     analyze_campaign,
-    differential_rtts,
 )
 from repro.net import AsMapper
+from repro.reference import Pipeline, differential_rtts
 from repro.simulation import (
     AtlasPlatform,
     CampaignConfig,
@@ -122,25 +123,31 @@ def _scout_links(topology, platform) -> Dict[str, List[Tuple[str, str]]]:
     return {"cogent": cogent, "kroot": kroot, "level3": level3}
 
 
-#: Set REPRO_BENCH_CACHE=1 to cache the generated campaign analysis on
-#: disk between pytest sessions (results are deterministic given SEED).
-_CACHE_PATH = "/tmp/repro_grand_campaign_v1.pickle"
-
-
 @pytest.fixture(scope="session")
 def grand_campaign() -> GrandCampaign:
-    import os
-    import pickle
+    return _build_grand_campaign()
 
-    use_cache = os.environ.get("REPRO_BENCH_CACHE") == "1"
-    if use_cache and os.path.exists(_CACHE_PATH):
-        with open(_CACHE_PATH, "rb") as handle:
-            return pickle.load(handle)
-    campaign = _build_grand_campaign()
-    if use_cache:
-        with open(_CACHE_PATH, "wb") as handle:
-            pickle.dump(campaign, handle)
-    return campaign
+
+def _assert_engine_is_reference(analysis, traceroutes, mapper, config):
+    """The figures read the engine's analysis: hold it to the reference.
+
+    The one engine ≡ reference check of the paper-figure benches: the
+    same campaign through the serial reference
+    :class:`~repro.reference.Pipeline` must give the same bin results
+    (every alarm), campaign statistics, tracked-link series and §6
+    aggregation (every per-AS severity series, from which the Eq. 10
+    magnitudes follow), bit for bit.
+    """
+    reference = analyze_campaign(
+        traceroutes, mapper, pipeline=Pipeline(config)
+    )
+    assert analysis.bin_results == reference.bin_results
+    assert analysis.stats() == reference.stats()
+    assert analysis.pipeline.tracked == reference.pipeline.tracked
+    for kind in ("delay", "forwarding"):
+        ours = getattr(analysis.aggregator, f"{kind}_series")
+        theirs = getattr(reference.aggregator, f"{kind}_series")
+        assert ours == theirs, kind
 
 
 def _build_grand_campaign() -> GrandCampaign:
@@ -192,6 +199,7 @@ def _build_grand_campaign() -> GrandCampaign:
     )
     config = PipelineConfig(track_links=track_links)
     analysis = analyze_campaign(traceroutes, mapper, config=config)
+    _assert_engine_is_reference(analysis, traceroutes, mapper, config)
     return GrandCampaign(
         topology=topology,
         mapper=mapper,

@@ -3,11 +3,19 @@ Forwarding Anomalies Using Large-Scale Traceroute Measurements" (IMC 2017).
 
 Public API layout:
 
-* :mod:`repro.core` — the paper's detection methods (differential RTT
-  delay-change detection, packet-forwarding anomaly detection, AS-level
-  event aggregation), the end-to-end serial :class:`~repro.core.Pipeline`
-  reference, and the vectorized in-process :class:`~repro.core.Engine`
-  production engine.
+* :mod:`repro.core` — the paper's detection methods as the production
+  path runs them: the vectorized in-process :class:`~repro.core.Engine`
+  (what every command, :func:`~repro.core.create_pipeline` and
+  :func:`~repro.core.analyze_campaign` run), its structure-of-arrays
+  detector arenas, the shared configuration/result types, checkpoints,
+  and the paper-figure helpers (alarm graphs, event correlation, alias
+  resolution, Appendix B sensitivity).
+* :mod:`repro.reference` — the paper-shaped serial reference: the
+  scalar detectors, the per-bin :class:`~repro.reference.Pipeline`, the
+  object-model reader and stream, and the §6/§8
+  :class:`~repro.reference.AlarmAggregator` /
+  :class:`~repro.reference.InternetHealthReport`.  The oracle the
+  production path is tested against; no command loads it.
 * :mod:`repro.atlas` — RIPE-Atlas-style traceroute data model and IO.
 * :mod:`repro.simulation` — the synthetic Internet and measurement
   platform used as an offline substitute for the Atlas platform.
@@ -40,11 +48,10 @@ Quickstart::
     analysis, topology, mapper = quick_campaign(duration_hours=24, seed=1)
     print(analysis.stats())
 
-The production engine: pass ``pipeline=Engine(config)`` to
-:func:`analyze_campaign` to run the campaign on
-:class:`~repro.core.Engine` — the engine the CLI's ``analyze`` and
-``monitor`` always run — whose output and checkpoint bytes are the
-serial pipeline's, bit for bit.
+:func:`analyze_campaign` runs the :class:`~repro.core.Engine`; pass
+``pipeline=Pipeline(config)`` with ``Pipeline`` from
+:mod:`repro.reference` to run the serial reference instead — the output
+and checkpoint bytes are the same, bit for bit.
 
 Running continuously: both engines expose an incremental API
 (``process_bin`` / ``snapshot`` / ``restore`` / ``run(resume_from=...)``)
@@ -60,15 +67,15 @@ from repro._lazy import lazy_exports
 __version__ = "1.2.0"
 
 _EXPORTS = {
-    "AlarmAggregator": "repro.core.events",
+    "AlarmAggregator": "repro.reference.report",
     "CampaignAnalysis": "repro.core.pipeline",
     "DelayAlarm": "repro.core.alarms",
-    "DelayChangeDetector": "repro.core.delaydetector",
+    "DelayChangeDetector": "repro.reference.pipeline",
     "Engine": "repro.core.engine",
     "EngineSnapshot": "repro.core.checkpoint",
     "ForwardingAlarm": "repro.core.alarms",
-    "ForwardingAnomalyDetector": "repro.core.forwarding",
-    "Pipeline": "repro.core.pipeline",
+    "ForwardingAnomalyDetector": "repro.reference.pipeline",
+    "Pipeline": "repro.reference.pipeline",
     "PipelineConfig": "repro.core.pipeline",
     "SnapshotError": "repro.core.checkpoint",
     "analyze_campaign": "repro.core.pipeline",

@@ -33,11 +33,10 @@ _EXPORTS = {
     "Traceroute": "repro.atlas.model",
     "TracerouteBatch": "repro.atlas.columnar",
     "TracerouteDecodeError": "repro.atlas.io",
-    "TracerouteStream": "repro.atlas.stream",
+    "TracerouteStream": "repro.reference.ingest",
     "bin_start": "repro.atlas.stream",
     "bin_views": "repro.atlas.columnar",
     "binned_payloads": "repro.atlas.stream",
-    "count_traceroutes": "repro.atlas.io",
     "decode_lines": "repro.atlas.columnar",
     "decode_traceroutes": "repro.atlas.columnar",
     "default_cache_path": "repro.atlas.bincache",
@@ -46,7 +45,7 @@ _EXPORTS = {
     "make_traceroute": "repro.atlas.model",
     "minimum_usable_bin_s": "repro.atlas.measurements",
     "read_bincache": "repro.atlas.bincache",
-    "read_traceroutes": "repro.atlas.io",
+    "read_traceroutes": "repro.reference.ingest",
     "sanitize": "repro.atlas.validate",
     "sanitize_one": "repro.atlas.validate",
     "shortest_detectable_event_s": "repro.atlas.measurements",

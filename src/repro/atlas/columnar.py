@@ -668,7 +668,7 @@ def decode_traceroutes(
 ) -> TracerouteBatch:
     """Decode an Atlas-format JSONL file straight into columns.
 
-    The zero-object twin of :func:`repro.atlas.io.read_traceroutes`:
+    The zero-object twin of :func:`repro.reference.ingest.read_traceroutes`:
     same accepted format (gzip when the suffix is ``.gz``, blank lines
     skipped) and the same strictness contract — ``strict=True`` raises
     :class:`TracerouteDecodeError` with the offending line number,

@@ -15,7 +15,7 @@ spine is *fault tolerance*, not fetching:
   resumes its window exactly once;
 * :mod:`~repro.atlas.connectors.results` — the measurement-results
   connector, normalizing API pages into the canonical traceroute JSONL
-  consumed by :class:`~repro.atlas.stream.TracerouteStream` and
+  consumed by :class:`~repro.reference.ingest.TracerouteStream` and
   ``monitor --follow``;
 * :mod:`~repro.atlas.connectors.probes` — the ``meta-latest`` probe
   metadata connector: ASN→probe map, and live refresh of the IP→AS

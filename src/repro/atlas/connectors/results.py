@@ -7,7 +7,7 @@ through a :class:`~repro.atlas.connectors.transport.FaultTolerantClient`
 and normalizes every page into the repository's canonical traceroute
 JSONL (the exact serialization :func:`repro.atlas.io.write_traceroutes`
 produces), so the output file plugs directly into
-:class:`~repro.atlas.stream.TracerouteStream`, ``monitor --follow``,
+:class:`~repro.reference.ingest.TracerouteStream`, ``monitor --follow``,
 the columnar decoder and the bin cache — a fetched campaign is
 indistinguishable from a locally generated one.
 

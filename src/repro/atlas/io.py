@@ -1,8 +1,10 @@
 """JSONL persistence for traceroute results (Atlas download format).
 
-Atlas result downloads are newline-delimited JSON.  These helpers read and
-write that format so campaigns generated by the simulator can be stored on
-disk and replayed through the pipeline, exactly like archived Atlas data.
+Atlas result downloads are newline-delimited JSON.  This module writes
+that format, so simulated campaigns replay exactly like archived Atlas
+data, and holds what its readers share (gzip-aware opening, the decode
+error and the lenient readers' warning): production decodes into
+columns (:mod:`repro.atlas.columnar`), the reference into objects.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import gzip
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from repro.atlas.model import Traceroute
 
@@ -69,44 +71,3 @@ def write_traceroutes(path: PathLike, traceroutes: Iterable[Traceroute]) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def read_traceroutes(
-    path: PathLike, strict: bool = True
-) -> Iterator[Traceroute]:
-    """Stream results back from a JSONL file.
-
-    With ``strict=False`` undecodable lines are skipped instead of
-    raising — useful for partially corrupted archive downloads — and one
-    :class:`DecodeWarning` carrying the skip count is emitted when the
-    stream ends, so silent data loss is visible without depending on the
-    caller to count.
-    """
-    source = Path(path)
-    skipped = 0
-    with _open_text(source, "r") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise TracerouteDecodeError(line_number, str(exc)) from exc
-                skipped += 1
-                continue
-            try:
-                yield Traceroute.from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                if strict:
-                    raise TracerouteDecodeError(line_number, str(exc)) from exc
-                skipped += 1
-                continue
-    if skipped:
-        _warn_skipped("read_traceroutes", source, skipped)
-
-
-def count_traceroutes(path: PathLike) -> int:
-    """Number of results in a JSONL file without keeping them in memory."""
-    return sum(1 for _ in read_traceroutes(path, strict=False))

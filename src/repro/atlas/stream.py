@@ -8,8 +8,9 @@ consume near-real-time feeds where results may arrive slightly out of
 order (the Atlas streaming API gives no ordering guarantee).  Two
 streams share that window: :class:`ColumnarStream` decodes tailed
 chunks of JSONL straight into columns and is what ``monitor`` runs;
-:class:`TracerouteStream` takes traceroute objects one at a time and is
-the public object-model API and the columnar stream's test oracle.
+the reference's :class:`~repro.reference.ingest.TracerouteStream` takes
+traceroute objects one at a time and is the columnar stream's test
+oracle.
 :class:`FeedTailer` is the file-level companion: a ``tail -f`` chunk
 reader that notices feed truncation and logrotate-style replacement,
 reopens, counts the event and keeps going instead of stalling at a
@@ -245,7 +246,8 @@ class LatenessWindow:
     """Lateness, densification and replay bookkeeping over open bins.
 
     The one implementation of the near-real-time closing rule, generic
-    over what a bin holds: :class:`TracerouteStream` adds traceroute
+    over what a bin holds:
+    :class:`~repro.reference.ingest.TracerouteStream` adds traceroute
     objects, :class:`ColumnarStream` adds row indices of its batch.
     Whenever items arrive for a bin at least ``lateness_bins`` past an
     open bin, that older bin is closed and returned; items for a bin
@@ -343,28 +345,6 @@ class LatenessWindow:
         return self._emit(closed)
 
 
-class TracerouteStream(LatenessWindow):
-    """Buffered push-based stream of traceroute objects (the oracle).
-
-    Feed results with :meth:`push`; closed bins come back as lists of
-    traceroutes.  Call :meth:`~LatenessWindow.drain` at end of stream.
-    This mirrors how the authors' near-real-time deployment consumes
-    the Atlas streaming API: slightly late results are tolerated, very
-    late ones are dropped.  Options and counters are
-    :class:`LatenessWindow`'s.
-
-    Production ``monitor`` runs the same window over columns
-    (:class:`ColumnarStream`); this object form is the public API for
-    library users and the reference the columnar path is tested against.
-    """
-
-    def push(self, traceroute: Traceroute) -> List[Tuple[int, List[Traceroute]]]:
-        """Add one result; return any bins that closed as a consequence."""
-        return self.add(
-            bin_start(traceroute.timestamp, self.bin_s), (traceroute,)
-        )
-
-
 class ColumnarStream(LatenessWindow):
     """Chunks of JSONL lines in, closed bins out as :class:`BatchView`s.
 
@@ -372,8 +352,9 @@ class ColumnarStream(LatenessWindow):
     chunk straight into the current :class:`TracerouteBatch`
     (:func:`~repro.atlas.columnar.decode_lines` — no traceroute objects)
     and runs the new rows through the same :class:`LatenessWindow` rule
-    :class:`TracerouteStream` applies to objects, so bins, drop counts
-    and densification are identical for the same input order.
+    the reference's :class:`~repro.reference.ingest.TracerouteStream`
+    applies to objects, so bins, drop counts and densification are
+    identical for the same input order.
     Undecodable lines are skipped and counted in :attr:`skipped`.
 
     Returned views are valid until the next :meth:`push`: once the rows

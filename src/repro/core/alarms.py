@@ -4,12 +4,13 @@ A *delay-change alarm* (§4.2.3) names a link — an ordered pair of adjacent
 IP addresses — whose hourly differential-RTT confidence interval stopped
 overlapping its normal reference.  A *forwarding alarm* (§5.2) names a
 router/destination pair whose forwarding pattern anti-correlates with its
-reference, with per-next-hop responsibility scores.
+reference, with per-next-hop responsibility scores.  A *detected event*
+(§6) is a significant peak in one AS's aggregated severity series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.stats.wilson import WilsonInterval
@@ -87,3 +88,13 @@ class ForwardingAlarm:
         """True when the unresponsive bucket gained share — the §7.3
         signature of dropped (not rerouted) traffic."""
         return self.responsibilities.get(UNRESPONSIVE, 0.0) > 0
+
+
+@dataclass(frozen=True)
+class DetectedEvent:
+    """One significant peak in an AS severity series (Eq. 10, §6)."""
+
+    asn: int
+    timestamp: int
+    magnitude: float
+    kind: str  # "delay" | "forwarding"

@@ -1,9 +1,11 @@
 """Vectorized detector-state arena: structure-of-arrays detection kernels.
 
-The scalar detectors (:class:`~repro.core.delaydetector.DelayChangeDetector`,
-:class:`~repro.core.forwarding.ForwardingAnomalyDetector`) keep one small
-Python object per key — three :class:`~repro.stats.smoothing.ExponentialSmoother`
-instances per link, one :class:`~repro.stats.smoothing.VectorSmoother` per
+The reference's scalar detectors
+(:class:`~repro.reference.pipeline.DelayChangeDetector`,
+:class:`~repro.reference.pipeline.ForwardingAnomalyDetector`) keep one
+small Python object per key — three
+:class:`~repro.reference.pipeline.ExponentialSmoother` instances per
+link, one :class:`~repro.reference.pipeline.VectorSmoother` per
 (router, destination) — and judge each key with scalar branches.  At the
 paper's scale (§7: hundreds of thousands of links and forwarding models
 per bin) the per-key attribute lookups, method calls and dict updates
@@ -38,8 +40,8 @@ elementwise, which the hypothesis properties in
 ``tests/test_core_arena.py`` and the speedup benchmark
 ``benchmarks/bench_detect.py`` both assert.  The engine
 (:mod:`repro.core.engine`) runs one arena pair; the serial
-:class:`~repro.core.pipeline.Pipeline` keeps the scalar detectors as the
-readable equivalence oracle.
+:class:`~repro.reference.pipeline.Pipeline` keeps the scalar detectors
+as the readable equivalence oracle.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class DelayAlarmRows:
     :class:`~repro.stats.wilson.WilsonInterval` objects);
     :meth:`materialize` builds the str-keyed
     :class:`~repro.core.alarms.DelayAlarm` objects exactly once, at the
-    store/reporting boundary, bit-identical to the ones
-    :meth:`DelayArena.observe_bin` emits inline.
+    store/reporting boundary, bit-identical to the ones the scalar
+    reference detector emits.
 
     ``positions`` indexes the observation arrays the kernel judged
     (ascending, i.e. sorted-link order); ``arena_rows`` holds the
@@ -220,8 +222,8 @@ class DelayArena:
         "max kept probes per link" aggregate so the engine needs no
         per-bin Python bookkeeping).
 
-    :meth:`observe_bin` is the vectorized equivalent of calling
-    :meth:`~repro.core.delaydetector.DelayChangeDetector.observe_interval`
+    :meth:`observe_bin_rows` is the vectorized equivalent of calling
+    :meth:`~repro.reference.pipeline.DelayChangeDetector.observe_interval`
     once per link, in input order, and is bit-identical to it.
     """
 
@@ -412,8 +414,8 @@ class DelayArena:
 
         The arena must be empty — checkpoints restore into newly built
         engines, never merge into live state.  Every subsequent
-        :meth:`observe_bin` is bit-identical to one on the arena the
-        table was exported from.
+        :meth:`observe_bin_rows` is bit-identical to one on the arena
+        the table was exported from.
         """
         if len(self.interner):
             raise ValueError("import_table requires an empty arena")
@@ -444,38 +446,6 @@ class DelayArena:
 
     # -- the per-bin kernel -------------------------------------------------
 
-    def observe_bin(
-        self,
-        timestamp: int,
-        links: Sequence[Link],
-        medians: np.ndarray,
-        lowers: np.ndarray,
-        uppers: np.ndarray,
-        counts: np.ndarray,
-        n_probes: Sequence[int],
-        n_asns: Sequence[int],
-    ) -> List[DelayAlarm]:
-        """Judge and update every observed link of one bin at once.
-
-        *links* must be unique within the call (they are dict keys in
-        the pipeline) and aligned with the five observation arrays —
-        the output of
-        :func:`~repro.stats.wilson.median_confidence_interval_arrays`
-        plus the diversity verdict's kept-probe/AS counts.  Returns the
-        bin's alarms in input (i.e. sorted-link) order; exactly the
-        alarms the scalar detector would emit, bit for bit.
-        """
-        if not links:
-            return []
-        ids = self.intern_links(links)
-        rows = self.observe_bin_rows(
-            ids, medians, lowers, uppers, counts, n_probes, n_asns
-        )
-        if not len(rows):
-            return []
-        alarm_links = [links[pos] for pos in rows.positions.tolist()]
-        return rows.materialize(timestamp, alarm_links)
-
     def observe_bin_rows(
         self,
         ids: np.ndarray,
@@ -486,14 +456,17 @@ class DelayArena:
         n_probes: Sequence[int],
         n_asns: Sequence[int],
     ) -> DelayAlarmRows:
-        """The :meth:`observe_bin` kernel over pre-interned arena rows.
+        """Judge and update every observed link of one bin at once.
 
-        The fused spine's array ingestion point: *ids* come from
-        :meth:`intern_links`/:meth:`intern_ids`, no link keys are
-        touched, and the bin's alarms come back as
-        :class:`DelayAlarmRows` for the caller to materialize at the
-        reporting boundary.  State updates (EWMA, warm-up, counters)
-        are identical to :meth:`observe_bin`.
+        *ids* are unique arena rows from
+        :meth:`intern_links`/:meth:`intern_ids`, aligned with the five
+        observation arrays — the output of
+        :func:`~repro.stats.wilson.median_confidence_interval_arrays`
+        plus the diversity verdict's kept-probe/AS counts.  No link
+        keys are touched: the bin's alarms come back as
+        :class:`DelayAlarmRows` (in input order) for the caller to
+        materialize at the reporting boundary — exactly the alarms the
+        scalar detector would emit, bit for bit.
         """
         obs_m = np.asarray(medians, dtype=float)
         obs_l = np.asarray(lowers, dtype=float)
@@ -602,15 +575,15 @@ class ForwardingArena:
     correlation batch and the Eq. 8 EWMA all run over CSR-style flat
     arrays covering every model of the bin at once.
 
-    Per bin, :meth:`observe_bin` aligns every model's pattern against
-    its reference **once** on the sorted union key order, pools the
-    aligned values into CSR-style offset arrays, judges all
+    Per bin, :meth:`observe_bin_sorted` aligns every model's pattern
+    against its reference **once** on the sorted union key order, pools
+    the aligned values into CSR-style offset arrays, judges all
     past-warm-up models with one
     :func:`~repro.stats.correlation.pearson_correlation_pooled` call,
     smooths every model's reference with one flat Eq. 8 EWMA over the
     pooled values, and computes Eq. 9 responsibilities only for the
     flagged models.  Output is bit-identical to
-    :meth:`~repro.core.forwarding.ForwardingAnomalyDetector.observe_bin`.
+    :meth:`~repro.reference.pipeline.ForwardingAnomalyDetector.observe_bin`.
     """
 
     def __init__(
@@ -718,8 +691,8 @@ class ForwardingArena:
         """Load a checkpoint table (rows in any order) into this fresh
         arena.
 
-        The arena must be empty.  Subsequent :meth:`observe_bin` calls
-        are bit-identical to ones on the exporting arena (all reference
+        The arena must be empty.  Subsequent :meth:`observe_bin_sorted`
+        calls are bit-identical to ones on the exporting arena (all reference
         consumers align on sorted key order, so insertion order is
         irrelevant).
         """
@@ -739,22 +712,6 @@ class ForwardingArena:
         self._alarms_raised = table.alarms_raised.tolist()
 
     # -- the per-bin kernel -------------------------------------------------
-
-    def observe_bin(
-        self, timestamp: int, patterns: Dict[ModelKey, Pattern]
-    ) -> List[ForwardingAlarm]:
-        """Judge and update every model of one bin; return its alarms.
-
-        Mirrors the scalar detector exactly: keys are processed in
-        sorted order, empty patterns are skipped without creating state,
-        models are judged only past ``warmup_bins`` with a non-empty
-        reference, and the Eq. 8 update (first pattern verbatim, then
-        EWMA over the sorted union of hops with sub-``prune_below``
-        weights dropped) is applied after the comparison.
-        """
-        return self.observe_bin_sorted(
-            timestamp, [(key, patterns[key]) for key in sorted(patterns)]
-        )
 
     def observe_bin_ids(
         self,
@@ -809,12 +766,17 @@ class ForwardingArena:
         timestamp: int,
         items: Sequence[Tuple[ModelKey, Pattern]],
     ) -> List[ForwardingAlarm]:
-        """The :meth:`observe_bin` kernel over pre-sorted (key, pattern)
-        rows.
+        """Judge and update every model of one bin; return its alarms.
 
-        *items* must be sorted by key (the scalar detector's processing
-        order) and free of duplicate keys; both :meth:`observe_bin` and
-        :meth:`observe_bin_ids` reduce to this.
+        *items* are (key, pattern) rows sorted by key (the scalar
+        detector's processing order) and free of duplicate keys;
+        :meth:`observe_bin_ids` reduces to this.  Mirrors the scalar
+        detector exactly: empty patterns are skipped without creating
+        state, models are judged only past ``warmup_bins`` with a
+        non-empty reference, and the Eq. 8 update (first pattern
+        verbatim, then EWMA over the sorted union of hops with
+        sub-``prune_below`` weights dropped) is applied after the
+        comparison.
         """
         interner = self.interner
         references = self._references

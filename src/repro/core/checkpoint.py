@@ -12,7 +12,7 @@ is exactly what this module provides:
   filter's per-link evaluation rounds (which seed its rebalancing RNG
   streams), tracked-link series, campaign aggregates, and optionally
   the per-bin results produced so far.  Both the serial
-  :class:`~repro.core.pipeline.Pipeline` and the
+  :class:`~repro.reference.pipeline.Pipeline` and the
   :class:`~repro.core.engine.Engine` produce one (``snapshot()``) with
   every row sorted by its key — the same bytes for the same feed — and
   consume one in any row order (``restore()``), so a snapshot from

@@ -11,11 +11,13 @@ simultaneously (the DDoS signature of Figure 8's wide component).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.events import AlarmAggregator, DetectedEvent
+from repro.core.alarms import DetectedEvent
+
+if TYPE_CHECKING:
+    from repro.reference.report import AlarmAggregator
 
 
 @dataclass(frozen=True)

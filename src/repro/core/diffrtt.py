@@ -6,6 +6,10 @@ samples Δ_PXY are **all combinations** ``RTT_PY − RTT_PX`` — one to nine
 samples per probe per traceroute.  Samples are grouped per link (ordered
 IP pair) and per probe, because the diversity filter (§4.3) and the
 median statistics both need the per-probe, per-AS structure.
+
+:class:`LinkObservations` is that container; the reference fills it
+(:func:`~repro.reference.pipeline.differential_rtts`), and the engine
+reads its flat arrays through the same surface.
 """
 
 from __future__ import annotations
@@ -13,22 +17,15 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.atlas.model import Traceroute
 from repro.core.alarms import Link
 
 
 class LinkObservations:
     """Differential RTT samples for one link within one time bin.
 
-    Samples are accumulated into one flat preallocated-style ``array('d')``
-    buffer with per-probe ``(start, stop)`` segments instead of per-hop
-    Python lists — the bin hot path appends thousands of samples per link,
-    and a contiguous buffer both avoids per-float object overhead and lets
-    :meth:`samples_array` hand numpy a copy without boxing each value.
-    ``samples_by_probe`` is kept as a compatibility property that
-    materialises the historical dict-of-lists view.
+    Samples are accumulated into one flat ``array('d')`` buffer with
+    per-probe ``(start, stop)`` segments instead of per-hop Python lists,
+    which avoids per-float object overhead.
     """
 
     __slots__ = ("link", "probe_asn", "_samples", "_segments")
@@ -53,19 +50,6 @@ class LinkObservations:
         buffer.extend(samples)
         self._segments.setdefault(probe_id, []).append((start, len(buffer)))
         self.probe_asn[probe_id] = asn
-
-    @property
-    def samples_by_probe(self) -> Dict[int, List[float]]:
-        """Historical dict-of-lists view (materialised on access)."""
-        buffer = self._samples
-        return {
-            probe_id: [
-                value
-                for start, stop in segments
-                for value in buffer[start:stop]
-            ]
-            for probe_id, segments in self._segments.items()
-        }
 
     def probe_ids(self) -> Iterable[int]:
         """Probe identifiers in first-observation order."""
@@ -114,88 +98,3 @@ class LinkObservations:
         for start, stop in self._selected_segments(probe_ids):
             flat.extend(buffer[start:stop])
         return flat
-
-    def samples_array(
-        self,
-        probe_ids: Optional[Iterable[int]] = None,
-        ordered: bool = True,
-    ) -> np.ndarray:
-        """Samples as a fresh float64 array (no per-value boxing).
-
-        Same values and ordering as :meth:`all_samples`; this is the form
-        the vectorized engine feeds to the batched Wilson interval.  Pass
-        ``ordered=False`` when only the multiset of values matters (e.g.
-        feeding a sort): when *probe_ids* covers every observed probe the
-        whole buffer is copied in insertion order, skipping the
-        per-segment gather.
-        """
-        if probe_ids is not None:
-            probe_ids = list(probe_ids)
-        if not ordered:
-            covered = (
-                len(self._segments)
-                if probe_ids is None
-                else sum(1 for p in probe_ids if p in self._segments)
-            )
-            if covered == len(self._segments):
-                if not self._samples:
-                    return np.empty(0, dtype=np.float64)
-                return np.frombuffer(self._samples, dtype=np.float64).copy()
-        segments = self._selected_segments(probe_ids)
-        total = sum(stop - start for start, stop in segments)
-        out = np.empty(total, dtype=np.float64)
-        if total == 0:
-            return out
-        view = np.frombuffer(self._samples, dtype=np.float64)
-        position = 0
-        for start, stop in segments:
-            length = stop - start
-            out[position : position + length] = view[start:stop]
-            position += length
-        return out
-
-
-def differential_rtts(
-    traceroutes: Iterable[Traceroute],
-) -> Dict[Link, LinkObservations]:
-    """Compute per-link differential RTT samples for one time bin.
-
-    Links are ordered pairs of adjacent responding IPs at consecutive
-    TTLs.  When a hop answers from several IPs (rare under Paris
-    traceroute) every observed (ip_x, ip_y) combination is attributed its
-    own samples, as the paper's link definition is purely IP-pair based.
-
-    >>> from repro.atlas.model import make_traceroute
-    >>> tr = make_traceroute(1, "s", "d", 0,
-    ...     [[("A", 10.0), ("A", 11.0)], [("B", 14.0)]], from_asn=65001)
-    >>> obs = differential_rtts([tr])
-    >>> obs[("A", "B")].all_samples()
-    [4.0, 3.0]
-    """
-    links: Dict[Link, LinkObservations] = {}
-    for traceroute in traceroutes:
-        for near_hop, far_hop in traceroute.adjacent_pairs():
-            if near_hop.is_unresponsive or far_hop.is_unresponsive:
-                continue
-            for near_ip in near_hop.responding_ips:
-                near_rtts = near_hop.rtts_for(near_ip)
-                if not near_rtts:
-                    continue
-                for far_ip in far_hop.responding_ips:
-                    if far_ip == near_ip:
-                        continue
-                    far_rtts = far_hop.rtts_for(far_ip)
-                    if not far_rtts:
-                        continue
-                    link = (near_ip, far_ip)
-                    samples = [
-                        far - near for far in far_rtts for near in near_rtts
-                    ]
-                    observations = links.get(link)
-                    if observations is None:
-                        observations = LinkObservations(link)
-                        links[link] = observations
-                    observations.add(
-                        traceroute.prb_id, traceroute.from_asn, samples
-                    )
-    return links

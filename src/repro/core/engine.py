@@ -1,10 +1,12 @@
 """In-process execution engine with vectorized hot paths.
 
-:class:`~repro.core.pipeline.Pipeline` is the paper-shaped *reference*
-implementation: it analyses links one at a time in readable pure-Python
-loops.  This module is the *production* execution layer built for the
-paper's actual scale (2.8 billion traceroutes), and it has exactly one
-path through it:
+:class:`~repro.reference.pipeline.Pipeline` is the paper-shaped
+*reference* implementation: it analyses links one at a time in readable
+pure-Python loops.  This module is the *production* execution layer
+built for the paper's actual scale (2.8 billion traceroutes) — what
+every command, :func:`create_pipeline` and
+:func:`~repro.core.pipeline.analyze_campaign` run — and it has exactly
+one path through it:
 
 * every bin is columnar — object-model input is encoded at the door
   with :meth:`~repro.atlas.columnar.TracerouteBatch.from_traceroutes`
@@ -31,13 +33,10 @@ link (§4) and per router and destination (§5), so that state is one
 arena pair, and a snapshot lists it sorted by link and model key — the
 serial pipeline's order, so the two write the same checkpoint bytes.
 
-Equivalence is a hard guarantee, not an aspiration: every numeric step
-of the batched path performs the same float64 arithmetic in the same
-order as the scalar path, the diversity filter draws per-link (not
-per-evaluation-order) random streams, and the property tests in
-``tests/test_engine_equivalence.py`` and ``tests/test_fused_spine.py``
-plus the equality assertions in ``benchmarks/bench_engine_scaling.py``
-hold the output bit-identical to the serial pipeline.
+Every numeric step performs the scalar path's float64 arithmetic in
+the same order and the diversity filter draws per-link random streams,
+so the output is bit-identical to the reference
+(``tests/test_engine_equivalence.py``, ``tests/test_fused_spine.py``).
 """
 
 from __future__ import annotations
@@ -63,14 +62,12 @@ from repro.core.checkpoint import (
     config_fingerprint,
     prepare_resume,
 )
-from repro.core.diffrtt import LinkObservations
 from repro.core.diversity import DiversityFilter, DiversityVerdict
 from repro.core.forwarding import ModelKey
 from repro.core.fused import FusedBin, extract_bin_fused, string_ranks
 from repro.core.pipeline import (
     BinResult,
     CampaignStats,
-    Pipeline,
     PipelineConfig,
     TrackedLinkPoint,
 )
@@ -87,8 +84,9 @@ class _FusedLinkObs:
     """Per-link read view over a :class:`~repro.core.fused.FusedBin`.
 
     Duck-types the :class:`~repro.core.diffrtt.LinkObservations` surface
-    the diversity filter and tracked-link recorder consume (``link``,
-    ``probe_asn``, ``probe_ids``, ``n_probes``, ``samples_array``)
+    the diversity filter consumes (``link``, ``probe_asn``,
+    ``probe_ids``, ``n_probes``) and gathers samples for the batched
+    Wilson kernel and the tracked-link recorder (``samples_array``),
     without copying anything out of the bin's flat arrays: samples stay
     in the shared pool, segments are (start, stop) spans, and the
     per-probe segment map is built only when a partial/ordered gather
@@ -153,11 +151,12 @@ class _FusedLinkObs:
         probe_ids: Optional[Iterable[int]] = None,
         ordered: bool = True,
     ) -> np.ndarray:
-        """Same values/order contract as ``LinkObservations.samples_array``.
+        """The samples of *probe_ids* (default: all) as float64.
 
-        The full-coverage unordered fast path returns a *view* of the
-        bin's sample pool (the batched Wilson kernel copies into its
-        padded matrix anyway); gathers allocate fresh arrays.
+        Same values and order as ``LinkObservations.all_samples``.  With
+        ``ordered=False`` only the multiset matters (the batched Wilson
+        kernel sorts): when *probe_ids* covers every probe the result is
+        a *view* of the bin's sample pool; gathers allocate fresh arrays.
         """
         if probe_ids is not None:
             probe_ids = list(probe_ids)
@@ -247,7 +246,8 @@ class _EngineMetrics:
 
 
 class Engine:
-    """Vectorized drop-in for :class:`Pipeline`.
+    """Vectorized drop-in for the reference
+    :class:`~repro.reference.pipeline.Pipeline`.
 
     Same surface (``process_bin`` / ``run`` / ``stats`` / ``tracked`` /
     ``config``), same output bit for bit, different execution strategy:
@@ -561,7 +561,7 @@ class Engine:
         self,
         link: Link,
         timestamp: int,
-        link_obs: LinkObservations,
+        link_obs: _FusedLinkObs,
         verdict: DiversityVerdict,
         alarmed: bool,
         reference_before: Optional[WilsonInterval],
@@ -713,14 +713,6 @@ class Engine:
         )
 
 
-def create_pipeline(config: Optional[PipelineConfig] = None):
-    """Build the right engine for *config*.
-
-    ``n_shards == 1`` (the default) returns the serial reference
-    :class:`Pipeline`; anything else returns an :class:`Engine`.  The
-    field is only this selector: the engine never reads it.
-    """
-    cfg = config or PipelineConfig()
-    if cfg.n_shards == 1:
-        return Pipeline(cfg)
-    return Engine(cfg)
+def create_pipeline(config: Optional[PipelineConfig] = None) -> Engine:
+    """The library's engine for *config*: an :class:`Engine`."""
+    return Engine(config)

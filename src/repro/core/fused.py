@@ -14,8 +14,8 @@ This module is the replacement spine:
   object exists anywhere in the payload;
 * :func:`extract_bin_fused` — the engine's one extraction kernel:
   differential RTTs (§4.2.1,
-  :func:`~repro.core.diffrtt.differential_rtts`) and forwarding
-  patterns (§5.1, :func:`~repro.core.forwarding.forwarding_patterns`)
+  :func:`~repro.reference.pipeline.differential_rtts`) and forwarding
+  patterns (§5.1, :func:`~repro.reference.pipeline.forwarding_patterns`)
   in one pass, emitting a :class:`FusedBin` directly from
   :class:`~repro.atlas.columnar.TracerouteBatch` columns.
   Links come out sorted by their IP *strings* (via a per-batch rank

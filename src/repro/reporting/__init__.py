@@ -7,7 +7,7 @@ _EXPORTS = {
     "BIN_EVENT_FIELDS": "repro.reporting.export",
     "DELAY_ALARM_FIELDS": "repro.reporting.export",
     "FORWARDING_ALARM_FIELDS": "repro.reporting.export",
-    "InternetHealthReport": "repro.reporting.ihr",
+    "InternetHealthReport": "repro.reference.report",
     "LinkHealth": "repro.reporting.ihr",
     "SCHEMA_VERSION": "repro.reporting.export",
     "bin_event_record": "repro.reporting.export",

@@ -6,7 +6,7 @@ subsystem: :mod:`repro.service.store` persists alarms and AS-level
 events in an append-only columnar binary store,
 :mod:`repro.service.query` answers IHR queries from mmapped columns
 bit-identically to the in-memory
-:class:`~repro.reporting.ihr.InternetHealthReport`, and one HTTP
+:class:`~repro.reference.report.InternetHealthReport`, and one HTTP
 server exposes the IHR-style JSON routes: the asyncio server in
 :mod:`repro.service.aio` (keep-alive, misses answered on the loop,
 one process) answers every request through the

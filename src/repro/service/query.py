@@ -3,13 +3,13 @@
 :class:`StoreQuery` answers the Internet-Health-Report queries —
 per-AS condition summaries, magnitude series, event lists, top-K
 rankings, link drill-down, alarm retrieval — **bit-identically** to
-:class:`~repro.reporting.ihr.InternetHealthReport` computed over the
+:class:`~repro.reference.report.InternetHealthReport` computed over the
 equivalent in-memory campaign, from one state derived out of the
 store's mmapped columns instead of Python object traversal:
 
 * per-AS severity series are rebuilt by scattering the store's AS-event
   journal (``np.add.at`` in row order — the exact accumulation order of
-  :class:`~repro.core.events.AlarmAggregator`, so every float is
+  :class:`~repro.reference.report.AlarmAggregator`, so every float is
   identical) into one dense AS × bin matrix per alarm kind, scored for
   all ASes at once by
   :func:`~repro.stats.robust.sliding_magnitude_rows` (bit-identical to
@@ -58,8 +58,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.atlas.io import PathLike
-from repro.core.alarms import DelayAlarm, ForwardingAlarm
-from repro.core.events import DetectedEvent
+from repro.core.alarms import DelayAlarm, DetectedEvent, ForwardingAlarm
 from repro.obs.metrics import default_registry, exponential_buckets
 from repro.reporting.export import (
     delay_alarm_from_record,

@@ -29,7 +29,7 @@ The *AS-level event* rows are the store's denormalised severity journal:
 one row per (delay alarm × attributed AS) carrying the Eq. 6 deviation,
 and one row per (forwarding alarm × responsible next hop's AS) carrying
 the Eq. 9 responsibility — written in exactly the order
-:class:`~repro.core.events.AlarmAggregator` consumes alarms, so replaying
+:class:`~repro.reference.report.AlarmAggregator` consumes alarms, so replaying
 them rebuilds every per-AS severity series bit-identically
 (:mod:`repro.service.query` relies on this).
 

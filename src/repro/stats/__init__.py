@@ -18,8 +18,8 @@ _EXPORTS = {
     "DEFAULT_ALPHA": "repro.stats.smoothing",
     "DEFAULT_Z": "repro.stats.wilson",
     "MAD_SCALE": "repro.stats.robust",
-    "ExponentialSmoother": "repro.stats.smoothing",
-    "VectorSmoother": "repro.stats.smoothing",
+    "ExponentialSmoother": "repro.reference.pipeline",
+    "VectorSmoother": "repro.reference.pipeline",
     "WilsonInterval": "repro.stats.wilson",
     "align_patterns": "repro.stats.correlation",
     "eccdf": "repro.stats.distributions",

@@ -29,10 +29,10 @@ from repro.atlas import (
     load_or_build,
     make_traceroute,
     read_bincache,
-    read_traceroutes,
     write_bincache,
     write_traceroutes,
 )
+from repro.reference import read_traceroutes
 
 
 def _mixed_traceroutes():

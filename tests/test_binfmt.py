@@ -41,16 +41,12 @@ from repro.atlas.connectors.cursors import (
     load_cursor,
     save_cursor,
 )
-from repro.core import (
-    Pipeline,
-    PipelineConfig,
-    load_snapshot,
-    run_checkpointed,
-)
+from repro.core import PipelineConfig, load_snapshot, run_checkpointed
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.core.checkpoint import CHECKPOINT, SNAPSHOT_VERSION, SnapshotError
 from repro.core.pipeline import BinResult
 from repro.net import AsMapper
+from repro.reference import Pipeline
 from repro.service import (
     AlarmStoreWriter,
     CompactionPolicy,

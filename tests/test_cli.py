@@ -220,7 +220,7 @@ def _case_study_mapper(seed, probes):
 def _oracle_events(analysis):
     """Every event of both kinds, most severe first (ties: AS, time,
     kind), from the oracle: ``InternetHealthReport.top_events``."""
-    from repro.reporting import InternetHealthReport
+    from repro.reference import InternetHealthReport
 
     report = InternetHealthReport(analysis)
     events = report.top_events("delay", threshold=2.0, limit=None)
@@ -282,8 +282,8 @@ class TestAnalyzeOneProductionPath:
     def analysis(self, feed):
         """The oracle's campaign: objects -> serial ``Pipeline`` ->
         ``AlarmAggregator``."""
-        from repro.atlas import read_traceroutes
-        from repro.core import Pipeline, PipelineConfig, analyze_campaign
+        from repro.core import PipelineConfig, analyze_campaign
+        from repro.reference import Pipeline, read_traceroutes
 
         analysis = analyze_campaign(
             read_traceroutes(feed),
@@ -297,7 +297,7 @@ class TestAnalyzeOneProductionPath:
     def oracle(self, analysis, tmp_path_factory):
         """(``--json`` stdout, ``--store`` segment bytes) of the oracle:
         IHR report + store export of :meth:`analysis`."""
-        from repro.reporting import InternetHealthReport
+        from repro.reference import InternetHealthReport
         from repro.service import append_analysis
 
         store = tmp_path_factory.mktemp("cli-oracle") / "oracle.store"
@@ -376,10 +376,13 @@ class TestAnalyzeOneProductionPath:
         """Text, ``--json``, ``--store`` and a ``--checkpoint`` resume
         all print the oracle's report with ``AlarmAggregator`` and
         ``InternetHealthReport`` unconstructible."""
-        from repro.atlas import read_traceroutes
-        from repro.core import Pipeline, PipelineConfig, run_checkpointed
-        from repro.core.events import AlarmAggregator
-        from repro.reporting.ihr import InternetHealthReport
+        from repro.core import PipelineConfig, run_checkpointed
+        from repro.reference import (
+            AlarmAggregator,
+            InternetHealthReport,
+            Pipeline,
+            read_traceroutes,
+        )
 
         ckpt = tmp_path / "state.ckpt"
         head = [t for t in read_traceroutes(feed) if t.timestamp < 3 * 3600]
@@ -435,9 +438,9 @@ class TestAnalyzeOneProductionPath:
         """Snapshots are engine-agnostic: a checkpoint the serial
         ``Pipeline`` wrote mid-campaign resumes on the engine to the
         uninterrupted output, processing only the bins it lacks."""
-        from repro.atlas import read_traceroutes
-        from repro.core import Pipeline, PipelineConfig, run_checkpointed
+        from repro.core import PipelineConfig, run_checkpointed
         from repro.obs.metrics import MetricsRegistry, set_default_registry
+        from repro.reference import Pipeline, read_traceroutes
 
         ckpt = tmp_path / "state.ckpt"
         head = [t for t in read_traceroutes(feed) if t.timestamp < 3 * 3600]
@@ -766,13 +769,8 @@ class TestMonitorCrashResume:
         """Checkpoints are engine-agnostic: one taken from the serial
         reference ``Pipeline`` resumes under ``monitor``'s engine and
         ends in the same checkpoint bytes."""
-        from repro.atlas import read_traceroutes
-        from repro.core import (
-            Pipeline,
-            PipelineConfig,
-            save_snapshot,
-            source_digest_of,
-        )
+        from repro.core import PipelineConfig, save_snapshot, source_digest_of
+        from repro.reference import Pipeline, read_traceroutes
 
         pipeline = Pipeline(PipelineConfig())
         pipeline.run(
@@ -887,8 +885,8 @@ class TestAlarmStore:
         ) == 0
         script = (
             "import sys\n"
-            "from repro.atlas import read_traceroutes\n"
-            "from repro.core import Pipeline, PipelineConfig, analyze_campaign\n"
+            "from repro.core import PipelineConfig, analyze_campaign\n"
+            "from repro.reference import Pipeline, read_traceroutes\n"
             "from repro.service import append_analysis\n"
             "from tests.test_cli import _case_study_mapper\n"
             "analysis = analyze_campaign(\n"

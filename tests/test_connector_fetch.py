@@ -21,12 +21,7 @@ import json
 
 import pytest
 
-from repro.atlas import (
-    TracerouteStream,
-    make_traceroute,
-    read_traceroutes,
-    write_traceroutes,
-)
+from repro.atlas import make_traceroute, write_traceroutes
 from repro.atlas.connectors import (
     CircuitBreaker,
     CursorError,
@@ -53,6 +48,7 @@ from repro.atlas.connectors import (
 from repro.cli import main
 from repro.core import Engine
 from repro.net.asmap import AsMapper
+from repro.reference import TracerouteStream, read_traceroutes
 
 BASE_URL = "https://atlas.example/api/v2"
 MSM = 5051

@@ -15,13 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    DelayArena,
-    DelayChangeDetector,
-    ForwardingAnomalyDetector,
-    ForwardingArena,
-    LinkInterner,
-)
+from repro.core import DelayArena, ForwardingArena, LinkInterner
+from repro.reference import DelayChangeDetector, ForwardingAnomalyDetector
 from repro.stats.wilson import WilsonInterval
 
 LINKS = [(f"10.0.{index}.1", f"10.0.{index}.2") for index in range(6)]
@@ -101,13 +96,29 @@ def _run_scalar_delay(bins, **kwargs):
     return alarms, detector
 
 
+def _observe_delay(arena, timestamp, links, *columns):
+    """One bin through the arena's row kernel, alarms materialized."""
+    rows = arena.observe_bin_rows(arena.intern_links(links), *columns)
+    return rows.materialize(
+        timestamp, [links[position] for position in rows.positions.tolist()]
+    )
+
+
+def _observe_forwarding(arena, timestamp, patterns):
+    """One bin of a ``{key: pattern}`` dict, in the scalar key order."""
+    return arena.observe_bin_sorted(
+        timestamp, [(key, patterns[key]) for key in sorted(patterns)]
+    )
+
+
 def _run_arena_delay(bins, **kwargs):
     arena = DelayArena(**kwargs)
     alarms = []
     for timestamp, rows in enumerate(bins):
         links = [row[0] for row in rows]
         alarms.extend(
-            arena.observe_bin(
+            _observe_delay(
+                arena,
                 timestamp * 3600,
                 links,
                 np.array([row[1].median for row in rows]),
@@ -175,7 +186,8 @@ class TestDelayArenaEquivalence:
         interval = WilsonInterval(5.0, 4.0, 6.0, 10)
         ones = np.ones(n_links)
         for _ in range(3):
-            arena.observe_bin(
+            _observe_delay(
+                arena,
                 0,
                 links,
                 5.0 * ones,
@@ -193,7 +205,11 @@ class TestDelayArenaEquivalence:
 
     def test_empty_bin_is_a_no_op(self):
         arena = DelayArena()
-        assert arena.observe_bin(0, [], np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), [], []) == []
+        empty = np.empty(0)
+        assert _observe_delay(
+            arena, 0, [], empty, empty, empty,
+            np.empty(0, dtype=np.int64), [], [],
+        ) == []
         assert arena.n_links == 0
 
     def test_max_probes_tracks_per_link_maximum(self):
@@ -268,7 +284,7 @@ class TestForwardingArenaEquivalence:
                 detector.observe_bin(timestamp * 3600, patterns)
             )
             arena_alarms.extend(
-                arena.observe_bin(timestamp * 3600, patterns)
+                _observe_forwarding(arena, timestamp * 3600, patterns)
             )
         assert arena_alarms == scalar_alarms
         assert arena.n_models == detector.n_models
@@ -290,7 +306,9 @@ class TestForwardingArenaEquivalence:
         arena_alarms = []
         for timestamp, patterns in enumerate(bins):
             scalar_alarms.extend(detector.observe_bin(timestamp, patterns))
-            arena_alarms.extend(arena.observe_bin(timestamp, patterns))
+            arena_alarms.extend(
+                _observe_forwarding(arena, timestamp, patterns)
+            )
         assert len(scalar_alarms) == 1
         assert arena_alarms == scalar_alarms
         assert arena_alarms[0].responsibilities["B"] > 0
@@ -298,13 +316,13 @@ class TestForwardingArenaEquivalence:
 
     def test_empty_patterns_create_no_state(self):
         arena = ForwardingArena()
-        assert arena.observe_bin(0, {MODEL_KEYS[0]: {}}) == []
+        assert _observe_forwarding(arena, 0, {MODEL_KEYS[0]: {}}) == []
         assert arena.n_models == 0
 
     def test_negative_counts_rejected(self):
         arena = ForwardingArena()
         with pytest.raises(ValueError):
-            arena.observe_bin(0, {MODEL_KEYS[0]: {"A": -1.0}})
+            _observe_forwarding(arena, 0, {MODEL_KEYS[0]: {"A": -1.0}})
 
     def test_pruning_matches_scalar(self):
         """Weights decaying below prune_below vanish on both paths."""
@@ -316,7 +334,7 @@ class TestForwardingArenaEquivalence:
         ]
         for timestamp, patterns in enumerate(bins):
             detector.observe_bin(timestamp, patterns)
-            arena.observe_bin(timestamp, patterns)
+            _observe_forwarding(arena, timestamp, patterns)
         assert arena.reference_of(key) == detector.reference_of(key)
         assert "A" not in arena.reference_of(key)
 

@@ -34,17 +34,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import binfmt
-from repro.atlas import (
-    TimeBinner,
-    decode_traceroutes,
-    make_traceroute,
-    read_traceroutes,
-)
+from repro.atlas import TimeBinner, decode_traceroutes, make_traceroute
 from repro.cli import main
 from repro.core import (
     Engine,
     EngineSnapshot,
-    Pipeline,
     PipelineConfig,
     SnapshotError,
     config_fingerprint,
@@ -67,6 +61,7 @@ from repro.core.checkpoint import (
     _encode_payload,
 )
 from repro.core.pipeline import BinResult, TrackedLinkPoint
+from repro.reference import Pipeline, read_traceroutes
 from repro.stats import WilsonInterval
 
 # -- synthetic campaign generator -------------------------------------------
@@ -794,7 +789,7 @@ class TestStreamFeedsIncrementalEngine:
         TracerouteStream and processing each closed bin incrementally
         reproduces the batch run exactly — including the empty bins the
         gap produces."""
-        from repro.atlas import TracerouteStream
+        from repro.reference import TracerouteStream
 
         serial, full = serial_reference
         rng = np.random.default_rng(0)
@@ -820,7 +815,7 @@ class TestStreamFeedsIncrementalEngine:
         """Checkpoint mid-stream, rebuild pipeline + stream (with
         start_after), replay the whole feed: the resumed monitor's bins
         complete the uninterrupted sequence."""
-        from repro.atlas import TracerouteStream
+        from repro.reference import TracerouteStream
 
         serial, full = serial_reference
         k = 4

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core import (
-    AlarmAggregator,
     CorrelatedEvent,
     DelayAlarm,
     ForwardingAlarm,
     correlate_events,
 )
 from repro.net import AsMapper
+from repro.reference import AlarmAggregator
 from repro.stats import WilsonInterval
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DelayChangeDetector, deviation_score
+from repro.reference import DelayChangeDetector, deviation_score
 from repro.stats import WilsonInterval
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atlas import make_traceroute
-from repro.core import differential_rtts
 from repro.core.diffrtt import LinkObservations
+from repro.reference import differential_rtts
 
 
 def _tr(hop_replies, prb=1, asn=65001, ts=0):
@@ -59,8 +59,8 @@ class TestDifferentialRtts:
         tr2 = _tr([[("A", 11.0)], [("B", 14.0)]], prb=2, asn=65002)
         obs = differential_rtts([tr1, tr2])[("A", "B")]
         assert obs.n_probes == 2
-        assert obs.samples_by_probe[1] == [5.0]
-        assert obs.samples_by_probe[2] == [3.0]
+        assert obs.all_samples([1]) == [5.0]
+        assert obs.all_samples([2]) == [3.0]
         assert obs.asns() == {65001: 1, 65002: 1}
 
     def test_same_probe_multiple_traceroutes_accumulate(self):
@@ -68,7 +68,7 @@ class TestDifferentialRtts:
         tr2 = _tr([[("A", 10.0)], [("B", 16.0)]], prb=1, ts=60)
         obs = differential_rtts([tr1, tr2])[("A", "B")]
         assert obs.n_probes == 1
-        assert sorted(obs.samples_by_probe[1]) == [5.0, 6.0]
+        assert sorted(obs.all_samples([1])) == [5.0, 6.0]
 
     def test_multiple_links_per_traceroute(self):
         tr = _tr([[("A", 10.0)], [("B", 15.0)], [("C", 22.0)]])

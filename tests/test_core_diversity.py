@@ -69,9 +69,12 @@ class TestCriterion2Entropy:
 
     def test_input_not_mutated(self):
         obs = _obs({1: 50, 2: 2, 3: 2})
-        before = {k: list(v) for k, v in obs.samples_by_probe.items()}
+        def state():
+            return {p: obs.all_samples([p]) for p in obs.probe_ids()}
+
+        before = state()
         DiversityFilter(seed=2).evaluate(obs)
-        assert {k: list(v) for k, v in obs.samples_by_probe.items()} == before
+        assert state() == before
 
     def test_deterministic_given_seed(self):
         obs = _obs({1: 50, 2: 2, 3: 2})

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import AlarmAggregator, DelayAlarm, ForwardingAlarm
+from repro.core import DelayAlarm, ForwardingAlarm
 from repro.core.alarms import UNRESPONSIVE
-from repro.core.events import AsTimeSeries
 from repro.net import AsMapper
+from repro.reference import AlarmAggregator, AsTimeSeries
 from repro.stats import WilsonInterval
 
 

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.atlas import make_traceroute
-from repro.core import (
-    UNRESPONSIVE,
-    ForwardingAnomalyDetector,
-    forwarding_patterns,
-    responsibility_scores,
-)
+from repro.core import UNRESPONSIVE, responsibility_scores
+from repro.reference import ForwardingAnomalyDetector, forwarding_patterns
 
 
 class TestPatternExtraction:

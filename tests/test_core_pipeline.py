@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.atlas import make_traceroute
-from repro.core import Pipeline, PipelineConfig, analyze_campaign
+from repro.core import PipelineConfig, analyze_campaign
 from repro.net import AsMapper
+from repro.reference import Pipeline
 
 
 def _stable_bin(t, shift=0.0, rng=None, n_probes=9):

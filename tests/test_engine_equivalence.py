@@ -29,16 +29,14 @@ from repro.atlas.stream import binned_payloads
 from repro.core import (
     UNRESPONSIVE,
     LinkObservations,
-    Pipeline,
     Engine,
     PipelineConfig,
     create_pipeline,
-    differential_rtts,
     extract_bin_fused,
-    forwarding_patterns,
     save_snapshot,
     string_ranks,
 )
+from repro.reference import Pipeline, differential_rtts, forwarding_patterns
 
 # -- synthetic campaign generator -------------------------------------------
 
@@ -252,12 +250,19 @@ class TestObjectDoor:
 
 
 class TestCreatePipeline:
-    def test_default_is_serial_reference(self):
-        assert isinstance(create_pipeline(PipelineConfig()), Pipeline)
-        assert isinstance(create_pipeline(None), Pipeline)
+    def test_default_is_the_engine(self):
+        """The library's defaults build the production engine; the
+        reference is only ever named."""
+        from repro.core import analyze_campaign
+        from repro.net import AsMapper
+
+        assert isinstance(create_pipeline(PipelineConfig()), Engine)
+        assert isinstance(create_pipeline(None), Engine)
+        analysis = analyze_campaign([], AsMapper([("0.0.0.0", 0, 64999)]))
+        assert isinstance(analysis.pipeline, Engine)
 
     def test_sharded_when_requested(self):
-        """``n_shards`` > 1 is the one selector left for the engine."""
+        """``n_shards`` is accepted and changes nothing."""
         engine = create_pipeline(PipelineConfig(n_shards=2))
         assert isinstance(engine, Engine)
 
@@ -280,7 +285,9 @@ class TestAnalyzeCampaignDispatch:
         from repro.net import AsMapper
 
         mapper = AsMapper([("0.0.0.0", 0, 64999)])
-        serial = analyze_campaign(campaign, mapper)
+        serial = analyze_campaign(
+            campaign, mapper, pipeline=Pipeline(PipelineConfig())
+        )
         engine = analyze_campaign(
             campaign, mapper, config=PipelineConfig(n_shards=4)
         )
@@ -321,6 +328,14 @@ def traceroute_strategy(draw):
         hop_replies=hop_replies,
         from_asn=draw(st.sampled_from([65001, 65002, 65003, None])),
     )
+
+
+def _by_probe(observations):
+    """Each probe's samples, in insertion order."""
+    return {
+        probe: observations.all_samples([probe])
+        for probe in observations.probe_ids()
+    }
 
 
 def _fused_as_dicts(source):
@@ -388,7 +403,7 @@ class TestExtractBinEquivalence:
             for link, reference in reference_obs.items():
                 fused = observations[link]
                 assert fused.all_samples() == reference.all_samples()
-                assert fused.samples_by_probe == reference.samples_by_probe
+                assert _by_probe(fused) == _by_probe(reference)
                 assert list(fused.probe_asn.items()) == list(
                     reference.probe_asn.items()
                 )

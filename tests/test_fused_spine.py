@@ -28,11 +28,8 @@ from repro.atlas import (
     write_bincache,
     write_traceroutes,
 )
-from repro.core import (
-    Engine,
-    Pipeline,
-    PipelineConfig,
-)
+from repro.core import Engine, PipelineConfig
+from repro.reference import Pipeline
 from repro.reporting import (
     bin_event_record,
     delay_alarm_record,

@@ -5,7 +5,9 @@ feed/store (``tools/import_budget.py`` drives it, so ``make
 import-budget`` reports on exactly these runs) and the test asserts on
 ``sys.modules`` as the command returns: the live and replay paths must
 not pay for the simulator's router, the HTTP tier or scipy, and the
-server must not pay for the simulator, the engine or the decoder.
+server must not pay for the simulator, the engine or the decoder.  No
+command loads the paper-shaped reference (:mod:`repro.reference`): it
+is what the commands are tested against, not a code path of theirs.
 Sharing the durable frame (:mod:`repro.binfmt`) must not drag one
 format's module into a command that never touches that format.
 """
@@ -37,6 +39,7 @@ PIPELINE_BUDGET = (
     "repro.simulation.tracer",
     "repro.simulation.routing",
     "repro.quality",
+    "repro.reference",
 )
 STORE_BUDGET = (
     "networkx",
@@ -48,6 +51,7 @@ STORE_BUDGET = (
     "repro.atlas.connectors",
     "repro.atlas.bincache",
     "repro.core.checkpoint",
+    "repro.reference",
 )
 
 #: command -> (modules it must not load, modules it cannot run without).

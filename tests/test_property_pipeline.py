@@ -12,13 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.atlas import make_traceroute
-from repro.core import (
-    Pipeline,
-    PipelineConfig,
-    differential_rtts,
-    forwarding_patterns,
-)
+from repro.core import PipelineConfig
 from repro.core.alarms import UNRESPONSIVE
+from repro.reference import Pipeline, differential_rtts, forwarding_patterns
 
 ip_strategy = st.sampled_from(
     ["10.0.0.1", "10.0.0.2", "10.0.1.1", "10.1.0.1", "10.1.0.2"]

@@ -18,6 +18,7 @@ class TestPackageSurface:
         import repro.core
         import repro.net
         import repro.quality
+        import repro.reference
         import repro.reporting
         import repro.service
         import repro.simulation
@@ -28,15 +29,36 @@ class TestPackageSurface:
         import repro.core as core
         import repro.net as net
         import repro.quality as quality
+        import repro.reference as reference
         import repro.reporting as reporting
         import repro.service as service
         import repro.simulation as simulation
         import repro.stats as stats
 
-        modules = (atlas, core, net, quality, reporting, service, simulation, stats)
+        modules = (
+            atlas, core, net, quality, reference, reporting, service,
+            simulation, stats,
+        )
         for module in modules:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+    def test_old_names_resolve_to_the_reference(self):
+        """The facades keep their names; the objects live in
+        ``repro.reference``."""
+        import repro.atlas
+        import repro.core
+        import repro.reference as reference
+        import repro.reporting
+        import repro.stats
+
+        for package in (repro, repro.core, repro.atlas, repro.stats,
+                        repro.reporting):
+            for name in set(package.__all__) & set(reference.__all__):
+                assert getattr(package, name) is getattr(reference, name)
+        assert repro.Pipeline is reference.Pipeline
+        assert repro.atlas.read_traceroutes is reference.read_traceroutes
 
 
 class TestQuickCampaign:

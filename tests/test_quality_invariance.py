@@ -11,14 +11,9 @@ meaning: a score cannot depend on how the pipeline was deployed.
 import pytest
 
 from repro.atlas import TimeBinner, TracerouteBatch
-from repro.core import (
-    Engine,
-    Pipeline,
-    PipelineConfig,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.core import Engine, PipelineConfig, load_snapshot, save_snapshot
 from repro.quality import MatchConfig, score_bin_results
+from repro.reference import Pipeline
 from repro.simulation import (
     AtlasPlatform,
     CampaignConfig,

@@ -8,8 +8,8 @@ import pytest
 from repro.atlas import make_traceroute
 from repro.core import analyze_campaign
 from repro.net import AsMapper
+from repro.reference import InternetHealthReport
 from repro.reporting import (
-    InternetHealthReport,
     format_table,
     render_cdf,
     render_qq,

@@ -26,7 +26,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
-from repro.reporting import InternetHealthReport
+from repro.reference import InternetHealthReport
 from repro.reporting.jsonio import dumps_canonical
 from repro.service import (
     AlarmStoreWriter,

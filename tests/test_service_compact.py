@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reporting.ihr import InternetHealthReport
+from repro.reference import InternetHealthReport
 from repro.service.compact import (
     CompactionPolicy,
     CompactionReport,

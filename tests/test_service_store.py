@@ -21,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AlarmAggregator, CampaignAnalysis, Pipeline
+from repro.core import CampaignAnalysis
 from repro.core.alarms import DelayAlarm, ForwardingAlarm
 from repro.core.pipeline import BinResult
 from repro.net import AsMapper
-from repro.reporting import InternetHealthReport
+from repro.reference import AlarmAggregator, InternetHealthReport, Pipeline
 from repro.service import (
     AlarmStore,
     AlarmStoreWriter,

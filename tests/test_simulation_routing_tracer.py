@@ -150,30 +150,34 @@ class TestTracerouteEngine:
         json.dumps(tr.to_json())  # must not raise on numpy types
 
     def test_unresponsive_router_shows_timeouts(self, topo):
-        unresponsive = [
-            r for r in topo.routers.values() if not r.responsive
-        ]
-        if not unresponsive:
-            pytest.skip("seed produced no unresponsive routers")
+        """Every unresponsive router a path crosses is a timed-out hop.
+
+        Searches every (probe, target) pair of both target kinds until a
+        path crosses one; the topology has unresponsive routers off the
+        anchor paths too, so trying one router against anchors only may
+        find none.
+        """
+        unresponsive = {
+            r.node for r in topo.routers.values() if not r.responsive
+        }
         engine = TracerouteEngine(topo, seed=1)
-        target_router = unresponsive[0]
-        # Find a traceroute whose path crosses the unresponsive router.
-        found = False
+        targets = [TargetSpec.for_anchor(a) for a in topo.anchors] + [
+            TargetSpec.for_service(s) for s in topo.services.values()
+        ]
         for probe in topo.probes:
-            for anchor in topo.anchors:
-                target = TargetSpec.for_anchor(anchor)
-                tr = engine.run(probe, target, t=0)
+            for target in targets:
                 plan = engine._plan_for(probe, target, None)
                 nodes = [hp.node for hp in plan.hops]
-                if target_router.node in nodes[:-1]:
-                    index = nodes.index(target_router.node)
-                    assert tr.hops[index].is_unresponsive
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            pytest.skip("no path crosses an unresponsive router")
+                crossed = [
+                    index
+                    for index, node in enumerate(nodes[:-1])
+                    if node in unresponsive
+                ]
+                if crossed:
+                    tr = engine.run(probe, target, t=0)
+                    assert all(tr.hops[i].is_unresponsive for i in crossed)
+                    return
+        pytest.fail("no path crosses an unresponsive router")
 
     def test_packets_per_hop_validation(self, topo):
         with pytest.raises(ValueError):

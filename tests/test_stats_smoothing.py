@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import (
-    ExponentialSmoother,
-    VectorSmoother,
-    exponential_smoothing,
-)
+from repro.reference import ExponentialSmoother, VectorSmoother
+from repro.stats import exponential_smoothing
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
