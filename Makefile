@@ -24,7 +24,7 @@ help:
 	@echo "  fetch-smoke  offline connector smoke: fixture fetch under faults"
 	@echo "  compact-smoke store compaction smoke: CLI round trip + equivalence tests"
 	@echo "  obs-smoke    boot the HTTP server, scrape /metrics + /statusz, validate"
-	@echo "  analyze-smoke analyze 3 ways (bin cache off/cold/warm), cmp output + store bytes"
+	@echo "  analyze-smoke analyze 3 ways (bin cache off/cold/warm) x 3 input orders, cmp output + store bytes"
 	@echo "  import-budget per command: modules loaded, import wall, peak RSS"
 	@echo "  ledger-pairs parent/change ledger pairs: PARENT=rev WORKLOAD=w SEEDS=a-b [PAIRS=n]"
 	@echo "  docs         docstring lint + pointers to docs/"

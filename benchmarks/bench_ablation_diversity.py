@@ -18,7 +18,7 @@ eliminate dominance; the hard guarantee comes from criterion 1.
 import numpy as np
 
 from repro.core import DiversityFilter
-from repro.core.diffrtt import LinkObservations
+from repro.reference.diffrtt import LinkObservations
 from repro.reference import DelayChangeDetector
 from repro.reporting import format_table
 from repro.stats import normalized_entropy

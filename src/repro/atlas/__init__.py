@@ -12,9 +12,11 @@ _EXPORTS = {
     "BUILTIN": "repro.atlas.measurements",
     "BatchView": "repro.atlas.columnar",
     "BinCacheError": "repro.atlas.bincache",
+    "BinCacheSpool": "repro.atlas.bincache",
     "CACHE_VERSION": "repro.atlas.bincache",
     "ColumnarStream": "repro.atlas.stream",
     "DEFAULT_BIN_S": "repro.atlas.stream",
+    "DEFAULT_LATENESS_BINS": "repro.atlas.stream",
     "DecodeWarning": "repro.atlas.io",
     "FeedTailer": "repro.atlas.stream",
     "Hop": "repro.atlas.model",
@@ -41,14 +43,16 @@ _EXPORTS = {
     "decode_traceroutes": "repro.atlas.columnar",
     "default_cache_path": "repro.atlas.bincache",
     "fingerprint_of": "repro.atlas.bincache",
-    "load_or_build": "repro.atlas.bincache",
+    "load_cached": "repro.atlas.bincache",
     "make_traceroute": "repro.atlas.model",
     "minimum_usable_bin_s": "repro.atlas.measurements",
     "read_bincache": "repro.atlas.bincache",
+    "read_chunks": "repro.atlas.columnar",
     "read_traceroutes": "repro.reference.ingest",
     "sanitize": "repro.atlas.validate",
     "sanitize_one": "repro.atlas.validate",
     "shortest_detectable_event_s": "repro.atlas.measurements",
+    "unmapped_probes": "repro.atlas.columnar",
     "write_bincache": "repro.atlas.bincache",
     "write_traceroutes": "repro.atlas.io",
 }

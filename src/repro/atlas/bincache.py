@@ -9,15 +9,16 @@ so a warm replay goes disk → ``array.frombytes`` → detection with no
 JSON, no object construction and no per-value Python work at all.
 
 The frame carries magic, version and a payload digest, so a stale,
-foreign or corrupt cache fails loudly with :class:`BinCacheError` and
-:func:`load_or_build` rebuilds it.  Column payloads keep the writer's
-byte order (recorded in the payload, fixed up with ``array.byteswap``
-on load), so caches move between machines.
+foreign or corrupt cache fails loudly with :class:`BinCacheError`, and
+:func:`load_cached` treats it as a miss.  Column payloads keep the
+writer's byte order (recorded in the payload, fixed up with
+``array.byteswap`` on load), so caches move between machines.
 
-:func:`load_or_build` is the one-call workflow used by the CLI's
-``--bin-cache`` flag: return the cached columns when the cache matches
-the source file's fingerprint, otherwise decode the JSONL and refresh
-the cache.
+The CLI's ``--bin-cache`` flag is two halves: :func:`load_cached`
+returns the cached columns when the cache matches the source file's
+fingerprint; on a miss, ``analyze`` streams the JSONL through the
+engine and a :class:`BinCacheSpool` writes the cache as the rows go by,
+so the campaign is never held whole to be persisted.
 
 With ``mapped=True`` a warm load goes one step further: instead of
 copying every column out of the mapping, the batch's columns become
@@ -35,15 +36,17 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import tempfile
 import warnings
 from array import array
+from functools import partial
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import binfmt
-from repro.atlas.columnar import IPInterner, TracerouteBatch, decode_traceroutes
+from repro.atlas.columnar import IPInterner, TracerouteBatch
 from repro.obs.metrics import default_registry
 from repro.atlas.io import PathLike
 
@@ -72,6 +75,9 @@ _COLUMNS = (
     ("reply_rtt", "d"),
 )
 
+#: The per-traceroute columns (one element per row) lead the list.
+_ROW_COLUMNS = tuple(name for name, _ in _COLUMNS[:8])
+
 #: Payload head: big-endian columns flag, then the source fingerprint
 #: (size in bytes, mtime in nanoseconds).  The string table follows,
 #: then each column as an element count and its raw bytes.
@@ -94,9 +100,24 @@ def fingerprint_of(path: PathLike) -> Fingerprint:
 
 
 def default_cache_path(source: PathLike) -> Path:
-    """Where :func:`load_or_build` keeps the cache for *source*."""
+    """Where ``--bin-cache`` with no path keeps the cache for *source*."""
     source = Path(source)
     return source.with_name(source.name + DEFAULT_SUFFIX)
+
+
+def _payload(
+    fingerprint: Optional[Fingerprint],
+    strings: Sequence[str],
+    columns: Iterable[Tuple[int, Iterable]],
+) -> Iterator:
+    """The cache payload, chunk by chunk; *columns* yields one
+    ``(element count, bytes-like chunks)`` per :data:`_COLUMNS` entry."""
+    size, mtime_ns = fingerprint if fingerprint is not None else (0, 0)
+    yield _PREFIX.pack(sys.byteorder == "big", size, mtime_ns)
+    yield binfmt.string_table(strings)
+    for count, chunks in columns:
+        yield binfmt.U64.pack(count)
+        yield from chunks
 
 
 def write_bincache(
@@ -108,20 +129,132 @@ def write_bincache(
 
     *fingerprint* ties the cache to its source JSONL ((0, 0) = unbound,
     always accepted).  Columns stream straight to disk, so peak memory
-    stays at the batch itself rather than batch + a serialised copy
-    (campaign batches are the multi-GB case this cache exists for).
+    stays at the batch itself rather than batch + a serialised copy.
     """
-    size, mtime_ns = fingerprint if fingerprint is not None else (0, 0)
+    columns = (
+        (len(column), (column,))
+        for column in (getattr(batch, name) for name, _ in _COLUMNS)
+    )
+    payload = _payload(fingerprint, batch.interner.strings, columns)
+    return binfmt.atomic_write(path, BINCACHE, payload).size
 
-    def chunks():
-        yield _PREFIX.pack(sys.byteorder == "big", size, mtime_ns)
-        yield binfmt.string_table(batch.interner.strings)
-        for name, _ in _COLUMNS:
-            column = getattr(batch, name)
-            yield binfmt.U64.pack(len(column))
-            yield column
 
-    return binfmt.atomic_write(path, BINCACHE, chunks()).size
+def _loads():
+    return default_registry().counter(
+        "repro_bincache_loads_total",
+        "Bin-cache loads by outcome (hit = served from cache).",
+        ("result",),
+    )
+
+
+class BinCacheSpool:
+    """A bin cache written while its campaign is still being decoded.
+
+    Each :meth:`append` writes the rows a chunk added to a batch column
+    by column to anonymous temporary files beside the cache, with the
+    hop and reply offsets rebased onto the rows spooled before them;
+    the batch may drop those rows afterwards (``analyze``'s stream
+    does).  :meth:`publish` frames the spools behind the finished
+    string table through :func:`binfmt.atomic_write` — the payload
+    :func:`write_bincache` writes for the whole batch, byte for byte.
+
+    The cache is an optimisation: a spool that cannot be written warns
+    once (:class:`RuntimeWarning`) and goes quiet, and the analysis goes
+    on.  The temporary files have no name, so nothing is left behind
+    however the run ends.
+    """
+
+    def __init__(
+        self, path: PathLike, fingerprint: Optional[Fingerprint] = None
+    ) -> None:
+        self.path = Path(path)
+        self.fingerprint = fingerprint
+        self._hops = 0
+        self._replies = 0
+        self._files: Optional[Dict[str, object]] = {}
+        try:
+            for name, _ in _COLUMNS:
+                self._files[name] = tempfile.TemporaryFile(
+                    dir=self.path.parent
+                )
+            for name in ("hop_offsets", "reply_offsets"):
+                self._files[name].write(array("q", (0,)))
+        except OSError as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: OSError) -> None:
+        warnings.warn(
+            f"bin cache not written: {self.path}: {exc}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self.close()
+        self._files = None
+
+    def append(self, batch: TracerouteBatch, first: int) -> None:
+        """Spool rows ``first:`` of *batch* (its newest rows)."""
+        files = self._files
+        if files is None:
+            return
+        hop_lo = batch.hop_offsets[first]
+        reply_lo = batch.reply_offsets[hop_lo]
+        hop_offsets = np.frombuffer(batch.hop_offsets, dtype=np.int64)
+        reply_offsets = np.frombuffer(batch.reply_offsets, dtype=np.int64)
+        chunks = {
+            name: memoryview(getattr(batch, name))[first:]
+            for name in _ROW_COLUMNS
+        }
+        chunks.update(
+            hop_offsets=hop_offsets[first + 1:] - (hop_lo - self._hops),
+            hop_ttl=memoryview(batch.hop_ttl)[hop_lo:],
+            reply_offsets=reply_offsets[hop_lo + 1:]
+            - (reply_lo - self._replies),
+            reply_ip=memoryview(batch.reply_ip)[reply_lo:],
+            reply_rtt=memoryview(batch.reply_rtt)[reply_lo:],
+        )
+        try:
+            for name, _ in _COLUMNS:
+                files[name].write(chunks[name])
+        except OSError as exc:
+            self._fail(exc)
+            return
+        self._hops += len(batch.hop_ttl) - hop_lo
+        self._replies += len(batch.reply_ip) - reply_lo
+
+    def publish(self, strings: Sequence[str]) -> bool:
+        """Frame the spooled columns into the cache; True once on disk.
+
+        *strings* is the interner table every spooled id points into.
+        Counts one ``rebuilt`` load either way, as the cache was due.
+        """
+        _loads().labels("rebuilt").inc()
+        files = self._files
+        if files is None:
+            return False
+
+        def columns():
+            for name, typecode in _COLUMNS:
+                spool = files[name]
+                count = spool.tell() // array(typecode).itemsize
+                spool.seek(0)
+                yield count, iter(partial(spool.read, 1 << 20), b"")
+
+        try:
+            binfmt.atomic_write(
+                self.path,
+                BINCACHE,
+                _payload(self.fingerprint, strings, columns()),
+            )
+        except OSError as exc:
+            self._fail(exc)
+            return False
+        self.close()
+        return True
+
+    def close(self) -> None:
+        """Drop the temporary files (they vanish with their handles)."""
+        for spool in (self._files or {}).values():
+            spool.close()
 
 
 def read_bincache(
@@ -221,53 +354,27 @@ def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
         )
 
 
-def load_or_build(
+def load_cached(
     source_path: PathLike,
     cache_path: Optional[PathLike] = None,
-    strict: bool = True,
     mapped: bool = False,
-) -> Tuple[TracerouteBatch, bool]:
-    """Return ``(batch, cache_hit)`` for a JSONL campaign file.
+) -> Optional[TracerouteBatch]:
+    """The cached columns of a JSONL campaign file, or ``None``.
 
-    When *cache_path* (default: the source path plus
-    :data:`DEFAULT_SUFFIX`) holds a valid cache matching the source's
-    current fingerprint, the columns come straight from it; otherwise
-    the JSONL is decoded (honouring *strict* exactly like
-    :func:`~repro.atlas.columnar.decode_traceroutes`) and the cache is
-    (re)written for the next replay.  A cache that cannot be written
-    (read-only directory, full disk) is only a :class:`RuntimeWarning`:
-    the decoded batch is returned all the same.
-
-    *mapped* applies to cache hits: the columns stay zero-copy views
-    into the cache file's mapping (see :func:`read_bincache`).  A
-    rebuild returns the freshly decoded in-memory batch either way —
-    re-reading what was just decoded would only add I/O.
+    *cache_path* defaults to the source path plus
+    :data:`DEFAULT_SUFFIX`.  ``None`` means the cache must be rebuilt:
+    it is absent, or stale against the source's current fingerprint,
+    or foreign or corrupt.  *mapped* keeps the columns zero-copy views
+    into the cache file's mapping (see :func:`read_bincache`).  A hit
+    counts one ``hit`` load.
     """
     source = Path(source_path)
     cache = Path(cache_path) if cache_path is not None else default_cache_path(source)
-    current = fingerprint_of(source)
-    loads = default_registry().counter(
-        "repro_bincache_loads_total",
-        "Bin-cache loads by outcome (hit = served from cache).",
-        ("result",),
-    )
-    if cache.exists():
-        try:
-            batch = read_bincache(cache, fingerprint=current, mapped=mapped)
-            loads.labels("hit").inc()
-            return batch, True
-        except BinCacheError:
-            pass  # stale or corrupt: fall through and rebuild
-    batch = decode_traceroutes(source, strict=strict)
+    if not cache.exists():
+        return None
     try:
-        write_bincache(cache, batch, fingerprint=current)
-    except OSError as exc:
-        # The cache is an optimisation and the decode already succeeded:
-        # an unwritable cache path costs the next replay, not this one.
-        warnings.warn(
-            f"bin cache not written: {cache}: {exc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    loads.labels("rebuilt").inc()
-    return batch, False
+        batch = read_bincache(cache, fingerprint=fingerprint_of(source), mapped=mapped)
+    except BinCacheError:
+        return None
+    _loads().labels("hit").inc()
+    return batch

@@ -653,12 +653,44 @@ def decode_lines(
         "repro_ingest_traceroutes_total",
         "Traceroute lines decoded into columnar batches.",
     ).inc(len(batch) - rows_before)
+    registry.counter(
+        "repro_ingest_unmapped_probes_total",
+        "Decoded traceroutes whose probe has no ASN (from_asn absent).",
+    ).inc(unmapped_probes(batch, rows_before))
     if skipped:
         registry.counter(
             "repro_ingest_decode_warnings_total",
             "Undecodable lines skipped in non-strict decoding.",
         ).inc(skipped)
     return skipped
+
+
+def unmapped_probes(batch: TracerouteBatch, first: int = 0) -> int:
+    """How many rows from *first* on carry no probe ASN (``from_asn``).
+
+    §4.3's diversity filter cannot attest a probe without an AS, so a
+    feed of only such rows analyses no link at all.
+    """
+    from_asn = np.frombuffer(batch.from_asn, dtype=np.int64)[first:]
+    return int(np.count_nonzero(from_asn == NO_INT))
+
+
+def read_chunks(path: PathLike, size_hint: int = 1 << 20) -> Iterator[list]:
+    """Yield the lines of a JSONL campaign file, ~*size_hint* bytes a time.
+
+    The one campaign-file reader, for :func:`decode_traceroutes` and
+    ``analyze``'s streamed ingest alike: gzip when the suffix is
+    ``.gz``, raw bytes for orjson (which skips the text-IO decode layer
+    entirely), text lines for the stdlib parser.  ``readlines()`` with
+    a size hint splits complete lines at C speed with bounded memory.
+    """
+    source = Path(path)
+    opener = (
+        _open_text(source, "r") if _orjson is None else _open_binary(source)
+    )
+    with opener as handle:
+        while chunk := handle.readlines(size_hint):
+            yield chunk
 
 
 def decode_traceroutes(
@@ -673,25 +705,15 @@ def decode_traceroutes(
     skipped) and the same strictness contract — ``strict=True`` raises
     :class:`TracerouteDecodeError` with the offending line number,
     ``strict=False`` skips undecodable lines and emits one counted
-    :class:`DecodeWarning` at the end.  A thin file loop over
-    :func:`decode_lines`, which holds the per-line semantics.
+    :class:`DecodeWarning` at the end.  A thin loop of
+    :func:`decode_lines` over :func:`read_chunks`.
     """
-    source = Path(path)
     batch = TracerouteBatch(interner)
     skipped = 0
     first_line = 1
-    # Text lines for the stdlib parser, raw bytes for orjson (which
-    # skips the text-IO decode layer entirely).
-    opener = (
-        _open_text(source, "r") if _orjson is None else _open_binary(source)
-    )
-    with opener as handle:
-        # readlines() with a size hint hands back ~1 MiB of complete
-        # lines per call: C-speed line splitting, bounded memory, and
-        # no per-line iterator protocol overhead.
-        while chunk := handle.readlines(1 << 20):
-            skipped += decode_lines(batch, chunk, strict, first_line)
-            first_line += len(chunk)
+    for chunk in read_chunks(path):
+        skipped += decode_lines(batch, chunk, strict, first_line)
+        first_line += len(chunk)
     if skipped:
-        _warn_skipped("decode_traceroutes", source, skipped)
+        _warn_skipped("decode_traceroutes", Path(path), skipped)
     return batch

@@ -41,12 +41,17 @@ from repro.atlas.columnar import (
     TracerouteBatch,
     bin_views,
     decode_lines,
+    unmapped_probes,
 )
 from repro.atlas.model import Traceroute
 from repro.obs.metrics import default_registry
 
 #: The paper's conservative default time bin: one hour.
 DEFAULT_BIN_S = 3600
+
+#: Bins a stream waits past an open bin before closing it: ``monitor``'s
+#: ``--lateness`` default and the whole window of a cold ``analyze``.
+DEFAULT_LATENESS_BINS = 1
 
 
 def bin_start(timestamp: int, bin_s: int = DEFAULT_BIN_S) -> int:
@@ -355,7 +360,12 @@ class ColumnarStream(LatenessWindow):
     the reference's :class:`~repro.reference.ingest.TracerouteStream`
     applies to objects, so bins, drop counts and densification are
     identical for the same input order.
-    Undecodable lines are skipped and counted in :attr:`skipped`.
+    Undecodable lines are skipped and counted in :attr:`skipped`, or,
+    with *strict* (``analyze``), raise
+    :class:`~repro.atlas.io.TracerouteDecodeError` numbered by their
+    line in the feed.  A *spool* (``analyze --bin-cache``'s
+    :class:`~repro.atlas.bincache.BinCacheSpool`) is handed every
+    decoded row, in feed order, before the window sees it.
 
     Returned views are valid until the next :meth:`push`: once the rows
     of closed (or dropped) bins outnumber the rows still open, the open
@@ -369,13 +379,23 @@ class ColumnarStream(LatenessWindow):
     def __init__(
         self,
         bin_s: int = DEFAULT_BIN_S,
-        lateness_bins: int = 1,
+        lateness_bins: int = DEFAULT_LATENESS_BINS,
         dense: bool = False,
         start_after: Optional[int] = None,
+        strict: bool = False,
+        spool=None,
     ) -> None:
         super().__init__(bin_s, lateness_bins, dense, start_after)
         self.batch = TracerouteBatch()
+        self.strict = strict
+        self.spool = spool
         self.skipped = 0
+        #: Feed lines pushed so far, blank and skipped ones included.
+        self.lines = 0
+        #: Traceroutes decoded so far, and how many of them carry no
+        #: probe ASN.
+        self.decoded = 0
+        self.unmapped = 0
         #: Newest traceroute timestamp decoded so far (data time).
         self.newest_timestamp = 0
 
@@ -404,9 +424,16 @@ class ColumnarStream(LatenessWindow):
         self._release_closed()
         batch = self.batch
         first = len(batch)
-        self.skipped += decode_lines(batch, lines)
+        self.skipped += decode_lines(
+            batch, lines, self.strict, first_line=self.lines + 1
+        )
+        self.lines += len(lines)
         if len(batch) == first:
             return []
+        self.decoded += len(batch) - first
+        self.unmapped += unmapped_probes(batch, first)
+        if self.spool is not None:
+            self.spool.append(batch, first)
         stamps = np.array(batch.timestamp[first:], dtype=np.int64)
         self.newest_timestamp = max(self.newest_timestamp, int(stamps.max()))
         starts = stamps // self.bin_s * self.bin_s

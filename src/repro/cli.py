@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bin-s", type=_positive_int, default=3600, metavar="S",
         help="time bin length in seconds (default 3600, the paper's)")
     monitor.add_argument(
-        "--lateness", type=_nonnegative_int, default=1, metavar="B",
+        "--lateness", type=_nonnegative_int, default=None, metavar="B",
         help="bins of out-of-order slack before a bin closes (default 1)")
     monitor.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -763,9 +763,89 @@ def _print_timings(timer) -> None:
     )
 
 
+def _warn_if_no_probe_asn(path, links_analyzed, decoded, unmapped) -> None:
+    """Say why a feed that carries no probe ASN analysed no link.
+
+    §4.3's diversity filter counts the ASes of a link's probes, and a
+    traceroute's only AS is its ``from_asn``: Atlas result JSON has no
+    such field, so a raw Atlas feed analyses nothing.
+    """
+    if decoded and unmapped == decoded and not links_analyzed:
+        print(
+            f"repro: warning: {path}: none of its {decoded} traceroutes "
+            "carries a probe ASN (from_asn), so the probe-diversity "
+            "filter analysed no link",
+            file=sys.stderr,
+        )
+
+
+def _analyze_streamed(args, pipeline, timer, cache):
+    """A cold ``analyze``: each bin runs as soon as the feed closes it.
+
+    The campaign file is read chunk by chunk into a strict
+    :class:`~repro.atlas.stream.ColumnarStream`, whose window is
+    ``monitor``'s default, so only the open bins' rows stay resident.
+    With *cache*, every decoded row is spooled into it on the way.
+    Returns ``(results, stream, published)``: *results* is ``None``
+    when the bins must run over the whole campaign instead — with
+    ``--checkpoint``, or when the stream dropped rows as late (the file
+    is out of time order by more than the window) — and *published*
+    tells whether the cache is on disk.
+    """
+    from time import perf_counter
+
+    from repro.atlas.bincache import BinCacheSpool, fingerprint_of
+    from repro.atlas.columnar import read_chunks
+    from repro.atlas.stream import DEFAULT_LATENESS_BINS, ColumnarStream
+
+    spool = None
+    if cache is not None:
+        spool = BinCacheSpool(cache, fingerprint_of(args.path))
+    stream = ColumnarStream(
+        bin_s=pipeline.config.bin_s,
+        lateness_bins=DEFAULT_LATENESS_BINS,
+        dense=True,
+        strict=True,
+        spool=spool,
+    )
+    results: Optional[List] = None if args.checkpoint else []
+    decode_s = 0.0
+    try:
+        for lines in read_chunks(args.path):
+            started = perf_counter()
+            closed = stream.push(lines)
+            decode_s += perf_counter() - started
+            if stream.dropped_late:
+                results = None  # the bins run over the whole campaign
+                if spool is None:
+                    break  # and there is nothing left to spool
+            if results is not None:
+                results += [
+                    pipeline.process_bin(start, view)
+                    for start, view in closed
+                ]
+        if results is not None:
+            results += [
+                pipeline.process_bin(start, view)
+                for start, view in stream.drain()
+            ]
+        timer.add("decode", decode_s)
+        published = spool is not None and spool.publish(
+            stream.batch.interner.strings
+        )
+    finally:
+        if spool is not None:
+            spool.close()
+    return results, stream, published
+
+
 def _cmd_analyze(args) -> int:
-    from repro.atlas.bincache import default_cache_path, load_or_build
-    from repro.atlas.columnar import decode_traceroutes
+    from repro.atlas.bincache import (
+        default_cache_path,
+        load_cached,
+        read_bincache,
+    )
+    from repro.atlas.columnar import decode_traceroutes, unmapped_probes
     from repro.atlas.io import TracerouteDecodeError
     from repro.obs.tracing import StageAccumulator, Tracer
     from repro.reporting.export import record_json
@@ -781,38 +861,64 @@ def _cmd_analyze(args) -> int:
     every = _checkpoint_every(args)
     timer = StageAccumulator(enabled=args.timings)
     tracer = Tracer(enabled=args.trace is not None)
+    cache = None
+    if args.bin_cache is not None:
+        cache = args.bin_cache or default_cache_path(args.path)
+
+    def engine():
+        """The engine, exactly as in monitor."""
+        pipeline = _engine(alpha=args.alpha)
+        pipeline.profiler = timer
+        pipeline.tracer = tracer
+        return pipeline
+
+    pipeline = engine()
+    campaign_start = tracer.now()
     # The one ingest door: the campaign file becomes columns here,
-    # strictly; --bin-cache only decides whether they are persisted.
+    # strictly.  A cache hit maps them; otherwise the file streams
+    # through the engine bin by bin (and into the cache), unless the
+    # whole campaign has to be at hand: --checkpoint, or a file out of
+    # time order by more than the stream's window.
+    batch = results = stream = None
     try:
-        with timer.stage("decode"):
-            if args.bin_cache is None:
-                batch = decode_traceroutes(args.path)
-            else:
-                batch, hit = load_or_build(
-                    args.path, cache_path=args.bin_cache or None, mapped=True
-                )
+        if cache is not None:
+            with timer.stage("decode"):
+                batch = load_cached(args.path, cache, mapped=True)
+        hit = batch is not None
+        published = False
+        if not hit and (cache is not None or not args.checkpoint):
+            results, stream, published = _analyze_streamed(
+                args, pipeline, timer, cache
+            )
+        if results is None and batch is None:
+            with timer.stage("decode"):
+                if published:
+                    batch = read_bincache(cache, mapped=True)
+                else:
+                    batch = decode_traceroutes(args.path)
     except (OSError, EOFError, TracerouteDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         print(f"repro: error: {args.path}: {reason}", file=sys.stderr)
         return 1
-    if args.bin_cache is not None and not args.json:
-        cache = args.bin_cache or default_cache_path(args.path)
-        state = "hit" if hit else "rebuilt"
-        print(f"bin cache {state}: {cache} ({len(batch)} traceroutes)")
-    # The engine, exactly as in monitor.
-    pipeline = _engine(alpha=args.alpha)
-    pipeline.profiler = timer
-    pipeline.tracer = tracer
-    campaign_start = tracer.now()
-    if args.checkpoint:
-        from repro.core.checkpoint import run_checkpointed
-
-        results, _ = run_checkpointed(
-            pipeline, batch, args.checkpoint,
-            every_bins=every, source_path=args.path,
-        )
+    if batch is not None:
+        decoded, unmapped = len(batch), unmapped_probes(batch)
     else:
-        results = pipeline.run(batch)
+        decoded, unmapped = stream.decoded, stream.unmapped
+    if cache is not None and not args.json:
+        state = "hit" if hit else "rebuilt"
+        print(f"bin cache {state}: {cache} ({decoded} traceroutes)")
+    if results is None:
+        if stream is not None and stream.dropped_late:
+            pipeline = engine()  # the streamed bins are discarded
+        if args.checkpoint:
+            from repro.core.checkpoint import run_checkpointed
+
+            results, _ = run_checkpointed(
+                pipeline, batch, args.checkpoint,
+                every_bins=every, source_path=args.path,
+            )
+        else:
+            results = pipeline.run(batch)
     tracer.add_span(
         "campaign",
         campaign_start,
@@ -847,6 +953,7 @@ def _cmd_analyze(args) -> int:
     report = StoreQuery(args.store or store)
     meta = report.meta()
     stats = pipeline.stats()
+    _warn_if_no_probe_asn(args.path, stats.links_analyzed, decoded, unmapped)
     if args.json:
         empty = not meta["n_delay_alarms"] and not meta["n_forwarding_alarms"]
         print(summary_json(report, empty, stats))
@@ -968,7 +1075,11 @@ def _monitor_prefetch(args) -> int:
 
 def _cmd_monitor(args) -> int:
     """Body of the ``monitor`` subcommand (live path + checkpointing)."""
-    from repro.atlas.stream import ColumnarStream, FeedTailer
+    from repro.atlas.stream import (
+        DEFAULT_LATENESS_BINS,
+        ColumnarStream,
+        FeedTailer,
+    )
     from repro.core.checkpoint import (
         SnapshotError,
         load_snapshot,
@@ -1035,7 +1146,9 @@ def _cmd_monitor(args) -> int:
             )
     stream = ColumnarStream(
         bin_s=config.bin_s,
-        lateness_bins=args.lateness,
+        lateness_bins=(
+            DEFAULT_LATENESS_BINS if args.lateness is None else args.lateness
+        ),
         dense=True,
         start_after=(
             snapshot.last_timestamp if snapshot is not None else None
@@ -1148,6 +1261,10 @@ def _cmd_monitor(args) -> int:
         checkpoint()
     if store_writer is not None:
         _warn_if_unattributed_store(store_writer, args.store)
+    _warn_if_no_probe_asn(
+        args.path, pipeline.stats().links_analyzed,
+        stream.decoded, stream.unmapped,
+    )
     if args.json:
         # On stderr so the stdout feed stays a pure bin-record stream.
         print(

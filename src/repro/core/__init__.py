@@ -3,8 +3,6 @@
 This package is the production path.  Its modules map onto the paper's
 sections:
 
-* :mod:`repro.core.diffrtt` — the per-link differential-RTT container
-  (§4.2.1)
 * :mod:`repro.core.diversity` — probe-diversity filtering (§4.3)
 * :mod:`repro.core.delaydetector` — the delay method's constants and
   batch Eq. 6 / winsorizing kernels (§4.2)
@@ -63,7 +61,7 @@ _EXPORTS = {
     "Link": "repro.core.alarms",
     "LinkDelayState": "repro.reference.pipeline",
     "LinkInterner": "repro.core.arena",
-    "LinkObservations": "repro.core.diffrtt",
+    "LinkObservations": "repro.reference.diffrtt",
     "MIN_ASNS": "repro.core.diversity",
     "MIN_ENTROPY": "repro.core.diversity",
     "MIN_SHIFT_MS": "repro.core.delaydetector",

@@ -15,16 +15,30 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Set
 
 import numpy as np
 
-from repro.core.diffrtt import LinkObservations
 from repro.stats.entropy import normalized_entropy
 
 #: Paper defaults.
 MIN_ASNS = 3
 MIN_ENTROPY = 0.5
+
+
+class ProbeObservations(Protocol):
+    """What the filter reads of one link's observations in one bin.
+
+    The engine's per-link view over a bin's flat arrays and the
+    reference's :class:`~repro.reference.diffrtt.LinkObservations` both
+    provide it.
+    """
+
+    link: Hashable
+    probe_asn: Dict[int, Optional[int]]
+
+    def probe_ids(self) -> Iterable[int]:
+        """Probe identifiers in first-observation order."""
 
 
 @dataclass
@@ -86,7 +100,7 @@ class DiversityFilter:
         """Replace the round counters (checkpoint restore)."""
         self._rounds = dict(rounds)
 
-    def evaluate(self, observations: LinkObservations) -> DiversityVerdict:
+    def evaluate(self, observations: ProbeObservations) -> DiversityVerdict:
         """Filter one link's observations; never mutates the input."""
         link = observations.link
         evaluation_round = self._rounds.get(link, 0)

@@ -83,9 +83,9 @@ from repro.stats.wilson import (
 class _FusedLinkObs:
     """Per-link read view over a :class:`~repro.core.fused.FusedBin`.
 
-    Duck-types the :class:`~repro.core.diffrtt.LinkObservations` surface
-    the diversity filter consumes (``link``, ``probe_asn``,
-    ``probe_ids``, ``n_probes``) and gathers samples for the batched
+    Satisfies :class:`~repro.core.diversity.ProbeObservations`, the
+    surface the diversity filter consumes (``link``, ``probe_asn``,
+    ``probe_ids``), and gathers samples for the batched
     Wilson kernel and the tracked-link recorder (``samples_array``),
     without copying anything out of the bin's flat arrays: samples stay
     in the shared pool, segments are (start, stop) spans, and the

@@ -7,6 +7,7 @@ Every method of the paper exists twice.  Production — columnar decode,
 the same equations as the paper states them, one object at a time, and
 the identity tests and benchmarks hold production to it, bit for bit:
 :mod:`~repro.reference.ingest` (JSONL reader, object stream),
+:mod:`~repro.reference.diffrtt` (per-link differential-RTT container),
 :mod:`~repro.reference.pipeline` (scalar detectors, serial
 :class:`Pipeline`) and :mod:`~repro.reference.report` (§6 aggregation,
 §8 report).  It imports what both sides share from production, never
@@ -25,6 +26,7 @@ _EXPORTS = {
     "ForwardingModelState": "repro.reference.pipeline",
     "InternetHealthReport": "repro.reference.report",
     "LinkDelayState": "repro.reference.pipeline",
+    "LinkObservations": "repro.reference.diffrtt",
     "Pipeline": "repro.reference.pipeline",
     "TracerouteStream": "repro.reference.ingest",
     "VectorSmoother": "repro.reference.pipeline",

@@ -7,9 +7,11 @@ samples per probe per traceroute.  Samples are grouped per link (ordered
 IP pair) and per probe, because the diversity filter (§4.3) and the
 median statistics both need the per-probe, per-AS structure.
 
-:class:`LinkObservations` is that container; the reference fills it
-(:func:`~repro.reference.pipeline.differential_rtts`), and the engine
-reads its flat arrays through the same surface.
+:class:`LinkObservations` is the reference's container for them
+(:func:`~repro.reference.pipeline.differential_rtts` fills it).  The
+engine never builds one: its per-link view over a bin's flat arrays
+offers the same :class:`~repro.core.diversity.ProbeObservations`
+surface to the shared diversity filter.
 """
 
 from __future__ import annotations

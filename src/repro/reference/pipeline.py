@@ -23,7 +23,7 @@ from repro.atlas.model import Traceroute
 from repro.atlas.stream import binned_payloads
 from repro.core.alarms import UNRESPONSIVE, DelayAlarm, ForwardingAlarm, Link
 from repro.core.delaydetector import _EPSILON_MS, MIN_SHIFT_MS
-from repro.core.diffrtt import LinkObservations
+from repro.reference.diffrtt import LinkObservations
 from repro.core.diversity import DiversityFilter
 from repro.core.forwarding import (
     DEFAULT_TAU,

@@ -17,6 +17,8 @@ import pytest
 from repro.atlas import (
     BatchView,
     BinCacheError,
+    BinCacheSpool,
+    ColumnarStream,
     DecodeWarning,
     IPInterner,
     TimeBinner,
@@ -26,13 +28,32 @@ from repro.atlas import (
     decode_traceroutes,
     default_cache_path,
     fingerprint_of,
-    load_or_build,
+    load_cached,
     make_traceroute,
     read_bincache,
+    read_chunks,
     write_bincache,
     write_traceroutes,
 )
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.reference import read_traceroutes
+
+
+def _stream_cache(source, cache=None):
+    """``analyze``'s cold ingest, minus the engine: *source* streams
+    through a strict stream whose spool writes the bin cache (default
+    path unless *cache*); returns whether the cache was published.
+
+    With :func:`load_cached` this is the bin cache's load-or-build
+    workflow, which the ``test_load_or_build_*`` tests pin."""
+    spool = BinCacheSpool(
+        cache or default_cache_path(source), fingerprint_of(source)
+    )
+    stream = ColumnarStream(strict=True, spool=spool)
+    for lines in read_chunks(source):
+        stream.push(lines)
+    stream.drain()
+    return spool.publish(stream.batch.interner.strings)
 
 
 def _mixed_traceroutes():
@@ -299,7 +320,7 @@ class TestBinCache:
         cache.write_bytes(corrupt)
         with pytest.raises(BinCacheError):
             read_bincache(cache)
-        # load_or_build recovers by rebuilding from the source.
+        # A cold ingest treats it as a miss and rebuilds it.
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, _mixed_traceroutes())
         write_bincache(
@@ -310,9 +331,9 @@ class TestBinCache:
         default_cache_path(source).write_bytes(
             bad[:position] + structlib.pack("<q", 10_000_000) + bad[position + 8:]
         )
-        rebuilt, hit = load_or_build(source)
-        assert not hit
-        assert rebuilt.to_traceroutes() == _mixed_traceroutes()
+        assert load_cached(source) is None
+        assert _stream_cache(source)
+        assert load_cached(source).to_traceroutes() == _mixed_traceroutes()
 
     def test_stale_fingerprint_rejected(self, tmp_path):
         cache = tmp_path / "x.binc"
@@ -329,44 +350,48 @@ class TestBinCache:
     def test_load_or_build_miss_then_hit(self, tmp_path):
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, _mixed_traceroutes())
-        batch, hit = load_or_build(source)
-        assert not hit
-        assert default_cache_path(source).exists()
-        again, hit = load_or_build(source)
-        assert hit
-        assert again.to_traceroutes() == batch.to_traceroutes()
+        assert load_cached(source) is None
+        assert _stream_cache(source)
+        again = load_cached(source)
+        assert again.to_traceroutes() == _mixed_traceroutes()
 
     def test_load_or_build_rebuilds_when_source_changes(self, tmp_path):
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, _mixed_traceroutes()[:1])
-        load_or_build(source)
+        _stream_cache(source)
         write_traceroutes(source, _mixed_traceroutes())
         os.utime(source, ns=(1, 1))  # force a new mtime even on fast FS
-        rebuilt, hit = load_or_build(source)
-        assert not hit
-        assert rebuilt.to_traceroutes() == _mixed_traceroutes()
+        assert load_cached(source) is None  # stale
+        assert _stream_cache(source)
+        assert load_cached(source).to_traceroutes() == _mixed_traceroutes()
 
     def test_load_or_build_rebuilds_corrupt_cache(self, tmp_path):
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, _mixed_traceroutes())
-        load_or_build(source)
+        _stream_cache(source)
         default_cache_path(source).write_bytes(b"garbage")
-        batch, hit = load_or_build(source)
-        assert not hit
-        assert batch.to_traceroutes() == _mixed_traceroutes()
+        assert load_cached(source) is None
+        assert _stream_cache(source)
+        assert load_cached(source).to_traceroutes() == _mixed_traceroutes()
 
     def test_load_or_build_survives_an_unwritable_cache(self, tmp_path):
         """A cache path whose parent is a regular file cannot be written
-        by anyone (root included): the decoded batch still comes back,
+        by anyone (root included): the stream still decodes every row,
         with one warning and no temp file left behind."""
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, _mixed_traceroutes())
         blocker = tmp_path / "afile"
         blocker.write_text("not a directory")
         with pytest.warns(RuntimeWarning, match="bin cache not written"):
-            batch, hit = load_or_build(source, cache_path=blocker / "x.binc")
-        assert not hit
-        assert batch.to_traceroutes() == _mixed_traceroutes()
+            spool = BinCacheSpool(blocker / "x.binc", fingerprint_of(source))
+            stream = ColumnarStream(strict=True, spool=spool)
+            closed = []
+            for lines in read_chunks(source):
+                closed += stream.push(lines)
+            closed += stream.drain()
+            assert not spool.publish(stream.batch.interner.strings)
+        rows = [row for _, view in closed for row in view.to_traceroutes()]
+        assert rows == _mixed_traceroutes()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "afile", "c.jsonl"
         ]
@@ -375,7 +400,7 @@ class TestBinCache:
         self, tmp_path, monkeypatch
     ):
         """The write gets as far as a complete temp file and fails at the
-        rename (e.g. a full disk): same outcome, and the temp is gone."""
+        rename (e.g. a full disk): one warning, and the temp is gone."""
         from repro.atlas import bincache
 
         source = tmp_path / "c.jsonl"
@@ -387,23 +412,68 @@ class TestBinCache:
 
         monkeypatch.setattr(bincache.os, "replace", refuse)
         with pytest.warns(RuntimeWarning, match="No space left"):
-            batch, hit = load_or_build(source)
-        assert not hit
-        assert batch.to_traceroutes() == _mixed_traceroutes()
+            assert not _stream_cache(source)
         assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+    def test_loads_count_hit_and_rebuilt(self, tmp_path):
+        """``repro_bincache_loads_total{result}``: one ``rebuilt`` per
+        published spool, one ``hit`` per cache served; a miss is no
+        hit."""
+        source = tmp_path / "c.jsonl"
+        write_traceroutes(source, _mixed_traceroutes())
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            assert load_cached(source) is None
+            _stream_cache(source)
+            load_cached(source)
+            load_cached(source)
+        finally:
+            set_default_registry(previous)
+        [loads] = [
+            family for family in registry.collect()
+            if family.name == "repro_bincache_loads_total"
+        ]
+        assert {
+            child.labelvalues: child.value for child in loads.children
+        } == {("hit",): 2, ("rebuilt",): 1}
+
+    def test_spooled_cache_equals_write_bincache(self, tmp_path):
+        """Chunked spooling rebases the offset tables: a cache spooled
+        a few lines at a time, through a stream that releases closed
+        rows, is the bytes ``write_bincache`` writes for the whole
+        batch."""
+        import dataclasses
+
+        source = tmp_path / "c.jsonl"
+        write_traceroutes(source, [
+            dataclasses.replace(t, timestamp=t.timestamp + day * 86400)
+            for day in range(5)
+            for t in _mixed_traceroutes()
+        ])
+        whole = tmp_path / "whole.binc"
+        write_bincache(whole, decode_traceroutes(source), fingerprint_of(source))
+        spooled = tmp_path / "spooled.binc"
+        spool = BinCacheSpool(spooled, fingerprint_of(source))
+        stream = ColumnarStream(strict=True, spool=spool)
+        for lines in read_chunks(source, size_hint=1):
+            stream.push(lines)
+        stream.drain()
+        assert spool.publish(stream.batch.interner.strings)
+        assert len(stream.batch) < 5  # closed rows were released
+        assert spooled.read_bytes() == whole.read_bytes()
 
     def test_explicit_cache_path(self, tmp_path):
         source = tmp_path / "c.jsonl"
         cache = tmp_path / "elsewhere.bin"
         write_traceroutes(source, _mixed_traceroutes())
-        _, hit = load_or_build(source, cache_path=cache)
-        assert not hit and cache.exists()
-        _, hit = load_or_build(source, cache_path=cache)
-        assert hit
+        assert load_cached(source, cache) is None
+        assert _stream_cache(source, cache) and cache.exists()
+        assert load_cached(source, cache) is not None
+        assert not default_cache_path(source).exists()
 
     def test_gzip_source(self, tmp_path):
         source = tmp_path / "c.jsonl.gz"
         write_traceroutes(source, _mixed_traceroutes())
-        batch, hit = load_or_build(source)
-        assert not hit
-        assert batch.to_traceroutes() == _mixed_traceroutes()
+        assert _stream_cache(source)
+        assert load_cached(source).to_traceroutes() == _mixed_traceroutes()

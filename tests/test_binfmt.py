@@ -30,7 +30,6 @@ from repro.atlas import TracerouteBatch, make_traceroute, write_traceroutes
 from repro.atlas.bincache import (
     BINCACHE,
     BinCacheError,
-    load_or_build,
     read_bincache,
     write_bincache,
 )
@@ -564,18 +563,22 @@ def test_checkpoint_case_fills_every_table(tmp_path):
 def test_bincache_bit_flip_in_a_column_is_caught_and_rebuilt(tmp_path):
     """``reply_rtt`` is the file's last column: flipping one byte of it
     used to load a wrong RTT with no error."""
+    from repro.cli import main
+
     source = tmp_path / "c.jsonl"
+    cache = tmp_path / "c.cache"
     write_traceroutes(source, campaign())
-    batch, hit = load_or_build(source, cache_path=tmp_path / "c.cache")
-    assert not hit
-    raw = bytearray((tmp_path / "c.cache").read_bytes())
+    analyze = ["analyze", str(source), "--json", "--bin-cache", str(cache)]
+    assert main(analyze) == 0  # cold: the cache is spooled
+    batch = read_bincache(cache)
+    raw = bytearray(cache.read_bytes())
     raw[-2] ^= 0x01
-    (tmp_path / "c.cache").write_bytes(bytes(raw))
+    cache.write_bytes(bytes(raw))
     with pytest.raises(BinCacheError, match="digest"):
-        read_bincache(tmp_path / "c.cache")
-    rebuilt, hit = load_or_build(source, cache_path=tmp_path / "c.cache")
-    assert not hit
-    assert rebuilt.to_traceroutes() == batch.to_traceroutes()
+        read_bincache(cache)
+    assert main(analyze) == 0  # a miss: spooled again
+    rebuilt = read_bincache(cache)
+    assert rebuilt.to_traceroutes() == batch.to_traceroutes() == campaign()
     assert rebuilt.reply_rtt.tobytes() == batch.reply_rtt.tobytes()
 
 
@@ -683,11 +686,12 @@ class TestPreFrameFiles:
         old = _fixture(tmp_path, "bincache.v1")
         with pytest.raises(BinCacheError, match="version 1 != 2"):
             read_bincache(old)
+        from repro.cli import main
+
         source = tmp_path / "c.jsonl"
         write_traceroutes(source, campaign())
-        batch, hit = load_or_build(source, cache_path=old)
-        assert not hit
-        assert batch.to_traceroutes() == campaign()
+        argv = ["analyze", str(source), "--json", "--bin-cache", str(old)]
+        assert main(argv) == 0
         assert read_bincache(old).to_traceroutes() == campaign()
 
     def test_probe_cache_reads_as_absent(self, tmp_path):

@@ -208,6 +208,49 @@ def _segment_bytes(store):
     return [path.read_bytes() for path in segments]
 
 
+def _reordered(lines, order):
+    """The feed's lines in one of the input orders ``analyze`` must not
+    depend on.
+
+    * ``file``: as generated, in time order;
+    * ``pair_shuffled``: shuffled within each pair of adjacent bins,
+      which the stream's one-bin window absorbs;
+    * ``reversed``: last line first.  Nothing arrives for a bin after a
+      newer one, so the window closes nothing before the end of file;
+    * ``rotated``: the first 100 lines (the first bin's) moved to the
+      end, after the window closed their bin, so the stream drops them
+      as late and the run is redone over the whole campaign.
+    """
+    import random
+
+    if order == "file":
+        return list(lines)
+    if order == "reversed":
+        return lines[::-1]
+    if order == "rotated":
+        return lines[100:] + lines[:100]
+    assert order == "pair_shuffled", order
+    pairs = {}
+    for line in lines:
+        pairs.setdefault(json.loads(line)["timestamp"] // 7200, []).append(line)
+    rng = random.Random(7)
+    shuffled = []
+    for pair in sorted(pairs):
+        rng.shuffle(pairs[pair])
+        shuffled += pairs[pair]
+    assert shuffled != lines
+    return shuffled
+
+
+def _engine_bins(registry):
+    """How many bins the engines of a run processed."""
+    [bins] = [
+        family for family in registry.collect()
+        if family.name == "repro_engine_bins_total"
+    ]
+    return sum(child.value for child in bins.children)
+
+
 def _case_study_mapper(seed, probes):
     """The IP-to-AS table ``analyze --seed SEED --probes PROBES`` builds."""
     from repro.simulation import AtlasPlatform, TopologyParams, build_topology
@@ -305,27 +348,202 @@ class TestAnalyzeOneProductionPath:
         stdout = InternetHealthReport(analysis).to_json() + "\n"
         return stdout, _segment_bytes(store)
 
+    @pytest.fixture(scope="class")
+    def oracles(self, feed, oracle, tmp_path_factory):
+        """The oracle's (stdout, segment bytes) per input order, each
+        run on its own reordered file; computed on first use."""
+        from repro.core import PipelineConfig, analyze_campaign
+        from repro.reference import (
+            InternetHealthReport,
+            Pipeline,
+            read_traceroutes,
+        )
+        from repro.service import append_analysis
+
+        root = tmp_path_factory.mktemp("cli-orders")
+        lines = feed.read_bytes().splitlines(keepends=True)
+        cache = {"file": oracle}
+
+        def of(order):
+            if order not in cache:
+                path = root / f"{order}.jsonl"
+                path.write_bytes(b"".join(_reordered(lines, order)))
+                analysis = analyze_campaign(
+                    read_traceroutes(path),
+                    _case_study_mapper(3, 12),
+                    pipeline=Pipeline(PipelineConfig()),
+                )
+                append_analysis(root / f"{order}.store", analysis)
+                cache[order] = (
+                    InternetHealthReport(analysis).to_json() + "\n",
+                    _segment_bytes(root / f"{order}.store"),
+                )
+            return cache[order]
+
+        return of
+
     @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
-    def test_identity_matrix(self, feed, oracle, tmp_path, suffix):
-        """{no cache, cache cold, cache warm}: the same stdout and the
-        same store bytes, equal to the oracle's."""
+    def test_identity_matrix(self, feed, oracles, tmp_path, suffix):
+        """For every input order, {no cache, cache cold, cache warm}:
+        the same stdout and the same store bytes, equal to the oracle's
+        on that same file.  Only the rotated file, whose first bin
+        arrives after the stream closed it, is redone whole (its engine
+        runs more bins than the campaign has); the others stream each
+        bin once."""
         import gzip
 
-        source = tmp_path / f"feed{suffix}"
-        data = feed.read_bytes()
-        source.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        lines = feed.read_bytes().splitlines(keepends=True)
+        for order in ("file", "pair_shuffled", "reversed", "rotated"):
+            expected = oracles(order)
+            source = tmp_path / f"{order}{suffix}"
+            data = b"".join(_reordered(lines, order))
+            source.write_bytes(
+                gzip.compress(data) if suffix.endswith(".gz") else data
+            )
+            cache = tmp_path / f"{order}.binc"
+            for state in ("none", "cold", "warm"):
+                store = tmp_path / f"{order}-{state}.store"
+                extra = [] if state == "none" else ["--bin-cache", cache]
+                assert cache.exists() == (state == "warm")
+                registry = MetricsRegistry()
+                previous = set_default_registry(registry)
+                try:
+                    code, out, _ = _run(
+                        "analyze", source, *self.ARGS, "--json",
+                        "--store", store, *extra,
+                    )
+                finally:
+                    set_default_registry(previous)
+                where = (suffix, order, state)
+                assert code == 0, where
+                assert out == expected[0], where
+                assert _segment_bytes(store) == expected[1], where
+                redone = order == "rotated" and state != "warm"
+                assert (_engine_bins(registry) > 6) == redone, where
+
+    @pytest.mark.parametrize("order", ["file", "rotated"])
+    def test_cold_cache_is_the_whole_batch_bytes(self, feed, tmp_path, order):
+        """The cache a cold run spools is the file ``write_bincache``
+        writes for the whole decoded campaign, in time order or not."""
+        from repro.atlas import (
+            decode_traceroutes,
+            fingerprint_of,
+            write_bincache,
+        )
+
+        lines = feed.read_bytes().splitlines(keepends=True)
+        source = tmp_path / "feed.jsonl"
+        source.write_bytes(b"".join(_reordered(lines, order)))
         cache = tmp_path / "feed.binc"
-        for state in ("none", "cold", "warm"):
-            store = tmp_path / f"{state}.store"
-            extra = [] if state == "none" else ["--bin-cache", cache]
-            assert cache.exists() == (state == "warm")
-            code, out, _ = _run(
-                "analyze", source, *self.ARGS, "--json", "--store", store,
-                *extra,
+        code, _, _ = _run(
+            "analyze", source, *self.ARGS, "--json", "--bin-cache", cache
+        )
+        assert code == 0
+        whole = tmp_path / "whole.binc"
+        write_bincache(
+            whole, decode_traceroutes(source), fingerprint_of(source)
+        )
+        assert cache.read_bytes() == whole.read_bytes()
+
+    def test_resident_rows_do_not_grow_with_the_campaign(
+        self, feed, tmp_path, monkeypatch
+    ):
+        """The bound itself, free of RSS noise: the most rows a cold
+        ``analyze`` holds in its stream is the same for the feed and
+        for the feed tiled to four times its length, within one read
+        chunk."""
+        from repro.atlas.stream import ColumnarStream
+
+        push = ColumnarStream.push
+        seen = []  # (rows held, rows decoded) after each push
+
+        def spy(stream, lines):
+            before = stream.decoded
+            closed = push(stream, lines)
+            seen.append((len(stream.batch), stream.decoded - before))
+            return closed
+
+        monkeypatch.setattr(ColumnarStream, "push", spy)
+        records = [json.loads(line) for line in feed.read_bytes().splitlines()]
+        span = 6 * 3600
+        peaks = []
+        for tiles in (1, 4):
+            source = tmp_path / f"tiled{tiles}.jsonl"
+            with open(source, "w") as handle:
+                for tile in range(tiles):
+                    for record in records:
+                        record = dict(record)
+                        record["timestamp"] += tile * span
+                        handle.write(json.dumps(record) + "\n")
+            seen.clear()
+            code, _, _ = _run(
+                "analyze", source, *self.ARGS, "--json",
+                "--bin-cache", tmp_path / f"tiled{tiles}.binc",
             )
             assert code == 0
-            assert out == oracle[0], (suffix, state)
-            assert _segment_bytes(store) == oracle[1], (suffix, state)
+            assert len(seen) > tiles  # several chunks per run
+            peaks.append(
+                (max(held for held, _ in seen), max(n for _, n in seen))
+            )
+        (peak, chunk), (tiled_peak, _) = peaks
+        assert peak < len(records)
+        assert tiled_peak <= peak + chunk
+
+    def test_truncated_feed_leaves_nothing_behind(self, feed, tmp_path):
+        """A line torn mid-campaign, after bins were already run and
+        rows spooled: one error line with its line number, exit 1, and
+        no store, no cache and no temp file."""
+        lines = feed.read_bytes().splitlines(keepends=True)
+        source = tmp_path / "torn.jsonl"
+        source.write_bytes(
+            b"".join(lines[:1500]) + lines[1500][:200] + b"\n"
+            + b"".join(lines[1501:])
+        )
+        code, out, err = _run(
+            "analyze", source, *self.ARGS, "--json",
+            "--store", tmp_path / "store", "--bin-cache",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"repro: error: {source}: line 1501: "), err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["torn.jsonl"]
+
+    def test_feed_without_probe_asns_says_so(self, tmp_path):
+        """A feed whose lines carry no ``from_asn`` analyses no link, as
+        the diversity filter has no AS to count: ``analyze`` and
+        ``monitor`` each say so in one ``repro: warning:`` line, and
+        stay silent on the same feed with the field kept."""
+        feed = tmp_path / "ddos.jsonl"
+        assert main(
+            [
+                "generate", "--hours", "4", "--seed", "5", "--probes", "24",
+                "--scenario", "ddos", "--out", str(feed),
+            ]
+        ) == 0
+        stripped = tmp_path / "stripped.jsonl"
+        with open(feed) as source, open(stripped, "w") as out:
+            for line in source:
+                record = json.loads(line)
+                del record["from_asn"]
+                out.write(json.dumps(record) + "\n")
+        args = ("--seed", "5", "--probes", "24")
+        for path, warned in ((feed, False), (stripped, True)):
+            for command in (
+                ("analyze", path, *args),
+                ("monitor", path, *args, "--json"),
+            ):
+                code, _, err = _run(*command)
+                assert code == 0
+                warnings = [
+                    line for line in err.splitlines()
+                    if line.startswith("repro: warning:")
+                ]
+                assert len(warnings) == int(warned), (command, err)
+                if warned:
+                    assert "probe ASN" in warnings[0]
 
     @pytest.mark.parametrize("top", [None, 3])
     def test_text_report_matches_the_oracle(self, feed, analysis, top):

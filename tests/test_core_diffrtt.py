@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atlas import make_traceroute
-from repro.core.diffrtt import LinkObservations
+from repro.reference.diffrtt import LinkObservations
 from repro.reference import differential_rtts
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DiversityFilter
-from repro.core.diffrtt import LinkObservations
+from repro.reference.diffrtt import LinkObservations
 from repro.stats import normalized_entropy
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.atlas import (
     TracerouteBatch,
     decode_traceroutes,
-    load_or_build,
+    load_cached,
     make_traceroute,
     read_bincache,
     write_bincache,
@@ -283,8 +283,8 @@ class TestMappedBinCache:
 
     def test_load_or_build_mapped_hit(self, cache_path, campaign):
         jsonl = cache_path.parent / "campaign.jsonl"
-        batch, hit = load_or_build(jsonl, cache_path=cache_path, mapped=True)
-        assert hit
+        batch = load_cached(jsonl, cache_path=cache_path, mapped=True)
+        assert batch is not None
         assert len(batch) == len(campaign)
         from array import array
 

@@ -207,6 +207,7 @@ class TestTimingsSchemaCoherence:
             "repro_ingest_traceroutes_total": len(clean.splitlines()),
             "repro_ingest_decode_warnings_total": 2,
             "repro_ingest_feed_reopens_total": 0,
+            "repro_ingest_unmapped_probes_total": 0,
         }
 
     def test_default_analyze_moves_the_engine_and_ingest_counters(

@@ -1,7 +1,9 @@
 #!/bin/sh
 # `analyze` has one production path (columns -> Engine): the report
-# and the alarm store must not depend on --bin-cache, and a bad campaign
-# file must end in one error line, not a traceback.
+# and the alarm store must not depend on --bin-cache nor on whether the
+# feed streamed bin by bin or had to be analysed whole, and a bad
+# campaign file must end in one error line, not a traceback, leaving
+# no store, cache or temp file behind.
 # Needs PYTHONPATH=src (the Makefile and CI set it).
 set -eu
 PYTHON=${PYTHON:-python}
@@ -11,32 +13,57 @@ feed=$work/feed.jsonl
 
 $PYTHON -m repro generate --hours 6 --seed 3 --probes 12 \
     --scenario outage --out "$feed"
+# Time-reversed: no bin closes before the end of the file.  Rotated
+# (the first bin's lines moved to the end): the stream drops them as
+# late, so the run is redone over the whole campaign.
+tac "$feed" > "$work/reversed.jsonl"
+tail -n +101 "$feed" > "$work/rotated.jsonl"
+head -n 100 "$feed" >> "$work/rotated.jsonl"
 
 run() {
     name=$1
-    shift
-    $PYTHON -m repro analyze "$feed" --seed 3 --probes 12 --json \
+    source=$2
+    shift 2
+    $PYTHON -m repro analyze "$source" --seed 3 --probes 12 --json \
         --store "$work/$name.store" "$@" > "$work/$name.json"
 }
-run default
-run cache --bin-cache              # cold: decodes and writes feed.jsonl.binc
+
+same() {
+    for name in "$2" "$3"; do
+        cmp "$work/$1.json" "$work/$name.json"
+        for segment in "$work/$1".store/*.seg; do
+            cmp "$segment" "$work/$name.store/$(basename "$segment")"
+        done
+    done
+}
+
+run default "$feed"
+run cache "$feed" --bin-cache       # cold: streams and spools feed.jsonl.binc
 # The benchmark ledger's replay command, warm: maps the cache.  It still
 # passes --shards 2, which analyze accepts and ignores.
-run ledger --bin-cache --shards 2
-
-for name in cache ledger; do
-    cmp "$work/default.json" "$work/$name.json"
-    for segment in "$work"/default.store/*.seg; do
-        cmp "$segment" "$work/$name.store/$(basename "$segment")"
-    done
+run ledger "$feed" --bin-cache --shards 2
+same default cache ledger
+for order in reversed rotated; do
+    run "$order" "$work/$order.jsonl"
+    run "$order-cold" "$work/$order.jsonl" --bin-cache
+    run "$order-warm" "$work/$order.jsonl" --bin-cache
+    same "$order" "$order-cold" "$order-warm"
 done
 
-head -c 5000 "$feed" > "$work/torn.jsonl"
+mkdir "$work/torn"
+torn=$work/torn/torn.jsonl
+head -n 1500 "$feed" > "$torn"
+sed -n 1501p "$feed" | head -c 200 >> "$torn"
+echo >> "$torn"
+tail -n +1502 "$feed" >> "$torn"
 status=0
-$PYTHON -m repro analyze "$work/torn.jsonl" --seed 3 --probes 12 \
+$PYTHON -m repro analyze "$torn" --seed 3 --probes 12 \
+    --store "$work/torn/store" --bin-cache \
     > /dev/null 2> "$work/torn.err" || status=$?
 cat "$work/torn.err"
 [ "$status" -eq 1 ]
-grep -q "^repro: error: $work/torn.jsonl: line " "$work/torn.err"
+grep -q "^repro: error: $torn: line 1501: " "$work/torn.err"
 ! grep -q Traceback "$work/torn.err"
-echo "analyze smoke: 3 runs byte-identical, truncated feed rejected cleanly"
+[ "$(ls -A "$work/torn")" = torn.jsonl ]
+echo "analyze smoke: 3 runs byte-identical for each of 3 input orders," \
+    "truncated feed rejected cleanly"
