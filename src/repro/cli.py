@@ -829,10 +829,11 @@ def _analyze_streamed(args, pipeline, timer, cache):
                 pipeline.process_bin(start, view)
                 for start, view in stream.drain()
             ]
-        timer.add("decode", decode_s)
+        started = perf_counter()
         published = spool is not None and spool.publish(
             stream.batch.interner.strings
         )
+        timer.add("decode", decode_s + perf_counter() - started)
     finally:
         if spool is not None:
             spool.close()
