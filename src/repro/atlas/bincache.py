@@ -226,18 +226,24 @@ class BinCacheSpool:
 
         *strings* is the interner table every spooled id points into.
         Counts one ``rebuilt`` load either way, as the cache was due.
+        Each spool is closed as soon as it is framed, so the disk holds
+        the cache plus about one column's spool at most, not two
+        copies of the cache.
         """
         _loads().labels("rebuilt").inc()
         files = self._files
         if files is None:
             return False
 
+        def drained(spool) -> Iterator[bytes]:
+            with spool:
+                spool.seek(0)
+                yield from iter(partial(spool.read, 1 << 20), b"")
+
         def columns():
             for name, typecode in _COLUMNS:
                 spool = files[name]
-                count = spool.tell() // array(typecode).itemsize
-                spool.seek(0)
-                yield count, iter(partial(spool.read, 1 << 20), b"")
+                yield spool.tell() // array(typecode).itemsize, drained(spool)
 
         try:
             binfmt.atomic_write(
@@ -322,7 +328,8 @@ def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
     with*: offset tables must be monotone and anchored, and every
     interner id must point inside the string table.  A digest-valid but
     wrong cache must surface here as :class:`BinCacheError` (so
-    :func:`load_or_build` rebuilds it) — never as an IndexError or
+    :func:`load_cached` misses and ``analyze`` spools a new one through
+    :class:`BinCacheSpool`) — never as an IndexError or
     silently wrong attribution mid-analysis.
     """
     n = len(batch.timestamp)

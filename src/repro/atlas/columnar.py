@@ -51,7 +51,7 @@ try:  # optional accelerator: parses bytes directly, ~3x faster than json
     import orjson as _orjson
 except ImportError:  # pragma: no cover - depends on the environment
     _orjson = None
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +73,9 @@ NO_IP = -1
 NO_INT = -1
 
 _NAN = float("nan")
+
+#: Bytes of complete lines :func:`read_chunks` hands out per chunk.
+_CHUNK_BYTES = 1 << 20
 
 #: The per-traceroute ``array('q')`` columns of a :class:`TracerouteBatch`.
 _SCALAR_COLUMNS = (
@@ -441,13 +444,24 @@ def bin_views(
             yield start, BatchView(batch, grouped[start])
 
 
+class DecodeTally(NamedTuple):
+    """What one :func:`decode_lines` call did to its batch."""
+
+    #: Traceroutes appended.
+    rows: int
+    #: Undecodable lines skipped (never counts blank lines).
+    skipped: int
+    #: Appended traceroutes with no probe ASN (``from_asn`` absent).
+    unmapped: int
+
+
 def decode_lines(
     batch: TracerouteBatch,
     lines: Iterable[Union[bytes, str]],
     strict: bool = False,
     first_line: int = 1,
-) -> int:
-    """Append Atlas-format JSONL *lines* to *batch*; return the skip count.
+) -> DecodeTally:
+    """Append Atlas-format JSONL *lines* to *batch*; return the tally.
 
     The one per-line decode body: :func:`decode_traceroutes` loops it
     over a file, the live ``monitor`` path
@@ -648,21 +662,24 @@ def decode_lines(
             if strict:
                 raise TracerouteDecodeError(line_number, str(exc)) from exc
             skipped += 1
+    tally = DecodeTally(
+        len(batch) - rows_before, skipped, unmapped_probes(batch, rows_before)
+    )
     registry = default_registry()
     registry.counter(
         "repro_ingest_traceroutes_total",
         "Traceroute lines decoded into columnar batches.",
-    ).inc(len(batch) - rows_before)
+    ).inc(tally.rows)
     registry.counter(
         "repro_ingest_unmapped_probes_total",
         "Decoded traceroutes whose probe has no ASN (from_asn absent).",
-    ).inc(unmapped_probes(batch, rows_before))
+    ).inc(tally.unmapped)
     if skipped:
         registry.counter(
             "repro_ingest_decode_warnings_total",
             "Undecodable lines skipped in non-strict decoding.",
         ).inc(skipped)
-    return skipped
+    return tally
 
 
 def unmapped_probes(batch: TracerouteBatch, first: int = 0) -> int:
@@ -675,8 +692,8 @@ def unmapped_probes(batch: TracerouteBatch, first: int = 0) -> int:
     return int(np.count_nonzero(from_asn == NO_INT))
 
 
-def read_chunks(path: PathLike, size_hint: int = 1 << 20) -> Iterator[list]:
-    """Yield the lines of a JSONL campaign file, ~*size_hint* bytes a time.
+def read_chunks(path: PathLike) -> Iterator[list]:
+    """Yield the lines of a JSONL campaign file, ~1 MiB of them a time.
 
     The one campaign-file reader, for :func:`decode_traceroutes` and
     ``analyze``'s streamed ingest alike: gzip when the suffix is
@@ -689,7 +706,7 @@ def read_chunks(path: PathLike, size_hint: int = 1 << 20) -> Iterator[list]:
         _open_text(source, "r") if _orjson is None else _open_binary(source)
     )
     with opener as handle:
-        while chunk := handle.readlines(size_hint):
+        while chunk := handle.readlines(_CHUNK_BYTES):
             yield chunk
 
 
@@ -712,7 +729,7 @@ def decode_traceroutes(
     skipped = 0
     first_line = 1
     for chunk in read_chunks(path):
-        skipped += decode_lines(batch, chunk, strict, first_line)
+        skipped += decode_lines(batch, chunk, strict, first_line).skipped
         first_line += len(chunk)
     if skipped:
         _warn_skipped("decode_traceroutes", Path(path), skipped)

@@ -41,7 +41,6 @@ from repro.atlas.columnar import (
     TracerouteBatch,
     bin_views,
     decode_lines,
-    unmapped_probes,
 )
 from repro.atlas.model import Traceroute
 from repro.obs.metrics import default_registry
@@ -424,14 +423,15 @@ class ColumnarStream(LatenessWindow):
         self._release_closed()
         batch = self.batch
         first = len(batch)
-        self.skipped += decode_lines(
+        tally = decode_lines(
             batch, lines, self.strict, first_line=self.lines + 1
         )
         self.lines += len(lines)
-        if len(batch) == first:
+        self.skipped += tally.skipped
+        if not tally.rows:
             return []
-        self.decoded += len(batch) - first
-        self.unmapped += unmapped_probes(batch, first)
+        self.decoded += tally.rows
+        self.unmapped += tally.unmapped
         if self.spool is not None:
             self.spool.append(batch, first)
         stamps = np.array(batch.timestamp[first:], dtype=np.int64)

@@ -665,10 +665,11 @@ def run_checkpointed(
     results of every bin it covers; anything else — corrupt, stale,
     foreign, or a results-less state snapshot such as the monitor's —
     is ignored and the campaign rebuilt from scratch, exactly the
-    ``load_or_build`` discipline of the bin cache.  (Resuming from a
-    state-only snapshot would silently report a campaign missing its
-    first bins; rebuilding is always correct.)  The pipeline must be
-    fresh (no bins processed yet).
+    discipline of the bin cache (:func:`~repro.atlas.bincache.load_cached`
+    misses, and a :class:`~repro.atlas.bincache.BinCacheSpool` writes a
+    new one).  (Resuming from a state-only snapshot would silently
+    report a campaign missing its first bins; rebuilding is always
+    correct.)  The pipeline must be fresh (no bins processed yet).
 
     Pass *source_path* (the file *traceroutes* was read from) to bind
     checkpoints to their input: a checkpoint whose

@@ -64,7 +64,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.diversity import DiversityFilter, DiversityVerdict
 from repro.core.forwarding import ModelKey
-from repro.core.fused import FusedBin, extract_bin_fused, string_ranks
+from repro.core.fused import FusedBin, extend_ranks, extract_bin_fused
 from repro.core.pipeline import (
     BinResult,
     CampaignStats,
@@ -199,6 +199,9 @@ class _FusedLinkObs:
 #: Stage-latency bounds: 100 microseconds up to ~1.6 seconds per bin.
 _STAGE_BUCKETS = exponential_buckets(0.0001, 4.0, 8)
 
+#: The rank table of an empty interner.
+_NO_RANKS = np.empty(0, dtype=np.int64)
+
 
 class _EngineMetrics:
     """The engine's metric families, with hot children pre-interned.
@@ -294,12 +297,11 @@ class Engine:
         self._object_interner = IPInterner()
         # Id-keyed state, valid for one interner (its ids are
         # append-only, so the caches survive bins, batches and table
-        # growth): the interner they describe, how many of its strings
-        # the rank table covers, the string-order rank table, and the
-        # id-pair -> link / arena row / model key caches.
+        # growth): the interner they describe, the string-order rank
+        # table of its first strings, and the id-pair -> link / arena
+        # row / model key caches.
         self._interner: Optional[IPInterner] = None
-        self._n_ranked = 0
-        self._ranks: Optional[np.ndarray] = None
+        self._ranks = _NO_RANKS
         self._pair_links: Dict[Tuple[int, int], Link] = {}
         self._pair_rows: Dict[Tuple[int, int], int] = {}
         self._model_keys: Dict[Tuple[int, int], ModelKey] = {}
@@ -365,15 +367,15 @@ class Engine:
         if interner is not self._interner:
             # A new id space: every id-keyed cache is void.
             self._interner = interner
-            self._ranks = None
+            self._ranks = _NO_RANKS
             self._pair_links = {}
             self._pair_rows = {}
             self._model_keys = {}
-        if self._ranks is None or len(strings) != self._n_ranked:
+        if len(strings) != len(self._ranks):
             # Old ids keep their meaning as an interner grows, so new
-            # addresses cost a rank refresh — never the caches.
-            self._ranks = string_ranks(strings)
-            self._n_ranked = len(strings)
+            # addresses cost a rank refresh of the new strings only —
+            # never the caches.
+            self._ranks = extend_ranks(self._ranks, strings)
         fused = extract_bin_fused(traceroutes, self._ranks)
         detect_start = self._charge("extract", bin_start)
         delay_alarms, n_analyzed = self._detect_delay(

@@ -33,6 +33,7 @@ bit-identical to the serial pipeline.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -137,6 +138,39 @@ def string_ranks(strings: Sequence[str]) -> np.ndarray:
         len(order), dtype=np.int64
     )
     return ranks
+
+
+def extend_ranks(ranks: np.ndarray, strings: Sequence[str]) -> np.ndarray:
+    """:func:`string_ranks` of *strings*, given *ranks* of its prefix.
+
+    An interner only appends, so when a streamed campaign's table grows
+    only the new strings need sorting: each is placed among the old
+    ones by binary search, and an old rank moves up by the number of
+    new strings placed at or below it (no string is interned twice).
+    A refresh costs O(S) array work plus O(k log S) comparisons for
+    k new strings, not a sort of all S.
+    """
+    n_old = len(ranks)
+    if not n_old:
+        return string_ranks(strings)
+    fresh = strings[n_old:]
+    fresh_order = np.asarray(
+        sorted(range(len(fresh)), key=fresh.__getitem__), dtype=np.int64
+    )
+    old_order = np.empty(n_old, dtype=np.int64)
+    old_order[ranks] = np.arange(n_old, dtype=np.int64)
+    old_order = old_order.tolist()
+    below = np.array(
+        [
+            bisect_left(old_order, fresh[i], key=strings.__getitem__)
+            for i in fresh_order.tolist()
+        ],
+        dtype=np.int64,
+    )
+    out = np.empty(len(strings), dtype=np.int64)
+    out[:n_old] = ranks + np.searchsorted(below, ranks, side="right")
+    out[n_old + fresh_order] = below + np.arange(len(fresh), dtype=np.int64)
+    return out
 
 
 def _ragged_take(

@@ -456,12 +456,42 @@ class TestBinCache:
         spooled = tmp_path / "spooled.binc"
         spool = BinCacheSpool(spooled, fingerprint_of(source))
         stream = ColumnarStream(strict=True, spool=spool)
-        for lines in read_chunks(source, size_hint=1):
-            stream.push(lines)
+        for line in source.read_bytes().splitlines(keepends=True):
+            stream.push([line])
         stream.drain()
         assert spool.publish(stream.batch.interner.strings)
         assert len(stream.batch) < 5  # closed rows were released
         assert spooled.read_bytes() == whole.read_bytes()
+
+    def test_publish_frees_each_spool_once_framed(self, tmp_path, monkeypatch):
+        """Disk holds the cache plus one column's spool at most: as the
+        frame moves from one column to the next, the spool just copied
+        is closed, and an anonymous temporary file frees its space."""
+        from repro import binfmt
+
+        source = tmp_path / "c.jsonl"
+        write_traceroutes(source, _mixed_traceroutes())
+        spool = BinCacheSpool(tmp_path / "c.binc", fingerprint_of(source))
+        stream = ColumnarStream(strict=True, spool=spool)
+        for lines in read_chunks(source):
+            stream.push(lines)
+        files = list(spool._files.values())
+        still_open = []
+        atomic_write = binfmt.atomic_write
+
+        def watched(path, fmt, payload):
+            def chunks():
+                for chunk in payload:
+                    still_open.append(sum(not f.closed for f in files))
+                    yield chunk
+            return atomic_write(path, fmt, chunks())
+
+        monkeypatch.setattr(binfmt, "atomic_write", watched)
+        assert spool.publish(stream.batch.interner.strings)
+        assert still_open[0] == len(files)
+        assert still_open == sorted(still_open, reverse=True)
+        assert still_open[-1] == 1  # only the last column's, mid-copy
+        assert all(f.closed for f in files)
 
     def test_explicit_cache_path(self, tmp_path):
         source = tmp_path / "c.jsonl"

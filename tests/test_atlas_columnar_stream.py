@@ -188,7 +188,7 @@ class TestDecoderDivergences:
     def test_json_that_is_not_an_object_is_skipped_not_fatal(self):
         batch = TracerouteBatch()
         lines = [b"[1, 2]\n", b'"text"\n', b"7\n", self._line().encode()]
-        assert decode_lines(batch, lines) == 3
+        assert decode_lines(batch, lines).skipped == 3
         assert len(batch) == 1
 
     def test_a_rolled_back_line_leaves_whole_traceroutes_only(self):
@@ -196,7 +196,7 @@ class TestDecoderDivergences:
         # Fails at the very end, after its hops and replies were appended.
         torn = self._line(from_asn=-5).encode()
         batch = TracerouteBatch()
-        assert decode_lines(batch, [good, torn, good]) == 1
+        assert decode_lines(batch, [good, torn, good]).skipped == 1
         assert batch.to_traceroutes() == [
             Traceroute.from_json(json.loads(good))
         ] * 2

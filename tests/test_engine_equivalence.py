@@ -444,3 +444,32 @@ class TestExtractBinEquivalence:
         )
         assert observations.keys() == differential_rtts([traceroute]).keys()
         assert patterns == forwarding_patterns([traceroute])
+
+
+class TestRankRefresh:
+    """A growing interner's ranks, refreshed from the new strings only,
+    equal a full :func:`string_ranks` sort of the whole table."""
+
+    @given(
+        st.lists(st.text(max_size=6), unique=True, max_size=40),
+        st.lists(st.integers(0, 40), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extended_ranks_equal_a_full_sort(self, strings, cuts):
+        from repro.core.fused import extend_ranks
+
+        ranks = np.empty(0, dtype=np.int64)
+        for cut in sorted(cuts) + [len(strings)]:
+            ranks = extend_ranks(ranks, strings[: max(cut, len(ranks))])
+            assert ranks.tolist() == string_ranks(
+                strings[: len(ranks)]
+            ).tolist()
+
+    def test_new_strings_land_between_old_ones(self):
+        from repro.core.fused import extend_ranks
+
+        # Old: "b" < "d" < "f" (ranks 1, 0, 2 for d, b, f); new "e",
+        # "a", "c" slot in as a=0 b=1 c=2 d=3 e=4 f=5.
+        old = ["d", "b", "f"]
+        ranks = extend_ranks(string_ranks(old), old + ["e", "a", "c"])
+        assert ranks.tolist() == [3, 1, 5, 4, 0, 2]
