@@ -12,6 +12,7 @@ _EXPORTS = {
     "BUILTIN": "repro.atlas.measurements",
     "BatchView": "repro.atlas.columnar",
     "BinCacheError": "repro.atlas.bincache",
+    "BinCacheReader": "repro.atlas.bincache",
     "BinCacheSpool": "repro.atlas.bincache",
     "CACHE_VERSION": "repro.atlas.bincache",
     "ColumnarStream": "repro.atlas.stream",

@@ -14,21 +14,23 @@ foreign or corrupt cache fails loudly with :class:`BinCacheError`, and
 writer's byte order (recorded in the payload, fixed up with
 ``array.byteswap`` on load), so caches move between machines.
 
-The CLI's ``--bin-cache`` flag is two halves: :func:`load_cached`
-returns the cached columns when the cache matches the source file's
-fingerprint; on a miss, ``analyze`` streams the JSONL through the
-engine and a :class:`BinCacheSpool` writes the cache as the rows go by,
-so the campaign is never held whole to be persisted.
+The CLI's ``--bin-cache`` flag is two halves.  On a hit, ``analyze``
+streams the cache through the engine with a :class:`BinCacheReader`:
+one bounded pass verifies the digest, then the columns are read back a
+chunk of rows at a time, so a warm run holds about as little as a cold
+one.  On a miss, ``analyze`` streams the JSONL through the engine and a
+:class:`BinCacheSpool` writes the cache as the rows go by, so the
+campaign is never held whole to be persisted.
 
-With ``mapped=True`` a warm load goes one step further: instead of
-copying every column out of the mapping, the batch's columns become
-zero-copy ``memoryview`` casts into the kept-alive mmap — the head of
-the fused spine (:mod:`repro.core.fused`), where bin payloads flow from
-the page cache through extraction into the arena kernels without a
-per-column copy.  Mapped columns index and slice exactly like the
-``array`` columns (plain Python ints/floats out), but are read-only and
-pin the mapping for the batch's lifetime; foreign-byte-order caches
-silently fall back to the copying load.
+:func:`read_bincache` loads the whole batch at once (``analyze
+--checkpoint``, and the fallback for a file out of time order, use it
+through :func:`load_cached`).  With ``mapped=True`` it goes one step
+further: instead of copying every column out of the mapping, the
+batch's columns become zero-copy ``memoryview`` casts into the
+kept-alive mmap.  Mapped columns index and slice exactly like the
+``array`` columns (plain Python ints/floats out), but are read-only
+and pin the mapping for the batch's lifetime; foreign-byte-order
+caches silently fall back to the copying load.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ _COLUMNS = (
     ("reply_ip", "q"),
     ("reply_rtt", "d"),
 )
+
+#: Column name -> typecode.
+_TYPECODES = dict(_COLUMNS)
 
 #: The per-traceroute columns (one element per row) lead the list.
 _ROW_COLUMNS = tuple(name for name, _ in _COLUMNS[:8])
@@ -263,6 +268,179 @@ class BinCacheSpool:
             spool.close()
 
 
+#: Column bytes per :class:`BinCacheReader` chunk, about.
+_CHUNK_BYTES = 1 << 20
+
+
+class BinCacheReader:
+    """A bin cache read one chunk of rows at a time, in bounded memory.
+
+    Opening it vets the frame and verifies the payload digest through
+    one bounded buffer (:func:`binfmt.verify_file`; the file is never
+    mapped), checks the fingerprint as :func:`read_bincache` does,
+    interns the string table into :attr:`interner` and locates the
+    columns.  :meth:`chunks` then yields :class:`TracerouteBatch`
+    chunks of consecutive rows, about :data:`_CHUNK_BYTES` of columns
+    each (*rows* rows when given), read with ``pread`` slices, all on
+    :attr:`interner`, their hop and reply offsets rebased to start at 0
+    and a foreign byte order swapped.  Concatenated, they are the batch
+    :func:`read_bincache` returns.
+
+    Every chunk gets the checks :func:`read_bincache` applies to the
+    whole batch (offset tables monotone and anchored at both ends,
+    interned ids in range), so a digest-valid but wrong cache raises
+    :class:`BinCacheError` at the chunk that holds the fault, possibly
+    after earlier chunks were used: the caller must be able to discard
+    them.  An I/O error is a :class:`BinCacheError` too.  Reading every
+    chunk counts one ``hit`` load.
+    """
+
+    def __init__(
+        self,
+        path: PathLike,
+        fingerprint: Optional[Fingerprint] = None,
+        rows: Optional[int] = None,
+    ) -> None:
+        self.path = Path(path)
+        try:
+            self._file = open(self.path, "rb")
+        except OSError as exc:
+            raise BinCacheError(f"cannot read bin cache {path}: {exc}") from exc
+        try:
+            self._locate(fingerprint, rows)
+        except OSError as exc:
+            self.close()
+            raise BinCacheError(f"cannot read bin cache {path}: {exc}") from exc
+        except BaseException:
+            self.close()
+            raise
+
+    def _locate(self, fingerprint: Optional[Fingerprint], rows) -> None:
+        handle = self._file
+        end = binfmt.FRAME_SIZE + binfmt.verify_file(handle, BINCACHE, self.path)
+        handle.seek(binfmt.FRAME_SIZE)
+
+        def read(count: int) -> bytes:
+            data = handle.read(count)
+            if len(data) != count:
+                raise BINCACHE.fail("truncated bin cache payload", self.path)
+            return data
+
+        big_endian, size, mtime_ns = _PREFIX.unpack(read(_PREFIX.size))
+        _check_fingerprint((size, mtime_ns), fingerprint, self.path)
+        self._foreign = big_endian != (sys.byteorder == "big")
+
+        def strings() -> Iterator[str]:  # as binfmt.Reader.strings reads
+            for _ in range(binfmt.U32.unpack(read(4))[0]):
+                yield str(read(binfmt.U32.unpack(read(4))[0]), "utf-8")
+
+        try:
+            self.interner = IPInterner(strings())
+        except UnicodeDecodeError as exc:
+            raise BINCACHE.fail(
+                "corrupt bin cache string table", self.path
+            ) from exc
+        #: name -> (file offset of the first element, element count)
+        self._columns: Dict[str, Tuple[int, int]] = {}
+        at = first = handle.tell()
+        for name, typecode in _COLUMNS:
+            count = binfmt.U64.unpack(self._pread(at, 8))[0]
+            self._columns[name] = (at + 8, count)
+            at += 8 + count * array(typecode).itemsize
+            if at > end:
+                raise BINCACHE.fail("truncated bin cache payload", self.path)
+        if at != end:
+            raise BINCACHE.fail("trailing bytes in bin cache payload", self.path)
+        counts = {name: count for name, (_, count) in self._columns.items()}
+        _check_lengths(counts, self.path)
+        #: Traceroutes in the cache.
+        self.rows = counts["timestamp"]
+        self._hops, self._replies = counts["hop_ttl"], counts["reply_ip"]
+        for name, total in (
+            ("hop_offsets", self._hops), ("reply_offsets", self._replies)
+        ):
+            last = counts[name] - 1
+            ends = self._read(name, 0, 1) + self._read(name, last, last + 1)
+            if tuple(ends) != (0, total):
+                raise BinCacheError(f"bad offset table: {name} in {self.path}")
+        self._step = rows or max(
+            1, _CHUNK_BYTES * self.rows // max(1, end - first)
+        )
+
+    def _pread(self, offset: int, count: int) -> bytes:
+        data = os.pread(self._file.fileno(), count, offset)
+        if len(data) != count:
+            raise BINCACHE.fail("truncated bin cache payload", self.path)
+        return data
+
+    def _read(self, name: str, lo: int, hi: int) -> array:
+        """Elements ``lo:hi`` of column *name*, in this host's byte order."""
+        column = array(_TYPECODES[name])
+        start, _ = self._columns[name]
+        size = column.itemsize
+        column.frombytes(self._pread(start + lo * size, (hi - lo) * size))
+        if self._foreign:
+            column.byteswap()
+        return column
+
+    def _offsets(self, name: str, lo: int, hi: int, total: int) -> array:
+        """Offset entries ``lo..hi`` of *name*, rebased to start at 0."""
+        column = self._read(name, lo, hi + 1)
+        offsets = np.frombuffer(column, dtype=np.int64)
+        if offsets[-1] > total or bool(np.any(np.diff(offsets) < 0)):
+            raise BinCacheError(f"bad offset table: {name} in {self.path}")
+        offsets -= offsets[0]
+        return column
+
+    def chunks(self) -> Iterator[TracerouteBatch]:
+        """Yield the cache's rows a chunk at a time (see the class docs);
+        the file is closed once they are all read or the caller stops."""
+        row = hop = reply = 0
+        try:
+            while row < self.rows:
+                end = min(self.rows, row + self._step)
+                chunk = TracerouteBatch(self.interner)
+                for name in _ROW_COLUMNS:
+                    setattr(chunk, name, self._read(name, row, end))
+                hop_offsets = self._offsets(
+                    "hop_offsets", row, end, self._hops
+                )
+                hop_end = hop + hop_offsets[-1]
+                reply_offsets = self._offsets(
+                    "reply_offsets", hop, hop_end, self._replies
+                )
+                reply_end = reply + reply_offsets[-1]
+                chunk.hop_offsets = hop_offsets
+                chunk.hop_ttl = self._read("hop_ttl", hop, hop_end)
+                chunk.reply_offsets = reply_offsets
+                chunk.reply_ip = self._read("reply_ip", reply, reply_end)
+                chunk.reply_rtt = self._read("reply_rtt", reply, reply_end)
+                _check_ids(chunk, self.path)
+                yield chunk
+                row, hop, reply = end, hop_end, reply_end
+            _loads().labels("hit").inc()
+        except OSError as exc:
+            raise BinCacheError(
+                f"cannot read bin cache {self.path}: {exc}"
+            ) from exc
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Close the cache file (:meth:`chunks` does once it ends)."""
+        self._file.close()
+
+
+def _check_fingerprint(
+    recorded: Fingerprint, fingerprint: Optional[Fingerprint], path
+) -> None:
+    """Refuse a cache built from another version of its source."""
+    if fingerprint is not None and recorded not in ((0, 0), tuple(fingerprint)):
+        raise BinCacheError(
+            f"stale bin cache (source changed since it was built): {path}"
+        )
+
+
 def read_bincache(
     path: PathLike,
     fingerprint: Optional[Fingerprint] = None,
@@ -295,11 +473,7 @@ def _parse_cache(
 ) -> TracerouteBatch:
     """Decode a vetted cache payload (see :func:`read_bincache`)."""
     big_endian, size, mtime_ns = reader.unpack(_PREFIX)
-    if fingerprint is not None and (size, mtime_ns) not in ((0, 0), tuple(fingerprint)):
-        raise BinCacheError(
-            f"stale bin cache (source changed since it was built): "
-            f"{reader.path}"
-        )
+    _check_fingerprint((size, mtime_ns), fingerprint, reader.path)
     batch = TracerouteBatch(IPInterner(reader.strings()))
     foreign_order = big_endian != (sys.byteorder == "big")
     for name, typecode in _COLUMNS:
@@ -327,37 +501,51 @@ def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
     Beyond column lengths, this vets what analysis will later *index
     with*: offset tables must be monotone and anchored, and every
     interner id must point inside the string table.  A digest-valid but
-    wrong cache must surface here as :class:`BinCacheError` (so
-    :func:`load_cached` misses and ``analyze`` spools a new one through
-    :class:`BinCacheSpool`) — never as an IndexError or
-    silently wrong attribution mid-analysis.
+    wrong cache must surface here (or in a :class:`BinCacheReader`
+    chunk, which applies the same checks a chunk at a time) as
+    :class:`BinCacheError`, so that the cache is a miss and ``analyze``
+    spools a new one through :class:`BinCacheSpool` — never as an
+    IndexError or silently wrong attribution mid-analysis.
     """
-    n = len(batch.timestamp)
-    for name in ("prb_id", "src_id", "dst_id", "from_asn", "msm_id",
-                 "paris_id", "af"):
-        if len(getattr(batch, name)) != n:
-            raise BinCacheError(f"column {name!r} length mismatch: {path}")
-    if len(batch.reply_rtt) != len(batch.reply_ip):
-        raise BinCacheError(f"reply column length mismatch: {path}")
+    _check_lengths(
+        {name: len(getattr(batch, name)) for name, _ in _COLUMNS}, path
+    )
+
     def column(name: str) -> np.ndarray:  # a numpy view, no copy
         return np.frombuffer(getattr(batch, name), dtype=np.int64)
 
     binfmt.check_offsets(
-        column("hop_offsets"), n, len(batch.hop_ttl),
+        column("hop_offsets"), len(batch), len(batch.hop_ttl),
         f"hop_offsets in {path}", BinCacheError,
     )
     binfmt.check_offsets(
         column("reply_offsets"), len(batch.hop_ttl), len(batch.reply_ip),
         f"reply_offsets in {path}", BinCacheError,
     )
+    _check_ids(batch, path)
+
+
+def _check_lengths(counts: Dict[str, int], path: PathLike) -> None:
+    """Column element counts must agree: one per row, one reply RTT
+    per reply, and one more offset than the rows (hops) they split."""
+    n = counts["timestamp"]
+    for name in _ROW_COLUMNS:
+        if counts[name] != n:
+            raise BinCacheError(f"column {name!r} length mismatch: {path}")
+    if counts["reply_rtt"] != counts["reply_ip"]:
+        raise BinCacheError(f"reply column length mismatch: {path}")
+    for name, rows in (("hop_offsets", n), ("reply_offsets", counts["hop_ttl"])):
+        if counts[name] != rows + 1:
+            raise BinCacheError(f"bad offset table: {name} in {path}")
+
+
+def _check_ids(batch: TracerouteBatch, path: PathLike) -> None:
+    """Every interned id of *batch* must index its string table."""
     n_strings = len(batch.interner)
-    binfmt.check_ids(
-        column("reply_ip"), n_strings, f"reply_ip in {path}", BinCacheError,
-        low=-1,
-    )
-    for name in ("src_id", "dst_id"):
+    for name, low in (("reply_ip", -1), ("src_id", 0), ("dst_id", 0)):
         binfmt.check_ids(
-            column(name), n_strings, f"{name} in {path}", BinCacheError
+            np.frombuffer(getattr(batch, name), dtype=np.int64),
+            n_strings, f"{name} in {path}", BinCacheError, low=low,
         )
 
 

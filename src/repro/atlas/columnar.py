@@ -173,18 +173,22 @@ class TracerouteBatch:
     RTTs are float64 milliseconds (NaN for missing).  ``from_asn`` and
     ``msm_id`` use :data:`NO_INT` for "absent".
 
-    Batches append-only grow via :meth:`append`; analysis never mutates
+    Batches append-only grow via :meth:`append` (one traceroute) and
+    :meth:`extend` (another batch's rows); analysis never mutates
     them, so one batch can back any number of :class:`BatchView`
     windows simultaneously.
 
-    Columns are ``array`` buffers when built in memory, but a batch
-    loaded with ``mapped=True`` from :mod:`repro.atlas.bincache`
-    carries zero-copy ``memoryview`` casts into the cache file's mmap
-    instead.  Both index and slice identically (plain ``int``/``float``
-    elements out), and every consumer in the tree — :func:`bin_views`,
-    the engine's extractions, :meth:`traceroute_at` — reads columns
-    only that way.  Mapped batches are read-only: :meth:`append`
-    requires ``array`` columns.
+    Columns are ``array`` buffers when built in memory or read from a
+    bin cache chunk by chunk
+    (:class:`~repro.atlas.bincache.BinCacheReader`, the warm
+    ``analyze``), but a batch loaded with ``mapped=True`` by
+    :func:`~repro.atlas.bincache.read_bincache` carries zero-copy
+    ``memoryview`` casts into the cache file's mmap instead.  Both
+    index and slice identically (plain ``int``/``float`` elements out),
+    and every consumer in the tree — :func:`bin_views`, the engine's
+    extractions, :meth:`traceroute_at` — reads columns only that way.
+    Mapped batches are read-only: :meth:`append` and :meth:`extend`
+    require ``array`` columns.
     """
 
     __slots__ = (
@@ -314,6 +318,22 @@ class TracerouteBatch:
         out.reply_ip = _to_array("q", np.asarray(self.reply_ip)[replies])
         out.reply_rtt = _to_array("d", np.asarray(self.reply_rtt)[replies])
         return out
+
+    def extend(self, other: "TracerouteBatch") -> None:
+        """Append every row of *other*, a batch on the same interner.
+
+        Its hop and reply offsets are rebased onto the rows already
+        here; how a bin cache read chunk by chunk joins a stream.
+        """
+        if other.interner is not self.interner:
+            raise ValueError("batches must share one interner to be joined")
+        for name in _SCALAR_COLUMNS + ("hop_ttl", "reply_ip", "reply_rtt"):
+            getattr(self, name).extend(getattr(other, name))
+        for name in ("hop_offsets", "reply_offsets"):
+            column = getattr(self, name)
+            offsets = np.frombuffer(getattr(other, name), dtype=np.int64)
+            shifted = offsets[1:] + (column[-1] - offsets[0])
+            column.frombytes(shifted.tobytes())
 
     # -- materialisation ---------------------------------------------------
 

@@ -38,9 +38,11 @@ import numpy as np
 
 from repro.atlas.columnar import (
     BatchView,
+    IPInterner,
     TracerouteBatch,
     bin_views,
     decode_lines,
+    unmapped_probes,
 )
 from repro.atlas.model import Traceroute
 from repro.obs.metrics import default_registry
@@ -365,12 +367,17 @@ class ColumnarStream(LatenessWindow):
     line in the feed.  A *spool* (``analyze --bin-cache``'s
     :class:`~repro.atlas.bincache.BinCacheSpool`) is handed every
     decoded row, in feed order, before the window sees it.
+    :meth:`extend` is :meth:`push`'s twin for rows already in columns
+    (a warm ``analyze`` reads them from the bin cache with a
+    :class:`~repro.atlas.bincache.BinCacheReader`, whose *interner* the
+    stream then starts on): the same window step, no decode.
 
-    Returned views are valid until the next :meth:`push`: once the rows
-    of closed (or dropped) bins outnumber the rows still open, the open
-    rows are copied into a fresh batch and the old columns released, so
-    resident columns stay within a small multiple of the open window
-    (``lateness_bins + 1`` bins) however long the feed runs.  The
+    Returned views are valid until the next :meth:`push` or
+    :meth:`extend`: once the rows of closed (or dropped) bins outnumber
+    the rows still open, the open rows are copied into a fresh batch
+    and the old columns released, so resident columns stay within a
+    small multiple of the open window (``lateness_bins + 1`` bins) plus
+    one chunk, however long the feed runs.  The
     interner is kept across batches — its ids are append-only, which is
     what lets the engine keep its id-keyed caches.
     """
@@ -383,9 +390,10 @@ class ColumnarStream(LatenessWindow):
         start_after: Optional[int] = None,
         strict: bool = False,
         spool=None,
+        interner: Optional[IPInterner] = None,
     ) -> None:
         super().__init__(bin_s, lateness_bins, dense, start_after)
-        self.batch = TracerouteBatch()
+        self.batch = TracerouteBatch(interner)
         self.strict = strict
         self.spool = spool
         self.skipped = 0
@@ -428,12 +436,26 @@ class ColumnarStream(LatenessWindow):
         )
         self.lines += len(lines)
         self.skipped += tally.skipped
-        if not tally.rows:
-            return []
-        self.decoded += tally.rows
         self.unmapped += tally.unmapped
-        if self.spool is not None:
+        if tally.rows and self.spool is not None:
             self.spool.append(batch, first)
+        return self._advance(first)
+
+    def extend(self, rows: TracerouteBatch) -> List[Tuple[int, BatchView]]:
+        """Append a batch of *rows* on this stream's interner; return the
+        bins they closed."""
+        self._release_closed()
+        first = len(self.batch)
+        self.batch.extend(rows)
+        self.unmapped += unmapped_probes(self.batch, first)
+        return self._advance(first)
+
+    def _advance(self, first: int) -> List[Tuple[int, BatchView]]:
+        """The window step over the batch's new rows ``first:``."""
+        batch = self.batch
+        if len(batch) == first:
+            return []
+        self.decoded += len(batch) - first
         stamps = np.array(batch.timestamp[first:], dtype=np.int64)
         self.newest_timestamp = max(self.newest_timestamp, int(stamps.max()))
         starts = stamps // self.bin_s * self.bin_s

@@ -21,7 +21,8 @@ with every header integer little-endian.  This module owns the rest:
 * :func:`unframe`, :func:`read_frame` and :func:`map_frame` vet a frame
   — length, magic, version, digest — and hand back the payload,
   :func:`map_frame` straight from the page cache so columns can stay
-  zero-copy views;
+  zero-copy views; :func:`verify_file` vets an open file through one
+  bounded buffer, for a reader that then takes the payload piecewise;
 * :class:`Reader` walks a payload with bounds checks, and
   :func:`check_offsets` / :func:`check_ids` are the structural vetting
   (CSR offsets monotone and anchored, interned ids in range) that a
@@ -47,6 +48,7 @@ from typing import (
     List,
     NamedTuple,
     Sequence,
+    Tuple,
     Type,
     TypeVar,
     Union,
@@ -147,30 +149,64 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def _vet_header(head, size: int, fmt: Format, path) -> Tuple[int, bytes]:
+    """(payload length, payload digest) of a frame whose first bytes are
+    *head*, in a file of *size* bytes."""
+    if size < FRAME_SIZE:
+        raise fmt.fail(f"truncated {fmt.name}", path)
+    if bytes(head[:MAGIC_SIZE]) != fmt.magic:
+        raise fmt.fail(f"not a {fmt.name} (bad magic)", path)
+    version, length, expected = HEADER.unpack(head[MAGIC_SIZE:FRAME_SIZE])
+    if version != fmt.version:
+        raise fmt.fail(
+            f"{fmt.name} version {version} != {fmt.version}", path
+        )
+    if size < FRAME_SIZE + length:
+        raise fmt.fail(f"truncated {fmt.name}", path)
+    if size > FRAME_SIZE + length:
+        raise fmt.fail(f"trailing bytes after {fmt.name} payload", path)
+    return length, expected
+
+
 def unframe(blob, fmt: Format, path) -> memoryview:
     """Vet the frame of *blob* (bytes or mmap); return its payload view.
 
     The payload is a zero-copy :class:`memoryview` into *blob*, digest
     verified end to end.
     """
-    if len(blob) < FRAME_SIZE:
-        raise fmt.fail(f"truncated {fmt.name}", path)
     view = memoryview(blob)
-    if bytes(view[:MAGIC_SIZE]) != fmt.magic:
-        raise fmt.fail(f"not a {fmt.name} (bad magic)", path)
-    version, length, expected = HEADER.unpack(view[MAGIC_SIZE:FRAME_SIZE])
-    if version != fmt.version:
-        raise fmt.fail(
-            f"{fmt.name} version {version} != {fmt.version}", path
-        )
-    if len(blob) < FRAME_SIZE + length:
-        raise fmt.fail(f"truncated {fmt.name}", path)
-    if len(blob) > FRAME_SIZE + length:
-        raise fmt.fail(f"trailing bytes after {fmt.name} payload", path)
+    _, expected = _vet_header(view, len(view), fmt, path)
     payload = view[FRAME_SIZE:]
     if digest(payload) != expected:
         raise fmt.fail(f"{fmt.name} digest mismatch (corrupt)", path)
     return payload
+
+
+def verify_file(handle, fmt: Format, path, buffer_bytes: int = 1 << 20) -> int:
+    """Vet the frame of the open binary file *handle*; return the
+    payload length.
+
+    The :func:`unframe` checks without holding or mapping the file: the
+    payload is hashed through one reused buffer of *buffer_bytes*, so
+    memory stays bounded however large the file is and no page of it
+    stays resident.  Leaves *handle* at end of file.
+    """
+    handle.seek(0)
+    length, expected = _vet_header(
+        handle.read(FRAME_SIZE), os.fstat(handle.fileno()).st_size, fmt, path
+    )
+    hasher = hashlib.blake2b(digest_size=DIGEST_SIZE)
+    buffer = memoryview(bytearray(max(1, min(buffer_bytes, length))))
+    remaining = length
+    while remaining:
+        got = handle.readinto(buffer[: min(remaining, len(buffer))])
+        if not got:
+            raise fmt.fail(f"truncated {fmt.name}", path)
+        hasher.update(buffer[:got])
+        remaining -= got
+    if hasher.digest() != expected:
+        raise fmt.fail(f"{fmt.name} digest mismatch (corrupt)", path)
+    return length
 
 
 def read_bytes(path: PathLike, fmt: Format) -> bytes:

@@ -45,8 +45,8 @@ The engine has one extraction path, the fused columnar spine
 straight into columns.  ``analyze --bin-cache [PATH]``
 additionally persists the decoded columns
 (:mod:`repro.atlas.bincache`): the first run writes them next to
-the campaign, repeat runs map the cache zero-copy and skip JSON
-parsing entirely — output is bit-identical either way.  ``analyze
+the campaign, repeat runs stream them back a chunk at a time and skip
+JSON parsing entirely — output is bit-identical either way.  ``analyze
 --timings`` prints per-stage wall-clock totals
 (decode/extract/detect/store), and ``monitor --json`` appends one
 ``timings/v1`` record after the last bin (``decode`` charged per tailed
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="number of top events to list (both kinds)")
     analyze.add_argument(
         "--bin-cache", nargs="?", const="", default=None, metavar="PATH",
-        help="persist the decoded columns: map PATH (default: "
+        help="persist the decoded columns: read PATH (default: "
              "<campaign>.binc) instead of parsing JSON when it matches "
              "the campaign file, else decode and write it for the next "
              "run")
@@ -763,6 +763,14 @@ def _print_timings(timer) -> None:
     )
 
 
+def _print_timings_record(timer) -> None:
+    """One ``timings/v1`` JSON record on stderr (stdout stays data)."""
+    from repro.reporting.export import record_json
+
+    record = {"schema": "timings/v1", "timings": timer.timings()}
+    print(record_json(record), file=sys.stderr, flush=True)
+
+
 def _warn_if_no_probe_asn(path, links_analyzed, decoded, unmapped) -> None:
     """Say why a feed that carries no probe ASN analysed no link.
 
@@ -779,41 +787,38 @@ def _warn_if_no_probe_asn(path, links_analyzed, decoded, unmapped) -> None:
         )
 
 
-def _analyze_streamed(args, pipeline, timer, cache):
-    """A cold ``analyze``: each bin runs as soon as the feed closes it.
-
-    The campaign file is read chunk by chunk into a strict
-    :class:`~repro.atlas.stream.ColumnarStream`, whose window is
-    ``monitor``'s default, so only the open bins' rows stay resident.
-    With *cache*, every decoded row is spooled into it on the way.
-    Returns ``(results, stream, published)``: *results* is ``None``
-    when the bins must run over the whole campaign instead — with
-    ``--checkpoint``, or when the stream dropped rows as late (the file
-    is out of time order by more than the window) — and *published*
-    tells whether the cache is on disk.
-    """
+def _analyze_streamed(args, pipeline, timer, cache, warm=False):
+    """Run each bin once a strict, ``monitor``-windowed
+    :class:`~repro.atlas.stream.ColumnarStream` of the campaign closes
+    it: rows from *cache* when *warm*, a chunk at a time, else decoded
+    from the file and spooled into *cache* if given.  Returns
+    ``(results, stream, published)``; *results* is ``None`` when the
+    bins must run over the whole campaign (``--checkpoint``, or rows
+    dropped as late)."""
     from time import perf_counter
 
-    from repro.atlas.bincache import BinCacheSpool, fingerprint_of
+    from repro.atlas.bincache import BinCacheReader, BinCacheSpool
+    from repro.atlas.bincache import fingerprint_of
     from repro.atlas.columnar import read_chunks
     from repro.atlas.stream import DEFAULT_LATENESS_BINS, ColumnarStream
 
-    spool = None
-    if cache is not None:
+    started = perf_counter()
+    spool = reader = None
+    if warm:
+        reader = BinCacheReader(cache, fingerprint_of(args.path))
+    elif cache is not None:
         spool = BinCacheSpool(cache, fingerprint_of(args.path))
     stream = ColumnarStream(
-        bin_s=pipeline.config.bin_s,
-        lateness_bins=DEFAULT_LATENESS_BINS,
-        dense=True,
-        strict=True,
-        spool=spool,
+        pipeline.config.bin_s, DEFAULT_LATENESS_BINS, dense=True,
+        strict=True, spool=spool, interner=reader.interner if warm else None,
     )
+    step = stream.extend if warm else stream.push
     results: Optional[List] = None if args.checkpoint else []
-    decode_s = 0.0
+    decode_s = perf_counter() - started
     try:
-        for lines in read_chunks(args.path):
+        for chunk in reader.chunks() if warm else read_chunks(args.path):
             started = perf_counter()
-            closed = stream.push(lines)
+            closed = step(chunk)
             decode_s += perf_counter() - started
             if stream.dropped_late:
                 results = None  # the bins run over the whole campaign
@@ -834,7 +839,7 @@ def _analyze_streamed(args, pipeline, timer, cache):
             stream.batch.interner.strings
         )
         timer.add("decode", decode_s + perf_counter() - started)
-    finally:
+    finally:  # the reader closes its file once its chunks end
         if spool is not None:
             spool.close()
     return results, stream, published
@@ -842,6 +847,7 @@ def _analyze_streamed(args, pipeline, timer, cache):
 
 def _cmd_analyze(args) -> int:
     from repro.atlas.bincache import (
+        BinCacheError,
         default_cache_path,
         load_cached,
         read_bincache,
@@ -849,7 +855,6 @@ def _cmd_analyze(args) -> int:
     from repro.atlas.columnar import decode_traceroutes, unmapped_probes
     from repro.atlas.io import TracerouteDecodeError
     from repro.obs.tracing import StageAccumulator, Tracer
-    from repro.reporting.export import record_json
     from repro.reporting.ihr import summary_json
     from repro.reporting.render import format_table
     from repro.service.query import StoreQuery
@@ -875,28 +880,36 @@ def _cmd_analyze(args) -> int:
 
     pipeline = engine()
     campaign_start = tracer.now()
-    # The one ingest door: the campaign file becomes columns here,
-    # strictly.  A cache hit maps them; otherwise the file streams
-    # through the engine bin by bin (and into the cache), unless the
-    # whole campaign has to be at hand: --checkpoint, or a file out of
-    # time order by more than the stream's window.
+    # The one ingest door: the campaign streams through the engine bin
+    # by bin, from the cache on a hit, else from the file (and into the
+    # cache), unless it must be whole (--checkpoint, or rows dropped as
+    # late).  A cache failing a check, even after bins ran, is a miss.
     batch = results = stream = None
     try:
-        if cache is not None:
-            with timer.stage("decode"):
-                batch = load_cached(args.path, cache, mapped=True)
-        hit = batch is not None
-        published = False
-        if not hit and (cache is not None or not args.checkpoint):
-            results, stream, published = _analyze_streamed(
-                args, pipeline, timer, cache
-            )
-        if results is None and batch is None:
-            with timer.stage("decode"):
-                if published:
-                    batch = read_bincache(cache, mapped=True)
-                else:
-                    batch = decode_traceroutes(args.path)
+        hit = cache is not None
+        try:
+            if hit and not args.checkpoint:
+                results, stream, _ = _analyze_streamed(
+                    args, pipeline, timer, cache, warm=True
+                )
+            if hit and results is None:
+                with timer.stage("decode"):
+                    batch = load_cached(args.path, cache, mapped=True)
+                hit = batch is not None
+        except BinCacheError:
+            hit = False
+        if not hit:
+            pipeline, published = engine(), False
+            if cache is not None or not args.checkpoint:
+                results, stream, published = _analyze_streamed(
+                    args, pipeline, timer, cache
+                )
+            if results is None:
+                with timer.stage("decode"):
+                    batch = (
+                        read_bincache(cache, mapped=True) if published
+                        else decode_traceroutes(args.path)
+                    )
     except (OSError, EOFError, TracerouteDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         print(f"repro: error: {args.path}: {reason}", file=sys.stderr)
@@ -959,12 +972,7 @@ def _cmd_analyze(args) -> int:
         empty = not meta["n_delay_alarms"] and not meta["n_forwarding_alarms"]
         print(summary_json(report, empty, stats))
         if timer.enabled:
-            print(
-                record_json(
-                    {"schema": "timings/v1", "timings": timer.timings()}
-                ),
-                file=sys.stderr,
-            )
+            _print_timings_record(timer)
         return 0
     print(
         format_table(
@@ -1089,7 +1097,6 @@ def _cmd_monitor(args) -> int:
     )
     from repro.obs.status import default_board
     from repro.obs.tracing import StageAccumulator
-    from repro.reporting.export import record_json
 
     board = default_board()
     every = _checkpoint_every(args)
@@ -1267,14 +1274,7 @@ def _cmd_monitor(args) -> int:
         stream.decoded, stream.unmapped,
     )
     if args.json:
-        # On stderr so the stdout feed stays a pure bin-record stream.
-        print(
-            record_json(
-                {"schema": "timings/v1", "timings": timer.timings()}
-            ),
-            file=sys.stderr,
-            flush=True,
-        )
+        _print_timings_record(timer)
     if not args.json:
         if store_writer is not None:
             print(

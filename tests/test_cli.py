@@ -388,8 +388,9 @@ class TestAnalyzeOneProductionPath:
         the same stdout and the same store bytes, equal to the oracle's
         on that same file.  Only the rotated file, whose first bin
         arrives after the stream closed it, is redone whole (its engine
-        runs more bins than the campaign has); the others stream each
-        bin once."""
+        runs more bins than the campaign has), from the file or, warm,
+        from the cache, which holds the rows in file order; the others
+        stream each bin once."""
         import gzip
 
         from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -420,7 +421,7 @@ class TestAnalyzeOneProductionPath:
                 assert code == 0, where
                 assert out == expected[0], where
                 assert _segment_bytes(store) == expected[1], where
-                redone = order == "rotated" and state != "warm"
+                redone = order == "rotated"
                 assert (_engine_bins(registry) > 6) == redone, where
 
     @pytest.mark.parametrize("order", ["file", "rotated"])
@@ -490,6 +491,125 @@ class TestAnalyzeOneProductionPath:
         (peak, chunk), (tiled_peak, _) = peaks
         assert peak < len(records)
         assert tiled_peak <= peak + chunk
+
+    def test_warm_resident_rows_do_not_grow_with_the_campaign(
+        self, feed, tmp_path, monkeypatch
+    ):
+        """The warm twin of the bound above: a cache hit streams the
+        cache a chunk of rows at a time, and the most rows its stream
+        holds is the same for the feed and for the feed tiled to four
+        times its length, within one chunk."""
+        from repro.atlas import bincache
+        from repro.atlas.stream import ColumnarStream
+
+        records = [json.loads(line) for line in feed.read_bytes().splitlines()]
+        span = 6 * 3600
+        sources = []
+        for tiles in (1, 4):
+            source = tmp_path / f"tiled{tiles}.jsonl"
+            with open(source, "w") as handle:
+                for tile in range(tiles):
+                    for record in records:
+                        record = dict(record)
+                        record["timestamp"] += tile * span
+                        handle.write(json.dumps(record) + "\n")
+            cache = tmp_path / f"tiled{tiles}.binc"
+            code, _, _ = _run(
+                "analyze", source, *self.ARGS, "--json", "--bin-cache", cache
+            )
+            assert code == 0
+            sources.append((tiles, source, cache))
+        # The test feed's cache is about a MiB: several chunks per run.
+        monkeypatch.setattr(bincache, "_CHUNK_BYTES", 1 << 16)
+        extend = ColumnarStream.extend
+        seen = []  # (rows held, rows appended) after each chunk
+
+        def spy(stream, rows):
+            closed = extend(stream, rows)
+            seen.append((len(stream.batch), len(rows)))
+            return closed
+
+        monkeypatch.setattr(ColumnarStream, "extend", spy)
+        peaks = []
+        for tiles, source, cache in sources:
+            seen.clear()
+            code, out, _ = _run(
+                "analyze", source, *self.ARGS, "--bin-cache", cache
+            )
+            assert code == 0
+            assert out.startswith(f"bin cache hit: {cache} "), out
+            assert len(seen) > tiles  # several chunks per run
+            assert sum(n for _, n in seen) == tiles * len(records)
+            peaks.append(
+                (max(held for held, _ in seen), max(n for _, n in seen))
+            )
+        (peak, chunk), (tiled_peak, _) = peaks
+        assert peak < len(records)
+        assert tiled_peak <= peak + chunk
+
+    @pytest.mark.parametrize(
+        "fault", ["reply_offsets_step_back", "reply_ip_out_of_range",
+                  "stale_fingerprint", "bit_flip"],
+    )
+    def test_bad_cache_is_rebuilt(self, feed, tmp_path, monkeypatch, fault):
+        """A cache that fails a check is a miss, also when the fault is
+        found in its last chunk after the warm stream ran bins on the
+        chunks before it: ``bin cache rebuilt``, exit 0, no traceback,
+        and the stdout and store bytes of a run without a cache."""
+        from repro.atlas import bincache
+        from repro.atlas.columnar import decode_traceroutes
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        source = tmp_path / "feed.jsonl"
+        source.write_bytes(feed.read_bytes())
+        code, expected, _ = _run(
+            "analyze", source, *self.ARGS, "--store", tmp_path / "plain"
+        )
+        assert code == 0
+        batch = decode_traceroutes(source)
+        fingerprint = bincache.fingerprint_of(source)
+        if fault == "reply_offsets_step_back":
+            k = len(batch.hop_ttl) - 1
+            batch.reply_offsets[k] = batch.reply_offsets[k - 1] - 1
+        elif fault == "reply_ip_out_of_range":
+            batch.reply_ip[-1] = len(batch.interner) + 5
+        elif fault == "stale_fingerprint":
+            fingerprint = (fingerprint[0], fingerprint[1] + 1)
+        cache = tmp_path / "feed.binc"
+        bincache.write_bincache(cache, batch, fingerprint)
+        if fault == "bit_flip":
+            data = bytearray(cache.read_bytes())
+            data[len(data) // 2] ^= 0x10
+            cache.write_bytes(bytes(data))
+        # Several chunks, so that bins run before the last one is read.
+        monkeypatch.setattr(bincache, "_CHUNK_BYTES", 1 << 16)
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            code, out, err = _run(
+                "analyze", source, *self.ARGS, "--store", tmp_path / "store",
+                "--bin-cache", cache,
+            )
+        finally:
+            set_default_registry(previous)
+        assert code == 0
+        assert "Traceback" not in err
+        rebuilt = f"bin cache rebuilt: {cache} ({len(batch)} traceroutes)\n"
+        store_line = str(tmp_path / "plain"), str(tmp_path / "store")
+        assert out == rebuilt + expected.replace(*store_line)
+        assert _segment_bytes(tmp_path / "store") == _segment_bytes(
+            tmp_path / "plain"
+        )
+        # Bins ran on the chunks before a last-chunk fault, and were
+        # discarded: the engines ran more bins than the campaign has.
+        late = fault in ("reply_offsets_step_back", "reply_ip_out_of_range")
+        assert (_engine_bins(registry) > 6) == late
+        # The rebuilt cache is the one a cold run writes.
+        whole = tmp_path / "whole.binc"
+        bincache.write_bincache(
+            whole, decode_traceroutes(source), bincache.fingerprint_of(source)
+        )
+        assert cache.read_bytes() == whole.read_bytes()
 
     def test_truncated_feed_leaves_nothing_behind(self, feed, tmp_path):
         """A line torn mid-campaign, after bins were already run and

@@ -29,9 +29,11 @@ run() {
 }
 
 same() {
-    for name in "$2" "$3"; do
-        cmp "$work/$1.json" "$work/$name.json"
-        for segment in "$work/$1".store/*.seg; do
+    first=$1
+    shift
+    for name in "$@"; do
+        cmp "$work/$first.json" "$work/$name.json"
+        for segment in "$work/$first".store/*.seg; do
             cmp "$segment" "$work/$name.store/$(basename "$segment")"
         done
     done
@@ -39,10 +41,13 @@ same() {
 
 run default "$feed"
 run cache "$feed" --bin-cache       # cold: streams and spools feed.jsonl.binc
-# The benchmark ledger's replay command, warm: maps the cache.  It still
-# passes --shards 2, which analyze accepts and ignores.
+# The benchmark ledger's replay command, warm: streams the cache a chunk
+# of rows at a time.  It still passes --shards 2, which analyze accepts
+# and ignores.
 run ledger "$feed" --bin-cache --shards 2
-same default cache ledger
+# Warm with --checkpoint: the one cache hit that maps the whole cache.
+run checkpoint "$feed" --bin-cache --checkpoint "$work/feed.ckpt"
+same default cache ledger checkpoint
 for order in reversed rotated; do
     run "$order" "$work/$order.jsonl"
     run "$order-cold" "$work/$order.jsonl" --bin-cache
@@ -66,4 +71,4 @@ grep -q "^repro: error: $torn: line 1501: " "$work/torn.err"
 ! grep -q Traceback "$work/torn.err"
 [ "$(ls -A "$work/torn")" = torn.jsonl ]
 echo "analyze smoke: 3 runs byte-identical for each of 3 input orders," \
-    "truncated feed rejected cleanly"
+    "warm --checkpoint run identical, truncated feed rejected cleanly"
