@@ -23,8 +23,9 @@ one.  On a miss, ``analyze`` streams the JSONL through the engine and a
 campaign is never held whole to be persisted.
 
 :func:`read_bincache` loads the whole batch at once (``analyze
---checkpoint``, and the fallback for a file out of time order, use it
-through :func:`load_cached`).  With ``mapped=True`` it goes one step
+--checkpoint`` uses it through :func:`load_cached`; a warm stream that
+finds the file out of time order joins the reader's chunks instead,
+:meth:`BinCacheReader.batch`).  With ``mapped=True`` it goes one step
 further: instead of copying every column out of the mapping, the
 batch's columns become zero-copy ``memoryview`` casts into the
 kept-alive mmap.  Mapped columns index and slice exactly like the
@@ -43,7 +44,7 @@ import warnings
 from array import array
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,42 +273,63 @@ class BinCacheSpool:
 _CHUNK_BYTES = 1 << 20
 
 
+class _FilePayload:
+    """The payload of an open cache file, sliced like a memoryview:
+    each slice is read from the file (a short read is a truncation)."""
+
+    def __init__(self, handle, length: int, path: Path) -> None:
+        self._handle = handle
+        self._length = length
+        self._path = path
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, part: slice) -> bytes:
+        count = part.stop - part.start
+        self._handle.seek(binfmt.FRAME_SIZE + part.start)
+        data = self._handle.read(count)
+        if len(data) != count:
+            raise BINCACHE.fail("truncated bin cache payload", self._path)
+        return data
+
+
 class BinCacheReader:
     """A bin cache read one chunk of rows at a time, in bounded memory.
 
     Opening it vets the frame and verifies the payload digest through
     one bounded buffer (:func:`binfmt.verify_file`; the file is never
-    mapped), checks the fingerprint as :func:`read_bincache` does,
-    interns the string table into :attr:`interner` and locates the
-    columns.  :meth:`chunks` then yields :class:`TracerouteBatch`
-    chunks of consecutive rows, about :data:`_CHUNK_BYTES` of columns
-    each (*rows* rows when given), read with ``pread`` slices, all on
-    :attr:`interner`, their hop and reply offsets rebased to start at 0
-    and a foreign byte order swapped.  Concatenated, they are the batch
-    :func:`read_bincache` returns.
+    mapped), then walks the payload's column directory as
+    :func:`read_bincache` does, without reading the columns: the
+    fingerprint is checked, the string table interned into
+    :attr:`interner` and the columns located.  :meth:`chunks` then
+    yields :class:`TracerouteBatch` chunks of consecutive rows, about
+    :data:`_CHUNK_BYTES` of columns each, read as slices of the file,
+    all on :attr:`interner`, their hop and reply offsets rebased to
+    start at 0 and a foreign byte order swapped.  Concatenated, they
+    are the batch :func:`read_bincache` returns; :meth:`batch` joins
+    them.
 
     Every chunk gets the checks :func:`read_bincache` applies to the
     whole batch (offset tables monotone and anchored at both ends,
     interned ids in range), so a digest-valid but wrong cache raises
     :class:`BinCacheError` at the chunk that holds the fault, possibly
     after earlier chunks were used: the caller must be able to discard
-    them.  An I/O error is a :class:`BinCacheError` too.  Reading every
-    chunk counts one ``hit`` load.
+    them.  An I/O error is a :class:`BinCacheError` too.  The first
+    pass that reads every chunk counts one ``hit`` load.
     """
 
     def __init__(
-        self,
-        path: PathLike,
-        fingerprint: Optional[Fingerprint] = None,
-        rows: Optional[int] = None,
+        self, path: PathLike, fingerprint: Optional[Fingerprint] = None
     ) -> None:
         self.path = Path(path)
+        self._hit = False
         try:
             self._file = open(self.path, "rb")
         except OSError as exc:
             raise BinCacheError(f"cannot read bin cache {path}: {exc}") from exc
         try:
-            self._locate(fingerprint, rows)
+            self._locate(fingerprint)
         except OSError as exc:
             self.close()
             raise BinCacheError(f"cannot read bin cache {path}: {exc}") from exc
@@ -315,44 +337,14 @@ class BinCacheReader:
             self.close()
             raise
 
-    def _locate(self, fingerprint: Optional[Fingerprint], rows) -> None:
-        handle = self._file
-        end = binfmt.FRAME_SIZE + binfmt.verify_file(handle, BINCACHE, self.path)
-        handle.seek(binfmt.FRAME_SIZE)
-
-        def read(count: int) -> bytes:
-            data = handle.read(count)
-            if len(data) != count:
-                raise BINCACHE.fail("truncated bin cache payload", self.path)
-            return data
-
-        big_endian, size, mtime_ns = _PREFIX.unpack(read(_PREFIX.size))
-        _check_fingerprint((size, mtime_ns), fingerprint, self.path)
-        self._foreign = big_endian != (sys.byteorder == "big")
-
-        def strings() -> Iterator[str]:  # as binfmt.Reader.strings reads
-            for _ in range(binfmt.U32.unpack(read(4))[0]):
-                yield str(read(binfmt.U32.unpack(read(4))[0]), "utf-8")
-
-        try:
-            self.interner = IPInterner(strings())
-        except UnicodeDecodeError as exc:
-            raise BINCACHE.fail(
-                "corrupt bin cache string table", self.path
-            ) from exc
-        #: name -> (file offset of the first element, element count)
-        self._columns: Dict[str, Tuple[int, int]] = {}
-        at = first = handle.tell()
-        for name, typecode in _COLUMNS:
-            count = binfmt.U64.unpack(self._pread(at, 8))[0]
-            self._columns[name] = (at + 8, count)
-            at += 8 + count * array(typecode).itemsize
-            if at > end:
-                raise BINCACHE.fail("truncated bin cache payload", self.path)
-        if at != end:
-            raise BINCACHE.fail("trailing bytes in bin cache payload", self.path)
+    def _locate(self, fingerprint: Optional[Fingerprint]) -> None:
+        length = binfmt.verify_file(self._file, BINCACHE, self.path)
+        self._payload = _FilePayload(self._file, length, self.path)
+        self._foreign, strings, self._columns = _directory(
+            binfmt.Reader(self._payload, BINCACHE, self.path), fingerprint
+        )
+        self.interner = IPInterner(strings)
         counts = {name: count for name, (_, count) in self._columns.items()}
-        _check_lengths(counts, self.path)
         #: Traceroutes in the cache.
         self.rows = counts["timestamp"]
         self._hops, self._replies = counts["hop_ttl"], counts["reply_ip"]
@@ -363,25 +355,18 @@ class BinCacheReader:
             ends = self._read(name, 0, 1) + self._read(name, last, last + 1)
             if tuple(ends) != (0, total):
                 raise BinCacheError(f"bad offset table: {name} in {self.path}")
-        self._step = rows or max(
-            1, _CHUNK_BYTES * self.rows // max(1, end - first)
+        column_bytes = length - self._columns["timestamp"][0]
+        self._step = max(
+            1, _CHUNK_BYTES * self.rows // max(1, column_bytes)
         )
-
-    def _pread(self, offset: int, count: int) -> bytes:
-        data = os.pread(self._file.fileno(), count, offset)
-        if len(data) != count:
-            raise BINCACHE.fail("truncated bin cache payload", self.path)
-        return data
 
     def _read(self, name: str, lo: int, hi: int) -> array:
         """Elements ``lo:hi`` of column *name*, in this host's byte order."""
-        column = array(_TYPECODES[name])
+        typecode = _TYPECODES[name]
         start, _ = self._columns[name]
-        size = column.itemsize
-        column.frombytes(self._pread(start + lo * size, (hi - lo) * size))
-        if self._foreign:
-            column.byteswap()
-        return column
+        size = array(typecode).itemsize
+        data = self._payload[start + lo * size : start + hi * size]
+        return _column(typecode, data, self._foreign)
 
     def _offsets(self, name: str, lo: int, hi: int, total: int) -> array:
         """Offset entries ``lo..hi`` of *name*, rebased to start at 0."""
@@ -393,8 +378,8 @@ class BinCacheReader:
         return column
 
     def chunks(self) -> Iterator[TracerouteBatch]:
-        """Yield the cache's rows a chunk at a time (see the class docs);
-        the file is closed once they are all read or the caller stops."""
+        """Yield the cache's rows a chunk at a time, from the first row
+        (see the class docs)."""
         row = hop = reply = 0
         try:
             while row < self.rows:
@@ -418,16 +403,23 @@ class BinCacheReader:
                 _check_ids(chunk, self.path)
                 yield chunk
                 row, hop, reply = end, hop_end, reply_end
-            _loads().labels("hit").inc()
         except OSError as exc:
             raise BinCacheError(
                 f"cannot read bin cache {self.path}: {exc}"
             ) from exc
-        finally:
-            self.close()
+        if not self._hit:
+            self._hit = True
+            _loads().labels("hit").inc()
+
+    def batch(self) -> TracerouteBatch:
+        """Every row as one batch: :meth:`chunks` joined."""
+        whole = TracerouteBatch(self.interner)
+        for chunk in self.chunks():
+            whole.extend(chunk)
+        return whole
 
     def close(self) -> None:
-        """Close the cache file (:meth:`chunks` does once it ends)."""
+        """Close the cache file."""
         self._file.close()
 
 
@@ -472,45 +464,68 @@ def _parse_cache(
     mapped: bool,
 ) -> TracerouteBatch:
     """Decode a vetted cache payload (see :func:`read_bincache`)."""
-    big_endian, size, mtime_ns = reader.unpack(_PREFIX)
-    _check_fingerprint((size, mtime_ns), fingerprint, reader.path)
-    batch = TracerouteBatch(IPInterner(reader.strings()))
-    foreign_order = big_endian != (sys.byteorder == "big")
+    foreign_order, strings, columns = _directory(reader, fingerprint)
+    batch = TracerouteBatch(IPInterner(strings))
     for name, typecode in _COLUMNS:
-        column = array(typecode)
-        payload = reader.take(reader.u64() * column.itemsize)
+        start, count = columns[name]
+        payload = reader.view[start : start + count * array(typecode).itemsize]
         if mapped and not foreign_order:
             # Zero-copy: the column IS the mapping, cast to its element
             # type.  Indexing yields plain ints/floats exactly like the
             # array columns; byteswapping needs a copy, so foreign-order
-            # caches take the branch below instead.
+            # caches take the copying branch instead.
             setattr(batch, name, payload.cast(typecode))
-            continue
-        column.frombytes(payload)
-        if foreign_order:
-            column.byteswap()
-        setattr(batch, name, column)
-    reader.done()
+        else:
+            setattr(batch, name, _column(typecode, payload, foreign_order))
     _validate_shape(batch, reader.path)
     return batch
+
+
+def _directory(
+    reader: binfmt.Reader, fingerprint: Optional[Fingerprint]
+) -> Tuple[bool, List[str], Dict[str, Tuple[int, int]]]:
+    """Walk a cache payload up to its column bytes, which are skipped.
+
+    Returns (foreign byte order, string table, column name -> (payload
+    offset of its first element, element count)), once the fingerprint
+    and the column lengths passed their checks.
+    """
+    big_endian, size, mtime_ns = reader.unpack(_PREFIX)
+    _check_fingerprint((size, mtime_ns), fingerprint, reader.path)
+    strings = reader.strings()
+    columns: Dict[str, Tuple[int, int]] = {}
+    for name, typecode in _COLUMNS:
+        count = reader.u64()
+        columns[name] = (reader.skip(count * array(typecode).itemsize), count)
+    reader.done()
+    _check_lengths(
+        {name: count for name, (_, count) in columns.items()}, reader.path
+    )
+    return big_endian != (sys.byteorder == "big"), strings, columns
+
+
+def _column(typecode: str, data, foreign_order: bool) -> array:
+    """Column bytes *data* as an ``array``, in this host's byte order."""
+    column = array(typecode)
+    column.frombytes(data)
+    if foreign_order:
+        column.byteswap()
+    return column
 
 
 def _validate_shape(batch: TracerouteBatch, path: PathLike) -> None:
     """Structural invariants guarding against corrupt caches.
 
-    Beyond column lengths, this vets what analysis will later *index
-    with*: offset tables must be monotone and anchored, and every
-    interner id must point inside the string table.  A digest-valid but
+    Beyond the column lengths :func:`_directory` checked, this vets
+    what analysis will later *index with*: offset tables must be
+    monotone and anchored, and every interner id must point inside the
+    string table.  A digest-valid but
     wrong cache must surface here (or in a :class:`BinCacheReader`
     chunk, which applies the same checks a chunk at a time) as
     :class:`BinCacheError`, so that the cache is a miss and ``analyze``
     spools a new one through :class:`BinCacheSpool` — never as an
     IndexError or silently wrong attribution mid-analysis.
     """
-    _check_lengths(
-        {name: len(getattr(batch, name)) for name, _ in _COLUMNS}, path
-    )
-
     def column(name: str) -> np.ndarray:  # a numpy view, no copy
         return np.frombuffer(getattr(batch, name), dtype=np.int64)
 

@@ -182,21 +182,25 @@ def unframe(blob, fmt: Format, path) -> memoryview:
     return payload
 
 
-def verify_file(handle, fmt: Format, path, buffer_bytes: int = 1 << 20) -> int:
+#: Bytes :func:`verify_file` hashes per read.
+_HASH_BUFFER = 1 << 20
+
+
+def verify_file(handle, fmt: Format, path) -> int:
     """Vet the frame of the open binary file *handle*; return the
     payload length.
 
     The :func:`unframe` checks without holding or mapping the file: the
-    payload is hashed through one reused buffer of *buffer_bytes*, so
-    memory stays bounded however large the file is and no page of it
-    stays resident.  Leaves *handle* at end of file.
+    payload is hashed through one reused buffer of :data:`_HASH_BUFFER`
+    bytes, so memory stays bounded however large the file is and no
+    page of it stays resident.  Leaves *handle* at end of file.
     """
     handle.seek(0)
     length, expected = _vet_header(
         handle.read(FRAME_SIZE), os.fstat(handle.fileno()).st_size, fmt, path
     )
     hasher = hashlib.blake2b(digest_size=DIGEST_SIZE)
-    buffer = memoryview(bytearray(max(1, min(buffer_bytes, length))))
+    buffer = memoryview(bytearray(max(1, min(_HASH_BUFFER, length))))
     remaining = length
     while remaining:
         got = handle.readinto(buffer[: min(remaining, len(buffer))])
@@ -269,6 +273,8 @@ def map_frame(
 class Reader:
     """Bounds-checked cursor over one payload.
 
+    *view* is a :class:`memoryview`, or anything with a length whose
+    slices are bytes-like (a payload read from an open file on demand).
     ``digest`` is the payload digest the frame recorded (already
     verified), for formats that pin a file to an index entry.
     """
@@ -284,16 +290,21 @@ class Reader:
         self.path = path
         self.digest = digest
 
-    def take(self, count: int) -> memoryview:
-        """The next *count* bytes, as a view."""
-        end = self.offset + count
+    def skip(self, count: int) -> int:
+        """Pass over the next *count* bytes unread; return where they
+        start."""
+        start, end = self.offset, self.offset + count
         if count < 0 or end > len(self.view):
             raise self.fmt.fail(
                 f"truncated {self.fmt.name} payload", self.path
             )
-        chunk = self.view[self.offset : end]
         self.offset = end
-        return chunk
+        return start
+
+    def take(self, count: int) -> memoryview:
+        """The next *count* bytes, as a view."""
+        start = self.skip(count)
+        return self.view[start : self.offset]
 
     def unpack(self, layout: struct.Struct) -> tuple:
         """The next fixed-size record, decoded with *layout*."""

@@ -792,57 +792,64 @@ def _analyze_streamed(args, pipeline, timer, cache, warm=False):
     :class:`~repro.atlas.stream.ColumnarStream` of the campaign closes
     it: rows from *cache* when *warm*, a chunk at a time, else decoded
     from the file and spooled into *cache* if given.  Returns
-    ``(results, stream, published)``; *results* is ``None`` when the
-    bins must run over the whole campaign (``--checkpoint``, or rows
-    dropped as late)."""
+    ``(results, stream, batch)``; *results* is ``None`` and *batch* the
+    whole campaign when the bins must run over it at once
+    (``--checkpoint``, or rows dropped as late).  The time not spent in
+    bins is ``decode``'s, also when a bad cache ends the run early."""
     from time import perf_counter
 
     from repro.atlas.bincache import BinCacheReader, BinCacheSpool
-    from repro.atlas.bincache import fingerprint_of
-    from repro.atlas.columnar import read_chunks
+    from repro.atlas.bincache import fingerprint_of, read_bincache
+    from repro.atlas.columnar import decode_traceroutes, read_chunks
     from repro.atlas.stream import DEFAULT_LATENESS_BINS, ColumnarStream
 
-    started = perf_counter()
-    spool = reader = None
-    if warm:
-        reader = BinCacheReader(cache, fingerprint_of(args.path))
-    elif cache is not None:
-        spool = BinCacheSpool(cache, fingerprint_of(args.path))
-    stream = ColumnarStream(
-        pipeline.config.bin_s, DEFAULT_LATENESS_BINS, dense=True,
-        strict=True, spool=spool, interner=reader.interner if warm else None,
-    )
-    step = stream.extend if warm else stream.push
-    results: Optional[List] = None if args.checkpoint else []
-    decode_s = perf_counter() - started
+    started, bins_s = perf_counter(), 0.0
+    spool = reader = batch = None
+
+    def run(bins) -> List:
+        nonlocal bins_s
+        ran = perf_counter()
+        done = [pipeline.process_bin(start, view) for start, view in bins]
+        bins_s += perf_counter() - ran
+        return done
+
     try:
+        if warm:
+            reader = BinCacheReader(cache, fingerprint_of(args.path))
+        elif cache is not None:
+            spool = BinCacheSpool(cache, fingerprint_of(args.path))
+        stream = ColumnarStream(
+            pipeline.config.bin_s, DEFAULT_LATENESS_BINS, dense=True,
+            strict=True, spool=spool,
+            interner=reader.interner if warm else None,
+        )
+        step = stream.extend if warm else stream.push
+        results: Optional[List] = None if args.checkpoint else []
         for chunk in reader.chunks() if warm else read_chunks(args.path):
-            started = perf_counter()
+            if results is None and spool is None:
+                break  # no bin to run, no row to spool: read it whole
             closed = step(chunk)
-            decode_s += perf_counter() - started
             if stream.dropped_late:
                 results = None  # the bins run over the whole campaign
-                if spool is None:
-                    break  # and there is nothing left to spool
             if results is not None:
-                results += [
-                    pipeline.process_bin(start, view)
-                    for start, view in closed
-                ]
+                results += run(closed)
         if results is not None:
-            results += [
-                pipeline.process_bin(start, view)
-                for start, view in stream.drain()
-            ]
-        started = perf_counter()
+            results += run(stream.drain())
         published = spool is not None and spool.publish(
             stream.batch.interner.strings
         )
-        timer.add("decode", decode_s + perf_counter() - started)
-    finally:  # the reader closes its file once its chunks end
-        if spool is not None:
-            spool.close()
-    return results, stream, published
+        if results is None:
+            if warm:
+                batch = reader.batch()
+            elif published:
+                batch = read_bincache(cache, mapped=True)
+            else:
+                batch = decode_traceroutes(args.path)
+    finally:
+        timer.add("decode", perf_counter() - started - bins_s)
+        for held in filter(None, (spool, reader)):
+            held.close()
+    return results, stream, batch
 
 
 def _cmd_analyze(args) -> int:
@@ -850,9 +857,8 @@ def _cmd_analyze(args) -> int:
         BinCacheError,
         default_cache_path,
         load_cached,
-        read_bincache,
     )
-    from repro.atlas.columnar import decode_traceroutes, unmapped_probes
+    from repro.atlas.columnar import unmapped_probes
     from repro.atlas.io import TracerouteDecodeError
     from repro.obs.tracing import StageAccumulator, Tracer
     from repro.reporting.ihr import summary_json
@@ -888,28 +894,21 @@ def _cmd_analyze(args) -> int:
     try:
         hit = cache is not None
         try:
-            if hit and not args.checkpoint:
-                results, stream, _ = _analyze_streamed(
-                    args, pipeline, timer, cache, warm=True
-                )
-            if hit and results is None:
+            if hit and args.checkpoint:
                 with timer.stage("decode"):
                     batch = load_cached(args.path, cache, mapped=True)
                 hit = batch is not None
+            elif hit:
+                results, stream, batch = _analyze_streamed(
+                    args, pipeline, timer, cache, warm=True
+                )
         except BinCacheError:
             hit = False
         if not hit:
-            pipeline, published = engine(), False
-            if cache is not None or not args.checkpoint:
-                results, stream, published = _analyze_streamed(
-                    args, pipeline, timer, cache
-                )
-            if results is None:
-                with timer.stage("decode"):
-                    batch = (
-                        read_bincache(cache, mapped=True) if published
-                        else decode_traceroutes(args.path)
-                    )
+            pipeline = engine()
+            results, stream, batch = _analyze_streamed(
+                args, pipeline, timer, cache
+            )
     except (OSError, EOFError, TracerouteDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         print(f"repro: error: {args.path}: {reason}", file=sys.stderr)

@@ -10,6 +10,7 @@ refused too, at the chunk that holds the fault.
 
 import sys
 import tempfile
+from contextlib import closing
 from array import array
 from pathlib import Path
 
@@ -69,17 +70,28 @@ def _write_foreign(path, batch, fingerprint=None):
     binfmt.atomic_write(path, bincache.BINCACHE, chunks)
 
 
+def _reader(cache, rows=None, fingerprint=None):
+    """A reader of *cache* whose chunks hold *rows* rows each (about
+    ``_CHUNK_BYTES`` of columns when None)."""
+    reader = BinCacheReader(cache, fingerprint=fingerprint)
+    if rows is not None:
+        reader._step = rows
+    return reader
+
+
 def _joined(reader):
     """The reader's chunks appended to one batch on its interner,
-    each checked to be a self-contained batch on the way."""
+    each checked to be a self-contained batch on the way; the reader
+    is closed after."""
     joined = TracerouteBatch(reader.interner)
     sizes = []
-    for chunk in reader.chunks():
-        assert chunk.interner is reader.interner
-        assert chunk.hop_offsets[0] == chunk.reply_offsets[0] == 0
-        bincache._validate_shape(chunk, reader.path)
-        sizes.append(len(chunk))
-        joined.extend(chunk)
+    with closing(reader):
+        for chunk in reader.chunks():
+            assert chunk.interner is reader.interner
+            assert chunk.hop_offsets[0] == chunk.reply_offsets[0] == 0
+            bincache._validate_shape(chunk, reader.path)
+            sizes.append(len(chunk))
+            joined.extend(chunk)
     return joined, sizes
 
 
@@ -115,9 +127,12 @@ class TestChunksAreTheWholeBatch:
             else:
                 write_bincache(cache, batch, (5, 6))
             expected = read_bincache(cache, fingerprint=(5, 6))
-            reader = BinCacheReader(cache, fingerprint=(5, 6), rows=rows)
+            reader = _reader(cache, rows, fingerprint=(5, 6))
             joined, sizes = _joined(reader)
+            with closing(_reader(cache, rows)) as again:
+                whole = again.batch()
         _assert_same_columns(joined, expected)
+        _assert_same_columns(whole, expected)
         assert joined.to_traceroutes() == traceroutes
         step = rows or max(n, 1)
         assert sizes == [min(step, n - lo) for lo in range(0, n, step)]
@@ -125,9 +140,10 @@ class TestChunksAreTheWholeBatch:
     def test_empty_campaign_has_no_chunks(self, tmp_path):
         cache = tmp_path / "empty.binc"
         write_bincache(cache, TracerouteBatch())
-        reader = BinCacheReader(cache)
-        assert len(reader.interner) == 0
-        assert list(reader.chunks()) == []
+        with closing(BinCacheReader(cache)) as reader:
+            assert len(reader.interner) == 0
+            assert list(reader.chunks()) == []
+            assert len(reader.batch()) == 0
 
     def test_foreign_byte_order_is_swapped(self, tmp_path):
         """The payload of a foreign cache really is swapped (so the
@@ -143,15 +159,15 @@ class TestChunksAreTheWholeBatch:
         write_bincache(native, batch)
         _write_foreign(foreign, batch)
         assert native.read_bytes() != foreign.read_bytes()
-        joined, sizes = _joined(BinCacheReader(foreign, rows=2))
+        joined, sizes = _joined(_reader(foreign, 2))
         assert sizes == [2, 2, 1]
         assert joined.to_traceroutes() == traceroutes
 
     def test_default_chunks_hold_about_the_chunk_bytes(
         self, tmp_path, monkeypatch
     ):
-        """Without *rows*, a chunk holds about ``_CHUNK_BYTES`` of
-        columns: the cache's column bytes split evenly by row."""
+        """A chunk holds about ``_CHUNK_BYTES`` of columns: the
+        cache's column bytes split evenly by row."""
         traceroutes = [
             make_traceroute(k, "192.0.2.1", "10.9.9.9", k,
                             [[("10.0.0.1", 1.0)]] * 3)
@@ -204,11 +220,12 @@ class TestFaultsSurfaceAtTheirChunk:
         write_bincache(cache, batch)
         with pytest.raises(BinCacheError):
             read_bincache(cache)
-        chunks = BinCacheReader(cache, rows=10).chunks()
-        for _ in range(3):
-            next(chunks)
-        with pytest.raises(BinCacheError):
-            next(chunks)
+        with closing(_reader(cache, 10)) as reader:
+            chunks = reader.chunks()
+            for _ in range(3):
+                next(chunks)
+            with pytest.raises(BinCacheError):
+                next(chunks)
 
     def test_offset_past_the_column_stops_its_chunk(self, tmp_path):
         """An offset that points past its column's end, at a chunk's
@@ -218,10 +235,11 @@ class TestFaultsSurfaceAtTheirChunk:
         batch.hop_offsets[30] = len(batch.hop_ttl) + 9
         cache = tmp_path / "bad.binc"
         write_bincache(cache, batch)
-        chunks = BinCacheReader(cache, rows=10).chunks()
-        next(chunks), next(chunks)
-        with pytest.raises(BinCacheError, match="hop_offsets"):
-            next(chunks)
+        with closing(_reader(cache, 10)) as reader:
+            chunks = reader.chunks()
+            next(chunks), next(chunks)
+            with pytest.raises(BinCacheError, match="hop_offsets"):
+                next(chunks)
 
     @pytest.mark.parametrize("fault", ["anchor", "lengths", "stale", "flip"])
     def test_faults_refused_on_open(self, tmp_path, fault):
@@ -253,16 +271,20 @@ class TestFaultsSurfaceAtTheirChunk:
 
 def test_hit_counted_once_every_chunk_is_read(tmp_path):
     """A reader counts one ``hit`` load, and only once its last chunk
-    passed its checks: one stopped early counts nothing."""
+    passed its checks: a pass stopped early counts nothing, the chunks
+    start from the first row again on the next pass, and a second whole
+    pass counts nothing more."""
     cache = tmp_path / "c.binc"
     write_bincache(cache, _campaign())
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
     try:
-        chunks = BinCacheReader(cache, rows=10).chunks()
-        next(chunks)
-        chunks.close()
-        list(BinCacheReader(cache, rows=10).chunks())
+        with closing(_reader(cache, 10)) as reader:
+            chunks = reader.chunks()
+            next(chunks)
+            chunks.close()
+            assert sum(map(len, reader.chunks())) == 40
+            assert len(reader.batch()) == 40
     finally:
         set_default_registry(previous)
     [loads] = [
@@ -284,5 +306,7 @@ def test_the_cache_is_never_mapped(tmp_path, monkeypatch):
     cache = tmp_path / "c.binc"
     write_bincache(cache, _campaign())
     monkeypatch.setattr(mmap, "mmap", refuse)
-    joined, _ = _joined(BinCacheReader(cache, rows=7))
+    joined, _ = _joined(_reader(cache, 7))
     assert len(joined) == 40
+    with closing(_reader(cache, 7)) as reader:
+        assert len(reader.batch()) == 40

@@ -611,6 +611,77 @@ class TestAnalyzeOneProductionPath:
         )
         assert cache.read_bytes() == whole.read_bytes()
 
+    def test_warm_out_of_order_feed_is_rerun_from_the_reader(
+        self, feed, tmp_path, monkeypatch
+    ):
+        """A warm stream that drops rows as late reruns the campaign
+        whole from the reader it already verified: the cache is not
+        mapped, one ``hit`` is counted, and the output is the no-cache
+        run's."""
+        import mmap
+
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        lines = feed.read_bytes().splitlines(keepends=True)
+        source = tmp_path / "rotated.jsonl"
+        source.write_bytes(b"".join(_reordered(lines, "rotated")))
+        cache = tmp_path / "rotated.binc"
+        code, expected, _ = _run("analyze", source, *self.ARGS, "--json")
+        assert code == 0
+        code, _, _ = _run(
+            "analyze", source, *self.ARGS, "--json", "--bin-cache", cache
+        )
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bin cache was mapped")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            code, out, err = _run(
+                "analyze", source, *self.ARGS, "--json", "--bin-cache", cache
+            )
+        finally:
+            set_default_registry(previous)
+        assert code == 0, err
+        assert out == expected
+        assert _engine_bins(registry) > 6  # streamed bins, then whole
+        [loads] = [
+            family for family in registry.collect()
+            if family.name == "repro_bincache_loads_total"
+        ]
+        assert {
+            child.labelvalues: child.value for child in loads.children
+        } == {("hit",): 1}
+
+    def test_a_miss_found_mid_stream_times_both_passes(
+        self, feed, tmp_path, monkeypatch
+    ):
+        """``--timings`` after a cache found bad in its last chunk shows
+        the work done: ``decode`` once for the discarded warm pass and
+        once for the rebuild, and the discarded bins' extract stages
+        beside the rebuild's."""
+        from repro.atlas import bincache
+        from repro.atlas.columnar import decode_traceroutes
+
+        source = tmp_path / "feed.jsonl"
+        source.write_bytes(feed.read_bytes())
+        batch = decode_traceroutes(source)
+        batch.reply_ip[-1] = len(batch.interner) + 5
+        cache = tmp_path / "feed.binc"
+        bincache.write_bincache(cache, batch, bincache.fingerprint_of(source))
+        monkeypatch.setattr(bincache, "_CHUNK_BYTES", 1 << 16)
+        code, _, err = _run(
+            "analyze", source, *self.ARGS, "--json", "--timings",
+            "--bin-cache", cache,
+        )
+        assert code == 0
+        timings = json.loads(err.strip().splitlines()[-1])["timings"]
+        assert timings["decode"]["calls"] == 2
+        assert timings["extract"]["calls"] > 6
+
     def test_truncated_feed_leaves_nothing_behind(self, feed, tmp_path):
         """A line torn mid-campaign, after bins were already run and
         rows spooled: one error line with its line number, exit 1, and
