@@ -23,10 +23,10 @@ string is materialised only where a detector needs a key.
 
 :func:`decode_lines` appends Atlas-format JSONL lines to a
 :class:`TracerouteBatch` without ever constructing ``Reply``/``Hop``
-objects — :func:`decode_traceroutes` loops it over a file, the live
-monitor (:class:`repro.atlas.stream.ColumnarStream`) over tailed
-chunks; :func:`bin_views` groups a batch into aligned time bins as
-lightweight :class:`BatchView` index windows.  The engine's
+objects — :func:`decode_traceroutes` loops it over a file, the decoder
+process of ``monitor`` and ``analyze`` (:mod:`repro.atlas.decoder`)
+over chunks of the feed; :func:`bin_views` groups a batch into aligned
+time bins as lightweight :class:`BatchView` index windows.  The engine's
 extraction kernel consumes those views directly
 (:func:`repro.core.fused.extract_bin_fused`), and
 :mod:`repro.atlas.bincache` persists
@@ -484,8 +484,8 @@ def decode_lines(
     """Append Atlas-format JSONL *lines* to *batch*; return the tally.
 
     The one per-line decode body: :func:`decode_traceroutes` loops it
-    over a file, the live ``monitor`` path
-    (:class:`repro.atlas.stream.ColumnarStream`) over tailed chunks.
+    over a file, the decoder process
+    (:class:`repro.atlas.decoder.ChunkDecoder`) over chunks of a feed.
     Validation mirrors the object model (a TTL below 1 is rejected
     exactly like ``Hop.__post_init__`` does).  Blank lines are skipped
     silently; an undecodable line raises
@@ -685,6 +685,18 @@ def decode_lines(
     tally = DecodeTally(
         len(batch) - rows_before, skipped, unmapped_probes(batch, rows_before)
     )
+    count_decoded(tally)
+    return tally
+
+
+def count_decoded(tally: DecodeTally) -> None:
+    """Add one :func:`decode_lines` tally to the ``repro_ingest_*``
+    counters of the default registry.
+
+    :func:`decode_lines` counts its own; the parent of a
+    :class:`~repro.atlas.decoder.ChunkDecoder` counts each tally its
+    child sends, since the child's registry dies with it.
+    """
     registry = default_registry()
     registry.counter(
         "repro_ingest_traceroutes_total",
@@ -694,12 +706,11 @@ def decode_lines(
         "repro_ingest_unmapped_probes_total",
         "Decoded traceroutes whose probe has no ASN (from_asn absent).",
     ).inc(tally.unmapped)
-    if skipped:
+    if tally.skipped:
         registry.counter(
             "repro_ingest_decode_warnings_total",
             "Undecodable lines skipped in non-strict decoding.",
-        ).inc(skipped)
-    return tally
+        ).inc(tally.skipped)
 
 
 def unmapped_probes(batch: TracerouteBatch, first: int = 0) -> int:

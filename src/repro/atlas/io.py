@@ -26,6 +26,12 @@ class TracerouteDecodeError(ValueError):
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
+        self.reason = reason
+
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so it crosses the pipe from a
+        # decoder process (repro.atlas.decoder) with its type and text.
+        return type(self), (self.line_number, self.reason)
 
 
 class DecodeWarning(UserWarning):

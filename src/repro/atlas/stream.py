@@ -6,8 +6,8 @@ arbitrarily ordered iterable of traceroutes into aligned bins, and
 :class:`LatenessWindow` provides the small amount of buffering needed to
 consume near-real-time feeds where results may arrive slightly out of
 order (the Atlas streaming API gives no ordering guarantee).  Two
-streams share that window: :class:`ColumnarStream` decodes tailed
-chunks of JSONL straight into columns and is what ``monitor`` runs;
+streams share that window: :class:`ColumnarStream` takes tailed chunks
+of JSONL decoded straight into columns and is what ``monitor`` runs;
 the reference's :class:`~repro.reference.ingest.TracerouteStream` takes
 traceroute objects one at a time and is the columnar stream's test
 oracle.
@@ -141,6 +141,14 @@ def binned_payloads(
         yield start, payload
 
 
+def feed_reopens_counter():
+    """The ``repro_ingest_feed_reopens_total`` counter (default registry)."""
+    return default_registry().counter(
+        "repro_ingest_feed_reopens_total",
+        "Feed truncations/rotations the tailer reopened after.",
+    )
+
+
 class FeedTailer:
     """Chunked line reader over an append-only feed that survives rotation.
 
@@ -203,10 +211,7 @@ class FeedTailer:
         at C speed.  Only the very last line of the feed may lack its
         newline (yielded at end of file when not following).
         """
-        reopened = default_registry().counter(
-            "repro_ingest_feed_reopens_total",
-            "Feed truncations/rotations the tailer reopened after.",
-        )
+        reopened = feed_reopens_counter()
         handle = open(self.path, "rb")
         try:
             partial = b""
@@ -354,23 +359,25 @@ class LatenessWindow:
 class ColumnarStream(LatenessWindow):
     """Chunks of JSONL lines in, closed bins out as :class:`BatchView`s.
 
-    The live ``monitor`` ingest: each :meth:`push` decodes one tailed
-    chunk straight into the current :class:`TracerouteBatch`
-    (:func:`~repro.atlas.columnar.decode_lines` — no traceroute objects)
-    and runs the new rows through the same :class:`LatenessWindow` rule
-    the reference's :class:`~repro.reference.ingest.TracerouteStream`
-    applies to objects, so bins, drop counts and densification are
-    identical for the same input order.
+    The live ``monitor`` ingest: :meth:`extend` appends a batch of rows
+    to the current :class:`TracerouteBatch` and runs them through the
+    same :class:`LatenessWindow` rule the reference's
+    :class:`~repro.reference.ingest.TracerouteStream` applies to
+    objects, so bins, drop counts and densification are identical for
+    the same input order.  It is the one row entry: ``monitor`` and a
+    cold ``analyze`` hand it the rows their decoder process
+    (:class:`~repro.atlas.decoder.ChunkDecoder`) decoded, a warm
+    ``analyze`` the rows of its bin cache
+    (:class:`~repro.atlas.bincache.BinCacheReader`, whose *interner*
+    the stream then starts on), and :meth:`push` the rows it decodes
+    from a chunk of lines (:func:`~repro.atlas.columnar.decode_lines`,
+    no traceroute objects).
     Undecodable lines are skipped and counted in :attr:`skipped`, or,
     with *strict* (``analyze``), raise
     :class:`~repro.atlas.io.TracerouteDecodeError` numbered by their
     line in the feed.  A *spool* (``analyze --bin-cache``'s
     :class:`~repro.atlas.bincache.BinCacheSpool`) is handed every
-    decoded row, in feed order, before the window sees it.
-    :meth:`extend` is :meth:`push`'s twin for rows already in columns
-    (a warm ``analyze`` reads them from the bin cache with a
-    :class:`~repro.atlas.bincache.BinCacheReader`, whose *interner* the
-    stream then starts on): the same window step, no decode.
+    row, in feed order, before the window sees it.
 
     Returned views are valid until the next :meth:`push` or
     :meth:`extend`: once the rows of closed (or dropped) bins outnumber
@@ -428,26 +435,24 @@ class ColumnarStream(LatenessWindow):
 
     def push(self, lines: Sequence[bytes]) -> List[Tuple[int, BatchView]]:
         """Decode a chunk of lines; return the bins it closed."""
-        self._release_closed()
-        batch = self.batch
-        first = len(batch)
-        tally = decode_lines(
-            batch, lines, self.strict, first_line=self.lines + 1
-        )
-        self.lines += len(lines)
-        self.skipped += tally.skipped
-        self.unmapped += tally.unmapped
-        if tally.rows and self.spool is not None:
-            self.spool.append(batch, first)
-        return self._advance(first)
+        rows = TracerouteBatch(self.batch.interner)
+        tally = decode_lines(rows, lines, self.strict, self.lines + 1)
+        return self.extend(rows, len(lines), tally.skipped)
 
-    def extend(self, rows: TracerouteBatch) -> List[Tuple[int, BatchView]]:
+    def extend(
+        self, rows: TracerouteBatch, lines: int = 0, skipped: int = 0
+    ) -> List[Tuple[int, BatchView]]:
         """Append a batch of *rows* on this stream's interner; return the
-        bins they closed."""
+        bins they closed.  *lines* and *skipped* count the feed lines
+        the rows were decoded from and those of them skipped."""
         self._release_closed()
         first = len(self.batch)
         self.batch.extend(rows)
+        self.lines += lines
+        self.skipped += skipped
         self.unmapped += unmapped_probes(self.batch, first)
+        if self.spool is not None and len(rows):
+            self.spool.append(self.batch, first)
         return self._advance(first)
 
     def _advance(self, first: int) -> List[Tuple[int, BatchView]]:

@@ -791,20 +791,21 @@ def _analyze_streamed(args, pipeline, timer, cache, warm=False):
     """Run each bin once a strict, ``monitor``-windowed
     :class:`~repro.atlas.stream.ColumnarStream` of the campaign closes
     it: rows from *cache* when *warm*, a chunk at a time, else decoded
-    from the file and spooled into *cache* if given.  Returns
-    ``(results, stream, batch)``; *results* is ``None`` and *batch* the
-    whole campaign when the bins must run over it at once
-    (``--checkpoint``, or rows dropped as late).  The time not spent in
-    bins is ``decode``'s, also when a bad cache ends the run early."""
+    from the file in a child process (and spooled into *cache*).
+    Returns ``(results, stream, batch)``; *batch* is the campaign and
+    *results* ``None`` when the bins must run over it at once
+    (``--checkpoint``, or rows dropped as late).  The time not in bins
+    is ``decode``'s, also when a bad cache ends the run early."""
     from time import perf_counter
 
     from repro.atlas.bincache import BinCacheReader, BinCacheSpool
     from repro.atlas.bincache import fingerprint_of, read_bincache
     from repro.atlas.columnar import decode_traceroutes, read_chunks
+    from repro.atlas.decoder import ChunkDecoder
     from repro.atlas.stream import DEFAULT_LATENESS_BINS, ColumnarStream
 
     started, bins_s = perf_counter(), 0.0
-    spool = reader = batch = None
+    spool = reader = decoder = batch = None
 
     def run(bins) -> List:
         nonlocal bins_s
@@ -823,16 +824,20 @@ def _analyze_streamed(args, pipeline, timer, cache, warm=False):
             strict=True, spool=spool,
             interner=reader.interner if warm else None,
         )
-        step = stream.extend if warm else stream.push
         results: Optional[List] = None if args.checkpoint else []
-        for chunk in reader.chunks() if warm else read_chunks(args.path):
-            if results is None and spool is None:
-                break  # no bin to run, no row to spool: read it whole
-            closed = step(chunk)
+        if warm:
+            steps = map(stream.extend, reader.chunks())
+        elif results is None and spool is None:
+            steps = ()  # no bin to run, no row to spool: read it whole
+        else:  # the next chunk is decoded while the bins run here
+            steps = decoder = ChunkDecoder(read_chunks(args.path), stream)
+        for closed in steps:
             if stream.dropped_late:
                 results = None  # the bins run over the whole campaign
             if results is not None:
                 results += run(closed)
+            elif spool is None:
+                break
         if results is not None:
             results += run(stream.drain())
         published = spool is not None and spool.publish(
@@ -847,7 +852,7 @@ def _analyze_streamed(args, pipeline, timer, cache, warm=False):
                 batch = decode_traceroutes(args.path)
     finally:
         timer.add("decode", perf_counter() - started - bins_s)
-        for held in filter(None, (spool, reader)):
+        for held in filter(None, (spool, reader, decoder)):
             held.close()
     return results, stream, batch
 
@@ -1083,6 +1088,7 @@ def _monitor_prefetch(args) -> int:
 
 def _cmd_monitor(args) -> int:
     """Body of the ``monitor`` subcommand (live path + checkpointing)."""
+    from repro.atlas.decoder import ChunkDecoder
     from repro.atlas.stream import (
         DEFAULT_LATENESS_BINS,
         ColumnarStream,
@@ -1252,15 +1258,9 @@ def _cmd_monitor(args) -> int:
         poll=args.poll,
         idle_timeout=args.idle_timeout,
     )
-    stopped = False
-    for chunk in tailer.chunks():
-        # Straight into columns; a live feed's bad line is skipped and
-        # counted, never fatal.
-        with timer.stage("decode"):
-            closed = stream.push(chunk)
-        if handle(closed):
-            stopped = True
-            break
+    # Decoded as the bins run; a bad line is skipped and counted, not fatal.
+    with ChunkDecoder(tailer.chunks(), stream, tailer, timer) as decoder:
+        stopped = any(handle(closed) for closed in decoder)
     if not stopped:
         handle(stream.drain())
     flush_store()

@@ -454,19 +454,20 @@ class TestAnalyzeOneProductionPath:
         """The bound itself, free of RSS noise: the most rows a cold
         ``analyze`` holds in its stream is the same for the feed and
         for the feed tiled to four times its length, within one read
-        chunk."""
+        chunk.  The chunks are decoded in a child process and reach the
+        stream through its row entry, ``extend``."""
         from repro.atlas.stream import ColumnarStream
 
-        push = ColumnarStream.push
-        seen = []  # (rows held, rows decoded) after each push
+        extend = ColumnarStream.extend
+        seen = []  # (rows held, rows decoded) after each chunk
 
-        def spy(stream, lines):
+        def spy(stream, rows, *counts):
             before = stream.decoded
-            closed = push(stream, lines)
+            closed = extend(stream, rows, *counts)
             seen.append((len(stream.batch), stream.decoded - before))
             return closed
 
-        monkeypatch.setattr(ColumnarStream, "push", spy)
+        monkeypatch.setattr(ColumnarStream, "extend", spy)
         records = [json.loads(line) for line in feed.read_bytes().splitlines()]
         span = 6 * 3600
         peaks = []

@@ -3,8 +3,10 @@
 # and the alarm store must not depend on --bin-cache nor on whether the
 # feed streamed bin by bin or had to be analysed whole, and a bad
 # campaign file must end in one error line, not a traceback, leaving
-# no store, cache or temp file behind.
-# Needs PYTHONPATH=src (the Makefile and CI set it).
+# no store, cache or temp file behind.  No process may outlive a
+# command: a monitor that stops early and an analyze that fails must
+# both have reaped their decoder process.
+# Needs PYTHONPATH=src (the Makefile and CI set it), setsid and pgrep.
 set -eu
 PYTHON=${PYTHON:-python}
 work=$(mktemp -d)
@@ -39,6 +41,21 @@ same() {
     done
 }
 
+# `session NAME COMMAND...` runs the command as the leader of a new
+# session, whose id goes to $work/NAME.sid; `none_left NAME` fails if
+# any process of that session is still there.
+session() {
+    sid=$work/$1.sid
+    shift
+    setsid -w sh -c 'echo $$ > "$0"; exec "$@"' "$sid" "$@"
+}
+none_left() {
+    if pgrep -s "$(cat "$work/$1.sid")"; then
+        echo "analyze smoke: a process outlived the $1 command" >&2
+        exit 1
+    fi
+}
+
 run default "$feed"
 run cache "$feed" --bin-cache       # cold: streams and spools feed.jsonl.binc
 # The benchmark ledger's replay command, warm: streams the cache a chunk
@@ -62,13 +79,20 @@ sed -n 1501p "$feed" | head -c 200 >> "$torn"
 echo >> "$torn"
 tail -n +1502 "$feed" >> "$torn"
 status=0
-$PYTHON -m repro analyze "$torn" --seed 3 --probes 12 \
+session torn $PYTHON -m repro analyze "$torn" --seed 3 --probes 12 \
     --store "$work/torn/store" --bin-cache \
     > /dev/null 2> "$work/torn.err" || status=$?
+none_left torn
 cat "$work/torn.err"
 [ "$status" -eq 1 ]
 grep -q "^repro: error: $torn: line 1501: " "$work/torn.err"
 ! grep -q Traceback "$work/torn.err"
 [ "$(ls -A "$work/torn")" = torn.jsonl ]
+# A monitor stopped after two bins, its decoder still feeding it.
+session monitor $PYTHON -m repro monitor "$feed" --seed 3 --probes 12 \
+    --max-bins 2 > "$work/monitor.out"
+none_left monitor
+grep -q "^monitor done: 2 bins" "$work/monitor.out"
 echo "analyze smoke: 3 runs byte-identical for each of 3 input orders," \
-    "warm --checkpoint run identical, truncated feed rejected cleanly"
+    "warm --checkpoint run identical, truncated feed rejected cleanly," \
+    "no process left after a failed analyze or a stopped monitor"
